@@ -6,7 +6,15 @@
    the restricted productions (return/throw/break/continue).
 
    Regular-expression literals are disambiguated from division with the
-   usual heuristic on the previous significant token. *)
+   usual heuristic on the previous significant token.
+
+   The scanner is index-based: it reads bytes with [String.unsafe_get]
+   behind explicit bounds checks and allocates only what a token carries.
+   Keywords and reserved words are one string [match]; punctuators dispatch
+   on their first character and are constant tokens. Every line terminator
+   consumed, inside a token or between tokens, bumps the line and marks the
+   next token as preceded by a newline. The token stream, lines, newline
+   bits and error messages are frozen by the golden token-stream test. *)
 
 exception Error of string * int (* message, line *)
 
@@ -18,51 +26,22 @@ type lexed = {
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable nl_pending : bool;
-  mutable prev : Token.t option; (* previous significant token *)
+  mutable regexp_ok : bool; (* may a '/' here start a regexp literal? *)
 }
 
 let error st msg = raise (Error (msg, st.line))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The byte at [i], or NUL past the end. NUL is no token's byte, so
+   callers that only classify bytes need no separate end test. *)
+let[@inline] at st i = if i < st.len then String.unsafe_get st.src i else '\000'
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st =
-  (if st.pos < String.length st.src && st.src.[st.pos] = '\n' then (
-     st.line <- st.line + 1;
-     st.nl_pending <- true));
-  st.pos <- st.pos + 1
-
-let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      advance st;
-      advance st;
-      let rec loop () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | None, _ -> error st "unterminated block comment"
-        | _ ->
-            advance st;
-            loop ()
-      in
-      loop ();
-      skip_trivia st
-  | _ -> ()
+let[@inline] newline st =
+  st.line <- st.line + 1;
+  st.nl_pending <- true
 
 let is_ident_start = function
   | 'a' .. 'z' | 'A' .. 'Z' | '_' | '$' -> true
@@ -74,237 +53,314 @@ let is_ident_char = function
 
 let is_digit = function '0' .. '9' -> true | _ -> false
 
-let lex_ident st =
-  let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* First index at or after [i] whose byte fails [p]; [p] must reject
+   NUL, which also stands for the end of input. *)
+let[@inline] scan_while st p i =
+  let j = ref i in
+  while p (at st !j) do
+    incr j
   done;
-  String.sub st.src start (st.pos - start)
+  !j
+
+let skip_trivia st =
+  let src = st.src and len = st.len in
+  let rec block_comment j =
+    if j + 1 < len && String.unsafe_get src j = '*'
+       && String.unsafe_get src (j + 1) = '/'
+    then j + 2
+    else if j >= len then error st "unterminated block comment"
+    else (
+      if String.unsafe_get src j = '\n' then newline st;
+      block_comment (j + 1))
+  in
+  let rec line_end j =
+    if j < len && String.unsafe_get src j <> '\n' then line_end (j + 1) else j
+  in
+  let rec go i =
+    if i >= len then i
+    else
+      match String.unsafe_get src i with
+      | ' ' | '\t' | '\r' -> go (i + 1)
+      | '\n' ->
+          newline st;
+          go (i + 1)
+      | '/' when i + 1 < len -> (
+          match String.unsafe_get src (i + 1) with
+          | '/' -> go (line_end (i + 2))
+          | '*' -> go (block_comment (i + 2))
+          | _ -> i)
+      | _ -> i
+  in
+  st.pos <- go st.pos
+
+let word_token st word : Token.t =
+  match word with
+  | "var" | "let" | "const" | "function" | "return" | "if" | "else" | "for"
+  | "while" | "do" | "break" | "continue" | "new" | "delete" | "typeof"
+  | "instanceof" | "in" | "of" | "void" | "this" | "null" | "true" | "false"
+  | "throw" | "try" | "catch" | "finally" | "switch" | "case" | "default"
+  | "debugger" ->
+      Token.Tkeyword word
+  (* words reserved by ECMA-262 that this subset does not implement; using
+     one as an identifier is still a syntax error *)
+  | "class" | "extends" | "super" | "import" | "export" | "yield" | "enum"
+  | "with" ->
+      error st ("reserved word used as identifier: " ^ word)
+  | _ -> Token.Tident word
 
 let lex_number st =
-  let start = st.pos in
-  let hex = peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') in
-  if hex then (
-    advance st;
-    advance st;
-    while
-      match peek st with
-      | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> true
-      | _ -> false
-    do
-      advance st
-    done;
-    let text = String.sub st.src start (st.pos - start) in
-    if String.length text = 2 then error st "invalid hex literal";
-    Float.of_int (int_of_string text))
+  let src = st.src and i = st.pos in
+  if at st i = '0' && (match at st (i + 1) with 'x' | 'X' -> true | _ -> false)
+  then begin
+    let j = scan_while st (fun c -> hex_value c >= 0) (i + 2) in
+    st.pos <- j;
+    if j = i + 2 then error st "invalid hex literal";
+    (* correctly rounded, like the MV of ECMA-262 11.8.3 *)
+    float_of_string (String.sub src i (j - i))
+  end
   else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
-    (if peek st = Some '.' then (
-       advance st;
-       while (match peek st with Some c -> is_digit c | None -> false) do
-         advance st
-       done));
-    (match peek st with
-    | Some ('e' | 'E') ->
-        advance st;
-        (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-        if not (match peek st with Some c -> is_digit c | None -> false) then
-          error st "missing exponent digits";
-        while (match peek st with Some c -> is_digit c | None -> false) do
-          advance st
-        done
-    | _ -> ());
+    let int_end = scan_while st is_digit i in
+    let j =
+      if at st int_end = '.' then scan_while st is_digit (int_end + 1) else int_end
+    in
+    let j =
+      match at st j with
+      | 'e' | 'E' ->
+          let k = match at st (j + 1) with '+' | '-' -> j + 2 | _ -> j + 1 in
+          if not (is_digit (at st k)) then error st "missing exponent digits";
+          scan_while st is_digit k
+      | _ -> j
+    in
+    st.pos <- j;
     (* ECMA-262 11.8.3: the character immediately following a NumericLiteral
        must not be an IdentifierStart — [3in], [1abc] are syntax errors *)
-    (match peek st with
-    | Some c when is_ident_start c ->
-        error st (Printf.sprintf "identifier starts immediately after number (%c)" c)
-    | _ -> ());
-    let text = String.sub st.src start (st.pos - start) in
-    try float_of_string text with _ -> error st ("bad number literal " ^ text)
+    let c = at st j in
+    if is_ident_start c then
+      error st (Printf.sprintf "identifier starts immediately after number (%c)" c);
+    if j = int_end && j - i <= 15 then begin
+      (* fewer than 16 digits: exact as an int, and as a float *)
+      let v = ref 0 in
+      for k = i to j - 1 do
+        v := (!v * 10) + Char.code (String.unsafe_get src k) - 48
+      done;
+      Float.of_int !v
+    end
+    else
+      let text = String.sub src i (j - i) in
+      match float_of_string_opt text with
+      | Some f -> f
+      | None -> error st ("bad number literal " ^ text)
   end
 
+(* Value of the [n] escape digits at [i], or -1. The first must be a hex
+   digit; later ones may also be '_', which is skipped. *)
+let escape_value src i n =
+  let first = hex_value (String.unsafe_get src i) in
+  if first < 0 then -1
+  else begin
+    let v = ref first in
+    for k = i + 1 to i + n - 1 do
+      match String.unsafe_get src k with
+      | '_' -> ()
+      | c ->
+          let d = hex_value c in
+          v := if d < 0 || !v < 0 then -1 else (!v * 16) + d
+    done;
+    !v
+  end
+
+(* Slow path of [lex_string]: the literal holds an escape. [j] is the
+   index of the first byte not yet copied to [buf]. *)
+let rec string_escapes st quote buf j =
+  let src = st.src and len = st.len in
+  if j >= len then error st "unterminated string literal";
+  match String.unsafe_get src j with
+  | '\n' -> error st "newline in string literal"
+  | c when c = quote -> j + 1
+  | '\\' -> (
+      let j = j + 1 in
+      if j >= len then error st "unterminated escape";
+      let simple c =
+        Buffer.add_char buf c;
+        string_escapes st quote buf (j + 1)
+      in
+      match String.unsafe_get src j with
+      | 'n' -> simple '\n'
+      | 't' -> simple '\t'
+      | 'r' -> simple '\r'
+      | 'b' -> simple '\b'
+      | '0' -> simple '\x00'
+      | 'x' ->
+          let j = j + 1 in
+          if j + 1 >= len then error st "bad \\x escape";
+          if String.unsafe_get src j = '\n' then newline st;
+          if String.unsafe_get src (j + 1) = '\n' then newline st;
+          let code = escape_value src j 2 in
+          if code < 0 then error st "bad \\x escape";
+          Buffer.add_char buf (Char.chr code);
+          string_escapes st quote buf (j + 2)
+      | 'u' ->
+          (* keep BMP escapes as UTF-8-ish bytes; good enough for the
+             generated corpus which stays in ASCII *)
+          let j = j + 1 in
+          if j + 4 > len then error st "bad \\u escape";
+          let v = escape_value src j 4 in
+          if v < 0 then error st "bad \\u escape";
+          if v < 128 then Buffer.add_char buf (Char.chr v)
+          else Buffer.add_string buf (Printf.sprintf "\\u%04x" v);
+          string_escapes st quote buf (j + 4)
+      | c ->
+          if c = '\n' then newline st;
+          simple c)
+  | c ->
+      Buffer.add_char buf c;
+      string_escapes st quote buf (j + 1)
+
 let lex_string st quote =
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> error st "unterminated string literal"
-    | Some '\n' -> error st "newline in string literal"
-    | Some c when c = quote -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> error st "unterminated escape"
-        | Some 'n' ->
-            Buffer.add_char buf '\n';
-            advance st;
-            loop ()
-        | Some 't' ->
-            Buffer.add_char buf '\t';
-            advance st;
-            loop ()
-        | Some 'r' ->
-            Buffer.add_char buf '\r';
-            advance st;
-            loop ()
-        | Some 'b' ->
-            Buffer.add_char buf '\b';
-            advance st;
-            loop ()
-        | Some '0' ->
-            Buffer.add_char buf '\x00';
-            advance st;
-            loop ()
-        | Some 'x' ->
-            advance st;
-            let h1 = peek st and h2 = peek2 st in
-            (match (h1, h2) with
-            | Some a, Some b -> (
-                advance st;
-                advance st;
-                match int_of_string_opt (Printf.sprintf "0x%c%c" a b) with
-                | Some code ->
-                    Buffer.add_char buf (Char.chr code);
-                    loop ()
-                | None -> error st "bad \\x escape")
-            | _ -> error st "bad \\x escape")
-        | Some 'u' ->
-            (* keep BMP escapes as UTF-8-ish bytes; good enough for the
-               generated corpus which stays in ASCII *)
-            advance st;
-            let take4 () =
-              if st.pos + 4 > String.length st.src then error st "bad \\u escape";
-              let s = String.sub st.src st.pos 4 in
-              st.pos <- st.pos + 4;
-              match int_of_string_opt ("0x" ^ s) with
-              | Some v -> v
-              | None -> error st "bad \\u escape"
-            in
-            let v = take4 () in
-            if v < 128 then Buffer.add_char buf (Char.chr v)
-            else Buffer.add_string buf (Printf.sprintf "\\u%04x" v);
-            loop ()
-        | Some c ->
-            Buffer.add_char buf c;
-            advance st;
-            loop ())
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        loop ()
+  let src = st.src and len = st.len and start = st.pos + 1 in
+  let rec plain j =
+    if j < len then
+      match String.unsafe_get src j with
+      | '\\' | '\n' -> j
+      | c -> if c = quote then j else plain (j + 1)
+    else j
   in
-  loop ();
-  Buffer.contents buf
+  let j = plain start in
+  if j < len && String.unsafe_get src j = quote then begin
+    st.pos <- j + 1;
+    String.sub src start (j - start)
+  end
+  else begin
+    let buf = Buffer.create (j - start + 16) in
+    Buffer.add_substring buf src start (j - start);
+    st.pos <- string_escapes st quote buf j;
+    Buffer.contents buf
+  end
 
+(* The body is the source text between the slashes, escapes included. *)
 let lex_regexp st =
-  advance st (* consume '/' *);
-  let buf = Buffer.create 16 in
-  let rec loop in_class =
-    match peek st with
-    | None | Some '\n' -> error st "unterminated regexp literal"
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> error st "unterminated regexp literal"
-        | Some c ->
-            Buffer.add_char buf '\\';
-            Buffer.add_char buf c;
-            advance st;
-            loop in_class)
-    | Some '[' ->
-        Buffer.add_char buf '[';
-        advance st;
-        loop true
-    | Some ']' when in_class ->
-        Buffer.add_char buf ']';
-        advance st;
-        loop false
-    | Some '/' when not in_class -> advance st
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        loop in_class
+  let src = st.src and len = st.len and start = st.pos + 1 in
+  let rec body j in_class =
+    if j >= len then error st "unterminated regexp literal";
+    match String.unsafe_get src j with
+    | '\n' -> error st "unterminated regexp literal"
+    | '\\' ->
+        if j + 1 >= len then error st "unterminated regexp literal";
+        if String.unsafe_get src (j + 1) = '\n' then newline st;
+        body (j + 2) in_class
+    | '[' -> body (j + 1) true
+    | ']' when in_class -> body (j + 1) false
+    | '/' when not in_class -> j
+    | _ -> body (j + 1) in_class
   in
-  loop false;
-  let fstart = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
+  let close = body start false in
+  let fend = scan_while st is_ident_char (close + 1) in
+  for k = close + 1 to fend - 1 do
+    match String.unsafe_get src k with
+    | 'g' | 'i' | 'm' | 's' | 'u' | 'y' -> ()
+    | c -> error st (Printf.sprintf "invalid regexp flag %c" c)
   done;
-  let flags = String.sub st.src fstart (st.pos - fstart) in
-  String.iter
-    (fun c ->
-      if not (String.contains "gimsuy" c) then
-        error st (Printf.sprintf "invalid regexp flag %c" c))
-    flags;
-  (Buffer.contents buf, flags)
+  st.pos <- fend;
+  Token.Tregexp
+    ( String.sub src start (close - start),
+      String.sub src (close + 1) (fend - close - 1) )
 
-(* May a '/' at this point start a regexp literal (vs. division)? *)
-let regexp_allowed prev =
-  match prev with
-  | None -> true
-  | Some (Token.Tpunct (")" | "]")) -> false
-  | Some (Token.Tpunct _) -> true
-  | Some (Token.Tkeyword ("this" | "null" | "true" | "false")) -> false
-  | Some (Token.Tkeyword _) -> true
-  | Some (Token.Tnum _ | Token.Tstr _ | Token.Ttemplate _ | Token.Tregexp _
-         | Token.Tident _ | Token.Teof) ->
-      false
+(* May a '/' after this token start a regexp literal (vs. division)? *)
+let regexp_allowed (tok : Token.t) =
+  match tok with
+  | Tpunct (")" | "]") -> false
+  | Tpunct _ -> true
+  | Tkeyword ("this" | "null" | "true" | "false") -> false
+  | Tkeyword _ -> true
+  | Tnum _ | Tstr _ | Ttemplate _ | Tregexp _ | Tident _ | Teof -> false
 
-let puncts_3 = [ "==="; "!=="; ">>>"; "**=" ]
-let puncts_2 =
-  [
-    "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/=";
-    "%="; "&="; "|="; "^="; "<<"; ">>"; "=>"; "**";
-  ]
+(* Longest match, dispatched on the first byte; every result is a
+   constant. *)
+let lex_punct st : Token.t =
+  let i = st.pos in
+  let c1 = at st (i + 1) and c2 = at st (i + 2) in
+  let tok, n =
+    match String.unsafe_get st.src i with
+    | '=' ->
+        if c1 = '=' then if c2 = '=' then (Token.Tpunct "===", 3) else (Tpunct "==", 2)
+        else if c1 = '>' then (Tpunct "=>", 2)
+        else (Tpunct "=", 1)
+    | '!' ->
+        if c1 = '=' then if c2 = '=' then (Tpunct "!==", 3) else (Tpunct "!=", 2)
+        else (Tpunct "!", 1)
+    | '>' ->
+        if c1 = '>' then if c2 = '>' then (Tpunct ">>>", 3) else (Tpunct ">>", 2)
+        else if c1 = '=' then (Tpunct ">=", 2)
+        else (Tpunct ">", 1)
+    | '<' ->
+        if c1 = '=' then (Tpunct "<=", 2)
+        else if c1 = '<' then (Tpunct "<<", 2)
+        else (Tpunct "<", 1)
+    | '*' ->
+        if c1 = '*' then if c2 = '=' then (Tpunct "**=", 3) else (Tpunct "**", 2)
+        else if c1 = '=' then (Tpunct "*=", 2)
+        else (Tpunct "*", 1)
+    | '&' ->
+        if c1 = '&' then (Tpunct "&&", 2)
+        else if c1 = '=' then (Tpunct "&=", 2)
+        else (Tpunct "&", 1)
+    | '|' ->
+        if c1 = '|' then (Tpunct "||", 2)
+        else if c1 = '=' then (Tpunct "|=", 2)
+        else (Tpunct "|", 1)
+    | '+' ->
+        if c1 = '+' then (Tpunct "++", 2)
+        else if c1 = '=' then (Tpunct "+=", 2)
+        else (Tpunct "+", 1)
+    | '-' ->
+        if c1 = '-' then (Tpunct "--", 2)
+        else if c1 = '=' then (Tpunct "-=", 2)
+        else (Tpunct "-", 1)
+    | '/' -> if c1 = '=' then (Tpunct "/=", 2) else (Tpunct "/", 1)
+    | '%' -> if c1 = '=' then (Tpunct "%=", 2) else (Tpunct "%", 1)
+    | '^' -> if c1 = '=' then (Tpunct "^=", 2) else (Tpunct "^", 1)
+    | '~' -> (Tpunct "~", 1)
+    | '?' -> (Tpunct "?", 1)
+    | ':' -> (Tpunct ":", 1)
+    | ';' -> (Tpunct ";", 1)
+    | ',' -> (Tpunct ",", 1)
+    | '.' -> (Tpunct ".", 1)
+    | '(' -> (Tpunct "(", 1)
+    | ')' -> (Tpunct ")", 1)
+    | '{' -> (Tpunct "{", 1)
+    | '}' -> (Tpunct "}", 1)
+    | '[' -> (Tpunct "[", 1)
+    | ']' -> (Tpunct "]", 1)
+    | c -> error st (Printf.sprintf "unexpected character %C" c)
+  in
+  st.pos <- i + n;
+  tok
 
+(* The token at [st.pos], which is past any trivia. *)
 let rec lex_token st : Token.t =
-  skip_trivia st;
-  match peek st with
-  | None -> Token.Teof
-  | Some c when is_ident_start c ->
-      let word = lex_ident st in
-      if Token.is_keyword word then Token.Tkeyword word
-      else if List.mem word Token.reserved_words then
-        error st ("reserved word used as identifier: " ^ word)
-      else Token.Tident word
-  | Some c when is_digit c -> Token.Tnum (lex_number st)
-  | Some '.' when (match peek2 st with Some d -> is_digit d | None -> false) ->
-      Token.Tnum (lex_number st)
-  | Some ('"' as q) | Some ('\'' as q) -> Token.Tstr (lex_string st q)
-  | Some '`' -> lex_template st
-  | Some '/' when regexp_allowed st.prev ->
-      let body, flags = lex_regexp st in
-      Token.Tregexp (body, flags)
-  | Some _ ->
-      let try_punct n lst =
-        if st.pos + n <= String.length st.src then
-          let s = String.sub st.src st.pos n in
-          if List.mem s lst then Some s else None
-        else None
-      in
-      let p =
-        match try_punct 3 puncts_3 with
-        | Some s -> Some s
-        | None -> (
-            match try_punct 2 puncts_2 with
-            | Some s -> Some s
-            | None ->
-                let c = st.src.[st.pos] in
-                if String.contains "+-*/%=<>!&|^~?:;,.(){}[]" c then
-                  Some (String.make 1 c)
-                else None)
-      in
-      (match p with
-      | Some s ->
-          st.pos <- st.pos + String.length s;
-          Token.Tpunct s
-      | None -> error st (Printf.sprintf "unexpected character %C" st.src.[st.pos]))
+  let i = st.pos in
+  if i >= st.len then Token.Teof
+  else
+    match String.unsafe_get st.src i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '$' ->
+        let j = scan_while st is_ident_char (i + 1) in
+        st.pos <- j;
+        word_token st (String.sub st.src i (j - i))
+    | '0' .. '9' -> Token.Tnum (lex_number st)
+    | '.' when is_digit (at st (i + 1)) -> Token.Tnum (lex_number st)
+    | ('"' | '\'') as q -> Token.Tstr (lex_string st q)
+    | '`' -> lex_template st
+    | '/' when st.regexp_ok -> lex_regexp st
+    | _ -> lex_punct st
 
 and lex_template st : Token.t =
-  advance st (* '`' *);
+  let src = st.src and len = st.len in
   let parts = ref [] in
   let buf = Buffer.create 16 in
   let flush () =
@@ -312,64 +368,76 @@ and lex_template st : Token.t =
       parts := Token.Pstr (Buffer.contents buf) :: !parts;
       Buffer.clear buf)
   in
-  let rec loop () =
-    match peek st with
-    | None -> error st "unterminated template literal"
-    | Some '`' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'; advance st; loop ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance st; loop ()
-        | Some c -> Buffer.add_char buf c; advance st; loop ()
-        | None -> error st "unterminated template literal")
-    | Some '$' when peek2 st = Some '{' ->
+  (* copy the byte at [j], or what its escape stands for, and go on *)
+  let rec copy j c =
+    if String.unsafe_get src j = '\n' then newline st;
+    Buffer.add_char buf c;
+    loop (j + 1)
+  and loop j =
+    if j >= len then error st "unterminated template literal";
+    match String.unsafe_get src j with
+    | '`' -> st.pos <- j + 1
+    | '\\' -> (
+        if j + 1 >= len then error st "unterminated template literal";
+        match String.unsafe_get src (j + 1) with
+        | 'n' -> copy (j + 1) '\n'
+        | 't' -> copy (j + 1) '\t'
+        | c -> copy (j + 1) c)
+    | '$' when at st (j + 1) = '{' ->
         flush ();
-        advance st;
-        advance st;
-        (* lex the substitution up to the matching '}' *)
-        let toks = ref [] in
-        let depth = ref 0 in
-        let rec sub () =
-          skip_trivia st;
-          match peek st with
-          | Some '}' when !depth = 0 -> advance st
-          | None -> error st "unterminated template substitution"
-          | _ ->
-              let t = lex_token st in
-              (match t with
-              | Token.Tpunct "{" -> incr depth
-              | Token.Tpunct "}" -> decr depth
-              | _ -> ());
-              st.prev <- Some t;
-              toks := t :: !toks;
-              sub ()
-        in
-        sub ();
-        parts := Token.Psub (List.rev !toks) :: !parts;
-        loop ()
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        loop ()
+        st.pos <- j + 2;
+        parts := Token.Psub (substitution st) :: !parts;
+        loop st.pos
+    | c -> copy j c
   in
-  loop ();
+  loop (st.pos + 1);
   flush ();
   Token.Ttemplate (List.rev !parts)
 
-(* Tokenize the full input. Raises {!Error} on lexical errors. *)
-let tokenize (src : string) : lexed list =
-  let st = { src; pos = 0; line = 1; nl_pending = false; prev = None } in
-  let acc = ref [] in
-  let rec loop () =
+(* Lex a template substitution up to its matching '}'. *)
+and substitution st =
+  let toks = ref [] and depth = ref 0 in
+  let rec sub () =
     skip_trivia st;
-    let nl = st.nl_pending in
+    if st.pos >= st.len then error st "unterminated template substitution";
+    if !depth = 0 && String.unsafe_get st.src st.pos = '}' then
+      st.pos <- st.pos + 1
+    else begin
+      let t = lex_token st in
+      (match t with
+      | Token.Tpunct "{" -> incr depth
+      | Token.Tpunct "}" -> decr depth
+      | _ -> ());
+      st.regexp_ok <- regexp_allowed t;
+      toks := t :: !toks;
+      sub ()
+    end
+  in
+  sub ();
+  List.rev !toks
+
+let no_token = { tok = Token.Teof; line = 0; newline_before = false }
+
+(* Tokenize the full input. Raises {!Error} on lexical errors. *)
+let tokenize (src : string) : lexed array =
+  let len = String.length src in
+  let st = { src; len; pos = 0; line = 1; nl_pending = false; regexp_ok = true } in
+  (* about one token per three bytes of generated code *)
+  let toks = ref (Array.make ((len / 3) + 8) no_token) in
+  let rec loop n =
+    skip_trivia st;
+    let newline_before = st.nl_pending in
     st.nl_pending <- false;
     let line = st.line in
     let tok = lex_token st in
-    st.prev <- Some tok;
-    acc := { tok; line; newline_before = nl } :: !acc;
-    if tok <> Token.Teof then loop ()
+    st.regexp_ok <- regexp_allowed tok;
+    if n = Array.length !toks then begin
+      let grown = Array.make (2 * n) no_token in
+      Array.blit !toks 0 grown 0 n;
+      toks := grown
+    end;
+    Array.unsafe_set !toks n { tok; line; newline_before };
+    match tok with Token.Teof -> n + 1 | _ -> loop (n + 1)
   in
-  loop ();
-  List.rev !acc
+  let n = loop 0 in
+  Array.sub !toks 0 n

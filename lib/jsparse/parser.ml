@@ -171,11 +171,11 @@ let parse_count () = Atomic.get parses
 let rec parse_program ?(opts = default_options) ?(force_strict = false)
     (src : string) : Ast.program =
   Atomic.incr parses;
-  let lexed =
+  let toks =
     try Lexer.tokenize src
     with Lexer.Error (msg, line) -> raise (Syntax_error (msg, line))
   in
-  let st = { toks = Array.of_list lexed; idx = 0; opts; strict = force_strict } in
+  let st = { toks; idx = 0; opts; strict = force_strict } in
   (* directive prologue; [force_strict] models a strict-mode testbed where
      the whole script is treated as strict code *)
   let strict =

@@ -13,21 +13,6 @@ type t =
 and part = Pstr of string | Psub of t list
     (* a template substitution is lexed to a token list and re-parsed *)
 
-let keywords =
-  [
-    "var"; "let"; "const"; "function"; "return"; "if"; "else"; "for"; "while";
-    "do"; "break"; "continue"; "new"; "delete"; "typeof"; "instanceof"; "in";
-    "of"; "void"; "this"; "null"; "true"; "false"; "throw"; "try"; "catch";
-    "finally"; "switch"; "case"; "default"; "debugger";
-  ]
-
-let is_keyword s = List.mem s keywords
-
-(* Words reserved by ECMA-262 that this subset does not implement; using one
-   as an identifier is still a syntax error. *)
-let reserved_words =
-  [ "class"; "extends"; "super"; "import"; "export"; "yield"; "enum"; "with" ]
-
 let to_string = function
   | Tnum f -> Printf.sprintf "number %g" f
   | Tstr s -> Printf.sprintf "string %S" s

@@ -230,6 +230,213 @@ let idempotent_prop =
       let s2 = Jsast.Printer.program_to_string (B.refresh_program p) in
       s1 = s2)
 
+(* --- Hex literals: ECMA-262 MV, correctly rounded --- *)
+
+module L = Jsparse.Lexer
+module T = Jsparse.Token
+
+let first_number src =
+  match (L.tokenize src).(0).L.tok with
+  | T.Tnum f -> f
+  | t -> Alcotest.failf "%S lexed to %s, not a number" src (T.to_string t)
+
+let hex_literal_tests () =
+  let check src v =
+    Alcotest.(check int64) src (Int64.bits_of_float v)
+      (Int64.bits_of_float (first_number src))
+  in
+  check "0x1F" 31.;
+  check "0Xff" 255.;
+  check "0x7FFFFFFFFFFFFFFF" 9223372036854775808.;
+  check "0x4000000000000000" 4611686018427387904.;
+  check "0xFFFFFFFFFFFFFFFF" 18446744073709551616.;
+  check "0xFFFFFFFFFFFFFFFFFFFFFFFF" 7.922816251426434e28;
+  (* ties round to even *)
+  check "0x20000000000001" 9007199254740992.;
+  check "0x20000000000003" 9007199254740996.;
+  Alcotest.(check bool) "huge hex literal parses" true
+    (parses "var big = 0xFFFFFFFFFFFFFFFF;")
+
+(* --- Golden token stream ---
+
+   Every corpus program, a set of lexer edge cases and a few thousand
+   seeded byte mutants of them are tokenized, and the whole token stream
+   (each token with exact float bits, its line and its newline_before bit,
+   or the lexer error and its line) is digested. The digest was recorded
+   once; any lexer change that alters a token, a line, a newline bit or an
+   error message fails here. *)
+
+let lexer_edge_cases =
+  [
+    "0x7FFFFFFFFFFFFFFF; 0x4000000000000000; 0xFFFFFFFFFFFFFFFF;";
+    "0xFFFFFFFFFFFFFFFFFFFFFFFF 0X1f 0x1g 0x";
+    "1e308 1e309 .5e-3 1.e2 5. 00012 0.1 123456789012345678901234567890";
+    "3in x; 1abc; 1.5e; 1e+; 2e-x";
+    "\"\\x41\\x4g\\x1_\\u0041\\u00e9\\u1_2_\\u12\";";
+    "'\\n\\t\\r\\b\\0\\q\\\n\\'' \"\\";
+    "\"\\x\n1\"";
+    "\"\\u12\n4\" x";
+    "\"abc\ndef\"";
+    "`a\nb` x; `${a}${b}` `${ {a:1}.a }` `${`${x}`}` `\\n\\t\\`\\${x}`";
+    "x = a`${/re/g}`; `${}`; `${";
+    "`unterminated";
+    "/re/gimsuy.test(s); a / b / c; (a) / 2; [1] / 2; this / 2; x = /[/]\\//";
+    "/a\\\nb/; /abc/q; /open";
+    "x /= 2; y = /=/.test(s)";
+    "a === b !== c >>> d **= e == f != g <= h >= i && j || k ++ -- += -= *= /= %= &= |= ^= << >> => **";
+    "a >>>= b; c <<= d; e >>= f; g ?. h; i ?? j; ... k ~ l";
+    "var class = 1;"; "enum"; "with (o) {}"; "yield"; "super.x";
+    "x // comment\ny /* block\ncomment */ z /* unterminated\n";
+    "/*/ not closed";
+    "a\r\nb\tc\x0bd";
+    "\xc3\xa9t\xc3\xa9 = 1;";
+    "@"; "#x"; "\\u0041bc"; "";
+    "return\n1; throw\nx; a\n++b";
+    "var of = 3; let let_ = in_; instanceof typeof void delete debugger";
+  ]
+
+let lexer_corpus =
+  Array.of_list
+    (Lm.Js_corpus.programs @ Baselines.Seeds.programs @ lexer_edge_cases
+   @ accepted @ rejected)
+
+(* xorshift: a generator fixed here, independent of the stdlib's, so the
+   golden corpus never changes. [rand n] draws from [0, n). *)
+let xorshift seed =
+  let state = ref seed in
+  fun n ->
+    let x = !state in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor (x lsl 17) in
+    state := x;
+    (x land max_int) mod n
+
+(* A corpus program after one to four byte edits: replace, insert or
+   delete a byte, splice in a slice of another program, or truncate. *)
+let byte_mutant rand =
+  let base = lexer_corpus in
+  let special = "\"'`\\/*${}\n\r\t0123456789xXuUeE.+-=<>!&|^~?:;,()[] _" in
+  let byte () =
+    if rand 2 = 0 then special.[rand (String.length special)]
+    else Char.chr (rand 256)
+  in
+  let mutate s =
+    let n = String.length s in
+    let at = if n = 0 then 0 else rand (n + 1) in
+    let pre = String.sub s 0 at and post = String.sub s at (n - at) in
+    match rand 5 with
+    | 0 when at < n -> pre ^ String.make 1 (byte ()) ^ String.sub post 1 (n - at - 1)
+    | 1 -> pre ^ String.make 1 (byte ()) ^ post
+    | 2 when at < n -> pre ^ String.sub post 1 (n - at - 1)
+    | 3 ->
+        let donor = base.(rand (Array.length base)) in
+        let dn = String.length donor in
+        let from = rand (dn + 1) in
+        pre ^ String.sub donor from (min (rand 24) (dn - from)) ^ post
+    | _ -> pre
+  in
+  let s = ref base.(rand (Array.length base)) in
+  for _ = 0 to rand 4 do
+    s := mutate !s
+  done;
+  !s
+
+let golden_corpus () =
+  let rand = xorshift 0x2545F4914F6CDD1D in
+  Array.to_list lexer_corpus @ List.init 4000 (fun _ -> byte_mutant rand)
+
+let add_token_stream b src =
+  let str tag s = Printf.bprintf b "%c%d:%s" tag (String.length s) s in
+  let rec tok = function
+    | T.Tnum f -> Printf.bprintf b "N%Lx" (Int64.bits_of_float f)
+    | T.Tstr s -> str 'S' s
+    | T.Ttemplate parts ->
+        Buffer.add_char b 'T';
+        List.iter
+          (function
+            | T.Pstr s -> str 's' s
+            | T.Psub ts ->
+                Buffer.add_char b '{';
+                List.iter tok ts;
+                Buffer.add_char b '}')
+          parts;
+        Buffer.add_char b ';'
+    | T.Tregexp (body, flags) -> str 'R' body; str 'F' flags
+    | T.Tident s -> str 'I' s
+    | T.Tkeyword s -> str 'K' s
+    | T.Tpunct s -> str 'P' s
+    | T.Teof -> Buffer.add_char b '$'
+  in
+  (match L.tokenize src with
+  | toks ->
+      Array.iter
+        (fun { L.tok = t; line; newline_before } ->
+          tok t;
+          Printf.bprintf b "@%d%c" line (if newline_before then 'n' else '.'))
+        toks
+  | exception L.Error (msg, line) -> Printf.bprintf b "E%d:%s@%d" (String.length msg) msg line);
+  Buffer.add_char b '\n'
+
+(* Recorded on the option-peeking lexer that the index-based one replaced,
+   with the hex-literal fix already applied. *)
+let golden_digest = "e5b0f8024c8472ebe468da655df8f537"
+
+let golden_token_stream_test () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter (add_token_stream b) (golden_corpus ());
+  Alcotest.(check string) "token-stream digest" golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* --- Hostile input: only the documented exceptions escape --- *)
+
+let front_end_total src =
+  (match L.tokenize src with _ -> () | exception L.Error _ -> ());
+  List.iter
+    (fun (opts, force_strict) ->
+      match P.parse_program ~opts ~force_strict src with
+      | _ -> ()
+      | exception P.Syntax_error _ -> ())
+    [
+      (P.default_options, false);
+      (P.es5_options, false);
+      (P.default_options, true);
+      (P.es5_options, true);
+    ];
+  true
+
+let gen_hostile =
+  let open QCheck2.Gen in
+  let hex_digit = oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF")) in
+  let digits = string_size ~gen:(char_range '0' '9') (int_range 1 40) in
+  let mutant = map (fun seed -> byte_mutant (xorshift (seed lor 1))) int in
+  let hex_literal =
+    map2
+      (fun x ds -> "var h = 0" ^ x ^ ds ^ ";")
+      (oneofl [ "x"; "X" ])
+      (string_size ~gen:hex_digit (int_range 0 40))
+  in
+  let dec_literal =
+    map3
+      (fun i f e -> "x = " ^ i ^ f ^ e ^ ";")
+      digits
+      (oneof [ return ""; map (( ^ ) ".") digits ])
+      (oneof [ return ""; map (( ^ ) "e") digits; map (( ^ ) "e-") digits ])
+  in
+  let escape =
+    map3
+      (fun q esc tail -> String.make 1 q ^ "\\" ^ esc ^ tail ^ String.make 1 q)
+      (oneofl [ '"'; '\''; '`' ])
+      (oneofl [ "x"; "u"; "x4"; "u00"; "u004"; "" ])
+      (string_size ~gen:(oneof [ hex_digit; oneofl [ '_'; '\n'; 'g'; '"' ] ])
+         (int_range 0 5))
+  in
+  oneof [ mutant; string_size (int_range 0 120); hex_literal; dec_literal; escape ]
+
+let hostile_input_prop =
+  QCheck2.Test.make ~count:3000 ~name:"hostile input raises only syntax errors"
+    ~print:(Printf.sprintf "%S") gen_hostile front_end_total
+
 let suite =
   [
     case "accepted programs" acceptance_tests;
@@ -237,6 +444,9 @@ let suite =
     case "es5 and quirk options" es5_options_tests;
     case "automatic semicolon insertion" asi_tests;
     case "directive prologue" directive_tests;
+    case "hex literals" hex_literal_tests;
+    case "golden token stream" golden_token_stream_test;
+    QCheck_alcotest.to_alcotest hostile_input_prop;
     QCheck_alcotest.to_alcotest roundtrip_prop;
     QCheck_alcotest.to_alcotest idempotent_prop;
   ]
