@@ -143,19 +143,10 @@ let lex_number st =
     let c = at st j in
     if is_ident_start c then
       error st (Printf.sprintf "identifier starts immediately after number (%c)" c);
-    if j = int_end && j - i <= 15 then begin
-      (* fewer than 16 digits: exact as an int, and as a float *)
-      let v = ref 0 in
-      for k = i to j - 1 do
-        v := (!v * 10) + Char.code (String.unsafe_get src k) - 48
-      done;
-      Float.of_int !v
-    end
-    else
-      let text = String.sub src i (j - i) in
-      match float_of_string_opt text with
-      | Some f -> f
-      | None -> error st ("bad number literal " ^ text)
+    let text = String.sub src i (j - i) in
+    match float_of_string_opt text with
+    | Some f -> f
+    | None -> error st ("bad number literal " ^ text)
   end
 
 (* Value of the [n] escape digits at [i], or -1. The first must be a hex

@@ -259,46 +259,14 @@ let hex_literal_tests () =
 
 (* --- Golden token stream ---
 
-   Every corpus program, a set of lexer edge cases and a few thousand
-   seeded byte mutants of them are tokenized, and the whole token stream
-   (each token with exact float bits, its line and its newline_before bit,
-   or the lexer error and its line) is digested. The digest was recorded
-   once; any lexer change that alters a token, a line, a newline bit or an
-   error message fails here. *)
+   The frozen sources in [Golden_lexer_corpus] and 4,000 seeded byte
+   mutants of them are tokenized, and each group's token stream (each
+   token with exact float bits, its line and its newline_before bit, or
+   the lexer error and its line) is digested. The digests were recorded
+   once; any lexer change that alters a token, a line, a newline bit or
+   an error message fails here and names the groups it changed. *)
 
-let lexer_edge_cases =
-  [
-    "0x7FFFFFFFFFFFFFFF; 0x4000000000000000; 0xFFFFFFFFFFFFFFFF;";
-    "0xFFFFFFFFFFFFFFFFFFFFFFFF 0X1f 0x1g 0x";
-    "1e308 1e309 .5e-3 1.e2 5. 00012 0.1 123456789012345678901234567890";
-    "3in x; 1abc; 1.5e; 1e+; 2e-x";
-    "\"\\x41\\x4g\\x1_\\u0041\\u00e9\\u1_2_\\u12\";";
-    "'\\n\\t\\r\\b\\0\\q\\\n\\'' \"\\";
-    "\"\\x\n1\"";
-    "\"\\u12\n4\" x";
-    "\"abc\ndef\"";
-    "`a\nb` x; `${a}${b}` `${ {a:1}.a }` `${`${x}`}` `\\n\\t\\`\\${x}`";
-    "x = a`${/re/g}`; `${}`; `${";
-    "`unterminated";
-    "/re/gimsuy.test(s); a / b / c; (a) / 2; [1] / 2; this / 2; x = /[/]\\//";
-    "/a\\\nb/; /abc/q; /open";
-    "x /= 2; y = /=/.test(s)";
-    "a === b !== c >>> d **= e == f != g <= h >= i && j || k ++ -- += -= *= /= %= &= |= ^= << >> => **";
-    "a >>>= b; c <<= d; e >>= f; g ?. h; i ?? j; ... k ~ l";
-    "var class = 1;"; "enum"; "with (o) {}"; "yield"; "super.x";
-    "x // comment\ny /* block\ncomment */ z /* unterminated\n";
-    "/*/ not closed";
-    "a\r\nb\tc\x0bd";
-    "\xc3\xa9t\xc3\xa9 = 1;";
-    "@"; "#x"; "\\u0041bc"; "";
-    "return\n1; throw\nx; a\n++b";
-    "var of = 3; let let_ = in_; instanceof typeof void delete debugger";
-  ]
-
-let lexer_corpus =
-  Array.of_list
-    (Lm.Js_corpus.programs @ Baselines.Seeds.programs @ lexer_edge_cases
-   @ accepted @ rejected)
+module G = Golden_lexer_corpus
 
 (* xorshift: a generator fixed here, independent of the stdlib's, so the
    golden corpus never changes. [rand n] draws from [0, n). *)
@@ -315,7 +283,7 @@ let xorshift seed =
 (* A corpus program after one to four byte edits: replace, insert or
    delete a byte, splice in a slice of another program, or truncate. *)
 let byte_mutant rand =
-  let base = lexer_corpus in
+  let base = G.sources in
   let special = "\"'`\\/*${}\n\r\t0123456789xXuUeE.+-=<>!&|^~?:;,()[] _" in
   let byte () =
     if rand 2 = 0 then special.[rand (String.length special)]
@@ -342,9 +310,14 @@ let byte_mutant rand =
   done;
   !s
 
-let golden_corpus () =
+let golden_groups () =
   let rand = xorshift 0x2545F4914F6CDD1D in
-  Array.to_list lexer_corpus @ List.init 4000 (fun _ -> byte_mutant rand)
+  let mutants = Array.init 4000 (fun _ -> byte_mutant rand) in
+  let size = 500 in
+  G.groups
+  @ List.init (4000 / size) (fun k ->
+        ( Printf.sprintf "mutants %d-%d" (k * size) (((k + 1) * size) - 1),
+          Array.to_list (Array.sub mutants (k * size) size) ))
 
 let add_token_stream b src =
   let str tag s = Printf.bprintf b "%c%d:%s" tag (String.length s) s in
@@ -379,14 +352,42 @@ let add_token_stream b src =
   Buffer.add_char b '\n'
 
 (* Recorded on the option-peeking lexer that the index-based one replaced,
-   with the hex-literal fix already applied. *)
-let golden_digest = "e5b0f8024c8472ebe468da655df8f537"
+   with the hex-literal fix already applied. The groups' streams
+   concatenated digest to e5b0f8024c8472ebe468da655df8f537, the single
+   digest first recorded over the same corpus. *)
+let golden_digests =
+  [
+    ("lm corpus", "7dd5e43f491e6c4e52d3c8c002116f57");
+    ("baseline seeds", "d1aaff220ed436c46bd2dcb8ca699210");
+    ("edge cases", "7a383c2c13407fb1cef53aa0e2d124ae");
+    ("parser tests", "93257d6017bf81e11e2bbf4a940464b5");
+    ("mutants 0-499", "6093f2c68ba08f0960fc530a4a81a423");
+    ("mutants 500-999", "8634fe4573f44485b38839a4820df2b9");
+    ("mutants 1000-1499", "07e0a465ed84aac3e15ce0aa22764e06");
+    ("mutants 1500-1999", "7f3a19e4c4a949704361a9afe322480c");
+    ("mutants 2000-2499", "08d81fa8818b8e74eb69d680057a0d26");
+    ("mutants 2500-2999", "e8b4bad6a74d41710e6df7d8df962426");
+    ("mutants 3000-3499", "c7229cd9a46e981f99659f5b0927933a");
+    ("mutants 3500-3999", "243e50538bb49306e5e7c0c96cfec90c");
+  ]
 
 let golden_token_stream_test () =
-  let b = Buffer.create (1 lsl 20) in
-  List.iter (add_token_stream b) (golden_corpus ());
-  Alcotest.(check string) "token-stream digest" golden_digest
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+  let digest (_, sources) =
+    let b = Buffer.create (1 lsl 16) in
+    List.iter (add_token_stream b) sources;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let groups = golden_groups () in
+  Alcotest.(check (list string)) "group names" (List.map fst golden_digests)
+    (List.map fst groups);
+  let changed =
+    List.concat
+      (List.map2
+         (fun group (name, recorded) ->
+           if digest group = recorded then [] else [ name ])
+         groups golden_digests)
+  in
+  Alcotest.(check (list string)) "groups whose token stream changed" [] changed
 
 (* --- Hostile input: only the documented exceptions escape --- *)
 
