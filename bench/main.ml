@@ -958,9 +958,11 @@ let campaign_bench () =
 (* ---------- interpreter-core micro-benchmark ---------- *)
 
 (* ns/op for the quirk-specialised and generic slot-compiled cores vs
-   the tree walker on four workload shapes, each stressing a different
-   part of the interpreter: deep lexical scope chains, function calls,
-   string building, and property traffic. Each program is parsed once up
+   the tree walker on four hand-written workload shapes, each stressing
+   a different part of the interpreter (deep lexical scope chains,
+   function calls, string building, property traffic), plus two
+   generated programs whose array loops are element-key traffic. Each
+   program is parsed once up
    front; the timed body is execution only (with [resolve] on, the
    closure compilation is cached in the front end after the first run,
    matching production where one compile serves a whole testbed sweep).
@@ -1005,7 +1007,74 @@ for (var i = 0; i < 700; i = i + 1) {
 }
 print(o.n + ":" + o.k3);|js}
     );
+    (* generator output, verbatim: the comfort-102 campaign's seed 2
+       case 279 and seed 3 case 222, the array-filling loops that
+       dominated its interpreter time *)
+    ( "gen-push",
+      {js|var __obs = [];
+var n = 32454;
+var items = [1, 2, 5];
+var out = undefined;
+function foo(a, b) {
+  if (b === 0) {
+    return false;
+  }
+  for (var i = 0; i < n; i++) {
+    __obs[__obs.length] = items.push(i * i);
+  }
+  return out;
+}
+var arg_a = "rvvhj";
+var arg_b = false;
+var result = foo(arg_a, arg_b);
+print(result);
+for (var __i = 0; __i < __obs.length; __i++) {
+  print(__obs[__i]);
+}
+|js}
+    );
+    ( "gen-fill",
+      {js|var size = 23789;
+var array = [3, 1];
+var value = 42971;
+function foo(a, b) {
+  while (size--) {
+    array[size] = size;
+  }
+  return value;
+}
+var arg_a = 42;
+var arg_b = true;
+var result = foo(arg_a, arg_b);
+print(result);
+|js}
+    );
   ]
+
+(* The first line a shell command prints, if it exits 0. *)
+let command_line cmd =
+  match Unix.open_process_in cmd with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> line
+      | _ -> None)
+
+(* Where a BENCH_*.json row was measured: cores, compiler, source. *)
+let host_json () =
+  let nproc =
+    match Option.bind (command_line "nproc 2>/dev/null") int_of_string_opt with
+    | Some n -> n
+    | None -> Domain.recommended_domain_count ()
+  in
+  let commit =
+    match command_line "git describe --always --dirty 2>/dev/null" with
+    | Some c -> Printf.sprintf "%S" c
+    | None -> "null"
+  in
+  Printf.sprintf {|{ "nproc": %d, "ocaml": %S, "commit": %s }|} nproc
+    Sys.ocaml_version commit
 
 let interp_bench () =
   header "Interpreter core: specialised vs slot-compiled vs tree-walked (ns/op)";
@@ -1095,13 +1164,14 @@ let interp_bench () =
   let json =
     Printf.sprintf
       {|{
+  "host": %s,
   "fuel": %d,
   "benchmarks": [
 %s
   ]
 }
 |}
-      fuel
+      (host_json ()) fuel
       (String.concat ",\n"
          (List.map
             (fun (name, tree, resolved, specialized) ->

@@ -263,8 +263,10 @@ let default_testbeds () =
 (* --- checkpoint / resume --- *)
 
 module Checkpoint = struct
-  (* A checkpoint is a versioned header line followed by a [Marshal] of
-     the plain-data [state] record below. Everything in it is immutable
+  (* A checkpoint is a versioned header line followed by one [Ipc] frame
+     (length, FNV-1a64 checksum, [Marshal] payload) holding the
+     plain-data [state] record below, so a torn, truncated or bit-flipped
+     file is refused before anything is unmarshalled. Everything in it is immutable
      data or hashtables of immutable data (Testcase.t, registry variants,
      Bugfilter.t, Supervisor.frozen) — no closures — so the default
      marshal flags suffice and the file survives process restarts of the
@@ -281,10 +283,11 @@ module Checkpoint = struct
   (* v2: added ck_reach / ck_audit_reach / ck_reach_seeded (the static
      reachability analysis). v3: added ck_specialize /
      ck_audit_specialize and the specialisation counters (quirk-
-     specialised execution). The header check rejects older files rather
-     than guess defaults for fields that change what a resumed campaign
-     runs. *)
-  let version = 3
+     specialised execution). v4: the state is framed and checksummed
+     ([Ipc.encode]) instead of a bare [Marshal]. The header check rejects
+     older files rather than guess defaults for fields that change what a
+     resumed campaign runs. *)
+  let version = 4
 
   type state = {
     ck_fuzzer : string;
@@ -339,7 +342,7 @@ module Checkpoint = struct
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         Printf.fprintf oc "%s v%d\n" magic version;
-        Marshal.to_channel oc st [];
+        output_string oc (Ipc.encode st);
         flush oc;
         Unix.fsync (Unix.descr_of_out_channel oc));
     Sys.rename tmp path;
@@ -366,10 +369,10 @@ module Checkpoint = struct
                   Error
                     (Printf.sprintf "bad checkpoint header %S (want %S)"
                        header expect)
-                else (
-                  match (Marshal.from_channel ic : state) with
-                  | st -> Ok st
-                  | exception _ -> Error "truncated or corrupt checkpoint"))
+                else
+                  Result.map_error
+                    (fun e -> "corrupt checkpoint: " ^ Ipc.error_to_string e)
+                    (Ipc.decode (In_channel.input_all ic)))
 end
 
 (* --- the driver loop --- *)

@@ -100,7 +100,7 @@ val comfort_fuzzer : ?seed:int -> ?with_datagen:bool -> unit -> fuzzer
 (** Latest version of every engine, in both modes (20 testbeds). *)
 val default_testbeds : unit -> Engines.Engine.testbed list
 
-(** Campaign checkpoints: a versioned, marshalled snapshot of the whole
+(** Campaign checkpoints: a versioned, checksummed snapshot of the whole
     driver state — drawn cases, consumed count, discoveries, filter tree,
     timeline, screening counters, supervisor (quarantine + stats). The
     case list subsumes an RNG cursor: every random draw happens before
@@ -112,6 +112,8 @@ module Checkpoint : sig
   (** Atomic save (write to [path ^ ".tmp"], then rename). *)
   val save : string -> state -> unit
 
+  (** Never raises on a damaged file: a bad header, a truncated or
+      bit-flipped frame is an [Error] naming the damage. *)
   val load : string -> (state, string) Stdlib.result
 
   (** Cases fully consumed when the snapshot was taken. *)

@@ -42,6 +42,16 @@ val default_max_frame : int
     bugs or peer-death signals, not codec states. *)
 val write : Unix.file_descr -> 'a -> unit
 
+(** [encode v] is the frame {!write} would send for [v]. Same caveats
+    as {!write}. *)
+val encode : 'a -> string
+
+(** [decode s] decodes a string holding exactly one frame: a short
+    string is [Truncated], bytes after the frame are [Corrupt]. The
+    frame's length is bounded by [s] itself, so there is no
+    [max_frame]. *)
+val decode : string -> ('a, error) result
+
 (** [read fd] blocks for one frame and returns its decoded payload.
     [max_frame] bounds the payload size accepted (default
     {!default_max_frame}). *)

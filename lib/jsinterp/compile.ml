@@ -696,8 +696,8 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            let key = Ops.to_string ctx (kc ctx fr) in
-            Ops.get ctx ov key)
+            let kv = kc ctx fr in
+            Ops.get_index ctx ov kv)
   | Ast.Seq (ax, bx) ->
       let ac = ce ax and bc = ce bx in
       fun ctx fr ->
@@ -735,17 +735,13 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
           let chk_bool = checkpoint gs Quirk.Q_bool_prop_appends_to_array in
           fun ctx fr v -> (
             let ov = oc ctx fr in
+            let kv = kc ctx fr in
             (* QuickJS quirk (Listing 6): boolean key on an array appends *)
-            match ov with
-            | Obj ({ arr = Some arr; _ } as o) -> (
-                let kv = kc ctx fr in
-                match kv with
-                | Bool true when arr.ty = None && chk_bool ctx ->
-                    Ops.array_store ctx o arr arr.alen v
-                | _ -> Ops.set ctx ~strict ov (Ops.to_string ctx kv) v)
-            | _ ->
-                let key = Ops.to_string ctx (kc ctx fr) in
-                Ops.set ctx ~strict ov key v)
+            match (ov, kv) with
+            | Obj ({ arr = Some arr; _ } as o), Bool true
+              when arr.ty = None && chk_bool ctx ->
+                Ops.array_store ctx o arr arr.alen v
+            | _ -> Ops.set_index ctx ~strict ov kv v)
       | Ast.Pfield key when gs.gs_cell <> None ->
           let st = { ic_e = Ic_empty } in
           fun ctx fr v ->

@@ -688,10 +688,10 @@ and eval ctx scope strict (x : Ast.expr) : value =
       let fv = eval ctx scope strict f in
       let argv = List.map (eval ctx scope strict) args in
       construct ctx fv argv
-  | Ast.Member (ox, prop) ->
+  | Ast.Member (ox, Ast.Pindex e) ->
       let ov = eval ctx scope strict ox in
-      let key = member_key ctx scope strict prop in
-      Ops.get ctx ov key
+      Ops.get_index ctx ov (eval ctx scope strict e)
+  | Ast.Member (ox, Ast.Pfield n) -> Ops.get ctx (eval ctx scope strict ox) n
   | Ast.Seq (a, b) ->
       ignore (eval ctx scope strict a);
       eval ctx scope strict b
@@ -845,20 +845,18 @@ and eval_assign ctx scope strict op (lhs : Ast.expr) (rhs : Ast.expr) : value =
 and assign_to ctx scope strict (lhs : Ast.expr) (v : value) : unit =
   match lhs.Ast.e with
   | Ast.Ident name -> assign_ident ctx scope strict name v
-  | Ast.Member (ox, prop) -> (
+  | Ast.Member (ox, Ast.Pfield n) ->
+      Ops.set ctx ~strict (eval ctx scope strict ox) n v
+  | Ast.Member (ox, Ast.Pindex ix) -> (
       let ov = eval ctx scope strict ox in
+      let kv = eval ctx scope strict ix in
       (* QuickJS quirk (Listing 6): a boolean property key on an array
          appends the value as a new element *)
-      match (ov, prop) with
-      | Obj ({ arr = Some arr; _ } as o), Ast.Pindex ix -> (
-          let kv = eval ctx scope strict ix in
-          match kv with
-          | Bool true when arr.ty = None && fire ctx Quirk.Q_bool_prop_appends_to_array ->
-              Ops.array_store ctx o arr arr.alen v
-          | _ -> Ops.set ctx ~strict ov (Ops.to_string ctx kv) v)
-      | _ ->
-          let key = member_key ctx scope strict prop in
-          Ops.set ctx ~strict ov key v)
+      match (ov, kv) with
+      | Obj ({ arr = Some arr; _ } as o), Bool true
+        when arr.ty = None && fire ctx Quirk.Q_bool_prop_appends_to_array ->
+          Ops.array_store ctx o arr arr.alen v
+      | _ -> Ops.set_index ctx ~strict ov kv v)
   | _ -> Ops.type_error ctx "invalid assignment target"
 
 and eval_call ctx scope strict (fx : Ast.expr) (args : Ast.expr list) : value =

@@ -34,6 +34,10 @@ let number_to_string (f : float) : string =
   else if f = Float.infinity then "Infinity"
   else if f = Float.neg_infinity then "-Infinity"
   else if f = 0.0 then "0" (* both zeros print "0" *)
+  else if Float.is_integer f && Float.abs f < 9007199254740992.0 then
+    (* exact in an int: the same digits as "%.0f", without the format
+       interpreter *)
+    string_of_int (Float.to_int f)
   else if Float.is_integer f && Float.abs f < 1e21 then Printf.sprintf "%.0f" f
   else begin
     let rec try_prec p =
@@ -92,6 +96,25 @@ let number_to_string_radix (f : float) (radix : int) : string =
     end;
     (if neg then "-" else "") ^ Buffer.contents buf
   end
+
+(* --- integer element keys --- *)
+
+(* The element index a Number key names, when it is an integer with
+   0 <= f < 2^53. Every such key prints (through [number_to_string]'s
+   [string_of_int] arm) as the canonical index string of the same
+   integer, so this is a subset of the string path's
+   [array_index_of_key (number_to_string f)] domain, and both paths
+   reach the same element. Everything else — fractions, negatives, NaN,
+   infinities, 2^53 and up — is left to the string path. *)
+let index_of_num (f : float) : int option =
+  if f >= 0.0 && f < 9007199254740992.0 && Float.is_integer f then
+    Some (Float.to_int f)
+  else None
+
+(* An element load from array storage: indices past [alen] read as
+   holes, with no prototype walk. *)
+let get_elem (arr : arr) (i : int) : value =
+  if i < arr.alen then arr.elems.(i) else Undefined
 
 (* --- string -> number (the ToNumber grammar) --- *)
 
@@ -240,7 +263,7 @@ and get_obj ctx (o : obj) (key : string) : value =
   | Some arr when key = "length" -> Num (Float.of_int arr.alen)
   | Some arr -> (
       match array_index_of_key key with
-      | Some i -> if i < arr.alen then arr.elems.(i) else Undefined
+      | Some i -> get_elem arr i
       | None -> get_plain ctx o key)
   | None -> (
       match o.prim with
@@ -378,18 +401,22 @@ and set_obj ctx ~strict (o : obj) (key : string) (v : value) : unit =
   | Some arr when key = "length" && arr.ty = None -> set_array_length ctx o arr v ~strict
   | Some arr -> (
       match array_index_of_key key with
-      | Some i ->
-          if (not o.extensible) && arr.ty = None && i >= arr.alen then
-            (if strict then type_error ctx "cannot add element to non-extensible array")
-          else if not arr.length_writable && arr.ty = None && i >= arr.alen then
-            (* frozen/sealed array: length fixed *)
-            (if strict then type_error ctx "cannot add property, array is sealed")
-          else if (not (frozen_elements o)) || fire ctx Quirk.Q_freeze_array_elements_writable
-          then array_store ctx o arr i v
-          else if strict then
-            type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
+      | Some i -> set_elem ctx ~strict o arr i v
       | None -> set_plain ctx ~strict o key v)
   | None -> set_plain ctx ~strict o key v
+
+(* An element store into array storage: the extensible / sealed /
+   frozen checks, then [array_store]. *)
+and set_elem ctx ~strict (o : obj) (arr : arr) (i : int) (v : value) : unit =
+  if (not o.extensible) && arr.ty = None && i >= arr.alen then
+    (if strict then type_error ctx "cannot add element to non-extensible array")
+  else if not arr.length_writable && arr.ty = None && i >= arr.alen then
+    (* frozen/sealed array: length fixed *)
+    (if strict then type_error ctx "cannot add property, array is sealed")
+  else if (not (frozen_elements o)) || fire ctx Quirk.Q_freeze_array_elements_writable
+  then array_store ctx o arr i v
+  else if strict then
+    type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
 
 and frozen_elements (o : obj) =
   match find_own o "__frozenElems" with Some _ -> true | None -> false
@@ -564,6 +591,33 @@ and array_values (o : obj) : value list =
   match o.arr with
   | Some arr -> Array.to_list (Array.sub arr.elems 0 (min arr.alen (Array.length arr.elems)))
   | None -> []
+
+(* [o[k]] for an evaluated key: the integer element path when the
+   receiver has array storage and [k] is an index Number, else [get] on
+   ToString(k). Both burn the 1 fuel [get]/[set] burn on entry, and
+   number-to-string consults no checkpoint, so the two paths are
+   indistinguishable in output, fuel and touched set. The compiled core
+   and the tree-walker both go through these two functions. *)
+let get_index ctx (ov : value) (kv : value) : value =
+  match (ov, kv) with
+  | Obj { arr = Some arr; _ }, Num f -> (
+      match index_of_num f with
+      | Some i ->
+          burn ctx 1;
+          get_elem arr i
+      | None -> get ctx ov (number_to_string f))
+  | _ -> get ctx ov (to_string ctx kv)
+
+(* [o[k] = v] for an evaluated key; see [get_index]. *)
+let set_index ctx ~strict (ov : value) (kv : value) (v : value) : unit =
+  match (ov, kv) with
+  | Obj ({ arr = Some arr; _ } as o), Num f -> (
+      match index_of_num f with
+      | Some i ->
+          burn ctx 1;
+          set_elem ctx ~strict o arr i v
+      | None -> set ctx ~strict ov (number_to_string f) v)
+  | _ -> set ctx ~strict ov (to_string ctx kv) v
 
 (* SameValueZero, used by [includes]. *)
 let same_value_zero a b =

@@ -457,11 +457,16 @@ let remove_own (o : obj) (k : string) =
 
 let own_keys (o : obj) : string list = List.map fst o.props
 
-(* Canonical array-index interpretation of a property key. *)
+(* Canonical array-index interpretation of a property key. A canonical
+   index starts with a digit; checking that first keeps named keys
+   ("length", "push", …) out of [int_of_string_opt], which raises and
+   catches internally on every non-numeral. *)
 let array_index_of_key (k : string) : int option =
-  match int_of_string_opt k with
-  | Some i when i >= 0 && string_of_int i = k -> Some i
-  | _ -> None
+  if k = "" || k.[0] < '0' || k.[0] > '9' then None
+  else
+    match int_of_string_opt k with
+    | Some i when i >= 0 && string_of_int i = k -> Some i
+    | _ -> None
 
 let typed_kind_name = function
   | U8 -> "Uint8Array"

@@ -140,6 +140,88 @@ let bits_point_ops_agree =
       && Q.Set.equal (Q.Bits.to_set (Q.Bits.remove q b)) (Q.Set.remove q s)
       && Q.Set.equal (Q.Bits.to_set (Q.Bits.singleton q)) (Q.Set.singleton q))
 
+(* --- integer element keys ---
+   The interpreter's integer element path ([Ops.index_of_num]) must agree
+   with the string path it bypasses: ToString of the key, then
+   [Value.array_index_of_key]. These pin the integer domain inside the
+   canonical-index domain, the [string_of_int] arm of [number_to_string]
+   to the "%.0f" text it replaced, and the digit-first short cut of
+   [array_index_of_key] to its previous definition. *)
+
+let key_edges =
+  [
+    0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 0.5; 1.5;
+    -1.0; -1.5; 1e-7; 2147483647.0; 2147483648.0; 2147483649.0;
+    4294967295.0; 4294967296.0; 9007199254740991.0; 9007199254740992.0;
+    9007199254740993.0; 4611686018427387904.0; 1e21; -1e21; 1e7 +. 1.0;
+    10000000.0; 123456789012.0; -9007199254740991.0;
+  ]
+
+let gen_key_float =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl key_edges);
+        (3, map Float.of_int (int_range (-1000) 100_000));
+        (2, map (fun f -> Float.round (f *. 1e16)) (float_range (-1.0) 1.0));
+        (2, float);
+      ])
+
+let index_of_num_within_string_path =
+  QCheck2.Test.make ~count:2000 ~name:"integer element keys name the same index"
+    ~print:(Printf.sprintf "%h") gen_key_float (fun f ->
+      match Jsinterp.Ops.index_of_num f with
+      | None -> true
+      | Some i ->
+          Jsinterp.Value.array_index_of_key (Jsinterp.Ops.number_to_string f)
+          = Some i)
+
+let gen_integral =
+  QCheck2.Gen.(
+    map
+      (fun f -> if Float.is_integer f && Float.abs f < 1e21 then f else 7.0)
+      (frequency
+         [
+           (2, oneofl key_edges);
+           (3, map (fun f -> Float.round (f *. 1e20)) (float_range (-1.0) 1.0));
+           (3, map (fun f -> Float.round (f *. 1e16)) (float_range (-1.0) 1.0));
+           (2, map Float.of_int (int_range (-100_000) 100_000));
+         ]))
+
+let integral_number_to_string =
+  QCheck2.Test.make ~count:2000 ~name:"integral number_to_string is %.0f"
+    ~print:(Printf.sprintf "%h") gen_integral (fun f ->
+      (* both zeros print "0"; "%.0f" would print "-0" *)
+      f = 0.0 || Jsinterp.Ops.number_to_string f = Printf.sprintf "%.0f" f)
+
+(* [Value.array_index_of_key] before the digit-first check *)
+let old_array_index_of_key (k : string) : int option =
+  match int_of_string_opt k with
+  | Some i when i >= 0 && string_of_int i = k -> Some i
+  | _ -> None
+
+let gen_key_string =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              "+5"; "-0"; "0x10"; "0X1f"; "0b1"; "0o7"; "1_000"; ""; "0"; "00";
+              "01"; "-5"; " 5"; "5 "; "length"; "push"; "4294967295";
+              "9007199254740993"; "4611686018427387903"; "4611686018427387904";
+              "99999999999999999999"; "1e3"; "1.0"; "NaN"; "Infinity";
+            ] );
+        (3, map string_of_int (int_range (-1000) 1_000_000));
+        (2, string_size ~gen:(oneofl [ '0'; '1'; '9'; '_'; 'x'; '-'; '+'; 'e'; '.'; ' ' ]) (0 -- 8));
+        (2, string_printable);
+      ])
+
+let array_index_of_key_unchanged =
+  QCheck2.Test.make ~count:2000 ~name:"array_index_of_key keeps its definition"
+    ~print:(Printf.sprintf "%S") gen_key_string (fun k ->
+      Jsinterp.Value.array_index_of_key k = old_array_index_of_key k)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -154,4 +236,7 @@ let suite =
       bits_mem_agrees;
       bits_algebra_agrees;
       bits_point_ops_agree;
+      index_of_num_within_string_path;
+      integral_number_to_string;
+      array_index_of_key_unchanged;
     ]

@@ -209,6 +209,183 @@ let campaign_audit_specialize_passes () =
   Alcotest.(check int) "campaign completed its budget" 40
     r.Comfort.Campaign.cp_cases_run
 
+(* --- integer element keys: one element path for all three cores ---
+
+   [a[k]] with an index Number on an array takes [Ops.get_index] /
+   [Ops.set_index]'s integer path in both the compiled core and the
+   tree-walker; every other key goes through ToString. These fixtures
+   hit the edges of that split (keys just outside the integer domain,
+   frozen/sealed/non-extensible and typed receivers, the element-store
+   quirks) plus two generated programs whose array loops dominated a
+   campaign's interpreter time, and require the tree-walker, the
+   compiled core and the specialised core to agree on every testbed. *)
+
+let element_key_fixtures =
+  [
+    ( "typed OOB",
+      "var t = new Uint8Array(4);\n\
+       for (var i = 0; i < 7; i++) t[i] = i * 100;\n\
+       var f = new Float64Array(2);\n\
+       f[0] = 1.5; f[2] = 9; f[-0] = 2.5;\n\
+       print(t[0] + ',' + t[3] + ',' + t[5] + ',' + t.length + ',' + f[0] + ',' + f[2]);" );
+    ( "frozen sloppy",
+      "var f = Object.freeze([1, 2, 3]);\n\
+       f[0] = 9; f[5] = 1;\n\
+       var s = Object.seal([1, 2]);\n\
+       s[0] = 7; s[2] = 8;\n\
+       var p = Object.preventExtensions([4]);\n\
+       p[0] = 5; p[1] = 6;\n\
+       print(f[0] + ',' + f.length + ';' + s[0] + ',' + s.length + ';' + p[0] + ',' + p.length);" );
+    ( "frozen strict",
+      "'use strict';\n\
+       function w(a, i, v) { try { a[i] = v; return 'ok'; } catch (e) { return e.name + ': ' + e.message; } }\n\
+       var f = Object.freeze([1, 2, 3]);\n\
+       var s = Object.seal([1, 2]);\n\
+       var p = Object.preventExtensions([4]);\n\
+       print(w(f, 0, 9)); print(w(f, 5, 1)); print(w(s, 0, 7)); print(w(s, 2, 8));\n\
+       print(w(p, 0, 5)); print(w(p, 1, 6));\n\
+       print(f[0] + ',' + s[0] + ',' + s.length + ',' + p[0] + ',' + p.length);" );
+    ( "bool key and reverse fill",
+      "var a = [1, 2];\n\
+       a[true] = 3; a[false] = 4;\n\
+       print(a.length + ':' + a[2] + ':' + a['true'] + ':' + a['false']);\n\
+       var r = [];\n\
+       for (var i = 400; i >= 0; i--) r[i] = i;\n\
+       print(r.length + ':' + r[0] + ':' + r[400]);" );
+    ( "edge keys",
+      "var a = [10, 20];\n\
+       a[-0] = 1; a[1.5] = 2; a[-1] = 3; a[NaN] = 4;\n\
+       print(a[0] + ',' + a[1.5] + ',' + a[-1] + ',' + a[NaN] + ',' + a.length + ',' + a[-0]);\n\
+       print(a['1.5'] + ',' + a['-1'] + ',' + a['NaN'] + ',' + a[1e21] + ',' + a[2 ** 53]);\n\
+       try { a[2 ** 53] = 5; print('stored'); } catch (e) { print(e.name + ': ' + e.message); }\n\
+       try { a[1e7 + 1] = 6; print('stored'); } catch (e) { print(e.name + ': ' + e.message); }\n\
+       a[9] = 7;\n\
+       print(a.length + ',' + a[8] + ',' + a[9] + ',' + a[4294967295]);" );
+    ( "update and delete",
+      "var a = [1, 2, 3];\n\
+       for (var i = 0; i < 3; i++) { a[i] += 1; a[i]++; ++a[i]; a[i] *= 2; }\n\
+       var d = [delete a[1], delete a[7], delete a[-1]];\n\
+       var s = 'abc';\n\
+       print(a.join(',') + ':' + a.length + ':' + (1 in a) + ':' + d + ':' + s[1] + ':' + s[5]);" );
+    (* seed 2 case 279 of the comfort-102 campaign workload *)
+    ( "generated push loop",
+      "var __obs = [];\n\
+       var n = 32454;\n\
+       var items = [1, 2, 5];\n\
+       var out = undefined;\n\
+       function foo(a, b) {\n\
+      \  if (b === 0) {\n\
+      \    return false;\n\
+      \  }\n\
+      \  for (var i = 0; i < n; i++) {\n\
+      \    __obs[__obs.length] = items.push(i * i);\n\
+      \  }\n\
+      \  return out;\n\
+       }\n\
+       var arg_a = \"rvvhj\";\n\
+       var arg_b = false;\n\
+       var result = foo(arg_a, arg_b);\n\
+       print(result);\n\
+       for (var __i = 0; __i < __obs.length; __i++) {\n\
+      \  print(__obs[__i]);\n\
+       }\n" );
+    (* seed 3 case 222 of the comfort-102 campaign workload *)
+    ( "generated reverse fill",
+      "var size = 23789;\n\
+       var array = [3, 1];\n\
+       var value = 42971;\n\
+       function foo(a, b) {\n\
+      \  while (size--) {\n\
+      \    array[size] = size;\n\
+      \  }\n\
+      \  return value;\n\
+       }\n\
+       var arg_a = 42;\n\
+       var arg_b = true;\n\
+       var result = foo(arg_a, arg_b);\n\
+       print(result);\n" );
+  ]
+
+let element_keys_agree_across_cores () =
+  let fired = ref Jsinterp.Quirk.Set.empty in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (tb : Engine.testbed) ->
+          let id = Engine.testbed_id tb ^ " on " ^ name in
+          let run ~resolve ~specialize =
+            Engine.run ~fuel:100_000 ~resolve ~specialize tb src
+          in
+          let tree = run ~resolve:false ~specialize:false in
+          check_result_equal (id ^ " (compiled)") tree
+            (run ~resolve:true ~specialize:false);
+          check_result_equal (id ^ " (specialised)") tree
+            (run ~resolve:true ~specialize:true);
+          fired := Jsinterp.Quirk.Set.union !fired tree.Run.r_fired)
+        Engine.all_testbeds)
+    element_key_fixtures;
+  (* the fixtures reach every element-store quirk somewhere in the pool *)
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) (Jsinterp.Quirk.to_string q ^ " fired") true
+        (Jsinterp.Quirk.Set.mem q !fired))
+    Jsinterp.Quirk.
+      [
+        Q_typedarray_oob_write_crash;
+        Q_freeze_array_elements_writable;
+        Q_bool_prop_appends_to_array;
+        Q_array_reverse_fill_quadratic;
+      ]
+
+(* The integer path against the string path it bypasses: the same
+   element operations keyed by a Number and by that Number's ToString
+   must agree in output, status and fuel. The two preludes differ
+   ([k = K] against [k = String(K)]), so fuel is compared net of each
+   prelude run on its own. *)
+let element_key_body =
+  "function t(f) { try { return f(); } catch (e) { return e.name + ': ' + e.message; } }\n\
+   var a = [1, 2, 3];\n\
+   print(t(function () { a[k] = 7; a[k] += 1; a[k]++; return a[k] + ':' + a.length; }));\n\
+   var f = Object.freeze([1, 2]);\n\
+   print(t(function () { f[k] = 5; return f[k] + ':' + f.length; }));\n\
+   var s = Object.seal([1, 2]);\n\
+   print(t(function () { s[k] = 5; return s[k] + ':' + s.length; }));\n\
+   var y = new Int8Array(2);\n\
+   print(t(function () { y[k] = 300; return y[k] + ':' + y.length; }));\n\
+   var r = [];\n\
+   print(t(function () { r[k] = 1; r[0] = 2; return r.length + ':' + delete r[k]; }));\n"
+
+let integer_keys_match_string_keys () =
+  List.iter
+    (fun key ->
+      let num = Printf.sprintf "var k = (%s);\n" key in
+      let str = Printf.sprintf "var k = String(%s);\n" key in
+      List.iter
+        (fun (tb : Engine.testbed) ->
+          List.iter
+            (fun resolve ->
+              let id =
+                Printf.sprintf "%s, key %s, resolve=%b" (Engine.testbed_id tb)
+                  key resolve
+              in
+              let run src = Engine.run ~fuel:100_000 ~resolve tb src in
+              let a = run (num ^ element_key_body)
+              and b = run (str ^ element_key_body) in
+              Alcotest.(check string) (id ^ ": status")
+                (Run.status_to_string b.Run.r_status)
+                (Run.status_to_string a.Run.r_status);
+              Alcotest.(check string) (id ^ ": output") b.Run.r_output
+                a.Run.r_output;
+              Alcotest.(check int) (id ^ ": fuel")
+                (b.Run.r_fuel_used - (run str).Run.r_fuel_used)
+                (a.Run.r_fuel_used - (run num).Run.r_fuel_used))
+            [ false; true ])
+        Engine.all_testbeds)
+    [
+      "0"; "-0"; "1"; "2"; "3"; "1.5"; "-1"; "NaN"; "Infinity"; "2 ** 53";
+      "2 ** 53 - 1"; "1e7 + 1"; "4294967295"; "1e21";
+    ]
+
 let suite =
   [
     case "specialised runs equal generic runs" specialized_equals_generic;
@@ -219,4 +396,7 @@ let suite =
     case "campaigns are specialisation-invariant"
       campaign_specialize_invariant;
     case "auditing campaign passes" campaign_audit_specialize_passes;
+    case "element keys agree across all three cores"
+      element_keys_agree_across_cores;
+    case "integer keys behave as their ToString" integer_keys_match_string_keys;
   ]

@@ -471,6 +471,57 @@ let checkpoint_load_rejects_torn_file () =
         (contains e "truncated" || contains e "corrupt"));
   Sys.remove path
 
+(* Truncations and byte flips of a real checkpoint: [load] refuses the
+   file with an [Error], or (when the damage left it byte-identical)
+   returns a state equal to the original — it never raises and never
+   hands back a different state. *)
+let checkpoint_damage_property =
+  let original =
+    lazy
+      (let path = ckpt_path "comfort-test-damage-src.ckpt" in
+       (try ignore (run_chaos ~checkpoint:(path, 5) ~halt_after:7 ()) with
+       | Campaign.Halted _ -> ());
+       let bytes = In_channel.with_open_bin path In_channel.input_all in
+       let st =
+         match Campaign.Checkpoint.load path with
+         | Ok st -> st
+         | Error e -> failwith ("checkpoint unreadable: " ^ e)
+       in
+       Sys.remove path;
+       (bytes, Marshal.to_string st []))
+  in
+  let gen_damage =
+    (* positions and masks as fractions, scaled to the file when applied *)
+    QCheck2.Gen.(
+      pair bool
+        (list_size (1 -- 3) (pair (float_bound_exclusive 1.0) (1 -- 255))))
+  in
+  let apply (truncate, edits) bytes =
+    let n = String.length bytes in
+    let at f = min (n - 1) (int_of_float (f *. float_of_int n)) in
+    match edits with
+    | (f, _) :: _ when truncate -> String.sub bytes 0 (at f)
+    | _ ->
+        let b = Bytes.of_string bytes in
+        List.iter
+          (fun (f, mask) ->
+            let i = at f in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+          edits;
+        Bytes.to_string b
+  in
+  QCheck2.Test.make ~count:300 ~name:"checkpoint: damaged files are refused"
+    gen_damage (fun damage ->
+      let bytes, marshalled = Lazy.force original in
+      let path = ckpt_path "comfort-test-damaged.ckpt" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (apply damage bytes));
+      let r = Campaign.Checkpoint.load path in
+      Sys.remove path;
+      match r with
+      | Error _ -> true
+      | Ok st -> Marshal.to_string st [] = marshalled)
+
 let halt_and_resume_matches_uninterrupted () =
   let path = ckpt_path "comfort-test-resume.ckpt" in
   let uninterrupted = run_chaos () in
@@ -549,4 +600,5 @@ let suite =
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
+    QCheck_alcotest.to_alcotest checkpoint_damage_property;
   ]
