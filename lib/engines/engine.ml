@@ -82,7 +82,11 @@ let supports (c : Registry.config) (src : string) : bool =
    A [Frontend.cache] is built once per test case and shares:
 
    - one *permissive base parse* per profile (ES5 / standard): parsed
-     sloppy with every parser-level quirk acceptance enabled. Because
+     sloppy with every parser-level quirk acceptance enabled. The ES5
+     profile only rejects constructs, and the standard parse reports
+     every construct an ES5 flag gates through [edition_sensitive_sink];
+     when it reports none, the ES5 profile takes the standard base front
+     end as is, without a parse of its own. Because
      each quirk decision point either sinks its quirk (accept on) or
      raises (accept off), and each strict-divergent construct reports
      through [strict_sensitive_sink], the base parse proves its own
@@ -98,21 +102,28 @@ let supports (c : Registry.config) (src : string) : bool =
      difference from the base is actually observable (rare: the source
      must contain the quirky or strict-sensitive syntax).
 
+   Every distinct front end the cache hands out carries a small integer
+   id (its position in creation order); {!Exec} keys its execution
+   classes by that id, so parse groups that share one front end also
+   share executions.
+
    A cache is a plain mutable value tied to one source string. It is NOT
    domain-safe: the campaign executor builds one cache per case inside the
    worker that owns that case, and nothing else is sound. *)
 module Frontend = struct
   type cache = {
     fc_src : string;
-    fc_base : (bool, Run.frontend) Hashtbl.t;
-        (* permissive sloppy parse, keyed by "is the ES5 profile?" *)
+    fc_base : (bool, int * Run.frontend) Hashtbl.t;
+        (* permissive sloppy parse with its id, keyed by "is the ES5
+           profile?" *)
     fc_supports : (bool, bool) Hashtbl.t;
         (* keyed by "is the ES5 profile?" — all [supports] depends on *)
-    fc_groups : (int, Run.frontend) Hashtbl.t;
+    fc_groups : (int, int * Run.frontend) Hashtbl.t;
         (* keyed by [Registry.pk_int] of the effective front end, with
            the strict-mode bit folded in at bit 4 — an int key hashes in
            a few ns where the (record, bool) pair paid a polymorphic
            structure walk per lookup, once per testbed per case *)
+    mutable fc_ids : int;  (* distinct front ends handed out so far *)
   }
 
   let cache (src : string) : cache =
@@ -121,7 +132,15 @@ module Frontend = struct
       fc_base = Hashtbl.create 2;
       fc_supports = Hashtbl.create 2;
       fc_groups = Hashtbl.create 8;
+      fc_ids = 0;
     }
+
+  (* A fresh front end, numbered. At most the two base parses plus one
+     per (parse key, mode) group — 34 — are ever numbered per cache. *)
+  let numbered (fc : cache) (fe : Run.frontend) : int * Run.frontend =
+    let id = fc.fc_ids in
+    fc.fc_ids <- id + 1;
+    (id, fe)
 
   (* Every parser-level quirk, enabled at once for the base parse. *)
   let permissive_quirks =
@@ -132,22 +151,32 @@ module Frontend = struct
         Quirk.Q_strict_delete_unqualified_accepted;
       ]
 
-  let base_frontend (fc : cache) ~(es5 : bool) : Run.frontend =
+  let rec base_entry (fc : cache) ~(es5 : bool) : int * Run.frontend =
     match Hashtbl.find_opt fc.fc_base es5 with
-    | Some fe -> fe
+    | Some e -> e
     | None ->
-        let parse_opts =
-          if es5 then Jsparse.Parser.es5_options
-          else Jsparse.Parser.default_options
-        in
         (* [reach_strict]: the base front end may serve strict groups,
            and the strict reach set is a superset of the sloppy one *)
-        let fe =
-          Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
-            ~strict:false ~reach_strict:true fc.fc_src
+        let parse parse_opts =
+          numbered fc
+            (Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
+               ~strict:false ~reach_strict:true fc.fc_src)
         in
-        Hashtbl.replace fc.fc_base es5 fe;
-        fe
+        let e =
+          if not es5 then parse Jsparse.Parser.default_options
+          else
+            (* the ES5 options only reject: a standard parse that reached
+               no edition-gated construct is the ES5 parse *)
+            let std = base_entry fc ~es5:false in
+            if (snd std).Run.fe_edition_sensitive then
+              parse Jsparse.Parser.es5_options
+            else std
+        in
+        Hashtbl.replace fc.fc_base es5 e;
+        e
+
+  let base_frontend (fc : cache) ~(es5 : bool) : Run.frontend =
+    snd (base_entry fc ~es5)
 
   (* Parses under the profile's own options (no quirk acceptances): the
      permissive base succeeded without leaning on any acceptance. *)
@@ -170,25 +199,25 @@ module Frontend = struct
 
   let source (fc : cache) = fc.fc_src
 
-  (* The shared front end of an arbitrary parse group. Two profiles with
-     the same [key] have identical effective options, so whichever member
-     arrives first parses on behalf of the whole group — and when the
-     base parse's sunk-quirk and strict-sensitivity evidence proves the
-     group's options unobservable on this source, the group shares the
-     base front end without parsing at all. *)
   (* The packed table key of a parse group: [pk_int] plus the strict bit. *)
   let group_key (pk : Registry.parse_key) ~(strict : bool) : int =
     Registry.pk_int pk lor if strict then 16 else 0
 
-  let frontend_for (fc : cache) ~(key : Registry.parse_key * bool)
+  (* The shared front end of an arbitrary parse group, with its id. Two
+     profiles with the same [key] have identical effective options, so
+     whichever member arrives first parses on behalf of the whole group —
+     and when the base parse's sunk-quirk and strict-sensitivity evidence
+     proves the group's options unobservable on this source, the group
+     shares the base front end without parsing at all. *)
+  let entry_for (fc : cache) ~(key : Registry.parse_key * bool)
       ~(quirks : Quirk.Set.t) ~(parse_opts : Jsparse.Parser.options)
-      ~(strict : bool) : Run.frontend =
+      ~(strict : bool) : int * Run.frontend =
     let ikey = group_key (fst key) ~strict:(snd key) in
     match Hashtbl.find_opt fc.fc_groups ikey with
-    | Some fe -> fe
+    | Some e -> e
     | None ->
         let pk, _ = key in
-        let base = base_frontend fc ~es5:pk.Registry.pk_es5 in
+        let ((_, base) as base_e) = base_entry fc ~es5:pk.Registry.pk_es5 in
         let subsumed =
           (* all quirks the base parse leaned on are enabled here, so
              this group's parse accepts at the same points and sinks the
@@ -205,12 +234,17 @@ module Frontend = struct
           | Ok p -> p.Jsast.Ast.prog_strict
           | Error _ -> false
         in
-        let fe =
-          if subsumed && mode_ok then base
-          else Run.parse_frontend ~quirks ~parse_opts ~strict fc.fc_src
+        let e =
+          if subsumed && mode_ok then base_e
+          else
+            numbered fc
+              (Run.parse_frontend ~quirks ~parse_opts ~strict fc.fc_src)
         in
-        Hashtbl.replace fc.fc_groups ikey fe;
-        fe
+        Hashtbl.replace fc.fc_groups ikey e;
+        e
+
+  let frontend_for fc ~key ~quirks ~parse_opts ~strict =
+    snd (entry_for fc ~key ~quirks ~parse_opts ~strict)
 
   let frontend (fc : cache) (tb : testbed) : Run.frontend =
     let cfg = tb.tb_config in
@@ -227,7 +261,7 @@ end
    73 registered quirk checkpoints, so most testbeds are guaranteed to
    replay the reference behaviour byte for byte. [Exec.run] therefore
    executes once per *behavioural equivalence class* — testbeds keyed by
-   (parse group, mode, quirk set ∩ touched checkpoints) — and lets every
+   (front end, mode, quirk set ∩ touched checkpoints) — and lets every
    other member inherit the representative's [Run.result] (output, status,
    fuel, fired), so majority voting and the 2t rule see exactly the
    results a direct sweep would have produced.
@@ -243,18 +277,34 @@ end
    so the loop is bounded by the group size and degenerates to the
    unshared sweep in the worst case. Soundness argument: DESIGN.md §8.
 
+   Classes are keyed by the *front end* ({!Frontend}'s id), not by the
+   parse group: testbeds of different parse groups that share one parsed
+   program share executions too, since the interpreter only consults the
+   parse options again when the program parses source at run time
+   ([eval]). Such a run is flagged ([Run.ex_reparsed]) and lent only
+   within its own parse group.
+
    Like [Frontend.cache], a cache is a plain mutable value tied to one
    source string and is NOT domain-safe: the campaign executor builds one
    per case inside the worker that owns the case. *)
 module Exec = struct
-  (* One (parse group, strict, fuel) equivalence-class table entry: the
+  (* A class representative: its execution plus the [Registry.pk_int] of
+     the parse group it ran under, which a run-time parse depends on. *)
+  type rep = { rp_pk : int; rp_ex : Run.exec }
+
+  (* May an engine of parse group [pk] carrying [qbits] inherit [r]? *)
+  let admits ~(pk : int) ~(qbits : Quirk.Bits.t) (r : rep) : bool =
+    (r.rp_pk = pk || not r.rp_ex.Run.ex_reparsed)
+    && Run.shares_class_bits ~qbits r.rp_ex
+
+  (* One (front end, strict, fuel) equivalence-class table entry: the
      representative list (ground truth, oldest first) plus the static
      partition cells hanging off it. A cell key is the quirk set ∩ the
-     parse group's static reach set, packed into its two machine words —
+     front end's static reach set, packed into its two machine words —
      [Quirk.Bits]; a Quirk.Set.t has order-dependent tree shape and a
      sorted element list allocates and hashes slowly, which PR 6
      measured as a throughput regression. The static reach set
-     over-approximates every touched set of the parse group, so two
+     over-approximates every touched set of the front end, so two
      quirk sets in one cell agree on every checkpoint any execution can
      consult — a cell hit shares without scanning the full class list.
      Purely an acceleration: the class list stays the ground truth, so
@@ -270,20 +320,21 @@ module Exec = struct
   type cell = {
     ce_lo : int;
     ce_hi : int;  (* quirks ∩ reach set, packed ([Quirk.Bits]) *)
-    mutable ce_reps : Run.exec list;
+    mutable ce_reps : rep list;
   }
 
   type cls = {
-    mutable cl_reps : Run.exec list;
+    mutable cl_reps : rep list;
     mutable cl_cells : cell list;
   }
 
   type cache = {
     ec_frontend : Frontend.cache;
     ec_classes : (int, cls) Hashtbl.t;
-        (* (parse group, strict, fuel) packed into one int — group key
-           in the low 5 bits, fuel above — -> class entry; fuel is in
-           the key so a cache survives mixed budgets *)
+        (* (front-end id, strict, fuel) packed into one int — strict in
+           bit 0, the id (< 64, see [Frontend.numbered]) in bits 1–6,
+           fuel above — -> class entry; fuel is in the key so a cache
+           survives mixed budgets *)
     mutable ec_executed : int;  (* real interpreter executions *)
     mutable ec_shared : int;    (* runs answered by class inheritance *)
     mutable ec_seeded : int;    (* shared runs answered by the static cell *)
@@ -337,8 +388,8 @@ module Exec = struct
     let qbits =
       match qbits with Some b -> b | None -> Quirk.Bits.of_set quirks
     in
-    let fe =
-      Frontend.frontend_for ec.ec_frontend ~key:(pkey, strict) ~quirks
+    let fe_id, fe =
+      Frontend.entry_for ec.ec_frontend ~key:(pkey, strict) ~quirks
         ~parse_opts ~strict
     in
     match fe.Run.fe_program with
@@ -349,7 +400,10 @@ module Exec = struct
           ~frontend:fe
           (Frontend.source ec.ec_frontend)
     | Ok _ -> (
-        let ckey = Frontend.group_key pkey ~strict lor (fuel lsl 5) in
+        let ckey =
+          (if strict then 1 else 0) lor (fe_id lsl 1) lor (fuel lsl 7)
+        in
+        let pk = Registry.pk_int pkey in
         let cls =
           match Hashtbl.find_opt ec.ec_classes ckey with
           | Some c -> c
@@ -380,32 +434,30 @@ module Exec = struct
         in
         let cell_hit =
           match bucket with
-          | Some c -> List.find_opt (Run.shares_class_bits ~qbits) c.ce_reps
+          | Some c -> List.find_opt (admits ~pk ~qbits) c.ce_reps
           | None -> None
         in
         match cell_hit with
-        | Some ex ->
+        | Some r ->
             (* same-cell representative: [shares_class] is implied by the
                cell equality (touched ⊆ reach set), and re-checked above
                as a cheap defence against an unsound analysis *)
             ec.ec_shared <- ec.ec_shared + 1;
             ec.ec_seeded <- ec.ec_seeded + 1;
             Atomic.incr seeded_total;
-            Run.share ~frontend:fe ~quirks ex
+            Run.share ~frontend:fe ~quirks r.rp_ex
         | None -> (
-            match
-              List.find_opt (Run.shares_class_bits ~qbits) cls.cl_reps
-            with
-            | Some ex ->
+            match List.find_opt (admits ~pk ~qbits) cls.cl_reps with
+            | Some r ->
                 (* cross-cell share (the representative's cell differs on
                    some statically-reachable but dynamically-untouched
                    checkpoint): remember it in this cell too, so the next
                    same-cell member hits without the full scan *)
                 ec.ec_shared <- ec.ec_shared + 1;
                 (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ ex ]
+                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
                 | None -> ());
-                Run.share ~frontend:fe ~quirks ex
+                Run.share ~frontend:fe ~quirks r.rp_ex
             | None ->
                 (* split: no representative's touched set validates this
                    quirk set, so it seeds a new class with a direct
@@ -416,9 +468,10 @@ module Exec = struct
                     (Frontend.source ec.ec_frontend)
                 in
                 ec.ec_executed <- ec.ec_executed + 1;
-                cls.cl_reps <- cls.cl_reps @ [ ex ];
+                let r = { rp_pk = pk; rp_ex = ex } in
+                cls.cl_reps <- cls.cl_reps @ [ r ];
                 (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ ex ]
+                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
                 | None -> ());
                 ex.Run.ex_result))
 

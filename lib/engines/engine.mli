@@ -60,8 +60,14 @@ val supports : Registry.config -> string -> bool
     {!supports} verdict per base front-end profile and one parse per
     distinct [(Registry.parse_key, mode)] group across a testbed sweep,
     cutting the front-end cost from 2–3 parses per testbed to one per
-    group. A cache is mutable and single-domain: the campaign executor
-    builds one inside the worker that owns the case. *)
+    group. A group whose options are unobservable on the source takes a
+    permissive base parse instead, and the ES5 profile takes the
+    standard base parse whenever that parse reached no construct an ES5
+    flag gates — so a typical source costs one parse in all. Each
+    distinct front end handed out carries a small id, which {!Exec}
+    uses as its class key. A cache is mutable and single-domain: the
+    campaign executor builds one inside the worker that owns the
+    case. *)
 module Frontend : sig
   type cache
 
@@ -92,12 +98,17 @@ end
 
 (** Per-test-case execution-sharing cache, extending {!Frontend} from
     shared parses to shared executions. [run] interprets once per
-    behavioural equivalence class — testbeds keyed by (parse group, mode,
-    quirks ∩ touched checkpoints) — and every other member inherits the
-    representative's [Run.result], byte-identical to a direct sweep
-    (soundness argument in DESIGN.md §8). Classes are found by a bounded
-    split-and-rerun fixpoint validated against each representative's own
-    touched set. Mutable, single-domain, tied to one source string, like
+    behavioural equivalence class — testbeds keyed by (front end, mode,
+    fuel, quirks ∩ touched checkpoints) — and every other member inherits
+    the representative's [Run.result], byte-identical to a direct sweep
+    (soundness argument in DESIGN.md §8). The front end, not the parse
+    group, is the key: testbeds of different parse groups that share one
+    parsed program share executions, unless the representative parsed
+    source at run time ([Run.ex_reparsed], the global [eval]), which
+    depends on the parse options — such a representative serves only its
+    own parse group. Classes are found by a bounded split-and-rerun
+    fixpoint validated against each representative's own touched set.
+    Mutable, single-domain, tied to one source string, like
     {!Frontend.cache}. *)
 module Exec : sig
   type cache

@@ -82,6 +82,7 @@ let build () : t =
       specials_shadowed = false;
       ic_gen = 0;
       ihits = 0;
+      reparsed = false;
     }
   in
   Builtins.install ctx;

@@ -326,6 +326,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       specials_shadowed = false;
       ic_gen = Atomic.fetch_and_add Value.ic_gen_counter 1;
       ihits = 0;
+      reparsed = false;
     }
   in
   (match snap with
@@ -334,6 +335,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
   ctx.call_hook <- (fun ctx fn this args -> Interp.call_function ctx fn this args);
   ctx.eval_hook <-
     (fun ctx scope strict src ->
+      ctx.Value.reparsed <- true;
       (* wire quirk firing out of the engine's parser *)
       let opts =
         {
@@ -396,6 +398,10 @@ type frontend = {
           ambient strict flag; [false] on a sloppy parse proves a
           [force_strict] parse identical (the mode itself is re-applied
           downstream through the compiled program's strict key) *)
+  fe_edition_sensitive : bool;
+      (** the parse reached a construct an ES-edition flag gates; [false]
+          on a parse without the ES5 rejections proves an ES5-profile
+          parse of the same source identical *)
 }
 
 let parse_frontend ?(quirks = Quirk.Set.empty)
@@ -405,6 +411,7 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
   let parse_opts = parse_opts_of ~base:parse_opts quirks in
   let fired = ref Quirk.Set.empty in
   let sensitive = ref false in
+  let edition = ref false in
   let opts =
     {
       parse_opts with
@@ -414,6 +421,7 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
           | Some q -> fired := Quirk.Set.add q !fired
           | None -> ());
       Jsparse.Parser.strict_sensitive_sink = (fun () -> sensitive := true);
+      edition_sensitive_sink = (fun () -> edition := true);
     }
   in
   let frontend fe_program fe_fired =
@@ -432,6 +440,7 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
       fe_reach;
       fe_reach_bits = lazy (Quirk.Bits.of_set (Lazy.force fe_reach));
       fe_strict_sensitive = !sensitive;
+      fe_edition_sensitive = !edition;
     }
   in
   match
@@ -467,6 +476,10 @@ type exec = {
       (** [ex_fbits] as a [Quirk.Set.t]; forced only when a class member
           actually inherits parse-stage quirks (see [share]) or by tests *)
   ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_reparsed : bool;
+      (** the execution parsed source at run time under its engine's parse
+          options ([ctx.reparsed]); the result then depends on the parse
+          group, not only on the touched checkpoints *)
 }
 
 let run_exec ?(quirks = Quirk.Set.empty)
@@ -508,6 +521,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         ex_tbits = Quirk.Bits.empty;
         ex_fired = lazy Quirk.Set.empty;
         ex_touched = lazy Quirk.Set.empty;
+        ex_reparsed = false;
       }
   | Ok prog ->
       Atomic.incr runs;
@@ -637,6 +651,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
           ex_tbits = tbits;
           ex_fired;
           ex_touched;
+          ex_reparsed = ctx.Value.reparsed;
         }
       in
       (* the result captured everything it needs as immutable copies; the
@@ -670,7 +685,7 @@ let shares_class ~quirks (ex : exec) : bool =
 
 (* The class member's result: execution is inherited verbatim; only the
    parse-stage quirk filter is per-member ([frontend] sank parse quirks
-   unfiltered, and members of one parse group may own different subsets).
+   unfiltered, and members sharing a front end may own different subsets).
    A quirk both sunk at parse time and fired during execution is on for
    every member (it is in the class key), so the union loses nothing.
    The common case — the front end sank no parse-stage quirks at all, so

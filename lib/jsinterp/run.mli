@@ -155,6 +155,12 @@ type frontend = {
           identical, so the front end can also serve strict-mode
           testbeds (the executor re-applies the mode via the compiled
           program's strict key). *)
+  fe_edition_sensitive : bool;
+      (** the parse reached a construct gated by an ES-edition flag
+          ({!Jsparse.Parser.options}' [edition_sensitive_sink]). When
+          [false] on a parse without the ES5 rejections, an ES5-profile
+          parse of the same source is guaranteed identical, so the front
+          end can also serve ES5 testbeds. *)
 }
 
 (** Parse once with the effective options derived from [parse_opts] and
@@ -231,6 +237,12 @@ type exec = {
       (** [ex_fbits] rebuilt as a [Quirk.Set.t], forced only at report
           boundaries (a {!share} that must re-filter parse quirks, tests) *)
   ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_reparsed : bool;
+      (** the execution parsed source at run time (the global [eval]) under
+          its engine's effective parse options. Such a run depends on the
+          parse group as well as on the touched checkpoints — a construct
+          the options reject raises without consulting any checkpoint — so
+          it may only be lent to engines with the same parse key *)
 }
 
 (** Like {!run}, but keep the sharing evidence. [run] is [ex_result]. *)
@@ -252,8 +264,9 @@ val run_exec :
     checkpoint in [ex_touched]. The check is self-validating: agreeing on
     every consulted checkpoint forces identical control flow, so a member
     cannot reach a checkpoint the representative did not touch. Callers
-    must also match the parse group (effective front-end options + mode)
-    and the fuel budget — see [Engines.Engine.Exec]. *)
+    must also match the front end (the parsed program), the mode and the
+    fuel budget, and — when [ex_reparsed] — the effective parse options;
+    see [Engines.Engine.Exec]. *)
 val shares_class : quirks:Quirk.Set.t -> exec -> bool
 
 (** {!shares_class} on packed quirk words ([Quirk.Bits.of_set quirks]) —

@@ -160,6 +160,11 @@ and ctx = {
       (** inline-cache hits of this execution; flushed into the process-wide
           [ic_hits] tally when the run completes (a plain field so the hot
           path never touches an atomic) *)
+  mutable reparsed : bool;
+      (** the program parsed source at run time (global [eval]) — the one
+          runtime use of [parse_opts]. A construct the options reject
+          raises there without reaching a quirk checkpoint, so execution
+          sharing must not lend this run across parse groups *)
 }
 
 let proto_of ctx name =

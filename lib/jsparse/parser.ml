@@ -32,6 +32,14 @@ type options = {
           [force_strict] parse of the same source is guaranteed
           identical, so front-end caches can share one parse across
           modes. *)
+  edition_sensitive_sink : unit -> unit;
+      (** called whenever the parse reaches a construct that one of the
+          [reject_*] flags below gates (let/const, for-of, arrow
+          functions, [**], template literals, a sticky regexp) — whether
+          or not the flag is set. If a parse under [default_options]
+          never calls it, an [es5_options] parse of the same source takes
+          the same path and yields the same program, so front-end caches
+          can share one parse across ES profiles. *)
   reject_template_literals : bool;  (** pre-ES2015 front end *)
   reject_arrow_functions : bool;    (** pre-ES2015 front end *)
   reject_let_const : bool;          (** pre-ES2015 front end *)
@@ -47,6 +55,7 @@ let default_options =
     accept_strict_delete_unqualified = false;
     quirk_sink = ignore;
     strict_sensitive_sink = ignore;
+    edition_sensitive_sink = ignore;
     reject_template_literals = false;
     reject_arrow_functions = false;
     reject_let_const = false;
@@ -168,6 +177,11 @@ let parses = Atomic.make 0
 
 let parse_count () = Atomic.get parses
 
+(* An arrow function starts here: edition-gated, so report it. *)
+let arrow_ok st =
+  st.opts.edition_sensitive_sink ();
+  not st.opts.reject_arrow_functions
+
 let rec parse_program ?(opts = default_options) ?(force_strict = false)
     (src : string) : Ast.program =
   Atomic.incr parses;
@@ -177,10 +191,10 @@ let rec parse_program ?(opts = default_options) ?(force_strict = false)
   in
   let st = { toks; idx = 0; opts; strict = force_strict } in
   (* directive prologue; [force_strict] models a strict-mode testbed where
-     the whole script is treated as strict code *)
-  let strict =
-    force_strict
-    ||
+     the whole script is treated as strict code. The prologue is consumed
+     either way, so a forced-strict parse of a script that opts in itself
+     is the same program as its sloppy parse *)
+  let directive =
     match cur st with
     | Token.Tstr "use strict" ->
         advance st;
@@ -188,6 +202,7 @@ let rec parse_program ?(opts = default_options) ?(force_strict = false)
         true
     | _ -> false
   in
+  let strict = force_strict || directive in
   st.strict <- strict;
   let body = ref [] in
   while cur st <> Token.Teof do
@@ -263,10 +278,12 @@ and parse_var_kind st : Ast.var_kind =
       advance st;
       Ast.Var
   | Token.Tkeyword "let" ->
+      st.opts.edition_sensitive_sink ();
       if st.opts.reject_let_const then err st "let is not supported";
       advance st;
       Ast.Let
   | Token.Tkeyword "const" ->
+      st.opts.edition_sensitive_sink ();
       if st.opts.reject_let_const then err st "const is not supported";
       advance st;
       Ast.Const
@@ -402,6 +419,7 @@ and parse_for st =
           let body = parse_loop_body st in
           B.s (Ast.For_in (Some kind, name, obj, body))
       | Token.Tkeyword "of" ->
+          st.opts.edition_sensitive_sink ();
           if st.opts.reject_for_of then err st "for-of is not supported";
           advance st;
           let obj = parse_assign st ~no_in:false in
@@ -435,6 +453,7 @@ and parse_for st =
           let body = parse_loop_body st in
           B.s (Ast.For_in (None, name, obj, body))
       | Ast.Ident name, Token.Tkeyword "of" ->
+          st.opts.edition_sensitive_sink ();
           if st.opts.reject_for_of then err st "for-of is not supported";
           advance st;
           let obj = parse_assign st ~no_in:false in
@@ -529,12 +548,12 @@ and parse_expr ?(no_in = false) st : Ast.expr =
 and parse_assign st ~no_in : Ast.expr =
   (* arrow functions are parsed at assignment level *)
   (match cur st with
-  | Token.Tpunct "(" when (not st.opts.reject_arrow_functions) && is_arrow_params st ->
+  | Token.Tpunct "(" when is_arrow_params st && arrow_ok st ->
       Some (parse_arrow st)
   | Token.Tident name
-    when (not st.opts.reject_arrow_functions)
-         && st.idx + 1 < Array.length st.toks
-         && st.toks.(st.idx + 1).tok = Token.Tpunct "=>" ->
+    when st.idx + 1 < Array.length st.toks
+         && st.toks.(st.idx + 1).tok = Token.Tpunct "=>"
+         && arrow_ok st ->
       advance st;
       advance st;
       Some (parse_arrow_body st [ name ])
@@ -614,6 +633,7 @@ and binop_of_token st ~no_in : (Ast.binop option * Ast.logop option) option =
   | Token.Tpunct "/" -> Some (Some Ast.Div, None)
   | Token.Tpunct "%" -> Some (Some Ast.Mod, None)
   | Token.Tpunct "**" ->
+      st.opts.edition_sensitive_sink ();
       if st.opts.reject_exponent_op then err st "'**' is not supported";
       Some (Some Ast.Exp, None)
   | Token.Tpunct "==" -> Some (Some Ast.Eq, None)
@@ -777,11 +797,15 @@ and parse_primary st : Ast.expr =
       advance st;
       B.e (Ast.Lit (Ast.Lstr s))
   | Token.Tregexp (body, flags) ->
-      if st.opts.reject_regexp_sticky && String.contains flags 'y' then
-        err st "regexp sticky flag is not supported";
+      if String.contains flags 'y' then begin
+        st.opts.edition_sensitive_sink ();
+        if st.opts.reject_regexp_sticky then
+          err st "regexp sticky flag is not supported"
+      end;
       advance st;
       B.e (Ast.Lit (Ast.Lregexp (body, flags)))
   | Token.Ttemplate parts ->
+      st.opts.edition_sensitive_sink ();
       if st.opts.reject_template_literals then
         err st "template literals are not supported";
       advance st;

@@ -27,6 +27,15 @@ type options = {
           parse never calls it, a [force_strict] parse of the same source
           is guaranteed identical, so front-end caches can share one
           parse across modes. *)
+  edition_sensitive_sink : unit -> unit;
+      (** called whenever the parse reaches a construct gated by one of
+          the [reject_*] flags below (let/const, for-of, arrow functions,
+          [**], template literals, a sticky regexp), whether or not the
+          flag is set. If a parse under [default_options] never calls
+          it, an [es5_options] parse of the same source is guaranteed
+          identical — same program or same syntax error, same sunk
+          quirks — so front-end caches can share one parse across ES
+          profiles. *)
   reject_template_literals : bool;  (** pre-ES2015 front end *)
   reject_arrow_functions : bool;    (** pre-ES2015 front end *)
   reject_let_const : bool;          (** pre-ES2015 front end *)

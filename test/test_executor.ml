@@ -124,24 +124,17 @@ let campaign_is_jobs_invariant () =
 let parse_cache_one_parse_per_group () =
   let src = "print(1 + 1);" in
   let testbeds = Engine.all_testbeds in
-  let profiles =
-    List.sort_uniq compare
-      (List.map
-         (fun (tb : Engine.testbed) ->
-           tb.Engine.tb_config.Engines.Registry.cfg_es = Engines.Registry.ES5)
-         testbeds)
-  in
   let tc = Comfort.Testcase.make src in
   let before = Jsparse.Parser.parse_count () in
   let report = Comfort.Difftest.run_case testbeds tc in
   let parses = Jsparse.Parser.parse_count () - before in
   Alcotest.(check int) "every testbed ran" (List.length testbeds)
     report.Comfort.Difftest.cr_tested;
-  (* a source with no quirky or strict-sensitive syntax needs exactly one
-     permissive base parse per profile: every (parse options, mode) group
-     shares it, and edition gating reads the same parses for free *)
-  Alcotest.(check int) "one parse per base profile" (List.length profiles)
-    parses;
+  (* a source with no quirky, strict-sensitive or edition-gated syntax
+     needs exactly one permissive base parse: both ES profiles and every
+     (parse options, mode) group share it, and edition gating reads the
+     same parse for free *)
+  Alcotest.(check int) "one parse for both base profiles" 1 parses;
   Alcotest.(check bool) "well below one parse per testbed" true
     (parses * 3 < List.length testbeds)
 

@@ -246,6 +246,99 @@ let error_strings_are_distinct () =
   Alcotest.(check int) "four distinct diagnostics" 4
     (List.length (List.sort_uniq compare msgs))
 
+(* --- hostile input over real worker-reply frames ---
+
+   A forked campaign worker answers each dispatched case with an [R_done]
+   reply carrying either judged case reports or raw sweeps. The protocol
+   types are private to the coordinator and the campaign; Marshal is
+   structural, so these same-shaped mirrors encode to the very frames a
+   worker sends. Every truncation and every byte mutation of such a frame
+   must decode to a typed [Error] or to the original value, and must
+   never raise. *)
+
+type wire =
+  | Wire_judged of Comfort.Difftest.case_report list
+  | Wire_swept of Comfort.Difftest.sweep list
+
+type counters = {
+  c_runs : int;
+  c_seeded : int;
+  c_specialized : int;
+  c_cow : int;
+  c_ic : int;
+}
+
+type reply =
+  | R_hello
+  | R_beat of int
+  | R_killme of int
+  | R_done of {
+      rd_seq : int;
+      rd_reply : (wire, string) result;
+      rd_counters : counters;
+    }
+
+let reply_frames =
+  lazy
+    (let cases =
+       (Comfort.Campaign.comfort_fuzzer ~seed:17 ()).Comfort.Campaign.fz_batch 3
+     in
+     let testbeds = Comfort.Campaign.default_testbeds () in
+     let counters =
+       { c_runs = 12; c_seeded = 40; c_specialized = 3; c_cow = 0; c_ic = 0 }
+     in
+     let finished seq w =
+       R_done { rd_seq = seq; rd_reply = w; rd_counters = counters }
+     in
+     Array.of_list
+       (List.map Ipc.encode
+          [
+            R_hello;
+            R_beat 7;
+            finished 0
+              (Ok
+                 (Wire_judged
+                    (List.map (Comfort.Difftest.run_case testbeds) cases)));
+            finished 1
+              (Ok
+                 (Wire_swept
+                    (List.map (Comfort.Difftest.sweep_case testbeds) cases)));
+            finished 2 (Error "worker: Failure(\"boom\")");
+          ]))
+
+(* truncate, or overwrite one to four bytes, of one real reply frame *)
+let gen_hostile_frame =
+  QCheck2.Gen.(
+    map3
+      (fun i truncate edits ->
+        let frames = Lazy.force reply_frames in
+        let frame = frames.(i mod Array.length frames) in
+        let n = String.length frame in
+        let hostile =
+          if truncate then String.sub frame 0 (fst (List.hd edits) mod n)
+          else begin
+            let b = Bytes.of_string frame in
+            List.iter
+              (fun (at, byte) -> Bytes.set b (at mod n) (Char.chr byte))
+              edits;
+            Bytes.to_string b
+          end
+        in
+        (frame, hostile))
+      nat bool
+      (list_size (1 -- 4) (pair nat (0 -- 255))))
+
+let hostile_frame_prop =
+  QCheck2.Test.make ~count:600
+    ~name:"ipc: truncated or mutated reply frames decode to Error or the original"
+    ~print:(fun (_, h) -> Printf.sprintf "%S" h)
+    gen_hostile_frame
+    (fun (frame, hostile) ->
+      match (Ipc.decode hostile : (reply, Ipc.error) result) with
+      | Error _ -> true
+      (* a mutation that rewrote bytes to their own values *)
+      | Ok v -> String.equal (Ipc.encode v) frame)
+
 let suite =
   [
     Helpers.case "pipe: frames round-trip in order, EOF is Closed"
@@ -261,4 +354,9 @@ let suite =
       undecodable_payload_is_corrupt;
     Helpers.case "error diagnostics are distinct" error_strings_are_distinct;
   ]
-  @ [ QCheck_alcotest.to_alcotest roundtrip_prop ]
+  @ [
+      QCheck_alcotest.to_alcotest roundtrip_prop;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 3 |])
+        hostile_frame_prop;
+    ]

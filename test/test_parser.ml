@@ -389,6 +389,78 @@ let golden_token_stream_test () =
   in
   Alcotest.(check (list string)) "groups whose token stream changed" [] changed
 
+(* --- Edition-sensitive sink: the ES5 profile only rejects ---
+
+   The per-case front-end cache lets ES5 testbeds take the standard parse
+   whenever that parse reported no edition-gated construct. Over the
+   golden corpus, its byte mutants and the acceptance/rejection lists,
+   with and without the parser-quirk acceptances: whenever the sink stays
+   silent, the ES5 parse must end the same way (same printed program, or
+   same syntax error at the same line) and sink the same quirks and the
+   same strict-sensitivity. *)
+
+let with_accepts (o : P.options) =
+  {
+    o with
+    P.accept_for_missing_body = true;
+    accept_dup_params_strict = true;
+    accept_strict_delete_unqualified = true;
+  }
+
+(* (outcome, sunk quirks, strict-sensitive, edition-sensitive) *)
+let parse_trace ~opts src =
+  let quirks = ref [] and strict_s = ref false and edition_s = ref false in
+  let opts =
+    {
+      opts with
+      P.quirk_sink = (fun q -> quirks := q :: !quirks);
+      strict_sensitive_sink = (fun () -> strict_s := true);
+      edition_sensitive_sink = (fun () -> edition_s := true);
+    }
+  in
+  let outcome =
+    match P.parse_program ~opts src with
+    | p -> Ok (Jsast.Printer.program_to_string p)
+    | exception P.Syntax_error (msg, line) -> Error (msg, line)
+  in
+  (outcome, List.rev !quirks, !strict_s, !edition_s)
+
+let edition_sink_tests () =
+  let sources = List.concat_map snd (golden_groups ()) @ accepted @ rejected in
+  let silent = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun adjust ->
+          let std, q, s, edition = parse_trace ~opts:(adjust P.default_options) src in
+          if not edition then begin
+            incr silent;
+            let es5, q5, s5, _ = parse_trace ~opts:(adjust P.es5_options) src in
+            if (std, q, s) <> (es5, q5, s5) then
+              Alcotest.failf "ES5 parse differs on a silent source: %S" src
+          end)
+        [ Fun.id; with_accepts ])
+    sources;
+  (* two option variants per source: most parses leave the sink silent *)
+  Alcotest.(check bool) "most parses are edition-insensitive" true
+    (!silent > List.length sources);
+  (* and the sink is not vacuous: every gated construct reports *)
+  List.iter
+    (fun src ->
+      let _, _, _, edition = parse_trace ~opts:P.default_options src in
+      Alcotest.(check bool) ("reports: " ^ src) true edition)
+    [
+      "let x = 1;";
+      "const x = 1;";
+      "for (var v of a) {}";
+      "for (v of a) {}";
+      "var f = (x) => x;";
+      "var f = x => x;";
+      "var x = 2 ** 3;";
+      "var t = `x`;";
+      "var r = /a/y;";
+    ]
+
 (* --- Hostile input: only the documented exceptions escape --- *)
 
 let front_end_total src =
@@ -447,6 +519,7 @@ let suite =
     case "directive prologue" directive_tests;
     case "hex literals" hex_literal_tests;
     case "golden token stream" golden_token_stream_test;
+    case "silent edition sink: ES5 parses identically" edition_sink_tests;
     QCheck_alcotest.to_alcotest hostile_input_prop;
     QCheck_alcotest.to_alcotest roundtrip_prop;
     QCheck_alcotest.to_alcotest idempotent_prop;

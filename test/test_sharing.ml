@@ -107,7 +107,8 @@ let run_count_counts_real_executions () =
 
 (* the §5.2-flavoured sources the sweep-level checks run: plain code, the
    steering program above, quirk-rich builtin traffic, a thrown error, a
-   parse-stage quirk trigger, and strict-only behaviour *)
+   parse-stage quirk trigger, strict-only behaviour and syntax the ES5
+   profile rejects *)
 let sweep_sources =
   [
     "print(1 + 1);";
@@ -119,39 +120,117 @@ print([10,9,1].sort()); print("abc".charAt(-1) === "");|};
 foo(-634619);|};
     "for (var i = 0; i < 3; i++)";
     "function f(a, a) { return a; } print(f(1, 2));";
+    (* ES2015 syntax: the ES5 profile must not borrow the standard parse *)
+    "var f = (x) => x + 1; print(f(1));";
+    "print(`t${2}`);";
   ]
 
-let exec_cache_equals_direct_sweep () =
+(* The first field on which a shared sweep of [src] — all 102 testbeds,
+   then the reference engine, through one [Engine.Exec] cache — differs
+   from direct runs, as "<testbed> <field>"; [None] when every field of
+   every result agrees. *)
+let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
+  let ec = Engine.Exec.cache src in
+  let compare id (d : Run.result) (s : Run.result) =
+    List.find_map
+      (fun (field, same) -> if same then None else Some (id ^ " " ^ field))
+      [
+        ("parsed", d.Run.r_parsed = s.Run.r_parsed);
+        ("parse error", d.Run.r_parse_error = s.Run.r_parse_error);
+        ("status", d.Run.r_status = s.Run.r_status);
+        ("output", String.equal d.Run.r_output s.Run.r_output);
+        ("fuel", d.Run.r_fuel_used = s.Run.r_fuel_used);
+        ("fired", Quirk.Set.equal d.Run.r_fired s.Run.r_fired);
+        ("touched", Quirk.Set.equal d.Run.r_touched s.Run.r_touched);
+      ]
+  in
+  let rec sweep = function
+    | [] ->
+        compare "reference"
+          (Engine.run_reference ~fuel src)
+          (Engine.Exec.run_reference ~fuel ec)
+    | (tb : Engine.testbed) :: rest -> (
+        match
+          compare (Engine.testbed_id tb) (Engine.run ~fuel tb src)
+            (Engine.Exec.run ~fuel ec tb)
+        with
+        | None -> sweep rest
+        | mismatch -> mismatch)
+  in
+  sweep Engine.all_testbeds
+
+let check_sweep src =
+  match sweep_mismatch src with
+  | None -> ()
+  | Some m -> Alcotest.failf "shared sweep differs from direct (%s) on:\n%s" m src
+
+let exec_cache_equals_direct_sweep () = List.iter check_sweep sweep_sources
+
+(* Programs that parse source at run time. There the ES5 and standard
+   profiles, and each parser-quirk acceptance, answer differently — and
+   the rejecting side raises without consulting any quirk checkpoint, so
+   the touched sets alone cannot tell the parse groups apart. Each runs
+   as written (sloppy and strict testbeds) and under a "use strict"
+   prologue. *)
+let reparse_sources =
+  let sloppy =
+    [
+      {|try { print(typeof eval("(x)=>x")); } catch (e) { print(e.name); }|};
+      {|print(typeof eval("(x)=>x"));|};
+      {|var ev = this["ev" + "al"]; print(ev("`t${1 + 1}`"));|};
+      {|try { eval("for (var i = 0; i < 3; i++)"); print("accepted", i); }
+catch (e) { print(e.name); }|};
+      {|try { eval("'use strict'; function f(a, a) { return a; } print(f(1, 2));"); }
+catch (e) { print(e.name); }|};
+      {|try { eval("'use strict'; var x = 1; print(delete x);"); }
+catch (e) { print(e.name); }|};
+    ]
+  in
+  sloppy @ List.map (fun src -> "'use strict';\n" ^ src) sloppy
+
+let cross_group_reparse_fixtures () =
   List.iter
     (fun src ->
-      let ec = Engine.Exec.cache src in
-      List.iter
-        (fun (tb : Engine.testbed) ->
-          let direct = Engine.run ~fuel:100_000 tb src in
-          let shared = Engine.Exec.run ~fuel:100_000 ec tb in
-          let id = Engine.testbed_id tb in
-          Alcotest.(check bool) (id ^ " parsed") direct.Run.r_parsed
-            shared.Run.r_parsed;
-          Alcotest.(check (option string)) (id ^ " parse error")
-            direct.Run.r_parse_error shared.Run.r_parse_error;
-          Alcotest.(check string) (id ^ " status")
-            (Run.status_to_string direct.Run.r_status)
-            (Run.status_to_string shared.Run.r_status);
-          Alcotest.(check string) (id ^ " output") direct.Run.r_output
-            shared.Run.r_output;
-          Alcotest.(check int) (id ^ " fuel") direct.Run.r_fuel_used
-            shared.Run.r_fuel_used;
-          Alcotest.(check bool) (id ^ " fired") true
-            (Quirk.Set.equal direct.Run.r_fired shared.Run.r_fired);
-          Alcotest.(check bool) (id ^ " touched") true
-            (Quirk.Set.equal direct.Run.r_touched shared.Run.r_touched))
-        Engine.all_testbeds;
-      (* the reference engine joins the same cache *)
-      let ref_direct = Engine.run_reference ~fuel:100_000 src in
-      let ref_shared = Engine.Exec.run_reference ~fuel:100_000 ec in
-      Alcotest.(check string) "reference output" ref_direct.Run.r_output
-        ref_shared.Run.r_output)
-    sweep_sources
+      (* the fixture must actually tell parse groups apart *)
+      let outputs =
+        List.sort_uniq compare
+          (List.map
+             (fun tb ->
+               Comfort.Difftest.signature_of_result
+                 (Engine.run ~fuel:100_000 tb src))
+             Engine.all_testbeds)
+      in
+      Alcotest.(check bool) ("parse groups disagree: " ^ src) true
+        (List.length outputs > 1);
+      check_sweep src)
+    reparse_sources
+
+(* Interpreter executions of one shared sweep over all 102 testbeds. *)
+let sweep_executions src =
+  let ec = Engine.Exec.cache src in
+  List.iter
+    (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ec tb))
+    Engine.all_testbeds;
+  fst (Engine.Exec.stats ec)
+
+let execution_counts_pinned () =
+  (* one front end serves every parse group, and nothing is consulted:
+     one execution per mode *)
+  Alcotest.(check int) "quirk-free, eval-free program" 2
+    (sweep_executions "print(1 + 1);");
+  (* a run-time parse pins each class to its parse group *)
+  let groups =
+    List.sort_uniq compare
+      (List.map
+         (fun (tb : Engine.testbed) ->
+           ( Engines.Registry.pk_int
+               (Engines.Registry.parse_key tb.Engine.tb_config),
+             tb.Engine.tb_mode ))
+         Engine.all_testbeds)
+  in
+  Alcotest.(check int) "eval program: one class per parse group"
+    (List.length groups)
+    (sweep_executions {|eval("print(1)");|})
 
 let exec_cache_collapses_the_sweep () =
   (* the acceptance bar: across a full 102-testbed sweep, at least 4x
@@ -275,6 +354,41 @@ var junk2 = 2;|}
   in
   Alcotest.(check string) "same reduction" (reduce false) (reduce true)
 
+(* Shared sweep = direct sweep, field by field, on generated programs:
+   the LM-driven Comfort fuzzer's cases and the Fuzzilli-style mutator's
+   loop-heavy ones, drawn from fixed fuzzer seeds by a fixed QCheck seed.
+   The fuel cap keeps the 102 direct runs of a loop-heavy case cheap and
+   lets timeouts take part in the comparison. *)
+let fuzzer_pool =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (fz : Comfort.Campaign.fuzzer) ->
+            List.filteri
+              (fun i _ -> i < 30)
+              (List.map
+                 (fun tc -> tc.Comfort.Testcase.tc_source)
+                 (fz.Comfort.Campaign.fz_batch 30)))
+          [
+            Comfort.Campaign.comfort_fuzzer ~seed:41 ();
+            Baselines.Fuzzers.fuzzilli ~seed:43 ();
+          ]))
+
+let shared_sweep_equals_direct_prop =
+  QCheck2.Test.make ~count:60
+    ~name:"shared sweep = direct sweep on fuzzer programs"
+    ~print:Fun.id
+    QCheck2.Gen.(
+      map
+        (fun i ->
+          let pool = Lazy.force fuzzer_pool in
+          pool.(i mod Array.length pool))
+        nat)
+    (fun src ->
+      match sweep_mismatch ~fuel:20_000 src with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "differs: %s" m)
+
 let suite =
   [
     case "fixpoint splits when a firing exposes a checkpoint"
@@ -284,9 +398,16 @@ let suite =
     case "Exec cache equals direct runs on all 102 testbeds"
       exec_cache_equals_direct_sweep;
     case "Exec cache collapses the sweep >=4x" exec_cache_collapses_the_sweep;
+    case "cross-group sharing: run-time parse fixtures"
+      cross_group_reparse_fixtures;
+    case "execution counts: per mode, or per parse group under eval"
+      execution_counts_pinned;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
     case "audit accepts equal paths" audit_accepts_equal_paths;
     case "campaigns are share- and jobs-invariant" campaign_share_invariant;
     case "campaign audit mode passes" campaign_audit_mode_passes;
     case "reducer predicate is share-invariant" reducer_share_equals_direct;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 14 |])
+      shared_sweep_equals_direct_prop;
   ]
