@@ -7,9 +7,9 @@
 
    Set COMFORT_JOBS=N to run every campaign in here on N worker domains;
    results are identical at any job count. `campaign` measures throughput
-   in all four (execution sharing on/off) x (1 job / N jobs) combinations
-   — counting real interpreter executions per case either way — and
-   writes BENCH_campaign.json.
+   under the Reference and Fast execution strategies (Fast also on N jobs
+   and on forked workers) — counting real interpreter executions per case
+   — and writes BENCH_campaign.json.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table2     # one experiment
@@ -532,28 +532,51 @@ let ablate () =
     (List.length fb_res.Comfort.Campaign.cp_discoveries)
     (Comfort.Feedback.bank_size fb)
 
+(* The first line a shell command prints, if it exits 0. *)
+let command_line cmd =
+  match Unix.open_process_in cmd with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> line
+      | _ -> None)
+
+(* Where a BENCH_*.json row was measured: cores, compiler, source. *)
+let host_json () =
+  let nproc =
+    match Option.bind (command_line "nproc 2>/dev/null") int_of_string_opt with
+    | Some n -> n
+    | None -> Domain.recommended_domain_count ()
+  in
+  let commit =
+    match command_line "git describe --always --dirty 2>/dev/null" with
+    | Some c -> Printf.sprintf "%S" c
+    | None -> "null"
+  in
+  Printf.sprintf {|{ "nproc": %d, "ocaml": %S, "commit": %s }|} nproc
+    Sys.ocaml_version commit
+
 (* ---------- campaign throughput (parallel executor) ---------- *)
 
 (* End-to-end campaign wall-clock against the full 102-testbed setup,
-   across the (execution sharing on/off) x (slot compilation on/off) x
-   (static reach analysis on/off) x (quirk specialisation on/off) x
-   (1 job / N jobs) grid. Verifies on the way that every combination
-   found the same discoveries in the same order (the executor's ordering
-   guarantee, the sharing soundness argument of DESIGN.md §8, the
-   compilation parity argument of §9, the reach invariance argument of
-   §11, and the specialisation invisibility argument of §12), counts
-   real interpreter executions via [Run.run_count] to report
-   executions-per-case — the reach and specialize rows must execute
-   exactly as often as the share+resolve row, since neither changes a
-   sharing decision — records the whole-pipeline profile per row via
+   one row per execution strategy — the Reference oracle and the Fast
+   path, one job each — plus the Fast path on N jobs and on forked
+   workers. Verifies on the way that every row found the same discoveries
+   in the same order (the executor's ordering guarantee and the Fast =
+   Reference contract of DESIGN.md's "Execution strategy"), counts real
+   interpreter executions via [Run.run_count] to report
+   executions-per-case, records the whole-pipeline profile per row via
    [Run.Stage]/[Metrics.profile]: the disjoint pipeline stages
    (generate / screen / sweep / vote / attr / reduce / fold) with wall
    ns and allocated bytes each, the nested interpreter substages
    (parse / compile / realm-install / execute), the total driver-domain
    allocation, and the unaccounted residual — then emits the numbers as
    machine-readable BENCH_campaign.json for CI and EXPERIMENTS.md.
-   Gates: every jobs=1 row must account for >= 90% of its wall clock,
-   and the production row must stay within the allocation budget.
+   Gates: identical results on every row; Fast at least 4x fewer
+   executions per case than Reference, and the same count on every Fast
+   row; every jobs=1 row accounting for >= 90% of its wall clock; the
+   Fast jobs=1 row within the allocation budget.
 
    On a single-CPU container the jobs>1 row is pure scheduling overhead,
    not a measurement of the executor, so it is skipped (and flagged in
@@ -561,8 +584,7 @@ let ablate () =
    Every row is measured as the best of three interleaved passes — see
    the comment at the measurement loop. *)
 let campaign_bench () =
-  header
-    "Campaign throughput: sharing x compilation x reach x specialisation";
+  header "Campaign throughput: Reference vs Fast";
   let budget = 400 * scale in
   let testbeds = Engines.Engine.all_testbeds in
   let cores = Domain.recommended_domain_count () in
@@ -571,6 +593,7 @@ let campaign_bench () =
     if env > 1 then env else min 4 cores
   in
   let multi = cores > 1 && njobs > 1 in
+  let open Jsinterp.Strategy in
   (* process-isolated workers row: measured once, up front — it must
      run before any jobs>1 row spawns a domain, which permanently
      disables fork — and outside the best-of-3 grid. The jobs=1
@@ -591,8 +614,8 @@ let campaign_bench () =
       let r0 = Comfort.Coordinator.stat_respawns () in
       let t0 = Unix.gettimeofday () in
       let res =
-        Comfort.Campaign.run ~testbeds ~budget ~jobs:1 ~share:true
-          ~resolve:true ~reach:true ~specialize:true ~workers:wn fz
+        Comfort.Campaign.run ~testbeds ~budget ~jobs:1 ~strategy:Fast
+          ~workers:wn fz
       in
       let dt = Unix.gettimeofday () -. t0 in
       let execs = Jsinterp.Run.run_count () - e0 in
@@ -605,16 +628,13 @@ let campaign_bench () =
     end
   in
   Jsinterp.Run.Stage.enabled := true;
-  let measure ~jobs ~share ~resolve ~reach ~specialize =
+  let measure ~jobs ~strategy =
     let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
     let e0 = Jsinterp.Run.run_count () in
     Jsinterp.Run.Stage.reset ();
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
-    let res =
-      Comfort.Campaign.run ~testbeds ~budget ~jobs ~share ~resolve ~reach
-        ~specialize fz
-    in
+    let res = Comfort.Campaign.run ~testbeds ~budget ~jobs ~strategy fz in
     let dt = Unix.gettimeofday () -. t0 in
     (* driver-domain allocation; at jobs=1 the whole campaign runs here,
        so this is the campaign's total allocation. (jobs>1 workers
@@ -629,8 +649,8 @@ let campaign_bench () =
       Float.of_int execs /. Float.of_int res.Comfort.Campaign.cp_cases_run
     in
     Printf.printf
-      "  share=%-5b resolve=%-5b reach=%-5b specialize=%-5b jobs=%d: %6.2fs wall, %6.1f cases/s, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
-      share resolve reach specialize jobs dt
+      "  %-9s jobs=%d: %6.2fs wall, %6.1f cases/s, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
+      (to_string strategy) jobs dt
       (Float.of_int res.Comfort.Campaign.cp_cases_run /. dt)
       per_case
       (List.length res.Comfort.Campaign.cp_discoveries)
@@ -644,33 +664,21 @@ let campaign_bench () =
       "  (single-CPU container: the parallel jobs>1 row is skipped — it \
        would measure scheduling overhead, not the executor)\n%!";
   let combos =
-    [
-      (false, false, false, false, 1);
-      (true, false, false, false, 1);
-      (false, true, false, false, 1);
-      (true, true, false, false, 1);
-      (true, true, true, false, 1);
-      (true, true, true, true, 1);
-    ]
-    @ (if multi then [ (true, true, true, true, njobs) ] else [])
+    [ (Reference, 1); (Fast, 1) ] @ if multi then [ (Fast, njobs) ] else []
   in
   (* Each row is the best of three interleaved passes. A campaign row is
      deterministic (fixed fuzzer seed), so wall-clock spread between
-     passes is scheduler and cache noise — on a shared single-CPU
-     container it reaches ±30%, enough to flip the reach-vs-share+resolve
-     comparison on a single measurement. Interleaving the passes (round
-     robin over the combos, not three back-to-back runs of one combo)
-     cancels slow drift; the minimum is the run the machine interfered
-     with least. *)
+     passes is scheduler and cache noise — on a shared container it
+     reaches ±30%. Interleaving the passes (round robin over the rows,
+     not three back-to-back runs of one row) cancels slow drift; the
+     minimum is the run the machine interfered with least. *)
   let reps = 3 in
-  let best = Hashtbl.create 8 in
+  let best = Hashtbl.create 4 in
   for rep = 1 to reps do
     if reps > 1 then Printf.printf "  -- pass %d/%d --\n%!" rep reps;
     List.iter
-      (fun ((share, resolve, reach, specialize, jobs) as c) ->
-        let ((_, dt, _, _, _) as m) =
-          measure ~jobs ~share ~resolve ~reach ~specialize
-        in
+      (fun ((strategy, jobs) as c) ->
+        let ((_, dt, _, _, _) as m) = measure ~jobs ~strategy in
         match Hashtbl.find_opt best c with
         | Some (_, bdt, _, _, _) when bdt <= dt -> ()
         | _ -> Hashtbl.replace best c m)
@@ -679,100 +687,51 @@ let campaign_bench () =
   let runs = List.map (fun c -> (c, Hashtbl.find best c)) combos in
   Jsinterp.Run.Stage.enabled := false;
   let key d = (d.Comfort.Campaign.disc_engine, d.Comfort.Campaign.disc_quirk) in
-  let base, _, _, _, _ = List.assoc (false, false, false, false, 1) runs in
-  let same =
+  let agrees (r : Comfort.Campaign.result) (base : Comfort.Campaign.result) =
+    List.map key r.Comfort.Campaign.cp_discoveries
+    = List.map key base.Comfort.Campaign.cp_discoveries
+    && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
+    && r.Comfort.Campaign.cp_filtered_repeats
+       = base.Comfort.Campaign.cp_filtered_repeats
+  in
+  let base, ref_dt, ref_execs, ref_pc, _ = List.assoc (Reference, 1) runs in
+  let fast_res, fast_dt, fast_execs, fast_pc, (_, fast_alloc) =
+    List.assoc (Fast, 1) runs
+  in
+  let same = List.for_all (fun (_, (r, _, _, _, _)) -> agrees r base) runs in
+  (* every Fast row makes the same sharing decisions, so executes exactly
+     as often; and sharing must keep collapsing the sweep *)
+  let fast_execs_ok =
     List.for_all
-      (fun (_, (r, _, _, _, _)) ->
-        List.map key r.Comfort.Campaign.cp_discoveries
-        = List.map key base.Comfort.Campaign.cp_discoveries
-        && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
-        && r.Comfort.Campaign.cp_filtered_repeats
-           = base.Comfort.Campaign.cp_filtered_repeats)
+      (fun ((strategy, _), (_, _, execs, _, _)) ->
+        strategy = Reference || execs = fast_execs)
       runs
+    && fast_execs * 4 <= ref_execs
   in
-  let _, direct_dt, direct_execs, direct_pc, _ =
-    List.assoc (false, false, false, false, 1) runs
-  in
-  let _, shared_dt, shared_execs, shared_pc, _ =
-    List.assoc (true, false, false, false, 1) runs
-  in
-  let _, resolved_dt, _, _, _ = List.assoc (false, true, false, false, 1) runs in
-  let _, both_dt, _, _, _ = List.assoc (true, true, false, false, 1) runs in
-  let reach_res, reach_dt, reach_execs, reach_pc, (reach_prof, _) =
-    List.assoc (true, true, true, false, 1) runs
-  in
-  let spec_res, spec_dt, spec_execs, spec_pc, (_spec_prof, spec_alloc) =
-    List.assoc (true, true, true, true, 1) runs
-  in
-  let _, _, _, _, (both_prof, _) =
-    List.assoc (true, true, false, false, 1) runs
-  in
-  let reduction = Float.of_int direct_execs /. Float.of_int shared_execs in
   Printf.printf
-    "execution sharing: %.1f -> %.1f executions/case (%.1fx fewer), %.2fx faster at 1 job\n"
-    direct_pc shared_pc reduction (direct_dt /. shared_dt);
-  Printf.printf
-    "slot compilation: %.2fx over tree-walking direct, %.2fx on top of sharing (share+resolve vs share-only)\n"
-    (direct_dt /. resolved_dt)
-    (shared_dt /. both_dt);
-  (* the reach row's marginal cost over plain share+resolve, attributed
-     by the profiler: the sweep stage carries the cell bookkeeping and
-     the reach-set forcing, the compile substage carries the
-     consultation-folding pass. Since PR 9 packed the class-sharing
-     check into two machine-word compares, the full-scan path the cell
-     partition short-circuits is nearly free, so reach's residual is
-     expected to sit at or slightly above zero in isolation — it pays
-     off through the specialisation layer built on its cells (the
-     [specialize] row below), not on this row. *)
-  let stage_of rows name =
-    match
-      List.find_opt (fun r -> r.Comfort.Metrics.st_name = name) rows
-    with
-    | Some r -> r.Comfort.Metrics.st_ns
-    | None -> 0
-  in
-  let reach_overhead_pct = 100.0 *. (reach_dt -. both_dt) /. both_dt in
-  Printf.printf
-    "static reach: %.1f executions/case (same executions as share+resolve: %b), %+.1f%% wall vs share+resolve (sweep %+.1fms, compile substage %+.1fms), %d reach-seeded shares\n"
-    reach_pc
-    (reach_execs = shared_execs)
-    reach_overhead_pct
-    (Float.of_int
-       (stage_of reach_prof.Comfort.Metrics.pr_stages "sweep"
-       - stage_of both_prof.Comfort.Metrics.pr_stages "sweep")
-    /. 1e6)
-    (Float.of_int
-       (stage_of reach_prof.Comfort.Metrics.pr_substages "compile"
-       - stage_of both_prof.Comfort.Metrics.pr_substages "compile")
-    /. 1e6)
-    reach_res.Comfort.Campaign.cp_reach_seeded;
-  Printf.printf
-    "specialisation: %.1f executions/case (same executions as share+resolve: %b), %.2fx vs reach row; %d specialised compilations, %d COW clones, %d IC hits\n"
-    spec_pc
-    (spec_execs = shared_execs)
-    (reach_dt /. spec_dt)
-    spec_res.Comfort.Campaign.cp_specialized
-    spec_res.Comfort.Campaign.cp_cow_clones
-    spec_res.Comfort.Campaign.cp_ic_hits;
+    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer), %.2fx faster at 1 job; %d reach-seeded shares, %d specialised compilations, %d COW clones, %d IC hits\n"
+    ref_pc fast_pc
+    (Float.of_int ref_execs /. Float.of_int fast_execs)
+    (ref_dt /. fast_dt)
+    fast_res.Comfort.Campaign.cp_reach_seeded
+    fast_res.Comfort.Campaign.cp_specialized
+    fast_res.Comfort.Campaign.cp_cow_clones
+    fast_res.Comfort.Campaign.cp_ic_hits;
   (if multi then
-     let _, par_dt, _, _, _ = List.assoc (true, true, true, true, njobs) runs in
-     Printf.printf
-       "full fast path + %d jobs vs direct sequential: %.2fx; all results identical: %b\n"
-       njobs (direct_dt /. par_dt) same
-   else
-     Printf.printf
-       "full fast path vs direct sequential: %.2fx; all results identical: %b\n"
-       (direct_dt /. spec_dt) same);
-  (* the specialize row must not change a single sharing decision: same
-     executions as the share+resolve baseline or the bench fails loudly *)
-  if spec_execs <> shared_execs then begin
-    Printf.eprintf
-      "FAIL: specialisation changed the execution count (%d vs %d)\n"
-      spec_execs shared_execs;
+     let _, par_dt, _, _, _ = List.assoc (Fast, njobs) runs in
+     Printf.printf "Fast + %d jobs vs Reference: %.2fx\n" njobs
+       (ref_dt /. par_dt));
+  Printf.printf "all results identical: %b; Fast executions/case gate: %b\n"
+    same fast_execs_ok;
+  if not same then begin
+    Printf.eprintf "FAIL: the rows disagree on the campaign report\n";
     exit 1
   end;
-  if not same then begin
-    Printf.eprintf "FAIL: the combinations disagree on the campaign report\n";
+  if not fast_execs_ok then begin
+    Printf.eprintf
+      "FAIL: Fast rows executed %d times (Reference %d): the counts must \
+       agree across Fast rows and be at least 4x below Reference\n"
+      fast_execs ref_execs;
     exit 1
   end;
   (* profiler-accounting gate (jobs=1 rows only: a parallel row's stage
@@ -781,7 +740,7 @@ let campaign_bench () =
      clock to a named pipeline stage, or the profiler has a hole *)
   let max_unaccounted =
     List.fold_left
-      (fun acc ((_, _, _, _, jobs), (_, _, _, _, (p, _))) ->
+      (fun acc ((_, jobs), (_, _, _, _, (p, _))) ->
         if jobs = 1 then Float.max acc p.Comfort.Metrics.pr_unaccounted_pct
         else acc)
       0.0 runs
@@ -795,41 +754,29 @@ let campaign_bench () =
       max_unaccounted;
     exit 1
   end;
-  (* allocation-regression gate on the production row (everything on,
-     jobs=1): scratch recycling and the quirk-word migration hold the
-     steady state near 0.5 MB/case; the budget leaves headroom for
-     machine variance but catches a reverted optimisation, which costs
-     several MB/case *)
+  (* allocation-regression gate on the Fast jobs=1 row: scratch recycling
+     and the quirk-word migration hold the steady state near 0.5 MB/case;
+     the budget leaves headroom for machine variance but catches a
+     reverted optimisation, which costs several MB/case *)
   let alloc_budget_per_case = 2_000_000.0 in
-  let spec_alloc_per_case =
-    spec_alloc /. Float.of_int spec_res.Comfort.Campaign.cp_cases_run
+  let fast_alloc_per_case =
+    fast_alloc /. Float.of_int fast_res.Comfort.Campaign.cp_cases_run
   in
-  Printf.printf "allocation: %.0f bytes/case on the production row (budget %.0f)\n"
-    spec_alloc_per_case alloc_budget_per_case;
-  if spec_alloc_per_case > alloc_budget_per_case then begin
-    Printf.eprintf
-      "FAIL: production row allocates %.0f bytes/case (budget %.0f)\n"
-      spec_alloc_per_case alloc_budget_per_case;
+  Printf.printf "allocation: %.0f bytes/case on the Fast row (budget %.0f)\n"
+    fast_alloc_per_case alloc_budget_per_case;
+  if fast_alloc_per_case > alloc_budget_per_case then begin
+    Printf.eprintf "FAIL: the Fast row allocates %.0f bytes/case (budget %.0f)\n"
+      fast_alloc_per_case alloc_budget_per_case;
     exit 1
   end;
   (* gates on the process-isolated row measured up front (before the
      grid could spawn domains): identity with the in-process report and
      an exact folded execution count — the determinism contract of
      DESIGN.md §14 *)
-  let workers_same =
+  let workers_same, workers_execs_ok =
     match workers_row with
-    | None -> true
-    | Some (r, _, _, _, _) ->
-        List.map key r.Comfort.Campaign.cp_discoveries
-        = List.map key base.Comfort.Campaign.cp_discoveries
-        && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
-        && r.Comfort.Campaign.cp_filtered_repeats
-           = base.Comfort.Campaign.cp_filtered_repeats
-  in
-  let workers_execs_ok =
-    match workers_row with
-    | None -> true
-    | Some (_, _, execs, _, _) -> execs = shared_execs
+    | None -> (true, true)
+    | Some (r, _, execs, _, _) -> (agrees r base, execs = fast_execs)
   in
   (match workers_row with
   | None ->
@@ -838,10 +785,10 @@ let campaign_bench () =
          skipped\n"
   | Some (_, dt, _, kills, respawns) ->
       Printf.printf
-        "process isolation: %d workers, %.2fs wall (%.2fx vs in-process \
-         production row), identical results: %b, folded executions match \
-         share row: %b, %d respawns (%d hard-kills)\n"
-        wn dt (spec_dt /. dt) workers_same workers_execs_ok respawns kills);
+        "process isolation: %d workers, %.2fs wall (%.2fx vs the in-process \
+         Fast row), identical results: %b, folded executions match the Fast \
+         row: %b, %d respawns (%d hard-kills)\n"
+        wn dt (fast_dt /. dt) workers_same workers_execs_ok respawns kills);
   if not workers_same then begin
     Printf.eprintf
       "FAIL: the process-isolated row disagrees with the in-process report\n";
@@ -858,17 +805,15 @@ let campaign_bench () =
          (fun r -> Printf.sprintf "%S: %d" r.Comfort.Metrics.st_name (get r))
          rows)
   in
-  let json_run
-      ( (share, resolve, reach, specialize, jobs),
-        (r, dt, execs, per_case, (p, alloc)) ) =
+  let json_run ((strategy, jobs), (r, dt, execs, per_case, (p, alloc))) =
     Printf.sprintf
-      {|    { "share": %b, "resolve": %b, "reach": %b, "specialize": %b, "jobs": %d, "wall_s": %.3f, "cases_per_s": %.1f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
+      {|    { "strategy": %S, "jobs": %d, "wall_s": %.3f, "cases_per_s": %.1f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
       "alloc_bytes": %.0f, "alloc_bytes_per_case": %.0f, "accounted_ns": %d, "unaccounted_pct": %.1f,
       "pipeline_ns": { %s },
       "pipeline_bytes": { %s },
       "stages_ns": { %s },
       "stages_bytes": { %s } }|}
-      share resolve reach specialize jobs dt
+      (to_string strategy) jobs dt
       (Float.of_int r.Comfort.Campaign.cp_cases_run /. dt)
       execs per_case r.Comfort.Campaign.cp_reach_seeded
       r.Comfort.Campaign.cp_specialized r.Comfort.Campaign.cp_cow_clones
@@ -889,62 +834,34 @@ let campaign_bench () =
   let json =
     Printf.sprintf
       {|{
+  "host": %s,
   "budget": %d,
   "testbeds": %d,
-  "cores": %d,
   "parallel_row_skipped": %b,
   "runs": [
 %s
   ],
-  "sharing_execution_reduction": %.2f,
-  "sharing_speedup_1job": %.2f,
-  "resolve_speedup_direct": %.2f,
-  "resolve_speedup_shared": %.2f,
-  "speedup_share_resolve_vs_direct": %.2f,
-  "reach_executions_match_share": %b,
-  "reach_overhead_pct": %.1f,
-  "reach_plus_specialize_beats_share_resolve": %b,
-  "reach_seeded": %d,
-  "specialize_executions_match_share": %b,
-  "specialize_speedup_vs_reach": %.2f,
-  "specialized": %d,
-  "cow_clones": %d,
-  "ic_hits": %d,
+  "fast_execution_reduction": %.2f,
+  "fast_speedup_1job": %.2f,
+  "fast_executions_ok": %b,
   "max_unaccounted_pct": %.1f,
   "alloc_budget_bytes_per_case": %.0f,
-  "alloc_bytes_per_case_production": %.0f,
+  "alloc_bytes_per_case_fast": %.0f,
   "identical_results": %b,
   "workers_row_skipped": %b,
   "workers": %d,
   "workers_wall_s": %.3f,
   "workers_identical_results": %b,
-  "workers_executions_match_share": %b,
+  "workers_executions_match_fast": %b,
   "workers_respawns": %d,
   "workers_kills": %d
 }
 |}
-      budget (List.length testbeds) cores (not multi)
+      (host_json ()) budget (List.length testbeds) (not multi)
       (String.concat ",\n" (List.map json_run runs))
-      reduction
-      (direct_dt /. shared_dt)
-      (direct_dt /. resolved_dt)
-      (shared_dt /. both_dt)
-      (direct_dt /. both_dt)
-      (reach_execs = shared_execs)
-      reach_overhead_pct
-      (spec_dt <= both_dt)
-      reach_res.Comfort.Campaign.cp_reach_seeded
-      (spec_execs = shared_execs)
-      (reach_dt /. spec_dt)
-      spec_res.Comfort.Campaign.cp_specialized
-      spec_res.Comfort.Campaign.cp_cow_clones
-      spec_res.Comfort.Campaign.cp_ic_hits
-      max_unaccounted
-      alloc_budget_per_case
-      spec_alloc_per_case
-      same
-      (workers_row = None)
-      wn
+      (Float.of_int ref_execs /. Float.of_int fast_execs)
+      (ref_dt /. fast_dt) fast_execs_ok max_unaccounted alloc_budget_per_case
+      fast_alloc_per_case same (workers_row = None) wn
       (match workers_row with Some (_, dt, _, _, _) -> dt | None -> 0.0)
       workers_same workers_execs_ok
       (match workers_row with Some (_, _, _, _, r) -> r | None -> 0)
@@ -957,16 +874,15 @@ let campaign_bench () =
 
 (* ---------- interpreter-core micro-benchmark ---------- *)
 
-(* ns/op for the quirk-specialised and generic slot-compiled cores vs
-   the tree walker on four hand-written workload shapes, each stressing
-   a different part of the interpreter (deep lexical scope chains,
-   function calls, string building, property traffic), plus two
-   generated programs whose array loops are element-key traffic. Each
-   program is parsed once up
-   front; the timed body is execution only (with [resolve] on, the
-   closure compilation is cached in the front end after the first run,
-   matching production where one compile serves a whole testbed sweep).
-   Emits BENCH_interp.json. *)
+(* ns/op for the Fast core (quirk-specialised compiled closures in a
+   copy-on-write realm) vs the Reference tree walker on four hand-written
+   workload shapes, each stressing a different part of the interpreter
+   (deep lexical scope chains, function calls, string building, property
+   traffic), plus two generated programs whose array loops are
+   element-key traffic. Each program is parsed once up front; the timed
+   body is execution only (under Fast the closure compilation is cached
+   in the front end after the first run, matching production where one
+   compile serves a whole testbed sweep). Emits BENCH_interp.json. *)
 let interp_programs =
   [
     ( "scope",
@@ -1051,82 +967,45 @@ print(result);
     );
   ]
 
-(* The first line a shell command prints, if it exits 0. *)
-let command_line cmd =
-  match Unix.open_process_in cmd with
-  | exception Unix.Unix_error _ -> None
-  | ic -> (
-      let line = In_channel.input_line ic in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-
-(* Where a BENCH_*.json row was measured: cores, compiler, source. *)
-let host_json () =
-  let nproc =
-    match Option.bind (command_line "nproc 2>/dev/null") int_of_string_opt with
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
-  in
-  let commit =
-    match command_line "git describe --always --dirty 2>/dev/null" with
-    | Some c -> Printf.sprintf "%S" c
-    | None -> "null"
-  in
-  Printf.sprintf {|{ "nproc": %d, "ocaml": %S, "commit": %s }|} nproc
-    Sys.ocaml_version commit
-
 let interp_bench () =
-  header "Interpreter core: specialised vs slot-compiled vs tree-walked (ns/op)";
+  header "Interpreter core: Fast vs Reference (ns/op)";
   let fuel = 5_000_000 in
-  (* three-way parity sanity check before timing anything: the
-     specialised core must be observationally identical to the generic
-     compiled core and the tree walker, fuel accounting included *)
+  let open Jsinterp.Strategy in
+  (* parity sanity check before timing anything: the Fast core must be
+     observationally identical to the Reference tree walker, fuel
+     accounting included *)
   List.iter
     (fun (name, src) ->
-      let t = Jsinterp.Run.run ~fuel ~resolve:false ~specialize:false src in
-      let c = Jsinterp.Run.run ~fuel ~resolve:true ~specialize:false src in
-      let s = Jsinterp.Run.run ~fuel ~resolve:true ~specialize:true src in
-      let agrees (a : Jsinterp.Run.result) (b : Jsinterp.Run.result) =
-        a.Jsinterp.Run.r_status = b.Jsinterp.Run.r_status
-        && a.Jsinterp.Run.r_output = b.Jsinterp.Run.r_output
-        && a.Jsinterp.Run.r_fuel_used = b.Jsinterp.Run.r_fuel_used
-      in
-      if
-        t.Jsinterp.Run.r_status <> Jsinterp.Run.Sts_normal
-        || (not (agrees t c))
-        || not (agrees t s)
-      then (
-        Printf.eprintf
-          "interp bench %s: modes disagree (tree: %s %S fuel=%d / compiled: %s %S fuel=%d / specialised: %s %S fuel=%d)\n"
-          name
-          (Jsinterp.Run.status_to_string t.Jsinterp.Run.r_status)
-          t.Jsinterp.Run.r_output t.Jsinterp.Run.r_fuel_used
-          (Jsinterp.Run.status_to_string c.Jsinterp.Run.r_status)
-          c.Jsinterp.Run.r_output c.Jsinterp.Run.r_fuel_used
-          (Jsinterp.Run.status_to_string s.Jsinterp.Run.r_status)
-          s.Jsinterp.Run.r_output s.Jsinterp.Run.r_fuel_used;
-        exit 1))
+      let r = Jsinterp.Run.run ~fuel ~strategy:Reference src in
+      let f = Jsinterp.Run.run ~fuel ~strategy:Fast src in
+      if r.Jsinterp.Run.r_status <> Jsinterp.Run.Sts_normal then begin
+        Printf.eprintf "interp bench %s: the reference run ended %s\n" name
+          (Jsinterp.Run.status_to_string r.Jsinterp.Run.r_status);
+        exit 1
+      end;
+      match Jsinterp.Run.differing_field r f with
+      | None -> ()
+      | Some field ->
+          Printf.eprintf "interp bench %s: Fast and Reference differ in %s\n"
+            name field;
+          exit 1)
     interp_programs;
   let open Bechamel in
   let open Toolkit in
-  let make_test ~mode (name, src) =
-    (* one front end per (program, mode): compiled modes reuse their
-       cached compilation across iterations, tree mode never compiles *)
+  let make_test ~strategy (name, src) =
+    (* one front end per (program, strategy): Fast reuses its cached
+       compilation across iterations, Reference never compiles *)
     let fe = Jsinterp.Run.parse_frontend src in
-    let resolve = mode <> "tree" in
-    let specialize = mode = "specialized" in
     Test.make
-      ~name:(Printf.sprintf "%s/%s" name mode)
+      ~name:(Printf.sprintf "%s/%s" name (to_string strategy))
       (Staged.stage (fun () ->
-           ignore
-             (Jsinterp.Run.run ~fuel ~resolve ~specialize ~frontend:fe src)))
+           ignore (Jsinterp.Run.run ~fuel ~strategy ~frontend:fe src)))
   in
-  let modes = [ "tree"; "resolved"; "specialized" ] in
   let tests =
     Test.make_grouped ~name:"interp"
       (List.concat_map
-         (fun p -> List.map (fun mode -> make_test ~mode p) modes)
+         (fun p ->
+           List.map (fun strategy -> make_test ~strategy p) [ Reference; Fast ])
          interp_programs)
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
@@ -1135,8 +1014,11 @@ let interp_bench () =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimate name =
-    match Hashtbl.find_opt results name with
+  let estimate name strategy =
+    match
+      Hashtbl.find_opt results
+        (Printf.sprintf "interp/%s/%s" name (to_string strategy))
+    with
     | Some r -> (
         match Analyze.OLS.estimates r with Some (t :: _) -> Some t | _ -> None)
     | None -> None
@@ -1144,22 +1026,16 @@ let interp_bench () =
   let rows =
     List.filter_map
       (fun (name, _) ->
-        match
-          ( estimate (Printf.sprintf "interp/%s/tree" name),
-            estimate (Printf.sprintf "interp/%s/resolved" name),
-            estimate (Printf.sprintf "interp/%s/specialized" name) )
-        with
-        | Some tree, Some resolved, Some specialized ->
-            Some (name, tree, resolved, specialized)
+        match (estimate name Reference, estimate name Fast) with
+        | Some reference, Some fast -> Some (name, reference, fast)
         | _ -> None)
       interp_programs
   in
   List.iter
-    (fun (name, tree, resolved, specialized) ->
+    (fun (name, reference, fast) ->
       Printf.printf
-        "  %-10s tree %10.0f ns/op   resolved %10.0f ns/op (%.2fx)   specialized %10.0f ns/op (%.2fx)\n"
-        name tree resolved (tree /. resolved) specialized
-        (tree /. specialized))
+        "  %-10s reference %10.0f ns/op   fast %10.0f ns/op (%.2fx)\n" name
+        reference fast (reference /. fast))
     rows;
   let json =
     Printf.sprintf
@@ -1174,11 +1050,10 @@ let interp_bench () =
       (host_json ()) fuel
       (String.concat ",\n"
          (List.map
-            (fun (name, tree, resolved, specialized) ->
+            (fun (name, reference, fast) ->
               Printf.sprintf
-                {|    { "name": %S, "tree_ns_per_op": %.0f, "resolved_ns_per_op": %.0f, "specialized_ns_per_op": %.0f, "speedup": %.2f, "specialized_speedup": %.2f }|}
-                name tree resolved specialized (tree /. resolved)
-                (tree /. specialized))
+                {|    { "name": %S, "reference_ns_per_op": %.0f, "fast_ns_per_op": %.0f, "speedup": %.2f }|}
+                name reference fast (reference /. fast))
             rows))
   in
   let oc = open_out "BENCH_interp.json" in

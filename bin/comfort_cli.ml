@@ -55,70 +55,6 @@ let workers_arg =
 let resolve_workers n =
   if n <= 0 then Comfort.Coordinator.default_workers () else n
 
-(* [--no-share] disables execution sharing for one invocation; without it
-   the default comes from COMFORT_NO_SHARE (sharing on if unset). *)
-let no_share_arg =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:
-          "Interpret once per testbed instead of once per behavioural \
-           equivalence class. Results are byte-identical either way; this \
-           is the sharing escape hatch (env: $(b,COMFORT_NO_SHARE)).")
-
-(* [None] defers to the COMFORT_NO_SHARE-aware library default *)
-let resolve_share no_share = if no_share then Some false else None
-
-(* [--no-resolve] disables the slot-compiled interpreter core for one
-   invocation; without it the default comes from COMFORT_NO_RESOLVE
-   (compilation on if unset). *)
-let no_resolve_arg =
-  Arg.(
-    value & flag
-    & info [ "no-resolve" ]
-        ~doc:
-          "Tree-walk every reference execution instead of compiling \
-           programs to slot-resolved closures. Results are byte-identical \
-           either way; this is the interpreter-core escape hatch (env: \
-           $(b,COMFORT_NO_RESOLVE)).")
-
-(* [None] defers to the COMFORT_NO_RESOLVE-aware library default *)
-let resolve_resolve no_resolve = if no_resolve then Some false else None
-
-(* [--no-reach] disables the static checkpoint-reachability analysis for
-   one invocation; without it the default comes from COMFORT_NO_REACH
-   (analysis on if unset). *)
-let no_reach_arg =
-  Arg.(
-    value & flag
-    & info [ "no-reach" ]
-        ~doc:
-          "Skip the static checkpoint-reachability analysis (sharing-cell \
-           seeding and checkpoint folding). Results are byte-identical \
-           either way; this is the analysis escape hatch (env: \
-           $(b,COMFORT_NO_REACH)).")
-
-(* [None] defers to the COMFORT_NO_REACH-aware library default *)
-let resolve_reach no_reach = if no_reach then Some false else None
-
-(* [--no-specialize] disables the quirk-specialised fast path for one
-   invocation; without it the default comes from COMFORT_NO_SPECIALIZE
-   (specialisation on if unset). *)
-let no_specialize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-specialize" ]
-        ~doc:
-          "Skip the quirk-specialised fast path (copy-on-write realms, \
-           per-cell compiled closures, inline caches) and execute every \
-           run through the generic compiled form. Results are \
-           byte-identical either way; this is the specialisation escape \
-           hatch (env: $(b,COMFORT_NO_SPECIALIZE)).")
-
-(* [None] defers to the COMFORT_NO_SPECIALIZE-aware library default *)
-let resolve_specialize no_specialize =
-  if no_specialize then Some false else None
-
 let engine_conv =
   let parse s =
     match
@@ -230,16 +166,11 @@ let run_cmd =
 
 (* --- difftest --- *)
 
-let difftest file no_share no_resolve no_reach no_specialize =
+let difftest file =
   let src = read_file file in
   let tc = Comfort.Testcase.make src in
   let report =
-    Comfort.Difftest.run_case
-      ?share:(resolve_share no_share)
-      ?resolve:(resolve_resolve no_resolve)
-      ?reach:(resolve_reach no_reach)
-      ?specialize:(resolve_specialize no_specialize)
-      (Engines.Engine.latest_testbeds ()) tc
+    Comfort.Difftest.run_case (Engines.Engine.latest_testbeds ()) tc
   in
   Printf.printf "testbeds run: %d\n" report.Comfort.Difftest.cr_tested;
   if report.Comfort.Difftest.cr_deviations = [] then
@@ -260,20 +191,14 @@ let difftest_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "difftest" ~doc:"Differential-test one file across the latest engines")
-    Term.(const difftest $ file $ no_share_arg $ no_resolve_arg $ no_reach_arg
-          $ no_specialize_arg)
+    Term.(const difftest $ file)
 
 (* --- fuzz --- *)
 
-let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
-    no_reach no_specialize audit_share audit_reach audit_specialize faults
+let fuzz budget fuzzer_name seed feedback jobs workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
   let jobs = resolve_jobs jobs in
   let workers = resolve_workers workers in
-  let share = resolve_share no_share in
-  let resolve = resolve_resolve no_resolve in
-  let reach = resolve_reach no_reach in
-  let specialize = resolve_specialize no_specialize in
   let plan =
     match faults with
     | None -> (
@@ -302,6 +227,15 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
     Printf.eprintf
       "--feedback cannot be combined with --faults/--checkpoint/--resume/\
        --halt-after/--workers\n";
+    exit 2
+  end;
+  (* the audit cross-checks unsupervised sweeps of a fresh campaign: a
+     resumed one runs the audit stride stored in its checkpoint *)
+  if audit > 0 && (Option.is_some plan || feedback || Option.is_some resume)
+  then begin
+    Printf.eprintf
+      "--audit cannot be combined with --faults (or COMFORT_FAULTS)/\
+       --feedback/--resume\n";
     exit 2
   end;
   let respawns0 = Comfort.Coordinator.stat_respawns () in
@@ -346,11 +280,10 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
             let t = Comfort.Feedback.create fz in
             Comfort.Feedback.run_rounds ~rounds:4
               ~budget_per_round:(max 1 (budget / 4))
-              ~jobs ?share ?resolve ?reach ?specialize t
+              ~jobs t
           else
-            Comfort.Campaign.run ~budget ~jobs ~workers ?share ?resolve
-              ?reach ?specialize ~audit_share ~audit_reach ~audit_specialize
-              ?faults:plan ?checkpoint ?halt_after fz)
+            Comfort.Campaign.run ~budget ~jobs ~workers ~audit ?faults:plan
+              ?checkpoint ?halt_after fz)
     with
     | Comfort.Campaign.Halted { halted_at; halted_checkpoint } ->
         Printf.printf "campaign halted after %d cases%s\n" halted_at
@@ -358,6 +291,9 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
           | Some p -> Printf.sprintf "; resume with --resume %s" p
           | None -> " (no --checkpoint configured; progress discarded)");
         exit 0
+    | Comfort.Difftest.Audit_mismatch msg ->
+        Printf.eprintf "audit failed: %s\n" msg;
+        exit 1
     | Comfort.Campaign.Interrupted { int_signal; int_at; int_checkpoint } ->
         (* operator kill: the worker pool is already torn down and a
            final checkpoint written; 130 is the conventional
@@ -445,40 +381,19 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "feedback" ]
            ~doc:"Mutate bug-exposing cases between rounds (the §5.5 extension).")
   in
-  let audit_share =
+  let audit =
     Arg.(
       value
       & opt ~vopt:1 int 0
-      & info [ "audit-share" ] ~docv:"N"
+      & info [ "audit" ] ~docv:"N"
           ~doc:
-            "Cross-check execution sharing: every $(docv)-th case (1 = \
-             every case when the option is given bare; 0 = off) runs down \
-             both the shared and the direct path and the campaign aborts \
-             on any divergence. Incompatible with $(b,--feedback).")
-  in
-  let audit_reach =
-    Arg.(
-      value
-      & opt ~vopt:1 int 0
-      & info [ "audit-reach" ] ~docv:"N"
-          ~doc:
-            "Audit the static reachability analysis: every $(docv)-th case \
-             (1 = every case when the option is given bare; 0 = off) \
-             additionally executes directly on every testbed and the \
-             campaign aborts if any run consults a checkpoint outside its \
-             static reach set. Incompatible with $(b,--feedback).")
-  in
-  let audit_specialize =
-    Arg.(
-      value
-      & opt ~vopt:1 int 0
-      & info [ "audit-specialize" ] ~docv:"N"
-          ~doc:
-            "Cross-check quirk specialisation: every $(docv)-th case (1 = \
-             every case when the option is given bare; 0 = off) runs once \
-             down the specialised fast path and once down the generic \
-             compiled path and the campaign aborts on any report \
-             divergence. Incompatible with $(b,--feedback).")
+            "Cross-check the fast path against the reference oracle: every \
+             $(docv)-th case (1 = every case when the option is given bare; \
+             0 = off) is swept under both execution strategies, and the \
+             campaign aborts if any testbed's results differ in any field \
+             or any reference run consults a quirk checkpoint outside its \
+             static reach set. Incompatible with $(b,--faults), \
+             $(b,--feedback) and $(b,--resume).")
   in
   let faults =
     Arg.(
@@ -540,9 +455,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign against the simulated engines")
     Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ jobs_arg
-          $ workers_arg $ no_share_arg $ no_resolve_arg $ no_reach_arg
-          $ no_specialize_arg $ audit_share $ audit_reach $ audit_specialize
-          $ faults $ checkpoint $ checkpoint_every $ resume $ halt_after
+          $ workers_arg $ audit $ faults $ checkpoint $ checkpoint_every $ resume $ halt_after
           $ profile)
 
 (* --- analyze --- *)
@@ -678,16 +591,11 @@ let analyze_cmd =
 
 (* --- export --- *)
 
-let export budget seed dir jobs workers no_share no_resolve no_reach
-    no_specialize =
+let export budget seed dir jobs workers =
   let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
   let res =
     Comfort.Campaign.run ~budget ~jobs:(resolve_jobs jobs)
-      ~workers:(resolve_workers workers)
-      ?share:(resolve_share no_share)
-      ?resolve:(resolve_resolve no_resolve)
-      ?reach:(resolve_reach no_reach)
-      ?specialize:(resolve_specialize no_specialize) fz
+      ~workers:(resolve_workers workers) fz
   in
   let files = Comfort.Test262_export.export res in
   (match dir with
@@ -719,13 +627,11 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Fuzz, then render discoveries as Test262-style conformance tests")
-    Term.(const export $ budget $ seed $ dir $ jobs_arg $ workers_arg
-          $ no_share_arg $ no_resolve_arg $ no_reach_arg $ no_specialize_arg)
+    Term.(const export $ budget $ seed $ dir $ jobs_arg $ workers_arg)
 
 (* --- reduce --- *)
 
-let reduce file engine version jobs no_share no_resolve no_reach
-    no_specialize =
+let reduce file engine version jobs =
   let src = read_file file in
   let cfg =
     match version with
@@ -738,13 +644,8 @@ let reduce file engine version jobs no_share no_resolve no_reach
       exit 1
   | Some cfg -> (
       let tb = { Engines.Engine.tb_config = cfg; tb_mode = Engines.Engine.Normal } in
-      let resolve = resolve_resolve no_resolve in
-      let reach = resolve_reach no_reach in
-      let specialize = resolve_specialize no_specialize in
-      let target = Engines.Engine.run ?resolve ?reach ?specialize tb src in
-      let reference =
-        Engines.Engine.run_reference ?resolve ?reach ?specialize src
-      in
+      let target = Engines.Engine.run tb src in
+      let reference = Engines.Engine.run_reference src in
       let tsig = Comfort.Difftest.signature_of_result target in
       let rsig = Comfort.Difftest.signature_of_result reference in
       if tsig = rsig then print_endline "// no deviation on that engine; nothing to reduce"
@@ -762,9 +663,7 @@ let reduce file engine version jobs no_share no_resolve no_reach
         let reduced =
           Comfort.Reducer.reduce ~jobs:(resolve_jobs jobs)
             ~still_triggers:
-              (Comfort.Reducer.still_triggers_deviation
-                 ?share:(resolve_share no_share) ?resolve ?reach ?specialize
-                 tb dev)
+              (Comfort.Reducer.still_triggers_deviation tb dev)
             src
         in
         Printf.printf "// reduced from %d to %d bytes\n%s"
@@ -779,8 +678,7 @@ let reduce_cmd =
     Arg.(value & opt (some string) None & info [ "version" ] ~doc:"Engine version.")
   in
   Cmd.v (Cmd.info "reduce" ~doc:"Reduce a bug-exposing test case")
-    Term.(const reduce $ file $ engine $ version $ jobs_arg $ no_share_arg
-          $ no_resolve_arg $ no_reach_arg $ no_specialize_arg)
+    Term.(const reduce $ file $ engine $ version $ jobs_arg)
 
 (* --- spec --- *)
 

@@ -7,16 +7,15 @@
     dynamic constructs the analysis cannot bound ([eval], computed member
     access with the global object in reach).
 
-    Soundness contract (asserted dynamically by [--audit-reach]): for every
+    Soundness contract (asserted dynamically by [--audit]): for every
     execution of the program under any quirk configuration, fuel budget and
     mode compatible with the [strict] argument,
     [checkpoints p] ⊇ the execution's touched set.
 
     Consumers: [Engines.Engine.Exec] keys equivalence-class buckets on the
     set's intersection with each testbed's quirks (zero-probe class
-    seeding); [Jsinterp.Compile] constant-folds consultation sites whose
-    checkpoint is statically unreachable, with [Deopt_to_tree] as the
-    escape hatch. *)
+    seeding); [Jsinterp.Compile] folds consultation sites whose checkpoint
+    is statically unreachable to their quirk-off constant. *)
 
 (** All checkpoint ids — the top element of the domain. *)
 val top : Quirkdef.Set.t

@@ -53,17 +53,17 @@ type result = {
   cp_repaired : int;           (** cases kept after free-variable repair *)
   cp_reach_seeded : int;
       (** shared runs answered by the static reach partition's fast path
-          (0 with the analysis off); executions and reports are identical
-          either way — see [Engines.Engine.Exec.seeded] *)
+          (0 under [Reference]); reports are identical either way — see
+          [Engines.Engine.Exec.seeded] *)
   cp_specialized : int;
-      (** quirk-specialised compilations performed (0 with specialisation
-          off); reports are identical either way — see [Compile] *)
+      (** quirk-specialised compilations performed (0 under [Reference]);
+          reports are identical either way — see [Compile] *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
-          write barrier (0 with specialisation off) *)
+          write barrier (0 under [Reference]) *)
   cp_ic_hits : int;
       (** property accesses answered by a compiled site's inline cache
-          (0 with specialisation off) *)
+          (0 under [Reference]) *)
   cp_skipped_cases : int;      (** cases lost to worker failures (supervised
                                    executor: recorded, not fatal) *)
   cp_faults : Supervisor.stats;    (** aggregate supervision counters *)
@@ -180,81 +180,61 @@ let api_of_deviation (dev : Difftest.deviation) (tc : Testcase.t)
    executed but produced the same observable output) from inflating the
    bug count.
 
-   Probe execution has two regimes. Down the direct path (no [cache]) the
-   per-quirk re-executions are independent, so [jobs > 1] probes them in
-   parallel on ephemeral domains. When the driver passes a per-case
-   [Engines.Engine.Exec.cache], probes instead join the class-shared
-   execution machinery the sweep itself uses: two probes whose reduced
-   quirk sets agree on every consulted checkpoint share one execution
-   (the common case — most removed quirks were never touched), and probes
-   repeated across rule applications on the same case hit the same class
-   representatives. A shared cache is not domain-safe, so cached probes
-   run serially on the calling domain — the fired sets being probed are
-   small (typically 1–3 quirks), so the parallelism given up is noise
-   next to the executions saved. The [memo] table short-circuits exact
-   repeats — same testbed, same removed quirk, same baseline signature —
-   without even a signature comparison. Returned order is identical down
-   every path. *)
-let causal_quirks ?(jobs = 1) ?resolve ?reach ?specialize ?cache ?memo
-    (tb : Engines.Engine.testbed) (src : string) (dev : Difftest.deviation)
-    ~fuel : Quirk.t list =
+   Probes join the class-shared execution machinery the sweep itself
+   uses, through the driver's per-case probe [cache]: two probes whose
+   reduced quirk sets agree on every consulted checkpoint share one
+   execution (the common case — most removed quirks were never touched),
+   and probes repeated across rule applications on the same case hit the
+   same class representatives. A cache is not domain-safe, so probes run
+   serially on the calling domain — the fired sets being probed are small
+   (typically 1–3 quirks). The [memo] table short-circuits exact repeats —
+   same testbed, same removed quirk, same baseline signature — without
+   even a signature comparison. *)
+let causal_quirks ~strategy ~cache ~memo (tb : Engines.Engine.testbed)
+    (dev : Difftest.deviation) ~fuel : Quirk.t list =
   let cfg = tb.Engines.Engine.tb_config in
   let strict = tb.Engines.Engine.tb_mode = Engines.Engine.Strict in
   let parse_opts = Engines.Registry.parse_opts_of_config cfg in
   let base_sig = dev.Difftest.d_actual in
   let probe q =
     let quirks = Quirk.Set.remove q cfg.Engines.Registry.cfg_quirks in
-    match cache with
-    | Some ec ->
-        (* the parse key is derived from the quirk set, so removing a
-           parser-level quirk must move the probe to the parse group it
-           actually belongs to — clearing the corresponding flag keeps
-           the cache's (front end, mode) invariant intact *)
-        let pk = Engines.Registry.parse_key cfg in
-        let pkey =
-          {
-            pk with
-            Engines.Registry.pk_for_missing_body =
-              pk.Engines.Registry.pk_for_missing_body
-              && q <> Quirk.Q_eval_for_missing_body_accepted;
-            pk_dup_params =
-              pk.Engines.Registry.pk_dup_params
-              && q <> Quirk.Q_strict_dup_params_accepted;
-            pk_delete_unqualified =
-              pk.Engines.Registry.pk_delete_unqualified
-              && q <> Quirk.Q_strict_delete_unqualified_accepted;
-          }
-        in
-        Engines.Engine.Exec.run_keyed ?resolve ?reach ?specialize
-          ~qbits:(Quirk.Bits.remove q cfg.Engines.Registry.cfg_qbits)
-          ec ~pkey ~quirks ~parse_opts ~strict ~fuel
-    | None -> Run.run ~quirks ?resolve ?reach ?specialize ~parse_opts ~strict ~fuel src
+    (* the parse key is derived from the quirk set, so removing a
+       parser-level quirk must move the probe to the parse group it
+       actually belongs to — clearing the corresponding flag keeps the
+       cache's (front end, mode) invariant intact *)
+    let pk = Engines.Registry.parse_key cfg in
+    let pkey =
+      {
+        pk with
+        Engines.Registry.pk_for_missing_body =
+          pk.Engines.Registry.pk_for_missing_body
+          && q <> Quirk.Q_eval_for_missing_body_accepted;
+        pk_dup_params =
+          pk.Engines.Registry.pk_dup_params
+          && q <> Quirk.Q_strict_dup_params_accepted;
+        pk_delete_unqualified =
+          pk.Engines.Registry.pk_delete_unqualified
+          && q <> Quirk.Q_strict_delete_unqualified_accepted;
+      }
+    in
+    Engines.Engine.Exec.run_keyed ~strategy
+      ~qbits:(Quirk.Bits.remove q cfg.Engines.Registry.cfg_qbits)
+      cache ~pkey ~quirks ~parse_opts ~strict ~fuel
   in
   let changes q =
-    let decide () =
-      Difftest.signature_to_string (Difftest.signature_of_result (probe q))
-      <> base_sig
-    in
-    match memo with
-    | None -> decide ()
-    | Some m -> (
-        let key = (Engines.Engine.testbed_id tb, q, base_sig) in
-        match Hashtbl.find_opt m key with
-        | Some b -> b
-        | None ->
-            let b = decide () in
-            Hashtbl.replace m key b;
-            b)
-  in
-  let fired = Quirk.Set.elements dev.Difftest.d_fired in
-  let probed =
-    match cache with
-    | Some _ -> List.map (fun q -> (q, changes q)) fired
-    | None -> Executor.map ~jobs (fun q -> (q, changes q)) fired
+    let key = (Engines.Engine.testbed_id tb, q, base_sig) in
+    match Hashtbl.find_opt memo key with
+    | Some b -> b
+    | None ->
+        let b =
+          Difftest.signature_to_string (Difftest.signature_of_result (probe q))
+          <> base_sig
+        in
+        Hashtbl.replace memo key b;
+        b
   in
   (* descending quirk order, as the original Set.fold/prepend produced *)
-  List.rev
-    (List.filter_map (fun (q, causal) -> if causal then Some q else None) probed)
+  List.rev (List.filter changes (Quirk.Set.elements dev.Difftest.d_fired))
 
 let default_testbeds () =
   Engines.Engine.latest_testbeds ~mode:Engines.Engine.Normal ()
@@ -284,22 +264,18 @@ module Checkpoint = struct
      reachability analysis). v3: added ck_specialize /
      ck_audit_specialize and the specialisation counters (quirk-
      specialised execution). v4: the state is framed and checksummed
-     ([Ipc.encode]) instead of a bare [Marshal]. The header check rejects
-     older files rather than guess defaults for fields that change what a
-     resumed campaign runs. *)
-  let version = 4
+     ([Ipc.encode]) instead of a bare [Marshal]. v5: the seven
+     per-layer switches and audit strides became [ck_strategy] and
+     [ck_audit]. The header check rejects older files rather than guess
+     defaults for fields that change what a resumed campaign runs. *)
+  let version = 5
 
   type state = {
     ck_fuzzer : string;
     ck_fuel : int;
-    ck_share : bool;
-    ck_resolve : bool option;
-    ck_reach : bool option;
-    ck_specialize : bool option;
+    ck_strategy : Strategy.t;
     ck_reduce : bool;
-    ck_audit_share : int;
-    ck_audit_reach : int;
-    ck_audit_specialize : int;
+    ck_audit : int;
     ck_reach_seeded : int;  (* seeded-share tally accumulated so far *)
     ck_specialized : int;   (* specialised-compilation tally so far *)
     ck_cow_clones : int;    (* COW write-barrier tally so far *)
@@ -383,14 +359,9 @@ end
 type st = {
   d_fuzzer : string;
   d_fuel : int;
-  d_share : bool;
-  d_resolve : bool option;
-  d_reach : bool option;
-  d_specialize : bool option;
+  d_strategy : Strategy.t;
   d_reduce : bool;
-  d_audit_share : int;
-  d_audit_reach : int;
-  d_audit_specialize : int;
+  d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
   mutable d_reach_seeded : int;
       (* seeded shares attributable to this campaign, synced from the
          process-wide counter by the driver before every checkpoint *)
@@ -425,29 +396,22 @@ type work =
   | W_failed of exn  (* the worker itself blew up: case failed-and-skipped *)
 
 (* [work], flattened for the pipe to a forked worker: exceptions are not
-   Marshal-safe, so worker failures travel as strings and the three audit
-   divergences — which must poison the whole run, not one case — as a
-   tagged constructor the driver re-raises. *)
-type audit_kind = A_share | A_reach | A_specialize
-
+   Marshal-safe, so worker failures travel as strings and an audit
+   divergence — which must poison the whole run, not one case — as its
+   own constructor the driver re-raises. *)
 type wire =
   | Wire_judged of Difftest.case_report list
   | Wire_swept of Difftest.sweep list
   | Wire_failed of string
-  | Wire_audit of audit_kind * string
+  | Wire_audit of string
 
 let snapshot (d : st) : Checkpoint.state =
   {
     Checkpoint.ck_fuzzer = d.d_fuzzer;
     ck_fuel = d.d_fuel;
-    ck_share = d.d_share;
-    ck_resolve = d.d_resolve;
-    ck_reach = d.d_reach;
-    ck_specialize = d.d_specialize;
+    ck_strategy = d.d_strategy;
     ck_reduce = d.d_reduce;
-    ck_audit_share = d.d_audit_share;
-    ck_audit_reach = d.d_audit_reach;
-    ck_audit_specialize = d.d_audit_specialize;
+    ck_audit = d.d_audit;
     ck_reach_seeded = d.d_reach_seeded;
     ck_specialized = d.d_specialized;
     ck_cow_clones = d.d_cow_clones;
@@ -575,7 +539,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
        sweep cache died with the worker; this one lives on the driver,
        where attribution runs. *)
     let probe_cache =
-      lazy (Engines.Engine.Exec.cache tc.Testcase.tc_source)
+      lazy (Engines.Engine.Exec.probe_cache tc.Testcase.tc_source)
     in
     let probe_memo : (string * Quirk.t * string, bool) Hashtbl.t =
       Hashtbl.create 8
@@ -605,18 +569,11 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
             if Quirk.Set.is_empty dev.Difftest.d_fired then
               d.d_unattributed <- d.d_unattributed + 1
             else
-              (* diagnostic re-executions (causal probes, reduction
-                 candidates) run the reach layer off: its static analysis
-                 only pays for itself across a wide per-case sweep, and a
-                 two-run probe on a fresh parse would fund it with nothing
-                 to amortize. Results are bit-identical either way, so the
-                 discovery stream does not depend on this choice. *)
               let causal =
                 Run.Stage.time Run.Stage.attr (fun () ->
-                    causal_quirks ~jobs ?resolve:d.d_resolve ~reach:false
-                      ?specialize:d.d_specialize
-                      ~cache:(Lazy.force probe_cache) ~memo:probe_memo tb
-                      tc.Testcase.tc_source dev ~fuel:d.d_fuel)
+                    causal_quirks ~strategy:d.d_strategy
+                      ~cache:(Lazy.force probe_cache) ~memo:probe_memo tb dev
+                      ~fuel:d.d_fuel)
               in
               if causal = [] then d.d_unattributed <- d.d_unattributed + 1
               else
@@ -631,9 +588,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                                Reducer.reduce ~jobs
                                  ~still_triggers:
                                    (Reducer.still_triggers_deviation
-                                      ~share:d.d_share ?resolve:d.d_resolve
-                                      ~reach:false ?specialize:d.d_specialize
-                                      tb dev)
+                                      ~strategy:d.d_strategy tb dev)
                                  tc.Testcase.tc_source))
                       else None
                     in
@@ -709,41 +664,22 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         W_swept
           (List.map
              (fun tbs ->
-               Difftest.sweep_case ~fuel:d.d_fuel ~share:d.d_share
-                 ?resolve:d.d_resolve ?reach:d.d_reach
-                 ?specialize:d.d_specialize ?plan:d.d_plan
-                 ~policy:(Supervisor.policy sup) ~supervisor:sup ~case_key:i
-                 ~cache:(Lazy.force case_cache) tbs tc)
+               Difftest.sweep_case ~fuel:d.d_fuel ~strategy:d.d_strategy
+                 ?plan:d.d_plan ~policy:(Supervisor.policy sup)
+                 ~supervisor:sup ~case_key:i ~cache:(Lazy.force case_cache)
+                 tbs tc)
              by_mode)
     | None ->
-        (* cases are keyed by their submission index, so the audit samples
-           are deterministic — the same cases are cross-checked at any job
-           count and across resume; a case matching several audit strides
-           runs the first applicable audit (share, then reach, then
-           specialise), never more than one *)
-        let audit = d.d_audit_share > 0 && i mod d.d_audit_share = 0 in
-        let audit_reach = d.d_audit_reach > 0 && i mod d.d_audit_reach = 0 in
-        let audit_specialize =
-          d.d_audit_specialize > 0 && i mod d.d_audit_specialize = 0
-        in
+        (* cases are keyed by their submission index, so the audit sample
+           is deterministic — the same cases are cross-checked at any job
+           count and across resume *)
+        let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
         W_judged
           (List.map
              (fun tbs ->
-               if audit then
-                 Difftest.audit_case ~fuel:d.d_fuel ?resolve:d.d_resolve
-                   ?reach:d.d_reach ?specialize:d.d_specialize tbs tc
-               else if audit_reach then
-                 Difftest.audit_reach_case ~fuel:d.d_fuel ~share:d.d_share
-                   ?resolve:d.d_resolve ?reach:d.d_reach
-                   ?specialize:d.d_specialize tbs tc
-               else if audit_specialize then
-                 Difftest.audit_specialize_case ~fuel:d.d_fuel
-                   ~share:d.d_share ?resolve:d.d_resolve ?reach:d.d_reach
-                   tbs tc
+               if audit then Difftest.audit_case ~fuel:d.d_fuel tbs tc
                else
-                 Difftest.run_case ~fuel:d.d_fuel ~share:d.d_share
-                   ?resolve:d.d_resolve ?reach:d.d_reach
-                   ?specialize:d.d_specialize
+                 Difftest.run_case ~fuel:d.d_fuel ~strategy:d.d_strategy
                    ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
   in
@@ -760,9 +696,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
             (* an audit divergence is a soundness bug, never a fault to
                absorb — let it poison the run loudly *)
             match e with
-            | Difftest.Share_mismatch _ | Difftest.Reach_unsound _
-            | Difftest.Specialize_mismatch _ ->
-                raise e
+            | Difftest.Audit_mismatch _ -> raise e
             | e -> W_failed e)
           ~stop:(fun () -> d.d_stop)
           worker items
@@ -778,10 +712,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
       | W_judged rs -> Wire_judged rs
       | W_swept sws -> Wire_swept sws
       | W_failed e -> Wire_failed (Printexc.to_string e)
-      | exception Difftest.Share_mismatch m -> Wire_audit (A_share, m)
-      | exception Difftest.Reach_unsound m -> Wire_audit (A_reach, m)
-      | exception Difftest.Specialize_mismatch m ->
-          Wire_audit (A_specialize, m)
+      | exception Difftest.Audit_mismatch m -> Wire_audit m
     in
     (* SIGINT/SIGTERM land between consumes: finish the case in hand,
        write a final checkpoint, and surface [Interrupted] so the
@@ -811,12 +742,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                     | Wire_swept sws -> W_swept sws
                     | Wire_failed msg ->
                         W_failed (Failure ("worker: " ^ msg))
-                    | Wire_audit (A_share, m) ->
-                        raise (Difftest.Share_mismatch m)
-                    | Wire_audit (A_reach, m) ->
-                        raise (Difftest.Reach_unsound m)
-                    | Wire_audit (A_specialize, m) ->
-                        raise (Difftest.Specialize_mismatch m)
+                    | Wire_audit m -> raise (Difftest.Audit_mismatch m)
                   in
                   consume i tc work))
         with Coordinator.Exhausted msg ->
@@ -840,29 +766,18 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
 let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
     ?(jobs = Executor.default_jobs ())
-    ?(workers = Coordinator.default_workers ()) ?worker_limits ?share
-    ?resolve ?reach ?specialize ?(audit_share = 0) ?(audit_reach = 0)
-    ?(audit_specialize = 0) ?faults ?policy ?checkpoint ?halt_after
-    (fz : fuzzer) : result =
-  let share =
-    match share with Some s -> s | None -> Difftest.share_by_default ()
-  in
+    ?(workers = Coordinator.default_workers ()) ?worker_limits ?strategy
+    ?(audit = 0) ?faults ?policy ?checkpoint ?halt_after (fz : fuzzer) :
+    result =
+  let strategy = Strategy.value strategy in
   let plan =
     match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
   in
   let supervised = Option.is_some plan || Option.is_some policy in
-  if audit_share > 0 && supervised then
+  if audit > 0 && supervised then
     invalid_arg
-      "Campaign.run: audit_share cannot be combined with fault injection \
-       or supervision";
-  if audit_reach > 0 && supervised then
-    invalid_arg
-      "Campaign.run: audit_reach cannot be combined with fault injection \
-       or supervision";
-  if audit_specialize > 0 && supervised then
-    invalid_arg
-      "Campaign.run: audit_specialize cannot be combined with fault \
-       injection or supervision";
+      "Campaign.run: audit cannot be combined with fault injection or \
+       supervision";
   let sup = if supervised then Some (Supervisor.create ?policy ()) else None in
   let aborted = ref None in
   (* a fuzzer that dies (e.g. the generator's refill cap) aborts the
@@ -923,14 +838,9 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     {
       d_fuzzer = fz.fz_name;
       d_fuel = fuel;
-      d_share = share;
-      d_resolve = resolve;
-      d_reach = reach;
-      d_specialize = specialize;
+      d_strategy = strategy;
       d_reduce = reduce;
-      d_audit_share = audit_share;
-      d_audit_reach = audit_reach;
-      d_audit_specialize = audit_specialize;
+      d_audit = audit;
       d_reach_seeded = 0;
       d_specialized = 0;
       d_cow_clones = 0;
@@ -987,14 +897,9 @@ let resume ?(jobs = Executor.default_jobs ())
     {
       d_fuzzer = ck.Checkpoint.ck_fuzzer;
       d_fuel = ck.Checkpoint.ck_fuel;
-      d_share = ck.Checkpoint.ck_share;
-      d_resolve = ck.Checkpoint.ck_resolve;
-      d_reach = ck.Checkpoint.ck_reach;
-      d_specialize = ck.Checkpoint.ck_specialize;
+      d_strategy = ck.Checkpoint.ck_strategy;
       d_reduce = ck.Checkpoint.ck_reduce;
-      d_audit_share = ck.Checkpoint.ck_audit_share;
-      d_audit_reach = ck.Checkpoint.ck_audit_reach;
-      d_audit_specialize = ck.Checkpoint.ck_audit_specialize;
+      d_audit = ck.Checkpoint.ck_audit;
       d_reach_seeded = ck.Checkpoint.ck_reach_seeded;
       d_specialized = ck.Checkpoint.ck_specialized;
       d_cow_clones = ck.Checkpoint.ck_cow_clones;

@@ -47,17 +47,17 @@ type result = {
   cp_repaired : int;                  (** kept after free-variable repair *)
   cp_reach_seeded : int;
       (** shared runs answered by the static reach partition's fast path
-          (DESIGN.md §11); 0 with the analysis off. Statistics only:
-          executions, discoveries and reports are identical either way *)
+          (DESIGN.md §11); 0 under the [Reference] strategy. Statistics
+          only: discoveries and reports are identical either way *)
   cp_specialized : int;
-      (** quirk-specialised compilations performed (DESIGN.md §12); 0 with
-          specialisation off. Statistics only, like [cp_reach_seeded] *)
+      (** quirk-specialised compilations performed (DESIGN.md §12); 0
+          under [Reference]. Statistics only, like [cp_reach_seeded] *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
-          write barrier; 0 with specialisation off. Statistics only *)
+          write barrier; 0 under [Reference]. Statistics only *)
   cp_ic_hits : int;
       (** property accesses answered by a compiled site's inline cache;
-          0 with specialisation off. Statistics only *)
+          0 under [Reference]. Statistics only *)
   cp_skipped_cases : int;
       (** cases lost to worker failures: the supervised executor records
           them as failed-and-skipped instead of letting one poisoned case
@@ -142,42 +142,16 @@ end
                      (default [COMFORT_JOBS], else 1). Results are consumed
                      in submission order, so discoveries, the filter tree,
                      and the timeline are byte-identical at any job count
-    @param share     collapse each testbed sweep into behavioural
-                     equivalence classes, executing once per class
-                     (default {!Difftest.share_by_default}); reports are
-                     byte-identical either way (DESIGN.md §8)
-    @param resolve   run reference executions through the slot-compiled
-                     interpreter core (default
-                     {!Jsinterp.Run.resolve_by_default}); reports are
-                     byte-identical either way (DESIGN.md §9)
-    @param reach     consult the static checkpoint-reachability analysis
-                     (default {!Jsinterp.Run.reach_by_default}): sharing
-                     cells are pre-partitioned by the static reach set
-                     and the compiler folds provably-unreachable
-                     checkpoint consultations; reports are byte-identical
-                     either way (DESIGN.md §11)
-    @param specialize execute on the quirk-specialised fast path:
-                     copy-on-write realms, per-cell compiled closures with
-                     baked-in checkpoint answers, inline caches (default
-                     {!Jsinterp.Run.specialize_by_default}); reports are
-                     byte-identical either way (DESIGN.md §12)
-    @param audit_share when positive, every [audit_share]-th case (by
-                     submission index, so the sample is deterministic)
-                     runs down both the shared and the direct path and
-                     raises {!Difftest.Share_mismatch} on any divergence.
-                     Incompatible with [faults]/[policy]
-    @param audit_reach when positive, every [audit_reach]-th case
-                     additionally asserts static ⊇ dynamic touched on
-                     every testbed's direct execution, raising
-                     {!Difftest.Reach_unsound} on a violation (a case
-                     matching several audit strides runs the first
-                     applicable audit: share, then reach, then
-                     specialise). Incompatible with [faults]/[policy]
-    @param audit_specialize when positive, every [audit_specialize]-th
-                     case runs once specialised and once generic and
-                     raises {!Difftest.Specialize_mismatch} on any
-                     report divergence. Incompatible with
-                     [faults]/[policy]
+    @param strategy  the execution strategy (default
+                     {!Jsinterp.Strategy.default}); reports are
+                     byte-identical under both (DESIGN.md, "Execution
+                     strategy")
+    @param audit     when positive, every [audit]-th case (by submission
+                     index, so the sample is deterministic) runs under both
+                     strategies through {!Difftest.audit_case}, which
+                     raises {!Difftest.Audit_mismatch} on any divergence
+                     and on any Reference run that leaves the static reach
+                     set. Incompatible with [faults]/[policy]
     @param faults    deterministic fault-injection plan applied to every
                      supervised testbed execution (chaos campaigns);
                      defaults to [COMFORT_FAULTS] from the environment.
@@ -217,13 +191,8 @@ val run :
   ?jobs:int ->
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
-  ?audit_share:int ->
-  ?audit_reach:int ->
-  ?audit_specialize:int ->
+  ?strategy:Jsinterp.Strategy.t ->
+  ?audit:int ->
   ?faults:Supervisor.Faultplan.t ->
   ?policy:Supervisor.policy ->
   ?checkpoint:string * int ->

@@ -96,15 +96,6 @@ let signature_of_result (r : Run.result) : signature =
    102-testbed sweep per case. *)
 let campaign_fuel = 300_000
 
-(* Execution sharing is on unless the user opts out, either per call
-   ([~share:false]) or globally via the COMFORT_NO_SHARE environment
-   variable (any non-empty value) — the escape hatch CI uses to run the
-   whole suite down the direct path. *)
-let share_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_SHARE" with
-  | None | Some "" -> true
-  | Some _ -> false
-
 (* The 2t rule (§3.4): an engine that terminated but consumed more than
    twice the slowest of the other engines — with a floor to avoid noise —
    is flagged as a timeout. Each run excludes only itself from the "other
@@ -162,16 +153,14 @@ type sweep = {
     (Engines.Engine.testbed * Jsinterp.Run.result Supervisor.outcome) list;
 }
 
-let sweep_case ?(fuel = campaign_fuel) ?share ?resolve ?reach ?specialize
-    ?plan ?policy ?supervisor ?(case_key = 0) ?cache
-    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : sweep =
+let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
+    ?(case_key = 0) ?cache (testbeds : Engines.Engine.testbed list)
+    (tc : Testcase.t) : sweep =
   Run.Stage.time Run.Stage.sweep @@ fun () ->
-  let share =
-    match share with Some s -> s | None -> share_by_default ()
-  in
-  (* one execution-sharing cache per case: edition gating and the
-     per-group parse are shared across the whole testbed sweep either
-     way; with [share] on, whole executions are shared across behavioural
+  let strategy = Strategy.value strategy in
+  (* one execution cache per case: edition gating and the per-group parse
+     are shared across the whole testbed sweep under either strategy;
+     under [Fast], whole executions are shared across behavioural
      equivalence classes too (DESIGN.md §8). [cache] lets the campaign
      driver share one cache across this case's several sweeps (one per
      mode group) so the base parses and their reach analyses run once per
@@ -196,14 +185,7 @@ let sweep_case ?(fuel = campaign_fuel) ?share ?resolve ?reach ?specialize
   let execs =
     List.map
       (fun (tb : Engines.Engine.testbed) ->
-        let thunk () =
-          if share then
-            Engines.Engine.Exec.run ~fuel ?resolve ?reach ?specialize ec tb
-          else
-            Engines.Engine.run ~fuel ?resolve ?reach ?specialize
-              ~frontend:(Engines.Engine.Frontend.frontend fc tb)
-              tb tc.Testcase.tc_source
-        in
+        let thunk () = Engines.Engine.Exec.run ~fuel ~strategy ec tb in
         let outcome =
           if not supervised then
             (* happy path: no supervision requested, run bare — a real
@@ -355,12 +337,11 @@ let judge ?supervisor (sw : sweep) : case_report =
    everything that tests a case outside a supervised campaign loop. With
    no [plan]/[policy]/[supervisor] this computes exactly what it did
    before the supervision layer existed. *)
-let run_case ?fuel ?share ?resolve ?reach ?specialize ?plan ?policy
-    ?supervisor ?case_key ?cache (testbeds : Engines.Engine.testbed list)
-    (tc : Testcase.t) : case_report =
+let run_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
+    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
   judge ?supervisor
-    (sweep_case ?fuel ?share ?resolve ?reach ?specialize ?plan ?policy
-       ?supervisor ?case_key ?cache testbeds tc)
+    (sweep_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
+       testbeds tc)
 
 (* Field-wise report equality. [Quirk.Set.t] is a balanced tree whose
    shape depends on insertion order, so structural [(=)] on the whole
@@ -384,101 +365,46 @@ let report_equal (a : case_report) (b : case_report) : bool =
   && List.map fst a.cr_faulted = List.map fst b.cr_faulted
   && a.cr_skipped = b.cr_skipped
 
-exception Share_mismatch of string
+exception Audit_mismatch of string
 
-(* The audit mode: run the case down both paths and fail loudly on any
-   divergence. Returns the shared report so an auditing campaign can use
-   it as the real result of the case. *)
-let audit_case ?(fuel = campaign_fuel) ?resolve ?reach ?specialize
-    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
-  let shared =
-    run_case ~fuel ~share:true ?resolve ?reach ?specialize testbeds tc
+(* The audit: sweep the case under both strategies and fail loudly on the
+   first testbed whose results differ in any field, or whose Reference
+   run consulted a checkpoint outside the static reach set of its front
+   end (a soundness bug in [Analysis.Reach]: the Fast path folds and
+   partitions on that set). Reference runs share nothing, so each
+   [r_touched] is the testbed's own observation. Returns the Fast report,
+   which an auditing campaign uses as the real result of the case. *)
+let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
+    (tc : Testcase.t) : case_report =
+  let src = tc.Testcase.tc_source in
+  let oracle = Engines.Engine.Exec.cache src in
+  let reference =
+    sweep_case ~fuel ~strategy:Strategy.Reference ~cache:oracle testbeds tc
   in
-  let direct =
-    run_case ~fuel ~share:false ?resolve ?reach ?specialize testbeds tc
-  in
-  if not (report_equal shared direct) then
+  let fast = sweep_case ~fuel ~strategy:Strategy.Fast testbeds tc in
+  let fc = Engines.Engine.Exec.frontend_cache oracle in
+  let fail tb what =
     raise
-      (Share_mismatch
-         (Printf.sprintf
-            "execution sharing changed the report of case %d \
-             (shared: %d deviations, direct: %d)\nsource:\n%s"
-            tc.Testcase.tc_id
-            (List.length shared.cr_deviations)
-            (List.length direct.cr_deviations)
-            tc.Testcase.tc_source));
-  shared
-
-exception Reach_unsound of string
-
-(* The reach-audit mode: before producing the case's ordinary report,
-   execute the case *directly* (no sharing, so every testbed's own
-   r_touched is observed, not inherited) on every applicable testbed and
-   assert the static reach set of its parse group covers the dynamic
-   touched set. A violation is a soundness bug in [Analysis.Reach] —
-   never a fault to absorb. *)
-let audit_reach_case ?(fuel = campaign_fuel) ?share ?resolve ?reach
-    ?specialize (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) :
-    case_report =
-  let fc = Engines.Engine.Frontend.cache tc.Testcase.tc_source in
-  List.iter
-    (fun (tb : Engines.Engine.testbed) ->
-      if Engines.Engine.Frontend.supports fc tb.Engines.Engine.tb_config
-      then begin
-        let fe = Engines.Engine.Frontend.frontend fc tb in
-        let r =
-          (* the dynamic touched set must be the testbed's own observation,
-             so this probe runs generic: a specialised closure's baked-in
-             answers record the same touched set, but the audit should not
-             have to trust that *)
-          Engines.Engine.run ~fuel ?resolve ?reach ~specialize:false
-            ~frontend:fe tb tc.Testcase.tc_source
-        in
-        let static = Jsinterp.Run.reach_set fe in
-        if not (Jsinterp.Quirk.Set.subset r.Run.r_touched static) then
-          let missing =
-            Jsinterp.Quirk.Set.diff r.Run.r_touched static
-            |> Jsinterp.Quirk.Set.elements
-            |> List.map Jsinterp.Quirk.to_string
-            |> String.concat ", "
-          in
-          raise
-            (Reach_unsound
-               (Printf.sprintf
-                  "static reach set of case %d misses checkpoints consulted \
-                   on %s: %s\nsource:\n%s"
-                  tc.Testcase.tc_id
-                  (Engines.Engine.testbed_id tb)
-                  missing tc.Testcase.tc_source))
-      end)
-    testbeds;
-  run_case ~fuel ?share ?resolve ?reach ?specialize testbeds tc
-
-exception Specialize_mismatch of string
-
-(* The specialise-audit mode: run the case once down the quirk-specialised
-   fast path and once down the generic compiled path, and fail loudly on
-   any field-wise report divergence. This is the dynamic check backing the
-   static argument of DESIGN.md §12: baked-in checkpoint answers, inline
-   caches and copy-on-write realm reuse must all be invisible in results.
-   Returns the specialised report so an auditing campaign can use it as
-   the real result of the case. *)
-let audit_specialize_case ?(fuel = campaign_fuel) ?share ?resolve ?reach
-    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
-  let fast =
-    run_case ~fuel ?share ?resolve ?reach ~specialize:true testbeds tc
+      (Audit_mismatch
+         (Printf.sprintf "case %d on %s: %s\nsource:\n%s" tc.Testcase.tc_id
+            (Engines.Engine.testbed_id tb)
+            what src))
   in
-  let generic =
-    run_case ~fuel ?share ?resolve ?reach ~specialize:false testbeds tc
-  in
-  if not (report_equal fast generic) then
-    raise
-      (Specialize_mismatch
-         (Printf.sprintf
-            "quirk specialisation changed the report of case %d \
-             (specialised: %d deviations, generic: %d)\nsource:\n%s"
-            tc.Testcase.tc_id
-            (List.length fast.cr_deviations)
-            (List.length generic.cr_deviations)
-            tc.Testcase.tc_source));
-  fast
+  List.iter2
+    (fun (tb, ro) (_, fo) ->
+      match (ro, fo) with
+      | Supervisor.Done (r, _), Supervisor.Done (f, _) -> (
+          (match Run.differing_field r f with
+          | Some field -> fail tb ("Fast and Reference results differ in " ^ field)
+          | None -> ());
+          let static = Run.reach_set (Engines.Engine.Frontend.frontend fc tb) in
+          match Quirk.Set.elements (Quirk.Set.diff r.Run.r_touched static) with
+          | [] -> ()
+          | missing ->
+              fail tb
+                ("the Reference run consulted checkpoints outside the static \
+                  reach set: "
+                ^ String.concat ", " (List.map Quirk.to_string missing)))
+      | _ -> ())
+    reference.sw_execs fast.sw_execs;
+  judge fast

@@ -57,10 +57,6 @@ val kind_of : signature -> signature -> deviation_kind
     sweep. *)
 val campaign_fuel : int
 
-(** Is execution sharing enabled by default? True unless the
-    COMFORT_NO_SHARE environment variable is set to a non-empty value. *)
-val share_by_default : unit -> bool
-
 (** The §3.4 2t rule: a run that terminated normally but burned more than
     twice the slowest {e other} run (floor 20k fuel) is reclassified as a
     timeout. Exclusion of "self" from the comparison pool is by position,
@@ -89,6 +85,8 @@ type sweep = {
     [supervisor] is consulted only through its racy monotone quarantine
     snapshot, to skip work {!judge} would discard. With no
     [plan]/[policy] the per-testbed execution is the bare engine run.
+    [strategy] (default {!Jsinterp.Strategy.default}) selects the
+    execution path; the sweep is byte-identical either way.
     [cache] shares one per-case {!Engines.Engine.Exec} cache across this
     case's several sweeps (the campaign sweeps each mode group
     separately), so the base parses and reach analyses run once per case;
@@ -97,10 +95,7 @@ type sweep = {
     the report is byte-identical with or without it. *)
 val sweep_case :
   ?fuel:int ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
   ?policy:Supervisor.policy ->
   ?supervisor:Supervisor.t ->
@@ -118,30 +113,17 @@ val sweep_case :
 val judge : ?supervisor:Supervisor.t -> sweep -> case_report
 
 (** Run one test case across the given testbeds and vote —
-    [judge (sweep_case ...)]. [share] (default {!share_by_default})
-    collapses the sweep into behavioural equivalence classes via
+    [judge (sweep_case ...)]. Under the [Fast] strategy the sweep
+    collapses into behavioural equivalence classes via
     {!Engines.Engine.Exec}, executing once per class instead of once per
-    testbed; the report is byte-identical either way (DESIGN.md §8).
-    [resolve] (default {!Jsinterp.Run.resolve_by_default}) selects the
-    slot-compiled interpreter core for reference executions (DESIGN.md
-    §9); the report is byte-identical either way. [reach] (default
-    {!Jsinterp.Run.reach_by_default}) consults the static checkpoint
-    reachability analysis (DESIGN.md §11) to seed sharing cells and fold
-    unreachable checkpoint consultations; the report is byte-identical
-    either way. [specialize] (default
-    {!Jsinterp.Run.specialize_by_default}) executes on the
-    quirk-specialised fast path — copy-on-write realms, per-cell compiled
-    closures with baked-in checkpoint answers, inline caches (DESIGN.md
-    §12); the report is byte-identical either way.
-    [plan]/[policy]/[supervisor] enable supervised execution
-    (DESIGN.md §10); with all three absent the report is exactly the
-    pre-supervision one. [cache] is passed through to {!sweep_case}. *)
+    testbed; the report is byte-identical under [Reference] (DESIGN.md,
+    "Execution strategy"). [plan]/[policy]/[supervisor] enable supervised
+    execution (DESIGN.md §10); with all three absent the report is
+    exactly the pre-supervision one. [cache] is passed through to
+    {!sweep_case}. *)
 val run_case :
   ?fuel:int ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
   ?policy:Supervisor.policy ->
   ?supervisor:Supervisor.t ->
@@ -158,49 +140,12 @@ val deviation_equal : deviation -> deviation -> bool
 
 val report_equal : case_report -> case_report -> bool
 
-exception Share_mismatch of string
+exception Audit_mismatch of string
 
-(** Cross-check mode: run the case once shared and once direct, raise
-    {!Share_mismatch} if the reports differ in any observable field, and
-    return the shared report otherwise. *)
+(** The Fast = Reference audit: sweep the case under both strategies, and
+    raise {!Audit_mismatch} naming the testbed and the field if any
+    testbed's [Run.result] differs between them, or if any Reference run
+    consulted a checkpoint outside the static reach set of its front end
+    ([Run.reach_set]). Returns the Fast report otherwise. *)
 val audit_case :
-  ?fuel:int ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
-  Engines.Engine.testbed list ->
-  Testcase.t ->
-  case_report
-
-exception Reach_unsound of string
-
-(** Soundness-audit mode for the static reachability analysis: execute
-    the case directly (no sharing) on every applicable testbed, raise
-    {!Reach_unsound} if any run consulted a checkpoint outside the static
-    reach set of its parse group ([Run.reach_set]), and return the
-    ordinary {!run_case} report otherwise. *)
-val audit_reach_case :
-  ?fuel:int ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
-  Engines.Engine.testbed list ->
-  Testcase.t ->
-  case_report
-
-exception Specialize_mismatch of string
-
-(** Cross-check mode for the quirk-specialised fast path: run the case
-    once specialised and once generic, raise {!Specialize_mismatch} if
-    the reports differ in any observable field, and return the
-    specialised report otherwise (the dynamic check behind DESIGN.md
-    §12's correctness ladder). *)
-val audit_specialize_case :
-  ?fuel:int ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  Engines.Engine.testbed list ->
-  Testcase.t ->
-  case_report
+  ?fuel:int -> Engines.Engine.testbed list -> Testcase.t -> case_report

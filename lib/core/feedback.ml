@@ -88,13 +88,12 @@ let fuzzer (t : t) : Campaign.fuzzer =
    accumulated over all rounds. *)
 let run_rounds ?(testbeds = Campaign.default_testbeds ()) ?(rounds = 4)
     ?(budget_per_round = 500) ?(fuel = Difftest.campaign_fuel)
-    ?(jobs = Executor.default_jobs ()) ?share ?resolve ?reach ?specialize
-    (t : t) : Campaign.result =
+    ?(jobs = Executor.default_jobs ()) ?strategy (t : t) : Campaign.result =
   let merged : Campaign.result option ref = ref None in
   for _ = 1 to rounds do
     let res =
-      Campaign.run ~testbeds ~budget:budget_per_round ~fuel ~jobs ?share
-        ?resolve ?reach ?specialize (fuzzer t)
+      Campaign.run ~testbeds ~budget:budget_per_round ~fuel ~jobs ?strategy
+        (fuzzer t)
     in
     (* bank this round's exposing cases *)
     List.iter (fun d -> record t d.Campaign.disc_case) res.Campaign.cp_discoveries;

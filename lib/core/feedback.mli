@@ -22,18 +22,14 @@ val fuzzer : t -> Campaign.fuzzer
 
 (** A complete feedback campaign: [rounds] campaigns of
     [budget_per_round] cases, banking each round's exposing cases before
-    the next; results are merged with (engine, bug) dedup. [share],
-    [resolve], [reach] and [specialize] are forwarded to
-    {!Campaign.run}. *)
+    the next; results are merged with (engine, bug) dedup. [strategy] is
+    forwarded to {!Campaign.run}. *)
 val run_rounds :
   ?testbeds:Engines.Engine.testbed list ->
   ?rounds:int ->
   ?budget_per_round:int ->
   ?fuel:int ->
   ?jobs:int ->
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   t ->
   Campaign.result

@@ -151,31 +151,18 @@ let reduce ?(jobs = 1) ~(still_triggers : string -> bool) (src : string) :
 (* Convenience: build the predicate from a deviation observed on a testbed.
    The reduced program must still fire the same quirks and produce the same
    behaviour class on that testbed. *)
-let still_triggers_deviation ?share ?resolve ?reach ?specialize
-    (tb : Engines.Engine.testbed) (original : Difftest.deviation) :
-    string -> bool =
-  let share =
-    match share with Some s -> s | None -> Difftest.share_by_default ()
-  in
-  fun src ->
+let still_triggers_deviation ?strategy (tb : Engines.Engine.testbed)
+    (original : Difftest.deviation) : string -> bool =
+ fun src ->
   (* compare the deviating testbed directly against the reference engine:
      the reduced program must keep the same behaviour class and keep firing
-     the same ground-truth quirks. With [share] on both runs go through one
-     per-candidate [Engine.Exec] cache, so they share the parse and — when
-     the quirks the target touched are all absent from its config — the
+     the same ground-truth quirks. Both runs go through one per-candidate
+     probe cache, so they share the parse and — under [Fast], when the
+     quirks the target touched are all absent from its config — the
      execution itself *)
-  let target, reference =
-    if share then begin
-      let ec = Engines.Engine.Exec.cache src in
-      let target =
-        Engines.Engine.Exec.run ?resolve ?reach ?specialize ec tb
-      in
-      (target, Engines.Engine.Exec.run_reference ?resolve ?reach ?specialize ec)
-    end
-    else
-      ( Engines.Engine.run ?resolve ?reach ?specialize tb src,
-        Engines.Engine.run_reference ?resolve ?reach ?specialize src )
-  in
+  let ec = Engines.Engine.Exec.probe_cache src in
+  let target = Engines.Engine.Exec.run ?strategy ec tb in
+  let reference = Engines.Engine.Exec.run_reference ?strategy ec in
   let tsig = Difftest.signature_of_result target in
   let rsig = Difftest.signature_of_result reference in
   tsig <> rsig

@@ -15,19 +15,10 @@ val reduce : ?jobs:int -> still_triggers:(string -> bool) -> string -> string
 (** Build the predicate from an observed deviation: the reduced program
     must keep the same behaviour class on the deviating testbed (vs the
     conforming reference) and keep firing the same ground-truth quirks.
-    [share] (default {!Difftest.share_by_default}) routes the target and
-    reference runs through one per-candidate {!Engines.Engine.Exec}
-    cache, sharing the parse and often the execution itself. [resolve]
-    selects the slot-compiled interpreter core for both runs (default
-    {!Jsinterp.Run.resolve_by_default}); [reach] consults the static
-    reachability analysis (default {!Jsinterp.Run.reach_by_default});
-    [specialize] selects the quirk-specialised fast path (default
-    {!Jsinterp.Run.specialize_by_default}). *)
+    Both runs of a candidate go through one {!Engines.Engine.Exec} probe
+    cache under [strategy] (default {!Jsinterp.Strategy.default}). *)
 val still_triggers_deviation :
-  ?share:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   Engines.Engine.testbed ->
   Difftest.deviation ->
   string ->

@@ -48,19 +48,19 @@ let latest_testbeds ?(mode = Normal) () : testbed list =
     (fun e -> { tb_config = Registry.latest e; tb_mode = mode })
     Registry.all_engines
 
-let run ?(fuel = Run.default_fuel) ?(coverage = false) ?resolve ?reach
-    ?specialize ?frontend (tb : testbed) (src : string) : Run.result =
+let run ?(fuel = Run.default_fuel) ?(coverage = false) ?strategy ?frontend
+    (tb : testbed) (src : string) : Run.result =
   Run.run
     ~quirks:tb.tb_config.Registry.cfg_quirks
     ~parse_opts:(Registry.parse_opts_of_config tb.tb_config)
     ~strict:(tb.tb_mode = Strict)
-    ~fuel ~coverage ?resolve ?reach ?specialize ?frontend src
+    ~fuel ~coverage ?strategy ?frontend src
 
 (* A reference run: the standard-conforming engine with no quirks. Used by
    the reducer and by examples as the "expected" behaviour. *)
-let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?resolve ?reach
-    ?specialize (src : string) : Run.result =
-  Run.run ~strict ~fuel ?resolve ?reach ?specialize src
+let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?strategy
+    (src : string) : Run.result =
+  Run.run ~strict ~fuel ?strategy src
 
 (* Can this configuration's front end parse the program at all? Used by the
    campaign to honour the paper's rule of only testing engines against
@@ -330,6 +330,9 @@ module Exec = struct
 
   type cache = {
     ec_frontend : Frontend.cache;
+    ec_reach : bool;
+        (* consult the static reach analysis: seed the static cells and
+           let [Run] specialise on the reach set (see [probe_cache]) *)
     ec_classes : (int, cls) Hashtbl.t;
         (* (front-end id, strict, fuel) packed into one int — strict in
            bit 0, the id (< 64, see [Frontend.numbered]) in bits 1–6,
@@ -350,23 +353,23 @@ module Exec = struct
      process's count (see [Run.add_runs]). *)
   let add_seeded n = if n > 0 then ignore (Atomic.fetch_and_add seeded_total n)
 
-  let cache (src : string) : cache =
+  let make ~reach (src : string) : cache =
     {
       ec_frontend = Frontend.cache src;
+      ec_reach = reach;
       ec_classes = Hashtbl.create 8;
       ec_executed = 0;
       ec_shared = 0;
       ec_seeded = 0;
     }
 
-  let of_frontend (fc : Frontend.cache) : cache =
-    {
-      ec_frontend = fc;
-      ec_classes = Hashtbl.create 8;
-      ec_executed = 0;
-      ec_shared = 0;
-      ec_seeded = 0;
-    }
+  let cache = make ~reach:true
+
+  (* Diagnostic re-executions (causal probes, reduction candidates) run a
+     case once or twice per testbed: the reach analysis only pays for
+     itself across a wide sweep, and a probe on a fresh parse would fund
+     it with nothing to amortise. Results are identical either way. *)
+  let probe_cache = make ~reach:false
 
   let frontend_cache (ec : cache) = ec.ec_frontend
   let supports (ec : cache) (c : Registry.config) =
@@ -376,30 +379,35 @@ module Exec = struct
   let seeded (ec : cache) = ec.ec_seeded
 
 
-  let run_keyed ?resolve ?reach ?specialize ?qbits (ec : cache)
-      ~(pkey : Registry.parse_key) ~(quirks : Quirk.Set.t)
-      ~(parse_opts : Jsparse.Parser.options) ~(strict : bool) ~(fuel : int)
-      : Run.result =
-    let reach =
-      match reach with Some r -> r | None -> Run.reach_by_default ()
-    in
-    (* packed quirk words; callers on the campaign hot path pass the
-       precomputed [Registry.cfg_qbits] so nothing is rebuilt per case *)
-    let qbits =
-      match qbits with Some b -> b | None -> Quirk.Bits.of_set quirks
-    in
+  let run_keyed ?strategy ?qbits (ec : cache) ~(pkey : Registry.parse_key)
+      ~(quirks : Quirk.Set.t) ~(parse_opts : Jsparse.Parser.options)
+      ~(strict : bool) ~(fuel : int) : Run.result =
+    let strategy = Strategy.value strategy in
     let fe_id, fe =
       Frontend.entry_for ec.ec_frontend ~key:(pkey, strict) ~quirks
         ~parse_opts ~strict
     in
-    match fe.Run.fe_program with
-    | Error _ ->
-        (* nothing executes; [run ~frontend] only renders the stored
-           syntax error and filters the sunk parse quirks *)
-        Run.run ~quirks ~parse_opts ~strict ~fuel ?resolve ~reach ?specialize
-          ~frontend:fe
-          (Frontend.source ec.ec_frontend)
-    | Ok _ -> (
+    let execute () =
+      Run.run_exec ~quirks ~parse_opts ~strict ~fuel ~strategy
+        ~reach:ec.ec_reach ~frontend:fe
+        (Frontend.source ec.ec_frontend)
+    in
+    match (fe.Run.fe_program, strategy) with
+    | Error _, _ ->
+        (* nothing executes; [run_exec] only renders the stored syntax
+           error and filters the sunk parse quirks *)
+        (execute ()).Run.ex_result
+    | Ok _, Strategy.Reference ->
+        (* the oracle shares nothing: every testbed executes directly *)
+        ec.ec_executed <- ec.ec_executed + 1;
+        (execute ()).Run.ex_result
+    | Ok _, Strategy.Fast -> (
+        (* packed quirk words; callers on the campaign hot path pass the
+           precomputed [Registry.cfg_qbits] so nothing is rebuilt per
+           case *)
+        let qbits =
+          match qbits with Some b -> b | None -> Quirk.Bits.of_set quirks
+        in
         let ckey =
           (if strict then 1 else 0) lor (fe_id lsl 1) lor (fuel lsl 7)
         in
@@ -416,7 +424,7 @@ module Exec = struct
            two machine words of intersection, then an inline walk of the
            class's few cells — no hashing, no allocation *)
         let bucket =
-          if not reach then None
+          if not ec.ec_reach then None
           else begin
             let qlo, qhi = qbits in
             let rlo, rhi = Lazy.force fe.Run.fe_reach_bits in
@@ -462,11 +470,7 @@ module Exec = struct
                 (* split: no representative's touched set validates this
                    quirk set, so it seeds a new class with a direct
                    execution *)
-                let ex =
-                  Run.run_exec ~quirks ~parse_opts ~strict ~fuel ?resolve
-                    ~reach ?specialize ~frontend:fe
-                    (Frontend.source ec.ec_frontend)
-                in
+                let ex = execute () in
                 ec.ec_executed <- ec.ec_executed + 1;
                 let r = { rp_pk = pk; rp_ex = ex } in
                 cls.cl_reps <- cls.cl_reps @ [ r ];
@@ -475,10 +479,10 @@ module Exec = struct
                 | None -> ());
                 ex.Run.ex_result))
 
-  let run ?(fuel = Run.default_fuel) ?resolve ?reach ?specialize (ec : cache)
-      (tb : testbed) : Run.result =
+  let run ?(fuel = Run.default_fuel) ?strategy (ec : cache) (tb : testbed) :
+      Run.result =
     let cfg = tb.tb_config in
-    run_keyed ?resolve ?reach ?specialize ~qbits:cfg.Registry.cfg_qbits ec
+    run_keyed ?strategy ~qbits:cfg.Registry.cfg_qbits ec
       ~pkey:(Registry.parse_key cfg)
       ~quirks:cfg.Registry.cfg_quirks
       ~parse_opts:(Registry.parse_opts_of_config cfg)
@@ -487,9 +491,9 @@ module Exec = struct
   (* The conforming reference engine through the same cache: joins the
      standard-front-end, quirk-free parse group and (having no quirks at
      all) shares any class whose representative fired nothing it touched. *)
-  let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?resolve
-      ?reach ?specialize (ec : cache) : Run.result =
-    run_keyed ?resolve ?reach ?specialize ~qbits:Quirk.Bits.empty ec
+  let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?strategy
+      (ec : cache) : Run.result =
+    run_keyed ?strategy ~qbits:Quirk.Bits.empty ec
       ~pkey:Registry.reference_parse_key
       ~quirks:Quirk.Set.empty
       ~parse_opts:Jsparse.Parser.default_options ~strict ~fuel

@@ -21,33 +21,25 @@ val all_testbeds : testbed list
 val latest_testbeds : ?mode:mode -> unit -> testbed list
 
 (** Execute a source program on a testbed. [frontend] reuses a pre-parsed
-    front end (see {!Frontend}), skipping this run's own parse. [resolve]
-    selects slot-compiled execution (default [Run.resolve_by_default]);
-    [reach] lets the compiler fold statically-unreachable checkpoint
-    consultations (default [Run.reach_by_default]); [specialize] selects
-    the quirk-specialised fast path — copy-on-write realms, per-cell
-    compiled closures, inline caches (default
-    [Run.specialize_by_default]); results are bit-for-bit identical
-    either way. *)
+    front end (see {!Frontend}), skipping this run's own parse. [strategy]
+    (default [Jsinterp.Strategy.default]) selects the execution path;
+    results are bit-for-bit identical either way. *)
 val run :
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   ?frontend:Jsinterp.Run.frontend ->
   testbed ->
   string ->
   Jsinterp.Run.result
 
 (** The standard-conforming engine with no quirks — the oracle used by the
-    reducer and examples. *)
+    reducer and examples. Not to be confused with the [Reference]
+    execution strategy, which can run any engine. *)
 val run_reference :
   ?fuel:int ->
   ?strict:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?strategy:Jsinterp.Strategy.t ->
   string ->
   Jsinterp.Run.result
 
@@ -108,15 +100,20 @@ end
     depends on the parse options — such a representative serves only its
     own parse group. Classes are found by a bounded split-and-rerun
     fixpoint validated against each representative's own touched set.
-    Mutable, single-domain, tied to one source string, like
-    {!Frontend.cache}. *)
+    Only the [Fast] strategy shares: under [Reference] every run executes
+    directly, which makes the cache the direct sweep too. Mutable,
+    single-domain, tied to one source string, like {!Frontend.cache}. *)
 module Exec : sig
   type cache
 
+  (** The sweep's cache: the static reach analysis seeds its cells and
+      specialises its compilations. *)
   val cache : string -> cache
 
-  (** Wrap an existing front-end cache (shares its parse groups). *)
-  val of_frontend : Frontend.cache -> cache
+  (** The cache for diagnostic re-executions (causal probes, reduction
+      candidates): no reach analysis, which a run or two per testbed
+      cannot pay for. Results are identical to {!cache}'s. *)
+  val probe_cache : string -> cache
 
   val frontend_cache : cache -> Frontend.cache
 
@@ -128,8 +125,8 @@ module Exec : sig
   val stats : cache -> int * int
 
   (** Shared runs answered by the static reach partition's fast path
-      (a subset of the shares counted by {!stats}) — with the analysis
-      off, always 0. Sharing decisions and execution counts are
+      (a subset of the shares counted by {!stats}) — always 0 for a
+      {!probe_cache}. Sharing decisions and execution counts are
       identical either way; only the lookup path differs. *)
   val seeded : cache -> int
 
@@ -153,9 +150,7 @@ module Exec : sig
       [qbits] defaults to packing [quirks]; pass a precomputed value on
       hot paths. *)
   val run_keyed :
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
+    ?strategy:Jsinterp.Strategy.t ->
     ?qbits:Jsinterp.Quirk.Bits.t ->
     cache ->
     pkey:Registry.parse_key ->
@@ -169,9 +164,7 @@ module Exec : sig
       equivalence class. Same contract as {!Engine.run} on that source. *)
   val run :
     ?fuel:int ->
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
+    ?strategy:Jsinterp.Strategy.t ->
     cache ->
     testbed ->
     Jsinterp.Run.result
@@ -181,9 +174,7 @@ module Exec : sig
   val run_reference :
     ?fuel:int ->
     ?strict:bool ->
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
+    ?strategy:Jsinterp.Strategy.t ->
     cache ->
     Jsinterp.Run.result
 end

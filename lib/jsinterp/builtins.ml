@@ -187,9 +187,8 @@ let install (ctx : ctx) : unit =
           register_ctor kind 1
             (fun ctx _ args ->
               (* resolve the prototype through the calling realm, never
-                 through the installing one: builtin closures are shared
-                 across realm snapshots (Realm), so capturing [proto]
-                 here would leak objects between executions *)
+                 through the installing one: builtin closures must stay
+                 realm-agnostic (the invariant [Realm] relies on) *)
               let o = make_obj ~oclass:"Error" ~proto:(proto_of ctx kind) () in
               (match arg 0 args with
               | Undefined -> ()

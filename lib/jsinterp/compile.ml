@@ -40,49 +40,31 @@ type gstate = {
   mutable gs_deopts : int;
   gs_folded : Quirk.Set.t;
       (** checkpoints the static reachability analysis proved unreachable;
-          their compiled consultation sites are folded to [Deopt_to_tree]
-          traps — or, under specialisation, all the way to their quirk-off
-          constants (see [checkpoint]) *)
-  gs_cell : Quirk.Set.t option;
-      (** specialisation cell: [Some c] compiles one closure for the
+          their compiled consultation sites fold to the quirk-off
+          constant (see [checkpoint]) *)
+  gs_cell : Quirk.Set.t;
+      (** specialisation cell: one closure is compiled for the
           equivalence cell whose quirk set intersected with the inline
-          checkpoints is exactly [c] — every compiled consultation bakes in
-          its answer and only records the consultation. [None] compiles the
-          generic form (identical to what PR 6 produced). *)
+          checkpoints is exactly [gs_cell] — every compiled consultation
+          bakes in its answer and only records the consultation *)
 }
 
-(* Checkpoint consultation at a compiled deviation site.
-
-   Generic form ([gs_cell = None]): the plain [fire] consultation, except
-   that a checkpoint the static reachability analysis ([Analysis.Reach])
-   proved unreachable collapses to a [Deopt_to_tree] trap — if the
-   analysis was ever wrong the execution discards its context and replays
-   tree-walked, so results stay exact and the soundness audit still sees
-   the true touched set.
-
-   Specialised form ([gs_cell = Some c]): the compilation is already
-   per-cell, so every site constant-folds its answer. A statically-dead
-   site folds to its quirk-off constant outright (not even a trap — the
-   sound analysis guarantees the site cannot execute, and
-   [--audit-specialize] cross-checks against the generic form); a live
-   site keeps the [ctx.touched] recording — the execution-sharing class
-   key — and bakes in the membership test and, when on, the [ctx.fired]
-   attribution. *)
+(* Checkpoint consultation at a compiled deviation site. The compilation
+   is per cell, so every site constant-folds its answer. A statically-dead
+   site folds to its quirk-off constant outright (the sound analysis
+   guarantees the site cannot execute, and the Fast = Reference audit
+   checks every Reference run's touched set against the static set); a
+   live site keeps the [ctx.touched] recording — the execution-sharing
+   class key — and bakes in the membership test and, when on, the
+   [ctx.fired] attribution. *)
 let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
-  if Quirk.Set.mem q gs.gs_folded then
-    match gs.gs_cell with
-    | Some _ -> fun _ -> false
-    | None -> fun _ -> raise Deopt_to_tree
-  else
-    match gs.gs_cell with
-    | None -> fun ctx -> fire ctx q
-    | Some cell ->
-        if Quirk.Set.mem q cell then fun ctx ->
-          Value.touch_fire ctx q;
-          true
-        else fun ctx ->
-          Value.touch ctx q;
-          false
+  if Quirk.Set.mem q gs.gs_folded then fun _ -> false
+  else if Quirk.Set.mem q gs.gs_cell then fun ctx ->
+    Value.touch_fire ctx q;
+    true
+  else fun ctx ->
+    Value.touch ctx q;
+    false
 
 (* --- monomorphic inline caches --------------------------------------
    Compiled (specialised) property sites remember the last receiver they
@@ -108,12 +90,11 @@ let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
      identity and version. Prototype links are never reassigned after
      construction, so receiver identity implies holder identity.
 
-   A hit replays the generic path's observable effects exactly: it burns
+   A hit replays the miss path's observable effects exactly: it burns
    the 1 fuel [Ops.get]/[Ops.set] burns on entry, and the property-read
    path consults no quirk checkpoint (verified: [get]/[get_obj]/
    [get_plain] never call [fire]), so touched/fired are untouched either
-   way. A store hit runs the same write [barrier] the generic
-   [set_plain] runs. *)
+   way. A store hit runs the same write [barrier] [set_plain] runs. *)
 
 type ic_entry =
   | Ic_empty
@@ -625,7 +606,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
   | Ast.Call (fx, args) -> (
       let argcs = List.map ce args in
       match fx.Ast.e with
-      | Ast.Member (ox, Ast.Pfield key) when gs.gs_cell <> None ->
+      | Ast.Member (ox, Ast.Pfield key) ->
           (* specialised method call on a constant key: the method load
              goes through an inline cache *)
           let oc = ce ox in
@@ -639,23 +620,15 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
                 (Printf.sprintf "%s.%s is not a function" (type_of ov) key);
             let argv = List.map (fun ac -> ac ctx fr) argcs in
             Interp.call_function ctx fv ov argv
-      | Ast.Member (ox, prop) ->
+      | Ast.Member (ox, Ast.Pindex e) ->
           (* method call: receiver becomes [this]; the Member node itself
              is never evaluated by [Interp.eval_call], so it pays no burn *)
           let oc = ce ox in
-          let kc =
-            match prop with
-            | Ast.Pfield n -> `Const n
-            | Ast.Pindex e -> `Dyn (ce e)
-          in
+          let kc = ce e in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            let key =
-              match kc with
-              | `Const k -> k
-              | `Dyn kc -> Ops.to_string ctx (kc ctx fr)
-            in
+            let key = Ops.to_string ctx (kc ctx fr) in
             let fv = Ops.get ctx ov key in
             if not (is_callable fv) then
               Ops.type_error ctx
@@ -680,17 +653,12 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
   | Ast.Member (ox, prop) -> (
       let oc = ce ox in
       match prop with
-      | Ast.Pfield n when gs.gs_cell <> None ->
+      | Ast.Pfield n ->
           let st = { ic_e = Ic_empty } in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
             ic_get st ctx ov n
-      | Ast.Pfield n ->
-          fun ctx fr ->
-            burn ctx 1;
-            let ov = oc ctx fr in
-            Ops.get ctx ov n
       | Ast.Pindex e ->
           let kc = ce e in
           fun ctx fr ->
@@ -742,15 +710,11 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
               when arr.ty = None && chk_bool ctx ->
                 Ops.array_store ctx o arr arr.alen v
             | _ -> Ops.set_index ctx ~strict ov kv v)
-      | Ast.Pfield key when gs.gs_cell <> None ->
+      | Ast.Pfield key ->
           let st = { ic_e = Ic_empty } in
           fun ctx fr v ->
             let ov = oc ctx fr in
-            ic_set st ctx ~strict ov key v
-      | Ast.Pfield key ->
-          fun ctx fr v ->
-            let ov = oc ctx fr in
-            Ops.set ctx ~strict ov key v)
+            ic_set st ctx ~strict ov key v)
   | _ -> fun ctx _ _ -> Ops.type_error ctx "invalid assignment target"
 
 (* Statement bodies that the tree-walker runs in a fresh block scope:
@@ -1297,7 +1261,10 @@ let cell_key (c : Quirk.Set.t) : int =
   in
   go 0 0 compiled_checkpoint_list
 
-let compile ?reach ?cell (prog : Ast.program) : t =
+(* Compile [prog] for one specialisation [cell] (see [gstate]); [reach],
+   the front end's static reach set when the caller has one, licenses
+   folding the inline sites outside it. *)
+let compile ?reach ~(cell : Quirk.Set.t) (prog : Ast.program) : t =
   let folded =
     match reach with
     | None -> Quirk.Set.empty
@@ -1314,7 +1281,7 @@ let compile ?reach ?cell (prog : Ast.program) : t =
     }
   else begin
     let strict = prog.Ast.prog_strict in
-    if cell <> None then Atomic.incr specialized;
+    Atomic.incr specialized;
     let gs = { gs_deopts = 0; gs_folded = folded; gs_cell = cell } in
     let plevel = R.new_level () in
     let vars, funcs = R.hoisted prog.Ast.prog_body in

@@ -1,37 +1,22 @@
-(* Realm snapshotting: build the builtin global environment once, then
-   stamp out per-execution realms by structurally copying the template's
-   object graph instead of re-running [Builtins.install].
-
-   Profiling the campaign (BENCH_campaign.json, PR 3) shows that with
-   execution sharing on, the dominant per-execution cost is not
-   interpretation at all — typical generated programs burn well under a
-   hundred fuel — but realm construction: several hundred objects and
-   properties rebuilt from scratch for every run. A structural copy of a
-   finished realm skips the closure allocation, the prototype-registry
-   lookups, and the quadratic insertion-ordered property appends of a
-   fresh install, and is several times cheaper.
+(* The realm template: the builtin global environment built once per
+   domain by [Builtins.install] and then lent to every [Fast] execution
+   on that domain behind the [Value.barrier] copy-on-write write barrier.
+   [release] rolls the write journal back, so each execution starts from
+   a pristine realm without paying for an install of its own. [Reference]
+   executions do not use the template: they install a realm each.
 
    Soundness rests on three audited invariants of [Builtins.install]:
 
    - it never consults a quirk checkpoint, so the template is identical
      for every testbed and [ctx.touched]/[ctx.fired] start empty either
-     way (verified by the resolve-parity test suite);
+     way;
    - it burns no fuel, so [r_fuel_used] is unaffected;
    - every builtin implementation closure is realm-agnostic: it receives
      the calling [ctx] as an argument and resolves prototypes through
-     [proto_of ctx], never by capturing an installing-realm object. The
-     [Native] callables can therefore be shared between the template and
-     its copies. ([Js_closure]/[Compiled] callables capture scopes and
-     cannot appear in a template; [clone] rejects them.)
+     [proto_of ctx], never by capturing an installing-realm object.
 
-   Object ids are allocated fresh for each copy, in traversal rather than
-   install order. This is unobservable: [oid] is an identity tag that no
-   interpreter or builtin code ever reads, and the campaign executor
-   already interleaves allocations arbitrarily across domains.
-
-   The template is built lazily under a mutex (campaign worker domains
-   may race to the first execution) and is immutable afterwards, so
-   concurrent [clone]s may read it freely. *)
+   The Fast = Reference property tests compare the two realms on every
+   execution they run, and [check_pristine] audits the template itself. *)
 
 open Value
 
@@ -40,9 +25,8 @@ type t = {
   rt_protos : (string * obj) list;  (** its prototype registry *)
   rt_oid_base : int;
       (** template objects carry oids in [rt_oid_base, rt_oid_base +
-          rt_oid_span); the clone memo is a plain array indexed by
-          [oid - rt_oid_base], which profiles several times faster than a
-          hash table at realm size *)
+          rt_oid_span); [mark_shared]'s visited set is a plain array
+          indexed by [oid - rt_oid_base] *)
   rt_oid_span : int;
 }
 
@@ -88,8 +72,8 @@ let build () : t =
   Builtins.install ctx;
   let oid1 = Atomic.get obj_counter in
   (* the span may include oids allocated concurrently by other domains;
-     that only costs unused memo slots — the clone walk can only ever
-     reach template objects *)
+     that only costs unused slots — the marking walk can only ever reach
+     template objects *)
   {
     rt_global = ctx.global;
     rt_protos = ctx.protos;
@@ -99,7 +83,7 @@ let build () : t =
 
 (* Mark every object reachable from the template as shared (cow = 1) so
    the [Value.barrier] write barrier journals a pre-image before its first
-   mutation. The memo is the same span-indexed array the clone uses. *)
+   mutation. *)
 let mark_shared (t : t) : unit =
   let seen = Array.make t.rt_oid_span false in
   let rec mark_value v = match v with Obj o -> mark_obj o | _ -> ()
@@ -265,68 +249,3 @@ let check_pristine () : (unit, string) result =
       (fun acc (n, a) (_, b) ->
         match acc with Error _ -> acc | Ok () -> cmp_obj n a b)
       (Ok ()) t.rt_protos r.rt_protos
-
-(* Structural copy. The memo (an array indexed by template oid, see
-   [rt_oid_base]) keeps shared structure shared in the copy — every
-   function's prototype link back into the registry, the array generics
-   aliased onto %TypedArray%.prototype, ... — and terminates cycles
-   (constructor <-> prototype). The copy is registered in the memo before
-   its fields are filled in. *)
-type memo = { mm_base : int; mm_slots : obj option array }
-
-let rec clone_value (memo : memo) (v : value) : value =
-  match v with Obj o -> Obj (clone_obj memo o) | v -> v
-
-and clone_prop (memo : memo) (p : prop) : prop =
-  {
-    p with
-    v = clone_value memo p.v;
-    getter = Option.map (clone_value memo) p.getter;
-  }
-
-and clone_obj (memo : memo) (o : obj) : obj =
-  match memo.mm_slots.(o.oid - memo.mm_base) with
-  | Some o' -> o'
-  | None ->
-      let o' =
-        {
-          o with
-          oid = Atomic.fetch_and_add obj_counter 1 + 1;
-          props = [];
-          proto = Null;
-          cow = 0;
-          version = 0;
-        }
-      in
-      memo.mm_slots.(o.oid - memo.mm_base) <- Some o';
-      o'.proto <- clone_value memo o.proto;
-      o'.props <- List.map (fun (k, p) -> (k, clone_prop memo p)) o.props;
-      (o'.call <-
-         (match o.call with
-         | (None | Some (Native _)) as c -> c
-         | Some (Js_closure _ | Compiled _) ->
-             invalid_arg "Realm.clone: template contains a non-native closure"));
-      o'.arr <-
-        Option.map
-          (fun a -> { a with elems = Array.map (clone_value memo) a.elems })
-          o.arr;
-      o'.prim <- Option.map (clone_value memo) o.prim;
-      (* regex_data is immutable (the compiled program and its source);
-         lastIndex lives in props *)
-      o'.regex <- o.regex;
-      o'.dataview <- Option.map Bytes.copy o.dataview;
-      o'
-
-(* One fresh realm: the copied global plus its prototype registry, mapped
-   through the same memo so registry entries are the very objects hanging
-   off the copied global. *)
-let clone (t : t) : obj * (string * obj) list =
-  let memo =
-    { mm_base = t.rt_oid_base; mm_slots = Array.make t.rt_oid_span None }
-  in
-  let g = clone_obj memo t.rt_global in
-  let protos = List.map (fun (n, o) -> (n, clone_obj memo o)) t.rt_protos in
-  (g, protos)
-
-(* Convenience used by [Run.make_ctx]. *)
-let fresh () : obj * (string * obj) list = clone (template ())

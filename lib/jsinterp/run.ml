@@ -47,30 +47,6 @@ let run_count () = Atomic.get runs
    identical with and without process isolation. *)
 let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
 
-(* Slot-compiled execution ([Compile]) is on unless COMFORT_NO_RESOLVE is
-   set to a non-empty value — the same contract as COMFORT_NO_SHARE for the
-   execution-sharing layer. *)
-let resolve_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_RESOLVE" with
-  | None | Some "" -> true
-  | Some _ -> false
-
-(* Static quirk-reachability ([Analysis.Reach]) is on unless
-   COMFORT_NO_REACH is set to a non-empty value — same contract as
-   COMFORT_NO_SHARE / COMFORT_NO_RESOLVE. *)
-let reach_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_REACH" with
-  | None | Some "" -> true
-  | Some _ -> false
-
-(* Quirk-specialised execution (copy-on-write realms, per-cell compiled
-   closures, inline caches — see [Compile] and [Realm]) is on unless
-   COMFORT_NO_SPECIALIZE is set to a non-empty value. *)
-let specialize_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_SPECIALIZE" with
-  | None | Some "" -> true
-  | Some _ -> false
-
 (* Whole-pipeline profiler. Off by default: a disabled probe pays one ref
    read. Two layers of attribution:
 
@@ -187,16 +163,15 @@ module Stage = struct
     end
 end
 
-(* --- per-domain execution scratch (COMFORT_GC) ---
+(* --- per-domain execution scratch ---
 
    A campaign performs ~12.5 interpreter executions per case, each
    allocating a fresh output buffer, global-scope table, realm copy and
-   frame graph. Recycling the two allocations that provably die with
-   their execution cuts steady-state allocation several-fold (the bench's
-   per-stage byte columns show exec dropping ~5x); COMFORT_GC=off (or =0)
-   is the escape hatch restoring the exact allocation behaviour of
-   earlier builds. Results are bit-identical either way — the CI runs a
-   full COMFORT_GC=off suite leg to prove it.
+   frame graph. [Fast] executions recycle the two allocations that
+   provably die with their execution, which cuts steady-state allocation
+   several-fold (the bench's per-stage byte columns show exec dropping
+   ~5x); [Reference] executions allocate fresh ones, so the Fast =
+   Reference checks cover recycling soundness.
 
    Minor-heap widening was tried here and measured as a regression:
    growing the per-domain minor heap to 4M words (32MB) cost ~10% on the
@@ -204,21 +179,16 @@ end
    working set lives in cache under the default 256k-word minor heap and
    a wider nursery trades cheap minor collections for cache misses. The
    default heap geometry is deliberately left alone (EXPERIMENTS.md
-   records the numbers). *)
-let gc_by_default () =
-  match Sys.getenv_opt "COMFORT_GC" with
-  | Some "off" | Some "0" -> false
-  | None | Some _ -> true
+   records the numbers).
 
-(* Execution scratch, recycled per domain: the [ctx.out] buffer and the
-   global scope's bindings table are the two per-execution allocations
-   that provably die with the execution — [r_output] is an immutable
-   string copy ([Buffer.contents]) and nothing outlives [run_exec] that
-   can still reach the scope (the COW rollback / realm-copy discard takes
-   any closure created during the run with it). Each domain keeps one
-   slot of each; [take] empties the slot (so any unexpected reentrancy
-   simply allocates fresh) and resets the scratch before reuse, [release]
-   refits the slot at the exec's report boundary. Compiled frames are
+   The recycled scratch: the [ctx.out] buffer and the global scope's
+   bindings table. [r_output] is an immutable string copy
+   ([Buffer.contents]) and nothing outlives [run_exec] that can still
+   reach the scope (the COW rollback takes any closure created during the
+   run with it). Each domain keeps one slot of each; [buffer] and
+   [bindings] empty the slot (so any unexpected reentrancy simply
+   allocates fresh) and reset the scratch before reuse, [release] refits
+   the slot at the exec's report boundary. Compiled frames are
    deliberately NOT recycled: closures capture them and may legally
    outlive statements (DESIGN.md §13). *)
 module Scratch = struct
@@ -233,27 +203,25 @@ module Scratch = struct
   let buffer () : Buffer.t =
     let s = Domain.DLS.get key in
     match s.sc_buf with
-    | Some b when gc_by_default () ->
+    | Some b ->
         s.sc_buf <- None;
         Buffer.reset b;
         b
-    | _ -> Buffer.create 256
+    | None -> Buffer.create 256
 
   let bindings () : (string, Value.value ref) Hashtbl.t =
     let s = Domain.DLS.get key in
     match s.sc_bindings with
-    | Some h when gc_by_default () ->
+    | Some h ->
         s.sc_bindings <- None;
         Hashtbl.reset h;
         h
-    | _ -> Hashtbl.create 16
+    | None -> Hashtbl.create 16
 
   let release (ctx : Value.ctx) : unit =
-    if gc_by_default () then begin
-      let s = Domain.DLS.get key in
-      s.sc_buf <- Some ctx.Value.out;
-      s.sc_bindings <- Some ctx.Value.global_scope.Value.bindings
-    end
+    let s = Domain.DLS.get key in
+    s.sc_buf <- Some ctx.Value.out;
+    s.sc_bindings <- Some ctx.Value.global_scope.Value.bindings
 end
 
 (* Parser-level quirks live in the front end: derive the engine's parse
@@ -275,28 +243,25 @@ let parse_opts_of ~(base : Jsparse.Parser.options) (quirks : Quirk.Set.t) :
   }
 
 let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_options)
-    ?(fuel = default_fuel) ?(coverage = false) ?(snapshot = false)
-    ?(cow = false) () : Value.ctx =
-  (* [snapshot] builds the realm by copying the [Realm] template instead
-     of re-running [Builtins.install]; the resulting context is
-     indistinguishable (same globals, same empty fired/touched sets, no
-     fuel spent) but several times cheaper to construct. Selected by the
-     [resolve] execution mode. [cow] goes further and shares the domain's
-     template itself behind the [Value.barrier] write barrier — the caller
-     MUST call [Realm.release] when the execution is over, on every exit
-     path, to roll the copy-on-write journal back. *)
-  let snap =
-    if cow then Some (Realm.acquire ())
-    else if snapshot then Some (Realm.fresh ())
-    else None
-  in
+    ?(fuel = default_fuel) ?(coverage = false) ~(fast : bool) () : Value.ctx =
+  (* [fast] borrows the domain's realm template behind the [Value.barrier]
+     write barrier and recycles the execution scratch — the caller MUST
+     call [Realm.release] and [Scratch.release] when the execution is
+     over, the former on every exit path, to roll the copy-on-write
+     journal back. Otherwise the realm is built by [Builtins.install] and
+     the scratch is fresh. *)
+  let snap = if fast then Some (Realm.acquire ()) else None in
   let global =
     match snap with
     | Some (g, _) -> g
     | None -> Value.make_obj ~oclass:"Object" ()
   in
   let global_scope =
-    { Value.bindings = Scratch.bindings (); parent = None; frozen_names = [] }
+    {
+      Value.bindings = (if fast then Scratch.bindings () else Hashtbl.create 16);
+      parent = None;
+      frozen_names = [];
+    }
   in
   let q_lo, q_hi = Quirk.Bits.of_set quirks in
   let ctx : Value.ctx =
@@ -307,7 +272,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       parse_opts;
       fuel;
       fuel_cap = fuel;
-      out = Scratch.buffer ();
+      out = (if fast then Scratch.buffer () else Buffer.create 256);
       q_lo;
       q_hi;
       f_lo = 0;
@@ -379,17 +344,17 @@ type frontend = {
           (strict mode, reach setting, specialisation cell key) — a strict
           override rewrites the program, reach folds checkpoints, and a
           specialisation cell bakes in the answers of the inline
-          checkpoints ([Compile.cell_key]; -1 = the generic, unspecialised
-          form). Testbeds sharing a front end share the compilations — the
-          compile-stage analogue of sharing the parse; since only the
-          inline-checkpoint projection keys the cache, the whole testbed
-          pool compiles each program once or twice in practice. *)
+          checkpoints ([Compile.cell_key]). Testbeds sharing a front end
+          share the compilations — the compile-stage analogue of sharing
+          the parse; since only the inline-checkpoint projection keys the
+          cache, the whole testbed pool compiles each program once or
+          twice in practice. *)
   fe_reach : Quirk.Set.t Lazy.t;
       (** static over-approximation of the checkpoints any execution of
           this front end's program can consult: the [Analysis.Reach] set
           of the parsed program joined with the parse-stage quirks sunk by
           the front end (a parse failure consults nothing at run time).
-          Lazy: only forced when the reach layer is on. *)
+          Lazy: only forced by [Fast] executions that consult it. *)
   fe_reach_bits : Quirk.Bits.t Lazy.t;
       (** [fe_reach] packed into machine words, for the execution-sharing
           cache's per-testbed cell computation *)
@@ -484,14 +449,12 @@ type exec = {
 
 let run_exec ?(quirks = Quirk.Set.empty)
     ?(parse_opts = Jsparse.Parser.default_options) ?(strict = false)
-    ?(fuel = default_fuel) ?(coverage = false) ?resolve ?reach ?specialize
+    ?(fuel = default_fuel) ?(coverage = false) ?strategy ?(reach = true)
     ?frontend (src : string) : exec =
-  let resolve =
-    match resolve with Some r -> r | None -> resolve_by_default ()
-  in
-  let reach = match reach with Some r -> r | None -> reach_by_default () in
-  let specialize =
-    match specialize with Some s -> s | None -> specialize_by_default ()
+  let fast =
+    match Strategy.value strategy with
+    | Strategy.Fast -> true
+    | Strategy.Reference -> false
   in
   let fe =
     match frontend with
@@ -533,51 +496,42 @@ let run_exec ?(quirks = Quirk.Set.empty)
         else prog
       in
       let compiled =
-        if not resolve then None
+        if not fast then None
         else begin
           (* the specialisation cell: the quirks this engine carries among
              those any execution can consult. Only its projection onto the
              inline-compiled checkpoints affects code generation, so the
-             cache key collapses every cell to [Compile.cell_key] (-1 =
-             generic, unspecialised) *)
+             cache key collapses every cell to [Compile.cell_key] *)
+          let reach_set = if reach then Some (Lazy.force fe.fe_reach) else None in
           let cell =
-            if not specialize then None
-            else if reach then
-              Some (Quirk.Set.inter quirks (Lazy.force fe.fe_reach))
-            else Some quirks
+            match reach_set with
+            | Some r -> Quirk.Set.inter quirks r
+            | None -> quirks
           in
-          let spec_key =
-            match cell with None -> -1 | Some c -> Compile.cell_key c
-          in
-          let key = (strict, reach, spec_key) in
+          let key = (strict, reach, Compile.cell_key cell) in
           match Hashtbl.find_opt fe.fe_compiled key with
           | Some cp -> Some cp
           | None ->
-              let reach_arg =
-                if reach then Some (Lazy.force fe.fe_reach) else None
-              in
               let cp =
                 Stage.time_sub Stage.compile (fun () ->
-                    Compile.compile ?reach:reach_arg ?cell prog)
+                    Compile.compile ?reach:reach_set ~cell prog)
               in
               Hashtbl.replace fe.fe_compiled key cp;
               Some cp
         end
       in
-      (* copy-on-write realms ride the specialise flag: the context borrows
-         the domain's shared template and [Realm.release] rolls the write
-         journal back after the run — on every exit path, including the
-         deopt-to-tree replay, which must see a pristine realm *)
-      let cow = resolve && specialize in
+      (* a Fast context borrows the domain's realm template and
+         [Realm.release] rolls the write journal back after the run — on
+         every exit path, including the deopt-to-tree replay, which must
+         see a pristine realm *)
       let run_with runner =
         let ctx =
           Stage.time_sub Stage.realm (fun () ->
-              make_ctx ~quirks ~parse_opts ~fuel ~coverage ~snapshot:resolve
-                ~cow ())
+              make_ctx ~quirks ~parse_opts ~fuel ~coverage ~fast ())
         in
         bind_globals ctx;
         Fun.protect
-          ~finally:(fun () -> if cow then Realm.release ())
+          ~finally:(fun () -> if fast then Realm.release ())
           (fun () ->
             let status =
               try
@@ -656,13 +610,13 @@ let run_exec ?(quirks = Quirk.Set.empty)
       in
       (* the result captured everything it needs as immutable copies; the
          ctx's buffer and scope table go back to the domain's scratch *)
-      Scratch.release ctx;
+      if fast then Scratch.release ctx;
       ex
 
-let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?resolve ?reach
-    ?specialize ?frontend (src : string) : result =
-  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?resolve ?reach
-     ?specialize ?frontend src)
+let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?reach
+    ?frontend (src : string) : result =
+  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?reach
+     ?frontend src)
     .ex_result
 
 (* Does an engine carrying [quirks] belong to [ex]'s behavioural
@@ -702,6 +656,23 @@ let share ~(frontend : frontend) ~quirks (ex : exec) : result =
       r_fired = Quirk.Set.union parse_fired (Lazy.force ex.ex_fired);
       r_touched = Quirk.Set.union parse_fired (Lazy.force ex.ex_touched);
     }
+
+(* The first field, in declaration order, on which two results differ.
+   [Quirk.Set.t] is a balanced tree whose shape depends on insertion
+   order, so the sets are compared with [Quirk.Set.equal], never [(=)]. *)
+let differing_field (a : result) (b : result) : string option =
+  List.find_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("parsed", a.r_parsed = b.r_parsed);
+      ("parse error", a.r_parse_error = b.r_parse_error);
+      ("status", a.r_status = b.r_status);
+      ("output", String.equal a.r_output b.r_output);
+      ("fuel", a.r_fuel_used = b.r_fuel_used);
+      ("fired", Quirk.Set.equal a.r_fired b.r_fired);
+      ("touched", Quirk.Set.equal a.r_touched b.r_touched);
+      ("coverage", a.r_coverage = b.r_coverage);
+    ]
 
 (* Convenience for tests and examples: run on the standard-conforming
    reference engine and return printed output. *)

@@ -42,29 +42,6 @@ val run_count : unit -> int
     and without process isolation. No-op for [n <= 0]. *)
 val add_runs : int -> unit
 
-(** Is slot-compiled execution ({!Compile}) on by default? True unless the
-    COMFORT_NO_RESOLVE environment variable is set to a non-empty value —
-    the compile-stage analogue of COMFORT_NO_SHARE. *)
-val resolve_by_default : unit -> bool
-
-(** Is the static reachability analysis ({!Analysis.Reach}) consulted by
-    default? True unless COMFORT_NO_REACH is set to a non-empty value. *)
-val reach_by_default : unit -> bool
-
-(** Is quirk-specialised execution (copy-on-write realms, per-cell
-    compiled closures, inline caches) on by default? True unless
-    COMFORT_NO_SPECIALIZE is set to a non-empty value. *)
-val specialize_by_default : unit -> bool
-
-(** Is per-domain execution-scratch recycling on? True unless COMFORT_GC
-    is set to "off" or "0" — the escape hatch that restores the exact
-    allocation behaviour of non-recycling builds (results are
-    bit-identical either way). Minor-heap widening was also tried under
-    this flag and measured as a ~10% regression on the campaign bench;
-    the default heap geometry is deliberately untouched (see
-    EXPERIMENTS.md). *)
-val gc_by_default : unit -> bool
-
 (** Whole-pipeline campaign profiler. Disabled by default (a disabled
     probe pays one ref read); when [enabled] is set, every probe adds its
     wall-clock duration and its [Gc.allocated_bytes] delta to the
@@ -136,8 +113,8 @@ type frontend = {
   fe_compiled : (bool * bool * int, Compile.t) Hashtbl.t;
       (** slot-compiled programs cached per front end, keyed by
           (strict mode, reach enabled, specialisation cell key —
-          [Compile.cell_key], -1 for the generic form); testbeds sharing
-          a front end share the compilations *)
+          [Compile.cell_key]); testbeds sharing a front end share the
+          compilations *)
   fe_reach : Quirk.Set.t Lazy.t;
       (** static over-approximation of every quirk checkpoint any
           execution of this front end can consult
@@ -187,21 +164,17 @@ val reach_set : frontend -> Quirk.Set.t
     @param parse_opts front-end profile (ES edition gates)
     @param strict     run as a strict-mode testbed
     @param coverage   record statement/branch/function coverage
-    @param resolve    execute slot-compiled ({!Compile}); defaults to
-                      {!resolve_by_default}. Results are bit-for-bit
-                      identical either way — this only selects the engine
-                      core
-    @param reach      let the compiler constant-fold checkpoint
-                      consultations the static analysis proves
-                      unreachable (with a deopt-to-tree escape hatch);
-                      defaults to {!reach_by_default}. Results are
+    @param strategy   [Fast] executes a quirk-specialised compiled closure
+                      in a copy-on-write realm with recycled scratch;
+                      [Reference] tree-walks in a freshly installed realm.
+                      Defaults to {!Strategy.default}. Results are
                       bit-for-bit identical either way
-    @param specialize execute on the quirk-specialised fast path:
-                      copy-on-write realms, per-cell compiled closures
-                      with baked-in checkpoint answers, and inline caches
-                      at compiled property sites; defaults to
-                      {!specialize_by_default}. Results are bit-for-bit
-                      identical either way
+    @param reach      under [Fast], let the compiler consult the front
+                      end's static reach set (default [true]): a smaller
+                      specialisation cell and the inline sites outside the
+                      set folded away. Results are bit-for-bit identical
+                      either way; diagnostic re-executions turn it off
+                      because a run or two cannot pay for the analysis
     @param frontend   a pre-parsed front end to reuse (skips this run's
                       own parse); must have been produced with the same
                       effective options and strictness *)
@@ -211,9 +184,8 @@ val run :
   ?strict:bool ->
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
+  ?strategy:Strategy.t ->
   ?reach:bool ->
-  ?specialize:bool ->
   ?frontend:frontend ->
   string ->
   result
@@ -252,9 +224,8 @@ val run_exec :
   ?strict:bool ->
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
+  ?strategy:Strategy.t ->
   ?reach:bool ->
-  ?specialize:bool ->
   ?frontend:frontend ->
   string ->
   exec
@@ -279,6 +250,11 @@ val shares_class_bits : qbits:Quirk.Bits.t -> exec -> bool
     member's own quirk set. Equals what {!run} would have produced, field
     for field. *)
 val share : frontend:frontend -> quirks:Quirk.Set.t -> exec -> result
+
+(** The first field on which two results differ ("output", "fuel",
+    "touched", ...), [None] when they agree in every field — the
+    field-by-field comparison behind the Fast = Reference checks. *)
+val differing_field : result -> result -> string option
 
 (** Convenience: printed output of a run on the conforming engine. *)
 val output_of : ?quirks:Quirk.Set.t -> ?strict:bool -> ?fuel:int -> string -> string

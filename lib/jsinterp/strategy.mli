@@ -1,0 +1,29 @@
+(** How a sweep is executed. Reports are byte-identical under both
+    strategies; they differ only in cost. [Reference] is the oracle that
+    [Fast] is checked against (DESIGN.md, "Execution strategy"). It is not
+    the conforming reference {e engine} (the quirk-free configuration
+    that [Engines.Engine.run_reference] runs): either strategy can run
+    any engine, that one included. *)
+
+type t =
+  | Reference
+      (** direct sweep with no execution sharing, the tree-walking
+          interpreter, a realm built by [Builtins.install] for every
+          execution, and fresh execution scratch *)
+  | Fast
+      (** execution sharing seeded by the static reach analysis,
+          quirk-specialised compiled closures, copy-on-write realms and
+          recycled execution scratch *)
+
+val to_string : t -> string
+
+(** [Reference] when any of COMFORT_NO_SHARE, COMFORT_NO_RESOLVE,
+    COMFORT_NO_REACH or COMFORT_NO_SPECIALIZE is set to a non-empty
+    value, else [Fast]. The default of every [?strategy] argument, and
+    the only reader of those variables. *)
+val default : unit -> t
+
+(** The given strategy, else {!default} [()] — how an optional
+    [?strategy] argument is resolved (the environment is only read when
+    the argument is absent). *)
+val value : t option -> t

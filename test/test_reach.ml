@@ -5,17 +5,17 @@
    to fold and pre-partition anything. Coverage here:
 
    - soundness over a handwritten corpus plus a fuzzer batch, asserted
-     per front end and via [Difftest.audit_reach_case] across all 102
-     testbeds;
+     per front end and via [Difftest.audit_case]'s reach check across all
+     102 testbeds;
    - a precision floor: ordinary programs get a strict subset of the
      domain's top, while [eval] collapses to top;
    - the compiler's constant-folding of statically-unreachable
-     consultation sites, including the [Deopt_to_tree] escape hatch that
-     makes an unsound fold degrade to the tree-walker instead of to a
-     wrong answer;
+     consultation sites, invisible in results;
    - execution counts and reports byte-identical with the analysis on or
-     off, at the [Exec] sweep, [run_case] and full-campaign layers, with
-     the reach-seeded fast path actually engaging. *)
+     off (the sweep cache against the probe cache, and Fast against the
+     Reference oracle), at the [Exec] sweep, [run_case] and
+     full-campaign layers, with the reach-seeded fast path actually
+     engaging. *)
 
 open Helpers
 open Jsinterp
@@ -72,12 +72,12 @@ let sound_on_every_frontend () =
     corpus
 
 let audit_accepts_corpus () =
-  (* the production audit: every testbed's direct execution checked
-     against the static set, then the normal shared sweep *)
+  (* the production audit: every testbed's Reference execution checked
+     against the static set, and against the Fast sweep *)
   List.iter
     (fun src ->
       ignore
-        (Comfort.Difftest.audit_reach_case Engine.all_testbeds
+        (Comfort.Difftest.audit_case Engine.all_testbeds
            (Comfort.Testcase.make src)))
     corpus
 
@@ -85,7 +85,7 @@ let audit_accepts_fuzzer_batch () =
   let batch = (Comfort.Campaign.comfort_fuzzer ~seed:7 ()).Comfort.Campaign.fz_batch 15 in
   Alcotest.(check bool) "batch non-empty" true (List.length batch >= 15);
   List.iter
-    (fun tc -> ignore (Comfort.Difftest.audit_reach_case Engine.all_testbeds tc))
+    (fun tc -> ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
     batch
 
 let precision_floor () =
@@ -130,75 +130,39 @@ let compiler_folds_unreachable_sites () =
     | Error _ -> Alcotest.fail ("corpus program failed to parse: " ^ s)
   in
   let p = prog "print(1);" in
-  let none = Compile.compile p in
+  let cell = Quirk.Set.empty in
+  let none = Compile.compile ~cell p in
   Alcotest.(check bool) "slotted" true none.Compile.cp_slotted;
   Alcotest.(check int) "no reach set: nothing folded" 0 none.Compile.cp_folded;
-  let all = Compile.compile ~reach:Reach.top p in
+  let all = Compile.compile ~reach:Reach.top ~cell p in
   Alcotest.(check int) "top reach set: nothing folded" 0 all.Compile.cp_folded;
-  let empty = Compile.compile ~reach:Quirk.Set.empty p in
+  let empty = Compile.compile ~reach:Quirk.Set.empty ~cell p in
   Alcotest.(check int) "empty reach set: every inline site folded"
     (Quirk.Set.cardinal Compile.compiled_checkpoints)
     empty.Compile.cp_folded
 
-let deopt_escape_hatch () =
-  (* force an unsound fold by hand: compile with an empty reach set a
-     program whose compiled path consults the neg-zero site, seed the
-     front-end cache with it, and check the consultation deopts to the
-     tree-walker and still produces the right answer *)
-  let src = "var z = 0; print(1 / -z);" in
-  let fe = Run.parse_frontend src in
-  let p =
-    match fe.Run.fe_program with Ok p -> p | Error _ -> Alcotest.fail "parse"
-  in
-  let poisoned = Compile.compile ~reach:Quirk.Set.empty p in
-  Alcotest.(check bool) "poisoned compile is slotted" true
-    poisoned.Compile.cp_slotted;
-  (* key (strict=false, reach=true, generic): specialisation is forced off
-     below so the run consults exactly this entry *)
-  Hashtbl.replace fe.Run.fe_compiled (false, true, -1) poisoned;
-  let r =
-    Run.run ~resolve:true ~reach:true ~specialize:false ~frontend:fe src
-  in
-  Alcotest.(check string) "deopt falls back to the tree answer"
-    "-Infinity\n" r.Run.r_output;
-  (* and with the quirk installed, the deopted run still honours it *)
-  let fe2 = Run.parse_frontend ~quirks:(quirks_of [ Quirk.Q_codegen_neg_zero_positive ]) src in
-  let p2 =
-    match fe2.Run.fe_program with Ok p -> p | Error _ -> Alcotest.fail "parse"
-  in
-  Hashtbl.replace fe2.Run.fe_compiled (false, true, -1)
-    (Compile.compile ~reach:Quirk.Set.empty p2);
-  let r2 =
-    Run.run
-      ~quirks:(quirks_of [ Quirk.Q_codegen_neg_zero_positive ])
-      ~resolve:true ~reach:true ~specialize:false ~frontend:fe2 src
-  in
-  Alcotest.(check string) "quirk honoured through the deopt" "Infinity\n"
-    r2.Run.r_output
-
 let folding_preserves_results () =
-  (* reach on vs off, field-wise, across testbed quirk sets: the folds a
-     *sound* reach set licenses must be invisible *)
+  (* reach on vs off under Fast, and both against Reference, field-wise,
+     across testbed quirk sets: the folds a *sound* reach set licenses
+     must be invisible *)
   List.iter
     (fun src ->
       List.iter
         (fun (tb : Engine.testbed) ->
           let strict = tb.Engine.tb_mode = Engine.Strict in
           let quirks = tb.Engine.tb_config.Engines.Registry.cfg_quirks in
-          let on = Run.run ~quirks ~strict ~resolve:true ~reach:true src in
-          let off = Run.run ~quirks ~strict ~resolve:true ~reach:false src in
+          let fast reach =
+            Run.run ~quirks ~strict ~strategy:Strategy.Fast ~reach src
+          in
+          let reference =
+            Run.run ~quirks ~strict ~strategy:Strategy.Reference src
+          in
           let id = Engine.testbed_id tb ^ " on " ^ src in
-          Alcotest.(check string) (id ^ ": output") off.Run.r_output
-            on.Run.r_output;
-          Alcotest.(check string) (id ^ ": status")
-            (Run.status_to_string off.Run.r_status)
-            (Run.status_to_string on.Run.r_status);
-          Alcotest.(check int) (id ^ ": fuel") off.Run.r_fuel_used
-            on.Run.r_fuel_used;
-          Alcotest.(check bool) (id ^ ": fired") true
-            (Quirk.Set.equal off.Run.r_fired on.Run.r_fired);
-          Alcotest.(check bool) (id ^ ": touched") true
-            (Quirk.Set.equal off.Run.r_touched on.Run.r_touched))
+          List.iter
+            (fun (tag, r) ->
+              Alcotest.(check (option string)) (id ^ ": " ^ tag) None
+                (Run.differing_field reference r))
+            [ ("reach on", fast true); ("reach off", fast false) ])
         (Engine.latest_testbeds ()))
     corpus
 
@@ -207,17 +171,18 @@ let sweep_executes_identically () =
      may only change the lookup path, never the execution count *)
   List.iter
     (fun src ->
-      let sweep reach =
+      let sweep make_cache =
         let before = Run.run_count () in
-        let ec = Engine.Exec.cache src in
+        let ec = make_cache src in
         List.iter
-          (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ~reach ec tb))
+          (fun tb ->
+            ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
           Engine.all_testbeds;
         let executed, shared = Engine.Exec.stats ec in
         (executed, shared, Run.run_count () - before, Engine.Exec.seeded ec)
       in
-      let ex_off, sh_off, runs_off, seeded_off = sweep false in
-      let ex_on, sh_on, runs_on, seeded_on = sweep true in
+      let ex_off, sh_off, runs_off, seeded_off = sweep Engine.Exec.probe_cache in
+      let ex_on, sh_on, runs_on, seeded_on = sweep Engine.Exec.cache in
       Alcotest.(check int) (src ^ ": same executions") ex_off ex_on;
       Alcotest.(check int) (src ^ ": same shares") sh_off sh_on;
       Alcotest.(check int) (src ^ ": same interpreter runs") runs_off runs_on;
@@ -232,7 +197,8 @@ let sweep_executes_identically () =
 print((0.1).toFixed(1));|}
   in
   List.iter
-    (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ~reach:true ec tb))
+    (fun tb ->
+      ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
     Engine.all_testbeds;
   Alcotest.(check bool) "reach-seeded shares happen" true
     (Engine.Exec.seeded ec > 0)
@@ -241,15 +207,12 @@ let run_case_reach_invariant () =
   List.iter
     (fun src ->
       let tc = Comfort.Testcase.make src in
-      let on =
-        Comfort.Difftest.run_case ~share:true ~reach:true Engine.all_testbeds tc
-      in
-      let off =
-        Comfort.Difftest.run_case ~share:true ~reach:false Engine.all_testbeds
-          tc
+      let run strategy =
+        Comfort.Difftest.run_case ~strategy Engine.all_testbeds tc
       in
       Alcotest.(check bool) (src ^ ": reports equal") true
-        (Comfort.Difftest.report_equal on off))
+        (Comfort.Difftest.report_equal (run Strategy.Fast)
+           (run Strategy.Reference)))
     corpus
 
 let disc_key (d : Comfort.Campaign.discovery) =
@@ -260,19 +223,19 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_reach_invariant () =
-  (* reach on/off x share on/off x jobs: identical discoveries, timeline
-     and filter counts — the acceptance bar in miniature *)
-  let campaign ~reach ~share ~jobs =
-    Comfort.Campaign.run ~budget:80 ~reach ~share ~jobs
+  (* Fast (reach-seeded) vs Reference x jobs: identical discoveries,
+     timeline and filter counts — the acceptance bar in miniature *)
+  let campaign ~strategy ~jobs =
+    Comfort.Campaign.run ~budget:80 ~strategy ~jobs
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
-  let base = campaign ~reach:false ~share:true ~jobs:1 in
-  Alcotest.(check int) "analysis off never seeds" 0
+  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
+  Alcotest.(check int) "Reference never seeds" 0
     base.Comfort.Campaign.cp_reach_seeded;
   List.iter
-    (fun (reach, share, jobs) ->
-      let r = campaign ~reach ~share ~jobs in
-      let tag = Printf.sprintf "reach=%b share=%b jobs=%d" reach share jobs in
+    (fun jobs ->
+      let r = campaign ~strategy:Strategy.Fast ~jobs in
+      let tag = Printf.sprintf "Fast jobs=%d" jobs in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -284,17 +247,15 @@ let campaign_reach_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed;
-      if reach && share then
-        Alcotest.(check bool) (tag ^ ": fast path engaged") true
-          (r.Comfort.Campaign.cp_reach_seeded > 0))
-    [ (true, true, 1); (true, true, 4); (true, false, 1); (false, false, 1) ]
+      Alcotest.(check bool) (tag ^ ": fast path engaged") true
+        (r.Comfort.Campaign.cp_reach_seeded > 0))
+    [ 1; 4 ]
 
 let campaign_audit_reach_passes () =
-  (* every 2nd case re-runs direct on every testbed and asserts the
-     soundness contract; any violation raises Reach_unsound *)
+  (* every 2nd case runs under both strategies and asserts the soundness
+     contract on every Reference run; any violation raises *)
   let r =
-    Comfort.Campaign.run ~budget:40 ~reach:true ~share:true ~audit_reach:2
-      ~jobs:2
+    Comfort.Campaign.run ~budget:40 ~audit:2 ~jobs:2
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
   Alcotest.(check int) "campaign completed" 40 r.Comfort.Campaign.cp_cases_run
@@ -302,14 +263,13 @@ let campaign_audit_reach_passes () =
 let suite =
   [
     case "static reach is sound on every front end" sound_on_every_frontend;
-    case "audit_reach_case accepts the corpus" audit_accepts_corpus;
-    case "audit_reach_case accepts a fuzzer batch" audit_accepts_fuzzer_batch;
+    case "audit reach check accepts the corpus" audit_accepts_corpus;
+    case "audit reach check accepts a fuzzer batch" audit_accepts_fuzzer_batch;
     case "precision floor: ordinary programs narrow" precision_floor;
     case "eval collapses to top" dynamic_constructs_are_top;
     case "strict analysis widens the sloppy one" strict_widens;
     case "compiler folds statically-unreachable sites"
       compiler_folds_unreachable_sites;
-    case "an unsound fold deopts to the tree" deopt_escape_hatch;
     case "folding preserves results field-wise" folding_preserves_results;
     case "sweeps execute identically with reach on/off"
       sweep_executes_identically;

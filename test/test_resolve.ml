@@ -1,14 +1,15 @@
 (* Slot-resolved compile-to-closure interpreter core (DESIGN.md §9).
 
-   The tentpole claim mirrors execution sharing's: selecting the
-   compiled core must never change a single observable — status, output,
-   fuel, fired/touched quirk sets, coverage — on any testbed, for any
-   program, including every deopt path. Coverage here:
+   The tentpole claim mirrors execution sharing's: the Fast strategy's
+   compiled core must never change a single observable of the Reference
+   tree-walker — status, output, fuel, fired/touched quirk sets,
+   coverage — on any testbed, for any program, including every deopt
+   path. Coverage here:
 
    - full-corpus differential parity on the conforming reference with
      coverage recording on;
-   - [Difftest.run_case] reports over all 102 testbeds, resolve on vs
-     off, byte-identical for the whole corpus;
+   - [Difftest.run_case] reports over all 102 testbeds, Fast vs
+     Reference, byte-identical for the whole corpus;
    - per-testbed field-wise result parity (no sharing, no voting) for a
      corpus sample and for every deopt fixture;
    - the deopt ladder: static per-program deopt (eval mention, top-level
@@ -16,9 +17,8 @@
      frozen-name mutation), and the dynamic computed-eval trap that
      re-runs tree-walked mid-campaign (the AST has no [with] statement,
      so the classic fourth trigger cannot occur);
-   - realm snapshots: builtin mutations must not leak between compiled
-     executions (the [Realm] copy is what makes the compiled core fast,
-     so its isolation is part of this tentpole's soundness);
+   - realm isolation: builtin mutations must not leak between Fast
+     executions, which share the domain's copy-on-write realm template;
    - campaign-level invariance, the bench acceptance check in miniature. *)
 
 open Helpers
@@ -50,8 +50,8 @@ let results_agree tag (tree : Run.result) (compiled : Run.result) =
 let corpus_parity_reference () =
   List.iteri
     (fun i src ->
-      let tree = Run.run ~coverage:true ~resolve:false src in
-      let compiled = Run.run ~coverage:true ~resolve:true src in
+      let tree = Run.run ~coverage:true ~strategy:Strategy.Reference src in
+      let compiled = Run.run ~coverage:true ~strategy:Strategy.Fast src in
       results_agree (Printf.sprintf "corpus[%d]" i) tree compiled)
     Lm.Js_corpus.programs
 
@@ -62,10 +62,10 @@ let corpus_run_case_resolve_invariant () =
     (fun i src ->
       let tc = Comfort.Testcase.make src in
       let compiled =
-        Comfort.Difftest.run_case ~resolve:true Engine.all_testbeds tc
+        Comfort.Difftest.run_case ~strategy:Strategy.Fast Engine.all_testbeds tc
       in
       let tree =
-        Comfort.Difftest.run_case ~resolve:false Engine.all_testbeds tc
+        Comfort.Difftest.run_case ~strategy:Strategy.Reference Engine.all_testbeds tc
       in
       Alcotest.(check bool)
         (Printf.sprintf "corpus[%d]: reports equal" i)
@@ -86,8 +86,8 @@ let corpus_sample_parity_all_testbeds () =
           let tag =
             Printf.sprintf "sample[%d] %s" i (Engine.testbed_id tb)
           in
-          let tree = Engine.run ~resolve:false tb src in
-          let compiled = Engine.run ~resolve:true tb src in
+          let tree = Engine.run ~strategy:Strategy.Reference tb src in
+          let compiled = Engine.run ~strategy:Strategy.Fast tb src in
           results_agree tag tree compiled)
         Engine.all_testbeds)
     sample
@@ -137,13 +137,13 @@ let deopt_fixtures_reach_parity () =
     (fun (tag, src) ->
       (* reference with coverage, plus a quirked testbed sweep: deopted
          and trap re-runs must stay bit-for-bit too *)
-      let tree = Run.run ~coverage:true ~resolve:false src in
-      let compiled = Run.run ~coverage:true ~resolve:true src in
+      let tree = Run.run ~coverage:true ~strategy:Strategy.Reference src in
+      let compiled = Run.run ~coverage:true ~strategy:Strategy.Fast src in
       results_agree tag tree compiled;
       List.iter
         (fun tb ->
-          let tree = Engine.run ~resolve:false tb src in
-          let compiled = Engine.run ~resolve:true tb src in
+          let tree = Engine.run ~strategy:Strategy.Reference tb src in
+          let compiled = Engine.run ~strategy:Strategy.Fast tb src in
           results_agree (tag ^ " @ " ^ Engine.testbed_id tb) tree compiled)
         Engine.all_testbeds)
     deopt_fixtures
@@ -159,22 +159,23 @@ print(f());|}
   let quirks = quirks_of [ Quirk.Q_named_funcexpr_binding_mutable ] in
   List.iter
     (fun qs ->
-      let tree = Run.run ~quirks:qs ~resolve:false src in
-      let compiled = Run.run ~quirks:qs ~resolve:true src in
+      let tree = Run.run ~quirks:qs ~strategy:Strategy.Reference src in
+      let compiled = Run.run ~quirks:qs ~strategy:Strategy.Fast src in
       results_agree
         (Printf.sprintf "frozen mutation, %d quirks" (Quirk.Set.cardinal qs))
         tree compiled)
     [ Quirk.Set.empty; quirks ];
   Alcotest.(check string) "quirk flips the binding" "number\n"
-    (Run.run ~quirks ~resolve:true src).Run.r_output;
+    (Run.run ~quirks ~strategy:Strategy.Fast src).Run.r_output;
   Alcotest.(check string) "conforming keeps it frozen" "function\n"
-    (Run.run ~resolve:true src).Run.r_output
+    (Run.run ~strategy:Strategy.Fast src).Run.r_output
 
 (* --- static compile classification --- *)
 
 let compile_classifies_programs () =
-  let slotted src = (Compile.compile (parse src)).Compile.cp_slotted in
-  let deopt_fns src = (Compile.compile (parse src)).Compile.cp_deopt_fns in
+  let compile src = Compile.compile ~cell:Quirk.Set.empty (parse src) in
+  let slotted src = (compile src).Compile.cp_slotted in
+  let deopt_fns src = (compile src).Compile.cp_deopt_fns in
   Alcotest.(check bool) "plain program is slotted" true
     (slotted "var x = 1; print(x);");
   Alcotest.(check bool) "eval mention deopts the program" false
@@ -196,15 +197,16 @@ let dynamic_trap_still_counts_one_execution () =
      sharing bench reports *)
   let src = {|var n = "ev" + "al"; this[n]("var v = 3;"); print(v);|} in
   let before = Run.run_count () in
-  let r = Run.run ~resolve:true src in
+  let r = Run.run ~strategy:Strategy.Fast src in
   Alcotest.(check int) "one execution recorded" (before + 1) (Run.run_count ());
   Alcotest.(check string) "trap produced the eval effect" "3\n" r.Run.r_output
 
-(* --- realm snapshot isolation --- *)
+(* --- realm isolation --- *)
 
 let realm_snapshots_are_isolated () =
-  (* a compiled execution runs in a realm copied from the shared
-     template; builtin mutations must die with the execution *)
+  (* a Fast execution borrows the domain's realm template behind the
+     copy-on-write barrier; builtin mutations must die with the
+     execution *)
   let vandal =
     {|String.prototype.charAt = function () { return "Z"; };
 Array.prototype.extra = 1;
@@ -212,16 +214,16 @@ print("a".charAt(0));|}
   in
   let probe = {|print("a".charAt(0)); print([].extra);|} in
   Alcotest.(check string) "vandal sees its own mutation" "Z\n"
-    (Run.run ~resolve:true vandal).Run.r_output;
+    (Run.run ~strategy:Strategy.Fast vandal).Run.r_output;
   Alcotest.(check string) "vandal again, fresh realm" "Z\n"
-    (Run.run ~resolve:true vandal).Run.r_output;
+    (Run.run ~strategy:Strategy.Fast vandal).Run.r_output;
   Alcotest.(check string) "later execution is unaffected" "a\nundefined\n"
-    (Run.run ~resolve:true probe).Run.r_output;
-  (* and the snapshot realm itself is indistinguishable from a freshly
+    (Run.run ~strategy:Strategy.Fast probe).Run.r_output;
+  (* and the borrowed realm itself is indistinguishable from a freshly
      installed one *)
   results_agree "probe parity"
-    (Run.run ~coverage:true ~resolve:false probe)
-    (Run.run ~coverage:true ~resolve:true probe)
+    (Run.run ~coverage:true ~strategy:Strategy.Reference probe)
+    (Run.run ~coverage:true ~strategy:Strategy.Fast probe)
 
 (* --- campaign-level invariance --- *)
 
@@ -233,35 +235,29 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_resolve_invariant () =
-  (* (share x resolve) grid on one seed: same discoveries, timeline and
-     filter counts everywhere — the bench's identical_results check in
-     miniature *)
-  let campaign ~share ~resolve =
-    Comfort.Campaign.run ~budget:80 ~share ~resolve ~jobs:1
+  (* Fast vs Reference on one seed: same discoveries, timeline and filter
+     counts — the bench's identical_results check in miniature *)
+  let campaign strategy =
+    Comfort.Campaign.run ~budget:80 ~strategy ~jobs:1
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
-  let base = campaign ~share:false ~resolve:false in
-  List.iter
-    (fun (share, resolve) ->
-      let r = campaign ~share ~resolve in
-      let tag = Printf.sprintf "share=%b resolve=%b" share resolve in
-      Alcotest.(check bool) (tag ^ ": same discoveries") true
-        (List.map disc_key r.Comfort.Campaign.cp_discoveries
-        = List.map disc_key base.Comfort.Campaign.cp_discoveries);
-      Alcotest.(check bool) (tag ^ ": same timeline") true
-        (r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline);
-      Alcotest.(check int) (tag ^ ": same filtered repeats")
-        base.Comfort.Campaign.cp_filtered_repeats
-        r.Comfort.Campaign.cp_filtered_repeats)
-    [ (false, true); (true, false); (true, true) ]
+  let base = campaign Strategy.Reference in
+  let r = campaign Strategy.Fast in
+  Alcotest.(check bool) "same discoveries" true
+    (List.map disc_key r.Comfort.Campaign.cp_discoveries
+    = List.map disc_key base.Comfort.Campaign.cp_discoveries);
+  Alcotest.(check bool) "same timeline" true
+    (r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline);
+  Alcotest.(check int) "same filtered repeats"
+    base.Comfort.Campaign.cp_filtered_repeats
+    r.Comfort.Campaign.cp_filtered_repeats
 
 let audit_share_accepts_resolve () =
-  (* the sharing cross-check must hold under the compiled core too *)
+  (* the Fast = Reference audit must hold on every deopt path too *)
   List.iter
     (fun (_, src) ->
       let tc = Comfort.Testcase.make src in
-      ignore
-        (Comfort.Difftest.audit_case ~resolve:true Engine.all_testbeds tc))
+      ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
     deopt_fixtures
 
 let suite =

@@ -1,19 +1,23 @@
-(* Execution sharing (DESIGN.md §8).
+(* Execution sharing (DESIGN.md §8) and the Fast = Reference contract.
 
-   The tentpole claim is behavioural: collapsing the 102-testbed sweep
-   into quirk-reachability equivalence classes must never change a single
-   observable result. Coverage here:
+   The tentpole claim is behavioural: the Fast strategy — the
+   102-testbed sweep collapsed into quirk-reachability equivalence
+   classes, executed on specialised compiled closures in copy-on-write
+   realms with recycled scratch — must never change a single observable
+   result of the Reference oracle. Coverage here:
 
    - the [Run.shares_class] fixpoint on a program where one quirk's
      firing steers control flow into a second quirk checkpoint — the
      exact situation where predicting reachability instead of observing
      it would be unsound;
-   - [Engine.Exec] vs direct [Engine.run] over all 102 testbeds,
-     field-wise, plus the executed/shared accounting and the >=4x
-     execution reduction the bench records;
-   - [Difftest.run_case] and full [Campaign.run]s with sharing on vs off
+   - the Fast [Engine.Exec] sweep vs Reference [Engine.run] over all 102
+     testbeds and the reference engine, field-wise, with every Reference
+     touched set inside the static reach set, plus the executed/shared
+     accounting and the >=4x execution reduction the bench records;
+   - [Difftest.run_case] and full [Campaign.run]s under both strategies
      at 1 and 4 jobs, byte-identical reports throughout;
-   - the audit mode accepting a clean sample. *)
+   - the audit accepting a clean sample, alone and inside a campaign;
+   - a fixed-seed property over Comfort, Fuzzilli and DIE programs. *)
 
 open Helpers
 open Jsinterp
@@ -125,44 +129,56 @@ foo(-634619);|};
     "print(`t${2}`);";
   ]
 
-(* The first field on which a shared sweep of [src] — all 102 testbeds,
-   then the reference engine, through one [Engine.Exec] cache — differs
-   from direct runs, as "<testbed> <field>"; [None] when every field of
-   every result agrees. *)
+(* The first disagreement, as "<testbed> <field>", between the Fast
+   sweep of [src] — all 102 testbeds, then the reference engine, through
+   one [Engine.Exec] cache — and direct Reference runs that each parse for
+   themselves; a Reference run whose touched set leaves the static reach
+   set of the front end the Fast sweep used counts as a disagreement too.
+   [None] when every field of every result agrees. *)
 let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
   let ec = Engine.Exec.cache src in
-  let compare id (d : Run.result) (s : Run.result) =
-    List.find_map
-      (fun (field, same) -> if same then None else Some (id ^ " " ^ field))
-      [
-        ("parsed", d.Run.r_parsed = s.Run.r_parsed);
-        ("parse error", d.Run.r_parse_error = s.Run.r_parse_error);
-        ("status", d.Run.r_status = s.Run.r_status);
-        ("output", String.equal d.Run.r_output s.Run.r_output);
-        ("fuel", d.Run.r_fuel_used = s.Run.r_fuel_used);
-        ("fired", Quirk.Set.equal d.Run.r_fired s.Run.r_fired);
-        ("touched", Quirk.Set.equal d.Run.r_touched s.Run.r_touched);
-      ]
+  let fc = Engine.Exec.frontend_cache ec in
+  let check id fe (reference : Run.result) (fast : Run.result) =
+    match Run.differing_field reference fast with
+    | Some field -> Some (id ^ " " ^ field)
+    | None ->
+        if Quirk.Set.subset reference.Run.r_touched (Run.reach_set fe) then
+          None
+        else Some (id ^ " touched outside the static reach set")
   in
-  let rec sweep = function
-    | [] ->
-        compare "reference"
-          (Engine.run_reference ~fuel src)
-          (Engine.Exec.run_reference ~fuel ec)
-    | (tb : Engine.testbed) :: rest -> (
-        match
-          compare (Engine.testbed_id tb) (Engine.run ~fuel tb src)
-            (Engine.Exec.run ~fuel ec tb)
-        with
-        | None -> sweep rest
-        | mismatch -> mismatch)
+  let testbed (tb : Engine.testbed) =
+    let fast = Engine.Exec.run ~fuel ~strategy:Strategy.Fast ec tb in
+    check (Engine.testbed_id tb)
+      (Engine.Frontend.frontend fc tb)
+      (Engine.run ~fuel ~strategy:Strategy.Reference tb src)
+      fast
   in
-  sweep Engine.all_testbeds
+  let reference_engine () =
+    let fast = Engine.Exec.run_reference ~fuel ~strategy:Strategy.Fast ec in
+    check "reference"
+      (Engine.Frontend.frontend_for fc
+         ~key:(Engines.Registry.reference_parse_key, false)
+         ~quirks:Quirk.Set.empty ~parse_opts:Jsparse.Parser.default_options
+         ~strict:false)
+      (Engine.run_reference ~fuel ~strategy:Strategy.Reference src)
+      fast
+  in
+  match List.find_map testbed Engine.all_testbeds with
+  | Some m -> Some m
+  | None -> (
+      match reference_engine () with
+      | Some m -> Some m
+      | None -> (
+          (* every Fast execution borrowed the domain's realm template;
+             each must have rolled its writes back *)
+          match Realm.check_pristine () with
+          | Ok () -> None
+          | Error what -> Some ("realm template not pristine: " ^ what)))
 
 let check_sweep src =
   match sweep_mismatch src with
   | None -> ()
-  | Some m -> Alcotest.failf "shared sweep differs from direct (%s) on:\n%s" m src
+  | Some m -> Alcotest.failf "Fast sweep differs from Reference (%s) on:\n%s" m src
 
 let exec_cache_equals_direct_sweep () = List.iter check_sweep sweep_sources
 
@@ -209,7 +225,8 @@ let cross_group_reparse_fixtures () =
 let sweep_executions src =
   let ec = Engine.Exec.cache src in
   List.iter
-    (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ec tb))
+    (fun tb ->
+      ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
     Engine.all_testbeds;
   fst (Engine.Exec.stats ec)
 
@@ -242,7 +259,8 @@ let exec_cache_collapses_the_sweep () =
         List.length
           (List.filter
              (fun (tb : Engine.testbed) ->
-               ignore (Engine.Exec.run ~fuel:100_000 ec tb);
+               ignore
+                 (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb);
                true)
              Engine.all_testbeds)
       in
@@ -261,21 +279,23 @@ let run_case_share_equals_direct () =
   List.iter
     (fun src ->
       let tc = Comfort.Testcase.make src in
-      let shared =
-        Comfort.Difftest.run_case ~share:true Engine.all_testbeds tc
-      in
-      let direct =
-        Comfort.Difftest.run_case ~share:false Engine.all_testbeds tc
+      let run strategy =
+        Comfort.Difftest.run_case ~strategy Engine.all_testbeds tc
       in
       Alcotest.(check bool) (src ^ ": reports equal") true
-        (Comfort.Difftest.report_equal shared direct))
+        (Comfort.Difftest.report_equal (run Strategy.Fast)
+           (run Strategy.Reference)))
     sweep_sources
 
 let audit_accepts_equal_paths () =
   List.iter
     (fun src ->
       let tc = Comfort.Testcase.make src in
-      ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
+      let audited = Comfort.Difftest.audit_case Engine.all_testbeds tc in
+      Alcotest.(check bool) (src ^ ": audit returns the Fast report") true
+        (Comfort.Difftest.report_equal audited
+           (Comfort.Difftest.run_case ~strategy:Strategy.Fast
+              Engine.all_testbeds tc)))
     sweep_sources
 
 let disc_key (d : Comfort.Campaign.discovery) =
@@ -286,17 +306,19 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_share_invariant () =
-  (* sharing on/off x jobs 1/4: same discoveries, timeline and filter
-     counts everywhere — the bench's acceptance check in miniature *)
-  let campaign ~share ~jobs =
-    Comfort.Campaign.run ~budget:100 ~share ~jobs
+  (* strategy x jobs 1/4: same discoveries, timeline and filter counts
+     everywhere — the bench's acceptance check in miniature *)
+  let campaign ~strategy ~jobs =
+    Comfort.Campaign.run ~budget:100 ~strategy ~jobs
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
-  let base = campaign ~share:false ~jobs:1 in
+  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
   List.iter
-    (fun (share, jobs) ->
-      let r = campaign ~share ~jobs in
-      let tag = Printf.sprintf "share=%b jobs=%d" share jobs in
+    (fun (strategy, jobs) ->
+      let r = campaign ~strategy ~jobs in
+      let tag =
+        Printf.sprintf "%s jobs=%d" (Strategy.to_string strategy) jobs
+      in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -308,12 +330,13 @@ let campaign_share_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (false, 4); (true, 1); (true, 4) ]
+    [ (Strategy.Reference, 4); (Strategy.Fast, 1); (Strategy.Fast, 4) ]
 
 let campaign_audit_mode_passes () =
-  (* every 3rd case double-runs and cross-checks; any mismatch raises *)
+  (* every 3rd case runs under both strategies and cross-checks; any
+     mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:60 ~share:true ~audit_share:3 ~jobs:2
+    Comfort.Campaign.run ~budget:60 ~audit:3 ~jobs:2
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
   Alcotest.(check int) "campaign completed" 60 r.Comfort.Campaign.cp_cases_run
@@ -347,43 +370,67 @@ var junk2 = 2;|}
       d_fired = target.Run.r_fired;
     }
   in
-  let reduce share =
+  let reduce strategy =
     Comfort.Reducer.reduce
-      ~still_triggers:(Comfort.Reducer.still_triggers_deviation ~share tb dev)
+      ~still_triggers:(Comfort.Reducer.still_triggers_deviation ~strategy tb dev)
       src
   in
-  Alcotest.(check string) "same reduction" (reduce false) (reduce true)
+  Alcotest.(check string) "same reduction" (reduce Strategy.Reference)
+    (reduce Strategy.Fast)
 
-(* Shared sweep = direct sweep, field by field, on generated programs:
-   the LM-driven Comfort fuzzer's cases and the Fuzzilli-style mutator's
-   loop-heavy ones, drawn from fixed fuzzer seeds by a fixed QCheck seed.
-   The fuel cap keeps the 102 direct runs of a loop-heavy case cheap and
-   lets timeouts take part in the comparison. *)
+(* Fast = Reference, field by field, on generated programs: the
+   LM-driven Comfort fuzzer's cases, the Fuzzilli-style mutator's
+   loop-heavy ones and the DIE-style mutator's, drawn from fixed fuzzer
+   seeds by a fixed QCheck seed, each swept over all 102 testbeds and the
+   reference engine (see [sweep_mismatch]: the Fast sweep is the shared
+   one, the Reference sweep the direct one). The fuel cap keeps the 103
+   Reference runs of a loop-heavy case cheap and lets timeouts take part
+   in the comparison. Generated programs leave builtins alone, so one
+   draw in seven is a program that writes to the realm template after
+   reading what it writes: a write the copy-on-write rollback misses
+   shows up in a later Fast execution's output and in the template
+   audit. *)
 let fuzzer_pool =
   lazy
     (Array.of_list
        (List.concat_map
           (fun (fz : Comfort.Campaign.fuzzer) ->
             List.filteri
-              (fun i _ -> i < 30)
+              (fun i _ -> i < 20)
               (List.map
                  (fun tc -> tc.Comfort.Testcase.tc_source)
-                 (fz.Comfort.Campaign.fz_batch 30)))
+                 (fz.Comfort.Campaign.fz_batch 20)))
           [
             Comfort.Campaign.comfort_fuzzer ~seed:41 ();
             Baselines.Fuzzers.fuzzilli ~seed:43 ();
+            Baselines.Fuzzers.die ~seed:47 ();
           ]))
+
+let template_writers =
+  [
+    "print(typeof Object.prototype.z); Object.prototype.z = 7; print({}.z);";
+    "print(Math.extra); Math.extra = 1; print(Math.extra + Math.floor(1.5));";
+    {|print("a".charAt(0));
+String.prototype.charAt = function () { return "Z"; };
+print("a".charAt(0));|};
+    "print(typeof this.leak); this.leak = [1]; print(this.leak.length);";
+  ]
 
 let shared_sweep_equals_direct_prop =
   QCheck2.Test.make ~count:60
-    ~name:"shared sweep = direct sweep on fuzzer programs"
+    ~name:"shared sweep = direct sweep on fuzzer programs (Fast = Reference)"
     ~print:Fun.id
     QCheck2.Gen.(
-      map
-        (fun i ->
-          let pool = Lazy.force fuzzer_pool in
-          pool.(i mod Array.length pool))
-        nat)
+      frequency
+        [
+          ( 6,
+            map
+              (fun i ->
+                let pool = Lazy.force fuzzer_pool in
+                pool.(i mod Array.length pool))
+              nat );
+          (1, oneofl template_writers);
+        ])
     (fun src ->
       match sweep_mismatch ~fuel:20_000 src with
       | None -> true

@@ -1,11 +1,11 @@
-(* The quirk-specialised fast path (PR 7): copy-on-write realms,
-   per-cell compiled closures with baked-in checkpoint answers, and
-   monomorphic inline caches at compiled property sites.
+(* The quirk-specialised side of the Fast strategy: copy-on-write
+   realms, per-cell compiled closures with baked-in checkpoint answers,
+   and monomorphic inline caches at compiled property sites.
 
-   The contract under test is the same as for sharing, resolving and
-   reach: specialisation is *invisible in results*. Every run, sweep and
-   campaign must produce field-for-field what the generic path produces;
-   the only legitimate difference is speed. On top of that, the
+   The contract under test is the Fast = Reference contract:
+   specialisation is *invisible in results*. Every run, sweep and
+   campaign must produce field-for-field what the Reference oracle
+   produces; the only legitimate difference is speed. On top of that, the
    copy-on-write realm must leak nothing across executions — after any
    mutation-heavy sweep the domain's shared template has to audit
    pristine. *)
@@ -14,6 +14,7 @@ open Helpers
 module Engine = Engines.Engine
 module Run = Jsinterp.Run
 module Realm = Jsinterp.Realm
+module Strategy = Jsinterp.Strategy
 
 (* Sources chosen to stress exactly the machinery specialisation adds:
    inline caches (hot property loops, prototype method loads, layout
@@ -70,21 +71,19 @@ let check_result_equal id (a : Run.result) (b : Run.result) =
   Alcotest.(check bool) (id ^ ": touched") true
     (Jsinterp.Quirk.Set.equal a.Run.r_touched b.Run.r_touched)
 
-(* --- specialised runs equal generic runs, field for field --- *)
+(* --- specialised runs equal Reference runs, field for field --- *)
 
-let specialized_equals_generic () =
+let specialized_equals_reference () =
   List.iter
     (fun src ->
       List.iter
         (fun (tb : Engine.testbed) ->
           let id = Engine.testbed_id tb ^ " on " ^ String.sub src 0 12 in
-          let generic =
-            Engine.run ~fuel:100_000 ~resolve:true ~specialize:false tb src
+          let reference =
+            Engine.run ~fuel:100_000 ~strategy:Strategy.Reference tb src
           in
-          let fast =
-            Engine.run ~fuel:100_000 ~resolve:true ~specialize:true tb src
-          in
-          check_result_equal id generic fast)
+          let fast = Engine.run ~fuel:100_000 ~strategy:Strategy.Fast tb src in
+          check_result_equal id reference fast)
         Engine.all_testbeds)
     corpus
 
@@ -100,7 +99,7 @@ let cow_sweep_leaves_realm_pristine () =
       let ec = Engine.Exec.cache src in
       List.iter
         (fun tb ->
-          ignore (Engine.Exec.run ~fuel:100_000 ~specialize:true ec tb))
+          ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
         Engine.all_testbeds;
       match Realm.check_pristine () with
       | Ok () -> ()
@@ -108,20 +107,23 @@ let cow_sweep_leaves_realm_pristine () =
           Alcotest.failf "template not pristine after %S: %s" src what)
     corpus
 
-let cow_sweep_matches_generic_sweep () =
-  (* the same sweep with specialisation on and off, through separate
-     caches, must agree result for result *)
+let cow_sweep_matches_reference_sweep () =
+  (* the same sweep under both strategies, through separate caches, must
+     agree result for result *)
   List.iter
     (fun src ->
       let ec_fast = Engine.Exec.cache src in
-      let ec_slow = Engine.Exec.cache src in
+      let ec_ref = Engine.Exec.cache src in
       List.iter
         (fun tb ->
-          let fast = Engine.Exec.run ~fuel:100_000 ~specialize:true ec_fast tb in
-          let slow =
-            Engine.Exec.run ~fuel:100_000 ~specialize:false ec_slow tb
+          let fast =
+            Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec_fast tb
           in
-          check_result_equal (Engine.testbed_id tb) slow fast)
+          let reference =
+            Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Reference ec_ref
+              tb
+          in
+          check_result_equal (Engine.testbed_id tb) reference fast)
         Engine.all_testbeds)
     corpus
 
@@ -135,12 +137,12 @@ let counters_engage () =
   let ic0 = Jsinterp.Value.ic_count () in
   let cow0 = Jsinterp.Value.cow_count () in
   ignore
-    (Run.run ~resolve:true ~specialize:true
+    (Run.run ~strategy:Strategy.Fast
        "var o = {a: 1, b: 2};\n\
         for (var i = 0; i < 50; i++) o.a = o.a + o.b;\n\
         print(o.a);");
   ignore
-    (Run.run ~resolve:true ~specialize:true
+    (Run.run ~strategy:Strategy.Fast
        "Object.prototype.z = 7;\nvar o = {};\nprint(o.z);");
   Alcotest.(check bool) "per-cell compilations happened" true
     (Jsinterp.Compile.specialized_count () > spec0);
@@ -157,10 +159,8 @@ let audit_specialize_passes () =
   List.iter
     (fun src ->
       let tc = Comfort.Testcase.make src in
-      (* raises Specialize_mismatch on any divergence *)
-      ignore
-        (Comfort.Difftest.audit_specialize_case ~share:true ~resolve:true
-           Engine.all_testbeds tc))
+      (* raises Audit_mismatch on any divergence *)
+      ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
     corpus
 
 (* --- campaign invariance --- *)
@@ -173,18 +173,19 @@ let disc_key (d : Comfort.Campaign.discovery) =
     Engine.mode_to_string d.Comfort.Campaign.disc_mode )
 
 let campaign_specialize_invariant () =
-  (* specialisation on/off x jobs: identical discoveries, timeline and
-     filter counts — the acceptance bar in miniature *)
-  let campaign ~specialize ~jobs =
-    Comfort.Campaign.run ~budget:80 ~share:true ~resolve:true ~specialize
-      ~jobs
+  (* strategy x jobs: identical discoveries, timeline and filter counts —
+     the acceptance bar in miniature *)
+  let campaign ~strategy ~jobs =
+    Comfort.Campaign.run ~budget:80 ~strategy ~jobs
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
-  let base = campaign ~specialize:false ~jobs:1 in
+  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
   List.iter
-    (fun (specialize, jobs) ->
-      let r = campaign ~specialize ~jobs in
-      let tag = Printf.sprintf "specialize=%b jobs=%d" specialize jobs in
+    (fun (strategy, jobs) ->
+      let r = campaign ~strategy ~jobs in
+      let tag =
+        Printf.sprintf "%s jobs=%d" (Strategy.to_string strategy) jobs
+      in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -196,20 +197,19 @@ let campaign_specialize_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (true, 1); (true, 4); (false, 4) ]
+    [ (Strategy.Fast, 1); (Strategy.Fast, 4); (Strategy.Reference, 4) ]
 
 let campaign_audit_specialize_passes () =
-  (* every 2nd case cross-checks the specialised report against the
-     generic one in a live campaign; a mismatch raises *)
+  (* every 2nd case cross-checks the Fast sweep against the Reference one
+     in a live campaign; a mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:40 ~share:true ~resolve:true
-      ~specialize:true ~audit_specialize:2 ~jobs:1
+    Comfort.Campaign.run ~budget:40 ~audit:2 ~jobs:1
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
   Alcotest.(check int) "campaign completed its budget" 40
     r.Comfort.Campaign.cp_cases_run
 
-(* --- integer element keys: one element path for all three cores ---
+(* --- integer element keys: one element path for both cores ---
 
    [a[k]] with an index Number on an array takes [Ops.get_index] /
    [Ops.set_index]'s integer path in both the compiled core and the
@@ -217,8 +217,8 @@ let campaign_audit_specialize_passes () =
    hit the edges of that split (keys just outside the integer domain,
    frozen/sealed/non-extensible and typed receivers, the element-store
    quirks) plus two generated programs whose array loops dominated a
-   campaign's interpreter time, and require the tree-walker, the
-   compiled core and the specialised core to agree on every testbed. *)
+   campaign's interpreter time, and require the Reference tree-walker
+   and the Fast compiled core to agree on every testbed. *)
 
 let element_key_fixtures =
   [
@@ -313,14 +313,9 @@ let element_keys_agree_across_cores () =
       List.iter
         (fun (tb : Engine.testbed) ->
           let id = Engine.testbed_id tb ^ " on " ^ name in
-          let run ~resolve ~specialize =
-            Engine.run ~fuel:100_000 ~resolve ~specialize tb src
-          in
-          let tree = run ~resolve:false ~specialize:false in
-          check_result_equal (id ^ " (compiled)") tree
-            (run ~resolve:true ~specialize:false);
-          check_result_equal (id ^ " (specialised)") tree
-            (run ~resolve:true ~specialize:true);
+          let run strategy = Engine.run ~fuel:100_000 ~strategy tb src in
+          let tree = run Strategy.Reference in
+          check_result_equal (id ^ " (Fast)") tree (run Strategy.Fast);
           fired := Jsinterp.Quirk.Set.union !fired tree.Run.r_fired)
         Engine.all_testbeds)
     element_key_fixtures;
@@ -363,12 +358,12 @@ let integer_keys_match_string_keys () =
       List.iter
         (fun (tb : Engine.testbed) ->
           List.iter
-            (fun resolve ->
+            (fun strategy ->
               let id =
-                Printf.sprintf "%s, key %s, resolve=%b" (Engine.testbed_id tb)
-                  key resolve
+                Printf.sprintf "%s, key %s, %s" (Engine.testbed_id tb) key
+                  (Strategy.to_string strategy)
               in
-              let run src = Engine.run ~fuel:100_000 ~resolve tb src in
+              let run src = Engine.run ~fuel:100_000 ~strategy tb src in
               let a = run (num ^ element_key_body)
               and b = run (str ^ element_key_body) in
               Alcotest.(check string) (id ^ ": status")
@@ -379,7 +374,7 @@ let integer_keys_match_string_keys () =
               Alcotest.(check int) (id ^ ": fuel")
                 (b.Run.r_fuel_used - (run str).Run.r_fuel_used)
                 (a.Run.r_fuel_used - (run num).Run.r_fuel_used))
-            [ false; true ])
+            [ Strategy.Reference; Strategy.Fast ])
         Engine.all_testbeds)
     [
       "0"; "-0"; "1"; "2"; "3"; "1.5"; "-1"; "NaN"; "Infinity"; "2 ** 53";
@@ -388,15 +383,15 @@ let integer_keys_match_string_keys () =
 
 let suite =
   [
-    case "specialised runs equal generic runs" specialized_equals_generic;
+    case "specialised runs equal Reference runs" specialized_equals_reference;
     case "COW sweeps leave the realm pristine" cow_sweep_leaves_realm_pristine;
-    case "COW sweeps match generic sweeps" cow_sweep_matches_generic_sweep;
+    case "COW sweeps match Reference sweeps" cow_sweep_matches_reference_sweep;
     case "specialisation counters engage" counters_engage;
     case "per-case specialise audit passes" audit_specialize_passes;
     case "campaigns are specialisation-invariant"
       campaign_specialize_invariant;
     case "auditing campaign passes" campaign_audit_specialize_passes;
-    case "element keys agree across all three cores"
+    case "element keys agree across both cores"
       element_keys_agree_across_cores;
     case "integer keys behave as their ToString" integer_keys_match_string_keys;
   ]

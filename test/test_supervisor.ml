@@ -453,6 +453,27 @@ let checkpoint_load_rejects_garbage () =
   Alcotest.(check bool) "missing file rejected" true
     (Result.is_error (Campaign.Checkpoint.load path))
 
+let checkpoint_load_rejects_v4 () =
+  (* a well-framed checkpoint of the previous format, whose state record
+     still carried the per-layer switches: the header check must refuse
+     it before anything is unmarshalled *)
+  let path = ckpt_path "comfort-test-v4.ckpt" in
+  let oc = open_out_bin path in
+  output_string oc "COMFORT-CKPT v4\n";
+  output_string oc (Comfort.Ipc.encode ("Comfort", 300_000, true, Some true));
+  close_out oc;
+  let loaded =
+    match Campaign.Checkpoint.load path with
+    | r -> r
+    | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e)
+  in
+  Sys.remove path;
+  match loaded with
+  | Ok _ -> Alcotest.fail "v4 checkpoint accepted"
+  | Error e ->
+      Alcotest.(check bool) ("refused: " ^ e) true
+        (contains e "bad checkpoint header")
+
 let checkpoint_load_rejects_torn_file () =
   (* a real checkpoint cut off mid-Marshal — what a disk-full or a
      crash during a non-atomic copy would leave behind. [load] must
@@ -597,6 +618,7 @@ let suite =
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
+    Helpers.case "checkpoint: v4 header refused" checkpoint_load_rejects_v4;
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
