@@ -878,11 +878,16 @@ let campaign_bench () =
    copy-on-write realm) vs the Reference tree walker on four hand-written
    workload shapes, each stressing a different part of the interpreter
    (deep lexical scope chains, function calls, string building, property
-   traffic), plus two generated programs whose array loops are
-   element-key traffic. Each program is parsed once up front; the timed
-   body is execution only (under Fast the closure compilation is cached
-   in the front end after the first run, matching production where one
-   compile serves a whole testbed sweep). Emits BENCH_interp.json. *)
+   traffic), plus four generated programs: two whose array loops are
+   element-key traffic and two that print a 64k-element array. Each
+   program is parsed once up front; the timed body is execution only
+   (under Fast the closure compilation is cached in the front end after
+   the first run, matching production where one compile serves a whole
+   testbed sweep). The [vote] row times [Difftest.judge] alone, in ns per
+   judged 102-testbed sweep of the generated cases in [vote_cases]: its
+   reference column judges Reference sweeps, where every testbed carries
+   its own output string, and its fast column judges Fast sweeps, where
+   each execution class shares one. Emits BENCH_interp.json. *)
 let interp_programs =
   [
     ( "scope",
@@ -965,7 +970,27 @@ var result = foo(arg_a, arg_b);
 print(result);
 |js}
     );
+    (* generator output, verbatim: the fuzzilli-102 campaign's seed 4
+       case 575 and seed 1 case 286, whose printed arrays dominated its
+       interpreter and vote time *)
+    ( "gen-join",
+      {js|var v = [1, 2, 5];
+v[65535] = 10;
+print(v);
+print(v[2]);
+|js}
+    );
+    ( "gen-typed",
+      {js|var t = new Uint8Array(65535);
+t.set([1, 2], 1);
+print(t);
+|js}
+    );
   ]
+
+(* the [vote] row's cases: the generated programs short enough to sweep
+   over all 102 testbeds on the Reference path at bench start-up *)
+let vote_cases = [ "gen-fill"; "gen-join"; "gen-typed" ]
 
 let interp_bench () =
   header "Interpreter core: Fast vs Reference (ns/op)";
@@ -1001,12 +1026,26 @@ let interp_bench () =
       (Staged.stage (fun () ->
            ignore (Jsinterp.Run.run ~fuel ~strategy ~frontend:fe src)))
   in
+  let vote_test ~strategy =
+    let sweeps =
+      List.map
+        (fun name ->
+          Comfort.Difftest.sweep_case ~strategy Engines.Engine.all_testbeds
+            (Comfort.Testcase.make (List.assoc name interp_programs)))
+        vote_cases
+    in
+    Test.make
+      ~name:(Printf.sprintf "vote/%s" (to_string strategy))
+      (Staged.stage (fun () ->
+           List.iter (fun sw -> ignore (Comfort.Difftest.judge sw)) sweeps))
+  in
   let tests =
     Test.make_grouped ~name:"interp"
       (List.concat_map
          (fun p ->
            List.map (fun strategy -> make_test ~strategy p) [ Reference; Fast ])
-         interp_programs)
+         interp_programs
+      @ List.map (fun strategy -> vote_test ~strategy) [ Reference; Fast ])
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
@@ -1023,6 +1062,7 @@ let interp_bench () =
         match Analyze.OLS.estimates r with Some (t :: _) -> Some t | _ -> None)
     | None -> None
   in
+  let per_judge = Float.of_int (List.length vote_cases) in
   let rows =
     List.filter_map
       (fun (name, _) ->
@@ -1030,6 +1070,11 @@ let interp_bench () =
         | Some reference, Some fast -> Some (name, reference, fast)
         | _ -> None)
       interp_programs
+    @
+    match (estimate "vote" Reference, estimate "vote" Fast) with
+    | Some reference, Some fast ->
+        [ ("vote", reference /. per_judge, fast /. per_judge) ]
+    | _ -> []
   in
   List.iter
     (fun (name, reference, fast) ->

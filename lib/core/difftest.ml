@@ -216,6 +216,56 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
 
 (* --- the driver half: quarantine filtering, the vote, the verdict --- *)
 
+(* The vote's tally: one class per distinct signature, in first-seen
+   (testbed) order. The cost scales with the number of distinct
+   executions, not the number of testbeds: a shared execution hands every
+   member of its class the same output string, so most comparisons stop
+   at physical identity ([String.equal] is the fallback), and each class
+   renders its signature at most once however many deviations carry it.
+   The majority is the first-seen class with the highest count — what a
+   testbed-order scan over per-signature counts picks. *)
+type vote_class = {
+  vc_sig : signature;
+  mutable vc_count : int;
+  mutable vc_text : string option;  (** [signature_to_string vc_sig] *)
+}
+
+let signature_equal (a : signature) (b : signature) : bool =
+  match (a, b) with
+  | Sig_normal x, Sig_normal y -> x == y || String.equal x y
+  | Sig_exception (n, x), Sig_exception (m, y) ->
+      String.equal n m && (x == y || String.equal x y)
+  | Sig_parse_fail, Sig_parse_fail | Sig_crash, Sig_crash
+  | Sig_timeout, Sig_timeout ->
+      true
+  | _ -> false
+
+let rendered (c : vote_class) : string =
+  match c.vc_text with
+  | Some t -> t
+  | None ->
+      let t = signature_to_string c.vc_sig in
+      c.vc_text <- Some t;
+      t
+
+(* The distinct classes in first-seen order, and each run's class. *)
+let vote (runs : ('a * 'b * signature) list) : vote_class list * vote_class list =
+  let classes = ref [] in
+  let class_of =
+    List.map
+      (fun (_, _, s) ->
+        match List.find_opt (fun c -> signature_equal c.vc_sig s) !classes with
+        | Some c ->
+            c.vc_count <- c.vc_count + 1;
+            c
+        | None ->
+            let c = { vc_sig = s; vc_count = 1; vc_text = None } in
+            classes := c :: !classes;
+            c)
+      runs
+  in
+  (List.rev !classes, class_of)
+
 let judge ?supervisor (sw : sweep) : case_report =
   Run.Stage.time Run.Stage.vote @@ fun () ->
   let tc = sw.sw_case in
@@ -269,10 +319,12 @@ let judge ?supervisor (sw : sweep) : case_report =
   let runs = apply_2t_rule results in
   let tested = List.length runs in
   let all_parse_failed =
-    runs <> [] && List.for_all (fun (_, _, s) -> s = Sig_parse_fail) runs
+    runs <> []
+    && List.for_all (function _, _, Sig_parse_fail -> true | _ -> false) runs
   in
   let all_timeout =
-    runs <> [] && List.for_all (fun (_, _, s) -> s = Sig_timeout) runs
+    runs <> []
+    && List.for_all (function _, _, Sig_timeout -> true | _ -> false) runs
   in
   if all_parse_failed || all_timeout || tested < 3 then
     {
@@ -285,42 +337,37 @@ let judge ?supervisor (sw : sweep) : case_report =
       cr_skipped = skipped;
     }
   else begin
-    (* majority vote over signatures: one counting pass, then one
-       deterministic scan in testbed order (first-seen wins ties) *)
-    let counts : (signature, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (_, _, s) ->
-        Hashtbl.replace counts s
-          (1 + Option.value (Hashtbl.find_opt counts s) ~default:0))
-      runs;
-    let majority_sig, majority_n =
-      List.fold_left
-        (fun (bs, bn) (_, _, s) ->
-          let n = Hashtbl.find counts s in
-          if n > bn then (s, n) else (bs, bn))
-        (Sig_parse_fail, 0) runs
+    (* majority vote over distinct signatures (see [vote]); every
+       deviation with a given signature points at the one rendering of
+       it *)
+    let classes, class_of = vote runs in
+    let majority =
+      List.fold_left (fun b c -> if c.vc_count > b.vc_count then c else b)
+        (List.hd classes) classes
     in
-    let have_majority = 2 * majority_n > tested in
+    let have_majority = 2 * majority.vc_count > tested in
     let deviations =
-      List.filter_map
-        (fun ((tb : Engines.Engine.testbed), (r : Run.result), s) ->
-          let is_anomaly =
-            match s with
-            | Sig_crash | Sig_timeout -> true (* always of interest *)
-            | _ -> have_majority && s <> majority_sig
-          in
-          if not is_anomaly then None
-          else
-            Some
-              {
-                d_testbed = tb;
-                d_kind = kind_of s majority_sig;
-                d_expected = signature_to_string majority_sig;
-                d_actual = signature_to_string s;
-                d_behavior = behavior_label s majority_sig;
-                d_fired = r.Run.r_fired;
-              })
-        runs
+      List.concat
+        (List.map2
+           (fun ((tb : Engines.Engine.testbed), (r : Run.result), s) c ->
+             let is_anomaly =
+               match s with
+               | Sig_crash | Sig_timeout -> true (* always of interest *)
+               | _ -> have_majority && c != majority
+             in
+             if not is_anomaly then []
+             else
+               [
+                 {
+                   d_testbed = tb;
+                   d_kind = kind_of s majority.vc_sig;
+                   d_expected = rendered majority;
+                   d_actual = rendered c;
+                   d_behavior = behavior_label s majority.vc_sig;
+                   d_fired = r.Run.r_fired;
+                 };
+               ])
+           runs class_of)
     in
     {
       cr_case = tc;

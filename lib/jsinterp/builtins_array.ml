@@ -144,7 +144,24 @@ let install ctx (array_proto : obj) : unit =
             else ""
         | v -> Ops.to_string ctx v
       in
-      Str (String.concat sep (List.map piece (elements a))));
+      (* straight into a buffer: a generated [v[65535] = x; print(v)]
+         joins 64k pieces, and the two intermediate lists of the list
+         form outlived the minor heap. Only an object element can run
+         user code (its [toString]) that stores into the array, so the
+         elements are snapshotted only when one is present. *)
+      let n = min a.alen (Array.length a.elems) in
+      let elems =
+        let rec has_obj i =
+          i < n && (match a.elems.(i) with Obj _ -> true | _ -> has_obj (i + 1))
+        in
+        if has_obj 0 then Array.sub a.elems 0 n else a.elems
+      in
+      let b = Buffer.create 64 in
+      for i = 0 to n - 1 do
+        if i > 0 then Buffer.add_string b sep;
+        Buffer.add_string b (piece elems.(i))
+      done;
+      Str (Buffer.contents b));
 
   def_method ctx array_proto "toString" 0 (fun ctx this _ ->
       match this with

@@ -78,11 +78,7 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
           (match o.arr with
            | Some a -> List.init a.alen string_of_int
            | None -> [])
-          @ List.filter_map
-              (fun (k, _) ->
-                if String.length k > 1 && k.[0] = '_' && k.[1] = '_' then None
-                else Some k)
-              o.props
+          @ own_keys o
         else Ops.enum_keys ctx o
       in
       Obj (Ops.make_array ctx (List.map str keys)));
@@ -120,15 +116,8 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
       let elems =
         match o.arr with Some a -> List.init a.alen string_of_int | None -> []
       in
-      let named =
-        List.filter_map
-          (fun (k, _) ->
-            if String.length k > 1 && k.[0] = '_' && k.[1] = '_' then None
-            else Some k)
-          o.props
-      in
       let extra = match o.arr with Some _ -> [ "length" ] | None -> [] in
-      let keys = elems @ named @ extra in
+      let keys = elems @ own_keys o @ extra in
       let keys =
         if fire ctx Quirk.Q_getownpropertynames_sorted then
           List.sort String.compare keys
@@ -296,8 +285,25 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
     | Some a when a.ty = None ->
         a.length_writable <- false;
         if (not seal_only) && not (fire ctx Quirk.Q_freeze_array_elements_writable)
-        then set_own o "__frozenElems" (mkprop ~enumerable:false (Bool true))
+        then a.elem_attrs <- Elems_frozen
+        else if a.elem_attrs = Elems_open then a.elem_attrs <- Elems_sealed
     | _ -> ())
+  in
+  (* the array part of isFrozen / isSealed: [length] is a non-configurable
+     own property of every ordinary array, and typed-array elements stay
+     writable and configurable *)
+  let elems_frozen (o : obj) =
+    match o.arr with
+    | None -> true
+    | Some a when a.ty = None ->
+        (not a.length_writable) && (a.alen = 0 || a.elem_attrs = Elems_frozen)
+    | Some a -> a.alen = 0
+  in
+  let elems_sealed (o : obj) =
+    match o.arr with
+    | None -> true
+    | Some a when a.ty = None -> a.alen = 0 || a.elem_attrs <> Elems_open
+    | Some a -> a.alen = 0
   in
 
   def_method ctx object_ctor "freeze" 1 (fun ctx _ args ->
@@ -317,7 +323,8 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
       | Obj o ->
           bool_
             ((not o.extensible)
-            && List.for_all (fun (_, p) -> (not p.configurable) && not p.writable) o.props)
+            && List.for_all (fun (_, p) -> (not p.configurable) && not p.writable) o.props
+            && elems_frozen o)
       | _ -> bool_ true);
 
   def_method ctx object_ctor "isSealed" 1 (fun _ _ args ->
@@ -325,7 +332,8 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
       | Obj o ->
           bool_
             ((not o.extensible)
-            && List.for_all (fun (_, p) -> not p.configurable) o.props)
+            && List.for_all (fun (_, p) -> not p.configurable) o.props
+            && elems_sealed o)
       | _ -> bool_ true);
 
   def_method ctx object_ctor "isExtensible" 1 (fun _ _ args ->

@@ -15,6 +15,7 @@ let make_typed ctx (ty : typed_kind) (len : int) : obj =
         alen = max len 0;
         ty = Some ty;
         length_writable = false;
+        elem_attrs = Elems_open;
         min_written = max_int;
       };
   o

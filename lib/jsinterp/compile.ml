@@ -71,8 +71,10 @@ let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
    saw: on [a.k] (load, method load) the cache keys on the receiver's
    physical identity plus its layout [version] and short-circuits straight
    to the cached property record, skipping [Ops.get]'s dispatch and the
-   insertion-ordered [find_own] walk; on [a.k = v] (store) likewise for a
-   writable own property. Validity:
+   [find_own] lookup (a short list walk, or a probe of the derived index
+   on objects with many properties) at every level of the prototype
+   chain; on [a.k = v] (store) likewise for a writable own property.
+   Validity:
 
    - physical receiver identity pins the object; [version] is bumped by
      every layout mutation ([set_own], [remove_own], [defineProperty],

@@ -29,13 +29,14 @@ let rec scope_of_binding (scope : scope) (name : string) : scope option =
    exhausted --- *)
 
 let ident_read_miss ctx (name : string) : value =
-  if Ops.has_property ctx ctx.global name then Ops.get_obj ctx ctx.global name
-  else Ops.reference_error ctx (name ^ " is not defined")
+  match Ops.get_if_present ctx ctx.global name with
+  | Some v -> v
+  | None -> Ops.reference_error ctx (name ^ " is not defined")
 
 let ident_typeof_miss ctx (name : string) : value =
-  if Ops.has_property ctx ctx.global name then
-    Str (type_of (Ops.get_obj ctx ctx.global name))
-  else Str "undefined"
+  match Ops.get_if_present ctx ctx.global name with
+  | Some v -> Str (type_of v)
+  | None -> Str "undefined"
 
 (* Assignment to a bare identifier, resolved against a live scope chain.
    The whole [Ident] arm of [assign_to] lives here so the compiled path's

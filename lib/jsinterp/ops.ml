@@ -12,7 +12,7 @@ open Value
 let make_error ctx kind msg =
   let proto =
     (* each error constructor's prototype is registered under its name *)
-    match List.assoc_opt kind ctx.protos with
+    match find_proto kind ctx.protos with
     | Some o -> Obj o
     | None -> proto_of ctx "Error"
   in
@@ -296,6 +296,23 @@ and has_property ctx (o : obj) (key : string) : bool =
       | None -> (
           match o.proto with Obj parent -> has_property ctx parent key | _ -> false))
 
+(* [if has_property ctx o key then Some (get_obj ctx o key) else None] in
+   one chain walk where the chain is plain objects; a level with array or
+   primitive storage takes the two-step form, whose answers differ there. *)
+and get_if_present ctx (o : obj) (key : string) : value option =
+  match (o.arr, o.prim) with
+  | None, None -> (
+      match find_own o key with
+      | Some p -> (
+          match p.getter with
+          | Some g when is_callable g -> Some (ctx.call_hook ctx g (Obj o) [])
+          | _ -> Some p.v)
+      | None -> (
+          match o.proto with
+          | Obj parent -> get_if_present ctx parent key
+          | _ -> None))
+  | _ -> if has_property ctx o key then Some (get_obj ctx o key) else None
+
 and has_own ctx (o : obj) (key : string) : bool =
   ignore ctx;
   match o.arr with
@@ -413,13 +430,11 @@ and set_elem ctx ~strict (o : obj) (arr : arr) (i : int) (v : value) : unit =
   else if not arr.length_writable && arr.ty = None && i >= arr.alen then
     (* frozen/sealed array: length fixed *)
     (if strict then type_error ctx "cannot add property, array is sealed")
-  else if (not (frozen_elements o)) || fire ctx Quirk.Q_freeze_array_elements_writable
+  else if arr.elem_attrs <> Elems_frozen
+          || fire ctx Quirk.Q_freeze_array_elements_writable
   then array_store ctx o arr i v
   else if strict then
     type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
-
-and frozen_elements (o : obj) =
-  match find_own o "__frozenElems" with Some _ -> true | None -> false
 
 and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
   match find_own o key with
@@ -484,9 +499,7 @@ and enum_keys ctx (o : obj) : string list =
     | None -> []
   in
   let named =
-    List.filter_map
-      (fun (k, p) -> if p.enumerable && not (String.length k > 1 && k.[0] = '_' && k.[1] = '_') then Some k else None)
-      o.props
+    List.filter_map (fun (k, p) -> if p.enumerable then Some k else None) o.props
   in
   elem_keys @ named
 
@@ -583,6 +596,7 @@ and make_array ctx (vals : value list) : obj =
         alen = Array.length elems;
         ty = None;
         length_writable = true;
+        elem_attrs = Elems_open;
         min_written = (if Array.length elems = 0 then max_int else 0);
       };
   o

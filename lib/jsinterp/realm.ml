@@ -140,7 +140,8 @@ let release () : unit = Value.cow_rollback ()
    against a freshly installed realm — any surviving mutation means a
    write-barrier gap, i.e. cross-execution leakage. Oids, cow state and
    version stamps are identity bookkeeping, not observable state, and are
-   ignored. *)
+   ignored; a property index the template has built must hold exactly its
+   property list. *)
 let check_pristine () : (unit, string) result =
   let t = template () in
   let r = build () in
@@ -178,6 +179,20 @@ let check_pristine () : (unit, string) result =
           else fail path "property layout"
         in
         let* () =
+          (* the derived index, when built, must hold exactly [props] *)
+          match a.index with
+          | None -> Ok ()
+          | Some t ->
+              if
+                Ptbl.length t = List.length a.props
+                && List.for_all
+                     (fun (k, p) ->
+                       match Ptbl.find_opt t k with Some q -> q == p | None -> false)
+                     a.props
+              then Ok ()
+              else fail path "property index"
+        in
+        let* () =
           List.fold_left2
             (fun acc (k, pa) (_, pb) ->
               match acc with
@@ -204,7 +219,8 @@ let check_pristine () : (unit, string) result =
           | None, None -> Ok ()
           | Some x, Some y
             when x.ty = y.ty && x.alen = y.alen
-                 && x.length_writable = y.length_writable ->
+                 && x.length_writable = y.length_writable
+                 && x.elem_attrs = y.elem_attrs ->
               let r = ref (Ok ()) in
               for i = 0 to x.alen - 1 do
                 match !r with

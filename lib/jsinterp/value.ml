@@ -5,6 +5,9 @@
    cycle: builtins need to call back into the evaluator (e.g. [sort] calling
    a JS comparator), which is wired through [ctx.call_hook] at start-up. *)
 
+(* Hash table keyed by property name: the derived index of [obj.props]. *)
+module Ptbl = Hashtbl.Make (String)
+
 type value =
   | Undefined
   | Null
@@ -20,7 +23,13 @@ and obj = {
           "Number", "Boolean", "RegExp", "Error", "JSON", "Math",
           "TypedArray", "DataView", "Arguments" *)
   mutable proto : value;
-  mutable props : (string * prop) list;  (** insertion-ordered named props *)
+  mutable props : (string * prop) list;
+      (** insertion-ordered named props: the single source of truth that
+          enumeration, COW pre-images and [Realm.check_pristine] read *)
+  mutable index : prop Ptbl.t option;
+      (** derived from [props]: built by [find_own] on the first lookup
+          that walks past [index_threshold] entries, kept in step by
+          [set_own] and [remove_own], dropped by [cow_rollback] *)
   mutable extensible : bool;
   mutable call : callable option;
   mutable arr : arr option;              (** Array / TypedArray storage *)
@@ -92,9 +101,17 @@ and arr = {
   mutable alen : int;
   ty : typed_kind option;        (** [None] = ordinary Array *)
   mutable length_writable : bool;
+  mutable elem_attrs : elem_attrs;
+      (** attributes shared by every element of an ordinary array, set by
+          [Object.seal] / [Object.freeze] *)
   mutable min_written : int;     (** lowest index ever stored; drives the
                                      Hermes relocation cost model *)
 }
+
+and elem_attrs =
+  | Elems_open    (** writable, configurable *)
+  | Elems_sealed  (** writable, non-configurable *)
+  | Elems_frozen  (** non-writable, non-configurable *)
 
 and regex_data = {
   rx_source : string;
@@ -167,8 +184,14 @@ and ctx = {
           sharing must not lend this run across parse groups *)
 }
 
+(* [ctx.protos] by name: at most 16 entries, searched without
+   polymorphic compare. *)
+let rec find_proto name = function
+  | [] -> None
+  | (k, o) :: rest -> if String.equal k name then Some o else find_proto name rest
+
 let proto_of ctx name =
-  match List.assoc_opt name ctx.protos with
+  match find_proto name ctx.protos with
   | Some o -> Obj o
   | None -> Null
 
@@ -195,6 +218,7 @@ let make_obj ?(oclass = "Object") ?(proto = Null) () =
     oclass;
     proto;
     props = [];
+    index = None;
     extensible = true;
     call = None;
     arr = None;
@@ -238,6 +262,7 @@ type cow_arr_save = {
   cas_elems : value array; (* a copy *)
   cas_alen : int;
   cas_length_writable : bool;
+  cas_elem_attrs : elem_attrs;
   cas_min_written : int;
 }
 
@@ -299,6 +324,7 @@ let cow_save (o : obj) : unit =
               cas_elems = Array.copy a.elems;
               cas_alen = a.alen;
               cas_length_writable = a.length_writable;
+              cas_elem_attrs = a.elem_attrs;
               cas_min_written = a.min_written;
             })
           o.arr;
@@ -333,6 +359,7 @@ let cow_rollback () : unit =
               p.getter <- ps.cps_getter)
             s.cs_prop_saves;
           o.props <- s.cs_props;
+          o.index <- None;
           o.extensible <- s.cs_extensible;
           o.call <- s.cs_call;
           (match s.cs_arr with
@@ -340,6 +367,7 @@ let cow_rollback () : unit =
               a.cas_arr.elems <- a.cas_elems;
               a.cas_arr.alen <- a.cas_alen;
               a.cas_arr.length_writable <- a.cas_length_writable;
+              a.cas_arr.elem_attrs <- a.cas_elem_attrs;
               a.cas_arr.min_written <- a.cas_min_written;
               o.arr <- Some a.cas_arr
           | None -> o.arr <- None);
@@ -444,21 +472,51 @@ let burn ctx n =
   ctx.fuel <- ctx.fuel - n;
   if ctx.fuel < 0 then raise Out_of_fuel
 
-(* --- property list helpers (insertion-ordered assoc) --- *)
+(* --- property list helpers (insertion-ordered assoc) ---
 
-let find_own (o : obj) (k : string) : prop option = List.assoc_opt k o.props
+   [props] is the truth; [index] is a cache of it for objects with many
+   properties (the global object, [Array.prototype], [String.prototype],
+   [Math]), so a builtin read costs one hash probe rather than a walk of
+   up to 36 entries. The three writers of [props] — [set_own],
+   [remove_own] and [cow_rollback] — keep the index in step or drop it. *)
+
+let index_threshold = 8
+
+let build_index (o : obj) : prop Ptbl.t =
+  let t = Ptbl.create 32 in
+  List.iter (fun (k, p) -> Ptbl.replace t k p) o.props;
+  o.index <- Some t;
+  t
+
+(* the list walk of an unindexed object; [n] counts the entries seen *)
+let rec find_walk (o : obj) (k : string) n = function
+  | [] -> None
+  | (k', p) :: rest ->
+      if String.equal k k' then Some p
+      else if n = index_threshold then Ptbl.find_opt (build_index o) k
+      else find_walk o k (n + 1) rest
+
+let find_own (o : obj) (k : string) : prop option =
+  match o.index with
+  | Some t -> Ptbl.find_opt t k
+  | None -> find_walk o k 1 o.props
 
 let set_own (o : obj) (k : string) (p : prop) =
   barrier o;
   o.version <- o.version + 1;
-  if List.mem_assoc k o.props then
-    o.props <- List.map (fun (k', p') -> if k' = k then (k, p) else (k', p')) o.props
-  else o.props <- o.props @ [ (k, p) ]
+  let[@tail_mod_cons] rec put = function
+    | [] -> [ (k, p) ]
+    | ((k', _) as kv) :: rest ->
+        if String.equal k k' then (k, p) :: rest else kv :: put rest
+  in
+  o.props <- put o.props;
+  match o.index with Some t -> Ptbl.replace t k p | None -> ()
 
 let remove_own (o : obj) (k : string) =
   barrier o;
   o.version <- o.version + 1;
-  o.props <- List.filter (fun (k', _) -> k' <> k) o.props
+  o.props <- List.filter (fun (k', _) -> not (String.equal k' k)) o.props;
+  match o.index with Some t -> Ptbl.remove t k | None -> ()
 
 let own_keys (o : obj) : string list = List.map fst o.props
 

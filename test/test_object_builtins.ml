@@ -35,6 +35,26 @@ let object_tests =
     ("seal blocks delete", {|var o = {a: 1}; Object.seal(o); delete o.a; o.a|}, "1");
     ("isSealed", {|var o = {}; Object.seal(o); Object.isSealed(o)|}, "true");
     ("frozen array elements", {|var a = [1]; Object.freeze(a); a[0] = 9; a[0]|}, "1");
+    (* integrity levels of arrays count the elements and [length] *)
+    ("frozen array isFrozen", {|Object.isFrozen(Object.freeze([1, 2]))|}, "true");
+    ("frozen array isSealed", {|Object.isSealed(Object.freeze([1, 2]))|}, "true");
+    ("frozen array has no marker key",
+     {|var a = Object.freeze([1, 2]); "__frozenElems" in a|}, "false");
+    ("frozen array own names", {|Object.getOwnPropertyNames(Object.freeze([1]))|}, "0,length");
+    ("sealed array not frozen", {|Object.isFrozen(Object.seal([1, 2]))|}, "false");
+    ("sealed array isSealed", {|Object.isSealed(Object.seal([1, 2]))|}, "true");
+    ("sealed array elements writable", {|var a = Object.seal([1]); a[0] = 9; a[0]|}, "9");
+    ("non-extensible array not frozen",
+     {|Object.isFrozen(Object.preventExtensions([1]))|}, "false");
+    ("non-extensible array not sealed",
+     {|Object.isSealed(Object.preventExtensions([1]))|}, "false");
+    ("non-extensible empty array sealed",
+     {|Object.isSealed(Object.preventExtensions([]))|}, "true");
+    (* keys starting with "__" are ordinary keys *)
+    ("keys keep __ keys", {|Object.keys({__x: 1, y: 2})|}, "__x,y");
+    ("own names keep __ keys", {|Object.getOwnPropertyNames({__x: 1, y: 2})|}, "__x,y");
+    ("for-in keeps __ keys", {|var s = ""; for (var k in {__x: 1, y: 2}) s = s + k; s|}, "__xy");
+    ("stringify keeps __ keys", {|JSON.stringify({__x: 1, y: 2})|}, {|{"__x":1,"y":2}|});
     (* defineProperty *)
     ("defineProperty value", {|var o = {}; Object.defineProperty(o, "k", {value: 7}); o.k|}, "7");
     ("defineProperty default non-writable",

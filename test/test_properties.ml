@@ -222,6 +222,344 @@ let array_index_of_key_unchanged =
     ~print:(Printf.sprintf "%S") gen_key_string (fun k ->
       Jsinterp.Value.array_index_of_key k = old_array_index_of_key k)
 
+(* --- the derived property index ---
+
+   Random [set_own], [remove_own], [Object.defineProperty] and
+   [Object.freeze] calls on an object, with [find_own] and [own_keys]
+   checked after every step against an association-list model. The
+   object is either fresh (0-40 properties, so the index is built, kept
+   and dropped at every size) or one of the realm template's large
+   objects, whose writes are journaled; a [Realm.release] step rolls them
+   back, and the lookups that follow are the next execution's. *)
+
+module V = Jsinterp.Value
+
+type index_op =
+  | Ix_set of int
+  | Ix_remove of int
+  | Ix_define of int * bool * bool * bool  (** key, writable, enumerable, configurable *)
+  | Ix_freeze
+  | Ix_release
+
+let index_key_pool = Array.init 45 (Printf.sprintf "k%d")
+
+(* A context over the template realm, enough to call the builtins. *)
+let template_ctx () : V.ctx =
+  let global, protos = Jsinterp.Realm.acquire () in
+  {
+    V.global;
+    global_scope = { V.bindings = Hashtbl.create 1; parent = None; frozen_names = [] };
+    quirks = Jsinterp.Quirk.Set.empty;
+    parse_opts = Jsparse.Parser.default_options;
+    fuel = max_int;
+    fuel_cap = max_int;
+    out = Buffer.create 16;
+    q_lo = 0;
+    q_hi = 0;
+    f_lo = 0;
+    f_hi = 0;
+    t_lo = 0;
+    t_hi = 0;
+    call_hook = (fun _ _ _ _ -> V.Undefined);
+    eval_hook = (fun _ _ _ _ -> V.Undefined);
+    coverage = None;
+    loop_trip = 0;
+    strconcat_drop_armed = true;
+    protos;
+    depth = 0;
+    cur_this = V.Obj global;
+    slotted = false;
+    specials_shadowed = false;
+    ic_gen = 0;
+    ihits = 0;
+    reparsed = false;
+  }
+
+let gen_index_case =
+  QCheck2.Gen.(
+    let key = int_bound (Array.length index_key_pool + 39) in
+    let op =
+      frequency
+        [
+          (6, map (fun k -> Ix_set k) key);
+          (3, map (fun k -> Ix_remove k) key);
+          (3, map4 (fun k w e c -> Ix_define (k, w, e, c)) key bool bool bool);
+          (1, pure Ix_freeze);
+          (1, pure Ix_release);
+        ]
+    in
+    triple (int_bound 4) (int_bound 40) (list_size (0 -- 60) op))
+
+let print_index_case (target, n, ops) =
+  Printf.sprintf "target %d, %d initial props, ops [%s]" target n
+    (String.concat "; "
+       (List.map
+          (function
+            | Ix_set k -> Printf.sprintf "set %d" k
+            | Ix_remove k -> Printf.sprintf "remove %d" k
+            | Ix_define (k, w, e, c) -> Printf.sprintf "define %d %b %b %b" k w e c
+            | Ix_freeze -> "freeze"
+            | Ix_release -> "release")
+          ops))
+
+let index_agrees_with_model =
+  QCheck2.Test.make ~count:300 ~name:"property index agrees with an assoc-list model"
+    ~print:print_index_case gen_index_case (fun (target, n, ops) ->
+      let ctx = template_ctx () in
+      let obj_of = function V.Obj o -> o | _ -> assert false in
+      let prop_of o k = (Option.get (V.find_own o k)).V.v in
+      let object_ctor = obj_of (prop_of ctx.V.global "Object") in
+      let native name =
+        match (obj_of (prop_of object_ctor name)).V.call with
+        | Some (V.Native (_, _, f)) -> f
+        | _ -> assert false
+      in
+      let define = native "defineProperty" and freeze = native "freeze" in
+      (* target 0 is a fresh object; 1-4 are template objects *)
+      let o =
+        match target with
+        | 0 ->
+            let o = V.make_obj () in
+            let order =
+              List.sort compare (List.init n (fun i -> ((i * 7919) mod 41, i)))
+            in
+            List.iter
+              (fun (_, i) -> V.set_own o index_key_pool.(i) (V.mkprop (V.Num 0.)))
+              order;
+            o
+        | 1 -> ctx.V.global
+        | 2 -> obj_of (prop_of ctx.V.global "Math")
+        | 3 -> obj_of (V.proto_of ctx "Array")
+        | _ -> obj_of (V.proto_of ctx "String")
+      in
+      (* the pool: the generated keys, then the object's own builtin keys *)
+      let pristine = o.V.props in
+      let pool =
+        Array.append index_key_pool (Array.of_list (List.map fst pristine))
+      in
+      let key k = pool.(k mod Array.length pool) in
+      let model = ref pristine in
+      let check step =
+        let keys = List.map fst !model in
+        if V.own_keys o <> keys then
+          QCheck2.Test.fail_reportf "step %d: own_keys [%s], model [%s]" step
+            (String.concat "," (V.own_keys o)) (String.concat "," keys);
+        Array.iter
+          (fun k ->
+            match (V.find_own o k, List.assoc_opt k !model) with
+            | None, None -> ()
+            | Some p, Some q when p == q -> ()
+            | _ -> QCheck2.Test.fail_reportf "step %d: find_own %S disagrees" step k)
+          pool
+      in
+      Fun.protect ~finally:Jsinterp.Realm.release (fun () ->
+          check 0;
+          List.iteri
+            (fun i op ->
+              (match op with
+              | Ix_set k ->
+                  let k = key k and p = V.mkprop (V.Num (Float.of_int i)) in
+                  V.set_own o k p;
+                  model :=
+                    if List.mem_assoc k !model then
+                      List.map (fun (k', q) -> if k' = k then (k, p) else (k', q)) !model
+                    else !model @ [ (k, p) ]
+              | Ix_remove k ->
+                  let k = key k in
+                  V.remove_own o k;
+                  model := List.filter (fun (k', _) -> k' <> k) !model
+              | Ix_define (k, w, e, c) ->
+                  let k = key k in
+                  let desc = V.make_obj () in
+                  V.set_own desc "value" (V.mkprop (V.Num (Float.of_int i)));
+                  V.set_own desc "writable" (V.mkprop (V.Bool w));
+                  V.set_own desc "enumerable" (V.mkprop (V.Bool e));
+                  V.set_own desc "configurable" (V.mkprop (V.Bool c));
+                  (try ignore (define ctx V.Undefined [ V.Obj o; V.Str k; V.Obj desc ])
+                   with V.Js_throw _ -> ());
+                  (* a new key is appended; an existing one is updated in
+                     place *)
+                  if not (List.mem_assoc k !model) then
+                    Option.iter
+                      (fun p -> model := !model @ [ (k, p) ])
+                      (List.assoc_opt k o.V.props)
+              | Ix_freeze -> ignore (freeze ctx V.Undefined [ V.Obj o ])
+              | Ix_release ->
+                  Jsinterp.Realm.release ();
+                  if target <> 0 then model := pristine);
+              check (i + 1))
+            ops;
+          Jsinterp.Realm.release ();
+          if target <> 0 then model := pristine;
+          check (List.length ops + 1);
+          match Jsinterp.Realm.check_pristine () with
+          | Ok () -> true
+          | Error what -> QCheck2.Test.fail_reportf "template not pristine: %s" what))
+
+(* --- the vote ---
+
+   [Difftest.judge] against the vote it replaced — a [Hashtbl] from
+   signature to count, then a testbed-order scan for the first signature
+   with the highest count — kept here as the model. Outputs come from a
+   small palette, each drawn either as the palette's own string or as a
+   fresh copy, so equal outputs are not always physically shared; the
+   palette includes a 64 kB output, and runs crash, time out (by fuel or
+   by the 2t rule) and fail to parse. *)
+
+module D = Comfort.Difftest
+
+let old_vote (runs : (Engines.Engine.testbed * Jsinterp.Run.result * D.signature) list) =
+  let counts : (D.signature, int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (_, _, s) ->
+      Hashtbl.replace counts s (1 + Option.value (Hashtbl.find_opt counts s) ~default:0))
+    runs;
+  let majority_sig, majority_n =
+    List.fold_left
+      (fun (bs, bn) (_, _, s) ->
+        let n = Hashtbl.find counts s in
+        if n > bn then (s, n) else (bs, bn))
+      (D.Sig_parse_fail, 0) runs
+  in
+  let have_majority = 2 * majority_n > List.length runs in
+  List.filter_map
+    (fun ((tb : Engines.Engine.testbed), _, s) ->
+      let is_anomaly =
+        match s with
+        | D.Sig_crash | D.Sig_timeout -> true
+        | _ -> have_majority && s <> majority_sig
+      in
+      if not is_anomaly then None
+      else
+        Some
+          ( Engines.Engine.testbed_id tb,
+            D.kind_of s majority_sig,
+            D.signature_to_string majority_sig,
+            D.signature_to_string s,
+            D.behavior_label s majority_sig ))
+    runs
+
+let vote_palette =
+  [| "1\n"; "2\n"; String.make 65536 'x' ^ "\n\"q\"\t"; ""; "undefined\n" |]
+
+let gen_vote_run =
+  QCheck2.Gen.(
+    let out = map2 (fun i copy -> (i, copy)) (int_bound (Array.length vote_palette - 1)) bool in
+    let fuel = frequency [ (8, int_bound 15_000); (1, int_range 20_000 80_000) ] in
+    pair
+      (frequency
+         [
+           (10, map (fun o -> `Normal o) out);
+           (3, map2 (fun n o -> `Throw (n, o)) (oneofl [ "TypeError"; "RangeError" ]) out);
+           (1, pure `Crash);
+           (1, pure `Timeout);
+           (1, pure `Parse);
+         ])
+      fuel)
+
+let vote_result (outcome, fuel) : Jsinterp.Run.result =
+  let output (i, copy) =
+    let s = vote_palette.(i) in
+    if copy then Bytes.to_string (Bytes.of_string s) else s
+  in
+  let parsed = outcome <> `Parse in
+  let status, out =
+    match outcome with
+    | `Normal o -> (Jsinterp.Run.Sts_normal, output o)
+    | `Throw (n, o) -> (Jsinterp.Run.Sts_uncaught (n, "msg"), output o)
+    | `Crash -> (Jsinterp.Run.Sts_crash "boom", "")
+    | `Timeout -> (Jsinterp.Run.Sts_timeout, "")
+    | `Parse -> (Jsinterp.Run.Sts_normal, "")
+  in
+  {
+    Jsinterp.Run.r_parsed = parsed;
+    r_parse_error = (if parsed then None else Some "syntax");
+    r_status = status;
+    r_output = out;
+    r_fuel_used = fuel;
+    r_fired = Jsinterp.Quirk.Set.empty;
+    r_touched = Jsinterp.Quirk.Set.empty;
+    r_coverage = None;
+  }
+
+let gen_vote_sweep =
+  QCheck2.Gen.(
+    oneof
+      [
+        list_size (0 -- 102) gen_vote_run;
+        (* a majority output, and minorities that share signatures *)
+        list_size (3 -- 102)
+          (frequency
+             [ (6, map (fun c -> (`Normal (2, c), 100)) bool); (4, gen_vote_run) ]);
+        (* an exact tie between two outputs, in either order *)
+        map2
+          (fun n first ->
+            List.init (2 * n) (fun i ->
+                (`Normal ((if i mod 2 = 0 then first else 1 - first), i mod 3 = 0), 100)))
+          (1 -- 51) (int_bound 1);
+      ])
+
+let judge_matches_old_vote =
+  let tc = Comfort.Testcase.make "print(1);" in
+  QCheck2.Test.make ~count:300 ~name:"judge agrees with the Hashtbl vote"
+    ~print:(fun runs -> Printf.sprintf "%d runs" (List.length runs))
+    gen_vote_sweep (fun runs ->
+      let execs =
+        List.mapi
+          (fun i r ->
+            ( List.nth Engines.Engine.all_testbeds i,
+              Comfort.Supervisor.Done (vote_result r, Comfort.Supervisor.ok_meta) ))
+          runs
+      in
+      let report = D.judge { D.sw_case = tc; sw_key = 0; sw_execs = execs } in
+      let results =
+        List.map
+          (fun (tb, o) ->
+            match o with Comfort.Supervisor.Done (r, _) -> (tb, r) | _ -> assert false)
+          execs
+      in
+      let scored = D.apply_2t_rule results in
+      let expected =
+        if
+          List.length scored < 3
+          || List.for_all (fun (_, _, s) -> s = D.Sig_parse_fail) scored
+          || List.for_all (fun (_, _, s) -> s = D.Sig_timeout) scored
+        then []
+        else old_vote scored
+      in
+      let got =
+        List.map
+          (fun (d : D.deviation) ->
+            ( Engines.Engine.testbed_id d.D.d_testbed,
+              d.D.d_kind,
+              d.D.d_expected,
+              d.D.d_actual,
+              d.D.d_behavior ))
+          report.D.cr_deviations
+      in
+      (* one rendering per distinct signature (two signatures may render
+         alike: an exception's rendering omits its output) *)
+      let sig_of (d : D.deviation) =
+        let id = Engines.Engine.testbed_id d.D.d_testbed in
+        let _, _, s =
+          List.find (fun (tb, _, _) -> Engines.Engine.testbed_id tb = id) scored
+        in
+        s
+      in
+      let shared =
+        List.for_all
+          (fun (a : D.deviation) ->
+            List.for_all
+              (fun (b : D.deviation) ->
+                a.D.d_expected == b.D.d_expected
+                && (sig_of a <> sig_of b || a.D.d_actual == b.D.d_actual))
+              report.D.cr_deviations)
+          report.D.cr_deviations
+      in
+      if got <> expected then QCheck2.Test.fail_report "deviations differ from the model";
+      if not shared then QCheck2.Test.fail_report "equal signatures rendered twice";
+      true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -239,4 +577,6 @@ let suite =
       index_of_num_within_string_path;
       integral_number_to_string;
       array_index_of_key_unchanged;
+      index_agrees_with_model;
+      judge_matches_old_vote;
     ]
