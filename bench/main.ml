@@ -5,15 +5,14 @@
    down to minutes of laptop time; set COMFORT_BENCH_SCALE to an integer
    multiplier to run longer campaigns (default 1).
 
-   Set COMFORT_JOBS=N to run every campaign in here on N worker domains;
-   results are identical at any job count. `campaign` measures throughput
-   under the Reference and Fast execution strategies (Fast also on N jobs
-   and on forked workers) — counting real interpreter executions per case
-   — and writes BENCH_campaign.json.
+   `campaign` runs one campaign under each execution strategy (Reference
+   and Fast) and one on forked workers, checks that the reports agree,
+   counts real interpreter executions per case, profiles the pipeline and
+   writes BENCH_campaign.json; throughput is measured by perfbench.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table2     # one experiment
-     dune exec bench/main.exe campaign   # executor throughput + JSON
+     dune exec bench/main.exe campaign   # campaign gates + JSON
      dune exec bench/main.exe interp     # interpreter core ns/op + JSON
      dune exec bench/main.exe micro      # Bechamel micro-benchmarks
 
@@ -557,53 +556,69 @@ let host_json () =
   Printf.sprintf {|{ "nproc": %d, "ocaml": %S, "commit": %s }|} nproc
     Sys.ocaml_version commit
 
-(* ---------- campaign throughput (parallel executor) ---------- *)
+(* ---------- campaign gates: Reference, Fast, forked workers ---------- *)
 
-(* End-to-end campaign wall-clock against the full 102-testbed setup,
-   one row per execution strategy — the Reference oracle and the Fast
-   path, one job each — plus the Fast path on N jobs and on forked
-   workers. Verifies on the way that every row found the same discoveries
-   in the same order (the executor's ordering guarantee and the Fast =
-   Reference contract of DESIGN.md's "Execution strategy"), counts real
-   interpreter executions via [Run.run_count] to report
-   executions-per-case, records the whole-pipeline profile per row via
+(* One end-to-end campaign per row against the full 102-testbed setup:
+   the Reference oracle and the Fast path in-process, then the Fast path
+   on forked workers. Throughput claims come from perfbench (medians over
+   alternating runs, see perfbench/run.py), so each row runs once and the
+   rows check deterministic properties instead: every row finds the same
+   discoveries in the same order (the in-order consume contract and the
+   Fast = Reference contract of DESIGN.md's "Execution strategy"), real
+   interpreter executions are counted via [Run.run_count], and each
+   in-process row records the whole-pipeline profile via
    [Run.Stage]/[Metrics.profile]: the disjoint pipeline stages
    (generate / screen / sweep / vote / attr / reduce / fold) with wall
    ns and allocated bytes each, the nested interpreter substages
-   (parse / compile / realm-install / execute), the total driver-domain
-   allocation, and the unaccounted residual — then emits the numbers as
-   machine-readable BENCH_campaign.json for CI and EXPERIMENTS.md.
-   Gates: identical results on every row; Fast at least 4x fewer
-   executions per case than Reference, and the same count on every Fast
-   row; every jobs=1 row accounting for >= 90% of its wall clock; the
-   Fast jobs=1 row within the allocation budget.
+   (parse / compile / realm-install / execute), the total allocation,
+   and the unaccounted residual. Emits BENCH_campaign.json.
 
-   On a single-CPU container the jobs>1 row is pure scheduling overhead,
-   not a measurement of the executor, so it is skipped (and flagged in
-   the JSON) when [Domain.recommended_domain_count] reports one core.
-   Every row is measured as the best of three interleaved passes — see
-   the comment at the measurement loop. *)
+   Gates: identical results on every row, the workers row included; Fast
+   at least 4x fewer executions per case than Reference, and exactly the
+   Fast row's count folded back from the workers; every in-process row
+   accounting for >= 90% of its wall clock; the Fast row within the
+   allocation budget. The profiler and allocation gates do not apply to
+   the workers row: its sweep executes in forked children, so
+   driver-side stage probes and Gc.allocated_bytes see only the
+   coordinator. The workers row is skipped (and flagged in the JSON)
+   where fork is unavailable. *)
 let campaign_bench () =
-  header "Campaign throughput: Reference vs Fast";
+  header "Campaign gates: Reference vs Fast vs forked workers";
   let budget = 400 * scale in
   let testbeds = Engines.Engine.all_testbeds in
-  let cores = Domain.recommended_domain_count () in
-  let njobs =
-    let env = Comfort.Executor.default_jobs () in
-    if env > 1 then env else min 4 cores
-  in
-  let multi = cores > 1 && njobs > 1 in
   let open Jsinterp.Strategy in
-  (* process-isolated workers row: measured once, up front — it must
-     run before any jobs>1 row spawns a domain, which permanently
-     disables fork — and outside the best-of-3 grid. The jobs=1
-     profiler and allocation gates do not apply to it: the sweep
-     executes in forked children, so driver-side stage probes and
-     Gc.allocated_bytes see only the coordinator, and wall clock on a
-     shared container is dominated by fork/IPC noise anyway. Its gates
-     (identity, folded execution count) are checked against the grid's
-     rows below. Skipped (and flagged in the JSON) where fork is
-     unavailable. *)
+  let measure strategy =
+    let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
+    let e0 = Jsinterp.Run.run_count () in
+    Jsinterp.Run.Stage.enabled := true;
+    Jsinterp.Run.Stage.reset ();
+    let a0 = Gc.allocated_bytes () in
+    let t0 = Unix.gettimeofday () in
+    let res =
+      Comfort.Campaign.run ~testbeds ~budget ~workers:0 ~strategy fz
+    in
+    let dt = Unix.gettimeofday () -. t0 in
+    let alloc = Gc.allocated_bytes () -. a0 in
+    Jsinterp.Run.Stage.enabled := false;
+    let profile =
+      Comfort.Metrics.profile ~wall_ns:(int_of_float (dt *. 1e9))
+    in
+    let execs = Jsinterp.Run.run_count () - e0 in
+    let per_case =
+      Float.of_int execs /. Float.of_int res.Comfort.Campaign.cp_cases_run
+    in
+    Printf.printf
+      "  %-9s: %6.2fs wall, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
+      (to_string strategy) dt per_case
+      (List.length res.Comfort.Campaign.cp_discoveries)
+      profile.Comfort.Metrics.pr_unaccounted_pct;
+    (strategy, (res, dt, execs, per_case, (profile, alloc)))
+  in
+  Printf.printf "budget=%d cases, %d testbeds\n%!" budget
+    (List.length testbeds);
+  let reference_row = measure Reference in
+  let fast_row = measure Fast in
+  let runs = [ reference_row; fast_row ] in
   let wn = 2 in
   let workers_row =
     if not (Comfort.Coordinator.available ()) then None
@@ -614,8 +629,7 @@ let campaign_bench () =
       let r0 = Comfort.Coordinator.stat_respawns () in
       let t0 = Unix.gettimeofday () in
       let res =
-        Comfort.Campaign.run ~testbeds ~budget ~jobs:1 ~strategy:Fast
-          ~workers:wn fz
+        Comfort.Campaign.run ~testbeds ~budget ~strategy:Fast ~workers:wn fz
       in
       let dt = Unix.gettimeofday () -. t0 in
       let execs = Jsinterp.Run.run_count () - e0 in
@@ -627,65 +641,6 @@ let campaign_bench () =
           Comfort.Coordinator.stat_respawns () - r0 )
     end
   in
-  Jsinterp.Run.Stage.enabled := true;
-  let measure ~jobs ~strategy =
-    let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
-    let e0 = Jsinterp.Run.run_count () in
-    Jsinterp.Run.Stage.reset ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    let res = Comfort.Campaign.run ~testbeds ~budget ~jobs ~strategy fz in
-    let dt = Unix.gettimeofday () -. t0 in
-    (* driver-domain allocation; at jobs=1 the whole campaign runs here,
-       so this is the campaign's total allocation. (jobs>1 workers
-       allocate on their own domains — their stage probes still land in
-       the per-stage byte columns below.) *)
-    let alloc = Gc.allocated_bytes () -. a0 in
-    let profile =
-      Comfort.Metrics.profile ~wall_ns:(int_of_float (dt *. 1e9))
-    in
-    let execs = Jsinterp.Run.run_count () - e0 in
-    let per_case =
-      Float.of_int execs /. Float.of_int res.Comfort.Campaign.cp_cases_run
-    in
-    Printf.printf
-      "  %-9s jobs=%d: %6.2fs wall, %6.1f cases/s, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
-      (to_string strategy) jobs dt
-      (Float.of_int res.Comfort.Campaign.cp_cases_run /. dt)
-      per_case
-      (List.length res.Comfort.Campaign.cp_discoveries)
-      profile.Comfort.Metrics.pr_unaccounted_pct;
-    (res, dt, execs, per_case, (profile, alloc))
-  in
-  Printf.printf "budget=%d cases, %d testbeds, %d cores\n%!" budget
-    (List.length testbeds) cores;
-  if not multi then
-    Printf.printf
-      "  (single-CPU container: the parallel jobs>1 row is skipped — it \
-       would measure scheduling overhead, not the executor)\n%!";
-  let combos =
-    [ (Reference, 1); (Fast, 1) ] @ if multi then [ (Fast, njobs) ] else []
-  in
-  (* Each row is the best of three interleaved passes. A campaign row is
-     deterministic (fixed fuzzer seed), so wall-clock spread between
-     passes is scheduler and cache noise — on a shared container it
-     reaches ±30%. Interleaving the passes (round robin over the rows,
-     not three back-to-back runs of one row) cancels slow drift; the
-     minimum is the run the machine interfered with least. *)
-  let reps = 3 in
-  let best = Hashtbl.create 4 in
-  for rep = 1 to reps do
-    if reps > 1 then Printf.printf "  -- pass %d/%d --\n%!" rep reps;
-    List.iter
-      (fun ((strategy, jobs) as c) ->
-        let ((_, dt, _, _, _) as m) = measure ~jobs ~strategy in
-        match Hashtbl.find_opt best c with
-        | Some (_, bdt, _, _, _) when bdt <= dt -> ()
-        | _ -> Hashtbl.replace best c m)
-      combos
-  done;
-  let runs = List.map (fun c -> (c, Hashtbl.find best c)) combos in
-  Jsinterp.Run.Stage.enabled := false;
   let key d = (d.Comfort.Campaign.disc_engine, d.Comfort.Campaign.disc_quirk) in
   let agrees (r : Comfort.Campaign.result) (base : Comfort.Campaign.result) =
     List.map key r.Comfort.Campaign.cp_discoveries
@@ -694,33 +649,21 @@ let campaign_bench () =
     && r.Comfort.Campaign.cp_filtered_repeats
        = base.Comfort.Campaign.cp_filtered_repeats
   in
-  let base, ref_dt, ref_execs, ref_pc, _ = List.assoc (Reference, 1) runs in
-  let fast_res, fast_dt, fast_execs, fast_pc, (_, fast_alloc) =
-    List.assoc (Fast, 1) runs
+  let base, _, ref_execs, ref_pc, _ = List.assoc Reference runs in
+  let fast_res, _, fast_execs, fast_pc, (_, fast_alloc) =
+    List.assoc Fast runs
   in
   let same = List.for_all (fun (_, (r, _, _, _, _)) -> agrees r base) runs in
-  (* every Fast row makes the same sharing decisions, so executes exactly
-     as often; and sharing must keep collapsing the sweep *)
-  let fast_execs_ok =
-    List.for_all
-      (fun ((strategy, _), (_, _, execs, _, _)) ->
-        strategy = Reference || execs = fast_execs)
-      runs
-    && fast_execs * 4 <= ref_execs
-  in
+  (* sharing must keep collapsing the sweep *)
+  let fast_execs_ok = fast_execs * 4 <= ref_execs in
   Printf.printf
-    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer), %.2fx faster at 1 job; %d reach-seeded shares, %d specialised compilations, %d COW clones, %d IC hits\n"
+    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer); %d reach-seeded shares, %d specialised compilations, %d COW clones, %d IC hits\n"
     ref_pc fast_pc
     (Float.of_int ref_execs /. Float.of_int fast_execs)
-    (ref_dt /. fast_dt)
     fast_res.Comfort.Campaign.cp_reach_seeded
     fast_res.Comfort.Campaign.cp_specialized
     fast_res.Comfort.Campaign.cp_cow_clones
     fast_res.Comfort.Campaign.cp_ic_hits;
-  (if multi then
-     let _, par_dt, _, _, _ = List.assoc (Fast, njobs) runs in
-     Printf.printf "Fast + %d jobs vs Reference: %.2fx\n" njobs
-       (ref_dt /. par_dt));
   Printf.printf "all results identical: %b; Fast executions/case gate: %b\n"
     same fast_execs_ok;
   if not same then begin
@@ -729,23 +672,21 @@ let campaign_bench () =
   end;
   if not fast_execs_ok then begin
     Printf.eprintf
-      "FAIL: Fast rows executed %d times (Reference %d): the counts must \
-       agree across Fast rows and be at least 4x below Reference\n"
+      "FAIL: Fast executed %d times (Reference %d): it must stay at least \
+       4x below Reference\n"
       fast_execs ref_execs;
     exit 1
   end;
-  (* profiler-accounting gate (jobs=1 rows only: a parallel row's stage
-     sums measure CPU time, so "unaccounted wall" is not meaningful
-     there): every sequential row must pin at least 90% of its wall
-     clock to a named pipeline stage, or the profiler has a hole *)
+  (* profiler-accounting gate: every in-process row must pin at least
+     90% of its wall clock to a named pipeline stage, or the profiler has
+     a hole *)
   let max_unaccounted =
     List.fold_left
-      (fun acc ((_, jobs), (_, _, _, _, (p, _))) ->
-        if jobs = 1 then Float.max acc p.Comfort.Metrics.pr_unaccounted_pct
-        else acc)
+      (fun acc (_, (_, _, _, _, (p, _))) ->
+        Float.max acc p.Comfort.Metrics.pr_unaccounted_pct)
       0.0 runs
   in
-  Printf.printf "profiler: max unaccounted wall across jobs=1 rows %.1f%%\n"
+  Printf.printf "profiler: max unaccounted wall across rows %.1f%%\n"
     max_unaccounted;
   if max_unaccounted >= 10.0 then begin
     Printf.eprintf
@@ -754,8 +695,8 @@ let campaign_bench () =
       max_unaccounted;
     exit 1
   end;
-  (* allocation-regression gate on the Fast jobs=1 row: scratch recycling
-     and the quirk-word migration hold the steady state near 0.5 MB/case;
+  (* allocation-regression gate on the Fast row: scratch recycling and
+     the quirk-word migration hold the steady state near 0.5 MB/case;
      the budget leaves headroom for machine variance but catches a
      reverted optimisation, which costs several MB/case *)
   let alloc_budget_per_case = 2_000_000.0 in
@@ -769,10 +710,9 @@ let campaign_bench () =
       fast_alloc_per_case alloc_budget_per_case;
     exit 1
   end;
-  (* gates on the process-isolated row measured up front (before the
-     grid could spawn domains): identity with the in-process report and
-     an exact folded execution count — the determinism contract of
-     DESIGN.md §14 *)
+  (* gates on the process-isolated row: identity with the in-process
+     report and an exact folded execution count — the determinism
+     contract of DESIGN.md §14 *)
   let workers_same, workers_execs_ok =
     match workers_row with
     | None -> (true, true)
@@ -785,10 +725,10 @@ let campaign_bench () =
          skipped\n"
   | Some (_, dt, _, kills, respawns) ->
       Printf.printf
-        "process isolation: %d workers, %.2fs wall (%.2fx vs the in-process \
-         Fast row), identical results: %b, folded executions match the Fast \
-         row: %b, %d respawns (%d hard-kills)\n"
-        wn dt (fast_dt /. dt) workers_same workers_execs_ok respawns kills);
+        "process isolation: %d workers, %.2fs wall, identical results: %b, \
+         folded executions match the Fast row: %b, %d respawns (%d \
+         hard-kills)\n"
+        wn dt workers_same workers_execs_ok respawns kills);
   if not workers_same then begin
     Printf.eprintf
       "FAIL: the process-isolated row disagrees with the in-process report\n";
@@ -805,17 +745,16 @@ let campaign_bench () =
          (fun r -> Printf.sprintf "%S: %d" r.Comfort.Metrics.st_name (get r))
          rows)
   in
-  let json_run ((strategy, jobs), (r, dt, execs, per_case, (p, alloc))) =
+  let json_run (strategy, (r, dt, execs, per_case, (p, alloc))) =
     Printf.sprintf
-      {|    { "strategy": %S, "jobs": %d, "wall_s": %.3f, "cases_per_s": %.1f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
+      {|    { "strategy": %S, "wall_s": %.3f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
       "alloc_bytes": %.0f, "alloc_bytes_per_case": %.0f, "accounted_ns": %d, "unaccounted_pct": %.1f,
       "pipeline_ns": { %s },
       "pipeline_bytes": { %s },
       "stages_ns": { %s },
       "stages_bytes": { %s } }|}
-      (to_string strategy) jobs dt
-      (Float.of_int r.Comfort.Campaign.cp_cases_run /. dt)
-      execs per_case r.Comfort.Campaign.cp_reach_seeded
+      (to_string strategy) dt execs per_case
+      r.Comfort.Campaign.cp_reach_seeded
       r.Comfort.Campaign.cp_specialized r.Comfort.Campaign.cp_cow_clones
       r.Comfort.Campaign.cp_ic_hits
       (List.length r.Comfort.Campaign.cp_discoveries)
@@ -837,12 +776,10 @@ let campaign_bench () =
   "host": %s,
   "budget": %d,
   "testbeds": %d,
-  "parallel_row_skipped": %b,
   "runs": [
 %s
   ],
   "fast_execution_reduction": %.2f,
-  "fast_speedup_1job": %.2f,
   "fast_executions_ok": %b,
   "max_unaccounted_pct": %.1f,
   "alloc_budget_bytes_per_case": %.0f,
@@ -857,10 +794,10 @@ let campaign_bench () =
   "workers_kills": %d
 }
 |}
-      (host_json ()) budget (List.length testbeds) (not multi)
+      (host_json ()) budget (List.length testbeds)
       (String.concat ",\n" (List.map json_run runs))
       (Float.of_int ref_execs /. Float.of_int fast_execs)
-      (ref_dt /. fast_dt) fast_execs_ok max_unaccounted alloc_budget_per_case
+      fast_execs_ok max_unaccounted alloc_budget_per_case
       fast_alloc_per_case same (workers_row = None) wn
       (match workers_row with Some (_, dt, _, _, _) -> dt | None -> 0.0)
       workers_same workers_execs_ok

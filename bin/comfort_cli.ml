@@ -24,19 +24,6 @@ let read_file path =
   close_in ic;
   s
 
-(* [--jobs 0] (the default) defers to COMFORT_JOBS, else sequential.
-   Campaign results are byte-identical at any job count. *)
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the differential sweep. 0 reads \
-           $(b,COMFORT_JOBS) from the environment (default 1). Results \
-           are identical at any job count.")
-
-let resolve_jobs n = if n <= 0 then Comfort.Executor.default_jobs () else n
-
 (* [--workers 0] (the default) defers to COMFORT_WORKERS, else in-process.
    Campaign results are byte-identical at any worker count. *)
 let workers_arg =
@@ -195,9 +182,8 @@ let difftest_cmd =
 
 (* --- fuzz --- *)
 
-let fuzz budget fuzzer_name seed feedback jobs workers audit faults
+let fuzz budget fuzzer_name seed feedback workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
-  let jobs = resolve_jobs jobs in
   let workers = resolve_workers workers in
   let plan =
     match faults with
@@ -257,7 +243,7 @@ let fuzz budget fuzzer_name seed feedback jobs workers audit faults
           | Ok st ->
               Printf.printf "resuming %s\n"
                 (Comfort.Campaign.Checkpoint.describe st);
-              Comfort.Campaign.resume ~jobs ~workers ?checkpoint
+              Comfort.Campaign.resume ~workers ?checkpoint
                 ?halt_after st)
       | None -> (
           (* constructing the fuzzer forces the spec database and the LM
@@ -280,9 +266,9 @@ let fuzz budget fuzzer_name seed feedback jobs workers audit faults
             let t = Comfort.Feedback.create fz in
             Comfort.Feedback.run_rounds ~rounds:4
               ~budget_per_round:(max 1 (budget / 4))
-              ~jobs t
+              t
           else
-            Comfort.Campaign.run ~budget ~jobs ~workers ~audit ?faults:plan
+            Comfort.Campaign.run ~budget ~workers ~audit ?faults:plan
               ?checkpoint ?halt_after fz)
     with
     | Comfort.Campaign.Halted { halted_at; halted_checkpoint } ->
@@ -353,15 +339,9 @@ let fuzz budget fuzzer_name seed feedback jobs workers audit faults
         d.Comfort.Campaign.disc_behavior
         (Jsinterp.Quirk.to_string d.Comfort.Campaign.disc_quirk))
     res.Comfort.Campaign.cp_discoveries;
-  if profile then begin
-    (if jobs > 1 then
-       Printf.printf
-         "profile (jobs=%d: stage sums are CPU time across domains and may \
-          exceed wall)\n"
-         jobs);
+  if profile then
     print_string (Comfort.Metrics.profile_to_string
-                    (Comfort.Metrics.profile ~wall_ns))
-  end;
+                    (Comfort.Metrics.profile ~wall_ns));
   match res.Comfort.Campaign.cp_aborted with
   | Some reason ->
       Printf.eprintf "campaign aborted early: %s\n" reason;
@@ -429,7 +409,7 @@ let fuzz_cmd =
       & info [ "resume" ] ~docv:"PATH"
           ~doc:
             "Continue a checkpointed campaign instead of starting fresh. \
-             Every campaign parameter except $(b,--jobs) is restored from \
+             Every campaign parameter except $(b,--workers) is restored from \
              the checkpoint; the final report is identical to the \
              uninterrupted run's.")
   in
@@ -454,9 +434,9 @@ let fuzz_cmd =
              campaign summary.")
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign against the simulated engines")
-    Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ jobs_arg
-          $ workers_arg $ audit $ faults $ checkpoint $ checkpoint_every $ resume $ halt_after
-          $ profile)
+    Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ workers_arg
+          $ audit $ faults $ checkpoint $ checkpoint_every $ resume
+          $ halt_after $ profile)
 
 (* --- analyze --- *)
 
@@ -591,11 +571,10 @@ let analyze_cmd =
 
 (* --- export --- *)
 
-let export budget seed dir jobs workers =
+let export budget seed dir workers =
   let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
   let res =
-    Comfort.Campaign.run ~budget ~jobs:(resolve_jobs jobs)
-      ~workers:(resolve_workers workers) fz
+    Comfort.Campaign.run ~budget ~workers:(resolve_workers workers) fz
   in
   let files = Comfort.Test262_export.export res in
   (match dir with
@@ -627,11 +606,11 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Fuzz, then render discoveries as Test262-style conformance tests")
-    Term.(const export $ budget $ seed $ dir $ jobs_arg $ workers_arg)
+    Term.(const export $ budget $ seed $ dir $ workers_arg)
 
 (* --- reduce --- *)
 
-let reduce file engine version jobs =
+let reduce file engine version =
   let src = read_file file in
   let cfg =
     match version with
@@ -661,7 +640,7 @@ let reduce file engine version jobs =
           }
         in
         let reduced =
-          Comfort.Reducer.reduce ~jobs:(resolve_jobs jobs)
+          Comfort.Reducer.reduce
             ~still_triggers:
               (Comfort.Reducer.still_triggers_deviation tb dev)
             src
@@ -678,7 +657,7 @@ let reduce_cmd =
     Arg.(value & opt (some string) None & info [ "version" ] ~doc:"Engine version.")
   in
   Cmd.v (Cmd.info "reduce" ~doc:"Reduce a bug-exposing test case")
-    Term.(const reduce $ file $ engine $ version $ jobs_arg)
+    Term.(const reduce $ file $ engine $ version)
 
 (* --- spec --- *)
 

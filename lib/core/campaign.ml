@@ -64,8 +64,8 @@ type result = {
   cp_ic_hits : int;
       (** property accesses answered by a compiled site's inline cache
           (0 under [Reference]) *)
-  cp_skipped_cases : int;      (** cases lost to worker failures (supervised
-                                   executor: recorded, not fatal) *)
+  cp_skipped_cases : int;      (** cases lost to worker failures (recorded,
+                                   not fatal) *)
   cp_faults : Supervisor.stats;    (** aggregate supervision counters *)
   cp_quarantined : (string * int) list;
       (** quarantined testbeds as (id, case that tripped the threshold) *)
@@ -185,11 +185,10 @@ let api_of_deviation (dev : Difftest.deviation) (tc : Testcase.t)
    reduced quirk sets agree on every consulted checkpoint share one
    execution (the common case — most removed quirks were never touched),
    and probes repeated across rule applications on the same case hit the
-   same class representatives. A cache is not domain-safe, so probes run
-   serially on the calling domain — the fired sets being probed are small
-   (typically 1–3 quirks). The [memo] table short-circuits exact repeats —
-   same testbed, same removed quirk, same baseline signature — without
-   even a signature comparison. *)
+   same class representatives. Probes run serially on the driver — the
+   fired sets being probed are small (typically 1–3 quirks). The [memo]
+   table short-circuits exact repeats — same testbed, same removed quirk,
+   same baseline signature — without even a signature comparison. *)
 let causal_quirks ~strategy ~cache ~memo (tb : Engines.Engine.testbed)
     (dev : Difftest.deviation) ~fuel : Quirk.t list =
   let cfg = tb.Engines.Engine.tb_config in
@@ -355,7 +354,7 @@ end
 
 (* Everything the in-order consumption loop needs, whether freshly
    gathered by [run] or thawed from a checkpoint by [resume]. Mutable
-   fields are touched only on the driver domain, in submission order. *)
+   fields are touched only by the driver, in submission order. *)
 type st = {
   d_fuzzer : string;
   d_fuel : int;
@@ -459,7 +458,7 @@ let final (d : st) : result =
     cp_aborted = d.d_aborted;
   }
 
-let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
+let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     result =
   (match checkpoint with
   | Some (_, every) when every <= 0 ->
@@ -505,14 +504,12 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         Some path
     | None -> None
   in
-  (* The per-case differential sweep — the dominant cost — runs on the
-     worker pool; every stateful stage below (judging under supervision,
-     Fig. 6 tree, dedup, causal attribution, reduction, timeline,
-     checkpointing) runs on this domain, in submission order, so the
-     outcome is byte-identical at any job count. Workers only read the
-     immutable test case (and the supervisor's monotone quarantine
-     snapshot, racily, to skip doomed work); the shared lazies (spec db,
-     LM) are forced by [Executor.create] before workers spawn. *)
+  (* The per-case differential sweep — the dominant cost — is [worker]
+     below, run in-process or in a forked worker; every stateful stage
+     here (judging under supervision, Fig. 6 tree, dedup, causal
+     attribution, reduction, timeline, checkpointing) runs in the driver,
+     in submission order, so the outcome is byte-identical at any worker
+     count. *)
   let consume (i : int) (tc : Testcase.t) (w : work) =
     let reports =
       match w with
@@ -585,7 +582,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                       if d.d_reduce then
                         Some
                           (Run.Stage.time Run.Stage.reduce (fun () ->
-                               Reducer.reduce ~jobs
+                               Reducer.reduce
                                  ~still_triggers:
                                    (Reducer.still_triggers_deviation
                                       ~strategy:d.d_strategy tb dev)
@@ -653,9 +650,9 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     (* one execution-sharing cache per case, shared by the per-mode-group
        sweeps below: the base parses and their reach analyses run once
        per case instead of once per group. The cache is built and
-       consumed entirely inside this worker call (it is not domain-safe),
-       and classes are keyed by mode, so reports are byte-identical to
-       per-group caches. Lazy: audit cases build their own caches. *)
+       consumed entirely inside this worker call, and classes are keyed
+       by mode, so reports are byte-identical to per-group caches. Lazy:
+       audit cases build their own caches. *)
     let case_cache =
       lazy (Engines.Engine.Exec.cache tc.Testcase.tc_source)
     in
@@ -671,8 +668,8 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
              by_mode)
     | None ->
         (* cases are keyed by their submission index, so the audit sample
-           is deterministic — the same cases are cross-checked at any job
-           count and across resume *)
+           is deterministic — the same cases are cross-checked at any
+           worker count and across resume *)
         let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
         W_judged
           (List.map
@@ -689,22 +686,30 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
       (List.mapi (fun i tc -> (i, tc)) d.d_cases)
   in
   let use_workers = workers > 0 && Coordinator.available () in
-  if not use_workers then
-    Executor.with_pool ~jobs (fun pool ->
-        Executor.run_ordered pool
-          ~on_exn:(fun _ _ e ->
+  if not use_workers then begin
+    (* In-process: one case at a time. A worker exception fails-and-skips
+       its case (the supervised lane's poisoned work); [d_stop] is polled
+       after each consume. *)
+    let rec loop = function
+      | [] -> ()
+      | ((i, tc) as it) :: rest ->
+          let w =
+            match worker it with
+            | w -> w
             (* an audit divergence is a soundness bug, never a fault to
                absorb — let it poison the run loudly *)
-            match e with
-            | Difftest.Audit_mismatch _ -> raise e
-            | e -> W_failed e)
-          ~stop:(fun () -> d.d_stop)
-          worker items
-          ~consume:(fun _ (i, tc) w -> consume i tc w))
+            | exception (Difftest.Audit_mismatch _ as e) -> raise e
+            | exception e -> W_failed e
+          in
+          consume i tc w;
+          if not d.d_stop then loop rest
+    in
+    loop items
+  end
   else begin
     (* Process-isolated fan-out (DESIGN.md §14): same worker function and
        same in-submission-order consume, so the report is byte-identical
-       to the in-process pool — but a segfaulting, hung or hard-killed
+       to the in-process loop — but a segfaulting, hung or hard-killed
        execution now costs one child process, not the campaign. Runs in
        the child, so results cross a pipe as [wire]. *)
     let worker_wire (it : int * Testcase.t) : wire =
@@ -765,7 +770,6 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
 
 let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
-    ?(jobs = Executor.default_jobs ())
     ?(workers = Coordinator.default_workers ()) ?worker_limits ?strategy
     ?(audit = 0) ?faults ?policy ?checkpoint ?halt_after (fz : fuzzer) :
     result =
@@ -865,11 +869,10 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
       d_stop = false;
     }
   in
-  drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after d
+  drive ~workers ?worker_limits ?checkpoint ?halt_after d
 
-let resume ?(jobs = Executor.default_jobs ())
-    ?(workers = Coordinator.default_workers ()) ?worker_limits ?checkpoint
-    ?halt_after (ck : Checkpoint.state) : result =
+let resume ?(workers = Coordinator.default_workers ()) ?worker_limits
+    ?checkpoint ?halt_after (ck : Checkpoint.state) : result =
   let testbeds =
     List.map
       (fun id ->
@@ -922,4 +925,4 @@ let resume ?(jobs = Executor.default_jobs ())
       d_stop = false;
     }
   in
-  drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after d
+  drive ~workers ?worker_limits ?checkpoint ?halt_after d

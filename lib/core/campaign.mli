@@ -59,8 +59,8 @@ type result = {
       (** property accesses answered by a compiled site's inline cache;
           0 under [Reference]. Statistics only *)
   cp_skipped_cases : int;
-      (** cases lost to worker failures: the supervised executor records
-          them as failed-and-skipped instead of letting one poisoned case
+      (** cases lost to worker failures: the campaign records them as
+          failed-and-skipped instead of letting one poisoned case
           kill the campaign *)
   cp_faults : Supervisor.stats;       (** aggregate supervision counters *)
   cp_quarantined : (string * int) list;
@@ -138,10 +138,6 @@ end
                      differential testing and replacements are drawn so
                      the budget is still spent in full; [false] is the
                      screening ablation
-    @param jobs      worker domains for the per-case differential sweep
-                     (default [COMFORT_JOBS], else 1). Results are consumed
-                     in submission order, so discoveries, the filter tree,
-                     and the timeline are byte-identical at any job count
     @param strategy  the execution strategy (default
                      {!Jsinterp.Strategy.default}); reports are
                      byte-identical under both (DESIGN.md, "Execution
@@ -172,12 +168,12 @@ end
     @param workers   when positive (default [COMFORT_WORKERS], else 0)
                      and {!Coordinator.available}, run every per-case
                      sweep in one of this many forked worker processes
-                     instead of the in-process executor: a segfault,
-                     runaway or hard-killed execution costs one worker,
-                     never the campaign, and reports stay byte-identical
-                     at any worker count (DESIGN.md §14). Otherwise
-                     degrades to the in-process pool. [jobs] only
-                     affects driver-side diagnostics in this mode
+                     instead of the in-process loop: a segfault, runaway
+                     or hard-killed execution costs one worker, never the
+                     campaign. Results are consumed in submission order,
+                     so discoveries, the filter tree and the timeline are
+                     byte-identical at any worker count (DESIGN.md §14).
+                     Otherwise every case runs in-process, in order
     @param worker_limits watchdog/respawn budgets for the worker pool;
                      budget exhaustion aborts with a partial report
                      ({!result.cp_aborted}), mirroring testbed-pool
@@ -188,7 +184,6 @@ val run :
   ?fuel:int ->
   ?reduce:bool ->
   ?screen:bool ->
-  ?jobs:int ->
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->
   ?strategy:Jsinterp.Strategy.t ->
@@ -201,16 +196,15 @@ val run :
   result
 
 (** Continue a checkpointed campaign to completion. Every campaign
-    parameter except [jobs] and [workers] (both orthogonal to the
-    outcome) is restored from the checkpoint; the final report is
-    byte-identical to the uninterrupted run's, at any combination of
-    job/worker counts on either side of the kill.
+    parameter except [workers] (orthogonal to the outcome) is restored
+    from the checkpoint; the final report is byte-identical to the
+    uninterrupted run's, at any worker count on either side of the
+    kill.
     [checkpoint]/[halt_after] behave as in {!run}, so a resumed campaign
     can itself checkpoint and halt.
     @raise Invalid_argument when the checkpoint names testbeds or a fault
     plan this binary does not know. *)
 val resume :
-  ?jobs:int ->
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->
   ?checkpoint:string * int ->

@@ -1,13 +1,13 @@
 (* Fork-based process-isolated worker pool — see coordinator.mli and
    DESIGN.md §14.
 
-   Anatomy: the driver forks N single-threaded children before any
-   domain exists. Each child loops { read task; ack; execute; reply }
-   over a pair of pipes speaking Ipc frames. The driver multiplexes the
+   Anatomy: the driver forks N single-threaded children. Each child
+   loops { read task; ack; execute; reply } over a pair of pipes
+   speaking Ipc frames. The driver multiplexes the
    result pipes with select, SIGKILLs deadline overruns, respawns the
    dead (within budget), and consumes replies strictly in submission
-   order through a reorder buffer — the process-isolated mirror of
-   Executor.run_ordered.
+   order through a reorder buffer, so the campaign consumes exactly the
+   sequence its in-process loop would.
 
    Child discipline: a forked child shares the parent's buffered
    channels copy-on-write, so it must never write to them and must
@@ -48,10 +48,6 @@ let stat_hangs () = !hangs_total
 
 let available () =
   Sys.unix
-  (* OCaml 5 forbids fork in a process that ever spawned a domain, even
-     one long since joined; a prior jobs>1 pool permanently rules out
-     process isolation, so degrade instead of tripping the runtime *)
-  && (not (Executor.domains_ever_spawned ()))
   &&
   match Sys.getenv_opt "COMFORT_NO_FORK" with
   | None | Some "" -> true
@@ -241,8 +237,7 @@ let create ~workers ?(limits = default_limits) ~worker () : ('a, 'b) t =
   if limits.li_watchdog_s <= 0.0 then
     invalid_arg "Coordinator.create: li_watchdog_s must be > 0";
   (* Children inherit shared immutable state copy-on-write; force the
-     expensive lazies now so each child doesn't rebuild them. (Mirrors
-     Executor.create. Must run before any domain is spawned.) *)
+     expensive lazies now so each child doesn't rebuild them. *)
   ignore (Lazy.force Specdb.Db.standard);
   ignore (Lazy.force Lm.Model.comfort);
   (* EPIPE (a dead worker under our write) must be an error to classify,
@@ -333,7 +328,7 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
        own itimer (li_watchdog_s) gets the first shot *)
     let deadline_s = (limits.li_watchdog_s *. 2.0) +. 0.5 in
     (* dispatch lookahead past the consume cursor, bounding the reorder
-       buffer exactly as Executor.run_ordered's ring window does *)
+       buffer *)
     let window = 4 * Array.length t.co_ws in
     let absorbed = Array.make n 0 in
     let deaths = Array.make n 0 in

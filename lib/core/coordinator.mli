@@ -7,8 +7,8 @@
     address space. This module supplies the {e mechanism} half: the
     driver [fork]s N workers, ships case tasks over pipes ({!Ipc}
     frames), and folds replies back in submission order — the same
-    in-order consume contract as [Executor.run_ordered] — so campaign
-    reports are byte-identical at any worker count. A worker that
+    in-order consume contract as the campaign's in-process loop — so
+    campaign reports are byte-identical at any worker count. A worker that
     segfaults, is hard-killed by a [worker_kill] fault draw, wedges in
     an un-interruptible loop, or dies mid-frame costs a re-dispatch,
     never the campaign.
@@ -70,10 +70,8 @@ type ('a, 'b) t
 
 val available : unit -> bool
 (** Can this process fork workers at all? False on non-Unix systems,
-    when COMFORT_NO_FORK is set non-empty (the CI escape hatch), and —
-    permanently — once any executor domain has ever been spawned
-    (OCaml 5 forbids [fork] from then on, even after the domains are
-    joined); callers degrade to the in-process executor. *)
+    and when COMFORT_NO_FORK is set non-empty (the CI escape hatch);
+    callers degrade to the in-process loop. *)
 
 val default_workers : unit -> int
 (** COMFORT_WORKERS, else 0 (in-process). The [--workers] default. *)
@@ -81,10 +79,9 @@ val default_workers : unit -> int
 val create :
   workers:int -> ?limits:limits -> worker:('a -> 'b) -> unit -> ('a, 'b) t
 (** Fork [workers] children, each looping over dispatched tasks with
-    [worker]. Must be called before any domains are spawned (fork and
-    domains do not mix); shared lazy state (spec database, LM) is
-    forced first so children inherit it copy-on-write. [worker] runs in
-    the child; exceptions it raises are shipped back as strings and
+    [worker]. Shared lazy state (spec database, LM) is forced first so
+    children inherit it copy-on-write. [worker] runs in the child;
+    exceptions it raises are shipped back as strings and
     surface through [run_ordered]'s [on_task_fail]. *)
 
 val shutdown : ('a, 'b) t -> unit
@@ -106,8 +103,7 @@ val run_ordered :
   consume:(int -> 'a -> 'b -> unit) ->
   unit
 (** Dispatch every task and call [consume i task reply] strictly in
-    submission order from the calling thread — the process-isolated
-    mirror of [Executor.run_ordered]. [on_task_fail i task msg]
+    submission order from the calling thread. [on_task_fail i task msg]
     supplies the reply for a task whose worker raised, or that exceeded
     [li_task_deaths] (absent: such a task raises [Failure msg]).
     [stop], polled between consumes and before each new dispatch, ends

@@ -140,12 +140,12 @@ let apply_2t_rule (results : (Engines.Engine.testbed * Run.result) list) :
 (* --- the worker half: the supervised testbed sweep --- *)
 
 (* The raw material of one differential test, before any vote: every
-   applicable testbed's supervised execution outcome. Produced on a
-   worker domain; judged (vote, quarantine filtering) on the driver. The
-   split is what keeps supervision deterministic: fault draws depend only
-   on (plan, testbed, case key), while every stateful decision — which
-   testbeds are quarantined, what the majority is — happens in
-   submission order on the driver. *)
+   applicable testbed's supervised execution outcome. Produced by the
+   campaign's worker (in-process or forked); judged (vote, quarantine
+   filtering) on the driver. The split is what keeps supervision
+   deterministic: fault draws depend only on (plan, testbed, case key),
+   while every stateful decision — which testbeds are quarantined, what
+   the majority is — happens in submission order on the driver. *)
 type sweep = {
   sw_case : Testcase.t;
   sw_key : int;  (** the case key the fault draws were keyed by *)
@@ -166,7 +166,7 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
      mode group) so the base parses and their reach analyses run once per
      case, not once per group — classes are keyed by mode, so no
      execution is ever shared across groups; it must have been built for
-     [tc]'s source, on the calling domain. *)
+     [tc]'s source. *)
   let ec =
     match cache with
     | Some ec -> ec

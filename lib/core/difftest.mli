@@ -67,9 +67,9 @@ val apply_2t_rule :
   (Engines.Engine.testbed * Jsinterp.Run.result * signature) list
 
 (** The raw material of one differential test: every applicable testbed's
-    supervised execution outcome, before any vote. Produced on a worker
-    domain by {!sweep_case}; turned into a {!case_report} on the driver by
-    {!judge}. The split is what keeps supervision deterministic
+    supervised execution outcome, before any vote. Produced by
+    {!sweep_case} in the campaign's worker; turned into a {!case_report}
+    on the driver by {!judge}. The split is what keeps supervision deterministic
     (DESIGN.md §10): fault draws depend only on (plan, testbed, case
     key), and every stateful decision — quarantine, the majority — runs
     in submission order on the driver. *)
@@ -90,7 +90,7 @@ type sweep = {
     [cache] shares one per-case {!Engines.Engine.Exec} cache across this
     case's several sweeps (the campaign sweeps each mode group
     separately), so the base parses and reach analyses run once per case;
-    it must have been built for [tc]'s source on the calling domain.
+    it must have been built for [tc]'s source.
     Classes are keyed by mode, so no execution is shared across groups —
     the report is byte-identical with or without it. *)
 val sweep_case :

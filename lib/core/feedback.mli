@@ -29,7 +29,6 @@ val run_rounds :
   ?rounds:int ->
   ?budget_per_round:int ->
   ?fuel:int ->
-  ?jobs:int ->
   ?strategy:Jsinterp.Strategy.t ->
   t ->
   Campaign.result

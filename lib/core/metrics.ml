@@ -136,9 +136,7 @@ type profile = {
 
 (* Fold the process-wide [Run.Stage] counters against a measured campaign
    wall clock. Only meaningful when [Run.Stage.enabled] was set for
-   exactly the timed region and the counters were [reset] at its start.
-   At jobs>1 the accounted sum is CPU time across domains and can exceed
-   wall; the unaccounted percentage clamps at 0 in that case. *)
+   exactly the timed region and the counters were [reset] at its start. *)
 let profile ~(wall_ns : int) : profile =
   let row (n, ns, bytes) = { st_name = n; st_ns = ns; st_bytes = bytes } in
   let stages = List.map row (Jsinterp.Run.Stage.pipeline ()) in

@@ -49,8 +49,7 @@ type profile = {
 (** Fold the [Jsinterp.Run.Stage] counters against a measured wall clock.
     Callers must have set [Run.Stage.enabled], [reset] the counters at
     the start of the timed region, and measured [wall_ns] around exactly
-    that region. With [jobs > 1] the accounted sum is CPU time and may
-    exceed wall (the residual clamps at 0). *)
+    that region. *)
 val profile : wall_ns:int -> profile
 
 (** Render a profile as the CLI's human-readable table. *)

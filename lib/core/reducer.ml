@@ -95,36 +95,10 @@ let one_step_simplifications (p : Ast.program) : Ast.program list =
         p)
     !sids
 
-(* First [x] in [xs] satisfying [p], probing in chunks of [jobs] on the
-   executor. Chunks are evaluated left to right and the earliest success in
-   a chunk wins, so the answer is exactly [List.find_opt p xs] — the extra
-   probes past the winner inside its chunk are the parallelism tax. *)
-let find_first ~jobs (p : 'a -> bool) (xs : 'a list) : 'a option =
-  if jobs <= 1 then List.find_opt p xs
-  else
-    let rec chunks = function
-      | [] -> None
-      | xs ->
-          let rec take n = function
-            | x :: rest when n > 0 ->
-                let hd, tl = take (n - 1) rest in
-                (x :: hd, tl)
-            | rest -> ([], rest)
-          in
-          let chunk, rest = take jobs xs in
-          let verdicts = Executor.map ~jobs (fun x -> (x, p x)) chunk in
-          (match List.find_opt snd verdicts with
-          | Some (x, _) -> Some x
-          | None -> chunks rest)
-    in
-    chunks xs
-
 (* Reduce [src] while [still_triggers] holds. Greedy first-improvement
    search to a fixpoint; the candidate order prefers large deletions first
-   (top-level statements come first in id order). With [jobs > 1] the
-   per-candidate probes run in parallel; the accepted candidate is still
-   the sequentially-first improvement, so the result is jobs-invariant. *)
-let reduce ?(jobs = 1) ~(still_triggers : string -> bool) (src : string) :
+   (top-level statements come first in id order). *)
+let reduce ~(still_triggers : string -> bool) (src : string) :
     string =
   match Jsparse.Parser.parse_program src with
   | exception Jsparse.Parser.Syntax_error _ -> src
@@ -136,7 +110,7 @@ let reduce ?(jobs = 1) ~(still_triggers : string -> bool) (src : string) :
           let candidates = one_step_deletions p @ one_step_simplifications p in
           let len = String.length (to_src p) in
           let better =
-            find_first ~jobs
+            List.find_opt
               (fun cand ->
                 let s = to_src cand in
                 String.length s < len && still_triggers s)

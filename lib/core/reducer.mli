@@ -6,11 +6,8 @@
     anomalous behaviour, until a fixpoint. *)
 
 (** [reduce ~still_triggers src] shrinks [src] greedily while the predicate
-    holds on each candidate. Returns [src] unchanged if it does not parse.
-    [jobs] parallelises the per-candidate probes (chunked first-improvement:
-    the accepted candidate is the sequentially-first one, so the result is
-    identical at any job count). *)
-val reduce : ?jobs:int -> still_triggers:(string -> bool) -> string -> string
+    holds on each candidate. Returns [src] unchanged if it does not parse. *)
+val reduce : still_triggers:(string -> bool) -> string -> string
 
 (** Build the predicate from an observed deviation: the reduced program
     must keep the same behaviour class on the deviating testbed (vs the

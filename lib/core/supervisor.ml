@@ -11,14 +11,13 @@
    supervisor layered on top retries transient faults with deterministic
    backoff and quarantines testbeds that fault persistently.
 
-   Two halves, split by domain-safety:
+   Two halves, split by where they run:
 
    - the {e worker} half ([execute]) wraps one testbed execution. It only
-     reads the immutable fault plan and policy, so any number of worker
-     domains can run it concurrently; every draw is a pure function of
-     (plan seed, testbed id, case key, attempt), which makes a chaos
-     campaign byte-identical at any job count and across checkpoint
-     resume.
+     reads the immutable fault plan and policy, so it can run in any
+     forked worker; every draw is a pure function of (plan seed, testbed
+     id, case key, attempt), which makes a chaos campaign byte-identical
+     at any worker count and across checkpoint resume.
 
    - the {e driver} half ({!t}: [observe], [quarantined]) folds the
      per-case fault observations in submission order, tracks consecutive
@@ -255,7 +254,7 @@ let default_policy =
    the in-process outcome.
 
    Plain refs, not atomics: the hook is armed only in single-threaded
-   forked children; the driver and its domains only ever observe [None]. *)
+   forked children; the driver only ever observes [None]. *)
 
 let kill_hook : (unit -> unit) option ref = ref None
 let kill_absorb : int ref = ref 0

@@ -136,7 +136,7 @@ val execute :
     deterministic sweep order) fail their attempt in-process exactly as
     with no hook, and the next invokes [die], which must not return
     (the coordinator SIGKILLs the worker). With the hook unarmed — the
-    driver, its domains, in-process campaigns — [F_kill] always
+    driver, in-process campaigns — [F_kill] always
     degrades to an in-process attempt failure, which is what makes
     reports byte-identical at any worker count. *)
 

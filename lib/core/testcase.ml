@@ -23,8 +23,7 @@ type t = {
   tc_syntax_valid : bool;  (** verdict of the JSHint-substitute check *)
 }
 
-(* Atomic so ids stay distinct if cases are ever minted off the main
-   domain (e.g. a parallel screening stage). *)
+(* Process-wide case id source. *)
 let counter = Atomic.make 0
 
 let make ?(provenance = P_generated) (source : string) : t =

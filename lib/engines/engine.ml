@@ -107,9 +107,9 @@ let supports (c : Registry.config) (src : string) : bool =
    classes by that id, so parse groups that share one front end also
    share executions.
 
-   A cache is a plain mutable value tied to one source string. It is NOT
-   domain-safe: the campaign executor builds one cache per case inside the
-   worker that owns that case, and nothing else is sound. *)
+   A cache is a plain mutable value tied to one source string: the
+   campaign builds one cache per case inside the worker call that owns
+   that case. *)
 module Frontend = struct
   type cache = {
     fc_src : string;
@@ -285,8 +285,8 @@ end
    within its own parse group.
 
    Like [Frontend.cache], a cache is a plain mutable value tied to one
-   source string and is NOT domain-safe: the campaign executor builds one
-   per case inside the worker that owns the case. *)
+   source string: the campaign builds one per case inside the worker
+   call that owns the case. *)
 module Exec = struct
   (* A class representative: its execution plus the [Registry.pk_int] of
      the parse group it ran under, which a run-time parse depends on. *)

@@ -57,9 +57,8 @@ val supports : Registry.config -> string -> bool
     standard base parse whenever that parse reached no construct an ES5
     flag gates — so a typical source costs one parse in all. Each
     distinct front end handed out carries a small id, which {!Exec}
-    uses as its class key. A cache is mutable and single-domain: the
-    campaign executor builds one inside the worker that owns the
-    case. *)
+    uses as its class key. A cache is mutable: the campaign builds one
+    inside the worker call that owns the case. *)
 module Frontend : sig
   type cache
 
@@ -102,7 +101,7 @@ end
     fixpoint validated against each representative's own touched set.
     Only the [Fast] strategy shares: under [Reference] every run executes
     directly, which makes the cache the direct sweep too. Mutable,
-    single-domain, tied to one source string, like {!Frontend.cache}. *)
+    tied to one source string, like {!Frontend.cache}. *)
 module Exec : sig
   type cache
 

@@ -5,9 +5,7 @@
    node in a program carries a distinct id for coverage accounting. Ids only
    need to be unique within one program; a global counter is the simplest
    way to guarantee that and keeps construction allocation-free besides the
-   node itself. The counter is atomic because the campaign executor parses
-   concurrently from several domains: a plain ref could lose increments and
-   hand the same id to two nodes of one program. *)
+   node itself. *)
 
 open Ast
 

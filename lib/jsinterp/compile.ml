@@ -83,7 +83,7 @@ let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
      ([p.v <- v]) don't bump — the cache holds the record, not the value.
    - [ctx.ic_gen] confines an entry to the execution that filled it:
      caches start cold every execution, making per-case hit counts
-     deterministic under any domain scheduling, and a template object
+     deterministic, and a template object
      journaled by one execution can never serve a stale answer to the
      next.
    - only plain data properties ([getter = None]) of plain objects

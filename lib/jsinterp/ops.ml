@@ -469,9 +469,17 @@ and delete ctx ~strict (o : obj) (key : string) : bool =
   | Some _ when key = "length" -> false
   | Some arr when (match array_index_of_key key with Some i -> i < arr.alen | None -> false) ->
       let i = Option.get (array_index_of_key key) in
-      barrier o;
-      arr.elems.(i) <- Undefined;
-      true
+      (* sealed and frozen elements are non-configurable *)
+      if arr.elem_attrs = Elems_open
+         || fire ctx Quirk.Q_delete_nonconfigurable_succeeds
+      then begin
+        barrier o;
+        arr.elems.(i) <- Undefined;
+        true
+      end
+      else if strict then
+        type_error ctx (Printf.sprintf "cannot delete property '%s'" key)
+      else false
   | _ -> (
       match find_own o key with
       | None -> true

@@ -1,6 +1,6 @@
 (* The realm template: the builtin global environment built once per
-   domain by [Builtins.install] and then lent to every [Fast] execution
-   on that domain behind the [Value.barrier] copy-on-write write barrier.
+   process by [Builtins.install] and then lent to every [Fast] execution
+   behind the [Value.barrier] copy-on-write write barrier.
    [release] rolls the write journal back, so each execution starts from
    a pristine realm without paying for an install of its own. [Reference]
    executions do not use the template: they install a realm each.
@@ -71,9 +71,6 @@ let build () : t =
   in
   Builtins.install ctx;
   let oid1 = Atomic.get obj_counter in
-  (* the span may include oids allocated concurrently by other domains;
-     that only costs unused slots — the marking walk can only ever reach
-     template objects *)
   {
     rt_global = ctx.global;
     rt_protos = ctx.protos;
@@ -105,26 +102,23 @@ let mark_shared (t : t) : unit =
   mark_obj t.rt_global;
   List.iter (fun (_, o) -> mark_obj o) t.rt_protos
 
-(* One template per domain. Executions on a domain are sequential, so the
-   copy-on-write journal (domain-local, see [Value.cow_journal]) never has
-   two writers; nothing template-related is ever shared across domains.
-   Building per domain costs one install (~147µs) amortised over every
-   execution the domain ever runs. *)
-let template_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* One template per process. Executions are sequential, so the
+   copy-on-write journal (see [Value.cow_journal]) never has two writers.
+   Building it costs one install (~147µs) amortised over every execution
+   the process ever runs. *)
+let cached_template : t option ref = ref None
 
 let template () : t =
-  let cell = Domain.DLS.get template_key in
-  match !cell with
+  match !cached_template with
   | Some t -> t
   | None ->
       let t = build () in
       mark_shared t;
-      cell := Some t;
+      cached_template := Some t;
       t
 
 (* --- copy-on-write acquisition ---
-   [acquire] hands out the domain's template *itself*; the write barrier
+   [acquire] hands out the process's template *itself*; the write barrier
    journals pre-images of any template object the execution mutates, and
    [release] rolls the journal back so the next acquisition sees a
    pristine realm. [release] is idempotent (rolling back an empty journal
@@ -136,7 +130,7 @@ let acquire () : obj * (string * obj) list =
 
 let release () : unit = Value.cow_rollback ()
 
-(* Audit mode: structurally compare the domain's (post-rollback) template
+(* Audit mode: structurally compare the (post-rollback) template
    against a freshly installed realm — any surviving mutation means a
    write-barrier gap, i.e. cross-execution leakage. Oids, cow state and
    version stamps are identity bookkeeping, not observable state, and are

@@ -31,7 +31,7 @@ let status_to_string = function
 
 let default_fuel = 2_000_000
 
-(* Cumulative interpreter-execution count, across all domains — the
+(* Cumulative interpreter-execution count of this process — the
    execution-side analogue of [Jsparse.Parser.parse_count]. Incremented
    once per program actually evaluated (never for parse failures or for
    results inherited through the execution-sharing layer), so a campaign
@@ -52,13 +52,11 @@ let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
 
    - {e pipeline stages} (generate, screen, sweep, vote, attr, reduce,
      fold) partition a campaign's wall clock. [time] attributes to the
-     OUTERMOST active stage only (a per-domain re-entrancy flag): when the
-     reducer replays a case through the sweep+vote path, the inner probes
-     are no-ops, so at jobs=1 the stage sums can never double-count and
-     their total is a lower bound on wall (what's missing is the
-     unaccounted residual the bench gates below 10%). At jobs>1 the
-     worker domains accumulate concurrently, so the sums bound wall times
-     the domain count instead — CPU-time attribution, not wall.
+     OUTERMOST active stage only (a re-entrancy flag): when the reducer
+     replays a case through the sweep+vote path, the inner probes are
+     no-ops, so the stage sums can never double-count and their total is
+     a lower bound on wall (what's missing is the unaccounted residual the
+     bench gates below 10%).
 
    - {e interpreter substages} (parse, compile, realm-install, exec) nest
      inside whichever pipeline stage is running them and always record
@@ -67,9 +65,7 @@ let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
      the pipeline total.
 
    Each slot accumulates wall nanoseconds and allocated bytes
-   ([Gc.allocated_bytes] delta — per-domain in OCaml 5, so concurrent
-   stages don't bleed into each other) as atomics, so parallel campaigns
-   attribute to the same counters. *)
+   ([Gc.allocated_bytes] delta). *)
 module Stage = struct
   let enabled = ref false
 
@@ -142,28 +138,24 @@ module Stage = struct
       Fun.protect ~finally:(fun () -> record slot t0 a0) f
     end
 
-  (* pipeline-stage probe: outermost active stage wins (per domain) *)
-  let in_stage : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+  (* pipeline-stage probe: outermost active stage wins *)
+  let in_stage = ref false
 
   let time (slot : slot) (f : unit -> 'a) : 'a =
-    if not !enabled then f ()
+    if (not !enabled) || !in_stage then f ()
     else begin
-      let flag = Domain.DLS.get in_stage in
-      if !flag then f ()
-      else begin
-        flag := true;
-        let t0 = Unix.gettimeofday () in
-        let a0 = Gc.allocated_bytes () in
-        Fun.protect
-          ~finally:(fun () ->
-            flag := false;
-            record slot t0 a0)
-          f
-      end
+      in_stage := true;
+      let t0 = Unix.gettimeofday () in
+      let a0 = Gc.allocated_bytes () in
+      Fun.protect
+        ~finally:(fun () ->
+          in_stage := false;
+          record slot t0 a0)
+        f
     end
 end
 
-(* --- per-domain execution scratch ---
+(* --- execution scratch ---
 
    A campaign performs ~12.5 interpreter executions per case, each
    allocating a fresh output buffer, global-scope table, realm copy and
@@ -174,7 +166,7 @@ end
    Reference checks cover recycling soundness.
 
    Minor-heap widening was tried here and measured as a regression:
-   growing the per-domain minor heap to 4M words (32MB) cost ~10% on the
+   growing the minor heap to 4M words (32MB) cost ~10% on the
    production bench row, and 1M words still cost ~5% — the interpreter's
    working set lives in cache under the default 256k-word minor heap and
    a wider nursery trades cheap minor collections for cache misses. The
@@ -185,43 +177,35 @@ end
    bindings table. [r_output] is an immutable string copy
    ([Buffer.contents]) and nothing outlives [run_exec] that can still
    reach the scope (the COW rollback takes any closure created during the
-   run with it). Each domain keeps one slot of each; [buffer] and
+   run with it). The process keeps one slot of each; [buffer] and
    [bindings] empty the slot (so any unexpected reentrancy simply
    allocates fresh) and reset the scratch before reuse, [release] refits
    the slot at the exec's report boundary. Compiled frames are
    deliberately NOT recycled: closures capture them and may legally
    outlive statements (DESIGN.md §13). *)
 module Scratch = struct
-  type slot = {
-    mutable sc_buf : Buffer.t option;
-    mutable sc_bindings : (string, Value.value ref) Hashtbl.t option;
-  }
-
-  let key : slot Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { sc_buf = None; sc_bindings = None })
+  let buf : Buffer.t option ref = ref None
+  let scope : (string, Value.value ref) Hashtbl.t option ref = ref None
 
   let buffer () : Buffer.t =
-    let s = Domain.DLS.get key in
-    match s.sc_buf with
+    match !buf with
     | Some b ->
-        s.sc_buf <- None;
+        buf := None;
         Buffer.reset b;
         b
     | None -> Buffer.create 256
 
   let bindings () : (string, Value.value ref) Hashtbl.t =
-    let s = Domain.DLS.get key in
-    match s.sc_bindings with
+    match !scope with
     | Some h ->
-        s.sc_bindings <- None;
+        scope := None;
         Hashtbl.reset h;
         h
     | None -> Hashtbl.create 16
 
   let release (ctx : Value.ctx) : unit =
-    let s = Domain.DLS.get key in
-    s.sc_buf <- Some ctx.Value.out;
-    s.sc_bindings <- Some ctx.Value.global_scope.Value.bindings
+    buf := Some ctx.Value.out;
+    scope := Some ctx.Value.global_scope.Value.bindings
 end
 
 (* Parser-level quirks live in the front end: derive the engine's parse
@@ -244,7 +228,7 @@ let parse_opts_of ~(base : Jsparse.Parser.options) (quirks : Quirk.Set.t) :
 
 let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_options)
     ?(fuel = default_fuel) ?(coverage = false) ~(fast : bool) () : Value.ctx =
-  (* [fast] borrows the domain's realm template behind the [Value.barrier]
+  (* [fast] borrows the realm template behind the [Value.barrier]
      write barrier and recycles the execution scratch — the caller MUST
      call [Realm.release] and [Scratch.release] when the execution is
      over, the former on every exit path, to roll the copy-on-write
@@ -520,7 +504,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
               Some cp
         end
       in
-      (* a Fast context borrows the domain's realm template and
+      (* a Fast context borrows the realm template and
          [Realm.release] rolls the write journal back after the run — on
          every exit path, including the deopt-to-tree replay, which must
          see a pristine realm *)
@@ -609,7 +593,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         }
       in
       (* the result captured everything it needs as immutable copies; the
-         ctx's buffer and scope table go back to the domain's scratch *)
+         ctx's buffer and scope table go back to the scratch *)
       if fast then Scratch.release ctx;
       ex
 

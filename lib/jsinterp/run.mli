@@ -29,7 +29,7 @@ val status_to_string : status -> string
 
 val default_fuel : int
 
-(** Cumulative interpreter executions across all domains — the
+(** Cumulative interpreter executions in this process — the
     execution-side analogue of [Jsparse.Parser.parse_count]. Parse
     failures and results inherited through {!share} do not count, so a
     before/after delta measures exactly how many real evaluations a
@@ -49,12 +49,11 @@ val add_runs : int -> unit
 
     Two layers: {e pipeline stages} (generate, screen, sweep, vote, attr,
     reduce, fold) partition the campaign's wall clock — [time] attributes
-    to the outermost active stage only (per-domain re-entrancy flag), so
-    at [jobs = 1] their sum is a no-double-counting lower bound on wall.
-    {e Interpreter substages} (parse, compile, realm-install, exec) nest
-    inside pipeline stages, always record, and are reported as a
-    separate layer. At [jobs > 1] worker domains accumulate concurrently,
-    so stage sums measure CPU time, which may exceed wall. *)
+    to the outermost active stage only (a re-entrancy flag), so their sum
+    is a no-double-counting lower bound on wall. {e Interpreter
+    substages} (parse, compile, realm-install, exec) nest inside
+    pipeline stages, always record, and are reported as a separate
+    layer. *)
 module Stage : sig
   val enabled : bool ref
   val reset : unit -> unit
@@ -84,7 +83,7 @@ module Stage : sig
   val fold : slot  (** report folding, timeline, checkpoint saves *)
 
   (** Run [f] attributed to a pipeline stage. Re-entrant calls (a stage
-      probe inside an active stage probe, on the same domain) do not
+      probe inside an active stage probe) do not
       record — outermost wins. *)
   val time : slot -> (unit -> 'a) -> 'a
 

@@ -40,7 +40,7 @@ and obj = {
       (** copy-on-write state: 0 = ordinary object, 1 = realm-template
           object shared between executions (first mutation must journal a
           pre-image, see [cow_save]), 2 = template object already journaled
-          by the execution in flight on this domain *)
+          by the execution in flight *)
   mutable version : int;
       (** shape stamp: bumped whenever the property *layout* changes (add /
           remove / redefine / rollback) — never on a plain [p.v] store.
@@ -172,7 +172,7 @@ and ctx = {
       (** execution generation stamp for the compiled inline caches: an IC
           entry is valid only for the execution that filled it, so every
           execution starts cold and per-case hit counts are deterministic
-          regardless of how executions are scheduled across domains *)
+          regardless of how executions are scheduled *)
   mutable ihits : int;
       (** inline-cache hits of this execution; flushed into the process-wide
           [ic_hits] tally when the run completes (a plain field so the hot
@@ -209,7 +209,7 @@ exception Out_of_fuel
    it, discards the context, and re-executes the program tree-walked. *)
 exception Deopt_to_tree
 
-(* Atomic: objects are allocated concurrently by campaign worker domains. *)
+(* Process-wide object id source. *)
 let obj_counter = Atomic.make 0
 
 let make_obj ?(oclass = "Object") ?(proto = Null) () =
@@ -234,19 +234,19 @@ let mkprop ?(writable = true) ?(enumerable = true) ?(configurable = true) v =
 
 (* --- copy-on-write journal ---------------------------------------------
 
-   Realm templates (see [Realm]) are shared between every execution on a
-   domain instead of being deep-copied per run. Soundness: the first
+   The realm template (see [Realm]) is shared between every execution in
+   the process instead of being deep-copied per run. Soundness: the first
    mutation of a template object journals a pre-image of all its mutable
    state (the lazy "clone" of the COW scheme — paid only for objects a
    program actually writes, which for typical generated programs is zero),
    and [cow_rollback] — run by [Run] after every execution — restores the
    pre-images so the next execution sees a pristine template.
 
-   The journal is domain-local: executions on one domain are sequential,
-   and each domain shares only its own template, so entries never cross
-   domains. [version] is deliberately *not* restored — rollback bumps it
-   instead, so an inline cache filled against the mutated layout can never
-   validate against the restored one. *)
+   Executions in a process are sequential, so the journal only ever holds
+   the in-flight execution's entries. [version] is deliberately *not*
+   restored — rollback bumps it instead, so an inline cache filled
+   against the mutated layout can never validate against the restored
+   one. *)
 
 type cow_prop_save = {
   cps_prop : prop;
@@ -280,8 +280,7 @@ type cow_save = {
   cs_dataview : bytes option; (* a copy *)
 }
 
-let cow_journal : cow_save list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let cow_journal : cow_save list ref = ref []
 
 (* Process-wide count of lazily journaled template objects ("COW clones");
    campaigns report the delta as [cp_cow_clones]. *)
@@ -295,8 +294,7 @@ let add_cow n = if n > 0 then ignore (Atomic.fetch_and_add cow_clones n)
 let cow_save (o : obj) : unit =
   o.cow <- 2;
   Atomic.incr cow_clones;
-  let j = Domain.DLS.get cow_journal in
-  j :=
+  cow_journal :=
     {
       cs_obj = o;
       cs_oclass = o.oclass;
@@ -332,7 +330,7 @@ let cow_save (o : obj) : unit =
       cs_regex = o.regex;
       cs_dataview = Option.map Bytes.copy o.dataview;
     }
-    :: !j
+    :: !cow_journal
 
 (* The write barrier. Every mutation point of the object model funnels
    through here (or through [set_own]/[remove_own], which do) before
@@ -340,8 +338,7 @@ let cow_save (o : obj) : unit =
 let barrier (o : obj) : unit = if o.cow = 1 then cow_save o
 
 let cow_rollback () : unit =
-  let j = Domain.DLS.get cow_journal in
-  match !j with
+  match !cow_journal with
   | [] -> ()
   | entries ->
       List.iter
@@ -377,17 +374,17 @@ let cow_rollback () : unit =
           o.version <- o.version + 1;
           o.cow <- 1)
         entries;
-      j := []
+      cow_journal := []
 
 (* Inline-cache hit counter (see [Compile]); campaigns report the delta as
-   [cp_ic_hits]. Atomic so parallel campaigns count deterministically;
-   executions accumulate in [ctx.ihits] and flush once on completion. *)
+   [cp_ic_hits]. Executions accumulate in [ctx.ihits] and flush once on
+   completion. *)
 let ic_hits = Atomic.make 0
 let ic_count () = Atomic.get ic_hits
 let add_ic n = if n > 0 then ignore (Atomic.fetch_and_add ic_hits n)
 
 (* Source of [ctx.ic_gen] stamps: globally unique, so an inline cache can
-   never confuse two executions even across domains. *)
+   never confuse two executions. *)
 let ic_gen_counter = Atomic.make 0
 
 let type_of = function

@@ -169,8 +169,8 @@ let check_params st params =
       else Hashtbl.add seen p ())
     params
 
-(* Cumulative front-end invocation count, across all domains. The campaign
-   executor's parse cache is sized against this: tests snapshot it around a
+(* Cumulative front-end invocation count of this process. The campaign's
+   parse cache is sized against this: tests snapshot it around a
    [Difftest.run_case] call to assert one parse per distinct front-end
    group rather than two or three per testbed. *)
 let parses = Atomic.make 0

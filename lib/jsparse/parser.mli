@@ -61,7 +61,7 @@ val check_syntax : string -> (Jsast.Ast.program, string * int) result
 
 val is_valid : string -> bool
 
-(** Cumulative number of {!parse_program} invocations across all domains
+(** Cumulative number of {!parse_program} invocations in this process
     ([check_syntax]/[is_valid] parse too). Snapshot before/after an
     operation to measure how many front-end passes it cost — the
     campaign's per-case parse cache is tested against this counter. *)

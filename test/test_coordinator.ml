@@ -187,7 +187,7 @@ let kill_plan =
     | Error e -> failwith e)
 
 let run_kill_chaos ?checkpoint ?halt_after ?worker_limits ~workers () =
-  Campaign.run ~budget:12 ~jobs:1 ~workers
+  Campaign.run ~budget:12 ~workers
     ~faults:(Lazy.force kill_plan)
     ?checkpoint ?halt_after ?worker_limits
     (Campaign.comfort_fuzzer ~seed:23 ())
@@ -258,7 +258,7 @@ let campaign_exhaustion_aborts_with_partial_report () =
     }
   in
   let res =
-    Campaign.run ~budget:12 ~jobs:1 ~workers:2 ~worker_limits
+    Campaign.run ~budget:12 ~workers:2 ~worker_limits
       (Campaign.comfort_fuzzer ~seed:23 ())
   in
   match res.Campaign.cp_aborted with

@@ -1,92 +1,17 @@
-(* The parallel campaign executor and the per-case front-end cache.
+(* Campaign execution and the per-case front-end cache.
 
-   Three properties matter and each gets direct coverage here:
+   Two properties matter and each gets direct coverage here:
 
-   - ordering: [run_ordered] consumes results in submission order and
-     [map] preserves list order, so a campaign's stateful driver stages
-     see exactly the sequential event stream;
-   - determinism: a campaign at [~jobs:4] produces byte-identical
-     discoveries, timeline and filter counts to [~jobs:1];
+   - determinism: a campaign on 2 forked workers produces byte-identical
+     discoveries, timeline and filter counts to the in-process loop;
    - the front-end cache: one parse per distinct (parse options, mode)
      group per case, and cached runs equal uncached runs field by field. *)
 
 open Helpers
-module Executor = Comfort.Executor
 module Engine = Engines.Engine
 module Run = Jsinterp.Run
 
-(* --- Executor.map --- *)
-
-let map_matches_list_map () =
-  let xs = List.init 50 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "jobs=1" (List.map f xs) (Executor.map ~jobs:1 f xs);
-  Alcotest.(check (list int)) "jobs=4" (List.map f xs) (Executor.map ~jobs:4 f xs);
-  Alcotest.(check (list int)) "more jobs than items" (List.map f [ 1; 2 ])
-    (Executor.map ~jobs:8 f [ 1; 2 ]);
-  Alcotest.(check (list int)) "empty" [] (Executor.map ~jobs:4 f [])
-
-let map_propagates_exceptions () =
-  Alcotest.check_raises "worker exception re-raised" Exit (fun () ->
-      ignore
-        (Executor.map ~jobs:3
-           (fun x -> if x = 7 then raise Exit else x)
-           (List.init 10 (fun i -> i))))
-
-(* --- Executor.run_ordered --- *)
-
-let run_ordered_in_submission_order () =
-  Executor.with_pool ~jobs:4 (fun pool ->
-      let seen = ref [] in
-      let xs = List.init 40 (fun i -> i) in
-      Executor.run_ordered pool
-        (fun x -> x * 2)
-        xs
-        ~consume:(fun i x y ->
-          Alcotest.(check int) "result is f x" (x * 2) y;
-          seen := i :: !seen);
-      Alcotest.(check (list int)) "indices in submission order"
-        (List.init 40 (fun i -> i))
-        (List.rev !seen))
-
-let run_ordered_small_window () =
-  Executor.with_pool ~jobs:3 (fun pool ->
-      let seen = ref [] in
-      Executor.run_ordered pool ~window:3
-        (fun x -> x + 100)
-        (List.init 20 (fun i -> i))
-        ~consume:(fun i _ y ->
-          Alcotest.(check int) "value" (i + 100) y;
-          seen := i :: !seen);
-      Alcotest.(check int) "all consumed" 20 (List.length !seen))
-
-let run_ordered_exception_at_consumption_point () =
-  Executor.with_pool ~jobs:4 (fun pool ->
-      let consumed = ref 0 in
-      (try
-         Executor.run_ordered pool
-           (fun x -> if x = 5 then raise Exit else x)
-           (List.init 10 (fun i -> i))
-           ~consume:(fun _ _ _ -> incr consumed);
-         Alcotest.fail "expected Exit"
-       with Exit -> ());
-      Alcotest.(check int) "items before the failing one were consumed" 5
-        !consumed)
-
-let sequential_pool_spawns_no_domains () =
-  (* jobs=1 must be the plain loop: same domain, strict order *)
-  Executor.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "jobs clamped" 1 (Executor.jobs pool);
-      let self = Domain.self () in
-      Executor.run_ordered pool
-        (fun x ->
-          Alcotest.(check bool) "f runs on the calling domain" true
-            (Domain.self () = self);
-          x)
-        [ 1; 2; 3 ]
-        ~consume:(fun _ x y -> Alcotest.(check int) "identity" x y))
-
-(* --- campaign determinism across job counts --- *)
+(* --- campaign determinism across worker counts --- *)
 
 (* Everything observable about a discovery except the global test-case id,
    which is an allocation counter and not meaningful across campaigns. *)
@@ -99,13 +24,13 @@ let disc_key (d : Comfort.Campaign.discovery) =
     Engine.mode_to_string d.Comfort.Campaign.disc_mode,
     d.Comfort.Campaign.disc_case.Comfort.Testcase.tc_source )
 
-let campaign_is_jobs_invariant () =
-  let campaign jobs =
-    Comfort.Campaign.run ~budget:120 ~jobs
+let campaign_is_workers_invariant () =
+  let campaign workers =
+    Comfort.Campaign.run ~budget:120 ~workers
       (Comfort.Campaign.comfort_fuzzer ~seed:17 ())
   in
-  let seq = campaign 1 in
-  let par = campaign 4 in
+  let seq = campaign 0 in
+  let par = campaign 2 in
   Alcotest.(check int) "cases run" seq.Comfort.Campaign.cp_cases_run
     par.Comfort.Campaign.cp_cases_run;
   Alcotest.(check bool) "same discoveries in the same order" true
@@ -248,16 +173,8 @@ let lone_slow_engine_still_flagged () =
 
 let suite =
   [
-    case "map = List.map at any job count" map_matches_list_map;
-    case "map re-raises worker exceptions" map_propagates_exceptions;
-    case "run_ordered consumes in submission order"
-      run_ordered_in_submission_order;
-    case "run_ordered with a tight window" run_ordered_small_window;
-    case "run_ordered re-raises at the failing item"
-      run_ordered_exception_at_consumption_point;
-    case "jobs=1 never leaves the calling domain"
-      sequential_pool_spawns_no_domains;
-    case "campaign results are jobs-invariant" campaign_is_jobs_invariant;
+    case "campaign results are workers-invariant"
+      campaign_is_workers_invariant;
     case "one parse per front-end group" parse_cache_one_parse_per_group;
     case "cached runs equal direct runs" cached_run_equals_direct_run;
     case "supports verdict survives caching" supports_verdict_cached;

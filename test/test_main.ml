@@ -3,11 +3,6 @@
 let () =
   Alcotest.run "comfort"
     [
-      (* The coordinator suite forks worker processes, and OCaml 5
-         forbids fork in any process that has ever spawned a domain —
-         so it must run before every suite that uses jobs > 1
-         (executor, supervisor, sharing, ...), or its tests would all
-         degrade to skips. *)
       ("coordinator", Test_coordinator.suite);
       ("ipc", Test_ipc.suite);
       ("interp", Test_interp.suite);

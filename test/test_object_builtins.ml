@@ -44,6 +44,13 @@ let object_tests =
     ("sealed array not frozen", {|Object.isFrozen(Object.seal([1, 2]))|}, "false");
     ("sealed array isSealed", {|Object.isSealed(Object.seal([1, 2]))|}, "true");
     ("sealed array elements writable", {|var a = Object.seal([1]); a[0] = 9; a[0]|}, "9");
+    (* sealed and frozen elements are non-configurable: delete refuses *)
+    ("frozen array delete refused",
+     {|var a = Object.freeze([1, 2]); var d = delete a[0]; d + "," + a[0]|}, "false,1");
+    ("sealed array delete refused",
+     {|var a = Object.seal([3]); var d = delete a[0]; d + "," + a[0]|}, "false,3");
+    ("open array delete", {|var a = [4, 5]; var d = delete a[0]; d + "," + a[0]|},
+     "true,undefined");
     ("non-extensible array not frozen",
      {|Object.isFrozen(Object.preventExtensions([1]))|}, "false");
     ("non-extensible array not sealed",
@@ -87,6 +94,15 @@ Object.defineProperty(o, "k", {value: 2, configurable: true});|}
     {|"use strict"; var o = Object.freeze({a: 1}); o.a = 2;|} "TypeError";
   check_error "strict add to sealed"
     {|"use strict"; var o = Object.seal({}); o.b = 1;|} "TypeError";
+  check_error "strict delete of frozen element"
+    {|"use strict"; var a = Object.freeze([1, 2]); delete a[0];|} "TypeError";
+  check_error "strict delete of sealed element"
+    {|"use strict"; var a = Object.seal([3]); delete a[0];|} "TypeError";
+  (* only the delete-nonconfigurable quirk lets the delete through *)
+  Alcotest.(check string) "quirked engine deletes a frozen element"
+    "true\nundefined\n"
+    (out_q [ Jsinterp.Quirk.Q_delete_nonconfigurable_succeeds ]
+       {|var a = Object.freeze([1, 2]); print(delete a[0]); print(a[0]);|});
   check_error "keys of non-object" {|print(Object.keys(null));|} "TypeError"
 
 let number_tests =

@@ -1,11 +1,10 @@
 (* The whole-pipeline campaign profiler (Run.Stage + Metrics.profile).
 
-   The load-bearing invariant: at jobs = 1 the pipeline stages are
-   disjoint (outermost-wins re-entrancy), so their sum is a
+   The load-bearing invariant: in an in-process campaign the pipeline
+   stages are disjoint (outermost-wins re-entrancy), so their sum is a
    no-double-counting lower bound on the measured campaign wall clock —
    for plain, reducing, checkpointing and supervised/chaos campaigns
-   alike. At jobs > 1 the sum is CPU time across domains and only
-   non-negativity holds. *)
+   alike. *)
 
 open Comfort
 module Stage = Jsinterp.Run.Stage
@@ -42,28 +41,28 @@ let check_rows_shape label rows expected_names =
 let disabled_records_nothing () =
   Stage.enabled := false;
   Stage.reset ();
-  let _ = Campaign.run ~budget:30 ~jobs:1 (Campaign.comfort_fuzzer ~seed:5 ()) in
+  let _ = Campaign.run ~budget:30 ~workers:0 (Campaign.comfort_fuzzer ~seed:5 ()) in
   Alcotest.(check int) "pipeline untouched" 0 (sum_ns (Stage.pipeline ()));
   Alcotest.(check int) "substages untouched" 0 (sum_ns (Stage.substages ()));
   let p, c, r, e = Stage.read () in
   Alcotest.(check (list int)) "read () all zero" [ 0; 0; 0; 0 ] [ p; c; r; e ]
 
-(* jobs = 1, with reduction and periodic checkpoint saves: every stage of
-   the pipeline is exercised, and the disjoint sum stays under wall. *)
-let jobs1_sum_bounded_by_wall () =
+(* In-process, with reduction and periodic checkpoint saves: every stage
+   of the pipeline is exercised, and the disjoint sum stays under wall. *)
+let in_process_sum_bounded_by_wall () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "comfort-test-profiler.ckpt"
   in
   let res, wall_ns =
     profiled (fun () ->
-        Campaign.run ~budget:300 ~jobs:1 ~reduce:true ~checkpoint:(path, 100)
+        Campaign.run ~budget:300 ~workers:0 ~reduce:true ~checkpoint:(path, 100)
           (Campaign.comfort_fuzzer ~seed:11 ()))
   in
   if Sys.file_exists path then Sys.remove path;
   Alcotest.(check int) "budget honoured" 300 res.Campaign.cp_cases_run;
   let rows = Stage.pipeline () in
-  check_rows_shape "jobs=1" rows pipeline_order;
-  check_rows_shape "jobs=1 substages" (Stage.substages ()) substage_order;
+  check_rows_shape "in-process" rows pipeline_order;
+  check_rows_shape "in-process substages" (Stage.substages ()) substage_order;
   Alcotest.(check bool) "disjoint stage sum <= wall" true (sum_ns rows <= wall_ns);
   (* substages nest inside the sweep stage, so they are bounded too *)
   Alcotest.(check bool) "substage sum <= wall" true
@@ -102,7 +101,7 @@ let supervised_sum_bounded_by_wall () =
   in
   let _, wall_ns =
     profiled (fun () ->
-        Campaign.run ~budget:60 ~jobs:1 ~faults:plan
+        Campaign.run ~budget:60 ~workers:0 ~faults:plan
           ~policy:Supervisor.default_policy
           (Campaign.comfort_fuzzer ~seed:23 ()))
   in
@@ -112,19 +111,6 @@ let supervised_sum_bounded_by_wall () =
     (sum_ns rows <= wall_ns);
   Alcotest.(check bool) "supervised substage sum <= wall" true
     (sum_ns (Stage.substages ()) <= wall_ns)
-
-(* jobs > 1: worker domains accumulate concurrently, so the sum measures
-   CPU time and may exceed wall — but the rows stay well-formed and the
-   work is still attributed (sweep dominates). *)
-let jobs2_accumulates_cpu_time () =
-  let _, _ =
-    profiled (fun () ->
-        Campaign.run ~budget:80 ~jobs:2 (Campaign.comfort_fuzzer ~seed:3 ()))
-  in
-  let rows = Stage.pipeline () in
-  check_rows_shape "jobs=2" rows pipeline_order;
-  Alcotest.(check bool) "sweep recorded under jobs=2" true
-    (List.exists (fun (n, ns, _) -> n = "sweep" && ns > 0) rows)
 
 let reset_clears () =
   (* the previous tests left counters populated *)
@@ -139,10 +125,8 @@ let suite =
     Alcotest.test_case "disabled probe records nothing" `Quick
       disabled_records_nothing;
     Alcotest.test_case "jobs=1 stage sum bounded by wall" `Slow
-      jobs1_sum_bounded_by_wall;
+      in_process_sum_bounded_by_wall;
     Alcotest.test_case "supervised stage sum bounded by wall" `Quick
       supervised_sum_bounded_by_wall;
-    Alcotest.test_case "jobs=2 accumulates per-domain CPU time" `Quick
-      jobs2_accumulates_cpu_time;
     Alcotest.test_case "reset clears all counters" `Quick reset_clears;
   ]

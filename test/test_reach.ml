@@ -223,19 +223,19 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_reach_invariant () =
-  (* Fast (reach-seeded) vs Reference x jobs: identical discoveries,
+  (* Fast (reach-seeded) vs Reference x in-process/2 workers: identical discoveries,
      timeline and filter counts — the acceptance bar in miniature *)
-  let campaign ~strategy ~jobs =
-    Comfort.Campaign.run ~budget:80 ~strategy ~jobs
+  let campaign ~strategy ~workers =
+    Comfort.Campaign.run ~budget:80 ~strategy ~workers
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
-  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
+  let base = campaign ~strategy:Strategy.Reference ~workers:0 in
   Alcotest.(check int) "Reference never seeds" 0
     base.Comfort.Campaign.cp_reach_seeded;
   List.iter
-    (fun jobs ->
-      let r = campaign ~strategy:Strategy.Fast ~jobs in
-      let tag = Printf.sprintf "Fast jobs=%d" jobs in
+    (fun workers ->
+      let r = campaign ~strategy:Strategy.Fast ~workers in
+      let tag = Printf.sprintf "Fast workers=%d" workers in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -249,13 +249,13 @@ let campaign_reach_invariant () =
         r.Comfort.Campaign.cp_unattributed;
       Alcotest.(check bool) (tag ^ ": fast path engaged") true
         (r.Comfort.Campaign.cp_reach_seeded > 0))
-    [ 1; 4 ]
+    [ 0; 2 ]
 
 let campaign_audit_reach_passes () =
   (* every 2nd case runs under both strategies and asserts the soundness
      contract on every Reference run; any violation raises *)
   let r =
-    Comfort.Campaign.run ~budget:40 ~audit:2 ~jobs:2
+    Comfort.Campaign.run ~budget:40 ~audit:2 ~workers:2
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
   Alcotest.(check int) "campaign completed" 40 r.Comfort.Campaign.cp_cases_run

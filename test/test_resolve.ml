@@ -18,7 +18,7 @@
      re-runs tree-walked mid-campaign (the AST has no [with] statement,
      so the classic fourth trigger cannot occur);
    - realm isolation: builtin mutations must not leak between Fast
-     executions, which share the domain's copy-on-write realm template;
+     executions, which share the process's copy-on-write realm template;
    - campaign-level invariance, the bench acceptance check in miniature. *)
 
 open Helpers
@@ -204,7 +204,7 @@ let dynamic_trap_still_counts_one_execution () =
 (* --- realm isolation --- *)
 
 let realm_snapshots_are_isolated () =
-  (* a Fast execution borrows the domain's realm template behind the
+  (* a Fast execution borrows the process's realm template behind the
      copy-on-write barrier; builtin mutations must die with the
      execution *)
   let vandal =
@@ -238,7 +238,7 @@ let campaign_resolve_invariant () =
   (* Fast vs Reference on one seed: same discoveries, timeline and filter
      counts — the bench's identical_results check in miniature *)
   let campaign strategy =
-    Comfort.Campaign.run ~budget:80 ~strategy ~jobs:1
+    Comfort.Campaign.run ~budget:80 ~strategy ~workers:0
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
   let base = campaign Strategy.Reference in

@@ -15,7 +15,8 @@
      touched set inside the static reach set, plus the executed/shared
      accounting and the >=4x execution reduction the bench records;
    - [Difftest.run_case] and full [Campaign.run]s under both strategies
-     at 1 and 4 jobs, byte-identical reports throughout;
+     in-process and on 2 forked workers, byte-identical reports
+     throughout;
    - the audit accepting a clean sample, alone and inside a campaign;
    - a fixed-seed property over Comfort, Fuzzilli and DIE programs. *)
 
@@ -169,7 +170,7 @@ let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
       match reference_engine () with
       | Some m -> Some m
       | None -> (
-          (* every Fast execution borrowed the domain's realm template;
+          (* every Fast execution borrowed the process's realm template;
              each must have rolled its writes back *)
           match Realm.check_pristine () with
           | Ok () -> None
@@ -306,18 +307,18 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_share_invariant () =
-  (* strategy x jobs 1/4: same discoveries, timeline and filter counts
+  (* strategy x in-process/2 workers: same discoveries, timeline and filter counts
      everywhere — the bench's acceptance check in miniature *)
-  let campaign ~strategy ~jobs =
-    Comfort.Campaign.run ~budget:100 ~strategy ~jobs
+  let campaign ~strategy ~workers =
+    Comfort.Campaign.run ~budget:100 ~strategy ~workers
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
-  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
+  let base = campaign ~strategy:Strategy.Reference ~workers:0 in
   List.iter
-    (fun (strategy, jobs) ->
-      let r = campaign ~strategy ~jobs in
+    (fun (strategy, workers) ->
+      let r = campaign ~strategy ~workers in
       let tag =
-        Printf.sprintf "%s jobs=%d" (Strategy.to_string strategy) jobs
+        Printf.sprintf "%s workers=%d" (Strategy.to_string strategy) workers
       in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
@@ -330,13 +331,13 @@ let campaign_share_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (Strategy.Reference, 4); (Strategy.Fast, 1); (Strategy.Fast, 4) ]
+    [ (Strategy.Reference, 2); (Strategy.Fast, 0); (Strategy.Fast, 2) ]
 
 let campaign_audit_mode_passes () =
   (* every 3rd case runs under both strategies and cross-checks; any
      mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:60 ~audit:3 ~jobs:2
+    Comfort.Campaign.run ~budget:60 ~audit:3 ~workers:2
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
   Alcotest.(check int) "campaign completed" 60 r.Comfort.Campaign.cp_cases_run
@@ -451,7 +452,7 @@ let suite =
       execution_counts_pinned;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
     case "audit accepts equal paths" audit_accepts_equal_paths;
-    case "campaigns are share- and jobs-invariant" campaign_share_invariant;
+    case "campaigns are share- and workers-invariant" campaign_share_invariant;
     case "campaign audit mode passes" campaign_audit_mode_passes;
     case "reducer predicate is share-invariant" reducer_share_equals_direct;
     QCheck_alcotest.to_alcotest

@@ -7,7 +7,7 @@
    campaign must produce field-for-field what the Reference oracle
    produces; the only legitimate difference is speed. On top of that, the
    copy-on-write realm must leak nothing across executions — after any
-   mutation-heavy sweep the domain's shared template has to audit
+   mutation-heavy sweep the shared template has to audit
    pristine. *)
 
 open Helpers
@@ -91,7 +91,7 @@ let specialized_equals_reference () =
 
 let cow_sweep_leaves_realm_pristine () =
   (* run every mutation-heavy source across the full testbed pool on the
-     shared fast path, then audit the domain template structurally
+     shared fast path, then audit the template structurally
      against a freshly built realm: any surviving write is a barrier
      gap, i.e. state leaking from one execution into the next *)
   List.iter
@@ -173,18 +173,18 @@ let disc_key (d : Comfort.Campaign.discovery) =
     Engine.mode_to_string d.Comfort.Campaign.disc_mode )
 
 let campaign_specialize_invariant () =
-  (* strategy x jobs: identical discoveries, timeline and filter counts —
+  (* strategy x in-process/2 workers: identical discoveries, timeline and filter counts —
      the acceptance bar in miniature *)
-  let campaign ~strategy ~jobs =
-    Comfort.Campaign.run ~budget:80 ~strategy ~jobs
+  let campaign ~strategy ~workers =
+    Comfort.Campaign.run ~budget:80 ~strategy ~workers
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
-  let base = campaign ~strategy:Strategy.Reference ~jobs:1 in
+  let base = campaign ~strategy:Strategy.Reference ~workers:0 in
   List.iter
-    (fun (strategy, jobs) ->
-      let r = campaign ~strategy ~jobs in
+    (fun (strategy, workers) ->
+      let r = campaign ~strategy ~workers in
       let tag =
-        Printf.sprintf "%s jobs=%d" (Strategy.to_string strategy) jobs
+        Printf.sprintf "%s workers=%d" (Strategy.to_string strategy) workers
       in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
@@ -197,13 +197,13 @@ let campaign_specialize_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (Strategy.Fast, 1); (Strategy.Fast, 4); (Strategy.Reference, 4) ]
+    [ (Strategy.Fast, 0); (Strategy.Fast, 2); (Strategy.Reference, 2) ]
 
 let campaign_audit_specialize_passes () =
   (* every 2nd case cross-checks the Fast sweep against the Reference one
      in a live campaign; a mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:40 ~audit:2 ~jobs:1
+    Comfort.Campaign.run ~budget:40 ~audit:2 ~workers:0
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
   Alcotest.(check int) "campaign completed its budget" 40

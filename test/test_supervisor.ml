@@ -9,19 +9,19 @@
      surface as engine behaviour;
    - the driver quarantines testbeds after K consecutive faulted cases
      and an intervening success resets the counter;
-   - the supervised executor records a poisoned item as failed-and-skipped
-     instead of killing the fan-out, halts early on [stop], and shutdown
-     is idempotent;
+   - the in-process campaign loop records a case whose worker raised as
+     failed-and-skipped instead of dying, and halts early once the
+     testbed pool is exhausted;
    - a chaos campaign completes, quarantines the persistent faulter,
      reports the degraded coverage, leaks zero injected faults into the
-     discoveries, and is byte-identical at any job count;
+     discoveries, and is byte-identical in-process and on forked
+     workers;
    - a campaign halted at a checkpoint and resumed produces a result
      identical to the uninterrupted run's. *)
 
 module Supervisor = Comfort.Supervisor
 module Faultplan = Comfort.Supervisor.Faultplan
 module Campaign = Comfort.Campaign
-module Executor = Comfort.Executor
 
 (* The library reads COMFORT_FAULTS when no explicit plan is passed; make
    sure ambient chaos-job configuration cannot leak into the baselines. *)
@@ -226,60 +226,6 @@ let quarantine_after_consecutive_faults () =
   Alcotest.(check bool) "thawed stats" true
     (Supervisor.stats sup' = Supervisor.stats sup)
 
-(* --- the supervised executor --- *)
-
-let executor_on_exn_marks_failed_and_skipped () =
-  Executor.with_pool ~jobs:3 (fun pool ->
-      let consumed = ref [] in
-      let skipped = ref 0 in
-      Executor.run_ordered pool
-        ~on_exn:(fun _ _ _ -> incr skipped; -1)
-        (fun x -> if x mod 3 = 0 then raise Exit else x * 10)
-        (List.init 20 (fun i -> i))
-        ~consume:(fun _ _ y -> consumed := y :: !consumed);
-      Alcotest.(check int) "every item consumed" 20 (List.length !consumed);
-      Alcotest.(check int) "poisoned items recorded" 7 !skipped;
-      Alcotest.(check bool) "failed items carry the marker" true
-        (List.for_all
-           (fun y -> y = -1 || y mod 10 = 0)
-           !consumed);
-      (* the pool survived the poisoned items: run again on the same pool *)
-      let n = ref 0 in
-      Executor.run_ordered pool (fun x -> x) [ 1; 2; 3 ]
-        ~consume:(fun _ _ _ -> incr n);
-      Alcotest.(check int) "pool reusable" 3 !n)
-
-let executor_stop_halts_early () =
-  Executor.with_pool ~jobs:4 (fun pool ->
-      let stop = ref false in
-      let consumed = ref 0 in
-      Executor.run_ordered pool ~stop:(fun () -> !stop)
-        (fun x -> x)
-        (List.init 100 (fun i -> i))
-        ~consume:(fun i _ _ ->
-          consumed := i + 1;
-          if i = 9 then stop := true);
-      Alcotest.(check int) "halted right after the stop signal" 10 !consumed)
-
-let executor_shutdown_is_idempotent () =
-  List.iter
-    (fun jobs ->
-      let pool = Executor.create ~jobs () in
-      Executor.shutdown pool;
-      Executor.shutdown pool;
-      Executor.shutdown pool)
-    [ 1; 2; 4 ];
-  (* shutdown is also guaranteed when run_ordered raises *)
-  let pool = Executor.create ~jobs:3 () in
-  (try
-     Executor.run_ordered pool
-       (fun x -> if x = 5 then raise Exit else x)
-       (List.init 10 (fun i -> i))
-       ~consume:(fun _ _ _ -> ())
-   with Exit -> ());
-  Executor.shutdown pool;
-  Executor.shutdown pool
-
 (* --- chaos campaigns --- *)
 
 let testbeds = lazy (Campaign.default_testbeds ())
@@ -296,10 +242,10 @@ let chaos_plan =
 
 let chaos_targets = [ "hermes"; "rhino"; "nashorn" ]
 
-let run_chaos ?(jobs = 1) ?checkpoint ?halt_after () =
+let run_chaos ?(workers = 0) ?checkpoint ?halt_after () =
   Campaign.run
     ~testbeds:(Lazy.force testbeds)
-    ~budget:20 ~jobs
+    ~budget:20 ~workers
     ~faults:(Lazy.force chaos_plan)
     ?checkpoint ?halt_after
     (Campaign.comfort_fuzzer ~seed:23 ())
@@ -388,8 +334,30 @@ let chaos_campaign_quarantines_and_stays_clean () =
        (fun d -> List.mem (disc_key d) base_keys)
        res.Campaign.cp_discoveries)
 
-let chaos_campaign_is_jobs_invariant () =
-  check_results_equal "jobs 1 vs 3" (run_chaos ~jobs:1 ()) (run_chaos ~jobs:3 ())
+let chaos_campaign_is_workers_invariant () =
+  check_results_equal "in-process vs 2 workers" (run_chaos ())
+    (run_chaos ~workers:2 ())
+
+(* A worker exception fails-and-skips its case instead of killing the
+   in-process campaign. A kill hook whose [die] raises stands in for the
+   exception: in-process nothing else catches it, so every case with a
+   drawn [worker_kill] fault escapes its worker like a real crash would. *)
+let in_process_worker_exception_skips_case () =
+  Supervisor.arm_kill_hook ~absorb:0 ~die:(fun () -> raise Exit);
+  let res =
+    Fun.protect ~finally:Supervisor.disarm_kill_hook (fun () ->
+        Campaign.run
+          ~testbeds:(Lazy.force testbeds)
+          ~budget:20 ~workers:0
+          ~faults:(plan_of_spec "seed=5;targets=Hermes;worker_kill=0.1")
+          (Campaign.comfort_fuzzer ~seed:23 ()))
+  in
+  Alcotest.(check int) "every case consumed" 20 res.Campaign.cp_cases_run;
+  Alcotest.(check bool) "some cases failed-and-skipped" true
+    (res.Campaign.cp_skipped_cases > 0);
+  Alcotest.(check bool) "the others still judged" true
+    (res.Campaign.cp_skipped_cases < 20);
+  Alcotest.(check (option string)) "not aborted" None res.Campaign.cp_aborted
 
 let all_testbeds_quarantined_aborts () =
   (* every testbed crashes on every attempt: by the time the quarantine
@@ -610,11 +578,9 @@ let suite =
     Helpers.case "execute: slow start vs watchdog" execute_slow_start_vs_watchdog;
     Helpers.case "execute: injected faults cannot produce values" injected_faults_never_return_values;
     Helpers.case "quarantine: threshold, reset, freeze/thaw" quarantine_after_consecutive_faults;
-    Helpers.case "executor: poisoned item is failed-and-skipped" executor_on_exn_marks_failed_and_skipped;
-    Helpers.case "executor: stop halts the fan-out" executor_stop_halts_early;
-    Helpers.case "executor: shutdown is idempotent" executor_shutdown_is_idempotent;
     Helpers.case "chaos campaign: quarantine, degradation, no leaks" chaos_campaign_quarantines_and_stays_clean;
-    Helpers.case "chaos campaign: jobs-invariant" chaos_campaign_is_jobs_invariant;
+    Helpers.case "chaos campaign: workers-invariant" chaos_campaign_is_workers_invariant;
+    Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
