@@ -657,13 +657,11 @@ let campaign_bench () =
   (* sharing must keep collapsing the sweep *)
   let fast_execs_ok = fast_execs * 4 <= ref_execs in
   Printf.printf
-    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer); %d reach-seeded shares, %d specialised compilations, %d COW clones, %d IC hits\n"
+    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer); %d compilations, %d COW clones\n"
     ref_pc fast_pc
     (Float.of_int ref_execs /. Float.of_int fast_execs)
-    fast_res.Comfort.Campaign.cp_reach_seeded
     fast_res.Comfort.Campaign.cp_specialized
-    fast_res.Comfort.Campaign.cp_cow_clones
-    fast_res.Comfort.Campaign.cp_ic_hits;
+    fast_res.Comfort.Campaign.cp_cow_clones;
   Printf.printf "all results identical: %b; Fast executions/case gate: %b\n"
     same fast_execs_ok;
   if not same then begin
@@ -747,16 +745,14 @@ let campaign_bench () =
   in
   let json_run (strategy, (r, dt, execs, per_case, (p, alloc))) =
     Printf.sprintf
-      {|    { "strategy": %S, "wall_s": %.3f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
+      {|    { "strategy": %S, "wall_s": %.3f, "executions": %d, "executions_per_case": %.1f, "specialized": %d, "cow_clones": %d, "discoveries": %d,
       "alloc_bytes": %.0f, "alloc_bytes_per_case": %.0f, "accounted_ns": %d, "unaccounted_pct": %.1f,
       "pipeline_ns": { %s },
       "pipeline_bytes": { %s },
       "stages_ns": { %s },
       "stages_bytes": { %s } }|}
       (to_string strategy) dt execs per_case
-      r.Comfort.Campaign.cp_reach_seeded
       r.Comfort.Campaign.cp_specialized r.Comfort.Campaign.cp_cow_clones
-      r.Comfort.Campaign.cp_ic_hits
       (List.length r.Comfort.Campaign.cp_discoveries)
       alloc
       (alloc /. Float.of_int r.Comfort.Campaign.cp_cases_run)
@@ -811,8 +807,8 @@ let campaign_bench () =
 
 (* ---------- interpreter-core micro-benchmark ---------- *)
 
-(* ns/op for the Fast core (quirk-specialised compiled closures in a
-   copy-on-write realm) vs the Reference tree walker on four hand-written
+(* ns/op for the Fast core (compiled closures in a copy-on-write
+   realm) vs the Reference tree walker on four hand-written
    workload shapes, each stressing a different part of the interpreter
    (deep lexical scope chains, function calls, string building, property
    traffic), plus four generated programs: two whose array loops are

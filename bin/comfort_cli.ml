@@ -313,14 +313,9 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
     res.Comfort.Campaign.cp_filtered_repeats;
   Printf.printf "screened out: %d (repaired %d)\n"
     res.Comfort.Campaign.cp_screened_out res.Comfort.Campaign.cp_repaired;
-  if res.Comfort.Campaign.cp_reach_seeded > 0 then
-    Printf.printf "reach-seeded shares: %d\n"
-      res.Comfort.Campaign.cp_reach_seeded;
   if res.Comfort.Campaign.cp_specialized > 0 then
-    Printf.printf
-      "specialized compilations: %d (COW clones %d, inline-cache hits %d)\n"
-      res.Comfort.Campaign.cp_specialized res.Comfort.Campaign.cp_cow_clones
-      res.Comfort.Campaign.cp_ic_hits;
+    Printf.printf "compilations: %d (COW clones %d)\n"
+      res.Comfort.Campaign.cp_specialized res.Comfort.Campaign.cp_cow_clones;
   List.iter
     (fun (reason, n) -> Printf.printf "  %-35s %d\n" reason n)
     res.Comfort.Campaign.cp_screen_reasons;
@@ -479,13 +474,13 @@ let print_quirk_reach label src =
   match fe_sloppy.Jsinterp.Run.fe_program with
   | Error (msg, _) -> Printf.printf "syntax error: %s\n" msg
   | Ok _ ->
-      let s_sloppy = Jsinterp.Run.reach_set fe_sloppy in
+      let s_sloppy = Jsinterp.Run.reach_set ~strict:false fe_sloppy in
       let fe_strict = Jsinterp.Run.parse_frontend ~strict:true src in
       let s_strict =
         (* a program the strict front end rejects reaches no execution
            checkpoint on strict testbeds — only its parse-stage quirks *)
         match fe_strict.Jsinterp.Run.fe_program with
-        | Ok _ -> Jsinterp.Run.reach_set fe_strict
+        | Ok _ -> Jsinterp.Run.reach_set ~strict:true fe_strict
         | Error _ -> fe_strict.Jsinterp.Run.fe_fired
       in
       let union = Jsinterp.Quirk.Set.union s_sloppy s_strict in

@@ -12,10 +12,10 @@
     mode compatible with the [strict] argument,
     [checkpoints p] ⊇ the execution's touched set.
 
-    Consumers: [Engines.Engine.Exec] keys equivalence-class buckets on the
-    set's intersection with each testbed's quirks (zero-probe class
-    seeding); [Jsinterp.Compile] folds consultation sites whose checkpoint
-    is statically unreachable to their quirk-off constant. *)
+    Consumers: [comfort analyze --quirks], which prints the set and the
+    testbeds it distinguishes, and the [--audit] check, which asserts
+    the contract on every Reference run. The execution path does not
+    read it. *)
 
 (** All checkpoint ids — the top element of the domain. *)
 val top : Quirkdef.Set.t

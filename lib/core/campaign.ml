@@ -51,19 +51,15 @@ type result = {
   cp_screened_out : int;       (** cases dropped by the static-analysis screen *)
   cp_screen_reasons : (string * int) list;  (** drop reason -> count *)
   cp_repaired : int;           (** cases kept after free-variable repair *)
-  cp_reach_seeded : int;
-      (** shared runs answered by the static reach partition's fast path
-          (0 under [Reference]); reports are identical either way — see
-          [Engines.Engine.Exec.seeded] *)
+  cp_reach_seeded : int;  (** always 0; kept for the benchmark harness *)
   cp_specialized : int;
-      (** quirk-specialised compilations performed (0 under [Reference]);
-          reports are identical either way — see [Compile] *)
+      (** slot compilations performed, one per (front end, mode) that
+          executes (0 under [Reference]); reports are identical either
+          way — see [Compile] *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
           write barrier (0 under [Reference]) *)
-  cp_ic_hits : int;
-      (** property accesses answered by a compiled site's inline cache
-          (0 under [Reference]) *)
+  cp_ic_hits : int;  (** always 0; kept for the benchmark harness *)
   cp_skipped_cases : int;      (** cases lost to worker failures (recorded,
                                    not fatal) *)
   cp_faults : Supervisor.stats;    (** aggregate supervision counters *)
@@ -259,15 +255,17 @@ module Checkpoint = struct
 
   let magic = "COMFORT-CKPT"
 
-  (* v2: added ck_reach / ck_audit_reach / ck_reach_seeded (the static
-     reachability analysis). v3: added ck_specialize /
+  (* v2: added the static reachability analysis' switches and its
+     seeded-share tally. v3: added ck_specialize /
      ck_audit_specialize and the specialisation counters (quirk-
      specialised execution). v4: the state is framed and checksummed
      ([Ipc.encode]) instead of a bare [Marshal]. v5: the seven
      per-layer switches and audit strides became [ck_strategy] and
-     [ck_audit]. The header check rejects older files rather than guess
-     defaults for fields that change what a resumed campaign runs. *)
-  let version = 5
+     [ck_audit]. v6: dropped the seeded-share and inline-cache tallies
+     with the mechanisms they counted. The header check rejects older files
+     rather than guess defaults for fields that change what a resumed
+     campaign runs. *)
+  let version = 6
 
   type state = {
     ck_fuzzer : string;
@@ -275,10 +273,8 @@ module Checkpoint = struct
     ck_strategy : Strategy.t;
     ck_reduce : bool;
     ck_audit : int;
-    ck_reach_seeded : int;  (* seeded-share tally accumulated so far *)
-    ck_specialized : int;   (* specialised-compilation tally so far *)
+    ck_specialized : int;   (* compilation tally accumulated so far *)
     ck_cow_clones : int;    (* COW write-barrier tally so far *)
-    ck_ic_hits : int;       (* inline-cache hit tally so far *)
     ck_testbeds : string list;       (* Engine.testbed_id, sweep order *)
     ck_plan : string option;         (* Faultplan.to_spec *)
     ck_cases : Testcase.t list;      (* the full drawn case list *)
@@ -361,12 +357,10 @@ type st = {
   d_strategy : Strategy.t;
   d_reduce : bool;
   d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
-  mutable d_reach_seeded : int;
-      (* seeded shares attributable to this campaign, synced from the
+  mutable d_specialized : int;
+      (* compilations attributable to this campaign, synced from the
          process-wide counter by the driver before every checkpoint *)
-  mutable d_specialized : int;  (* specialised compilations, same protocol *)
   mutable d_cow_clones : int;   (* COW write-barrier journals, same protocol *)
-  mutable d_ic_hits : int;      (* inline-cache hits, same protocol *)
   d_testbeds : Engines.Engine.testbed list;
   d_plan : Supervisor.Faultplan.t option;
   d_sup : Supervisor.t option;  (* Some iff supervision is on *)
@@ -411,10 +405,8 @@ let snapshot (d : st) : Checkpoint.state =
     ck_strategy = d.d_strategy;
     ck_reduce = d.d_reduce;
     ck_audit = d.d_audit;
-    ck_reach_seeded = d.d_reach_seeded;
     ck_specialized = d.d_specialized;
     ck_cow_clones = d.d_cow_clones;
-    ck_ic_hits = d.d_ic_hits;
     ck_testbeds = List.map Engines.Engine.testbed_id d.d_testbeds;
     ck_plan = Option.map Supervisor.Faultplan.to_spec d.d_plan;
     ck_cases = d.d_cases;
@@ -442,10 +434,10 @@ let final (d : st) : result =
     cp_screened_out = d.d_screened_out;
     cp_screen_reasons = d.d_screen_reasons;
     cp_repaired = d.d_repaired;
-    cp_reach_seeded = d.d_reach_seeded;
+    cp_reach_seeded = 0;
     cp_specialized = d.d_specialized;
     cp_cow_clones = d.d_cow_clones;
-    cp_ic_hits = d.d_ic_hits;
+    cp_ic_hits = 0;
     cp_skipped_cases = d.d_skipped_cases;
     cp_faults =
       (match d.d_sup with
@@ -476,30 +468,23 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     |> List.filter (fun l -> l <> [])
   in
   let total = List.length d.d_cases in
-  (* seeded-share accounting: per-case Exec caches die with their worker,
-     so the campaign's tally is a before/after delta of the process-wide
-     counter, folded into [d] (on top of any checkpointed prior) before
-     every snapshot and before the final result *)
-  let seeded0 = Engines.Engine.Exec.seeded_count () in
+  (* compilation and COW accounting: the process-wide counters are
+     shared by every campaign in the process, so the campaign's tally is
+     a before/after delta, folded into [d] (on top of any checkpointed
+     prior) before every snapshot and before the final result *)
   let specialized0 = Compile.specialized_count () in
   let cow0 = Value.cow_count () in
-  let ic0 = Value.ic_count () in
-  let seeded_prior = d.d_reach_seeded in
   let specialized_prior = d.d_specialized in
   let cow_prior = d.d_cow_clones in
-  let ic_prior = d.d_ic_hits in
-  let sync_seeded () =
-    d.d_reach_seeded <-
-      seeded_prior + (Engines.Engine.Exec.seeded_count () - seeded0);
+  let sync_counters () =
     d.d_specialized <-
       specialized_prior + (Compile.specialized_count () - specialized0);
-    d.d_cow_clones <- cow_prior + (Value.cow_count () - cow0);
-    d.d_ic_hits <- ic_prior + (Value.ic_count () - ic0)
+    d.d_cow_clones <- cow_prior + (Value.cow_count () - cow0)
   in
   let save_ck () =
     match checkpoint with
     | Some (path, _) ->
-        sync_seeded ();
+        sync_counters ();
         Checkpoint.save path (snapshot d);
         Some path
     | None -> None
@@ -535,8 +520,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
        produce no new bug and never pay for either. The worker's own
        sweep cache died with the worker; this one lives on the driver,
        where attribution runs. *)
-    let probe_cache =
-      lazy (Engines.Engine.Exec.probe_cache tc.Testcase.tc_source)
+    let attr_cache =
+      lazy (Engines.Engine.Exec.cache tc.Testcase.tc_source)
     in
     let probe_memo : (string * Quirk.t * string, bool) Hashtbl.t =
       Hashtbl.create 8
@@ -569,7 +554,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
               let causal =
                 Run.Stage.time Run.Stage.attr (fun () ->
                     causal_quirks ~strategy:d.d_strategy
-                      ~cache:(Lazy.force probe_cache) ~memo:probe_memo tb dev
+                      ~cache:(Lazy.force attr_cache) ~memo:probe_memo tb dev
                       ~fuel:d.d_fuel)
               in
               if causal = [] then d.d_unattributed <- d.d_unattributed + 1
@@ -637,7 +622,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     (match checkpoint with
     | Some (path, every) when (i + 1) mod every = 0 && i + 1 < total ->
         Run.Stage.time Run.Stage.fold (fun () ->
-            sync_seeded ();
+            sync_counters ();
             Checkpoint.save path (snapshot d))
     | _ -> ());
     match halt_after with
@@ -648,7 +633,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
   in
   let worker ((i, tc) : int * Testcase.t) : work =
     (* one execution-sharing cache per case, shared by the per-mode-group
-       sweeps below: the base parses and their reach analyses run once
+       sweeps below: the base parses and their compilations run once
        per case instead of once per group. The cache is built and
        consumed entirely inside this worker call, and classes are keyed
        by mode, so reports are byte-identical to per-group caches. Lazy:
@@ -761,7 +746,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         raise (Interrupted { int_signal = name; int_at = d.d_consumed; int_checkpoint = ck })
     | None -> ()
   end;
-  sync_seeded ();
+  sync_counters ();
   (* final checkpoint: resuming a finished campaign is a cheap no-op that
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
@@ -845,10 +830,8 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
       d_strategy = strategy;
       d_reduce = reduce;
       d_audit = audit;
-      d_reach_seeded = 0;
       d_specialized = 0;
       d_cow_clones = 0;
-      d_ic_hits = 0;
       d_testbeds = testbeds;
       d_plan = plan;
       d_sup = sup;
@@ -903,10 +886,8 @@ let resume ?(workers = Coordinator.default_workers ()) ?worker_limits
       d_strategy = ck.Checkpoint.ck_strategy;
       d_reduce = ck.Checkpoint.ck_reduce;
       d_audit = ck.Checkpoint.ck_audit;
-      d_reach_seeded = ck.Checkpoint.ck_reach_seeded;
       d_specialized = ck.Checkpoint.ck_specialized;
       d_cow_clones = ck.Checkpoint.ck_cow_clones;
-      d_ic_hits = ck.Checkpoint.ck_ic_hits;
       d_testbeds = testbeds;
       d_plan = plan;
       d_sup = Option.map Supervisor.thaw ck.Checkpoint.ck_supervisor;

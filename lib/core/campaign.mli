@@ -45,19 +45,15 @@ type result = {
   cp_screened_out : int;              (** dropped by the static-analysis screen *)
   cp_screen_reasons : (string * int) list;  (** drop reason -> count, sorted *)
   cp_repaired : int;                  (** kept after free-variable repair *)
-  cp_reach_seeded : int;
-      (** shared runs answered by the static reach partition's fast path
-          (DESIGN.md §11); 0 under the [Reference] strategy. Statistics
-          only: discoveries and reports are identical either way *)
+  cp_reach_seeded : int;  (** always 0; kept for the benchmark harness *)
   cp_specialized : int;
-      (** quirk-specialised compilations performed (DESIGN.md §12); 0
-          under [Reference]. Statistics only, like [cp_reach_seeded] *)
+      (** slot compilations performed, one per (front end, mode) that
+          executes (DESIGN.md §12); 0 under [Reference]. Statistics only:
+          discoveries and reports are identical either way *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
           write barrier; 0 under [Reference]. Statistics only *)
-  cp_ic_hits : int;
-      (** property accesses answered by a compiled site's inline cache;
-          0 under [Reference]. Statistics only *)
+  cp_ic_hits : int;  (** always 0; kept for the benchmark harness *)
   cp_skipped_cases : int;
       (** cases lost to worker failures: the campaign records them as
           failed-and-skipped instead of letting one poisoned case

@@ -70,10 +70,8 @@ type 'a dispatch =
    that work, keeping folded totals identical to an in-process run. *)
 type counters = {
   c_runs : int;
-  c_seeded : int;
   c_specialized : int;
   c_cow : int;
-  c_ic : int;
 }
 
 type 'b reply =
@@ -89,27 +87,21 @@ type 'b reply =
 let sample_counters () =
   {
     c_runs = Run.run_count ();
-    c_seeded = Engines.Engine.Exec.seeded_count ();
     c_specialized = Compile.specialized_count ();
     c_cow = Value.cow_count ();
-    c_ic = Value.ic_count ();
   }
 
 let delta_counters a b =
   {
     c_runs = b.c_runs - a.c_runs;
-    c_seeded = b.c_seeded - a.c_seeded;
     c_specialized = b.c_specialized - a.c_specialized;
     c_cow = b.c_cow - a.c_cow;
-    c_ic = b.c_ic - a.c_ic;
   }
 
 let fold_counters c =
   Run.add_runs c.c_runs;
-  Engines.Engine.Exec.add_seeded c.c_seeded;
   Compile.add_specialized c.c_specialized;
-  Value.add_cow c.c_cow;
-  Value.add_ic c.c_ic
+  Value.add_cow c.c_cow
 
 (* --- child side ---------------------------------------------------- *)
 

@@ -163,7 +163,7 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
      under [Fast], whole executions are shared across behavioural
      equivalence classes too (DESIGN.md §8). [cache] lets the campaign
      driver share one cache across this case's several sweeps (one per
-     mode group) so the base parses and their reach analyses run once per
+     mode group) so the base parses and their compilations run once per
      case, not once per group — classes are keyed by mode, so no
      execution is ever shared across groups; it must have been built for
      [tc]'s source. *)
@@ -417,9 +417,9 @@ exception Audit_mismatch of string
 (* The audit: sweep the case under both strategies and fail loudly on the
    first testbed whose results differ in any field, or whose Reference
    run consulted a checkpoint outside the static reach set of its front
-   end (a soundness bug in [Analysis.Reach]: the Fast path folds and
-   partitions on that set). Reference runs share nothing, so each
-   [r_touched] is the testbed's own observation. Returns the Fast report,
+   end (a soundness bug in [Analysis.Reach], whose set [comfort analyze
+   --quirks] reports). Reference runs share nothing, so each [r_touched]
+   is the testbed's own observation. Returns the Fast report,
    which an auditing campaign uses as the real result of the case. *)
 let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
     (tc : Testcase.t) : case_report =
@@ -444,7 +444,10 @@ let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
           (match Run.differing_field r f with
           | Some field -> fail tb ("Fast and Reference results differ in " ^ field)
           | None -> ());
-          let static = Run.reach_set (Engines.Engine.Frontend.frontend fc tb) in
+          let strict = tb.Engines.Engine.tb_mode = Engines.Engine.Strict in
+          let static =
+            Run.reach_set ~strict (Engines.Engine.Frontend.frontend fc tb)
+          in
           match Quirk.Set.elements (Quirk.Set.diff r.Run.r_touched static) with
           | [] -> ()
           | missing ->

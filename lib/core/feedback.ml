@@ -139,14 +139,10 @@ let run_rounds ?(testbeds = Campaign.default_testbeds ()) ?(rounds = 4)
                  |> List.sort (fun (a, _) (b, _) -> compare a b));
               cp_repaired =
                 acc.Campaign.cp_repaired + res.Campaign.cp_repaired;
-              cp_reach_seeded =
-                acc.Campaign.cp_reach_seeded + res.Campaign.cp_reach_seeded;
               cp_specialized =
                 acc.Campaign.cp_specialized + res.Campaign.cp_specialized;
               cp_cow_clones =
                 acc.Campaign.cp_cow_clones + res.Campaign.cp_cow_clones;
-              cp_ic_hits =
-                acc.Campaign.cp_ic_hits + res.Campaign.cp_ic_hits;
               cp_skipped_cases =
                 acc.Campaign.cp_skipped_cases + res.Campaign.cp_skipped_cases;
               cp_faults =

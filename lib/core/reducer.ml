@@ -131,10 +131,10 @@ let still_triggers_deviation ?strategy (tb : Engines.Engine.testbed)
   (* compare the deviating testbed directly against the reference engine:
      the reduced program must keep the same behaviour class and keep firing
      the same ground-truth quirks. Both runs go through one per-candidate
-     probe cache, so they share the parse and — under [Fast], when the
+     cache, so they share the parse and — under [Fast], when the
      quirks the target touched are all absent from its config — the
      execution itself *)
-  let ec = Engines.Engine.Exec.probe_cache src in
+  let ec = Engines.Engine.Exec.cache src in
   let target = Engines.Engine.Exec.run ?strategy ec tb in
   let reference = Engines.Engine.Exec.run_reference ?strategy ec in
   let tsig = Difftest.signature_of_result target in

@@ -94,7 +94,7 @@ let supports (c : Registry.config) (src : string) : bool =
      covers the sunk quirks — and, for strict groups, whose source
      contains no strict-sensitive construct (or opts into strict
      itself) — parses identically and shares the base front end
-     outright, compilations, reach analysis and all. In the common case
+     outright, compilations and all. In the common case
      the whole 100-testbed sweep costs one or two parses;
    - the [supports] verdict and the syntactic-validity check backing its
      feature-gap probe, both derived from the base parses for free;
@@ -155,12 +155,10 @@ module Frontend = struct
     match Hashtbl.find_opt fc.fc_base es5 with
     | Some e -> e
     | None ->
-        (* [reach_strict]: the base front end may serve strict groups,
-           and the strict reach set is a superset of the sloppy one *)
         let parse parse_opts =
           numbered fc
             (Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
-               ~strict:false ~reach_strict:true fc.fc_src)
+               ~strict:false fc.fc_src)
         in
         let e =
           if not es5 then parse Jsparse.Parser.default_options
@@ -297,87 +295,30 @@ module Exec = struct
     (r.rp_pk = pk || not r.rp_ex.Run.ex_reparsed)
     && Run.shares_class_bits ~qbits r.rp_ex
 
-  (* One (front end, strict, fuel) equivalence-class table entry: the
-     representative list (ground truth, oldest first) plus the static
-     partition cells hanging off it. A cell key is the quirk set ∩ the
-     front end's static reach set, packed into its two machine words —
-     [Quirk.Bits]; a Quirk.Set.t has order-dependent tree shape and a
-     sorted element list allocates and hashes slowly, which PR 6
-     measured as a throughput regression. The static reach set
-     over-approximates every touched set of the front end, so two
-     quirk sets in one cell agree on every checkpoint any execution can
-     consult — a cell hit shares without scanning the full class list.
-     Purely an acceleration: the class list stays the ground truth, so
-     executions performed are identical with or without the analysis.
-     Cells live inside the class entry as a small inline list with the
-     two cell words compared directly (rather than in a Hashtbl keyed by
-     the full class key, or even by the word pair): a class sees at most
-     a handful of distinct cells, and PR 7 measured the polymorphic
-     hashing of structured keys — ~0.5µs per call, ~40k calls per
-     campaign — as the overhead that made the reach row slower than
-     plain sharing. The inline walk is two integer compares per entry
-     and allocates nothing on the lookup path. *)
-  type cell = {
-    ce_lo : int;
-    ce_hi : int;  (* quirks ∩ reach set, packed ([Quirk.Bits]) *)
-    mutable ce_reps : rep list;
-  }
-
-  type cls = {
-    mutable cl_reps : rep list;
-    mutable cl_cells : cell list;
-  }
-
   type cache = {
     ec_frontend : Frontend.cache;
-    ec_reach : bool;
-        (* consult the static reach analysis: seed the static cells and
-           let [Run] specialise on the reach set (see [probe_cache]) *)
-    ec_classes : (int, cls) Hashtbl.t;
+    ec_classes : (int, rep list ref) Hashtbl.t;
         (* (front-end id, strict, fuel) packed into one int — strict in
            bit 0, the id (< 64, see [Frontend.numbered]) in bits 1–6,
-           fuel above — -> class entry; fuel is in the key so a cache
-           survives mixed budgets *)
+           fuel above — -> the class representatives, oldest first; fuel
+           is in the key so a cache survives mixed budgets *)
     mutable ec_executed : int;  (* real interpreter executions *)
     mutable ec_shared : int;    (* runs answered by class inheritance *)
-    mutable ec_seeded : int;    (* shared runs answered by the static cell *)
   }
 
-  (* Process-wide tally of cell-hit shares, the analogue of
-     [Run.run_count]: per-case caches die with their worker, so campaign
-     stats read a before/after delta of this counter instead. *)
-  let seeded_total = Atomic.make 0
-  let seeded_count () = Atomic.get seeded_total
-
-  (* Fold a forked campaign worker's reach-seeded delta into this
-     process's count (see [Run.add_runs]). *)
-  let add_seeded n = if n > 0 then ignore (Atomic.fetch_and_add seeded_total n)
-
-  let make ~reach (src : string) : cache =
+  let cache (src : string) : cache =
     {
       ec_frontend = Frontend.cache src;
-      ec_reach = reach;
       ec_classes = Hashtbl.create 8;
       ec_executed = 0;
       ec_shared = 0;
-      ec_seeded = 0;
     }
-
-  let cache = make ~reach:true
-
-  (* Diagnostic re-executions (causal probes, reduction candidates) run a
-     case once or twice per testbed: the reach analysis only pays for
-     itself across a wide sweep, and a probe on a fresh parse would fund
-     it with nothing to amortise. Results are identical either way. *)
-  let probe_cache = make ~reach:false
 
   let frontend_cache (ec : cache) = ec.ec_frontend
   let supports (ec : cache) (c : Registry.config) =
     Frontend.supports ec.ec_frontend c
 
   let stats (ec : cache) = (ec.ec_executed, ec.ec_shared)
-  let seeded (ec : cache) = ec.ec_seeded
-
 
   let run_keyed ?strategy ?qbits (ec : cache) ~(pkey : Registry.parse_key)
       ~(quirks : Quirk.Set.t) ~(parse_opts : Jsparse.Parser.options)
@@ -388,8 +329,7 @@ module Exec = struct
         ~parse_opts ~strict
     in
     let execute () =
-      Run.run_exec ~quirks ~parse_opts ~strict ~fuel ~strategy
-        ~reach:ec.ec_reach ~frontend:fe
+      Run.run_exec ~quirks ~parse_opts ~strict ~fuel ~strategy ~frontend:fe
         (Frontend.source ec.ec_frontend)
     in
     match (fe.Run.fe_program, strategy) with
@@ -412,72 +352,26 @@ module Exec = struct
           (if strict then 1 else 0) lor (fe_id lsl 1) lor (fuel lsl 7)
         in
         let pk = Registry.pk_int pkey in
-        let cls =
+        let reps =
           match Hashtbl.find_opt ec.ec_classes ckey with
           | Some c -> c
           | None ->
-              let c = { cl_reps = []; cl_cells = [] } in
+              let c = ref [] in
               Hashtbl.replace ec.ec_classes ckey c;
               c
         in
-        (* the static cell of this quirk set, when the analysis is on:
-           two machine words of intersection, then an inline walk of the
-           class's few cells — no hashing, no allocation *)
-        let bucket =
-          if not ec.ec_reach then None
-          else begin
-            let qlo, qhi = qbits in
-            let rlo, rhi = Lazy.force fe.Run.fe_reach_bits in
-            let lo = qlo land rlo and hi = qhi land rhi in
-            let rec find = function
-              | [] ->
-                  let c = { ce_lo = lo; ce_hi = hi; ce_reps = [] } in
-                  cls.cl_cells <- c :: cls.cl_cells;
-                  c
-              | c :: tl ->
-                  if c.ce_lo = lo && c.ce_hi = hi then c else find tl
-            in
-            Some (find cls.cl_cells)
-          end
-        in
-        let cell_hit =
-          match bucket with
-          | Some c -> List.find_opt (admits ~pk ~qbits) c.ce_reps
-          | None -> None
-        in
-        match cell_hit with
+        match List.find_opt (admits ~pk ~qbits) !reps with
         | Some r ->
-            (* same-cell representative: [shares_class] is implied by the
-               cell equality (touched ⊆ reach set), and re-checked above
-               as a cheap defence against an unsound analysis *)
             ec.ec_shared <- ec.ec_shared + 1;
-            ec.ec_seeded <- ec.ec_seeded + 1;
-            Atomic.incr seeded_total;
             Run.share ~frontend:fe ~quirks r.rp_ex
-        | None -> (
-            match List.find_opt (admits ~pk ~qbits) cls.cl_reps with
-            | Some r ->
-                (* cross-cell share (the representative's cell differs on
-                   some statically-reachable but dynamically-untouched
-                   checkpoint): remember it in this cell too, so the next
-                   same-cell member hits without the full scan *)
-                ec.ec_shared <- ec.ec_shared + 1;
-                (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
-                | None -> ());
-                Run.share ~frontend:fe ~quirks r.rp_ex
-            | None ->
-                (* split: no representative's touched set validates this
-                   quirk set, so it seeds a new class with a direct
-                   execution *)
-                let ex = execute () in
-                ec.ec_executed <- ec.ec_executed + 1;
-                let r = { rp_pk = pk; rp_ex = ex } in
-                cls.cl_reps <- cls.cl_reps @ [ r ];
-                (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
-                | None -> ());
-                ex.Run.ex_result))
+        | None ->
+            (* split: no representative's touched set validates this
+               quirk set, so it seeds a new class with a direct
+               execution *)
+            let ex = execute () in
+            ec.ec_executed <- ec.ec_executed + 1;
+            reps := !reps @ [ { rp_pk = pk; rp_ex = ex } ];
+            ex.Run.ex_result)
 
   let run ?(fuel = Run.default_fuel) ?strategy (ec : cache) (tb : testbed) :
       Run.result =

@@ -105,14 +105,7 @@ end
 module Exec : sig
   type cache
 
-  (** The sweep's cache: the static reach analysis seeds its cells and
-      specialises its compilations. *)
   val cache : string -> cache
-
-  (** The cache for diagnostic re-executions (causal probes, reduction
-      candidates): no reach analysis, which a run or two per testbed
-      cannot pay for. Results are identical to {!cache}'s. *)
-  val probe_cache : string -> cache
 
   val frontend_cache : cache -> Frontend.cache
 
@@ -122,21 +115,6 @@ module Exec : sig
   (** [(executed, shared)]: interpreter executions actually performed vs.
       runs answered by class inheritance. *)
   val stats : cache -> int * int
-
-  (** Shared runs answered by the static reach partition's fast path
-      (a subset of the shares counted by {!stats}) — always 0 for a
-      {!probe_cache}. Sharing decisions and execution counts are
-      identical either way; only the lookup path differs. *)
-  val seeded : cache -> int
-
-  (** Process-wide cumulative {!seeded} across all caches (the analogue
-      of [Run.run_count]); campaign statistics read before/after
-      deltas. *)
-  val seeded_count : unit -> int
-
-  (** Fold a forked campaign worker's {!seeded_count} delta into this
-      process's count (see [Run.add_runs]). No-op for [n <= 0]. *)
-  val add_seeded : int -> unit
 
   (** Execute an arbitrary quirk profile on the cached source, sharing
       across its behavioural equivalence class — the generalisation of

@@ -173,10 +173,8 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
       in
       let has k = Ops.has_own ctx desc k in
       let get k = Ops.get_obj ctx desc k in
-      (* mutates prop records in place: journal a pre-image and invalidate
-         inline caches keyed on the current layout *)
+      (* mutates prop records in place: journal a pre-image *)
       barrier o;
-      o.version <- o.version + 1;
       let dflt = fire ctx Quirk.Q_defineproperty_defaults_writable in
       (* array length redefinition (Listing 1): length is non-configurable *)
       (match (o.arr, key) with
@@ -274,7 +272,6 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
        && fire ctx Quirk.Q_seal_string_object_crash
     then raise (Engine_crash "Object.seal on String wrapper: invalid slot access");
     barrier o;
-    o.version <- o.version + 1;
     o.extensible <- false;
     List.iter
       (fun (_, p) ->

@@ -36,142 +36,15 @@ type frame = {
   mutable bridge : scope option;
 }
 
-type gstate = {
-  mutable gs_deopts : int;
-  gs_folded : Quirk.Set.t;
-      (** checkpoints the static reachability analysis proved unreachable;
-          their compiled consultation sites fold to the quirk-off
-          constant (see [checkpoint]) *)
-  gs_cell : Quirk.Set.t;
-      (** specialisation cell: one closure is compiled for the
-          equivalence cell whose quirk set intersected with the inline
-          checkpoints is exactly [gs_cell] — every compiled consultation
-          bakes in its answer and only records the consultation *)
-}
+type gstate = { mutable gs_deopts : int }
 
-(* Checkpoint consultation at a compiled deviation site. The compilation
-   is per cell, so every site constant-folds its answer. A statically-dead
-   site folds to its quirk-off constant outright (the sound analysis
-   guarantees the site cannot execute, and the Fast = Reference audit
-   checks every Reference run's touched set against the static set); a
-   live site keeps the [ctx.touched] recording — the execution-sharing
-   class key — and bakes in the membership test and, when on, the
-   [ctx.fired] attribution. *)
-let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
-  if Quirk.Set.mem q gs.gs_folded then fun _ -> false
-  else if Quirk.Set.mem q gs.gs_cell then fun ctx ->
-    Value.touch_fire ctx q;
-    true
-  else fun ctx ->
-    Value.touch ctx q;
-    false
-
-(* --- monomorphic inline caches --------------------------------------
-   Compiled (specialised) property sites remember the last receiver they
-   saw: on [a.k] (load, method load) the cache keys on the receiver's
-   physical identity plus its layout [version] and short-circuits straight
-   to the cached property record, skipping [Ops.get]'s dispatch and the
-   [find_own] lookup (a short list walk, or a probe of the derived index
-   on objects with many properties) at every level of the prototype
-   chain; on [a.k = v] (store) likewise for a writable own property.
-   Validity:
-
-   - physical receiver identity pins the object; [version] is bumped by
-     every layout mutation ([set_own], [remove_own], [defineProperty],
-     freeze/seal, COW rollback), so a cached [prop] record can never be
-     observed after the layout it belongs to is gone. Plain value stores
-     ([p.v <- v]) don't bump — the cache holds the record, not the value.
-   - [ctx.ic_gen] confines an entry to the execution that filled it:
-     caches start cold every execution, making per-case hit counts
-     deterministic, and a template object
-     journaled by one execution can never serve a stale answer to the
-     next.
-   - only plain data properties ([getter = None]) of plain objects
-     ([arr = None], [prim = None] — index/length magic lives on those
-     storages) are cached; prototype loads additionally pin the holder's
-     identity and version. Prototype links are never reassigned after
-     construction, so receiver identity implies holder identity.
-
-   A hit replays the miss path's observable effects exactly: it burns
-   the 1 fuel [Ops.get]/[Ops.set] burns on entry, and the property-read
-   path consults no quirk checkpoint (verified: [get]/[get_obj]/
-   [get_plain] never call [fire]), so touched/fired are untouched either
-   way. A store hit runs the same write [barrier] [set_plain] runs. *)
-
-type ic_entry =
-  | Ic_empty
-  | Ic_own of int * obj * int * prop  (** gen, receiver, version, slot *)
-  | Ic_proto of int * obj * int * obj * int * prop
-      (** gen, receiver, version, holder, holder version, slot *)
-
-type ic = { mutable ic_e : ic_entry }
-
-let ic_cacheable_load (o : obj) (key : string) : ic_entry option =
-  if o.arr <> None || o.prim <> None then None
-  else
-    match find_own o key with
-    | Some p -> if p.getter = None then Some (Ic_own (0, o, o.version, p)) else None
-    | None -> (
-        match o.proto with
-        | Obj h when h.arr = None && h.prim = None -> (
-            match find_own h key with
-            | Some p when p.getter = None ->
-                Some (Ic_proto (0, o, o.version, h, h.version, p))
-            | _ -> None)
-        | _ -> None)
-
-let ic_get (st : ic) ctx (recv : value) (key : string) : value =
-  match recv with
-  | Obj o -> (
-      match st.ic_e with
-      | Ic_own (gen, co, ver, p)
-        when co == o && ver = o.version && gen = ctx.ic_gen ->
-          burn ctx 1;
-          ctx.ihits <- ctx.ihits + 1;
-          p.v
-      | Ic_proto (gen, co, ver, h, hver, p)
-        when co == o && ver = o.version && hver = h.version
-             && gen = ctx.ic_gen ->
-          burn ctx 1;
-          ctx.ihits <- ctx.ihits + 1;
-          p.v
-      | _ ->
-          let r = Ops.get ctx recv key in
-          (match ic_cacheable_load o key with
-          | Some (Ic_own (_, o, v, p)) -> st.ic_e <- Ic_own (ctx.ic_gen, o, v, p)
-          | Some (Ic_proto (_, o, v, h, hv, p)) ->
-              st.ic_e <- Ic_proto (ctx.ic_gen, o, v, h, hv, p)
-          | _ -> ());
-          r)
-  | _ -> Ops.get ctx recv key
-
-let ic_set (st : ic) ctx ~strict (recv : value) (key : string) (v : value) :
-    unit =
-  match recv with
-  | Obj o -> (
-      match st.ic_e with
-      | Ic_own (gen, co, ver, p)
-        when co == o && ver = o.version && gen = ctx.ic_gen && p.writable ->
-          burn ctx 1;
-          ctx.ihits <- ctx.ihits + 1;
-          barrier o;
-          p.v <- v
-      | _ -> (
-          Ops.set ctx ~strict recv key v;
-          if o.arr = None then
-            match find_own o key with
-            | Some p when p.getter = None && p.writable ->
-                st.ic_e <- Ic_own (ctx.ic_gen, o, o.version, p)
-            | _ -> ()))
-  | _ -> Ops.set ctx ~strict recv key v
-
-(* Process-wide count of specialised compilations, surfaced by campaign
-   reports as [cp_specialized]. *)
+(* Process-wide count of slot compilations, surfaced by campaign reports
+   as [cp_specialized]. *)
 let specialized = Atomic.make 0
 let specialized_count () = Atomic.get specialized
 
-(* Fold a forked campaign worker's specialisation delta into this
-   process's count (see [Run.add_runs]). *)
+(* Fold a forked campaign worker's compilation delta into this process's
+   count (see [Run.add_runs]). *)
 let add_specialized n = if n > 0 then ignore (Atomic.fetch_and_add specialized n)
 
 let mk_frame (names : string array) (frz : string list) (parent : frame option)
@@ -307,9 +180,8 @@ let compile_typeof_ident (env : R.level list) (name : string) :
 (* Assignment to a bare identifier — the static image of
    [Interp.assign_ident], with the same frozen-binding checkpoint
    ([Q_named_funcexpr_binding_mutable]) at a frozen terminal. *)
-let compile_assign_ident (gs : gstate) (env : R.level list) ~strict
+let compile_assign_ident (env : R.level list) ~strict
     (name : string) : ctx -> frame -> value -> unit =
-  let chk_nfe = checkpoint gs Quirk.Q_named_funcexpr_binding_mutable in
   let acc = R.resolve_access env name in
   match (acc.R.ac_candidates, acc.R.ac_terminal) with
   | [], Some { R.tg_depth = d; tg_slot = i; tg_frozen = false } ->
@@ -329,7 +201,8 @@ let compile_assign_ident (gs : gstate) (env : R.level list) ~strict
             match term with
             | Some { R.tg_depth = d; tg_slot = i; tg_frozen } ->
                 if tg_frozen then begin
-                  if chk_nfe ctx then (frame_at d fr).slots.(i) := v
+                  if fire ctx Quirk.Q_named_funcexpr_binding_mutable then
+                    (frame_at d fr).slots.(i) := v
                   else if strict then
                     Ops.type_error ctx
                       ("assignment to constant variable " ^ name)
@@ -498,12 +371,12 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
         Bool (not (Ops.to_boolean (oc ctx fr)))
   | Ast.Unary (Ast.Uneg, ox) ->
       let oc = ce ox in
-      let chk_negz = checkpoint gs Quirk.Q_codegen_neg_zero_positive in
       fun ctx fr ->
         burn ctx 1;
         let f = Ops.to_number ctx (oc ctx fr) in
         let r = -.f in
-        if r = 0.0 && chk_negz ctx then Num 0.0 else Num r
+        if r = 0.0 && fire ctx Quirk.Q_codegen_neg_zero_positive then Num 0.0
+        else Num r
   | Ast.Unary (Ast.Uplus, ox) ->
       let oc = ce ox in
       fun ctx fr ->
@@ -562,7 +435,6 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
             v
       | Some bop ->
           let lread = ce lhs in
-          let chk_concat = checkpoint gs Quirk.Q_opt_loop_strconcat_drops in
           fun ctx fr ->
             burn ctx 1;
             let rv = rc ctx fr in
@@ -574,7 +446,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
               match (result, bop) with
               | Str _, Ast.Add
                 when ctx.loop_trip > 100 && ctx.strconcat_drop_armed
-                     && chk_concat ctx ->
+                     && fire ctx Quirk.Q_opt_loop_strconcat_drops ->
                   ctx.strconcat_drop_armed <- false;
                   old
               | _ -> result
@@ -609,14 +481,12 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
       let argcs = List.map ce args in
       match fx.Ast.e with
       | Ast.Member (ox, Ast.Pfield key) ->
-          (* specialised method call on a constant key: the method load
-             goes through an inline cache *)
+          (* method call on a constant key *)
           let oc = ce ox in
-          let st = { ic_e = Ic_empty } in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            let fv = ic_get st ctx ov key in
+            let fv = Ops.get ctx ov key in
             if not (is_callable fv) then
               Ops.type_error ctx
                 (Printf.sprintf "%s.%s is not a function" (type_of ov) key);
@@ -656,11 +526,10 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
       let oc = ce ox in
       match prop with
       | Ast.Pfield n ->
-          let st = { ic_e = Ic_empty } in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            ic_get st ctx ov n
+            Ops.get ctx ov n
       | Ast.Pindex e ->
           let kc = ce e in
           fun ctx fr ->
@@ -696,27 +565,26 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
 and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
     ctx -> frame -> value -> unit =
   match lhs.Ast.e with
-  | Ast.Ident name -> compile_assign_ident gs env ~strict name
+  | Ast.Ident name -> compile_assign_ident env ~strict name
   | Ast.Member (ox, prop) -> (
       let oc = compile_expr gs env ~strict ~frz ox in
       match prop with
       | Ast.Pindex ix ->
           let kc = compile_expr gs env ~strict ~frz ix in
-          let chk_bool = checkpoint gs Quirk.Q_bool_prop_appends_to_array in
           fun ctx fr v -> (
             let ov = oc ctx fr in
             let kv = kc ctx fr in
             (* QuickJS quirk (Listing 6): boolean key on an array appends *)
             match (ov, kv) with
             | Obj ({ arr = Some arr; _ } as o), Bool true
-              when arr.ty = None && chk_bool ctx ->
+              when arr.ty = None
+                   && fire ctx Quirk.Q_bool_prop_appends_to_array ->
                 Ops.array_store ctx o arr arr.alen v
             | _ -> Ops.set_index ctx ~strict ov kv v)
       | Ast.Pfield key ->
-          let st = { ic_e = Ic_empty } in
           fun ctx fr v ->
             let ov = oc ctx fr in
-            ic_set st ctx ~strict ov key v)
+            Ops.set ctx ~strict ov key v)
   | _ -> fun ctx _ _ -> Ops.type_error ctx "invalid assignment target"
 
 (* Statement bodies that the tree-walker runs in a fresh block scope:
@@ -1091,7 +959,6 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
   end
   else begin
     let strict_f = strict || Interp.body_is_strict f.Ast.body in
-    let chk_this = checkpoint gs Quirk.Q_strict_this_is_global in
     (* named function expressions (and declarations) see their own name as
        an immutable binding in a scope of its own *)
     let self, env, frz =
@@ -1172,7 +1039,8 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
               match this with
               | Undefined | Null ->
                   if strict_f then
-                    if chk_this ctx then Obj ctx.global else Undefined
+                    if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
+                    else Undefined
                   else Obj ctx.global
               | v -> v)
         in
@@ -1229,62 +1097,24 @@ type t = {
       (** execute; returns the completion value like [Interp.exec_in_scope] *)
   cp_slotted : bool;  (** false: the whole program deopted to the tree *)
   cp_deopt_fns : int; (** function definition sites that deopted *)
-  cp_folded : int;
-      (** compiled deviation checkpoints folded away as statically
-          unreachable (0 when compiled without a reach set) *)
   cp_shadows_specials : bool;
 }
 
-(* The deviation checkpoints compiled inline (everything else funnels
-   through [Interp]/[Ops]/builtin code shared with the tree-walker, where
-   the consultations stay as written). Only these are fold candidates, and
-   only these are what a specialisation cell can bake in. *)
-let compiled_checkpoint_list =
-  [
-    Quirk.Q_named_funcexpr_binding_mutable;
-    Quirk.Q_codegen_neg_zero_positive;
-    Quirk.Q_opt_loop_strconcat_drops;
-    Quirk.Q_bool_prop_appends_to_array;
-    Quirk.Q_strict_this_is_global;
-  ]
-
-let compiled_checkpoints = Quirk.Set.of_list compiled_checkpoint_list
-
-(* Projection of a quirk set onto the inline-compiled checkpoints, packed
-   into an int. Two specialisation cells with equal keys compile to
-   observably identical closures (the inline sites are the only thing a
-   cell specialises), so callers cache one compilation per key — one or
-   two per case in practice, not one per equivalence cell. *)
-let cell_key (c : Quirk.Set.t) : int =
-  let rec go i acc = function
-    | [] -> acc
-    | q :: rest ->
-        go (i + 1) (if Quirk.Set.mem q c then acc lor (1 lsl i) else acc) rest
-  in
-  go 0 0 compiled_checkpoint_list
-
-(* Compile [prog] for one specialisation [cell] (see [gstate]); [reach],
-   the front end's static reach set when the caller has one, licenses
-   folding the inline sites outside it. *)
-let compile ?reach ~(cell : Quirk.Set.t) (prog : Ast.program) : t =
-  let folded =
-    match reach with
-    | None -> Quirk.Set.empty
-    | Some s -> Quirk.Set.diff compiled_checkpoints s
-  in
+(* Compile [prog] once; the result serves every quirk set, since the
+   compiled checkpoint sites consult [ctx] at run time. *)
+let compile (prog : Ast.program) : t =
   let shadows = Interp.binds_specials prog in
   if R.program_deopts prog then
     {
       cp_run = (fun ctx -> Interp.exec_program ctx prog);
       cp_slotted = false;
       cp_deopt_fns = 0;
-      cp_folded = 0;
       cp_shadows_specials = shadows;
     }
   else begin
     let strict = prog.Ast.prog_strict in
     Atomic.incr specialized;
-    let gs = { gs_deopts = 0; gs_folded = folded; gs_cell = cell } in
+    let gs = { gs_deopts = 0 } in
     let plevel = R.new_level () in
     let vars, funcs = R.hoisted prog.Ast.prog_body in
     let var_slots =
@@ -1355,7 +1185,6 @@ let compile ?reach ~(cell : Quirk.Set.t) (prog : Ast.program) : t =
       cp_run = run;
       cp_slotted = true;
       cp_deopt_fns = gs.gs_deopts;
-      cp_folded = Quirk.Set.cardinal folded;
       cp_shadows_specials = shadows;
     }
   end

@@ -64,8 +64,6 @@ let build () : t =
       cur_this = Undefined;
       slotted = false;
       specials_shadowed = false;
-      ic_gen = 0;
-      ihits = 0;
       reparsed = false;
     }
   in
@@ -132,10 +130,10 @@ let release () : unit = Value.cow_rollback ()
 
 (* Audit mode: structurally compare the (post-rollback) template
    against a freshly installed realm — any surviving mutation means a
-   write-barrier gap, i.e. cross-execution leakage. Oids, cow state and
-   version stamps are identity bookkeeping, not observable state, and are
-   ignored; a property index the template has built must hold exactly its
-   property list. *)
+   write-barrier gap, i.e. cross-execution leakage. Oids and cow state
+   are identity bookkeeping, not observable state, and are ignored; a
+   property index the template has built must hold exactly its property
+   list. *)
 let check_pristine () : (unit, string) result =
   let t = template () in
   let r = build () in

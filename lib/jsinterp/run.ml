@@ -273,8 +273,6 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       cur_this = Value.Obj global;
       slotted = false;
       specials_shadowed = false;
-      ic_gen = Atomic.fetch_and_add Value.ic_gen_counter 1;
-      ihits = 0;
       reparsed = false;
     }
   in
@@ -323,25 +321,12 @@ type frontend = {
   fe_fired : Quirk.Set.t;
       (** parse-stage quirks sunk by the front end, unfiltered; callers
           intersect with their own quirk set *)
-  fe_compiled : (bool * bool * int, Compile.t) Hashtbl.t;
-      (** slot-compiled program, cached per front end and keyed by
-          (strict mode, reach setting, specialisation cell key) — a strict
-          override rewrites the program, reach folds checkpoints, and a
-          specialisation cell bakes in the answers of the inline
-          checkpoints ([Compile.cell_key]). Testbeds sharing a front end
-          share the compilations — the compile-stage analogue of sharing
-          the parse; since only the inline-checkpoint projection keys the
-          cache, the whole testbed pool compiles each program once or
-          twice in practice. *)
-  fe_reach : Quirk.Set.t Lazy.t;
-      (** static over-approximation of the checkpoints any execution of
-          this front end's program can consult: the [Analysis.Reach] set
-          of the parsed program joined with the parse-stage quirks sunk by
-          the front end (a parse failure consults nothing at run time).
-          Lazy: only forced by [Fast] executions that consult it. *)
-  fe_reach_bits : Quirk.Bits.t Lazy.t;
-      (** [fe_reach] packed into machine words, for the execution-sharing
-          cache's per-testbed cell computation *)
+  fe_compiled : (bool, Compile.t) Hashtbl.t;
+      (** slot-compiled program, cached per front end and keyed by strict
+          mode (a strict override rewrites the program). The compiled
+          checkpoint sites consult the quirk set at run time, so every
+          testbed sharing a front end and mode shares one compilation —
+          the compile-stage analogue of sharing the parse *)
   fe_strict_sensitive : bool;
       (** the parse reached a construct whose outcome depends on the
           ambient strict flag; [false] on a sloppy parse proves a
@@ -355,8 +340,7 @@ type frontend = {
 
 let parse_frontend ?(quirks = Quirk.Set.empty)
     ?(parse_opts = Jsparse.Parser.default_options) ?(strict = false)
-    ?reach_strict (src : string) : frontend =
-  let reach_strict = Option.value reach_strict ~default:strict in
+    (src : string) : frontend =
   let parse_opts = parse_opts_of ~base:parse_opts quirks in
   let fired = ref Quirk.Set.empty in
   let sensitive = ref false in
@@ -374,20 +358,10 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
     }
   in
   let frontend fe_program fe_fired =
-    let fe_reach =
-      lazy
-        (match fe_program with
-        | Error _ -> fe_fired
-        | Ok prog ->
-            Quirk.Set.union fe_fired
-              (Analysis.Reach.checkpoints ~strict:reach_strict prog))
-    in
     {
       fe_program;
       fe_fired;
-      fe_compiled = Hashtbl.create 4;
-      fe_reach;
-      fe_reach_bits = lazy (Quirk.Bits.of_set (Lazy.force fe_reach));
+      fe_compiled = Hashtbl.create 2;
       fe_strict_sensitive = !sensitive;
       fe_edition_sensitive = !edition;
     }
@@ -400,8 +374,16 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
   | exception Jsparse.Parser.Syntax_error (msg, line) ->
       frontend (Error (msg, line)) !fired
 
-(* The front end's static touch-set (forces the lazy analysis). *)
-let reach_set (fe : frontend) : Quirk.Set.t = Lazy.force fe.fe_reach
+(* The front end's static touch-set on a testbed of mode [strict]: the
+   [Analysis.Reach] set of the parsed program joined with the parse-stage
+   quirks sunk by the front end (a parse failure consults nothing at run
+   time). The execution path never reads it; the audit and
+   [comfort analyze --quirks] do. *)
+let reach_set ~strict (fe : frontend) : Quirk.Set.t =
+  match fe.fe_program with
+  | Error _ -> fe.fe_fired
+  | Ok prog ->
+      Quirk.Set.union fe.fe_fired (Analysis.Reach.checkpoints ~strict prog)
 
 (* --- execution, separable from the engine that ran it ---
 
@@ -433,8 +415,8 @@ type exec = {
 
 let run_exec ?(quirks = Quirk.Set.empty)
     ?(parse_opts = Jsparse.Parser.default_options) ?(strict = false)
-    ?(fuel = default_fuel) ?(coverage = false) ?strategy ?(reach = true)
-    ?frontend (src : string) : exec =
+    ?(fuel = default_fuel) ?(coverage = false) ?strategy ?frontend
+    (src : string) : exec =
   let fast =
     match Strategy.value strategy with
     | Strategy.Fast -> true
@@ -481,28 +463,15 @@ let run_exec ?(quirks = Quirk.Set.empty)
       in
       let compiled =
         if not fast then None
-        else begin
-          (* the specialisation cell: the quirks this engine carries among
-             those any execution can consult. Only its projection onto the
-             inline-compiled checkpoints affects code generation, so the
-             cache key collapses every cell to [Compile.cell_key] *)
-          let reach_set = if reach then Some (Lazy.force fe.fe_reach) else None in
-          let cell =
-            match reach_set with
-            | Some r -> Quirk.Set.inter quirks r
-            | None -> quirks
-          in
-          let key = (strict, reach, Compile.cell_key cell) in
-          match Hashtbl.find_opt fe.fe_compiled key with
+        else
+          match Hashtbl.find_opt fe.fe_compiled strict with
           | Some cp -> Some cp
           | None ->
               let cp =
-                Stage.time_sub Stage.compile (fun () ->
-                    Compile.compile ?reach:reach_set ~cell prog)
+                Stage.time_sub Stage.compile (fun () -> Compile.compile prog)
               in
-              Hashtbl.replace fe.fe_compiled key cp;
+              Hashtbl.replace fe.fe_compiled strict cp;
               Some cp
-        end
       in
       (* a Fast context borrows the realm template and
          [Realm.release] rolls the write journal back after the run — on
@@ -558,8 +527,6 @@ let run_exec ?(quirks = Quirk.Set.empty)
             | exception Value.Deopt_to_tree -> run_with tree_run
             | r -> r)
       in
-      if ctx.Value.ihits > 0 then
-        ignore (Atomic.fetch_and_add Value.ic_hits ctx.Value.ihits);
       let fbits = Value.fired_bits ctx in
       let tbits = Value.touched_bits ctx in
       (* the representative's own result rebuilds real [Quirk.Set.t]s — once
@@ -597,10 +564,10 @@ let run_exec ?(quirks = Quirk.Set.empty)
       if fast then Scratch.release ctx;
       ex
 
-let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?reach
-    ?frontend (src : string) : result =
-  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?reach
-     ?frontend src)
+let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?frontend
+    (src : string) : result =
+  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?frontend
+     src)
     .ex_result
 
 (* Does an engine carrying [quirks] belong to [ex]'s behavioural

@@ -109,20 +109,11 @@ type frontend = {
   fe_fired : Quirk.Set.t;
       (** parse-stage quirks sunk by the front end, {e unfiltered};
           {!run} intersects them with the executing engine's quirk set *)
-  fe_compiled : (bool * bool * int, Compile.t) Hashtbl.t;
-      (** slot-compiled programs cached per front end, keyed by
-          (strict mode, reach enabled, specialisation cell key —
-          [Compile.cell_key]); testbeds sharing a front end share the
-          compilations *)
-  fe_reach : Quirk.Set.t Lazy.t;
-      (** static over-approximation of every quirk checkpoint any
-          execution of this front end can consult
-          ({!Analysis.Reach.checkpoints} joined with the parse-stage
-          [fe_fired]); forced on first use, shared by all testbeds of the
-          parse group *)
-  fe_reach_bits : Quirk.Bits.t Lazy.t;
-      (** [fe_reach] packed into machine words for the execution-sharing
-          cache's cell computation *)
+  fe_compiled : (bool, Compile.t) Hashtbl.t;
+      (** slot-compiled programs cached per front end, keyed by strict
+          mode; the compiled checkpoint sites consult the quirk set at run
+          time, so testbeds sharing a front end and mode share one
+          compilation *)
   fe_strict_sensitive : bool;
       (** the parse reached a construct whose outcome depends on the
           ambient strict flag ({!Jsparse.Parser.options}'
@@ -141,39 +132,33 @@ type frontend = {
 
 (** Parse once with the effective options derived from [parse_opts] and
     [quirks]. The result may be passed to {!run} for any engine whose
-    effective options and mode are identical. [reach_strict] (default
-    [strict]) sets the mode assumed by the reach analysis — pass [true]
-    when the front end may be shared with strict-mode testbeds, since
-    the strict reach set is a superset of the sloppy one. *)
+    effective options and mode are identical. *)
 val parse_frontend :
   ?quirks:Quirk.Set.t ->
   ?parse_opts:Jsparse.Parser.options ->
   ?strict:bool ->
-  ?reach_strict:bool ->
   string ->
   frontend
 
-(** The front end's static checkpoint reach set (forces [fe_reach]).
-    Sound: for every execution of this front end on any testbed of its
-    parse group, [r_touched] is a subset of [reach_set fe]. *)
-val reach_set : frontend -> Quirk.Set.t
+(** The front end's static checkpoint reach set on testbeds of mode
+    [strict]: {!Analysis.Reach.checkpoints} of the program joined with
+    the parse-stage [fe_fired]. Sound: for every execution of this front
+    end on any testbed of that mode, [r_touched] is a subset of it.
+    Computed on each call; the execution path never reads it — the
+    [--audit] containment check and [comfort analyze --quirks] do. *)
+val reach_set : strict:bool -> frontend -> Quirk.Set.t
 
 (** Execute a program.
     @param quirks     the engine's bug set (empty = conforming reference)
     @param parse_opts front-end profile (ES edition gates)
     @param strict     run as a strict-mode testbed
     @param coverage   record statement/branch/function coverage
-    @param strategy   [Fast] executes a quirk-specialised compiled closure
-                      in a copy-on-write realm with recycled scratch;
-                      [Reference] tree-walks in a freshly installed realm.
-                      Defaults to {!Strategy.default}. Results are
-                      bit-for-bit identical either way
-    @param reach      under [Fast], let the compiler consult the front
-                      end's static reach set (default [true]): a smaller
-                      specialisation cell and the inline sites outside the
-                      set folded away. Results are bit-for-bit identical
-                      either way; diagnostic re-executions turn it off
-                      because a run or two cannot pay for the analysis
+    @param strategy   [Fast] executes the front end's compiled closure
+                      (one per mode) in a copy-on-write realm with
+                      recycled scratch; [Reference] tree-walks in a
+                      freshly installed realm. Defaults to
+                      {!Strategy.default}. Results are bit-for-bit
+                      identical either way
     @param frontend   a pre-parsed front end to reuse (skips this run's
                       own parse); must have been produced with the same
                       effective options and strictness *)
@@ -184,7 +169,6 @@ val run :
   ?fuel:int ->
   ?coverage:bool ->
   ?strategy:Strategy.t ->
-  ?reach:bool ->
   ?frontend:frontend ->
   string ->
   result
@@ -224,7 +208,6 @@ val run_exec :
   ?fuel:int ->
   ?coverage:bool ->
   ?strategy:Strategy.t ->
-  ?reach:bool ->
   ?frontend:frontend ->
   string ->
   exec

@@ -11,8 +11,9 @@ type t =
           interpreter, a realm built by [Builtins.install] for every
           execution, and fresh execution scratch *)
   | Fast
-      (** execution sharing seeded by the static reach analysis,
-          quirk-specialised compiled closures, copy-on-write realms and
+      (** execution sharing across behavioural equivalence classes, one
+          compiled closure per (front end, mode) whose checkpoint sites
+          consult the quirk set at run time, copy-on-write realms and
           recycled execution scratch *)
 
 val to_string : t -> string

@@ -41,11 +41,6 @@ and obj = {
           object shared between executions (first mutation must journal a
           pre-image, see [cow_save]), 2 = template object already journaled
           by the execution in flight *)
-  mutable version : int;
-      (** shape stamp: bumped whenever the property *layout* changes (add /
-          remove / redefine / rollback) — never on a plain [p.v] store.
-          Inline caches key on [(identity, version)], so a bump is what
-          invalidates them; the stamp only ever grows *)
 }
 
 and prop = {
@@ -168,15 +163,6 @@ and ctx = {
       (** some executed program declares a binding named [undefined], [NaN]
           or [Infinity]; until then those identifiers evaluate to their
           constants without any scope-chain walk *)
-  ic_gen : int;
-      (** execution generation stamp for the compiled inline caches: an IC
-          entry is valid only for the execution that filled it, so every
-          execution starts cold and per-case hit counts are deterministic
-          regardless of how executions are scheduled *)
-  mutable ihits : int;
-      (** inline-cache hits of this execution; flushed into the process-wide
-          [ic_hits] tally when the run completes (a plain field so the hot
-          path never touches an atomic) *)
   mutable reparsed : bool;
       (** the program parsed source at run time (global [eval]) — the one
           runtime use of [parse_opts]. A construct the options reject
@@ -226,7 +212,6 @@ let make_obj ?(oclass = "Object") ?(proto = Null) () =
     regex = None;
     dataview = None;
     cow = 0;
-    version = 0;
   }
 
 let mkprop ?(writable = true) ?(enumerable = true) ?(configurable = true) v =
@@ -243,10 +228,7 @@ let mkprop ?(writable = true) ?(enumerable = true) ?(configurable = true) v =
    pre-images so the next execution sees a pristine template.
 
    Executions in a process are sequential, so the journal only ever holds
-   the in-flight execution's entries. [version] is deliberately *not*
-   restored — rollback bumps it instead, so an inline cache filled
-   against the mutated layout can never validate against the restored
-   one. *)
+   the in-flight execution's entries. *)
 
 type cow_prop_save = {
   cps_prop : prop;
@@ -371,21 +353,9 @@ let cow_rollback () : unit =
           o.prim <- s.cs_prim;
           o.regex <- s.cs_regex;
           o.dataview <- s.cs_dataview;
-          o.version <- o.version + 1;
           o.cow <- 1)
         entries;
       cow_journal := []
-
-(* Inline-cache hit counter (see [Compile]); campaigns report the delta as
-   [cp_ic_hits]. Executions accumulate in [ctx.ihits] and flush once on
-   completion. *)
-let ic_hits = Atomic.make 0
-let ic_count () = Atomic.get ic_hits
-let add_ic n = if n > 0 then ignore (Atomic.fetch_and_add ic_hits n)
-
-(* Source of [ctx.ic_gen] stamps: globally unique, so an inline cache can
-   never confuse two executions. *)
-let ic_gen_counter = Atomic.make 0
 
 let type_of = function
   | Undefined -> "undefined"
@@ -440,27 +410,6 @@ let fire ctx q =
     else false
   end
 
-(* Record a consultation whose answer the caller has baked in — the
-   specialised compiler's checkpoint sites ([Compile.checkpoint]). *)
-let touch ctx q =
-  let i = Quirk.index q in
-  if i < 62 then ctx.t_lo <- ctx.t_lo lor (1 lsl i)
-  else ctx.t_hi <- ctx.t_hi lor (1 lsl (i - 62))
-
-(* [touch] plus the fired attribution, for baked-in cell-member sites. *)
-let touch_fire ctx q =
-  let i = Quirk.index q in
-  if i < 62 then begin
-    let m = 1 lsl i in
-    ctx.t_lo <- ctx.t_lo lor m;
-    ctx.f_lo <- ctx.f_lo lor m
-  end
-  else begin
-    let m = 1 lsl (i - 62) in
-    ctx.t_hi <- ctx.t_hi lor m;
-    ctx.f_hi <- ctx.f_hi lor m
-  end
-
 (* The packed-word views of a context's recording fields. *)
 let fired_bits ctx : Quirk.Bits.t = (ctx.f_lo, ctx.f_hi)
 let touched_bits ctx : Quirk.Bits.t = (ctx.t_lo, ctx.t_hi)
@@ -500,7 +449,6 @@ let find_own (o : obj) (k : string) : prop option =
 
 let set_own (o : obj) (k : string) (p : prop) =
   barrier o;
-  o.version <- o.version + 1;
   let[@tail_mod_cons] rec put = function
     | [] -> [ (k, p) ]
     | ((k', _) as kv) :: rest ->
@@ -511,7 +459,6 @@ let set_own (o : obj) (k : string) (p : prop) =
 
 let remove_own (o : obj) (k : string) =
   barrier o;
-  o.version <- o.version + 1;
   o.props <- List.filter (fun (k', _) -> not (String.equal k' k)) o.props;
   match o.index with Some t -> Ptbl.remove t k | None -> ()
 

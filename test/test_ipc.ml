@@ -262,10 +262,8 @@ type wire =
 
 type counters = {
   c_runs : int;
-  c_seeded : int;
   c_specialized : int;
   c_cow : int;
-  c_ic : int;
 }
 
 type reply =
@@ -285,7 +283,7 @@ let reply_frames =
      in
      let testbeds = Comfort.Campaign.default_testbeds () in
      let counters =
-       { c_runs = 12; c_seeded = 40; c_specialized = 3; c_cow = 0; c_ic = 0 }
+       { c_runs = 12; c_specialized = 3; c_cow = 0 }
      in
      let finished seq w =
        R_done { rd_seq = seq; rd_reply = w; rd_counters = counters }

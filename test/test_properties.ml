@@ -270,8 +270,6 @@ let template_ctx () : V.ctx =
     cur_this = V.Obj global;
     slotted = false;
     specials_shadowed = false;
-    ic_gen = 0;
-    ihits = 0;
     reparsed = false;
   }
 

@@ -1,21 +1,20 @@
-(* Static checkpoint-reachability analysis (DESIGN.md §11).
+(* Static checkpoint-reachability analysis (DESIGN.md §11) and the
+   compiler's inline checkpoint sites.
 
-   The analysis is useful only while it stays sound (static ⊇ every
-   dynamic touched set) and pays off only while it stays precise enough
-   to fold and pre-partition anything. Coverage here:
+   The analysis is a diagnostic ([comfort analyze --quirks]) and an audit
+   check; it is useful only while it stays sound (static ⊇ every dynamic
+   touched set) and precise. Coverage here:
 
    - soundness over a handwritten corpus plus a fuzzer batch, asserted
      per front end and via [Difftest.audit_case]'s reach check across all
      102 testbeds;
    - a precision floor: ordinary programs get a strict subset of the
      domain's top, while [eval] collapses to top;
-   - the compiler's constant-folding of statically-unreachable
-     consultation sites, invisible in results;
-   - execution counts and reports byte-identical with the analysis on or
-     off (the sweep cache against the probe cache, and Fast against the
-     Reference oracle), at the [Exec] sweep, [run_case] and
-     full-campaign layers, with the reach-seeded fast path actually
-     engaging. *)
+   - the five checkpoint sites the compiler emits inline, and the hot
+     property loads and stores of the corpus, field-wise identical under
+     Fast and the Reference oracle on every testbed;
+   - reports byte-identical under Fast and Reference at the [run_case]
+     and full-campaign layers. *)
 
 open Helpers
 open Jsinterp
@@ -46,6 +45,33 @@ foo(-634619);|};
     {|var s = ""; for (var i = 0; i < 200; i++) s += "x";
 print(s.length);|};
     {|"use strict"; function f() { return this; } print(f() === undefined);|};
+    (* a boolean key stored on an array consults the QuickJS append site *)
+    "var a = [1, 2]; a[true] = 3; print(a.length, a[2]);";
+    (* hot property traffic: an own load/store loop, prototype loads
+       (a constructor's and Object.prototype's) and a method call in a
+       loop *)
+    {|var o = {a: 1, b: 2};
+for (var i = 0; i < 50; i++) o.a = o.a + o.b;
+print(o.a);|};
+    {|function P() {} P.prototype.k = 3; var p = new P(); var t = 0;
+for (var i = 0; i < 30; i++) t += p.k;
+Object.prototype.z = 7; var e = {}; print(t, e.z);|};
+    {|var c = { n: 0, inc: function () { this.n++; return this.n; } };
+for (var i = 0; i < 30; i++) c.inc();
+print(c.n);|};
+    (* layouts changing in the middle of a loop: a redefined property,
+       a frozen receiver and a reassigned prototype property *)
+    {|var o = { a: 1 }; var s = 0;
+for (var i = 0; i < 20; i++) {
+  if (i === 10) Object.defineProperty(o, "a", { value: 100, writable: false });
+  o.a = o.a + 1; s += o.a;
+}
+print(s, o.a);|};
+    {|var o = { a: 0 };
+for (var i = 0; i < 20; i++) { if (i === 5) Object.freeze(o); o.a++; }
+function P() {} P.prototype.k = 1; var p = new P(); var t = 0;
+for (var j = 0; j < 10; j++) { if (j === 5) P.prototype.k = 2; t += p.k; }
+print(o.a, t);|};
   ]
 
 let sound_on_every_frontend () =
@@ -67,7 +93,7 @@ let sound_on_every_frontend () =
             (Printf.sprintf "%s sound on %s" (Engine.testbed_id tb) src)
             true
             (Quirk.Set.subset ex.Run.ex_result.Run.r_touched
-               (Run.reach_set fe)))
+               (Run.reach_set ~strict fe)))
         Engine.all_testbeds)
     corpus
 
@@ -123,85 +149,24 @@ let strict_widens () =
            (Reach.checkpoints_src ~strict:true src)))
     corpus
 
-let compiler_folds_unreachable_sites () =
-  let prog s =
-    match (Run.parse_frontend s).Run.fe_program with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail ("corpus program failed to parse: " ^ s)
-  in
-  let p = prog "print(1);" in
-  let cell = Quirk.Set.empty in
-  let none = Compile.compile ~cell p in
-  Alcotest.(check bool) "slotted" true none.Compile.cp_slotted;
-  Alcotest.(check int) "no reach set: nothing folded" 0 none.Compile.cp_folded;
-  let all = Compile.compile ~reach:Reach.top ~cell p in
-  Alcotest.(check int) "top reach set: nothing folded" 0 all.Compile.cp_folded;
-  let empty = Compile.compile ~reach:Quirk.Set.empty ~cell p in
-  Alcotest.(check int) "empty reach set: every inline site folded"
-    (Quirk.Set.cardinal Compile.compiled_checkpoints)
-    empty.Compile.cp_folded
-
-let folding_preserves_results () =
-  (* reach on vs off under Fast, and both against Reference, field-wise,
-     across testbed quirk sets: the folds a *sound* reach set licenses
-     must be invisible *)
+let compiled_sites_match_reference () =
+  (* Fast (the compiled closure, consulting the quirk set at run time)
+     against the Reference tree-walk, field-wise, on every testbed: the
+     corpus reaches the five inline checkpoint sites and the hot property
+     loads and stores *)
   List.iter
     (fun src ->
       List.iter
         (fun (tb : Engine.testbed) ->
           let strict = tb.Engine.tb_mode = Engine.Strict in
           let quirks = tb.Engine.tb_config.Engines.Registry.cfg_quirks in
-          let fast reach =
-            Run.run ~quirks ~strict ~strategy:Strategy.Fast ~reach src
-          in
-          let reference =
-            Run.run ~quirks ~strict ~strategy:Strategy.Reference src
-          in
-          let id = Engine.testbed_id tb ^ " on " ^ src in
-          List.iter
-            (fun (tag, r) ->
-              Alcotest.(check (option string)) (id ^ ": " ^ tag) None
-                (Run.differing_field reference r))
-            [ ("reach on", fast true); ("reach off", fast false) ])
-        (Engine.latest_testbeds ()))
+          let run strategy = Run.run ~quirks ~strict ~strategy src in
+          Alcotest.(check (option string))
+            (Engine.testbed_id tb ^ " on " ^ src)
+            None
+            (Run.differing_field (run Strategy.Reference) (run Strategy.Fast)))
+        Engine.all_testbeds)
     corpus
-
-let sweep_executes_identically () =
-  (* the PR 3 fixpoint is already execution-optimal; the reach partition
-     may only change the lookup path, never the execution count *)
-  List.iter
-    (fun src ->
-      let sweep make_cache =
-        let before = Run.run_count () in
-        let ec = make_cache src in
-        List.iter
-          (fun tb ->
-            ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
-          Engine.all_testbeds;
-        let executed, shared = Engine.Exec.stats ec in
-        (executed, shared, Run.run_count () - before, Engine.Exec.seeded ec)
-      in
-      let ex_off, sh_off, runs_off, seeded_off = sweep Engine.Exec.probe_cache in
-      let ex_on, sh_on, runs_on, seeded_on = sweep Engine.Exec.cache in
-      Alcotest.(check int) (src ^ ": same executions") ex_off ex_on;
-      Alcotest.(check int) (src ^ ": same shares") sh_off sh_on;
-      Alcotest.(check int) (src ^ ": same interpreter runs") runs_off runs_on;
-      Alcotest.(check int) (src ^ ": analysis off never seeds") 0 seeded_off;
-      Alcotest.(check bool) (src ^ ": seeded is a subset of shares") true
-        (seeded_on <= sh_on))
-    corpus;
-  (* on quirk-rich traffic the fast path must actually engage *)
-  let ec =
-    Engine.Exec.cache
-      {|print([10,9,1].sort()); print("abc".charAt(-1));
-print((0.1).toFixed(1));|}
-  in
-  List.iter
-    (fun tb ->
-      ignore (Engine.Exec.run ~fuel:100_000 ~strategy:Strategy.Fast ec tb))
-    Engine.all_testbeds;
-  Alcotest.(check bool) "reach-seeded shares happen" true
-    (Engine.Exec.seeded ec > 0)
 
 let run_case_reach_invariant () =
   List.iter
@@ -223,15 +188,13 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_reach_invariant () =
-  (* Fast (reach-seeded) vs Reference x in-process/2 workers: identical discoveries,
+  (* Fast vs Reference x in-process/2 workers: identical discoveries,
      timeline and filter counts — the acceptance bar in miniature *)
   let campaign ~strategy ~workers =
     Comfort.Campaign.run ~budget:80 ~strategy ~workers
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
   let base = campaign ~strategy:Strategy.Reference ~workers:0 in
-  Alcotest.(check int) "Reference never seeds" 0
-    base.Comfort.Campaign.cp_reach_seeded;
   List.iter
     (fun workers ->
       let r = campaign ~strategy:Strategy.Fast ~workers in
@@ -246,9 +209,7 @@ let campaign_reach_invariant () =
         r.Comfort.Campaign.cp_filtered_repeats;
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
-        r.Comfort.Campaign.cp_unattributed;
-      Alcotest.(check bool) (tag ^ ": fast path engaged") true
-        (r.Comfort.Campaign.cp_reach_seeded > 0))
+        r.Comfort.Campaign.cp_unattributed)
     [ 0; 2 ]
 
 let campaign_audit_reach_passes () =
@@ -268,11 +229,8 @@ let suite =
     case "precision floor: ordinary programs narrow" precision_floor;
     case "eval collapses to top" dynamic_constructs_are_top;
     case "strict analysis widens the sloppy one" strict_widens;
-    case "compiler folds statically-unreachable sites"
-      compiler_folds_unreachable_sites;
-    case "folding preserves results field-wise" folding_preserves_results;
-    case "sweeps execute identically with reach on/off"
-      sweep_executes_identically;
+    case "compiled sites match Reference on all testbeds"
+      compiled_sites_match_reference;
     case "run_case reports are reach-invariant" run_case_reach_invariant;
     case "campaigns are reach-invariant" campaign_reach_invariant;
     case "campaign audit-reach mode passes" campaign_audit_reach_passes;

@@ -173,7 +173,7 @@ print(f());|}
 (* --- static compile classification --- *)
 
 let compile_classifies_programs () =
-  let compile src = Compile.compile ~cell:Quirk.Set.empty (parse src) in
+  let compile src = Compile.compile (parse src) in
   let slotted src = (compile src).Compile.cp_slotted in
   let deopt_fns src = (compile src).Compile.cp_deopt_fns in
   Alcotest.(check bool) "plain program is slotted" true

@@ -139,24 +139,25 @@ foo(-634619);|};
 let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
   let ec = Engine.Exec.cache src in
   let fc = Engine.Exec.frontend_cache ec in
-  let check id fe (reference : Run.result) (fast : Run.result) =
+  let check id ~strict fe (reference : Run.result) (fast : Run.result) =
     match Run.differing_field reference fast with
     | Some field -> Some (id ^ " " ^ field)
     | None ->
-        if Quirk.Set.subset reference.Run.r_touched (Run.reach_set fe) then
-          None
+        if Quirk.Set.subset reference.Run.r_touched (Run.reach_set ~strict fe)
+        then None
         else Some (id ^ " touched outside the static reach set")
   in
   let testbed (tb : Engine.testbed) =
     let fast = Engine.Exec.run ~fuel ~strategy:Strategy.Fast ec tb in
     check (Engine.testbed_id tb)
+      ~strict:(tb.Engine.tb_mode = Engine.Strict)
       (Engine.Frontend.frontend fc tb)
       (Engine.run ~fuel ~strategy:Strategy.Reference tb src)
       fast
   in
   let reference_engine () =
     let fast = Engine.Exec.run_reference ~fuel ~strategy:Strategy.Fast ec in
-    check "reference"
+    check "reference" ~strict:false
       (Engine.Frontend.frontend_for fc
          ~key:(Engines.Registry.reference_parse_key, false)
          ~quirks:Quirk.Set.empty ~parse_opts:Jsparse.Parser.default_options

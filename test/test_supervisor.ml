@@ -417,6 +417,17 @@ let checkpoint_load_rejects_garbage () =
   close_out oc;
   Alcotest.(check bool) "bad header rejected" true
     (Result.is_error (Campaign.Checkpoint.load path));
+  (* a well-framed file behind the previous format's header line: v5
+     states still carried the seeded-share and inline-cache tallies *)
+  let oc = open_out_bin path in
+  output_string oc "COMFORT-CKPT v5\n";
+  output_string oc (Comfort.Ipc.encode ("Comfort", 300_000, 0, 0));
+  close_out oc;
+  (match Campaign.Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "v5 checkpoint accepted"
+  | Error e ->
+      Alcotest.(check bool) ("v5 refused: " ^ e) true
+        (contains e "bad checkpoint header"));
   Sys.remove path;
   Alcotest.(check bool) "missing file rejected" true
     (Result.is_error (Campaign.Checkpoint.load path))
