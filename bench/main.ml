@@ -1050,6 +1050,47 @@ let micro () =
   let model = Lazy.force Lm.Model.comfort in
   let db = Lazy.force Specdb.Db.standard in
   let rng = Cutil.Rng.create 99 in
+  (* generate-stage rows on generated inputs: the first generated program
+     with a Datagen mutant carrying a long fractional literal (as
+     [Rng.float] draws print), that mutant's final AST, and a fixed
+     64-token LM continuation, replayed from the same generator state on
+     every run so each run samples the same tokens *)
+  let has_frac src =
+    let digit i = i < String.length src && src.[i] >= '0' && src.[i] <= '9' in
+    let rec from i =
+      match String.index_from_opt src i '.' with
+      | None -> false
+      | Some j ->
+          (j > 0 && digit (j - 1) && List.for_all (fun d -> digit (j + d)) [ 1; 2; 3; 4; 5 ])
+          || from (j + 1)
+    in
+    from 0
+  in
+  let gen = Comfort.Generator.create ~seed:5 () in
+  let rec find_mutant () =
+    let src = Comfort.Generator.sample_program gen in
+    match
+      List.find_opt
+        (fun (m : Comfort.Datagen.mutant) -> has_frac m.Comfort.Datagen.m_source)
+        (Comfort.Datagen.mutants_of_program (Comfort.Datagen.create ()) src)
+    with
+    | Some m -> (src, Jsparse.Parser.parse_program m.Comfort.Datagen.m_source)
+    | None -> find_mutant ()
+  in
+  let dg_program, mutant_ast = find_mutant () in
+  let dg = Comfort.Datagen.create () in
+  let lm_prefix = "var a = function(x) {" in
+  let lm_run stop =
+    Lm.Model.generate model (Cutil.Rng.create 7) ~prefix:lm_prefix ~k:10
+      ~max_tokens:64 ~stop
+  in
+  let lm_tokens =
+    (* [stop] sees the prefix once, then each emitted token *)
+    let calls = ref 0 in
+    ignore (lm_run (fun _ -> incr calls; false));
+    !calls - 1
+  in
+  let per_token = [ ("comfort/lm-token", lm_tokens) ] in
   let tests =
     Test.make_grouped ~name:"comfort"
       [
@@ -1065,6 +1106,17 @@ let micro () =
                ignore
                  (Lm.Model.generate model rng ~prefix:"var a = function(x) {"
                     ~k:10 ~max_tokens:120 ~stop:(Comfort.Generator.brace_stop ()))));
+        Test.make ~name:"print-mutant"
+          (Staged.stage (fun () ->
+               ignore (Jsast.Printer.program_to_string mutant_ast)));
+        Test.make ~name:"num-to-string-frac"
+          (Staged.stage (fun () ->
+               ignore (Jsinterp.Ops.number_to_string 76.5940989463188)));
+        Test.make ~name:"datagen-mutate"
+          (Staged.stage (fun () ->
+               ignore (Comfort.Datagen.mutants_of_program dg dg_program)));
+        Test.make ~name:"lm-token"
+          (Staged.stage (fun () -> ignore (lm_run (fun _ -> false))));
         Test.make ~name:"spec-lookup"
           (Staged.stage (fun () -> ignore (Specdb.Db.lookup db "substr")));
         Test.make ~name:"regex-exec"
@@ -1082,8 +1134,11 @@ let micro () =
   let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
   List.iter
     (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some (t :: _) -> Printf.printf "  %-28s %12.1f ns/run\n" name t
+      match (Analyze.OLS.estimates r, List.assoc_opt name per_token) with
+      | Some (t :: _), Some n ->
+          Printf.printf "  %-28s %12.1f ns/token (%d tokens/run)\n" name
+            (t /. Float.of_int n) n
+      | Some (t :: _), None -> Printf.printf "  %-28s %12.1f ns/run\n" name t
       | _ -> Printf.printf "  %-28s (no estimate)\n" name)
     (List.sort compare rows)
 

@@ -223,9 +223,13 @@ let param_boundaries (db : Specdb.Db.t) (p : Ast.program)
       params,
     Option.map fst !receiver_entry )
 
+(* A mutant and the AST its source is the print of. *)
+let draft ~api ~guided (p : Ast.program) : mutant * Ast.program =
+  ({ m_source = Printer.program_to_string p; m_api = api; m_guided = guided }, p)
+
 (* --- strategy 1: driver synthesis --- *)
 
-let synthesize_drivers (t : t) (p : Ast.program) : mutant list =
+let synthesize_drivers (t : t) (p : Ast.program) : (mutant * Ast.program) list =
   let funcs = toplevel_functions p in
   List.concat_map
     (fun (fname, params) ->
@@ -329,18 +333,14 @@ let synthesize_drivers (t : t) (p : Ast.program) : mutant list =
                 ]
             in
             let p' = { p with Ast.prog_body = p.Ast.prog_body @ driver } in
-            {
-              m_source = Printer.program_to_string p';
-              m_api = api_name;
-              m_guided = !used_boundary;
-            })
+            draft ~api:api_name ~guided:!used_boundary p')
           plans
       end)
     funcs
 
 (* --- strategy 2: variable-initialiser mutation --- *)
 
-let mutate_var_inits (t : t) (p : Ast.program) : mutant list =
+let mutate_var_inits (t : t) (p : Ast.program) : (mutant * Ast.program) list =
   let sites = Visit.call_sites p in
   let decls = Visit.declared_names p in
   List.concat_map
@@ -359,12 +359,7 @@ let mutate_var_inits (t : t) (p : Ast.program) : mutant list =
                          | None -> None
                          | Some init ->
                              let p' = Transform.replace_var_init p ~name ~init in
-                             Some
-                               {
-                                 m_source = Printer.program_to_string p';
-                                 m_api = entry.Specdb.Spec_ast.e_name;
-                                 m_guided = true;
-                               })
+                             Some (draft ~api:entry.Specdb.Spec_ast.e_name ~guided:true p'))
                        (List.filteri (fun j _ -> j < 3) sp.Specdb.Spec_ast.p_values)
                  | _ -> [])
                cs.Visit.cs_args))
@@ -372,7 +367,7 @@ let mutate_var_inits (t : t) (p : Ast.program) : mutant list =
 
 (* --- strategy 3: in-place argument substitution --- *)
 
-let mutate_call_args (t : t) (p : Ast.program) : mutant list =
+let mutate_call_args (t : t) (p : Ast.program) : (mutant * Ast.program) list =
   let sites = Visit.call_sites p in
   List.concat_map
     (fun cs ->
@@ -394,12 +389,7 @@ let mutate_call_args (t : t) (p : Ast.program) : mutant list =
                                Transform.replace_expr p ~eid:arg.Ast.eid
                                  ~replacement
                              in
-                             Some
-                               {
-                                 m_source = Printer.program_to_string p';
-                                 m_api = entry.Specdb.Spec_ast.e_name;
-                                 m_guided = true;
-                               })
+                             Some (draft ~api:entry.Specdb.Spec_ast.e_name ~guided:true p'))
                        (List.filteri (fun j _ -> j < 3) sp.Specdb.Spec_ast.p_values))
                cs.Visit.cs_args))
     sites
@@ -411,7 +401,7 @@ let mutate_call_args (t : t) (p : Ast.program) : mutant list =
    anything); the initialiser and argument mutations are then applied to
    the first executable base, so their boundary values actually flow into
    an API call at run time. *)
-let mutants_of_program (t : t) (src : string) : mutant list =
+let drafts (t : t) (src : string) : (mutant * Ast.program) list =
   match Jsparse.Parser.parse_program src with
   | exception Jsparse.Parser.Syntax_error _ -> []
   | p ->
@@ -420,7 +410,7 @@ let mutants_of_program (t : t) (src : string) : mutant list =
       let bases =
         match drivers with
         | [] -> [ p ] (* program already calls its functions *)
-        | d :: _ -> (
+        | (d, _) :: _ -> (
             (* mutate on top of one executable base *)
             match Jsparse.Parser.parse_program d.m_source with
             | base -> [ base ]
@@ -436,7 +426,7 @@ let mutants_of_program (t : t) (src : string) : mutant list =
       let seen = Hashtbl.create 16 in
       let uniq =
         List.filter
-          (fun m ->
+          (fun (m, _) ->
             if Hashtbl.mem seen m.m_source then false
             else begin
               Hashtbl.add seen m.m_source ();
@@ -444,17 +434,16 @@ let mutants_of_program (t : t) (src : string) : mutant list =
             end)
           all
       in
-      let finalize (m : mutant) : mutant =
-        match Jsparse.Parser.parse_program m.m_source with
-        | p ->
-            {
-              m with
-              m_source = Printer.program_to_string (observe_calls t.db p);
-            }
-        | exception Jsparse.Parser.Syntax_error _ -> m
-      in
-      List.map finalize
-        (List.filteri (fun i _ -> i < t.max_mutants_per_program) uniq)
+      List.filteri (fun i _ -> i < t.max_mutants_per_program) uniq
+
+(* The observation harness goes onto the mutant's own AST, which is then
+   printed once: the same text as parsing the first print back and
+   printing that, without the parse and the second print. *)
+let mutants_of_program (t : t) (src : string) : mutant list =
+  List.map
+    (fun (m, p) ->
+      { m with m_source = Printer.program_to_string (observe_calls t.db p) })
+    (drafts t src)
 
 let mutate (t : t) (tc : Testcase.t) : Testcase.t list =
   if not tc.Testcase.tc_syntax_valid then []

@@ -27,22 +27,18 @@ let escape_string s =
 
 (* Numeric literals are printed with the engine's number formatter so that
    e.g. [3.] prints as [3] and round-trips. Negative numbers never appear as
-   literals (the parser produces [Unary (Uneg, ...)]); guard anyway. *)
+   literals (the parser produces [Unary (Uneg, ...)]); guard anyway.
+   Integers below 1e21 print as "%.0f" would, "-0" included: below 2^53
+   through [string_of_int], which skips the format interpreter. *)
 let print_num f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "Infinity"
   else if f = Float.neg_infinity then "-Infinity"
-  else if Float.is_integer f && Float.abs f < 1e21 then
-    Printf.sprintf "%.0f" f
-  else
-    (* shortest representation that round-trips *)
-    let rec try_prec p =
-      if p > 17 then Printf.sprintf "%.17g" f
-      else
-        let s = Printf.sprintf "%.*g" p f in
-        if float_of_string s = f then s else try_prec (p + 1)
-    in
-    try_prec 1
+  else if Float.is_integer f && Float.abs f < 9007199254740992.0 then
+    if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (Float.to_int f)
+  else if Float.is_integer f && Float.abs f < 1e21 then Printf.sprintf "%.0f" f
+  else (* shortest representation that round-trips *)
+    Cutil.Numfmt.shortest_g f
 
 let is_valid_ident s =
   String.length s > 0

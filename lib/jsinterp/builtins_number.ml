@@ -107,11 +107,12 @@ let install ctx (number_proto : obj) (number_ctor : obj) (math : obj) : unit =
       | Undefined -> Str (Ops.number_to_string f)
       | v ->
           let p = Float.to_int (Ops.to_integer ctx v) in
-          if p < 1 || p > 100 then
+          if not (Float.is_finite f) then Str (Ops.number_to_string f)
+          else if p < 1 || p > 100 then
             if fire ctx Quirk.Q_toprecision_zero_accepted then
               Str (Ops.number_to_string f)
             else Ops.range_error ctx "toPrecision() argument must be between 1 and 100"
-          else Str (Printf.sprintf "%.*g" p f));
+          else Str (Ops.number_to_precision f p));
 
   (* --- Number statics --- *)
   def_value number_ctor "MAX_SAFE_INTEGER" ~writable:false (num 9007199254740991.0);

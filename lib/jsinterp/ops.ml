@@ -29,42 +29,104 @@ let syntax_error ctx msg = throw_error ctx "SyntaxError" msg
 
 (* --- number formatting (ToString applied to a Number) --- *)
 
+(* Split "%.*e" text ("-1.25e-07") into its sign, its significant digits
+   without trailing zeros ("125") and the spec's decimal point position
+   n = exponent + 1, so that the value is 0.digits * 10^n. *)
+let decimal_parts (e_text : string) : bool * string * int =
+  let neg = e_text.[0] = '-' in
+  let start = if neg then 1 else 0 in
+  let epos = String.index e_text 'e' in
+  let digits = Buffer.create 20 in
+  for i = start to epos - 1 do
+    if e_text.[i] <> '.' then Buffer.add_char digits e_text.[i]
+  done;
+  let d = Buffer.contents digits in
+  let k = ref (String.length d) in
+  while !k > 1 && d.[!k - 1] = '0' do decr k done;
+  let exp = int_of_string (String.sub e_text (epos + 1) (String.length e_text - epos - 1)) in
+  (neg, String.sub d 0 !k, exp + 1)
+
+(* Number::toString (ECMA-262 7.1.12.1) from the shortest digits s
+   (k of them) and the point position n: integers up to 21 digits pad
+   with zeros, a point inside the digits or a value down to 1e-6 lays
+   out in fixed notation, and everything else is d.ddde±x. *)
+let layout_decimal (neg : bool) (s : string) (n : int) : string =
+  let k = String.length s in
+  let b = Buffer.create (k + 8) in
+  if neg then Buffer.add_char b '-';
+  if k <= n && n <= 21 then begin
+    Buffer.add_string b s;
+    for _ = 1 to n - k do Buffer.add_char b '0' done
+  end
+  else if 0 < n && n <= 21 then begin
+    Buffer.add_string b (String.sub s 0 n);
+    Buffer.add_char b '.';
+    Buffer.add_string b (String.sub s n (k - n))
+  end
+  else if -6 < n && n <= 0 then begin
+    Buffer.add_string b "0.";
+    for _ = 1 to -n do Buffer.add_char b '0' done;
+    Buffer.add_string b s
+  end
+  else begin
+    Buffer.add_char b s.[0];
+    if k > 1 then begin
+      Buffer.add_char b '.';
+      Buffer.add_string b (String.sub s 1 (k - 1))
+    end;
+    Buffer.add_char b 'e';
+    Buffer.add_char b (if n - 1 >= 0 then '+' else '-');
+    Buffer.add_string b (string_of_int (abs (n - 1)))
+  end;
+  Buffer.contents b
+
 let number_to_string (f : float) : string =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "Infinity"
   else if f = Float.neg_infinity then "-Infinity"
   else if f = 0.0 then "0" (* both zeros print "0" *)
   else if Float.is_integer f && Float.abs f < 9007199254740992.0 then
-    (* exact in an int: the same digits as "%.0f", without the format
-       interpreter *)
+    (* exact in an int: the spec's digits-then-zeros layout is the
+       integer's own decimal text *)
     string_of_int (Float.to_int f)
-  else if Float.is_integer f && Float.abs f < 1e21 then Printf.sprintf "%.0f" f
-  else begin
-    let rec try_prec p =
-      if p > 17 then Printf.sprintf "%.17g" f
-      else
-        let s = Printf.sprintf "%.*g" p f in
-        if float_of_string s = f then s else try_prec (p + 1)
+  else
+    let neg, s, n = decimal_parts (Cutil.Numfmt.shortest_e f) in
+    layout_decimal neg s n
+
+(* Number.prototype.toPrecision (ECMA-262 21.1.3.5) for finite [f] and
+   1 <= p <= 100: the p digits nearest [f], ties to the larger, laid out
+   in fixed notation unless the exponent is below -6 or at least p. The
+   tie rule needs the exact expansion (C's "%e" rounds ties to even); a
+   double has at most 767 significant decimal digits, so "%.800e" is
+   exact and rounding half up reads one digit past the p-th. *)
+let number_to_precision (f : float) (p : int) : string =
+  let neg = f < 0.0 in
+  let digits, e =
+    if f = 0.0 then (String.make p '0', 0)
+    else begin
+      let _, exact, n = decimal_parts (Printf.sprintf "%.800e" (Float.abs f)) in
+      let exact = exact ^ String.make (max 0 (p + 1 - String.length exact)) '0' in
+      let m = Bytes.of_string (String.sub exact 0 p) in
+      let carry = ref (exact.[p] >= '5') in
+      let i = ref (p - 1) in
+      while !carry && !i >= 0 do
+        if Bytes.get m !i = '9' then (Bytes.set m !i '0'; decr i)
+        else (Bytes.set m !i (Char.chr (Char.code (Bytes.get m !i) + 1)); carry := false)
+      done;
+      if !carry then ("1" ^ Bytes.sub_string m 0 (p - 1), n) (* 99.. -> 100.. *)
+      else (Bytes.to_string m, n - 1)
+    end
+  in
+  let sign = if neg then "-" else "" in
+  if e < -6 || e >= p then
+    let mant =
+      if p = 1 then digits else String.sub digits 0 1 ^ "." ^ String.sub digits 1 (p - 1)
     in
-    let s = try_prec 1 in
-    (* normalise exponent spelling to the JS style: 1e+21, 1.5e-7 *)
-    match String.index_opt s 'e' with
-    | None -> s
-    | Some i ->
-        let mant = String.sub s 0 i in
-        let expo = String.sub s (i + 1) (String.length s - i - 1) in
-        let sign, digits =
-          if expo.[0] = '+' || expo.[0] = '-' then
-            (String.make 1 expo.[0], String.sub expo 1 (String.length expo - 1))
-          else ("+", expo)
-        in
-        let digits =
-          let d = ref 0 in
-          while !d < String.length digits - 1 && digits.[!d] = '0' do incr d done;
-          String.sub digits !d (String.length digits - !d)
-        in
-        mant ^ "e" ^ sign ^ digits
-  end
+    Printf.sprintf "%s%se%c%d" sign mant (if e > 0 then '+' else '-') (abs e)
+  else if e = p - 1 then sign ^ digits
+  else if e >= 0 then
+    sign ^ String.sub digits 0 (e + 1) ^ "." ^ String.sub digits (e + 1) (p - e - 1)
+  else sign ^ "0." ^ String.make (-(e + 1)) '0' ^ digits
 
 let digit_char d = if d < 10 then Char.chr (d + Char.code '0') else Char.chr (d - 10 + Char.code 'a')
 

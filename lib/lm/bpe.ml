@@ -49,6 +49,10 @@ type t = {
   vocab : (string, int) Hashtbl.t;
   rev : (int, string) Hashtbl.t;
   mutable next_id : int;
+  encoded : (string, int list) Hashtbl.t;
+      (* word run -> its ids: [apply_merges] runs every merge pass over
+         the word, and the generator encodes the same few seed headers
+         all campaign long *)
 }
 
 let intern t (s : string) : int =
@@ -136,6 +140,7 @@ let learn ?(n_merges = 200) (text : string) : t =
       vocab = Hashtbl.create 512;
       rev = Hashtbl.create 512;
       next_id = 0;
+      encoded = Hashtbl.create 64;
     }
   in
   (* stabilise ids: intern the whole corpus encoding *)
@@ -148,12 +153,20 @@ let learn ?(n_merges = 200) (text : string) : t =
     pre;
   t
 
-(* Encode arbitrary text; unseen characters intern new ids on the fly. *)
+(* Encode arbitrary text; unseen characters intern new ids on the fly.
+   A word run's ids are memoised on its first encoding, which interns its
+   symbols in the order an unmemoised encoding would: an id, once
+   interned, never changes. *)
 let encode (t : t) (text : string) : int list =
   List.concat_map
     (fun tok ->
-      if String.length tok > 0 && is_word_char tok.[0] then
-        List.map (intern t) (apply_merges t.merges tok)
+      if String.length tok > 0 && is_word_char tok.[0] then (
+        match Hashtbl.find_opt t.encoded tok with
+        | Some ids -> ids
+        | None ->
+            let ids = List.map (intern t) (apply_merges t.merges tok) in
+            Hashtbl.replace t.encoded tok ids;
+            ids)
       else [ intern t tok ])
     (pre_tokenize text)
 
@@ -167,7 +180,13 @@ let vocab_size (t : t) = t.next_id
 (* Character-level "tokenizer" for the DeepSmith baseline: every character
    is its own token, no merges. *)
 let char_tokenizer () : t =
-  { merges = []; vocab = Hashtbl.create 256; rev = Hashtbl.create 256; next_id = 0 }
+  {
+    merges = [];
+    vocab = Hashtbl.create 256;
+    rev = Hashtbl.create 256;
+    next_id = 0;
+    encoded = Hashtbl.create 1;
+  }
 
 let encode_chars (t : t) (text : string) : int list =
   ignore (intern t "<EOF>");

@@ -51,19 +51,18 @@ let eof (t : t) : int = Bpe.eof_id t.tokenizer
 let generate (t : t) (rng : Cutil.Rng.t) ~(prefix : string) ~(k : int)
     ~(max_tokens : int) ~(stop : string -> bool) : string =
   let prefix_ids = encode t prefix in
-  (* [Ngram.candidates] never consults more than [order - 1] trailing
-     tokens, so the generation loop keeps a bounded context window (kept
-     reversed for O(1) push) instead of the full history — re-reversing
-     an unbounded history per sampled token made long programs quadratic
-     in their own length, which the campaign profiler surfaced as the
-     bulk of the generate stage. *)
+  (* [Ngram.sample] never consults more than [order - 1] trailing
+     tokens, so the generation loop keeps a fixed window of that many
+     (oldest first, shifted in place per token) instead of the full
+     history — re-reversing an unbounded history per sampled token made
+     long programs quadratic in their own length, which the campaign
+     profiler surfaced as the bulk of the generate stage. The initial
+     history is padded with [order - 1] begin markers, so the window is
+     always full. *)
   let ctx_len = Ngram.order t.model - 1 in
-  let rec take n = function
-    | [] -> []
-    | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-  in
   let window =
-    ref (take ctx_len (List.rev (Ngram.initial_history t.model prefix_ids)))
+    let hist = Array.of_list (Ngram.initial_history t.model prefix_ids) in
+    Array.sub hist (Array.length hist - ctx_len) ctx_len
   in
   let acc = Buffer.create 256 in
   Buffer.add_string acc prefix;
@@ -75,7 +74,7 @@ let generate (t : t) (rng : Cutil.Rng.t) ~(prefix : string) ~(k : int)
   let steps = ref 0 in
   while !continue_ && !steps < max_tokens do
     incr steps;
-    match Ngram.sample t.model rng (List.rev !window) ~k with
+    match Ngram.sample t.model rng window ~k with
     | None -> continue_ := false
     | Some tok when tok = eof_id -> continue_ := false
     | Some tok ->
@@ -86,7 +85,10 @@ let generate (t : t) (rng : Cutil.Rng.t) ~(prefix : string) ~(k : int)
               s
           | None -> ""
         in
-        window := take ctx_len (tok :: !window);
+        if ctx_len > 0 then begin
+          Array.blit window 1 window 0 (ctx_len - 1);
+          window.(ctx_len - 1) <- tok
+        end;
         if stop chunk then continue_ := false
   done;
   Buffer.contents acc

@@ -10,11 +10,15 @@
 (* One context's continuation counts, with the count-descending sort
    memoised: models are trained once and then sampled for the life of
    the process, and re-sorting the cell on every sampled token was a
-   measurable slice of the campaign's generate stage. An empty [cc_sorted]
-   means dirty ([candidates] only consults non-empty cells). *)
+   measurable slice of the campaign's generate stage. The sorted view is
+   a flat array [| tok0; count0; tok1; count1; ... |] that [sample] draws
+   from in place; an empty one means dirty ([candidates] only consults
+   non-empty cells). The cell stays at two fields: a model holds one cell
+   per distinct training context of every length, so a third field (say,
+   a cached top-k list) shows up in peak RSS (DESIGN.md §13). *)
 type cell = {
   mutable cc_counts : (int * int) list;  (* assoc of next-token counts *)
-  mutable cc_sorted : (int * int) list;  (* memoised sorted view *)
+  mutable cc_sorted : int array;         (* memoised sorted view, flat *)
 }
 
 type t = {
@@ -24,7 +28,18 @@ type t = {
   bos : int;                                    (* synthetic begin marker *)
 }
 
-let key (ctx : int list) : string = String.concat "," (List.map string_of_int ctx)
+(* A context's key: two bytes per token, big-endian [id + 1], so the
+   begin marker -1 is 0; one allocation, written straight from the
+   window array. *)
+let key_of (arr : int array) (pos : int) (len : int) : string =
+  let b = Bytes.create (2 * len) in
+  for i = 0 to len - 1 do
+    let v = arr.(pos + i) + 1 in
+    assert (v >= 0 && v <= 0xffff);
+    Bytes.unsafe_set b (2 * i) (Char.unsafe_chr (v lsr 8));
+    Bytes.unsafe_set b ((2 * i) + 1) (Char.unsafe_chr (v land 0xff))
+  done;
+  Bytes.unsafe_to_string b
 
 let create ~order ~bos =
   {
@@ -33,13 +48,12 @@ let create ~order ~bos =
     bos;
   }
 
-let bump tbl ctx next =
-  let k = key ctx in
+let bump tbl k next =
   let cell =
     match Hashtbl.find_opt tbl k with
     | Some c -> c
     | None ->
-        let c = { cc_counts = []; cc_sorted = [] } in
+        let c = { cc_counts = []; cc_sorted = [||] } in
         Hashtbl.replace tbl k c;
         c
   in
@@ -47,7 +61,7 @@ let bump tbl ctx next =
     (match List.assoc_opt next cell.cc_counts with
     | Some n -> (next, n + 1) :: List.remove_assoc next cell.cc_counts
     | None -> (next, 1) :: cell.cc_counts);
-  cell.cc_sorted <- []
+  cell.cc_sorted <- [||]
 
 (* Train on one token sequence (one program). *)
 let add_sequence (t : t) (seq : int list) : unit =
@@ -58,40 +72,71 @@ let add_sequence (t : t) (seq : int list) : unit =
     let next = arr.(i) in
     for k = 0 to t.order - 1 do
       (* context of length k ending right before position i *)
-      let ctx = Array.to_list (Array.sub arr (i - k) k) in
-      bump t.tables.(k) ctx next
+      bump t.tables.(k) (key_of arr (i - k) k) next
     done
   done
+
+let sorted_view (cell : cell) : int array =
+  if Array.length cell.cc_sorted = 0 then begin
+    let sorted =
+      List.sort
+        (fun (t1, c1) (t2, c2) ->
+          match compare c2 c1 with 0 -> compare t1 t2 | c -> c)
+        cell.cc_counts
+    in
+    let a = Array.make (2 * List.length sorted) 0 in
+    List.iteri
+      (fun i (tok, c) ->
+        a.(2 * i) <- tok;
+        a.((2 * i) + 1) <- c)
+      sorted;
+    cell.cc_sorted <- a
+  end;
+  cell.cc_sorted
+
+(* The sorted view of the longest context of [hist] the model has seen,
+   backing off to shorter contexts when a context is unseen; [||] when
+   even the empty context is. *)
+let lookup (t : t) (hist : int array) : int array =
+  let n = Array.length hist in
+  let rec back_off len =
+    if len < 0 then [||]
+    else
+      match Hashtbl.find_opt t.tables.(len) (key_of hist (n - len) len) with
+      | Some cell when cell.cc_counts <> [] -> sorted_view cell
+      | _ -> back_off (len - 1)
+  in
+  back_off (min (t.order - 1) n)
 
 (* Top-k candidates for the longest matching context, backing off to
    shorter contexts when a context is unseen. Deterministic ordering:
    count desc, then token id. *)
 let candidates (t : t) (history : int list) ~(k : int) : (int * int) list =
-  let hist = Array.of_list history in
-  let n = Array.length hist in
-  let rec back_off len =
-    if len < 0 then []
-    else begin
-      let ctx = Array.to_list (Array.sub hist (n - len) len) in
-      match Hashtbl.find_opt t.tables.(len) (key ctx) with
-      | Some cell when cell.cc_counts <> [] ->
-          if cell.cc_sorted = [] then
-            cell.cc_sorted <-
-              List.sort
-                (fun (t1, c1) (t2, c2) ->
-                  match compare c2 c1 with 0 -> compare t1 t2 | c -> c)
-                cell.cc_counts;
-          List.filteri (fun i _ -> i < k) cell.cc_sorted
-      | _ -> back_off (len - 1)
-    end
-  in
-  back_off (min (t.order - 1) n)
+  let view = lookup t (Array.of_list history) in
+  List.init (min k (Array.length view / 2)) (fun i ->
+      (view.(2 * i), view.((2 * i) + 1)))
 
-(* Sample the next token: weighted draw among the top-k candidates. *)
-let sample (t : t) (rng : Cutil.Rng.t) (history : int list) ~(k : int) : int option =
-  match candidates t history ~k with
-  | [] -> None
-  | cands -> Some (Cutil.Rng.weighted rng (List.map (fun (tok, c) -> (c, tok)) cands))
+(* Sample the next token: a weighted draw among the top-k candidates,
+   made in place on the sorted view. One [Rng.int total] and a walk that
+   subtracts weights is exactly [Rng.weighted] over the candidate list,
+   so the random stream is the same. *)
+let sample (t : t) (rng : Cutil.Rng.t) (history : int array) ~(k : int) : int option =
+  let view = lookup t history in
+  let m = min k (Array.length view / 2) in
+  if m = 0 then None
+  else begin
+    let total = ref 0 in
+    for i = 0 to m - 1 do
+      total := !total + view.((2 * i) + 1)
+    done;
+    let r = ref (Cutil.Rng.int rng !total) in
+    let i = ref 0 in
+    while !r >= view.((2 * !i) + 1) do
+      r := !r - view.((2 * !i) + 1);
+      incr i
+    done;
+    Some view.(2 * !i)
+  end
 
 (* Pad the history with BOS for a fresh generation. *)
 let initial_history (t : t) (prefix : int list) : int list =

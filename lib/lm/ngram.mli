@@ -15,8 +15,10 @@ val add_sequence : t -> int list -> unit
     then token id. *)
 val candidates : t -> int list -> k:int -> (int * int) list
 
-(** Weighted draw among the top-[k] candidates; [None] at a dead end. *)
-val sample : t -> Cutil.Rng.t -> int list -> k:int -> int option
+(** Weighted draw among the top-[k] candidates of the history held in
+    the array (oldest first), as {!candidates} would list them; [None] at
+    a dead end. Token ids must lie in [-1, 65534]. *)
+val sample : t -> Cutil.Rng.t -> int array -> k:int -> int option
 
 (** Pad a prompt with begin markers for a fresh generation. *)
 val initial_history : t -> int list -> int list

@@ -125,6 +125,18 @@ let int32_coercions () =
 
 let mk (name, expr, expected) = case name (fun () -> check_expr name expr expected)
 
+(* Number::toString's layout (ECMA-262 7.1.12.1): fixed notation for
+   values down to 1e-6, shortest digits padded with zeros up to 21
+   digits. *)
+let number_layout_matrix =
+  [
+    ("fixed down to 1e-6", "\"\" + 0.000001", "0.000001");
+    ("five leading zeros", "\"\" + 0.00001", "0.00001");
+    ("five leading zeros, two digits", "\"\" + 1.5e-5", "0.000015");
+    ("shortest digits of 2**60", "\"\" + Math.pow(2, 60)", "1152921504606847000");
+    ("shortest digits below 1e21", "\"\" + 123456789012345680000", "123456789012345680000");
+  ]
+
 let suite =
   List.map mk to_string_matrix
   @ List.map mk to_number_matrix
@@ -135,3 +147,4 @@ let suite =
       case "relational coercion" relational_coercion;
       case "int32/uint32" int32_coercions;
     ]
+  @ List.map mk number_layout_matrix

@@ -15,6 +15,7 @@ let () =
       ("specdb", Test_specdb.suite);
       ("engines", Test_engines.suite);
       ("lm", Test_lm.suite);
+      ("generate", Test_generate.suite);
       ("analysis", Test_analysis.suite);
       ("core", Test_core.suite);
       ("executor", Test_executor.suite);

@@ -112,6 +112,16 @@ let number_tests =
     ("toFixed pads", {|(2).toFixed(3)|}, "2.000");
     ("toFixed NaN", {|(NaN).toFixed(2)|}, "NaN");
     ("toPrecision", {|(123.456).toPrecision(4)|}, "123.5");
+    ("toPrecision keeps trailing zeros", {|(1).toPrecision(3)|}, "1.00");
+    ("toPrecision exponent unpadded", {|(123.456).toPrecision(2)|}, "1.2e+2");
+    ("toPrecision fixed down to e-6", {|(0.000001234).toPrecision(2)|}, "0.0000012");
+    ("toPrecision at 1e21", {|(1e21).toPrecision(3)|}, "1.00e+21");
+    ("toPrecision tie picks the larger", {|(2.5).toPrecision(1)|}, "3");
+    ("toPrecision negative tie", {|(-1.5).toPrecision(1)|}, "-2");
+    ("toPrecision carries a digit", {|(99.96).toPrecision(3)|}, "100");
+    ("toPrecision negative zero", {|(-0).toPrecision(2)|}, "0.0");
+    ("toPrecision below 1e-6", {|(1.5e-7).toPrecision(2)|}, "1.5e-7");
+    ("toPrecision NaN before range", {|(NaN).toPrecision(0)|}, "NaN");
     ("toString radix 2", {|(10).toString(2)|}, "1010");
     ("toString radix 16", {|(255).toString(16)|}, "ff");
     ("toString radix 36", {|(35).toString(36)|}, "z");

@@ -145,8 +145,9 @@ let bits_point_ops_agree =
    with the string path it bypasses: ToString of the key, then
    [Value.array_index_of_key]. These pin the integer domain inside the
    canonical-index domain, the [string_of_int] arm of [number_to_string]
-   to the "%.0f" text it replaced, and the digit-first short cut of
-   [array_index_of_key] to its previous definition. *)
+   (integers below 2^53) to the "%.0f" text it replaced, and the
+   digit-first short cut of [array_index_of_key] to its previous
+   definition. *)
 
 let key_edges =
   [
@@ -179,7 +180,8 @@ let index_of_num_within_string_path =
 let gen_integral =
   QCheck2.Gen.(
     map
-      (fun f -> if Float.is_integer f && Float.abs f < 1e21 then f else 7.0)
+      (fun f ->
+        if Float.is_integer f && Float.abs f < 9007199254740992.0 then f else 7.0)
       (frequency
          [
            (2, oneofl key_edges);
@@ -193,6 +195,111 @@ let integral_number_to_string =
     ~print:(Printf.sprintf "%h") gen_integral (fun f ->
       (* both zeros print "0"; "%.0f" would print "-0" *)
       f = 0.0 || Jsinterp.Ops.number_to_string f = Printf.sprintf "%.0f" f)
+
+(* --- number formatting ---
+   [Cutil.Numfmt] binary-searches the shortest round-tripping precision;
+   its model is the ascending scan it replaced, tried here on the doubles
+   where a search could go wrong: random bit patterns, the generators'
+   [Rng.float] draws, powers of two and their neighbours, and subnormals.
+   Powers of two are the one place the formatter's monotonicity argument
+   does not cover, so [shortest_at_powers_of_two] tries every one of them:
+   that pass is what makes the search exact there.
+   [Ops.number_to_string] must be Number::toString (ECMA-262 7.1.12.1) on
+   every finite double; its model takes the spec's digits s, their count
+   k and the point position n from the scan and applies the four layout
+   cases directly. *)
+
+let scan_shortest render f =
+  let rec go p =
+    if p > 17 then render 17
+    else
+      let s = render p in
+      if float_of_string s = f then s else go (p + 1)
+  in
+  go 1
+
+let scan_g f = scan_shortest (fun p -> Printf.sprintf "%.*g" p f) f
+let scan_e f = scan_shortest (fun p -> Printf.sprintf "%.*e" (p - 1) f) f
+
+let gen_nonzero_finite =
+  QCheck2.Gen.(
+    map
+      (fun f -> if Float.is_finite f && f <> 0.0 then f else 1.5)
+      (frequency
+         [
+           (3, map Int64.float_of_bits int64);
+           ( 3,
+             map2
+               (fun seed scale -> Cutil.Rng.float (Cutil.Rng.create seed) scale)
+               int (oneofl [ 1.0; 10.0; 100.0; 1e6 ]) );
+           ( 2,
+             map2
+               (fun e d ->
+                 let x = Float.ldexp 1.0 e in
+                 match d with 0 -> x | 1 -> Float.succ x | _ -> -.Float.pred x)
+               (int_range (-1074) 1023) (int_range 0 2) );
+           (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 ((1 lsl 52) - 1)));
+           (1, oneofl key_edges);
+         ]))
+
+let shortest_matches_scan =
+  QCheck2.Test.make ~count:3000 ~name:"shortest digits match the linear scan"
+    ~print:(Printf.sprintf "%h") gen_nonzero_finite (fun f ->
+      Cutil.Numfmt.shortest_g f = scan_g f && Cutil.Numfmt.shortest_e f = scan_e f)
+
+let shortest_at_powers_of_two () =
+  for e = -1074 to 1023 do
+    let x = Float.ldexp 1.0 e in
+    List.iter
+      (fun f ->
+        if Float.is_finite f && f <> 0.0 then begin
+          Alcotest.(check string) (Printf.sprintf "%%g of %h" f) (scan_g f)
+            (Cutil.Numfmt.shortest_g f);
+          Alcotest.(check string) (Printf.sprintf "%%e of %h" f) (scan_e f)
+            (Cutil.Numfmt.shortest_e f)
+        end)
+      [ x; Float.pred x; Float.succ x; -.x; -.Float.pred x; -.Float.succ x ]
+  done
+
+let spec_number_to_string f =
+  if f = 0.0 then "0"
+  else begin
+    let e_text = scan_e (Float.abs f) in
+    let epos = String.index e_text 'e' in
+    let mant = String.sub e_text 0 epos in
+    let digits = String.concat "" (String.split_on_char '.' mant) in
+    let k = ref (String.length digits) in
+    while !k > 1 && digits.[!k - 1] = '0' do decr k done;
+    let s = String.sub digits 0 !k and k = !k in
+    let n = int_of_string (String.sub e_text (epos + 1) (String.length e_text - epos - 1)) + 1 in
+    (if f < 0.0 then "-" else "")
+    ^
+    if k <= n && n <= 21 then s ^ String.make (n - k) '0'
+    else if 0 < n && n <= 21 then String.sub s 0 n ^ "." ^ String.sub s n (k - n)
+    else if -6 < n && n <= 0 then "0." ^ String.make (-n) '0' ^ s
+    else
+      (if k = 1 then s else String.sub s 0 1 ^ "." ^ String.sub s 1 (k - 1))
+      ^ "e" ^ (if n - 1 > 0 then "+" else "-") ^ string_of_int (abs (n - 1))
+  end
+
+let gen_finite =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, gen_nonzero_finite);
+        (2, map (fun f -> Float.round (f *. 1e20)) (float_range (-1.0) 1.0));
+        (1, map (fun f -> Float.round (f *. 1e16)) (float_range (-1.0) 1.0));
+        ( 2,
+          map2
+            (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+            (int_range (-999) 999) (int_range (-9) 23) );
+        (1, oneofl [ 0.0; -0.0; 1e21; 1e-6; 1e-7; 9007199254740992.0 ]);
+      ])
+
+let number_to_string_is_spec =
+  QCheck2.Test.make ~count:3000 ~name:"number_to_string is Number::toString"
+    ~print:(Printf.sprintf "%h") gen_finite (fun f ->
+      Jsinterp.Ops.number_to_string f = spec_number_to_string f)
 
 (* [Value.array_index_of_key] before the digit-first check *)
 let old_array_index_of_key (k : string) : int option =
@@ -574,7 +681,13 @@ let suite =
       bits_point_ops_agree;
       index_of_num_within_string_path;
       integral_number_to_string;
+      shortest_matches_scan;
+      number_to_string_is_spec;
       array_index_of_key_unchanged;
       index_agrees_with_model;
       judge_matches_old_vote;
+    ]
+  @ [
+      Alcotest.test_case "shortest digits at every power of two" `Quick
+        shortest_at_powers_of_two;
     ]
