@@ -212,9 +212,8 @@ let causal_quirks ~strategy ~cache ~memo (tb : Engines.Engine.testbed)
           && q <> Quirk.Q_strict_delete_unqualified_accepted;
       }
     in
-    Engines.Engine.Exec.run_keyed ~strategy
-      ~qbits:(Quirk.Bits.remove q cfg.Engines.Registry.cfg_qbits)
-      cache ~pkey ~quirks ~parse_opts ~strict ~fuel
+    Engines.Engine.Exec.run_keyed ~strategy cache ~pkey ~quirks ~parse_opts
+      ~strict ~fuel
   in
   let changes q =
     let key = (Engines.Engine.testbed_id tb, q, base_sig) in
@@ -241,9 +240,9 @@ module Checkpoint = struct
   (* A checkpoint is a versioned header line followed by one [Ipc] frame
      (length, FNV-1a64 checksum, [Marshal] payload) holding the
      plain-data [state] record below, so a torn, truncated or bit-flipped
-     file is refused before anything is unmarshalled. Everything in it is immutable
-     data or hashtables of immutable data (Testcase.t, registry variants,
-     Bugfilter.t, Supervisor.frozen) — no closures — so the default
+     file is refused before anything is unmarshalled. Everything in it is
+     data — values, records and hashtables (Testcase.t, registry variants,
+     Bugfilter.t, Supervisor.t) — with no closures, so the default
      marshal flags suffice and the file survives process restarts of the
      same binary.
 
@@ -262,10 +261,12 @@ module Checkpoint = struct
      ([Ipc.encode]) instead of a bare [Marshal]. v5: the seven
      per-layer switches and audit strides became [ck_strategy] and
      [ck_audit]. v6: dropped the seeded-share and inline-cache tallies
-     with the mechanisms they counted. The header check rejects older files
+     with the mechanisms they counted. v7: quirk sets are two-word
+     bitsets, and the supervisor is stored as itself rather than as a
+     frozen copy. The header check rejects older files
      rather than guess defaults for fields that change what a resumed
      campaign runs. *)
-  let version = 6
+  let version = 7
 
   type state = {
     ck_fuzzer : string;
@@ -288,7 +289,7 @@ module Checkpoint = struct
     ck_screen_reasons : (string * int) list;
     ck_repaired : int;
     ck_skipped_cases : int;
-    ck_supervisor : Supervisor.frozen option;  (* Some iff supervised *)
+    ck_supervisor : Supervisor.t option;  (* Some iff supervised *)
   }
 
   let consumed (st : state) = st.ck_consumed
@@ -349,7 +350,7 @@ end
 (* --- the driver loop --- *)
 
 (* Everything the in-order consumption loop needs, whether freshly
-   gathered by [run] or thawed from a checkpoint by [resume]. Mutable
+   gathered by [run] or loaded from a checkpoint by [resume]. Mutable
    fields are touched only by the driver, in submission order. *)
 type st = {
   d_fuzzer : string;
@@ -420,7 +421,7 @@ let snapshot (d : st) : Checkpoint.state =
     ck_screen_reasons = d.d_screen_reasons;
     ck_repaired = d.d_repaired;
     ck_skipped_cases = d.d_skipped_cases;
-    ck_supervisor = Option.map Supervisor.freeze d.d_sup;
+    ck_supervisor = d.d_sup;
   }
 
 let final (d : st) : result =
@@ -890,7 +891,7 @@ let resume ?(workers = Coordinator.default_workers ()) ?worker_limits
       d_cow_clones = ck.Checkpoint.ck_cow_clones;
       d_testbeds = testbeds;
       d_plan = plan;
-      d_sup = Option.map Supervisor.thaw ck.Checkpoint.ck_supervisor;
+      d_sup = ck.Checkpoint.ck_supervisor;
       d_cases = ck.Checkpoint.ck_cases;
       d_consumed = ck.Checkpoint.ck_consumed;
       d_filter = ck.Checkpoint.ck_filter;

@@ -196,11 +196,12 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
             Supervisor.Done (thunk (), Supervisor.ok_meta)
           else
             let tb_id = Engines.Engine.testbed_id tb in
-            (* the racy peek: skipping work for an already-quarantined
-               testbed is sound because the judge re-checks against
-               driver state, and the quarantine set only grows *)
+            (* skipping work for an already-quarantined testbed is sound
+               even on a worker's stale fork-time copy: the judge
+               re-checks against driver state, and the quarantine set
+               only grows *)
             match supervisor with
-            | Some sup when Supervisor.quarantined_now sup tb_id ->
+            | Some sup when Supervisor.quarantined sup tb_id ->
                 Supervisor.Skipped
             | _ ->
                 if plan = None && policy = None then
@@ -390,10 +391,7 @@ let run_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
     (sweep_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
        testbeds tc)
 
-(* Field-wise report equality. [Quirk.Set.t] is a balanced tree whose
-   shape depends on insertion order, so structural [(=)] on the whole
-   record is unreliable; deviations are compared field by field with
-   [Quirk.Set.equal] on the fired sets. *)
+(* Field-wise report equality; testbeds are compared by id. *)
 let deviation_equal (a : deviation) (b : deviation) : bool =
   Engines.Engine.testbed_id a.d_testbed = Engines.Engine.testbed_id b.d_testbed
   && a.d_kind = b.d_kind

@@ -89,8 +89,8 @@ type sweep = {
     execution path; the sweep is byte-identical either way.
     [cache] shares one per-case {!Engines.Engine.Exec} cache across this
     case's several sweeps (the campaign sweeps each mode group
-    separately), so the base parses and reach analyses run once per case;
-    it must have been built for [tc]'s source.
+    separately), so the base parses and the executions shared within a
+    mode group happen once per case; it must have been built for [tc]'s source.
     Classes are keyed by mode, so no execution is shared across groups —
     the report is byte-identical with or without it. *)
 val sweep_case :
@@ -133,9 +133,8 @@ val run_case :
   Testcase.t ->
   case_report
 
-(** Field-wise equality of deviations / reports, using
-    [Quirk.Set.equal] on the fired sets (structural [(=)] is unreliable
-    on sets). *)
+(** Field-wise equality of deviations / reports; testbeds are compared by
+    id. *)
 val deviation_equal : deviation -> deviation -> bool
 
 val report_equal : case_report -> case_report -> bool

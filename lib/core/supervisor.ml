@@ -23,11 +23,12 @@
      per-case fault observations in submission order, tracks consecutive
      faults per testbed, and grows the quarantine set. Only the driver
      mutates it, so its decisions are a deterministic function of the
-     consumed case stream. Workers may peek at the current quarantine set
-     through an atomic snapshot ([quarantined_now]) purely to skip work:
-     the set is monotone (nothing is ever un-quarantined) and the judge
-     re-checks against driver state, so a stale read can only cost a
-     wasted execution, never change a report. *)
+     consumed case stream. A sweep may consult [quarantined] purely to
+     skip work: a forked worker reads its copy from fork time, which can
+     only be stale by missing later quarantines (nothing is ever
+     un-quarantined), and the judge re-checks against driver state, so a
+     stale read can only cost a wasted execution, never change a
+     report. *)
 
 (* --- fault taxonomy --- *)
 
@@ -367,8 +368,6 @@ let zero_stats =
   { st_injected = 0; st_retried = 0; st_faulted = 0; st_skipped = 0;
     st_slow = 0; st_backoff = 0 }
 
-module Sset = Set.Make (String)
-
 type t = {
   sup_policy : policy;
   sup_consec : (string, int) Hashtbl.t;  (* testbed id -> consecutive
@@ -377,7 +376,6 @@ type t = {
                                                      it tripped at), oldest
                                                      first *)
   mutable sup_stats : stats;
-  sup_qset : Sset.t Atomic.t;  (* snapshot workers may read racily *)
 }
 
 let create ?(policy = default_policy) () : t =
@@ -386,21 +384,15 @@ let create ?(policy = default_policy) () : t =
     sup_consec = Hashtbl.create 16;
     sup_quarantined = [];
     sup_stats = zero_stats;
-    sup_qset = Atomic.make Sset.empty;
   }
 
 let policy (t : t) = t.sup_policy
 let stats (t : t) = t.sup_stats
 let quarantine_list (t : t) = t.sup_quarantined
 
-(* Driver-state membership: the deterministic check the judge uses. *)
+(* The roster is at most one entry per testbed and usually empty. *)
 let quarantined (t : t) (testbed_id : string) : bool =
-  Sset.mem testbed_id (Atomic.get t.sup_qset)
-
-(* The racy worker-side peek. Sound to use for skipping only: the set is
-   monotone and every skip is re-validated against driver state. *)
-let quarantined_now (t : t) (testbed_id : string) : bool =
-  Sset.mem testbed_id (Atomic.get t.sup_qset)
+  List.mem_assoc testbed_id t.sup_quarantined
 
 (* One per-case observation per testbed, folded by the driver in
    submission order. *)
@@ -441,38 +433,6 @@ let observe (t : t) ~(case_key : int)
           if
             consec >= t.sup_policy.p_quarantine_after
             && not (quarantined t tb_id)
-          then begin
-            t.sup_quarantined <- t.sup_quarantined @ [ (tb_id, case_key) ];
-            Atomic.set t.sup_qset (Sset.add tb_id (Atomic.get t.sup_qset))
-          end)
+          then t.sup_quarantined <- t.sup_quarantined @ [ (tb_id, case_key) ])
     obs;
   t.sup_stats <- !s
-
-(* Checkpoint support: the atomic snapshot cannot be marshalled (an
-   [Atomic.t] is lazy-free but we rebuild it anyway so a resumed
-   supervisor gets a fresh, consistent cell). *)
-type frozen = {
-  fz_policy : policy;
-  fz_consec : (string * int) list;
-  fz_quarantined : (string * int) list;
-  fz_stats : stats;
-}
-
-let freeze (t : t) : frozen =
-  {
-    fz_policy = t.sup_policy;
-    fz_consec = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sup_consec [];
-    fz_quarantined = t.sup_quarantined;
-    fz_stats = t.sup_stats;
-  }
-
-let thaw (f : frozen) : t =
-  let t = create ~policy:f.fz_policy () in
-  List.iter (fun (k, v) -> Hashtbl.replace t.sup_consec k v) f.fz_consec;
-  t.sup_quarantined <- f.fz_quarantined;
-  t.sup_stats <- f.fz_stats;
-  Atomic.set t.sup_qset
-    (List.fold_left
-       (fun s (id, _) -> Sset.add id s)
-       Sset.empty f.fz_quarantined);
-  t

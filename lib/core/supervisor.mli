@@ -13,11 +13,11 @@
     Concurrency contract: {!execute} (the worker half) reads only the
     immutable plan and policy, and every fault draw is a pure function of
     (seed, testbed id, case key, attempt) — chaos campaigns are therefore
-    byte-identical at any job count and across checkpoint resume. The
+    byte-identical at any worker count and across checkpoint resume. The
     mutable supervisor state {!t} (the driver half) is updated only by
-    {!observe}, in case-submission order; workers may consult
-    {!quarantined_now} racily, purely to skip work the judge would
-    discard anyway. *)
+    {!observe}, in case-submission order; a forked worker may consult its
+    fork-time copy through {!quarantined}, purely to skip work the judge
+    would discard anyway. *)
 
 (** The fault taxonomy. Distinct by construction from the Figure-5
     outcome classes: an injected fault travels as {!Injected}, which the
@@ -167,12 +167,11 @@ val stats : t -> stats
     threshold)], oldest first. *)
 val quarantine_list : t -> (string * int) list
 
-(** Deterministic driver-state membership test (what the judge uses). *)
+(** Membership in the quarantine set. On the driver's copy this is the
+    deterministic check the judge uses; on a worker's fork-time copy it
+    can only miss later quarantines (the set only grows), which wastes an
+    execution but never changes a report. *)
 val quarantined : t -> string -> bool
-
-(** The racy worker-side peek at the quarantine set. Monotone, so a stale
-    read can only waste one execution, never change a report. *)
-val quarantined_now : t -> string -> bool
 
 (** One testbed's supervised outcome within one case. *)
 type observation =
@@ -186,8 +185,3 @@ type observation =
     stats. Driver-only. *)
 val observe : t -> case_key:int -> (string * observation) list -> unit
 
-(** Marshal-safe snapshot of the supervisor, for campaign checkpoints. *)
-type frozen
-
-val freeze : t -> frozen
-val thaw : frozen -> t

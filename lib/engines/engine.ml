@@ -256,7 +256,7 @@ end
 (* The per-case execution-sharing cache, extending {!Frontend} from shared
    parses to shared *executions*. Differential testing interprets one case
    on up to 102 testbeds, yet a typical case reaches only a handful of the
-   73 registered quirk checkpoints, so most testbeds are guaranteed to
+   72 registered quirk checkpoints, so most testbeds are guaranteed to
    replay the reference behaviour byte for byte. [Exec.run] therefore
    executes once per *behavioural equivalence class* — testbeds keyed by
    (front end, mode, quirk set ∩ touched checkpoints) — and lets every
@@ -290,10 +290,10 @@ module Exec = struct
      the parse group it ran under, which a run-time parse depends on. *)
   type rep = { rp_pk : int; rp_ex : Run.exec }
 
-  (* May an engine of parse group [pk] carrying [qbits] inherit [r]? *)
-  let admits ~(pk : int) ~(qbits : Quirk.Bits.t) (r : rep) : bool =
+  (* May an engine of parse group [pk] carrying [quirks] inherit [r]? *)
+  let admits ~(pk : int) ~(quirks : Quirk.Set.t) (r : rep) : bool =
     (r.rp_pk = pk || not r.rp_ex.Run.ex_reparsed)
-    && Run.shares_class_bits ~qbits r.rp_ex
+    && Run.shares_class ~quirks r.rp_ex
 
   type cache = {
     ec_frontend : Frontend.cache;
@@ -320,7 +320,7 @@ module Exec = struct
 
   let stats (ec : cache) = (ec.ec_executed, ec.ec_shared)
 
-  let run_keyed ?strategy ?qbits (ec : cache) ~(pkey : Registry.parse_key)
+  let run_keyed ?strategy (ec : cache) ~(pkey : Registry.parse_key)
       ~(quirks : Quirk.Set.t) ~(parse_opts : Jsparse.Parser.options)
       ~(strict : bool) ~(fuel : int) : Run.result =
     let strategy = Strategy.value strategy in
@@ -342,12 +342,6 @@ module Exec = struct
         ec.ec_executed <- ec.ec_executed + 1;
         (execute ()).Run.ex_result
     | Ok _, Strategy.Fast -> (
-        (* packed quirk words; callers on the campaign hot path pass the
-           precomputed [Registry.cfg_qbits] so nothing is rebuilt per
-           case *)
-        let qbits =
-          match qbits with Some b -> b | None -> Quirk.Bits.of_set quirks
-        in
         let ckey =
           (if strict then 1 else 0) lor (fe_id lsl 1) lor (fuel lsl 7)
         in
@@ -360,7 +354,7 @@ module Exec = struct
               Hashtbl.replace ec.ec_classes ckey c;
               c
         in
-        match List.find_opt (admits ~pk ~qbits) !reps with
+        match List.find_opt (admits ~pk ~quirks) !reps with
         | Some r ->
             ec.ec_shared <- ec.ec_shared + 1;
             Run.share ~frontend:fe ~quirks r.rp_ex
@@ -376,7 +370,7 @@ module Exec = struct
   let run ?(fuel = Run.default_fuel) ?strategy (ec : cache) (tb : testbed) :
       Run.result =
     let cfg = tb.tb_config in
-    run_keyed ?strategy ~qbits:cfg.Registry.cfg_qbits ec
+    run_keyed ?strategy ec
       ~pkey:(Registry.parse_key cfg)
       ~quirks:cfg.Registry.cfg_quirks
       ~parse_opts:(Registry.parse_opts_of_config cfg)
@@ -387,7 +381,7 @@ module Exec = struct
      all) shares any class whose representative fired nothing it touched. *)
   let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?strategy
       (ec : cache) : Run.result =
-    run_keyed ?strategy ~qbits:Quirk.Bits.empty ec
+    run_keyed ?strategy ec
       ~pkey:Registry.reference_parse_key
       ~quirks:Quirk.Set.empty
       ~parse_opts:Jsparse.Parser.default_options ~strict ~fuel

@@ -123,12 +123,9 @@ module Exec : sig
       quirk removed). [pkey] must be the parse key of the {e effective}
       front end — callers removing a parser-level quirk must clear the
       corresponding flag — and profiles mapping to the same [pkey] must
-      have identical effective options, as in {!Frontend.frontend_for}.
-      [qbits] defaults to packing [quirks]; pass a precomputed value on
-      hot paths. *)
+      have identical effective options, as in {!Frontend.frontend_for}. *)
   val run_keyed :
     ?strategy:Jsinterp.Strategy.t ->
-    ?qbits:Jsinterp.Quirk.Bits.t ->
     cache ->
     pkey:Registry.parse_key ->
     quirks:Jsinterp.Quirk.Set.t ->

@@ -77,11 +77,9 @@ type config = {
   cfg_release : string;
   cfg_es : es_edition;
   cfg_quirks : Quirk.Set.t;
-  cfg_qbits : Quirk.Bits.t;
-      (** [cfg_quirks] packed into machine words, precomputed once — the
-          execution-sharing cache consumes it per testbed per case *)
   cfg_pkey : parse_key;
-      (** the config's [parse_key], precomputed once, same consumer *)
+      (** the config's [parse_key], precomputed once — the
+          execution-sharing cache consumes it per testbed per case *)
   cfg_index : int;  (** position in the engine's version history, oldest = 0 *)
 }
 
@@ -325,7 +323,6 @@ let configs_of (e : engine) : config list =
         cfg_release = release;
         cfg_es = es;
         cfg_quirks = quirks;
-        cfg_qbits = Quirk.Bits.of_set quirks;
         cfg_pkey =
           {
             pk_es5 = (es = ES5);

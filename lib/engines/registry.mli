@@ -52,8 +52,6 @@ type config = {
   cfg_release : string;
   cfg_es : es_edition;
   cfg_quirks : Jsinterp.Quirk.Set.t;  (** bugs present in this build *)
-  cfg_qbits : Jsinterp.Quirk.Bits.t;
-      (** [cfg_quirks] packed into machine words, precomputed once *)
   cfg_pkey : parse_key;
       (** the config's {!parse_key}, precomputed once — consumed per
           testbed per case by the execution-sharing cache *)

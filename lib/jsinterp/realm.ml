@@ -43,7 +43,6 @@ let build () : t =
     {
       global;
       global_scope;
-      quirks = Quirk.Set.empty;
       parse_opts = Jsparse.Parser.default_options;
       fuel = max_int;
       fuel_cap = max_int;

@@ -247,12 +247,11 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       frozen_names = [];
     }
   in
-  let q_lo, q_hi = Quirk.Bits.of_set quirks in
+  let q_lo, q_hi = quirks in
   let ctx : Value.ctx =
     {
       Value.global;
       global_scope;
-      quirks;
       parse_opts;
       fuel;
       fuel_cap = fuel;
@@ -399,14 +398,8 @@ let reach_set ~strict (fe : frontend) : Quirk.Set.t =
 type exec = {
   ex_result : result;       (** the representative's own full result *)
   ex_quirks : Quirk.Set.t;  (** quirk set the representative ran under *)
-  ex_qbits : Quirk.Bits.t;  (** [ex_quirks] packed into machine words *)
-  ex_fbits : Quirk.Bits.t;
-      (** execution-stage fired set (no parse stage), packed words *)
-  ex_tbits : Quirk.Bits.t;  (** execution-stage touched set, packed words *)
-  ex_fired : Quirk.Set.t Lazy.t;
-      (** [ex_fbits] as a [Quirk.Set.t]; forced only when a class member
-          actually inherits parse-stage quirks (see [share]) or by tests *)
-  ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_fired : Quirk.Set.t;   (** execution-stage fired set (no parse stage) *)
+  ex_touched : Quirk.Set.t; (** execution-stage touched set *)
   ex_reparsed : bool;
       (** the execution parsed source at run time under its engine's parse
           options ([ctx.reparsed]); the result then depends on the parse
@@ -445,11 +438,8 @@ let run_exec ?(quirks = Quirk.Set.empty)
             r_coverage = None;
           };
         ex_quirks = quirks;
-        ex_qbits = Quirk.Bits.of_set quirks;
-        ex_fbits = Quirk.Bits.empty;
-        ex_tbits = Quirk.Bits.empty;
-        ex_fired = lazy Quirk.Set.empty;
-        ex_touched = lazy Quirk.Set.empty;
+        ex_fired = Quirk.Set.empty;
+        ex_touched = Quirk.Set.empty;
         ex_reparsed = false;
       }
   | Ok prog ->
@@ -527,13 +517,8 @@ let run_exec ?(quirks = Quirk.Set.empty)
             | exception Value.Deopt_to_tree -> run_with tree_run
             | r -> r)
       in
-      let fbits = Value.fired_bits ctx in
-      let tbits = Value.touched_bits ctx in
-      (* the representative's own result rebuilds real [Quirk.Set.t]s — once
-         per actual execution, this is the report boundary; class members
-         inherit through [share] without re-materialising anything *)
-      let ex_fired = lazy (Quirk.Bits.to_set fbits) in
-      let ex_touched = lazy (Quirk.Bits.to_set tbits) in
+      let ex_fired = Value.fired_bits ctx in
+      let ex_touched = Value.touched_bits ctx in
       let ex =
         {
           ex_result =
@@ -543,17 +528,14 @@ let run_exec ?(quirks = Quirk.Set.empty)
               r_status = status;
               r_output = Buffer.contents ctx.Value.out;
               r_fuel_used = ctx.Value.fuel_cap - ctx.Value.fuel;
-              r_fired = Quirk.Set.union parse_fired (Lazy.force ex_fired);
-              r_touched = Quirk.Set.union parse_fired (Lazy.force ex_touched);
+              r_fired = Quirk.Set.union parse_fired ex_fired;
+              r_touched = Quirk.Set.union parse_fired ex_touched;
               r_coverage =
                 Option.map
                   (fun c -> Coverage.summarize c prog)
                   ctx.Value.coverage;
             };
           ex_quirks = quirks;
-          ex_qbits = (ctx.Value.q_lo, ctx.Value.q_hi);
-          ex_fbits = fbits;
-          ex_tbits = tbits;
           ex_fired;
           ex_touched;
           ex_reparsed = ctx.Value.reparsed;
@@ -576,17 +558,13 @@ let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?frontend
    conformance decision resolves the same way, control flow is identical,
    and (in particular) exactly the same checkpoints get consulted, so the
    verdict is self-validating: no member can secretly reach a checkpoint
-   outside [ex_tbits]. The decision is a handful of integer instructions
-   on the packed words — profiling shows class matching is the hottest
-   set algebra in a campaign. *)
-let shares_class_bits ~(qbits : Quirk.Bits.t) (ex : exec) : bool =
-  Quirk.Bits.equal
-    (Quirk.Bits.inter qbits ex.ex_tbits)
-    (Quirk.Bits.inter ex.ex_qbits ex.ex_tbits)
-
-(* Set-typed convenience over [shares_class_bits] (packs and delegates). *)
+   outside [ex_touched]. The decision is a handful of integer instructions
+   on the bitsets — profiling shows class matching is the hottest set
+   algebra in a campaign. *)
 let shares_class ~quirks (ex : exec) : bool =
-  shares_class_bits ~qbits:(Quirk.Bits.of_set quirks) ex
+  Quirk.Set.equal
+    (Quirk.Set.inter quirks ex.ex_touched)
+    (Quirk.Set.inter ex.ex_quirks ex.ex_touched)
 
 (* The class member's result: execution is inherited verbatim; only the
    parse-stage quirk filter is per-member ([frontend] sank parse quirks
@@ -604,13 +582,11 @@ let share ~(frontend : frontend) ~quirks (ex : exec) : result =
     let parse_fired = Quirk.Set.inter frontend.fe_fired quirks in
     {
       ex.ex_result with
-      r_fired = Quirk.Set.union parse_fired (Lazy.force ex.ex_fired);
-      r_touched = Quirk.Set.union parse_fired (Lazy.force ex.ex_touched);
+      r_fired = Quirk.Set.union parse_fired ex.ex_fired;
+      r_touched = Quirk.Set.union parse_fired ex.ex_touched;
     }
 
-(* The first field, in declaration order, on which two results differ.
-   [Quirk.Set.t] is a balanced tree whose shape depends on insertion
-   order, so the sets are compared with [Quirk.Set.equal], never [(=)]. *)
+(* The first field, in declaration order, on which two results differ. *)
 let differing_field (a : result) (b : result) : string option =
   List.find_map
     (fun (field, same) -> if same then None else Some field)

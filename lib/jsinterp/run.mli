@@ -182,16 +182,10 @@ val run :
 type exec = {
   ex_result : result;       (** the representative's own full result *)
   ex_quirks : Quirk.Set.t;  (** quirk set the representative ran under *)
-  ex_qbits : Quirk.Bits.t;  (** [ex_quirks] packed into machine words *)
-  ex_fbits : Quirk.Bits.t;
-      (** execution-stage fired set, packed into machine words *)
-  ex_tbits : Quirk.Bits.t;
-      (** execution-stage touched set, packed into machine words — the
-          execution-sharing class key ({!shares_class_bits}) *)
-  ex_fired : Quirk.Set.t Lazy.t;
-      (** [ex_fbits] rebuilt as a [Quirk.Set.t], forced only at report
-          boundaries (a {!share} that must re-filter parse quirks, tests) *)
-  ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_fired : Quirk.Set.t;   (** execution-stage fired set *)
+  ex_touched : Quirk.Set.t;
+      (** execution-stage touched set — the execution-sharing class key
+          ({!shares_class}) *)
   ex_reparsed : bool;
       (** the execution parsed source at run time (the global [eval]) under
           its engine's effective parse options. Such a run depends on the
@@ -221,11 +215,6 @@ val run_exec :
     fuel budget, and — when [ex_reparsed] — the effective parse options;
     see [Engines.Engine.Exec]. *)
 val shares_class : quirks:Quirk.Set.t -> exec -> bool
-
-(** {!shares_class} on packed quirk words ([Quirk.Bits.of_set quirks]) —
-    the same decision in a handful of integer instructions, for the
-    execution-sharing cache's hot path. *)
-val shares_class_bits : qbits:Quirk.Bits.t -> exec -> bool
 
 (** The result a class member inherits from its representative: execution
     verbatim, with only the parse-stage quirk filter recomputed for the

@@ -117,15 +117,14 @@ and regex_data = {
 and ctx = {
   mutable global : obj;
   global_scope : scope;
-  quirks : Quirk.Set.t;
   parse_opts : Jsparse.Parser.options;
   mutable fuel : int;            (** remaining execution budget *)
   fuel_cap : int;
   out : Buffer.t;
   q_lo : int;
   q_hi : int;
-      (** [quirks] packed into machine words ([Quirk.Bits] layout), so the
-          per-checkpoint membership test is one [land] *)
+      (** the engine's quirk set, the two words of a [Quirk.Set.t] unpacked
+          so the per-checkpoint membership test is one [land] *)
   mutable f_lo : int;
   mutable f_hi : int;
       (** quirks whose deviant path executed, as packed words *)
@@ -134,11 +133,10 @@ and ctx = {
       (** quirk checkpoints *consulted* during execution, active or not —
           a superset of the fired words. Two engines whose quirk sets agree
           on a run's touched set replay the run identically, which is what
-          the campaign's execution-sharing layer keys on. Packed words
-          rather than [Quirk.Set.t]: checkpoints sit on the interpreter's
-          hot path, and a balanced-tree [Set.add] per consultation was the
-          single largest allocation source a campaign profile showed;
-          [Run] rebuilds the set form once, at the report boundary *)
+          the campaign's execution-sharing layer keys on. Mutable words
+          rather than a [Quirk.Set.t] field: checkpoints sit on the
+          interpreter's hot path, and a fresh pair per consultation would
+          allocate *)
   mutable call_hook : ctx -> value -> value -> value list -> value;
       (** function value, this, args — set by [Interp] *)
   mutable eval_hook : ctx -> scope -> bool -> string -> value;
@@ -410,9 +408,9 @@ let fire ctx q =
     else false
   end
 
-(* The packed-word views of a context's recording fields. *)
-let fired_bits ctx : Quirk.Bits.t = (ctx.f_lo, ctx.f_hi)
-let touched_bits ctx : Quirk.Bits.t = (ctx.t_lo, ctx.t_hi)
+(* A context's recording fields as quirk sets. *)
+let fired_bits ctx : Quirk.Set.t = (ctx.f_lo, ctx.f_hi)
+let touched_bits ctx : Quirk.Set.t = (ctx.t_lo, ctx.t_hi)
 
 let burn ctx n =
   ctx.fuel <- ctx.fuel - n;

@@ -331,17 +331,16 @@ let index : t -> int = function
   | Q_strict_delete_unqualified_accepted -> 70
   | Q_strict_dup_params_accepted -> 71
 
-module Set = Stdlib.Set.Make (struct
-  type nonrec t = t
-  let compare = compare
-end)
-
-(* Two-word bitset over the catalogue. The execution-sharing layer performs
-   set algebra (intersect, compare) per testbed per case; on balanced trees
-   those operations allocate and walk, on packed words they are a couple of
-   integer instructions. The catalogue holds 73 quirks, so two 62-bit words
-   cover it with room to grow. *)
-module Bits = struct
+(* Quirk sets: a two-word bitset over the catalogue, bit [index q] of the
+   pair (bits 0–61 in the first word, 62–123 in the second). The
+   interpreter records a bit at every quirk checkpoint and the
+   execution-sharing layer intersects and compares sets per testbed per
+   case; on packed words each is a couple of integer instructions. A set
+   is an immutable pair of immediates, so [(=)] and [Hashtbl.hash] agree
+   with [equal]. Enumeration ([elements], [iter], [fold], [choose_opt])
+   runs in ascending [index] order, which is declaration order and so
+   [compare] order. Two words cover at most 124 quirks. *)
+module Set = struct
   type t = int * int
 
   let empty : t = (0, 0)
@@ -357,7 +356,6 @@ module Bits = struct
     if i < 62 then (lo land lnot (1 lsl i), hi)
     else (lo, hi land lnot (1 lsl (i - 62)))
 
-  let of_set (s : Set.t) : t = Set.fold add s empty
   let inter ((a, b) : t) ((c, d) : t) : t = (a land c, b land d)
   let union ((a, b) : t) ((c, d) : t) : t = (a lor c, b lor d)
   let diff ((a, b) : t) ((c, d) : t) : t = (a land lnot c, b land lnot d)
@@ -371,14 +369,27 @@ module Bits = struct
     let i = index q in
     if i < 62 then lo land (1 lsl i) <> 0 else hi land (1 lsl (i - 62)) <> 0
 
-  (* Rebuild the balanced-tree form — the report-boundary conversion. One
-     pass over the catalogue, so cost is O(|catalogue|) regardless of how
-     many executions shared the packed form. *)
-  let to_set (b : t) : Set.t =
-    List.fold_left (fun acc q -> if mem q b then Set.add q acc else acc)
-      Set.empty all
-
   let cardinal ((lo, hi) : t) =
     let rec pop n x = if x = 0 then n else pop (n + 1) (x land (x - 1)) in
     pop 0 lo + pop 0 hi
+
+  let by_index = Array.of_list all
+
+  let fold f ((lo, hi) : t) acc =
+    let rec go w i acc =
+      if w = 0 then acc
+      else go (w lsr 1) (i + 1) (if w land 1 <> 0 then f by_index.(i) acc else acc)
+    in
+    go hi 62 (go lo 0 acc)
+
+  let iter f s = fold (fun q () -> f q) s ()
+  let elements s = List.rev (fold List.cons s [])
+  let of_list qs = List.fold_left (fun s q -> add q s) empty qs
+
+  (* the least element, as [Stdlib.Set.choose_opt] returns *)
+  let choose_opt ((lo, hi) : t) =
+    let rec low w i = if w land 1 <> 0 then i else low (w lsr 1) (i + 1) in
+    if lo <> 0 then Some by_index.(low lo 0)
+    else if hi <> 0 then Some by_index.(low hi 62)
+    else None
 end

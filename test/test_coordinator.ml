@@ -223,7 +223,7 @@ let campaign_halt_resume_across_worker_counts () =
   | exception Campaign.Halted { halted_at; _ } ->
       Alcotest.(check int) "halted where asked" 7 halted_at);
   (* ...and resumed under a different worker count entirely. The state
-     is reloaded per resume: a thawed snapshot carries mutable filter
+     is reloaded per resume: a loaded snapshot carries mutable filter
      tables, so each resume needs its own copy. *)
   let load () =
     match Campaign.Checkpoint.load path with

@@ -91,54 +91,105 @@ let printer_preserves_behavior =
           Comfort.Difftest.signature_of_result r1
           = Comfort.Difftest.signature_of_result r2)
 
-(* --- Quirk.Bits ↔ Quirk.Set equivalence ---
-   The execution-sharing layer does its per-testbed set algebra on the
-   packed Bits form; these properties pin it to the balanced-tree Set
-   semantics over the whole catalogue. *)
+(* --- Quirk.Set against a balanced-tree model ---
+   [Quirk.Set] is a two-word bitset; these properties pin every operation
+   to [Stdlib.Set.Make (Quirk)], kept here as the model. Subsets are drawn
+   sparse and dense, from each word alone (indices 0–61 and 62–71) and
+   from both. Comparing [elements] lists checks membership and order at
+   once: the model enumerates in [Quirk.compare] order. *)
 
-let gen_quirks =
+module Qmodel = Stdlib.Set.Make (Jsinterp.Quirk)
+
+let gen_model =
+  let module Q = Jsinterp.Quirk in
+  let lo = List.filter (fun q -> Q.index q < 62) Q.all
+  and hi = List.filter (fun q -> Q.index q >= 62) Q.all in
   QCheck2.Gen.(
-    map Jsinterp.Quirk.Set.of_list
-      (list_size (0 -- 72) (oneofl Jsinterp.Quirk.all)))
+    let pick pool =
+      map
+        (fun bs -> List.concat (List.map2 (fun q b -> if b then [ q ] else []) pool bs))
+        (list_repeat (List.length pool) bool)
+    in
+    map Qmodel.of_list
+      (oneof
+         [
+           list_size (0 -- 6) (oneofl Q.all);
+           pick Q.all;
+           pick lo;
+           pick hi;
+           pure [];
+           pure Q.all;
+         ]))
 
-let bits_roundtrip =
-  QCheck2.Test.make ~count:200 ~name:"Bits.of_set/to_set roundtrip" gen_quirks
-    (fun s ->
-      Jsinterp.Quirk.Set.equal
-        (Jsinterp.Quirk.Bits.to_set (Jsinterp.Quirk.Bits.of_set s))
-        s)
+let print_model m =
+  String.concat "," (List.map Jsinterp.Quirk.to_string (Qmodel.elements m))
 
-let bits_mem_agrees =
-  QCheck2.Test.make ~count:200 ~name:"Bits.mem agrees with Set.mem" gen_quirks
-    (fun s ->
-      let b = Jsinterp.Quirk.Bits.of_set s in
+let of_model m = Jsinterp.Quirk.Set.of_list (Qmodel.elements m)
+let agrees s m = Jsinterp.Quirk.Set.elements s = Qmodel.elements m
+
+let set_enumeration_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"Quirk.Set of_list/elements match the model"
+    ~print:print_model gen_model (fun m ->
+      let module Q = Jsinterp.Quirk in
+      let s = of_model m in
+      let seen = ref [] in
+      Q.Set.iter (fun q -> seen := q :: !seen) s;
+      agrees s m
+      && List.rev !seen = Qmodel.elements m
+      && Q.Set.fold (fun q acc -> q :: acc) s [] = List.rev (Qmodel.elements m)
+      && Q.Set.choose_opt s = Qmodel.min_elt_opt m
+      && Q.Set.cardinal s = Qmodel.cardinal m
+      && Q.Set.is_empty s = Qmodel.is_empty m
+      && Q.Set.of_list (List.rev (Qmodel.elements m)) = s)
+
+let set_mem_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"Quirk.Set.mem matches the model"
+    ~print:print_model gen_model (fun m ->
+      let s = of_model m in
       List.for_all
-        (fun q -> Jsinterp.Quirk.Bits.mem q b = Jsinterp.Quirk.Set.mem q s)
+        (fun q -> Jsinterp.Quirk.Set.mem q s = Qmodel.mem q m)
         Jsinterp.Quirk.all)
 
-let bits_algebra_agrees =
-  QCheck2.Test.make ~count:200 ~name:"Bits algebra commutes with Set algebra"
-    QCheck2.Gen.(pair gen_quirks gen_quirks)
-    (fun (s1, s2) ->
+let set_algebra_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"Quirk.Set algebra matches the model"
+    ~print:QCheck2.Print.(pair print_model print_model)
+    QCheck2.Gen.(pair gen_model gen_model)
+    (fun (m1, m2) ->
       let module Q = Jsinterp.Quirk in
-      let b1 = Q.Bits.of_set s1 and b2 = Q.Bits.of_set s2 in
-      Q.Set.equal (Q.Bits.to_set (Q.Bits.union b1 b2)) (Q.Set.union s1 s2)
-      && Q.Set.equal (Q.Bits.to_set (Q.Bits.inter b1 b2)) (Q.Set.inter s1 s2)
-      && Q.Set.equal (Q.Bits.to_set (Q.Bits.diff b1 b2)) (Q.Set.diff s1 s2)
-      && Q.Bits.subset b1 b2 = Q.Set.subset s1 s2
-      && Q.Bits.equal b1 b2 = Q.Set.equal s1 s2
-      && Q.Bits.is_empty b1 = Q.Set.is_empty s1
-      && Q.Bits.cardinal b1 = Q.Set.cardinal s1)
+      let s1 = of_model m1 and s2 = of_model m2 in
+      agrees (Q.Set.union s1 s2) (Qmodel.union m1 m2)
+      && agrees (Q.Set.inter s1 s2) (Qmodel.inter m1 m2)
+      && agrees (Q.Set.diff s1 s2) (Qmodel.diff m1 m2)
+      && Q.Set.subset s1 s2 = Qmodel.subset m1 m2
+      && Q.Set.subset s2 s1 = Qmodel.subset m2 m1
+      && Q.Set.equal s1 s2 = Qmodel.equal m1 m2
+      (* a set is a pair of immediates: structural equality is set
+         equality *)
+      && (s1 = s2) = Qmodel.equal m1 m2)
 
-let bits_point_ops_agree =
-  QCheck2.Test.make ~count:200 ~name:"Bits.add/remove/singleton agree with Set"
-    QCheck2.Gen.(pair gen_quirks (oneofl Jsinterp.Quirk.all))
-    (fun (s, q) ->
+let set_point_ops_match_model =
+  QCheck2.Test.make ~count:300
+    ~name:"Quirk.Set add/remove/singleton match the model"
+    ~print:QCheck2.Print.(pair print_model Jsinterp.Quirk.to_string)
+    QCheck2.Gen.(pair gen_model (oneofl Jsinterp.Quirk.all))
+    (fun (m, q) ->
       let module Q = Jsinterp.Quirk in
-      let b = Q.Bits.of_set s in
-      Q.Set.equal (Q.Bits.to_set (Q.Bits.add q b)) (Q.Set.add q s)
-      && Q.Set.equal (Q.Bits.to_set (Q.Bits.remove q b)) (Q.Set.remove q s)
-      && Q.Set.equal (Q.Bits.to_set (Q.Bits.singleton q)) (Q.Set.singleton q))
+      let s = of_model m in
+      agrees Q.Set.empty Qmodel.empty
+      && agrees (Q.Set.add q s) (Qmodel.add q m)
+      && agrees (Q.Set.remove q s) (Qmodel.remove q m)
+      && agrees (Q.Set.singleton q) (Qmodel.singleton q))
+
+(* The bitset's layout assumptions: [index] is the position in [all]
+   (which [Set]'s enumeration relies on) and the catalogue fits the two
+   62-bit words. *)
+let quirk_index_is_position () =
+  let module Q = Jsinterp.Quirk in
+  List.iteri
+    (fun i q -> Alcotest.(check int) (Q.to_string q) i (Q.index q))
+    Q.all;
+  Alcotest.(check int) "count" (List.length Q.all) Q.count;
+  Alcotest.(check bool) "fits two words" true (Q.count <= 124)
 
 (* --- integer element keys ---
    The interpreter's integer element path ([Ops.index_of_num]) must agree
@@ -356,7 +407,6 @@ let template_ctx () : V.ctx =
   {
     V.global;
     global_scope = { V.bindings = Hashtbl.create 1; parent = None; frozen_names = [] };
-    quirks = Jsinterp.Quirk.Set.empty;
     parse_opts = Jsparse.Parser.default_options;
     fuel = max_int;
     fuel_cap = max_int;
@@ -675,10 +725,10 @@ let suite =
       fuel_monotone;
       reducer_output_still_valid;
       printer_preserves_behavior;
-      bits_roundtrip;
-      bits_mem_agrees;
-      bits_algebra_agrees;
-      bits_point_ops_agree;
+      set_enumeration_matches_model;
+      set_mem_matches_model;
+      set_algebra_matches_model;
+      set_point_ops_match_model;
       index_of_num_within_string_path;
       integral_number_to_string;
       shortest_matches_scan;
@@ -690,4 +740,6 @@ let suite =
   @ [
       Alcotest.test_case "shortest digits at every power of two" `Quick
         shortest_at_powers_of_two;
+      Alcotest.test_case "quirk index is catalogue position, fits two words"
+        `Quick quirk_index_is_position;
     ]

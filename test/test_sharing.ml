@@ -37,10 +37,10 @@ let fixpoint_splits_on_exposed_checkpoint () =
   let rep = Run.run_exec ~quirks:Quirk.Set.empty steering_src in
   Alcotest.(check bool) "charAt checkpoint touched" true
     (Quirk.Set.mem Quirk.Q_charat_negative_wraps
-       (Lazy.force rep.Run.ex_touched));
+       rep.Run.ex_touched);
   Alcotest.(check bool) "sort checkpoint not reached" false
     (Quirk.Set.mem Quirk.Q_array_sort_numeric_default
-       (Lazy.force rep.Run.ex_touched));
+       rep.Run.ex_touched);
   (* a config where the charAt quirk is present differs on a touched
      checkpoint: it must split into its own class *)
   Alcotest.(check bool) "charAt config splits" false
@@ -60,7 +60,7 @@ let fixpoint_splits_on_exposed_checkpoint () =
   in
   Alcotest.(check bool) "firing charAt exposes the sort checkpoint" true
     (Quirk.Set.mem Quirk.Q_array_sort_numeric_default
-       (Lazy.force rep2.Run.ex_touched));
+       rep2.Run.ex_touched);
   (* ...so a config that also carries the sort quirk splits again, while
      one differing only in a still-unreached quirk shares *)
   Alcotest.(check bool) "charAt+sort splits from charAt" false

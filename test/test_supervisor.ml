@@ -214,17 +214,27 @@ let quarantine_after_consecutive_faults () =
   fault 6;
   Alcotest.(check bool) "third consecutive fault trips" true
     (Supervisor.quarantined sup "tb");
-  Alcotest.(check bool) "worker snapshot agrees" true
-    (Supervisor.quarantined_now sup "tb");
   Alcotest.(check (list (pair string int))) "list records the tripping case"
     [ ("tb", 6) ]
     (Supervisor.quarantine_list sup);
   Alcotest.(check int) "faulted count" 5 (Supervisor.stats sup).Supervisor.st_faulted;
-  (* freeze/thaw round-trips the whole driver state *)
-  let sup' = Supervisor.thaw (Supervisor.freeze sup) in
-  Alcotest.(check bool) "thawed quarantine" true (Supervisor.quarantined sup' "tb");
-  Alcotest.(check bool) "thawed stats" true
-    (Supervisor.stats sup' = Supervisor.stats sup)
+  (* a checkpoint marshals the supervisor as it is: the round trip keeps
+     the whole driver state, consecutive-fault counters included *)
+  let fault2 s ck = Supervisor.observe s ~case_key:ck [ ("tb2", Supervisor.Ob_faulted fr) ] in
+  fault2 sup 7; fault2 sup 8;
+  let sup' : Supervisor.t =
+    Marshal.from_string (Marshal.to_string sup []) 0
+  in
+  Alcotest.(check bool) "reloaded quarantine" true (Supervisor.quarantined sup' "tb");
+  Alcotest.(check (list (pair string int))) "reloaded list"
+    (Supervisor.quarantine_list sup) (Supervisor.quarantine_list sup');
+  Alcotest.(check bool) "reloaded stats" true
+    (Supervisor.stats sup' = Supervisor.stats sup);
+  fault2 sup' 9;
+  Alcotest.(check bool) "reloaded counters trip on the third fault" true
+    (Supervisor.quarantined sup' "tb2");
+  Alcotest.(check bool) "the original is a separate copy" false
+    (Supervisor.quarantined sup "tb2")
 
 (* --- chaos campaigns --- *)
 
@@ -432,14 +442,16 @@ let checkpoint_load_rejects_garbage () =
   Alcotest.(check bool) "missing file rejected" true
     (Result.is_error (Campaign.Checkpoint.load path))
 
-let checkpoint_load_rejects_v4 () =
-  (* a well-framed checkpoint of the previous format, whose state record
-     still carried the per-layer switches: the header check must refuse
-     it before anything is unmarshalled *)
-  let path = ckpt_path "comfort-test-v4.ckpt" in
+(* A well-framed checkpoint behind an older format's header line: the
+   header check must refuse it before anything is unmarshalled. v4
+   states still carried the per-layer switches; v6 states held
+   tree-shaped quirk sets and a frozen supervisor copy, which a v7
+   reader would misread. *)
+let checkpoint_load_rejects_old ~version payload () =
+  let path = ckpt_path (Printf.sprintf "comfort-test-v%d.ckpt" version) in
   let oc = open_out_bin path in
-  output_string oc "COMFORT-CKPT v4\n";
-  output_string oc (Comfort.Ipc.encode ("Comfort", 300_000, true, Some true));
+  Printf.fprintf oc "COMFORT-CKPT v%d\n" version;
+  output_string oc payload;
   close_out oc;
   let loaded =
     match Campaign.Checkpoint.load path with
@@ -448,7 +460,7 @@ let checkpoint_load_rejects_v4 () =
   in
   Sys.remove path;
   match loaded with
-  | Ok _ -> Alcotest.fail "v4 checkpoint accepted"
+  | Ok _ -> Alcotest.failf "v%d checkpoint accepted" version
   | Error e ->
       Alcotest.(check bool) ("refused: " ^ e) true
         (contains e "bad checkpoint header")
@@ -588,14 +600,19 @@ let suite =
     Helpers.case "execute: real exceptions retried as faults" execute_retries_real_exceptions;
     Helpers.case "execute: slow start vs watchdog" execute_slow_start_vs_watchdog;
     Helpers.case "execute: injected faults cannot produce values" injected_faults_never_return_values;
-    Helpers.case "quarantine: threshold, reset, freeze/thaw" quarantine_after_consecutive_faults;
+    Helpers.case "quarantine: threshold, reset, marshal round trip" quarantine_after_consecutive_faults;
     Helpers.case "chaos campaign: quarantine, degradation, no leaks" chaos_campaign_quarantines_and_stays_clean;
     Helpers.case "chaos campaign: workers-invariant" chaos_campaign_is_workers_invariant;
     Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
-    Helpers.case "checkpoint: v4 header refused" checkpoint_load_rejects_v4;
+    Helpers.case "checkpoint: v4 header refused"
+      (checkpoint_load_rejects_old ~version:4
+         (Comfort.Ipc.encode ("Comfort", 300_000, true, Some true)));
+    Helpers.case "checkpoint: v6 header refused"
+      (checkpoint_load_rejects_old ~version:6
+         (Comfort.Ipc.encode ("Comfort", 300_000, [ 1; 2 ])));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
