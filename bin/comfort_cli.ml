@@ -365,9 +365,8 @@ let fuzz_cmd =
             "Cross-check the fast path against the reference oracle: every \
              $(docv)-th case (1 = every case when the option is given bare; \
              0 = off) is swept under both execution strategies, and the \
-             campaign aborts if any testbed's results differ in any field \
-             or any reference run consults a quirk checkpoint outside its \
-             static reach set. Incompatible with $(b,--faults), \
+             campaign aborts if any testbed's results differ in any \
+             field. Incompatible with $(b,--faults), \
              $(b,--feedback) and $(b,--resume).")
   in
   let faults =
@@ -464,79 +463,15 @@ let print_analysis label src =
         diag.Analysis.d_lint;
       Printf.printf "verdict: %s\n" (Analysis.verdict_to_string verdict)
 
-(* [--quirks]: the static checkpoint-reachability view of a case — which
-   quirk checkpoints any testbed's execution could consult, and which of
-   the 102 testbeds are therefore statically distinguishable on it. Rows
-   use the same label/count format as the Report summaries. *)
-let print_quirk_reach label src =
-  (match label with Some l -> Printf.printf "// %s\n" l | None -> ());
-  let fe_sloppy = Jsinterp.Run.parse_frontend ~strict:false src in
-  match fe_sloppy.Jsinterp.Run.fe_program with
-  | Error (msg, _) -> Printf.printf "syntax error: %s\n" msg
-  | Ok _ ->
-      let s_sloppy = Jsinterp.Run.reach_set ~strict:false fe_sloppy in
-      let fe_strict = Jsinterp.Run.parse_frontend ~strict:true src in
-      let s_strict =
-        (* a program the strict front end rejects reaches no execution
-           checkpoint on strict testbeds — only its parse-stage quirks *)
-        match fe_strict.Jsinterp.Run.fe_program with
-        | Ok _ -> Jsinterp.Run.reach_set ~strict:true fe_strict
-        | Error _ -> fe_strict.Jsinterp.Run.fe_fired
-      in
-      let union = Jsinterp.Quirk.Set.union s_sloppy s_strict in
-      if Analysis.Reach.is_top union then
-        print_endline
-          "static quirk reach: TOP (dynamic construct — every checkpoint \
-           presumed consultable)"
-      else begin
-        Printf.printf "static quirk reach: %d of %d checkpoints\n"
-          (Jsinterp.Quirk.Set.cardinal union)
-          (List.length Jsinterp.Quirk.all);
-        Jsinterp.Quirk.Set.iter
-          (fun q ->
-            let modes =
-              match
-                ( Jsinterp.Quirk.Set.mem q s_sloppy,
-                  Jsinterp.Quirk.Set.mem q s_strict )
-              with
-              | true, true -> "both modes"
-              | true, false -> "normal only"
-              | _ -> "strict only"
-            in
-            Printf.printf "  %-45s %s\n" (Jsinterp.Quirk.to_string q) modes)
-          union
-      end;
-      let distinguishable =
-        List.filter
-          (fun (tb : Engines.Engine.testbed) ->
-            let s =
-              if tb.Engines.Engine.tb_mode = Engines.Engine.Strict then
-                s_strict
-              else s_sloppy
-            in
-            not
-              (Jsinterp.Quirk.Set.is_empty
-                 (Jsinterp.Quirk.Set.inter
-                    tb.Engines.Engine.tb_config.Engines.Registry.cfg_quirks s)))
-          Engines.Engine.all_testbeds
-      in
-      Printf.printf "distinguishable testbeds: %d of %d\n"
-        (List.length distinguishable)
-        (List.length Engines.Engine.all_testbeds);
-      List.iter
-        (fun tb -> Printf.printf "  %s\n" (Engines.Engine.testbed_id tb))
-        distinguishable
-
-let analyze file generate seed quirks =
-  let print = if quirks then print_quirk_reach else print_analysis in
+let analyze file generate seed =
   match (file, generate) with
-  | Some f, _ -> print None (read_file f)
+  | Some f, _ -> print_analysis None (read_file f)
   | None, n when n > 0 ->
       let g = Comfort.Generator.create ~seed () in
       List.iteri
         (fun i (tc : Comfort.Testcase.t) ->
           if i > 0 then print_newline ();
-          print
+          print_analysis
             (Some (Printf.sprintf "sample %d" (i + 1)))
             tc.Comfort.Testcase.tc_source)
         (Comfort.Generator.generate g ~n)
@@ -552,17 +487,10 @@ let analyze_cmd =
            ~docv:"N")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
-  let quirks =
-    Arg.(value & flag & info [ "quirks" ]
-           ~doc:
-             "Show the static checkpoint-reachability view instead: the \
-              quirk checkpoints any execution of the case could consult \
-              (per mode) and the statically distinguishable testbeds.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Static analysis of a JS program: scope, early errors, lint, verdict")
-    Term.(const analyze $ file $ generate $ seed $ quirks)
+    Term.(const analyze $ file $ generate $ seed)
 
 (* --- export --- *)
 

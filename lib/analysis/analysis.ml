@@ -4,7 +4,6 @@
 module Scope = Scope
 module Early_errors = Early_errors
 module Lint = Lint
-module Reach = Reach
 
 type verdict = Keep | Repair of string | Drop of string
 

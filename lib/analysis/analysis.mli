@@ -21,7 +21,6 @@
 module Scope = Scope
 module Early_errors = Early_errors
 module Lint = Lint
-module Reach = Reach
 
 (** The screening verdict. [Repair]/[Drop] carry a machine-readable reason
     (e.g. ["unbound:a,b"], ["nondeterministic:Math.random"],

@@ -141,9 +141,8 @@ end
     @param audit     when positive, every [audit]-th case (by submission
                      index, so the sample is deterministic) runs under both
                      strategies through {!Difftest.audit_case}, which
-                     raises {!Difftest.Audit_mismatch} on any divergence
-                     and on any Reference run that leaves the static reach
-                     set. Incompatible with [faults]/[policy]
+                     raises {!Difftest.Audit_mismatch} on any divergence.
+                     Incompatible with [faults]/[policy]
     @param faults    deterministic fault-injection plan applied to every
                      supervised testbed execution (chaos campaigns);
                      defaults to [COMFORT_FAULTS] from the environment.

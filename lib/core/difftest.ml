@@ -413,46 +413,30 @@ let report_equal (a : case_report) (b : case_report) : bool =
 exception Audit_mismatch of string
 
 (* The audit: sweep the case under both strategies and fail loudly on the
-   first testbed whose results differ in any field, or whose Reference
-   run consulted a checkpoint outside the static reach set of its front
-   end (a soundness bug in [Analysis.Reach], whose set [comfort analyze
-   --quirks] reports). Reference runs share nothing, so each [r_touched]
-   is the testbed's own observation. Returns the Fast report,
-   which an auditing campaign uses as the real result of the case. *)
+   first testbed whose results differ in any field. Reference runs share
+   nothing, so each Reference result is the testbed's own observation.
+   Returns the Fast report, which an auditing campaign uses as the real
+   result of the case. *)
 let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
     (tc : Testcase.t) : case_report =
   let src = tc.Testcase.tc_source in
-  let oracle = Engines.Engine.Exec.cache src in
-  let reference =
-    sweep_case ~fuel ~strategy:Strategy.Reference ~cache:oracle testbeds tc
-  in
+  let reference = sweep_case ~fuel ~strategy:Strategy.Reference testbeds tc in
   let fast = sweep_case ~fuel ~strategy:Strategy.Fast testbeds tc in
-  let fc = Engines.Engine.Exec.frontend_cache oracle in
-  let fail tb what =
-    raise
-      (Audit_mismatch
-         (Printf.sprintf "case %d on %s: %s\nsource:\n%s" tc.Testcase.tc_id
-            (Engines.Engine.testbed_id tb)
-            what src))
-  in
   List.iter2
     (fun (tb, ro) (_, fo) ->
       match (ro, fo) with
       | Supervisor.Done (r, _), Supervisor.Done (f, _) -> (
-          (match Run.differing_field r f with
-          | Some field -> fail tb ("Fast and Reference results differ in " ^ field)
-          | None -> ());
-          let strict = tb.Engines.Engine.tb_mode = Engines.Engine.Strict in
-          let static =
-            Run.reach_set ~strict (Engines.Engine.Frontend.frontend fc tb)
-          in
-          match Quirk.Set.elements (Quirk.Set.diff r.Run.r_touched static) with
-          | [] -> ()
-          | missing ->
-              fail tb
-                ("the Reference run consulted checkpoints outside the static \
-                  reach set: "
-                ^ String.concat ", " (List.map Quirk.to_string missing)))
+          match Run.differing_field r f with
+          | Some field ->
+              raise
+                (Audit_mismatch
+                   (Printf.sprintf
+                      "case %d on %s: Fast and Reference results differ in \
+                       %s\nsource:\n%s"
+                      tc.Testcase.tc_id
+                      (Engines.Engine.testbed_id tb)
+                      field src))
+          | None -> ())
       | _ -> ())
     reference.sw_execs fast.sw_execs;
   judge fast

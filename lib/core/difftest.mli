@@ -142,9 +142,8 @@ val report_equal : case_report -> case_report -> bool
 exception Audit_mismatch of string
 
 (** The Fast = Reference audit: sweep the case under both strategies, and
-    raise {!Audit_mismatch} naming the testbed and the field if any
-    testbed's [Run.result] differs between them, or if any Reference run
-    consulted a checkpoint outside the static reach set of its front end
-    ([Run.reach_set]). Returns the Fast report otherwise. *)
+    raise {!Audit_mismatch} naming the testbed and the field
+    ({!Jsinterp.Run.differing_field}) if any testbed's [Run.result]
+    differs between them. Returns the Fast report otherwise. *)
 val audit_case :
   ?fuel:int -> Engines.Engine.testbed list -> Testcase.t -> case_report

@@ -373,17 +373,6 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
   | exception Jsparse.Parser.Syntax_error (msg, line) ->
       frontend (Error (msg, line)) !fired
 
-(* The front end's static touch-set on a testbed of mode [strict]: the
-   [Analysis.Reach] set of the parsed program joined with the parse-stage
-   quirks sunk by the front end (a parse failure consults nothing at run
-   time). The execution path never reads it; the audit and
-   [comfort analyze --quirks] do. *)
-let reach_set ~strict (fe : frontend) : Quirk.Set.t =
-  match fe.fe_program with
-  | Error _ -> fe.fe_fired
-  | Ok prog ->
-      Quirk.Set.union fe.fe_fired (Analysis.Reach.checkpoints ~strict prog)
-
 (* --- execution, separable from the engine that ran it ---
 
    An [exec] is one interpreter execution together with the evidence needed

@@ -140,14 +140,6 @@ val parse_frontend :
   string ->
   frontend
 
-(** The front end's static checkpoint reach set on testbeds of mode
-    [strict]: {!Analysis.Reach.checkpoints} of the program joined with
-    the parse-stage [fe_fired]. Sound: for every execution of this front
-    end on any testbed of that mode, [r_touched] is a subset of it.
-    Computed on each call; the execution path never reads it — the
-    [--audit] containment check and [comfort analyze --quirks] do. *)
-val reach_set : strict:bool -> frontend -> Quirk.Set.t
-
 (** Execute a program.
     @param quirks     the engine's bug set (empty = conforming reference)
     @param parse_opts front-end profile (ES edition gates)

@@ -4,8 +4,9 @@ type t = Reference | Fast
 
 let to_string = function Reference -> "reference" | Fast -> "fast"
 
-(* The four variables are the names the benchmark's reference-path
-   recording sets; any one of them selects the oracle. *)
+(* Any one of the four variables selects the oracle. There is one oracle,
+   so one name would do; the four are kept only because perfbench's
+   reference-path recording sets them. *)
 let default () =
   let set v =
     match Sys.getenv_opt v with None | Some "" -> false | Some _ -> true

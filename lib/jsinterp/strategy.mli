@@ -21,7 +21,8 @@ val to_string : t -> string
 (** [Reference] when any of COMFORT_NO_SHARE, COMFORT_NO_RESOLVE,
     COMFORT_NO_REACH or COMFORT_NO_SPECIALIZE is set to a non-empty
     value, else [Fast]. The default of every [?strategy] argument, and
-    the only reader of those variables. *)
+    the only reader of those variables. The four names are kept only
+    because perfbench's reference-path recording sets them. *)
 val default : unit -> t
 
 (** The given strategy, else {!default} [()] — how an optional

@@ -20,7 +20,6 @@ let () =
       ("core", Test_core.suite);
       ("executor", Test_executor.suite);
       ("sharing", Test_sharing.suite);
-      ("reach", Test_reach.suite);
       ("resolve", Test_resolve.suite);
       ("specialize", Test_specialize.suite);
       ("pipeline", Test_pipeline.suite);

@@ -4,7 +4,9 @@
    - the quirk is recorded as fired on the quirked run,
    - and the reference run does not fire anything.
    This guarantees every seeded bug is discoverable by differential
-   testing, i.e. the ground truth of the campaign experiments is sound. *)
+   testing, i.e. the ground truth of the campaign experiments is sound.
+   The same triggers are then checked on every catalogued testbed of
+   their mode, against the reference engine. *)
 
 open Jsinterp
 open Helpers
@@ -154,6 +156,47 @@ let quirk_case (q, src, strict) =
         Alcotest.failf "quirk %s is not observable: both runs gave %s"
           (Quirk.to_string q) (signature reference))
 
+(* The oracle per testbed: every trigger on every testbed of its mode.
+   The quirk fires exactly on the testbeds that hold it, each of those
+   deviates from the reference engine, and no testbed deviates without
+   firing some quirk. "Deviates exactly on the holders" does not hold
+   and is not asserted: a trigger may also fire a second quirk that a
+   non-holder carries (the typedarray-fill-no-coerce trigger fires
+   array-fill-skips-last on three JSC versions, and the
+   eval-string-result-quoted one fires eval-expr-returns-undefined on
+   three ChakraCore versions and on Hermes 0.6.0). *)
+let oracle_case =
+  case "every trigger fires exactly on its testbeds" (fun () ->
+      List.iter
+        (fun (q, src, strict) ->
+          let mode = if strict then Engines.Engine.Strict else Engines.Engine.Normal in
+          let signature = Comfort.Difftest.signature_of_result in
+          let reference = signature (Engines.Engine.run_reference ~strict src) in
+          List.iter
+            (fun (tb : Engines.Engine.testbed) ->
+              if tb.Engines.Engine.tb_mode = mode then begin
+                let r = Engines.Engine.run tb src in
+                let holds =
+                  Quirk.Set.mem q
+                    tb.Engines.Engine.tb_config.Engines.Registry.cfg_quirks
+                in
+                let where =
+                  Printf.sprintf "%s trigger on %s" (Quirk.to_string q)
+                    (Engines.Engine.testbed_id tb)
+                in
+                if Quirk.Set.mem q r.Run.r_fired <> holds then
+                  Alcotest.failf "%s: fired=%b but holds=%b" where (not holds)
+                    holds;
+                let deviates = signature r <> reference in
+                if holds && not deviates then
+                  Alcotest.failf "%s: the quirk fired but the output matches \
+                                  the reference engine" where;
+                if deviates && Quirk.Set.is_empty r.Run.r_fired then
+                  Alcotest.failf "%s: deviates with no quirk fired" where
+              end)
+            Engines.Engine.all_testbeds)
+        triggers)
+
 let coverage_case =
   case "every catalogued quirk has a trigger" (fun () ->
       let covered = List.map (fun (q, _, _) -> q) triggers in
@@ -166,4 +209,4 @@ let coverage_case =
         (List.length Quirk.all)
         (List.length Engines.Catalogue.all))
 
-let suite = coverage_case :: List.map quirk_case triggers
+let suite = coverage_case :: oracle_case :: List.map quirk_case triggers

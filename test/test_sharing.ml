@@ -11,9 +11,12 @@
      exact situation where predicting reachability instead of observing
      it would be unsound;
    - the Fast [Engine.Exec] sweep vs Reference [Engine.run] over all 102
-     testbeds and the reference engine, field-wise, with every Reference
-     touched set inside the static reach set, plus the executed/shared
-     accounting and the >=4x execution reduction the bench records;
+     testbeds and the reference engine, field-wise, plus the
+     executed/shared accounting and the >=4x execution reduction the
+     bench records;
+   - the five checkpoint sites the compiler emits inline, and hot
+     property loads and stores, field-wise identical under a direct Fast
+     run and a direct Reference run on every testbed;
    - [Difftest.run_case] and full [Campaign.run]s under both strategies
      in-process and on 2 forked workers, byte-identical reports
      throughout;
@@ -110,10 +113,35 @@ let run_count_counts_real_executions () =
   Alcotest.(check int) "a parse failure is no execution" (before + 1)
     (Run.run_count ())
 
+let differing_field_names_each_field () =
+  (* the comparison is the whole audit and the whole property oracle:
+     every caller expects [None], so only this test fails if a field is
+     dropped from it *)
+  let base = Run.run ~coverage:true "print(1);" in
+  Alcotest.(check (option string)) "equal results" None
+    (Run.differing_field base (Run.run ~coverage:true "print(1);"));
+  let q = Quirk.Q_charat_negative_wraps in
+  List.iter
+    (fun (field, (other : Run.result)) ->
+      Alcotest.(check (option string)) field (Some field)
+        (Run.differing_field base other))
+    [
+      ("parsed", { base with Run.r_parsed = not base.Run.r_parsed });
+      ("parse error", { base with Run.r_parse_error = Some "x" });
+      ("status", { base with Run.r_status = Run.Sts_timeout });
+      ("output", { base with Run.r_output = base.Run.r_output ^ "x" });
+      ("fuel", { base with Run.r_fuel_used = base.Run.r_fuel_used + 1 });
+      ("fired", { base with Run.r_fired = Quirk.Set.add q base.Run.r_fired });
+      ( "touched",
+        { base with Run.r_touched = Quirk.Set.add q base.Run.r_touched } );
+      ("coverage", { base with Run.r_coverage = None });
+    ]
+
 (* the §5.2-flavoured sources the sweep-level checks run: plain code, the
    steering program above, quirk-rich builtin traffic, a thrown error, a
-   parse-stage quirk trigger, strict-only behaviour and syntax the ES5
-   profile rejects *)
+   parse-stage quirk trigger, strict-only behaviour, syntax the ES5
+   profile rejects, sources aimed at the five checkpoint sites the
+   compiler emits inline, and hot property loops *)
 let sweep_sources =
   [
     "print(1 + 1);";
@@ -128,40 +156,62 @@ foo(-634619);|};
     (* ES2015 syntax: the ES5 profile must not borrow the standard parse *)
     "var f = (x) => x + 1; print(f(1));";
     "print(`t${2}`);";
+    (* unary negation reaching 0 consults the neg-zero codegen site *)
+    "var z = 0; print(1 / -z);";
+    (* named function expression rebinding consults the NFE site *)
+    {|var f = function g() { g = 1; return typeof g; }; print(f());|};
+    (* += string append in a loop consults the optimizer-drop site *)
+    {|var s = ""; for (var i = 0; i < 200; i++) s += "x";
+print(s.length);|};
+    {|"use strict"; function f() { return this; } print(f() === undefined);|};
+    (* a boolean key stored on an array consults the QuickJS append site *)
+    "var a = [1, 2]; a[true] = 3; print(a.length, a[2]);";
+    (* hot property traffic: an own load/store loop, prototype loads
+       (a constructor's and Object.prototype's) and a method call in a
+       loop *)
+    {|var o = {a: 1, b: 2};
+for (var i = 0; i < 50; i++) o.a = o.a + o.b;
+print(o.a);|};
+    {|function P() {} P.prototype.k = 3; var p = new P(); var t = 0;
+for (var i = 0; i < 30; i++) t += p.k;
+Object.prototype.z = 7; var e = {}; print(t, e.z);|};
+    {|var c = { n: 0, inc: function () { this.n++; return this.n; } };
+for (var i = 0; i < 30; i++) c.inc();
+print(c.n);|};
+    (* layouts changing in the middle of a loop: a redefined property,
+       a frozen receiver and a reassigned prototype property *)
+    {|var o = { a: 1 }; var s = 0;
+for (var i = 0; i < 20; i++) {
+  if (i === 10) Object.defineProperty(o, "a", { value: 100, writable: false });
+  o.a = o.a + 1; s += o.a;
+}
+print(s, o.a);|};
+    {|var o = { a: 0 };
+for (var i = 0; i < 20; i++) { if (i === 5) Object.freeze(o); o.a++; }
+function P() {} P.prototype.k = 1; var p = new P(); var t = 0;
+for (var j = 0; j < 10; j++) { if (j === 5) P.prototype.k = 2; t += p.k; }
+print(o.a, t);|};
   ]
 
 (* The first disagreement, as "<testbed> <field>", between the Fast
    sweep of [src] — all 102 testbeds, then the reference engine, through
    one [Engine.Exec] cache — and direct Reference runs that each parse for
-   themselves; a Reference run whose touched set leaves the static reach
-   set of the front end the Fast sweep used counts as a disagreement too.
-   [None] when every field of every result agrees. *)
+   themselves. [None] when every field of every result agrees. *)
 let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
   let ec = Engine.Exec.cache src in
-  let fc = Engine.Exec.frontend_cache ec in
-  let check id ~strict fe (reference : Run.result) (fast : Run.result) =
-    match Run.differing_field reference fast with
-    | Some field -> Some (id ^ " " ^ field)
-    | None ->
-        if Quirk.Set.subset reference.Run.r_touched (Run.reach_set ~strict fe)
-        then None
-        else Some (id ^ " touched outside the static reach set")
+  let check id (reference : Run.result) (fast : Run.result) =
+    Option.map (fun field -> id ^ " " ^ field)
+      (Run.differing_field reference fast)
   in
   let testbed (tb : Engine.testbed) =
     let fast = Engine.Exec.run ~fuel ~strategy:Strategy.Fast ec tb in
     check (Engine.testbed_id tb)
-      ~strict:(tb.Engine.tb_mode = Engine.Strict)
-      (Engine.Frontend.frontend fc tb)
       (Engine.run ~fuel ~strategy:Strategy.Reference tb src)
       fast
   in
   let reference_engine () =
     let fast = Engine.Exec.run_reference ~fuel ~strategy:Strategy.Fast ec in
-    check "reference" ~strict:false
-      (Engine.Frontend.frontend_for fc
-         ~key:(Engines.Registry.reference_parse_key, false)
-         ~quirks:Quirk.Set.empty ~parse_opts:Jsparse.Parser.default_options
-         ~strict:false)
+    check "reference"
       (Engine.run_reference ~fuel ~strategy:Strategy.Reference src)
       fast
   in
@@ -183,6 +233,25 @@ let check_sweep src =
   | Some m -> Alcotest.failf "Fast sweep differs from Reference (%s) on:\n%s" m src
 
 let exec_cache_equals_direct_sweep () = List.iter check_sweep sweep_sources
+
+let compiled_sites_match_reference () =
+  (* Fast (the compiled closure, consulting the quirk set at run time)
+     against the Reference tree-walk, field-wise, on every testbed: the
+     sources reach the five inline checkpoint sites and the hot property
+     loads and stores *)
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (tb : Engine.testbed) ->
+          let strict = tb.Engine.tb_mode = Engine.Strict in
+          let quirks = tb.Engine.tb_config.Engines.Registry.cfg_quirks in
+          let run strategy = Run.run ~quirks ~strict ~strategy src in
+          Alcotest.(check (option string))
+            (Engine.testbed_id tb ^ " on " ^ src)
+            None
+            (Run.differing_field (run Strategy.Reference) (run Strategy.Fast)))
+        Engine.all_testbeds)
+    sweep_sources
 
 (* Programs that parse source at run time. There the ES5 and standard
    profiles, and each parser-quirk acceptance, answer differently — and
@@ -444,8 +513,11 @@ let suite =
       fixpoint_splits_on_exposed_checkpoint;
     case "shared result equals a direct run" shared_result_equals_direct_result;
     case "run_count counts real executions" run_count_counts_real_executions;
+    case "differing_field names each field" differing_field_names_each_field;
     case "Exec cache equals direct runs on all 102 testbeds"
       exec_cache_equals_direct_sweep;
+    case "compiled sites match Reference on all testbeds"
+      compiled_sites_match_reference;
     case "Exec cache collapses the sweep >=4x" exec_cache_collapses_the_sweep;
     case "cross-group sharing: run-time parse fixtures"
       cross_group_reparse_fixtures;
