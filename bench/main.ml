@@ -464,13 +464,16 @@ let ablate () =
           fz_batch =
             (fun n ->
               while Queue.length queue < n do
-                match Comfort.Generator.generate gen ~n:1 with
-                | [] -> ()
-                | tc :: _ ->
+                match Comfort.Generator.next gen with
+                | None -> ()
+                | Some (tc, parse) ->
                     Queue.add tc queue;
-                    List.iter
-                      (fun m -> Queue.add m queue)
-                      (Comfort.Datagen.mutate dg tc)
+                    Option.iter
+                      (fun p ->
+                        List.iter
+                          (fun m -> Queue.add m queue)
+                          (Comfort.Datagen.mutate dg p))
+                      parse
               done;
               List.init n (fun _ -> Queue.pop queue));
         }

@@ -33,7 +33,11 @@ let () =
 
   print_endline "=== 3. ECMA-262-guided test data (Algorithm 1) ===";
   let dg = Comfort.Datagen.create ~seed:5 () in
-  let mutants = Comfort.Datagen.mutate dg tc in
+  let mutants =
+    match Jsparse.Parser.check_syntax tc.Comfort.Testcase.tc_source with
+    | Ok p -> Comfort.Datagen.mutate dg p
+    | Error _ -> []
+  in
   Printf.printf "%d mutated test cases; first one:\n\n" (List.length mutants);
   (match mutants with
   | m :: _ -> print_endline m.Comfort.Testcase.tc_source

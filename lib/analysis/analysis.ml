@@ -19,13 +19,12 @@ let verdict_to_string = function
   | Repair r -> "repair:" ^ r
   | Drop r -> "drop:" ^ r
 
-let analyze ?strict (p : Jsast.Ast.program) : diagnostics =
-  let strict_mode =
-    match strict with Some s -> s | None -> p.Jsast.Ast.prog_strict
-  in
+(* [strict_only] runs the second, strict early-error pass, which only
+   diagnosis reads: no verdict depends on it. *)
+let diagnose ~strict_only ~strict_mode (p : Jsast.Ast.program) : diagnostics =
   let errors = Early_errors.check ~strict:strict_mode p in
   let strict_only =
-    if strict_mode then []
+    if strict_mode || not strict_only then []
     else
       List.filter
         (fun e -> not (List.mem e errors))
@@ -37,6 +36,12 @@ let analyze ?strict (p : Jsast.Ast.program) : diagnostics =
     d_strict_only = strict_only;
     d_lint = Lint.lint p;
   }
+
+let analyze ?strict (p : Jsast.Ast.program) : diagnostics =
+  let strict_mode =
+    match strict with Some s -> s | None -> p.Jsast.Ast.prog_strict
+  in
+  diagnose ~strict_only:true ~strict_mode p
 
 let verdict_of (d : diagnostics) : verdict =
   match d.d_errors with
@@ -61,6 +66,10 @@ let verdict_of (d : diagnostics) : verdict =
 let screen_program ?strict (p : Jsast.Ast.program) : verdict * diagnostics =
   let d = analyze ?strict p in
   (verdict_of d, d)
+
+let screen_verdict (p : Jsast.Ast.program) : verdict =
+  verdict_of
+    (diagnose ~strict_only:false ~strict_mode:p.Jsast.Ast.prog_strict p)
 
 let screen ?strict (src : string) : (verdict * diagnostics, string) result =
   match Jsparse.Parser.check_syntax src with

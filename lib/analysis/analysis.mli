@@ -48,6 +48,10 @@ val analyze : ?strict:bool -> Jsast.Ast.program -> diagnostics
 val screen_program :
   ?strict:bool -> Jsast.Ast.program -> verdict * diagnostics
 
+(** [screen_verdict p] is [fst (screen_program p)] without the
+    strict-only early-error pass, which only diagnosis reads. *)
+val screen_verdict : Jsast.Ast.program -> verdict
+
 (** Parse and screen a source string; [Error] is a parser diagnostic. *)
 val screen : ?strict:bool -> string -> (verdict * diagnostics, string) result
 

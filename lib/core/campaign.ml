@@ -92,11 +92,15 @@ let comfort_fuzzer ?(seed = 7) ?(with_datagen = true) () : fuzzer =
   let queue : Testcase.t Queue.t = Queue.create () in
   let rec refill n =
     if n > 0 then begin
-      match Generator.generate gen ~n:1 with
-      | [] -> ()
-      | tc :: _ ->
+      match Generator.next gen with
+      | None -> ()
+      | Some (tc, parse) ->
           Queue.add tc queue;
-          let mutants = Datagen.mutate dg tc in
+          (* the syntax check's parse goes straight to Datagen, which
+             would otherwise parse the same text again *)
+          let mutants =
+            match parse with Some p -> Datagen.mutate dg p | None -> []
+          in
           List.iter (fun m -> Queue.add m queue) mutants;
           refill (n - 1 - List.length mutants)
     end
@@ -145,7 +149,7 @@ let screen_case (tc : Testcase.t) : screened =
     match Jsparse.Parser.parse_program tc.Testcase.tc_source with
     | exception Jsparse.Parser.Syntax_error _ -> S_kept tc
     | p -> (
-        match fst (Analysis.screen_program p) with
+        match Analysis.screen_verdict p with
         | Analysis.Keep -> S_kept tc
         | Analysis.Repair _ ->
             let src = Jsast.Printer.program_to_string (Analysis.bind_free p) in

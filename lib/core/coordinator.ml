@@ -2,12 +2,15 @@
    DESIGN.md §14.
 
    Anatomy: the driver forks N single-threaded children. Each child
-   loops { read task; ack; execute; reply } over a pair of pipes
-   speaking Ipc frames. The driver multiplexes the
-   result pipes with select, SIGKILLs deadline overruns, respawns the
-   dead (within budget), and consumes replies strictly in submission
-   order through a reorder buffer, so the campaign consumes exactly the
-   sequence its in-process loop would.
+   loops { read task; execute; reply } over a pair of pipes speaking Ipc
+   frames. The driver keeps up to [depth] tasks in flight per child, so
+   the next case already waits in the pipe when the current one ends;
+   the child runs them in FIFO order, so the oldest in-flight task is
+   always the one executing. The driver multiplexes the result pipes
+   with select, SIGKILLs deadline overruns, respawns the dead (within
+   budget), and consumes replies strictly in submission order through a
+   reorder buffer, so the campaign consumes exactly the sequence its
+   in-process loop would.
 
    Child discipline: a forked child shares the parent's buffered
    channels copy-on-write, so it must never write to them and must
@@ -75,8 +78,6 @@ type counters = {
 }
 
 type 'b reply =
-  | R_hello  (* child is up and speaking the protocol *)
-  | R_beat of int  (* heartbeat: dispatch [seq] received, starting *)
   | R_killme of int  (* unabsorbed worker_kill draw: SIGKILL me *)
   | R_done of {
       rd_seq : int;
@@ -128,13 +129,11 @@ let run_child ~(limits : limits) ~(fn : 'a -> 'b) ~(task_r : Unix.file_descr)
        to exist *)
     try Ipc.write result_w r with _ -> Unix._exit 0
   in
-  send R_hello;
   let parent = Unix.getppid () in
   let rec loop () =
     match (Ipc.read task_r : ('a dispatch, Ipc.error) result) with
     | Error _ -> Unix._exit 0 (* driver closed the pipe: clean quit *)
     | Ok (D_task { dt_seq; dt_absorbed; dt_payload }) ->
-        send (R_beat dt_seq);
         Supervisor.arm_kill_hook ~absorb:dt_absorbed ~die:(fun () ->
             arm_itimer 0.0;
             send (R_killme dt_seq);
@@ -166,9 +165,24 @@ type wstate = {
   mutable w_task_w : Unix.file_descr;
   mutable w_result_r : Unix.file_descr;
   mutable w_alive : bool;
-  mutable w_seq : int; (* in-flight task, -1 when idle *)
-  mutable w_started : float; (* dispatch wall-clock time *)
+  w_inflight : int Queue.t; (* dispatched tasks, oldest (executing) first *)
+  mutable w_started : float; (* when the oldest in-flight task became so *)
 }
+
+(* Tasks in flight per worker: the one executing and the next. *)
+let depth = 2
+
+(* A worker that already holds a task receives another only if its frame
+   fits in one pipe page. The pipe then has room for it once the child
+   has read the task it is executing, so the driver never blocks writing
+   to a child that is itself blocked writing a large reply. *)
+let queued_frame_max = 4096
+
+(* Dispatch lookahead past the consume cursor, per worker: it bounds the
+   reorder buffer (a slot holds one reply, about 0.5 KB on campaigns) and
+   must outlast the longest case (~50 ms at campaign fuel), or the other
+   workers stall behind it. *)
+let window_per_worker = 64
 
 type ('a, 'b) t = {
   co_limits : limits;
@@ -220,7 +234,7 @@ let spawn ?(siblings = []) ~(limits : limits) ~(fn : 'a -> 'b) () : wstate =
         w_task_w = task_w;
         w_result_r = result_r;
         w_alive = true;
-        w_seq = -1;
+        w_inflight = Queue.create ();
         w_started = 0.0;
       }
 
@@ -306,22 +320,30 @@ let respawn (t : ('a, 'b) t) ~(charge : bool) (w : wstate) : unit =
   w.w_task_w <- nw.w_task_w;
   w.w_result_r <- nw.w_result_r;
   w.w_alive <- true;
-  w.w_seq <- -1;
+  Queue.clear w.w_inflight;
   w.w_started <- 0.0
 
 let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
     ?(stop = fun () -> false) (xs : a list)
     ~(consume : int -> a -> b -> unit) : unit =
+  (* a run halted by [stop] leaves tasks in flight, whose replies would
+     be taken for this run's: replace those workers first *)
+  Array.iter
+    (fun w ->
+      if w.w_alive && not (Queue.is_empty w.w_inflight) then begin
+        ignore (retire w);
+        respawn t ~charge:false w
+      end)
+    t.co_ws;
   let arr = Array.of_list xs in
   let n = Array.length arr in
   if n > 0 then begin
     let limits = t.co_limits in
-    (* the driver SIGKILLs a worker this long after dispatch; the child's
-       own itimer (li_watchdog_s) gets the first shot *)
+    (* the driver SIGKILLs a worker this long after its oldest task
+       became the oldest; the child's own itimer (li_watchdog_s) gets
+       the first shot *)
     let deadline_s = (limits.li_watchdog_s *. 2.0) +. 0.5 in
-    (* dispatch lookahead past the consume cursor, bounding the reorder
-       buffer *)
-    let window = 4 * Array.length t.co_ws in
+    let window = window_per_worker * Array.length t.co_ws in
     let absorbed = Array.make n 0 in
     let deaths = Array.make n 0 in
     (* Landed replies waiting for the in-order cursor, with their
@@ -337,12 +359,17 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
     let next_new = ref 0 in
     let next_consume = ref 0 in
     let halted = ref false in
-    (* A worker died holding [w_seq]. Deliberate kills re-dispatch with
-       one more draw absorbed; crashes and hangs burn one of the task's
-       lives and beyond that the task is failed (the driver's existing
-       poisoned-work lane decides what that means). *)
+    (* the next task and its frame, taken but not yet written: a frame
+       too large to queue waits here for an idle worker *)
+    let staged = ref None in
+    (* A worker died. Its oldest in-flight task was executing and bears
+       the death: a deliberate kill re-dispatches it with one more draw
+       absorbed; crashes and hangs burn one of its lives and beyond that
+       the task is failed (the driver's existing poisoned-work lane
+       decides what that means). The task queued behind it never
+       started, so it is re-dispatched as it was. *)
     let handle_death (w : wstate) (kind : [ `Kill | `Crash | `Hang ]) : unit =
-      let seq = w.w_seq in
+      let inflight = List.of_seq (Queue.to_seq w.w_inflight) in
       let status = retire w in
       (* a child that hit its own itimer first looks like a plain death
          on the pipe; its exit status says what really happened *)
@@ -355,56 +382,74 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
       | `Kill -> incr kills_total
       | `Hang -> incr hangs_total
       | `Crash -> ());
-      (match (seq, kind) with
-      | -1, _ -> ()
-      | seq, `Kill ->
-          absorbed.(seq) <- absorbed.(seq) + 1;
-          redis := seq :: !redis
-      | seq, (`Crash | `Hang) ->
-          deaths.(seq) <- deaths.(seq) + 1;
-          if deaths.(seq) > limits.li_task_deaths then
-            Hashtbl.replace pending seq
-              ( Error
-                  (Printf.sprintf "worker %s; task gave up after %d deaths"
-                     (match kind with
-                     | `Hang -> "exceeded the wall-clock watchdog (SIGKILL)"
-                     | _ -> "died unexpectedly")
-                     deaths.(seq)),
-                None )
-          else redis := seq :: !redis);
+      (match inflight with
+      | [] -> ()
+      | seq :: queued -> (
+          redis := queued @ !redis;
+          match kind with
+          | `Kill ->
+              absorbed.(seq) <- absorbed.(seq) + 1;
+              redis := seq :: !redis
+          | `Crash | `Hang ->
+              deaths.(seq) <- deaths.(seq) + 1;
+              if deaths.(seq) > limits.li_task_deaths then
+                Hashtbl.replace pending seq
+                  ( Error
+                      (Printf.sprintf "worker %s; task gave up after %d deaths"
+                         (match kind with
+                         | `Hang -> "exceeded the wall-clock watchdog (SIGKILL)"
+                         | _ -> "died unexpectedly")
+                         deaths.(seq)),
+                    None )
+              else redis := seq :: !redis));
       respawn t w ~charge:(match kind with `Kill -> false | `Crash | `Hang -> true)
     in
-    let dispatch (w : wstate) (seq : int) : unit =
-      match
-        Ipc.write w.w_task_w
-          (D_task { dt_seq = seq; dt_absorbed = absorbed.(seq); dt_payload = arr.(seq) })
-      with
-      | () ->
-          w.w_seq <- seq;
-          w.w_started <- Unix.gettimeofday ()
-      | exception _ ->
-          (* died idle, before taking the task: the task is untouched *)
-          redis := seq :: !redis;
-          handle_death w `Crash
+    let next_task () =
+      if Option.is_none !staged then begin
+        let take seq =
+          staged :=
+            Some
+              ( seq,
+                Ipc.encode
+                  (D_task
+                     { dt_seq = seq; dt_absorbed = absorbed.(seq); dt_payload = arr.(seq) }) )
+        in
+        match !redis with
+        | seq :: rest ->
+            redis := rest;
+            take seq
+        | [] when !next_new < n && !next_new < !next_consume + window ->
+            take !next_new;
+            incr next_new
+        | [] -> ()
+      end;
+      !staged
+    in
+    let rec feed (w : wstate) : unit =
+      if w.w_alive && Queue.length w.w_inflight < depth then
+        match next_task () with
+        | Some (seq, frame)
+          when Queue.is_empty w.w_inflight
+               || String.length frame <= queued_frame_max -> (
+            staged := None;
+            match Ipc.write_frame w.w_task_w frame with
+            | () ->
+                if Queue.is_empty w.w_inflight then
+                  w.w_started <- Unix.gettimeofday ();
+                Queue.add seq w.w_inflight;
+                feed w
+            | exception _ ->
+                (* the worker is dead and this task never reached it *)
+                redis := seq :: !redis;
+                handle_death w `Crash;
+                feed w)
+        | _ -> ()
     in
     while !next_consume < n && not !halted do
       if stop () then halted := true
       else begin
-        (* 1. keep idle workers fed *)
-        Array.iter
-          (fun w ->
-            if w.w_alive && w.w_seq = -1 then
-              match !redis with
-              | seq :: rest ->
-                  redis := rest;
-                  dispatch w seq
-              | [] ->
-                  if !next_new < n && !next_new < !next_consume + window then begin
-                    let seq = !next_new in
-                    incr next_new;
-                    dispatch w seq
-                  end)
-          t.co_ws;
+        (* 1. keep every worker's pipe [depth] tasks deep *)
+        Array.iter feed t.co_ws;
         (* 2. wait for replies (bounded, so the deadline sweep and the
            stop poll stay responsive even with every worker wedged) *)
         let fds =
@@ -425,23 +470,30 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
             with
             | None -> ()
             | Some w -> (
+                let oldest = Queue.peek_opt w.w_inflight in
                 match (Ipc.read w.w_result_r : (b reply, Ipc.error) result) with
-                | Ok R_hello | Ok (R_beat _) -> ()
-                | Ok (R_killme _) -> handle_death w `Kill
-                | Ok (R_done { rd_seq; rd_reply; rd_counters }) ->
+                | Ok (R_killme seq) when oldest = Some seq -> handle_death w `Kill
+                | Ok (R_done { rd_seq; rd_reply; rd_counters })
+                  when oldest = Some rd_seq ->
                     t.co_consec <- 0;
-                    w.w_seq <- -1;
+                    ignore (Queue.pop w.w_inflight);
+                    (* the next queued task starts now: restart its clock *)
+                    w.w_started <- Unix.gettimeofday ();
                     Hashtbl.replace pending rd_seq (rd_reply, Some rd_counters)
-                | Error _ ->
-                    (* EOF or a torn/corrupt frame: the child died (or
-                       lost its mind, which costs it its life) *)
+                | Ok _ | Error _ ->
+                    (* EOF, a torn/corrupt frame, or a reply out of FIFO
+                       order: the child died (or lost its mind, which
+                       costs it its life) *)
                     handle_death w `Crash))
           readable;
         (* 3. watchdog backstop: SIGKILL deadline overruns *)
         let now = Unix.gettimeofday () in
         Array.iter
           (fun w ->
-            if w.w_alive && w.w_seq >= 0 && now -. w.w_started > deadline_s
+            if
+              w.w_alive
+              && (not (Queue.is_empty w.w_inflight))
+              && now -. w.w_started > deadline_s
             then handle_death w `Hang)
           t.co_ws;
         (* 4. consume strictly in submission order *)

@@ -16,10 +16,14 @@
     Robustness layers (DESIGN.md §14):
     - {b watchdog}: each worker arms [Unix.setitimer ITIMER_REAL] per
       task and self-exits on SIGALRM; the driver's deadline poll
-      SIGKILLs any worker that overruns twice that budget, so even an
-      un-interruptible hang is reaped.
-    - {b heartbeat}: workers acknowledge each dispatch before starting
-      it, distinguishing "died idle" from "died executing".
+      SIGKILLs any worker whose oldest task has been the oldest for
+      twice that budget, so even an un-interruptible hang is reaped.
+    - {b pipelining}: each worker holds up to two tasks, the one it
+      executes and the next, waiting in its pipe; each task sends one
+      reply frame. A worker runs its tasks in FIFO order, so a death
+      (crash, hang or [worker_kill]) is charged to the oldest in-flight
+      task alone, and the task queued behind it is re-dispatched free
+      of charge with its absorb count unchanged.
     - {b bounded recovery}: a task survives at most [li_task_deaths]
       unexpected worker deaths before it is failed-and-skipped (the
       driver's existing poisoned-work lane); the pool survives at most

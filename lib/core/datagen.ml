@@ -401,61 +401,60 @@ let mutate_call_args (t : t) (p : Ast.program) : (mutant * Ast.program) list =
    anything); the initialiser and argument mutations are then applied to
    the first executable base, so their boundary values actually flow into
    an API call at run time. *)
-let drafts (t : t) (src : string) : (mutant * Ast.program) list =
-  match Jsparse.Parser.parse_program src with
-  | exception Jsparse.Parser.Syntax_error _ -> []
-  | p ->
-      let p = bind_free_vars t p in
-      let drivers = synthesize_drivers t p in
-      let bases =
-        match drivers with
-        | [] -> [ p ] (* program already calls its functions *)
-        | (d, _) :: _ -> (
-            (* mutate on top of one executable base *)
-            match Jsparse.Parser.parse_program d.m_source with
-            | base -> [ base ]
-            | exception Jsparse.Parser.Syntax_error _ -> [ p ])
-      in
-      let all =
-        drivers
-        @ List.concat_map
-            (fun base -> mutate_var_inits t base @ mutate_call_args t base)
-            bases
-      in
-      (* dedup identical sources, cap the total *)
-      let seen = Hashtbl.create 16 in
-      let uniq =
-        List.filter
-          (fun (m, _) ->
-            if Hashtbl.mem seen m.m_source then false
-            else begin
-              Hashtbl.add seen m.m_source ();
-              true
-            end)
-          all
-      in
-      List.filteri (fun i _ -> i < t.max_mutants_per_program) uniq
+let drafts (t : t) (p : Ast.program) : (mutant * Ast.program) list =
+  let p = bind_free_vars t p in
+  let drivers = synthesize_drivers t p in
+  let bases =
+    match drivers with
+    | [] -> [ p ] (* program already calls its functions *)
+    | (_, base) :: _ ->
+        (* mutate on top of one executable base: the driver's own AST,
+           which prints to its [m_source] *)
+        [ base ]
+  in
+  let all =
+    drivers
+    @ List.concat_map
+        (fun base -> mutate_var_inits t base @ mutate_call_args t base)
+        bases
+  in
+  (* dedup identical sources, cap the total *)
+  let seen = Hashtbl.create 16 in
+  let uniq =
+    List.filter
+      (fun (m, _) ->
+        if Hashtbl.mem seen m.m_source then false
+        else begin
+          Hashtbl.add seen m.m_source ();
+          true
+        end)
+      all
+  in
+  List.filteri (fun i _ -> i < t.max_mutants_per_program) uniq
 
 (* The observation harness goes onto the mutant's own AST, which is then
    printed once: the same text as parsing the first print back and
    printing that, without the parse and the second print. *)
-let mutants_of_program (t : t) (src : string) : mutant list =
+let finalize (t : t) (p : Ast.program) : mutant list =
   List.map
     (fun (m, p) ->
       { m with m_source = Printer.program_to_string (observe_calls t.db p) })
-    (drafts t src)
+    (drafts t p)
 
-let mutate (t : t) (tc : Testcase.t) : Testcase.t list =
-  if not tc.Testcase.tc_syntax_valid then []
-  else
-    List.map
-      (fun m ->
-        (* boundary-guided data is what Table 4 counts as "ECMA-262 guided
-           mutation"; drivers with random data belong to the program-
-           generation category *)
-        let provenance =
-          if m.m_guided then Testcase.P_ecma_mutated m.m_api
-          else Testcase.P_generated
-        in
-        Testcase.make ~provenance m.m_source)
-      (mutants_of_program t tc.Testcase.tc_source)
+let mutants_of_program (t : t) (src : string) : mutant list =
+  match Jsparse.Parser.parse_program src with
+  | p -> finalize t p
+  | exception Jsparse.Parser.Syntax_error _ -> []
+
+let mutate (t : t) (p : Ast.program) : Testcase.t list =
+  List.map
+    (fun m ->
+      (* boundary-guided data is what Table 4 counts as "ECMA-262 guided
+         mutation"; drivers with random data belong to the program-
+         generation category *)
+      let provenance =
+        if m.m_guided then Testcase.P_ecma_mutated m.m_api
+        else Testcase.P_generated
+      in
+      Testcase.make ~provenance m.m_source)
+    (finalize t p)

@@ -21,15 +21,17 @@ val create : ?seed:int -> ?db:Specdb.Db.t -> ?max_mutants:int -> unit -> t
 (** Algorithm 1 on one source program; [] when it does not parse. *)
 val mutants_of_program : t -> string -> mutant list
 
-(** {!mutants_of_program} before the observation harness: each mutant
-    with its AST, [m_source] being that AST's print (the text mutants are
-    deduplicated on). Draws the same random values. *)
-val drafts : t -> string -> (mutant * Jsast.Ast.program) list
+(** {!mutants_of_program} before the observation harness, on the source's
+    parse: each mutant with its AST, [m_source] being that AST's print
+    (the text mutants are deduplicated on). Draws the same random
+    values. *)
+val drafts : t -> Jsast.Ast.program -> (mutant * Jsast.Ast.program) list
 
 (** The observation harness: every call to a known API records its
     value, and the recorded values are printed at the end. *)
 val observe_calls : Specdb.Db.t -> Jsast.Ast.program -> Jsast.Ast.program
 
-(** [mutate t tc] wraps {!mutants_of_program} into test cases with
-    provenance assigned per mutant ([P_ecma_mutated] vs [P_generated]). *)
-val mutate : t -> Testcase.t -> Testcase.t list
+(** [mutate t p] wraps {!mutants_of_program} of [p], a test case's parse
+    (see {!Testcase.make_parsed}), into test cases with provenance
+    assigned per mutant ([P_ecma_mutated] vs [P_generated]). *)
+val mutate : t -> Jsast.Ast.program -> Testcase.t list

@@ -56,26 +56,38 @@ let sample_program (g : t) : string =
   Lm.Model.generate g.model g.rng ~prefix:header ~k:g.top_k
     ~max_tokens:g.max_tokens ~stop:(brace_stop ())
 
-(* Generate until [n] test cases pass the screening policy: all valid
-   programs are kept; invalid ones survive with probability
-   [keep_invalid]. *)
+(* Samples drawn per test case before giving up. *)
+let attempts_per_case = 50
+
+(* One sample through the screening policy: all valid programs are kept;
+   invalid ones survive with probability [keep_invalid]. *)
+let attempt (g : t) : (Testcase.t * Jsast.Ast.program option) option =
+  let src = sample_program g in
+  let ((tc, _) as parsed) = Testcase.make_parsed Testcase.P_generated src in
+  if tc.Testcase.tc_syntax_valid || Cutil.Rng.chance g.rng g.keep_invalid then
+    Some parsed
+  else None
+
 let generate (g : t) ~(n : int) : Testcase.t list =
   let out = ref [] in
   let count = ref 0 in
   let attempts = ref 0 in
-  while !count < n && !attempts < n * 50 do
+  while !count < n && !attempts < n * attempts_per_case do
     incr attempts;
-    let src = sample_program g in
-    let tc = Testcase.make ~provenance:Testcase.P_generated src in
-    let keep =
-      tc.Testcase.tc_syntax_valid || Cutil.Rng.chance g.rng g.keep_invalid
-    in
-    if keep then begin
-      out := tc :: !out;
-      incr count
-    end
+    match attempt g with
+    | Some (tc, _) ->
+        out := tc :: !out;
+        incr count
+    | None -> ()
   done;
   List.rev !out
+
+let next (g : t) : (Testcase.t * Jsast.Ast.program option) option =
+  let rec go k =
+    if k = 0 then None
+    else match attempt g with Some _ as r -> r | None -> go (k - 1)
+  in
+  go attempts_per_case
 
 (* Syntactic validity rate over [n] raw samples — the Fig. 9 passing-rate
    metric, measured before any screening. *)

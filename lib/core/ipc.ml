@@ -22,11 +22,15 @@ let default_max_frame = 64 * 1024 * 1024
    distinguish "worker died mid-write" from a well-formed frame; this is
    integrity against torn writes, not cryptography. *)
 let fnv64 (s : string) : int64 =
-  let open Int64 in
+  (* a [for] loop, not [String.iter]: a ref no closure captures stays an
+     unboxed local, so the loop allocates nothing per byte *)
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := mul (logxor !h (of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 (* --- raw I/O helpers: EINTR-safe, partial-read/write-safe ---------- *)
@@ -64,9 +68,10 @@ let encode (v : 'a) : string =
   Bytes.blit_string payload 0 buf header_len plen;
   Bytes.unsafe_to_string buf
 
-let write fd (v : 'a) : unit =
-  let frame = encode v in
+let write_frame fd (frame : string) : unit =
   write_all fd (Bytes.unsafe_of_string frame) 0 (String.length frame)
+
+let write fd (v : 'a) : unit = write_frame fd (encode v)
 
 (* The header's payload length and checksum. *)
 let parse_header (hdr : string) ~max_frame : (int * int64, error) result =

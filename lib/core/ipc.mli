@@ -46,6 +46,14 @@ val write : Unix.file_descr -> 'a -> unit
     as {!write}. *)
 val encode : 'a -> string
 
+(** [write_frame fd frame] writes a frame made by {!encode}; [write fd v]
+    is [write_frame fd (encode v)]. Lets a caller size a frame before
+    sending it. *)
+val write_frame : Unix.file_descr -> string -> unit
+
+(** [fnv64 s] is the FNV-1a 64-bit hash of [s], the frame checksum. *)
+val fnv64 : string -> int64
+
 (** [decode s] decodes a string holding exactly one frame: a short
     string is [Truncated], bytes after the frame are [Corrupt]. The
     frame's length is bounded by [s] itself, so there is no

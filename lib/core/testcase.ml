@@ -26,13 +26,19 @@ type t = {
 (* Process-wide case id source. *)
 let counter = Atomic.make 0
 
+let make_parsed (provenance : provenance) (source : string) :
+    t * Jsast.Ast.program option =
+  let parse = Result.to_option (Jsparse.Parser.check_syntax source) in
+  ( {
+      tc_id = Atomic.fetch_and_add counter 1 + 1;
+      tc_source = source;
+      tc_provenance = provenance;
+      tc_syntax_valid = Option.is_some parse;
+    },
+    parse )
+
 let make ?(provenance = P_generated) (source : string) : t =
-  {
-    tc_id = Atomic.fetch_and_add counter 1 + 1;
-    tc_source = source;
-    tc_provenance = provenance;
-    tc_syntax_valid = Jsparse.Parser.is_valid source;
-  }
+  fst (make_parsed provenance source)
 
 let is_ecma_guided (tc : t) =
   match tc.tc_provenance with P_ecma_mutated _ -> true | _ -> false

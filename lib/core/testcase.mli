@@ -24,5 +24,9 @@ type t = {
 (** Wrap a source string, assigning an id and checking syntax. *)
 val make : ?provenance:provenance -> string -> t
 
+(** {!make}, also returning the parse the syntax check made ([None] when
+    the source is invalid), for a caller that works on the AST next. *)
+val make_parsed : provenance -> string -> t * Jsast.Ast.program option
+
 (** Was this case produced with specification boundary values? *)
 val is_ecma_guided : t -> bool

@@ -50,6 +50,26 @@ let pool_runs_in_order () =
       Alcotest.(check bool) "in submission order" true
         (!seen = List.rev (List.init 24 Fun.id)))
 
+let halted_run_leaves_no_stale_replies () =
+  requires_fork ();
+  (* a run halted by [stop] leaves tasks in flight; the next run on the
+     same pool must not take their replies for its own *)
+  Coordinator.with_pool ~workers:2
+    ~worker:(fun x -> x * x)
+    (fun pool ->
+      let consumed = ref 0 in
+      Coordinator.run_ordered pool (List.init 10 Fun.id)
+        ~stop:(fun () -> !consumed >= 1)
+        ~consume:(fun _ _ _ -> incr consumed);
+      Alcotest.(check int) "first run halted early" 1 !consumed;
+      let replies = ref [] in
+      Coordinator.run_ordered pool
+        (List.init 10 (fun i -> 100 + i))
+        ~consume:(fun _ x y ->
+          Alcotest.(check int) "reply belongs to this run" (x * x) y;
+          replies := y :: !replies);
+      Alcotest.(check int) "second run complete" 10 (List.length !replies))
+
 let crashed_worker_respawned_task_redispatched () =
   requires_fork ();
   (* task 5 kills its worker once — flagged through the filesystem so
@@ -171,6 +191,106 @@ let respawn_budget_exhausts () =
       Alcotest.(check bool) "diagnostic is populated" true
         (String.length msg > 0)
 
+(* --- pipelining: deaths with a task queued behind the executing one ---
+
+   A worker holds two tasks: the one it executes and the next, waiting in
+   its pipe. At [workers = 1] every death below therefore happens with a
+   task queued. [li_task_deaths = 0] fails a task on its first charged
+   death, so the failure lane names exactly the tasks that were charged:
+   only the executing one, while the queued one completes. *)
+
+let pipelined_limits =
+  {
+    Coordinator.default_limits with
+    li_watchdog_s = 0.5;
+    li_task_deaths = 0;
+    li_backoff_ms = 1;
+  }
+
+let pipelined_run ~workers worker =
+  Coordinator.with_pool ~workers ~limits:pipelined_limits ~worker (fun pool ->
+      let out = ref [] in
+      Coordinator.run_ordered pool (List.init 8 Fun.id)
+        ~on_task_fail:(fun i _ _ -> -1 - i)
+        ~consume:(fun _ _ y -> out := y :: !out);
+      List.rev !out)
+
+(* task 3 is charged and failed (-4); every other task, task 4 queued
+   behind it included, completes *)
+let only_task_3_failed = [ 0; 10; 20; -4; 40; 50; 60; 70 ]
+
+let pipelined_crash_charges_executing_task () =
+  requires_fork ();
+  let worker x = if x = 3 then Unix._exit 9 else x * 10 in
+  List.iter
+    (fun workers ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "workers=%d" workers)
+        only_task_3_failed
+        (pipelined_run ~workers worker))
+    [ 1; 2 ]
+
+let pipelined_hang_charges_executing_task () =
+  requires_fork ();
+  let worker x =
+    if x = 3 then (
+      while true do
+        ignore (Sys.opaque_identity 1)
+      done;
+      assert false)
+    else x * 10
+  in
+  let h0 = Coordinator.stat_hangs () in
+  List.iter
+    (fun workers ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "workers=%d" workers)
+        only_task_3_failed
+        (pipelined_run ~workers worker))
+    [ 1; 2 ];
+  Alcotest.(check int) "one watchdog reap per run" 2
+    (Coordinator.stat_hangs () - h0)
+
+let pipelined_kill_charges_executing_task () =
+  requires_fork ();
+  (* Tasks 3 and 4 draw [worker_kill] on every attempt. A task's
+     absorb count rises by one per kill, and three absorbed draws (the
+     default policy's three attempts) let it finish as [Faulted], the
+     in-process outcome: three kills per task. Charging task 3's kills
+     to task 4, queued behind it, would let task 4 finish with fewer. *)
+  let plan =
+    match Faultplan.of_spec "seed=1;worker_kill=1.0" with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let worker x =
+    if x = 3 || x = 4 then
+      match
+        Comfort.Supervisor.execute ~plan ~testbed_id:"toy" ~case_key:x
+          (fun () -> x * 10)
+      with
+      | Comfort.Supervisor.Done (v, _) -> v
+      | Comfort.Supervisor.Faulted r -> 1000 + r.Comfort.Supervisor.fr_attempts
+      | Comfort.Supervisor.Skipped -> -99
+    else x * 10
+  in
+  (* the driver never arms the kill hook: this is the in-process run *)
+  let in_process = List.init 8 worker in
+  Alcotest.(check int) "in-process, the kill draws fault the task" 1003
+    (List.nth in_process 3);
+  List.iter
+    (fun workers ->
+      let k0 = Coordinator.stat_kills () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "workers=%d" workers)
+        in_process
+        (pipelined_run ~workers worker);
+      Alcotest.(check int)
+        (Printf.sprintf "three kills per task at workers=%d" workers)
+        6
+        (Coordinator.stat_kills () - k0))
+    [ 1; 2 ]
+
 (* --- the determinism contract, on real campaigns --- *)
 
 (* worker_kill draws hard-SIGKILL the worker process mid-case (absorbed
@@ -290,6 +410,8 @@ let suite =
   [
     Helpers.case "pool: replies consumed in submission order"
       pool_runs_in_order;
+    Helpers.case "pool: a halted run leaves no stale replies"
+      halted_run_leaves_no_stale_replies;
     Helpers.case "pool: crash -> respawn + re-dispatch, run completes"
       crashed_worker_respawned_task_redispatched;
     Helpers.case "pool: wedged worker reaped by watchdog"
@@ -298,6 +420,12 @@ let suite =
       worker_exception_reaches_on_task_fail;
     Helpers.case "pool: respawn budget exhaustion raises"
       respawn_budget_exhausts;
+    Helpers.case "pipeline: crash charges only the executing task"
+      pipelined_crash_charges_executing_task;
+    Helpers.case "pipeline: hang charges only the executing task"
+      pipelined_hang_charges_executing_task;
+    Helpers.case "pipeline: worker_kill charges only the executing task"
+      pipelined_kill_charges_executing_task;
     Helpers.case "campaign: identical at workers 0/1/2/4 under worker_kill"
       campaign_identical_across_worker_counts;
     Helpers.case "campaign: halt + resume across worker counts"

@@ -124,8 +124,11 @@ let datagen_invalid_input () =
     (List.length (Comfort.Datagen.mutants_of_program (dg ()) "var = ;"))
 
 let datagen_provenance () =
-  let tc = Comfort.Testcase.make {|function f(num) { return num.toFixed(digits); }|} in
-  let mutants = Comfort.Datagen.mutate (dg ()) tc in
+  let p =
+    Jsparse.Parser.parse_program
+      {|function f(num) { return num.toFixed(digits); }|}
+  in
+  let mutants = Comfort.Datagen.mutate (dg ()) p in
   let guided, random =
     List.partition Comfort.Testcase.is_ecma_guided mutants
   in

@@ -151,7 +151,7 @@ let datagen_finalize_matches_reparse () =
       incr programs;
       let got = Comfort.Datagen.mutants_of_program dg src in
       let expected =
-        List.map (fun (m, _) -> reparse_finalize db m) (Comfort.Datagen.drafts dg_model src)
+        List.map (fun (m, _) -> reparse_finalize db m) (Comfort.Datagen.drafts dg_model (Jsparse.Parser.parse_program src))
       in
       mutants := !mutants + List.length got;
       List.iter2

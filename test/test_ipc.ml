@@ -204,6 +204,23 @@ let checksum_mismatch_is_corrupt () =
       | Error e ->
           Alcotest.failf "want Corrupt, got %s" (Ipc.error_to_string e))
 
+(* FNV-1a64 as the plain [String.iter] fold, reimplemented here to keep
+   the codec's checksum honest *)
+let fnv_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
+             0x100000001b3L)
+    s;
+  !h
+
+let fnv_matches_reference_prop =
+  QCheck2.Test.make ~count:300 ~name:"ipc: fnv64 equals the String.iter fold"
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:char (0 -- 2000))
+    (fun s -> Int64.equal (Ipc.fnv64 s) (fnv_reference s))
+
 let undecodable_payload_is_corrupt () =
   (* a well-formed frame (magic, length, checksum all valid) whose
      payload is not a Marshal stream: the Marshal failure must be caught
@@ -212,18 +229,7 @@ let undecodable_payload_is_corrupt () =
   let hdr = Bytes.create 16 in
   Bytes.blit_string "CFR1" 0 hdr 0 4;
   Bytes.set_int32_be hdr 4 (Int32.of_int (String.length payload));
-  (* reuse the codec's own checksum by splicing a real frame's algorithm:
-     FNV-1a64, reimplemented locally to keep the test honest *)
-  let fnv s =
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-               0x100000001b3L)
-      s;
-    !h
-  in
-  Bytes.set_int64_be hdr 8 (fnv payload);
+  Bytes.set_int64_be hdr 8 (fnv_reference payload);
   with_frame_file
     (fun fd -> write_raw fd (Bytes.to_string hdr ^ payload))
     (fun fd ->
@@ -267,8 +273,6 @@ type counters = {
 }
 
 type reply =
-  | R_hello
-  | R_beat of int
   | R_killme of int
   | R_done of {
       rd_seq : int;
@@ -291,8 +295,7 @@ let reply_frames =
      Array.of_list
        (List.map Ipc.encode
           [
-            R_hello;
-            R_beat 7;
+            R_killme 7;
             finished 0
               (Ok
                  (Wire_judged
@@ -354,6 +357,7 @@ let suite =
   ]
   @ [
       QCheck_alcotest.to_alcotest roundtrip_prop;
+      QCheck_alcotest.to_alcotest fnv_matches_reference_prop;
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 3 |])
         hostile_frame_prop;

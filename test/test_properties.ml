@@ -53,6 +53,14 @@ let datagen_mutants_parse =
           Jsparse.Parser.is_valid m.Comfort.Datagen.m_source)
         (Comfort.Datagen.mutants_of_program dg src))
 
+let screen_verdict_matches_screen_program =
+  QCheck2.Test.make ~count:200
+    ~name:"verdict-only screen equals screen_program's verdict" gen_source
+    (fun src ->
+      match Jsparse.Parser.check_syntax src with
+      | Error _ -> true
+      | Ok p -> Analysis.screen_verdict p = fst (Analysis.screen_program p))
+
 let fuel_monotone =
   (* more fuel can only move a timeout towards completion, never the
      reverse; the final non-timeout signature is stable *)
@@ -722,6 +730,7 @@ let suite =
       reference_never_fires;
       quirkless_testbeds_agree;
       datagen_mutants_parse;
+      screen_verdict_matches_screen_program;
       fuel_monotone;
       reducer_output_still_valid;
       printer_preserves_behavior;
