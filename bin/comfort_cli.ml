@@ -386,7 +386,7 @@ let fuzz_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"PATH"
           ~doc:
-            "Write a resumable campaign snapshot to $(docv) (atomically) \
+            "Write a resumable campaign checkpoint to $(docv) (atomically) \
              every $(b,--checkpoint-every) cases and when the campaign \
              ends.")
   in
@@ -394,7 +394,7 @@ let fuzz_cmd =
     Arg.(
       value & opt int 25
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Cases between checkpoint snapshots (default 25).")
+          ~doc:"Cases between checkpoint saves (default 25).")
   in
   let resume =
     Arg.(

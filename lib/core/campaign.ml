@@ -238,15 +238,48 @@ let default_testbeds () =
   Engines.Engine.latest_testbeds ~mode:Engines.Engine.Normal ()
   @ Engines.Engine.latest_testbeds ~mode:Engines.Engine.Strict ()
 
-(* --- checkpoint / resume --- *)
+(* --- the driver state and its checkpoint --- *)
+
+(* Everything the in-order consumption loop needs, whether freshly
+   gathered by [run] or loaded from a checkpoint by [resume]: a
+   checkpoint is this record itself. Mutable fields are touched only by
+   the driver, in submission order. *)
+type st = {
+  d_fuzzer : string;
+  d_fuel : int;
+  d_strategy : Strategy.t;
+  d_reduce : bool;
+  d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
+  mutable d_specialized : int;
+      (* compilations attributable to this campaign, synced from the
+         process-wide counter by the driver before every checkpoint *)
+  mutable d_cow_clones : int;   (* COW write-barrier journals, same protocol *)
+  d_testbeds : Engines.Engine.testbed list;  (* sweep order *)
+  d_plan : Supervisor.Faultplan.t option;
+  d_sup : Supervisor.t option;  (* Some iff supervision is on *)
+  d_cases : Testcase.t list;    (* the full drawn case list *)
+  mutable d_consumed : int;     (* cases fully consumed, in order *)
+  d_filter : Bugfilter.t;
+  d_seen : (Engines.Registry.engine * Quirk.t, unit) Hashtbl.t;
+  mutable d_discoveries : discovery list;  (* newest first *)
+  mutable d_unattributed : int;
+  mutable d_timeline : (int * int) list;   (* newest first *)
+  d_screened_out : int;
+  d_screen_reasons : (string * int) list;  (* sorted *)
+  d_repaired : int;
+  mutable d_skipped_cases : int;
+  mutable d_aborted : string option;
+      (* fuzzer ran dry at gather time, or quarantine exhausted the pool *)
+  mutable d_stop : bool;  (* stop consuming further cases (pool exhausted) *)
+}
 
 module Checkpoint = struct
   (* A checkpoint is a versioned header line followed by one [Ipc] frame
-     (length, FNV-1a64 checksum, [Marshal] payload) holding the
-     plain-data [state] record below, so a torn, truncated or bit-flipped
-     file is refused before anything is unmarshalled. Everything in it is
-     data — values, records and hashtables (Testcase.t, registry variants,
-     Bugfilter.t, Supervisor.t) — with no closures, so the default
+     (length, FNV-1a64 checksum, [Marshal] payload) holding the driver
+     record [st] itself, so a torn, truncated or bit-flipped file is
+     refused before anything is unmarshalled. Everything in it is data —
+     values, records and hashtables (Testcase.t, testbeds, the fault
+     plan, Bugfilter.t, Supervisor.t) — with no closures, so the default
      marshal flags suffice and the file survives process restarts of the
      same binary.
 
@@ -259,50 +292,29 @@ module Checkpoint = struct
   let magic = "COMFORT-CKPT"
 
   (* v2: added the static reachability analysis' switches and its
-     seeded-share tally. v3: added ck_specialize /
-     ck_audit_specialize and the specialisation counters (quirk-
-     specialised execution). v4: the state is framed and checksummed
-     ([Ipc.encode]) instead of a bare [Marshal]. v5: the seven
-     per-layer switches and audit strides became [ck_strategy] and
-     [ck_audit]. v6: dropped the seeded-share and inline-cache tallies
-     with the mechanisms they counted. v7: quirk sets are two-word
-     bitsets, and the supervisor is stored as itself rather than as a
-     frozen copy. The header check rejects older files
-     rather than guess defaults for fields that change what a resumed
-     campaign runs. *)
-  let version = 7
+     seeded-share tally. v3: added the specialisation switches and
+     counters (quirk-specialised execution). v4: the state is framed and
+     checksummed ([Ipc.encode]) instead of a bare [Marshal]. v5: the
+     seven per-layer switches and audit strides became one strategy and
+     one audit stride. v6: dropped the seeded-share and inline-cache
+     tallies with the mechanisms they counted. v7: quirk sets are
+     two-word bitsets, and the supervisor is stored as itself rather
+     than as a frozen copy. v8: the driver record is stored as itself —
+     testbeds, fault plan and seen table included — and with it the
+     early end ([d_aborted], [d_stop]). The header check rejects older
+     files rather than guess defaults for fields that change what a
+     resumed campaign runs. *)
+  let version = 8
 
-  type state = {
-    ck_fuzzer : string;
-    ck_fuel : int;
-    ck_strategy : Strategy.t;
-    ck_reduce : bool;
-    ck_audit : int;
-    ck_specialized : int;   (* compilation tally accumulated so far *)
-    ck_cow_clones : int;    (* COW write-barrier tally so far *)
-    ck_testbeds : string list;       (* Engine.testbed_id, sweep order *)
-    ck_plan : string option;         (* Faultplan.to_spec *)
-    ck_cases : Testcase.t list;      (* the full drawn case list *)
-    ck_consumed : int;               (* cases fully consumed, in order *)
-    ck_filter : Bugfilter.t;
-    ck_seen : (Engines.Registry.engine * Quirk.t) list;
-    ck_discoveries : discovery list; (* newest first, as the driver holds them *)
-    ck_unattributed : int;
-    ck_timeline : (int * int) list;  (* newest first *)
-    ck_screened_out : int;
-    ck_screen_reasons : (string * int) list;
-    ck_repaired : int;
-    ck_skipped_cases : int;
-    ck_supervisor : Supervisor.t option;  (* Some iff supervised *)
-  }
+  type state = st
 
-  let consumed (st : state) = st.ck_consumed
-  let total (st : state) = List.length st.ck_cases
+  let consumed (st : state) = st.d_consumed
+  let total (st : state) = List.length st.d_cases
 
   let describe (st : state) =
     Printf.sprintf "%s: %d/%d cases consumed, %d discoveries"
-      st.ck_fuzzer st.ck_consumed (total st)
-      (List.length st.ck_discoveries)
+      st.d_fuzzer st.d_consumed (total st)
+      (List.length st.d_discoveries)
 
   (* Write-to-temp plus rename keeps checkpointing atomic: a campaign
      killed mid-save leaves the previous checkpoint intact. The tmp file
@@ -353,82 +365,20 @@ end
 
 (* --- the driver loop --- *)
 
-(* Everything the in-order consumption loop needs, whether freshly
-   gathered by [run] or loaded from a checkpoint by [resume]. Mutable
-   fields are touched only by the driver, in submission order. *)
-type st = {
-  d_fuzzer : string;
-  d_fuel : int;
-  d_strategy : Strategy.t;
-  d_reduce : bool;
-  d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
-  mutable d_specialized : int;
-      (* compilations attributable to this campaign, synced from the
-         process-wide counter by the driver before every checkpoint *)
-  mutable d_cow_clones : int;   (* COW write-barrier journals, same protocol *)
-  d_testbeds : Engines.Engine.testbed list;
-  d_plan : Supervisor.Faultplan.t option;
-  d_sup : Supervisor.t option;  (* Some iff supervision is on *)
-  d_cases : Testcase.t list;
-  mutable d_consumed : int;
-  d_filter : Bugfilter.t;
-  d_seen : (Engines.Registry.engine * Quirk.t, unit) Hashtbl.t;
-  mutable d_discoveries : discovery list;  (* newest first *)
-  mutable d_unattributed : int;
-  mutable d_timeline : (int * int) list;   (* newest first *)
-  d_screened_out : int;
-  d_screen_reasons : (string * int) list;  (* sorted *)
-  d_repaired : int;
-  mutable d_skipped_cases : int;
-  mutable d_aborted : string option;
-  mutable d_stop : bool;  (* stop submitting further cases (pool exhausted) *)
-}
-
-(* What one worker hands back for one case. Unsupervised sweeps are judged
-   on the worker (judging is pure without a supervisor — the pre-existing
-   path, byte for byte); supervised sweeps defer judging to the driver so
-   quarantine and the vote evolve in submission order. *)
+(* What one worker hands back for one case, in-process or across the
+   pipe from a forked worker (so plain data: exceptions are not
+   Marshal-safe). Unsupervised sweeps are judged on the worker (judging
+   is pure without a supervisor); supervised sweeps defer judging to the
+   driver so quarantine and the vote evolve in submission order. *)
 type work =
   | W_judged of Difftest.case_report list
   | W_swept of Difftest.sweep list
-  | W_failed of exn  (* the worker itself blew up: case failed-and-skipped *)
+  | W_failed of string  (* the worker itself blew up: case failed-and-skipped *)
+  | W_audit of string
+      (* an audit divergence: a soundness bug that must poison the whole
+         run, not one case — the driver re-raises it *)
 
-(* [work], flattened for the pipe to a forked worker: exceptions are not
-   Marshal-safe, so worker failures travel as strings and an audit
-   divergence — which must poison the whole run, not one case — as its
-   own constructor the driver re-raises. *)
-type wire =
-  | Wire_judged of Difftest.case_report list
-  | Wire_swept of Difftest.sweep list
-  | Wire_failed of string
-  | Wire_audit of string
-
-let snapshot (d : st) : Checkpoint.state =
-  {
-    Checkpoint.ck_fuzzer = d.d_fuzzer;
-    ck_fuel = d.d_fuel;
-    ck_strategy = d.d_strategy;
-    ck_reduce = d.d_reduce;
-    ck_audit = d.d_audit;
-    ck_specialized = d.d_specialized;
-    ck_cow_clones = d.d_cow_clones;
-    ck_testbeds = List.map Engines.Engine.testbed_id d.d_testbeds;
-    ck_plan = Option.map Supervisor.Faultplan.to_spec d.d_plan;
-    ck_cases = d.d_cases;
-    ck_consumed = d.d_consumed;
-    ck_filter = d.d_filter;
-    ck_seen = Hashtbl.fold (fun k () acc -> k :: acc) d.d_seen [];
-    ck_discoveries = d.d_discoveries;
-    ck_unattributed = d.d_unattributed;
-    ck_timeline = d.d_timeline;
-    ck_screened_out = d.d_screened_out;
-    ck_screen_reasons = d.d_screen_reasons;
-    ck_repaired = d.d_repaired;
-    ck_skipped_cases = d.d_skipped_cases;
-    ck_supervisor = d.d_sup;
-  }
-
-let final (d : st) : result =
+let final (d : st) ~(aborted : string option) : result =
   {
     cp_fuzzer = d.d_fuzzer;
     cp_cases_run = d.d_consumed;
@@ -452,7 +402,7 @@ let final (d : st) : result =
       (match d.d_sup with
       | Some s -> Supervisor.quarantine_list s
       | None -> []);
-    cp_aborted = d.d_aborted;
+    cp_aborted = aborted;
   }
 
 let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
@@ -476,7 +426,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
   (* compilation and COW accounting: the process-wide counters are
      shared by every campaign in the process, so the campaign's tally is
      a before/after delta, folded into [d] (on top of any checkpointed
-     prior) before every snapshot and before the final result *)
+     prior) before every checkpoint save and before the final result *)
   let specialized0 = Compile.specialized_count () in
   let cow0 = Value.cow_count () in
   let specialized_prior = d.d_specialized in
@@ -490,7 +440,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     match checkpoint with
     | Some (path, _) ->
         sync_counters ();
-        Checkpoint.save path (snapshot d);
+        Checkpoint.save path d;
         Some path
     | None -> None
   in
@@ -509,6 +459,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
       | W_failed _ ->
           d.d_skipped_cases <- d.d_skipped_cases + 1;
           []
+      | W_audit m -> raise (Difftest.Audit_mismatch m)
     in
     (* one parse per case, shared by every deviation it produces *)
     let ast =
@@ -628,7 +579,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     | Some (path, every) when (i + 1) mod every = 0 && i + 1 < total ->
         Run.Stage.time Run.Stage.fold (fun () ->
             sync_counters ();
-            Checkpoint.save path (snapshot d))
+            Checkpoint.save path d)
     | _ -> ());
     match halt_after with
     | Some n when i + 1 >= n && i + 1 < total && not d.d_stop ->
@@ -636,7 +587,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         raise (Halted { halted_at = i + 1; halted_checkpoint = ck })
     | _ -> ()
   in
-  let worker ((i, tc) : int * Testcase.t) : work =
+  let sweep ((i, tc) : int * Testcase.t) : work =
     (* one execution-sharing cache per case, shared by the per-mode-group
        sweeps below: the base parses and their compilations run once
        per case instead of once per group. The cache is built and
@@ -670,29 +621,31 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                    ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
   in
+  (* runs in the forked child too: a failure travels as its message *)
+  let worker (it : int * Testcase.t) : work =
+    match sweep it with
+    | w -> w
+    | exception Difftest.Audit_mismatch m -> W_audit m
+    | exception e -> W_failed (Printexc.to_string e)
+  in
   let items =
     List.filteri
       (fun k _ -> k >= d.d_consumed)
       (List.mapi (fun i tc -> (i, tc)) d.d_cases)
   in
+  (* A worker-pool exhaustion ends this run only: it is kept out of [d],
+     so the final checkpoint resumes the remaining cases on a fresh
+     pool. *)
+  let pool_exhausted = ref None in
   let use_workers = workers > 0 && Coordinator.available () in
   if not use_workers then begin
-    (* In-process: one case at a time. A worker exception fails-and-skips
-       its case (the supervised lane's poisoned work); [d_stop] is polled
-       after each consume. *)
+    (* In-process: one case at a time. [d_stop] is tested before each
+       case, so a resumed pool-exhausted campaign runs none. *)
     let rec loop = function
-      | [] -> ()
-      | ((i, tc) as it) :: rest ->
-          let w =
-            match worker it with
-            | w -> w
-            (* an audit divergence is a soundness bug, never a fault to
-               absorb — let it poison the run loudly *)
-            | exception (Difftest.Audit_mismatch _ as e) -> raise e
-            | exception e -> W_failed e
-          in
-          consume i tc w;
-          if not d.d_stop then loop rest
+      | ((i, tc) as it) :: rest when not d.d_stop ->
+          consume i tc (worker it);
+          loop rest
+      | _ -> ()
     in
     loop items
   end
@@ -700,16 +653,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     (* Process-isolated fan-out (DESIGN.md §14): same worker function and
        same in-submission-order consume, so the report is byte-identical
        to the in-process loop — but a segfaulting, hung or hard-killed
-       execution now costs one child process, not the campaign. Runs in
-       the child, so results cross a pipe as [wire]. *)
-    let worker_wire (it : int * Testcase.t) : wire =
-      match worker it with
-      | W_judged rs -> Wire_judged rs
-      | W_swept sws -> Wire_swept sws
-      | W_failed e -> Wire_failed (Printexc.to_string e)
-      | exception Difftest.Audit_mismatch m -> Wire_audit m
-    in
-    (* SIGINT/SIGTERM land between consumes: finish the case in hand,
+       execution now costs one child process, not the campaign.
+       SIGINT/SIGTERM land between consumes: finish the case in hand,
        write a final checkpoint, and surface [Interrupted] so the
        operator kill is always resumable. Installed only around the
        multi-process phase; the previous behaviour is restored even if
@@ -724,27 +669,17 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         Sys.set_signal Sys.sigterm prev_term)
       (fun () ->
         try
-          Coordinator.with_pool ~workers ?limits:worker_limits
-            ~worker:worker_wire (fun pool ->
+          Coordinator.with_pool ~workers ?limits:worker_limits ~worker
+            (fun pool ->
               Coordinator.run_ordered pool
-                ~on_task_fail:(fun _ _ msg -> Wire_failed msg)
+                ~on_task_fail:(fun _ _ msg -> W_failed msg)
                 ~stop:(fun () -> d.d_stop || !interrupted <> None)
                 items
-                ~consume:(fun _ (i, tc) w ->
-                  let work =
-                    match w with
-                    | Wire_judged rs -> W_judged rs
-                    | Wire_swept sws -> W_swept sws
-                    | Wire_failed msg ->
-                        W_failed (Failure ("worker: " ^ msg))
-                    | Wire_audit m -> raise (Difftest.Audit_mismatch m)
-                  in
-                  consume i tc work))
+                ~consume:(fun _ (i, tc) w -> consume i tc w))
         with Coordinator.Exhausted msg ->
-          (* PR 5 pool-exhaustion semantics: partial report, marked
-             aborted, non-zero CLI exit — never a crash *)
-          if d.d_aborted = None then
-            d.d_aborted <- Some ("worker pool exhausted: " ^ msg));
+          (* partial report, marked aborted, non-zero CLI exit — never a
+             crash *)
+          pool_exhausted := Some ("worker pool exhausted: " ^ msg));
     match !interrupted with
     | Some name ->
         let ck = save_ck () in
@@ -756,7 +691,9 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
       ignore (save_ck ());
-      final d)
+      final d
+        ~aborted:
+          (match d.d_aborted with None -> !pool_exhausted | a -> a))
 
 let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
@@ -860,55 +797,5 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
   drive ~workers ?worker_limits ?checkpoint ?halt_after d
 
 let resume ?(workers = Coordinator.default_workers ()) ?worker_limits
-    ?checkpoint ?halt_after (ck : Checkpoint.state) : result =
-  let testbeds =
-    List.map
-      (fun id ->
-        match Engines.Engine.testbed_of_id id with
-        | Some tb -> tb
-        | None ->
-            invalid_arg
-              ("Campaign.resume: checkpoint names unknown testbed " ^ id))
-      ck.Checkpoint.ck_testbeds
-  in
-  let plan =
-    match ck.Checkpoint.ck_plan with
-    | None -> None
-    | Some spec -> (
-        match Supervisor.Faultplan.of_spec spec with
-        | Ok p -> Some p
-        | Error e ->
-            invalid_arg ("Campaign.resume: bad fault plan in checkpoint: " ^ e))
-  in
-  let seen : (Engines.Registry.engine * Quirk.t, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter (fun k -> Hashtbl.replace seen k ()) ck.Checkpoint.ck_seen;
-  let d =
-    {
-      d_fuzzer = ck.Checkpoint.ck_fuzzer;
-      d_fuel = ck.Checkpoint.ck_fuel;
-      d_strategy = ck.Checkpoint.ck_strategy;
-      d_reduce = ck.Checkpoint.ck_reduce;
-      d_audit = ck.Checkpoint.ck_audit;
-      d_specialized = ck.Checkpoint.ck_specialized;
-      d_cow_clones = ck.Checkpoint.ck_cow_clones;
-      d_testbeds = testbeds;
-      d_plan = plan;
-      d_sup = ck.Checkpoint.ck_supervisor;
-      d_cases = ck.Checkpoint.ck_cases;
-      d_consumed = ck.Checkpoint.ck_consumed;
-      d_filter = ck.Checkpoint.ck_filter;
-      d_seen = seen;
-      d_discoveries = ck.Checkpoint.ck_discoveries;
-      d_unattributed = ck.Checkpoint.ck_unattributed;
-      d_timeline = ck.Checkpoint.ck_timeline;
-      d_screened_out = ck.Checkpoint.ck_screened_out;
-      d_screen_reasons = ck.Checkpoint.ck_screen_reasons;
-      d_repaired = ck.Checkpoint.ck_repaired;
-      d_skipped_cases = ck.Checkpoint.ck_skipped_cases;
-      d_aborted = None;
-      d_stop = false;
-    }
-  in
+    ?checkpoint ?halt_after (d : Checkpoint.state) : result =
   drive ~workers ?worker_limits ?checkpoint ?halt_after d

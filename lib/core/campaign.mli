@@ -96,12 +96,14 @@ val comfort_fuzzer : ?seed:int -> ?with_datagen:bool -> unit -> fuzzer
 (** Latest version of every engine, in both modes (20 testbeds). *)
 val default_testbeds : unit -> Engines.Engine.testbed list
 
-(** Campaign checkpoints: a versioned, checksummed snapshot of the whole
-    driver state — drawn cases, consumed count, discoveries, filter tree,
-    timeline, screening counters, supervisor (quarantine + stats). The
-    case list subsumes an RNG cursor: every random draw happens before
-    the first case executes, so resume replays the exact remaining
-    cases (format notes in DESIGN.md §10). *)
+(** Campaign checkpoints: the driver's own state record, versioned,
+    checksummed and marshalled as itself — campaign parameters,
+    testbeds, fault plan, drawn cases, consumed count, discoveries,
+    filter tree, timeline, screening counters, supervisor (quarantine +
+    stats) and an early end (a fuzzer that ran dry, a testbed pool
+    exhausted by quarantine). The case list subsumes an RNG cursor:
+    every random draw happens before the first case executes, so resume
+    replays the exact remaining cases (format notes in DESIGN.md §10). *)
 module Checkpoint : sig
   type state
 
@@ -112,7 +114,7 @@ module Checkpoint : sig
       bit-flipped frame is an [Error] naming the damage. *)
   val load : string -> (state, string) Stdlib.result
 
-  (** Cases fully consumed when the snapshot was taken. *)
+  (** Cases fully consumed when the checkpoint was saved. *)
   val consumed : state -> int
 
   (** Total cases the campaign drew. *)
@@ -153,7 +155,7 @@ end
                      quarantine threshold); supplying either [faults] or
                      [policy] turns supervision on, with all three absent
                      the pipeline is byte-identical to the unsupervised one
-    @param checkpoint [(path, every)]: snapshot the driver state to [path]
+    @param checkpoint [(path, every)]: save the driver state to [path]
                      after every [every] consumed cases (atomically), and
                      once more when the campaign finishes
     @param halt_after deterministically halt (raising {!Halted}) once this
@@ -190,15 +192,17 @@ val run :
   fuzzer ->
   result
 
-(** Continue a checkpointed campaign to completion. Every campaign
-    parameter except [workers] (orthogonal to the outcome) is restored
-    from the checkpoint; the final report is byte-identical to the
-    uninterrupted run's, at any worker count on either side of the
-    kill.
+(** Continue a checkpointed campaign to completion. The loaded state is
+    taken over, not copied: it carries every campaign parameter except
+    [workers] (orthogonal to the outcome), and the driver mutates it as
+    it consumes cases, so load a fresh state for every resume. The final
+    report is byte-identical to the uninterrupted run's, at any worker
+    count on either side of the kill; resuming the final checkpoint of
+    a finished or early-ended campaign runs nothing and reproduces its
+    report. A worker-pool exhaustion is not stored: resuming after one
+    retries the remaining cases.
     [checkpoint]/[halt_after] behave as in {!run}, so a resumed campaign
-    can itself checkpoint and halt.
-    @raise Invalid_argument when the checkpoint names testbeds or a fault
-    plan this binary does not know. *)
+    can itself checkpoint and halt. *)
 val resume :
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->

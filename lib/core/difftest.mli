@@ -83,7 +83,7 @@ type sweep = {
 (** The worker half of one differential test: execute the case on every
     applicable testbed under the fault plan and supervision policy.
     [supervisor] is consulted only through its racy monotone quarantine
-    snapshot, to skip work {!judge} would discard. With no
+    roster, to skip work {!judge} would discard. With no
     [plan]/[policy] the per-testbed execution is the bare engine run.
     [strategy] (default {!Jsinterp.Strategy.default}) selects the
     execution path; the sweep is byte-identical either way.

@@ -24,13 +24,13 @@ type t = {
 }
 
 (* Process-wide case id source. *)
-let counter = Atomic.make 0
+let counter = ref 0
 
 let make_parsed (provenance : provenance) (source : string) :
     t * Jsast.Ast.program option =
   let parse = Result.to_option (Jsparse.Parser.check_syntax source) in
   ( {
-      tc_id = Atomic.fetch_and_add counter 1 + 1;
+      tc_id = (incr counter; !counter);
       tc_source = source;
       tc_provenance = provenance;
       tc_syntax_valid = Option.is_some parse;

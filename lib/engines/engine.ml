@@ -15,26 +15,6 @@ type testbed = {
 let testbed_id (tb : testbed) =
   Printf.sprintf "%s[%s]" (Registry.id tb.tb_config) (mode_to_string tb.tb_mode)
 
-(* Inverse of [testbed_id], for reviving testbeds named in serialised
-   state (campaign checkpoints store the testbed set by id so a resumed
-   campaign provably sweeps the same pool). *)
-let testbed_of_id (s : string) : testbed option =
-  let parse mode suffix =
-    if String.length s > String.length suffix
-       && String.sub s (String.length s - String.length suffix)
-            (String.length suffix)
-          = suffix
-    then
-      Option.map
-        (fun cfg -> { tb_config = cfg; tb_mode = mode })
-        (Registry.config_of_id
-           (String.sub s 0 (String.length s - String.length suffix)))
-    else None
-  in
-  match parse Normal "[normal]" with
-  | Some tb -> Some tb
-  | None -> parse Strict "[strict]"
-
 (* The paper's 102 testbeds: 51 configurations x 2 modes. *)
 let all_testbeds : testbed list =
   List.concat_map

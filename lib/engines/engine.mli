@@ -10,10 +10,6 @@ type testbed = { tb_config : Registry.config; tb_mode : mode }
 
 val testbed_id : testbed -> string
 
-(** Inverse of {!testbed_id}; [None] for an id naming no registered
-    configuration. Used to revive campaign checkpoints. *)
-val testbed_of_id : string -> testbed option
-
 (** All 102 testbeds. *)
 val all_testbeds : testbed list
 

@@ -346,11 +346,6 @@ let find_config ~engine ~version : config option =
     (fun c -> c.cfg_engine = engine && c.cfg_version = version)
     all_configs
 
-(* Inverse of [id], for reviving configs named in serialised state
-   (campaign checkpoints store testbeds by id). *)
-let config_of_id (s : string) : config option =
-  List.find_opt (fun c -> id c = s) all_configs
-
 (* Ground truth: the distinct (engine, quirk) pairs that exist anywhere in
    the registry — i.e. the total population of unique bugs a perfect fuzzer
    could find. *)

@@ -75,10 +75,6 @@ val all_configs : config list
 val latest : engine -> config
 val find_config : engine:engine -> version:string -> config option
 
-(** Inverse of {!id}: the config a rendered id names, if any. Used to
-    revive configs from serialised state (campaign checkpoints). *)
-val config_of_id : string -> config option
-
 (** The distinct (engine, bug) pairs seeded anywhere in the registry: the
     population a perfect fuzzer could discover. *)
 val all_bugs : (engine * Jsinterp.Quirk.t) list

@@ -9,12 +9,12 @@
 
 open Ast
 
-let counter = Atomic.make 0
+let counter = ref 0
 
-let fresh () = Atomic.fetch_and_add counter 1 + 1
+let fresh () = incr counter; !counter
 
 (* Reset only from tests that assert on concrete ids. *)
-let reset_ids () = Atomic.set counter 0
+let reset_ids () = counter := 0
 
 let e (desc : expr_desc) : expr = { eid = fresh (); e = desc }
 let s (desc : stmt_desc) : stmt = { sid = fresh (); s = desc }

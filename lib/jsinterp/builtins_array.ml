@@ -148,7 +148,7 @@ let install ctx (array_proto : obj) : unit =
          joins 64k pieces, and the two intermediate lists of the list
          form outlived the minor heap. Only an object element can run
          user code (its [toString]) that stores into the array, so the
-         elements are snapshotted only when one is present. *)
+         elements are copied first only when one is present. *)
       let n = min a.alen (Array.length a.elems) in
       let elems =
         let rec has_obj i =
@@ -357,8 +357,8 @@ let install ctx (array_proto : obj) : unit =
       in
       let count = min (upto - from) (n - target) in
       if count > 0 then begin
-        let snapshot = Array.sub a.elems from count in
-        Array.blit snapshot 0 a.elems target count
+        let moved = Array.sub a.elems from count in
+        Array.blit moved 0 a.elems target count
       end;
       this);
 

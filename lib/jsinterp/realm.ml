@@ -34,7 +34,7 @@ type t = {
    never invoked during installation (nothing calls user code), and the
    quirk set is irrelevant because installation consults no checkpoints. *)
 let build () : t =
-  let oid0 = Atomic.get obj_counter in
+  let oid0 = !obj_counter in
   let global = make_obj ~oclass:"Object" () in
   let global_scope =
     { bindings = Hashtbl.create 16; parent = None; frozen_names = [] }
@@ -67,7 +67,7 @@ let build () : t =
     }
   in
   Builtins.install ctx;
-  let oid1 = Atomic.get obj_counter in
+  let oid1 = !obj_counter in
   {
     rt_global = ctx.global;
     rt_protos = ctx.protos;

@@ -37,15 +37,15 @@ let default_fuel = 2_000_000
    results inherited through the execution-sharing layer), so a campaign
    can report executions-per-case and the tests can assert how much work
    sharing saved. *)
-let runs = Atomic.make 0
+let runs = ref 0
 
-let run_count () = Atomic.get runs
+let run_count () = !runs
 
 (* Fold executions performed elsewhere (a forked campaign worker, whose
    address space dies with it) into this process's count; the
    coordinator calls it with per-task deltas so campaign statistics are
    identical with and without process isolation. *)
-let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
+let add_runs n = if n > 0 then runs := !runs + n
 
 (* Whole-pipeline profiler. Off by default: a disabled probe pays one ref
    read. Two layers of attribution:
@@ -69,9 +69,9 @@ let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
 module Stage = struct
   let enabled = ref false
 
-  type slot = { ns : int Atomic.t; bytes : int Atomic.t }
+  type slot = { mutable ns : int; mutable bytes : int }
 
-  let mk () = { ns = Atomic.make 0; bytes = Atomic.make 0 }
+  let mk () = { ns = 0; bytes = 0 }
 
   (* interpreter substages *)
   let parse = mk ()
@@ -105,19 +105,12 @@ module Stage = struct
   let reset () =
     List.iter
       (fun (_, s) ->
-        Atomic.set s.ns 0;
-        Atomic.set s.bytes 0)
+        s.ns <- 0;
+        s.bytes <- 0)
       (sub_slots @ pipe_slots)
 
-  (* legacy view: (parse, compile, realm-install, exec) nanosecond totals *)
-  let read () =
-    ( Atomic.get parse.ns,
-      Atomic.get compile.ns,
-      Atomic.get realm.ns,
-      Atomic.get exec.ns )
-
   let read_of slots =
-    List.map (fun (n, s) -> (n, Atomic.get s.ns, Atomic.get s.bytes)) slots
+    List.map (fun (n, s) -> (n, s.ns, s.bytes)) slots
 
   (* (name, wall ns, allocated bytes) rows, in pipeline order *)
   let pipeline () = read_of pipe_slots
@@ -126,8 +119,8 @@ module Stage = struct
   let record (slot : slot) (t0 : float) (a0 : float) : unit =
     let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
     let b = int_of_float (Gc.allocated_bytes () -. a0) in
-    ignore (Atomic.fetch_and_add slot.ns ns);
-    ignore (Atomic.fetch_and_add slot.bytes b)
+    slot.ns <- slot.ns + ns;
+    slot.bytes <- slot.bytes + b
 
   (* interpreter-substage probe: always records when enabled *)
   let time_sub (slot : slot) (f : unit -> 'a) : 'a =
@@ -432,7 +425,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         ex_reparsed = false;
       }
   | Ok prog ->
-      Atomic.incr runs;
+      incr runs;
       let parse_opts = parse_opts_of ~base:parse_opts quirks in
       (* copy, never mutate: [prog] may be shared across testbeds *)
       let prog =

@@ -58,10 +58,6 @@ module Stage : sig
   val enabled : bool ref
   val reset : unit -> unit
 
-  (** (parse, compile, realm-install, exec) nanosecond totals — the
-      interpreter-substage view, kept for the benchmark harness *)
-  val read : unit -> int * int * int * int
-
   type slot
 
   (** The pipeline stages, in campaign order. *)

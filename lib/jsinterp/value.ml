@@ -194,11 +194,11 @@ exception Out_of_fuel
 exception Deopt_to_tree
 
 (* Process-wide object id source. *)
-let obj_counter = Atomic.make 0
+let obj_counter = ref 0
 
 let make_obj ?(oclass = "Object") ?(proto = Null) () =
   {
-    oid = Atomic.fetch_and_add obj_counter 1 + 1;
+    oid = (incr obj_counter; !obj_counter);
     oclass;
     proto;
     props = [];
@@ -264,16 +264,16 @@ let cow_journal : cow_save list ref = ref []
 
 (* Process-wide count of lazily journaled template objects ("COW clones");
    campaigns report the delta as [cp_cow_clones]. *)
-let cow_clones = Atomic.make 0
-let cow_count () = Atomic.get cow_clones
+let cow_clones = ref 0
+let cow_count () = !cow_clones
 
 (* Fold a forked campaign worker's COW-clone delta into this process's
    count (see [Run.add_runs]). *)
-let add_cow n = if n > 0 then ignore (Atomic.fetch_and_add cow_clones n)
+let add_cow n = if n > 0 then cow_clones := !cow_clones + n
 
 let cow_save (o : obj) : unit =
   o.cow <- 2;
-  Atomic.incr cow_clones;
+  incr cow_clones;
   cow_journal :=
     {
       cs_obj = o;

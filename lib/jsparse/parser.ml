@@ -170,12 +170,12 @@ let check_params st params =
     params
 
 (* Cumulative front-end invocation count of this process. The campaign's
-   parse cache is sized against this: tests snapshot it around a
+   parse cache is sized against this: tests read it around a
    [Difftest.run_case] call to assert one parse per distinct front-end
    group rather than two or three per testbed. *)
-let parses = Atomic.make 0
+let parses = ref 0
 
-let parse_count () = Atomic.get parses
+let parse_count () = !parses
 
 (* An arrow function starts here: edition-gated, so report it. *)
 let arrow_ok st =
@@ -184,7 +184,7 @@ let arrow_ok st =
 
 let rec parse_program ?(opts = default_options) ?(force_strict = false)
     (src : string) : Ast.program =
-  Atomic.incr parses;
+  incr parses;
   let toks =
     try Lexer.tokenize src
     with Lexer.Error (msg, line) -> raise (Syntax_error (msg, line))

@@ -62,7 +62,7 @@ val check_syntax : string -> (Jsast.Ast.program, string * int) result
 val is_valid : string -> bool
 
 (** Cumulative number of {!parse_program} invocations in this process
-    ([check_syntax]/[is_valid] parse too). Snapshot before/after an
+    ([check_syntax]/[is_valid] parse too). Read it before and after an
     operation to measure how many front-end passes it cost — the
     campaign's per-case parse cache is tested against this counter. *)
 val parse_count : unit -> int

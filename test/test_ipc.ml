@@ -255,16 +255,19 @@ let error_strings_are_distinct () =
 (* --- hostile input over real worker-reply frames ---
 
    A forked campaign worker answers each dispatched case with an [R_done]
-   reply carrying either judged case reports or raw sweeps. The protocol
+   reply carrying judged case reports, raw sweeps, or the message of a
+   case that raised or failed its audit. The protocol
    types are private to the coordinator and the campaign; Marshal is
    structural, so these same-shaped mirrors encode to the very frames a
    worker sends. Every truncation and every byte mutation of such a frame
    must decode to a typed [Error] or to the original value, and must
    never raise. *)
 
-type wire =
-  | Wire_judged of Comfort.Difftest.case_report list
-  | Wire_swept of Comfort.Difftest.sweep list
+type work =
+  | W_judged of Comfort.Difftest.case_report list
+  | W_swept of Comfort.Difftest.sweep list
+  | W_failed of string
+  | W_audit of string
 
 type counters = {
   c_runs : int;
@@ -276,7 +279,7 @@ type reply =
   | R_killme of int
   | R_done of {
       rd_seq : int;
-      rd_reply : (wire, string) result;
+      rd_reply : (work, string) result;
       rd_counters : counters;
     }
 
@@ -298,13 +301,15 @@ let reply_frames =
             R_killme 7;
             finished 0
               (Ok
-                 (Wire_judged
+                 (W_judged
                     (List.map (Comfort.Difftest.run_case testbeds) cases)));
             finished 1
               (Ok
-                 (Wire_swept
+                 (W_swept
                     (List.map (Comfort.Difftest.sweep_case testbeds) cases)));
-            finished 2 (Error "worker: Failure(\"boom\")");
+            finished 2 (Ok (W_failed "Failure(\"boom\")"));
+            finished 3 (Ok (W_audit "testbed V8: output differs"));
+            finished 4 (Error "worker died unexpectedly");
           ]))
 
 (* truncate, or overwrite one to four bytes, of one real reply frame *)

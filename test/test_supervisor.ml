@@ -369,17 +369,19 @@ let in_process_worker_exception_skips_case () =
     (res.Campaign.cp_skipped_cases < 20);
   Alcotest.(check (option string)) "not aborted" None res.Campaign.cp_aborted
 
+(* every testbed crashes on every attempt: by the time the quarantine
+   threshold trips everywhere, no mode group can vote and the campaign
+   winds down instead of burning the rest of the budget *)
+let run_pool_exhausted ?checkpoint () =
+  Campaign.run
+    ~testbeds:(Lazy.force testbeds)
+    ~budget:20
+    ~faults:(plan_of_spec "seed=2;crash=1.0")
+    ?checkpoint
+    (Campaign.comfort_fuzzer ~seed:23 ())
+
 let all_testbeds_quarantined_aborts () =
-  (* every testbed crashes on every attempt: by the time the quarantine
-     threshold trips everywhere, no mode group can vote and the campaign
-     winds down instead of burning the rest of the budget *)
-  let res =
-    Campaign.run
-      ~testbeds:(Lazy.force testbeds)
-      ~budget:20
-      ~faults:(plan_of_spec "seed=2;crash=1.0")
-      (Campaign.comfort_fuzzer ~seed:23 ())
-  in
+  let res = run_pool_exhausted () in
   Alcotest.(check bool) "aborted" true (res.Campaign.cp_aborted <> None);
   Alcotest.(check bool) "stopped early" true (res.Campaign.cp_cases_run < 20);
   Alcotest.(check bool) "no discoveries from injected faults" true
@@ -388,7 +390,8 @@ let all_testbeds_quarantined_aborts () =
     (List.length (Lazy.force testbeds))
     (List.length res.Campaign.cp_quarantined)
 
-let fuzzer_exhaustion_aborts () =
+(* a fuzzer that hands out five cases, then dies *)
+let run_drained ?checkpoint () =
   let remaining = ref 5 in
   let fz =
     {
@@ -406,9 +409,10 @@ let fuzzer_exhaustion_aborts () =
           end);
     }
   in
-  let res =
-    Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 fz
-  in
+  Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ?checkpoint fz
+
+let fuzzer_exhaustion_aborts () =
+  let res = run_drained () in
   Alcotest.(check bool) "aborted with a reason" true
     (match res.Campaign.cp_aborted with
     | Some r -> contains r "fuzzer exhausted"
@@ -445,8 +449,9 @@ let checkpoint_load_rejects_garbage () =
 (* A well-framed checkpoint behind an older format's header line: the
    header check must refuse it before anything is unmarshalled. v4
    states still carried the per-layer switches; v6 states held
-   tree-shaped quirk sets and a frozen supervisor copy, which a v7
-   reader would misread. *)
+   tree-shaped quirk sets and a frozen supervisor copy; v7 states were a
+   field-by-field copy of the driver record without its early end,
+   which a v8 reader would misread. *)
 let checkpoint_load_rejects_old ~version payload () =
   let path = ckpt_path (Printf.sprintf "comfort-test-v%d.ckpt" version) in
   let oc = open_out_bin path in
@@ -589,6 +594,26 @@ let resume_can_halt_again () =
     (Campaign.resume st2);
   Sys.remove path
 
+(* A campaign that ended early stores its early end: resuming its final
+   checkpoint runs nothing and reproduces the report, abort reason and
+   case count included, in-process and on forked workers alike. *)
+let resume_of_final_checkpoint name
+    (run : ?checkpoint:string * int -> unit -> Campaign.result) () =
+  let path = ckpt_path name in
+  let res = run ~checkpoint:(path, 1000) () in
+  Alcotest.(check bool) "campaign ended early" true
+    (res.Campaign.cp_aborted <> None);
+  let load () =
+    match Campaign.Checkpoint.load path with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "final checkpoint unreadable: %s" e
+  in
+  check_results_equal "resumed in-process" res
+    (Campaign.resume ~workers:0 (load ()));
+  check_results_equal "resumed on 2 workers" res
+    (Campaign.resume ~workers:2 (load ()));
+  Sys.remove path
+
 let suite =
   [
     Helpers.case "fault plan: spec round-trip and validation" plan_spec_round_trip;
@@ -613,8 +638,16 @@ let suite =
     Helpers.case "checkpoint: v6 header refused"
       (checkpoint_load_rejects_old ~version:6
          (Comfort.Ipc.encode ("Comfort", 300_000, [ 1; 2 ])));
+    Helpers.case "checkpoint: v7 header refused"
+      (checkpoint_load_rejects_old ~version:7
+         (Comfort.Ipc.encode ("Comfort", 300_000, None)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
+    Helpers.case "checkpoint: resuming a pool-exhausted campaign is a no-op"
+      (resume_of_final_checkpoint "comfort-test-pool-exhausted.ckpt"
+         run_pool_exhausted);
+    Helpers.case "checkpoint: resuming a drained-fuzzer campaign is a no-op"
+      (resume_of_final_checkpoint "comfort-test-drained.ckpt" run_drained);
     QCheck_alcotest.to_alcotest checkpoint_damage_property;
   ]
