@@ -185,6 +185,19 @@ let difftest_cmd =
 let fuzz budget fuzzer_name seed feedback workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
   let workers = resolve_workers workers in
+  (* a resumed campaign runs the parameters stored in its checkpoint;
+     options that would silently lose to them are usage errors *)
+  if Option.is_some resume
+     && (budget, fuzzer_name, seed, faults) <> (None, None, None, None)
+  then begin
+    prerr_endline
+      "--resume restores the campaign from its checkpoint: it cannot be \
+       combined with --budget/--fuzzer/--seed/--faults";
+    exit 2
+  end;
+  let budget = Option.value budget ~default:1000 in
+  let fuzzer_name = Option.value fuzzer_name ~default:"comfort" in
+  let seed = Option.value seed ~default:7 in
   let plan =
     match faults with
     | None -> (
@@ -224,6 +237,7 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
        --feedback/--resume\n";
     exit 2
   end;
+  let counts0 = Cutil.Counter.snapshot () in
   let respawns0 = Comfort.Coordinator.stat_respawns () in
   let kills0 = Comfort.Coordinator.stat_kills () in
   let hangs0 = Comfort.Coordinator.stat_hangs () in
@@ -334,9 +348,15 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
         d.Comfort.Campaign.disc_behavior
         (Jsinterp.Quirk.to_string d.Comfort.Campaign.disc_quirk))
     res.Comfort.Campaign.cp_discoveries;
-  if profile then
+  if profile then begin
     print_string (Comfort.Metrics.profile_to_string
                     (Comfort.Metrics.profile ~wall_ns));
+    print_endline "counters (deltas over the campaign):";
+    let delta = Cutil.Counter.since counts0 in
+    List.iteri
+      (fun i (name, _) -> Printf.printf "  %-22s %d\n" name delta.(i))
+      (Cutil.Counter.to_list ())
+  end;
   match res.Comfort.Campaign.cp_aborted with
   | Some reason ->
       Printf.eprintf "campaign aborted early: %s\n" reason;
@@ -345,13 +365,17 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
 
 let fuzz_cmd =
   let budget =
-    Arg.(value & opt int 1000 & info [ "budget" ] ~doc:"Number of test cases.")
+    Arg.(value & opt (some int) None
+         & info [ "budget" ] ~doc:"Number of test cases (default 1000).")
   in
   let fuzzer =
-    Arg.(value & opt string "comfort" & info [ "fuzzer" ]
-           ~doc:"comfort | deepsmith | fuzzilli | codealchemist | die | montage")
+    Arg.(value & opt (some string) None & info [ "fuzzer" ]
+           ~doc:"comfort | deepsmith | fuzzilli | codealchemist | die | \
+                 montage (default comfort)")
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
+  let seed =
+    Arg.(value & opt (some int) None & info [ "seed" ] ~doc:"RNG seed (default 7).")
+  in
   let feedback =
     Arg.(value & flag & info [ "feedback" ]
            ~doc:"Mutate bug-exposing cases between rounds (the §5.5 extension).")
@@ -404,8 +428,10 @@ let fuzz_cmd =
           ~doc:
             "Continue a checkpointed campaign instead of starting fresh. \
              Every campaign parameter except $(b,--workers) is restored from \
-             the checkpoint; the final report is identical to the \
-             uninterrupted run's.")
+             the checkpoint, so $(b,--budget), $(b,--fuzzer), $(b,--seed) \
+             and $(b,--faults) are usage errors with it, and the \
+             checkpoint's fault plan wins over $(b,COMFORT_FAULTS); the \
+             final report is identical to the uninterrupted run's.")
   in
   let halt_after =
     Arg.(

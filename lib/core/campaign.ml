@@ -250,10 +250,9 @@ type st = {
   d_strategy : Strategy.t;
   d_reduce : bool;
   d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
-  mutable d_specialized : int;
-      (* compilations attributable to this campaign, synced from the
-         process-wide counter by the driver before every checkpoint *)
-  mutable d_cow_clones : int;   (* COW write-barrier journals, same protocol *)
+  mutable d_counts : int array;
+      (* this campaign's share of every [Cutil.Counter] count, brought up
+         to date by the driver before every checkpoint and the result *)
   d_testbeds : Engines.Engine.testbed list;  (* sweep order *)
   d_plan : Supervisor.Faultplan.t option;
   d_sup : Supervisor.t option;  (* Some iff supervision is on *)
@@ -301,10 +300,11 @@ module Checkpoint = struct
      two-word bitsets, and the supervisor is stored as itself rather
      than as a frozen copy. v8: the driver record is stored as itself —
      testbeds, fault plan and seen table included — and with it the
-     early end ([d_aborted], [d_stop]). The header check rejects older
-     files rather than guess defaults for fields that change what a
-     resumed campaign runs. *)
-  let version = 8
+     early end ([d_aborted], [d_stop]). v9: the compilation and COW
+     tallies became one vector of every registered counter. The header
+     check rejects older files rather than guess defaults for fields
+     that change what a resumed campaign runs. *)
+  let version = 9
 
   type state = st
 
@@ -390,8 +390,8 @@ let final (d : st) ~(aborted : string option) : result =
     cp_screen_reasons = d.d_screen_reasons;
     cp_repaired = d.d_repaired;
     cp_reach_seeded = 0;
-    cp_specialized = d.d_specialized;
-    cp_cow_clones = d.d_cow_clones;
+    cp_specialized = Cutil.Counter.at d.d_counts Compile.specialized;
+    cp_cow_clones = Cutil.Counter.at d.d_counts Value.cow_clones;
     cp_ic_hits = 0;
     cp_skipped_cases = d.d_skipped_cases;
     cp_faults =
@@ -423,23 +423,18 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     |> List.filter (fun l -> l <> [])
   in
   let total = List.length d.d_cases in
-  (* compilation and COW accounting: the process-wide counters are
-     shared by every campaign in the process, so the campaign's tally is
-     a before/after delta, folded into [d] (on top of any checkpointed
-     prior) before every checkpoint save and before the final result *)
-  let specialized0 = Compile.specialized_count () in
-  let cow0 = Value.cow_count () in
-  let specialized_prior = d.d_specialized in
-  let cow_prior = d.d_cow_clones in
-  let sync_counters () =
-    d.d_specialized <-
-      specialized_prior + (Compile.specialized_count () - specialized0);
-    d.d_cow_clones <- cow_prior + (Value.cow_count () - cow0)
+  (* the registry's counts are shared by every campaign in the process,
+     so the campaign's share is the checkpointed prior plus this run's
+     delta *)
+  let prior = d.d_counts in
+  let counts0 = Cutil.Counter.snapshot () in
+  let tally () =
+    d.d_counts <- Array.map2 ( + ) prior (Cutil.Counter.since counts0)
   in
   let save_ck () =
     match checkpoint with
     | Some (path, _) ->
-        sync_counters ();
+        tally ();
         Checkpoint.save path d;
         Some path
     | None -> None
@@ -576,10 +571,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         end
     | _ -> ());
     (match checkpoint with
-    | Some (path, every) when (i + 1) mod every = 0 && i + 1 < total ->
-        Run.Stage.time Run.Stage.fold (fun () ->
-            sync_counters ();
-            Checkpoint.save path d)
+    | Some (_, every) when (i + 1) mod every = 0 && i + 1 < total ->
+        Run.Stage.time Run.Stage.fold (fun () -> ignore (save_ck ()))
     | _ -> ());
     match halt_after with
     | Some n when i + 1 >= n && i + 1 < total && not d.d_stop ->
@@ -603,9 +596,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
           (List.map
              (fun tbs ->
                Difftest.sweep_case ~fuel:d.d_fuel ~strategy:d.d_strategy
-                 ?plan:d.d_plan ~policy:(Supervisor.policy sup)
-                 ~supervisor:sup ~case_key:i ~cache:(Lazy.force case_cache)
-                 tbs tc)
+                 ?plan:d.d_plan ~supervisor:sup ~case_key:i
+                 ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
     | None ->
         (* cases are keyed by their submission index, so the audit sample
@@ -668,6 +660,10 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         Sys.set_signal Sys.sigint prev_int;
         Sys.set_signal Sys.sigterm prev_term)
       (fun () ->
+        (* children inherit shared immutable state copy-on-write; force
+           the expensive lazies now so each child doesn't rebuild them *)
+        ignore (Lazy.force Specdb.Db.standard);
+        ignore (Lazy.force Lm.Model.comfort);
         try
           Coordinator.with_pool ~workers ?limits:worker_limits ~worker
             (fun pool ->
@@ -686,7 +682,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         raise (Interrupted { int_signal = name; int_at = d.d_consumed; int_checkpoint = ck })
     | None -> ()
   end;
-  sync_counters ();
+  tally ();
   (* final checkpoint: resuming a finished campaign is a cheap no-op that
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
@@ -698,18 +694,15 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
 let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
     ?(workers = Coordinator.default_workers ()) ?worker_limits ?strategy
-    ?(audit = 0) ?faults ?policy ?checkpoint ?halt_after (fz : fuzzer) :
+    ?(audit = 0) ?faults ?checkpoint ?halt_after (fz : fuzzer) :
     result =
   let strategy = Strategy.value strategy in
   let plan =
     match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
   in
-  let supervised = Option.is_some plan || Option.is_some policy in
-  if audit > 0 && supervised then
-    invalid_arg
-      "Campaign.run: audit cannot be combined with fault injection or \
-       supervision";
-  let sup = if supervised then Some (Supervisor.create ?policy ()) else None in
+  if audit > 0 && Option.is_some plan then
+    invalid_arg "Campaign.run: audit cannot be combined with fault injection";
+  let sup = Option.map (fun _ -> Supervisor.create ()) plan in
   let aborted = ref None in
   (* a fuzzer that dies (e.g. the generator's refill cap) aborts the
      campaign gracefully: whatever was gathered still runs, the report is
@@ -772,8 +765,7 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
       d_strategy = strategy;
       d_reduce = reduce;
       d_audit = audit;
-      d_specialized = 0;
-      d_cow_clones = 0;
+      d_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
       d_testbeds = testbeds;
       d_plan = plan;
       d_sup = sup;

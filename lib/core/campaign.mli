@@ -100,7 +100,9 @@ val default_testbeds : unit -> Engines.Engine.testbed list
     checksummed and marshalled as itself — campaign parameters,
     testbeds, fault plan, drawn cases, consumed count, discoveries,
     filter tree, timeline, screening counters, supervisor (quarantine +
-    stats) and an early end (a fuzzer that ran dry, a testbed pool
+    stats), this campaign's share of every {!Cutil.Counter} count (the
+    source of {!result.cp_specialized} and {!result.cp_cow_clones}) and
+    an early end (a fuzzer that ran dry, a testbed pool
     exhausted by quarantine). The case list subsumes an RNG cursor:
     every random draw happens before the first case executes, so resume
     replays the exact remaining cases (format notes in DESIGN.md §10). *)
@@ -144,17 +146,16 @@ end
                      index, so the sample is deterministic) runs under both
                      strategies through {!Difftest.audit_case}, which
                      raises {!Difftest.Audit_mismatch} on any divergence.
-                     Incompatible with [faults]/[policy]
+                     Incompatible with [faults]
     @param faults    deterministic fault-injection plan applied to every
                      supervised testbed execution (chaos campaigns);
                      defaults to [COMFORT_FAULTS] from the environment.
-                     Injected faults are retried, quarantined and counted
-                     in {!result.cp_faults} — they can never surface as
-                     deviations or discoveries
-    @param policy    supervision policy (retries, backoff, watchdog,
-                     quarantine threshold); supplying either [faults] or
-                     [policy] turns supervision on, with all three absent
-                     the pipeline is byte-identical to the unsupervised one
+                     A plan turns supervision on, under
+                     {!Supervisor.default_policy}: injected faults are
+                     retried, quarantined and counted in
+                     {!result.cp_faults} — they can never surface as
+                     deviations or discoveries. Without one the pipeline
+                     is the unsupervised one
     @param checkpoint [(path, every)]: save the driver state to [path]
                      after every [every] consumed cases (atomically), and
                      once more when the campaign finishes
@@ -186,7 +187,6 @@ val run :
   ?strategy:Jsinterp.Strategy.t ->
   ?audit:int ->
   ?faults:Supervisor.Faultplan.t ->
-  ?policy:Supervisor.policy ->
   ?checkpoint:string * int ->
   ?halt_after:int ->
   fuzzer ->

@@ -17,7 +17,7 @@
    leave via Unix._exit (plain exit would flush duplicated buffers into
    the parent's output). Children talk only over their own two pipes. *)
 
-open Jsinterp
+module Counter = Cutil.Counter
 
 type limits = {
   li_watchdog_s : float;
@@ -42,12 +42,12 @@ let exit_watchdog = 86
 
 (* --- process-wide robustness telemetry (driver-mutated only) ------- *)
 
-let respawns_total = ref 0
-let kills_total = ref 0
-let hangs_total = ref 0
-let stat_respawns () = !respawns_total
-let stat_kills () = !kills_total
-let stat_hangs () = !hangs_total
+let respawns = Counter.make "coordinator.respawns"
+let kills = Counter.make "coordinator.kills"
+let hangs = Counter.make "coordinator.hangs"
+let stat_respawns () = Counter.get respawns
+let stat_kills () = Counter.get kills
+let stat_hangs () = Counter.get hangs
 
 let available () =
   Sys.unix
@@ -66,43 +66,19 @@ let default_workers () =
 type 'a dispatch =
   | D_task of { dt_seq : int; dt_absorbed : int; dt_payload : 'a }
 
-(* Per-task deltas of the process-wide campaign counters. A child's
-   address space dies with it, so completed replies carry their counter
-   contribution home; deltas from dispatches that died are lost with
-   the child — exactly right, because the surviving re-dispatch redoes
-   that work, keeping folded totals identical to an in-process run. *)
-type counters = {
-  c_runs : int;
-  c_specialized : int;
-  c_cow : int;
-}
-
+(* [rd_counters] is the task's delta of every registered counter
+   ([Counter.since]). A child's address space dies with it, so completed
+   replies carry their counter contribution home; deltas from dispatches
+   that died are lost with the child — exactly right, because the
+   surviving re-dispatch redoes that work, keeping folded totals
+   identical to an in-process run. *)
 type 'b reply =
   | R_killme of int  (* unabsorbed worker_kill draw: SIGKILL me *)
   | R_done of {
       rd_seq : int;
       rd_reply : ('b, string) result;  (* Error: the task raised *)
-      rd_counters : counters;
+      rd_counters : int array;
     }
-
-let sample_counters () =
-  {
-    c_runs = Run.run_count ();
-    c_specialized = Compile.specialized_count ();
-    c_cow = Value.cow_count ();
-  }
-
-let delta_counters a b =
-  {
-    c_runs = b.c_runs - a.c_runs;
-    c_specialized = b.c_specialized - a.c_specialized;
-    c_cow = b.c_cow - a.c_cow;
-  }
-
-let fold_counters c =
-  Run.add_runs c.c_runs;
-  Compile.add_specialized c.c_specialized;
-  Value.add_cow c.c_cow
 
 (* --- child side ---------------------------------------------------- *)
 
@@ -146,14 +122,13 @@ let run_child ~(limits : limits) ~(fn : 'a -> 'b) ~(task_r : Unix.file_descr)
               if Unix.getppid () <> parent then Unix._exit 0
             done);
         arm_itimer limits.li_watchdog_s;
-        let c0 = sample_counters () in
+        let c0 = Counter.snapshot () in
         let r = try Ok (fn dt_payload) with e -> Error (Printexc.to_string e) in
         arm_itimer 0.0;
         Supervisor.disarm_kill_hook ();
-        let c1 = sample_counters () in
         send
           (R_done
-             { rd_seq = dt_seq; rd_reply = r; rd_counters = delta_counters c0 c1 });
+             { rd_seq = dt_seq; rd_reply = r; rd_counters = Counter.since c0 });
         loop ()
   in
   loop ()
@@ -242,10 +217,6 @@ let create ~workers ?(limits = default_limits) ~worker () : ('a, 'b) t =
   if workers <= 0 then invalid_arg "Coordinator.create: workers must be > 0";
   if limits.li_watchdog_s <= 0.0 then
     invalid_arg "Coordinator.create: li_watchdog_s must be > 0";
-  (* Children inherit shared immutable state copy-on-write; force the
-     expensive lazies now so each child doesn't rebuild them. *)
-  ignore (Lazy.force Specdb.Db.standard);
-  ignore (Lazy.force Lm.Model.comfort);
   (* EPIPE (a dead worker under our write) must be an error to classify,
      not a process-killing signal *)
   let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -296,7 +267,7 @@ let with_pool ~workers ?limits ~worker f =
    never starve a long chaos campaign of the budget that guards against
    real death storms. *)
 let respawn (t : ('a, 'b) t) ~(charge : bool) (w : wstate) : unit =
-  incr respawns_total;
+  Counter.incr respawns;
   if charge then begin
     t.co_respawns <- t.co_respawns + 1;
     if t.co_respawns > t.co_limits.li_respawn_budget then
@@ -352,7 +323,7 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
        checkpoint taken at consume point k must account for exactly the
        first k cases, or a resumed campaign would replay — and
        double-count — the lookahead work folded early. *)
-    let pending : (int, (b, string) result * counters option) Hashtbl.t =
+    let pending : (int, (b, string) result * int array option) Hashtbl.t =
       Hashtbl.create 64
     in
     let redis = ref [] in (* tasks owed a re-dispatch, any order *)
@@ -379,8 +350,8 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
         | kind, _ -> kind
       in
       (match kind with
-      | `Kill -> incr kills_total
-      | `Hang -> incr hangs_total
+      | `Kill -> Counter.incr kills
+      | `Hang -> Counter.incr hangs
       | `Crash -> ());
       (match inflight with
       | [] -> ()
@@ -506,7 +477,7 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
               Hashtbl.remove pending seq;
               (* fold before [consume]: a checkpoint taken inside the
                  consume callback must already account for this case *)
-              Option.iter fold_counters cnt;
+              Option.iter Counter.absorb cnt;
               let v =
                 match (r, on_task_fail) with
                 | Ok v, _ -> v

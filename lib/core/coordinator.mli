@@ -39,9 +39,10 @@
     payload), which campaign sweeps are; replies are consumed strictly
     in submission order; deliberate [worker_kill] deaths re-dispatch
     with an incremented absorb count (see [Supervisor.arm_kill_hook]) so
-    the surviving execution is exactly the in-process one; and counter
-    deltas are folded only from completed replies, so statistics also
-    match in-process runs exactly. *)
+    the surviving execution is exactly the in-process one; and each
+    completed reply carries the task's delta of every {!Cutil.Counter}
+    count, folded when the reply is consumed, so statistics also match
+    in-process runs exactly. *)
 
 (** Pool limits. *)
 type limits = {
@@ -83,9 +84,9 @@ val default_workers : unit -> int
 val create :
   workers:int -> ?limits:limits -> worker:('a -> 'b) -> unit -> ('a, 'b) t
 (** Fork [workers] children, each looping over dispatched tasks with
-    [worker]. Shared lazy state (spec database, LM) is forced first so
-    children inherit it copy-on-write. [worker] runs in the child;
-    exceptions it raises are shipped back as strings and
+    [worker]. Children inherit the caller's state copy-on-write, so
+    force shared lazy state before creating the pool. [worker] runs in
+    the child; exceptions it raises are shipped back as strings and
     surface through [run_ordered]'s [on_task_fail]. *)
 
 val shutdown : ('a, 'b) t -> unit
@@ -117,9 +118,10 @@ val run_ordered :
 
 (** {2 Process-wide robustness telemetry}
 
-    Monotone counters over every pool in this process, driver-mutated
-    only. The CLI prints the deltas of a run; tests use them to assert
-    that real process deaths (not just simulated faults) occurred. *)
+    Monotone counts over every pool in this process, driver-mutated
+    only; they are the [coordinator.*] entries of {!Cutil.Counter}. The
+    CLI prints the deltas of a run; tests use them to assert that real
+    process deaths (not just simulated faults) occurred. *)
 
 val stat_respawns : unit -> int
 (** Workers forked to replace a dead one (any cause). *)

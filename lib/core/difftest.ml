@@ -153,7 +153,7 @@ type sweep = {
     (Engines.Engine.testbed * Jsinterp.Run.result Supervisor.outcome) list;
 }
 
-let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
+let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?supervisor
     ?(case_key = 0) ?cache (testbeds : Engines.Engine.testbed list)
     (tc : Testcase.t) : sweep =
   Run.Stage.time Run.Stage.sweep @@ fun () ->
@@ -181,7 +181,7 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
         Engines.Engine.Frontend.supports fc tb.Engines.Engine.tb_config)
       testbeds
   in
-  let supervised = supervisor <> None || plan <> None || policy <> None in
+  let supervised = supervisor <> None || plan <> None in
   let execs =
     List.map
       (fun (tb : Engines.Engine.testbed) ->
@@ -200,15 +200,12 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?policy ?supervisor
                even on a worker's stale fork-time copy: the judge
                re-checks against driver state, and the quarantine set
                only grows *)
-            match supervisor with
-            | Some sup when Supervisor.quarantined sup tb_id ->
+            match (supervisor, plan) with
+            | Some sup, _ when Supervisor.quarantined sup tb_id ->
                 Supervisor.Skipped
-            | _ ->
-                if plan = None && policy = None then
-                  Supervisor.Done (thunk (), Supervisor.ok_meta)
-                else
-                  Supervisor.execute ?plan ?policy ~testbed_id:tb_id
-                    ~case_key thunk
+            | _, None -> Supervisor.Done (thunk (), Supervisor.ok_meta)
+            | _, Some plan ->
+                Supervisor.execute ~plan ~testbed_id:tb_id ~case_key thunk
         in
         (tb, outcome))
       applicable
@@ -383,12 +380,12 @@ let judge ?supervisor (sw : sweep) : case_report =
 
 (* One differential test, sweep and judge in one go — the entry point for
    everything that tests a case outside a supervised campaign loop. With
-   no [plan]/[policy]/[supervisor] this computes exactly what it did
+   no [plan]/[supervisor] this computes exactly what it did
    before the supervision layer existed. *)
-let run_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
+let run_case ?fuel ?strategy ?plan ?supervisor ?case_key ?cache
     (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
   judge ?supervisor
-    (sweep_case ?fuel ?strategy ?plan ?policy ?supervisor ?case_key ?cache
+    (sweep_case ?fuel ?strategy ?plan ?supervisor ?case_key ?cache
        testbeds tc)
 
 (* Field-wise report equality; testbeds are compared by id. *)

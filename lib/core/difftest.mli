@@ -81,10 +81,11 @@ type sweep = {
 }
 
 (** The worker half of one differential test: execute the case on every
-    applicable testbed under the fault plan and supervision policy.
+    applicable testbed under the fault plan and the supervisor's
+    {!Supervisor.default_policy}.
     [supervisor] is consulted only through its racy monotone quarantine
     roster, to skip work {!judge} would discard. With no
-    [plan]/[policy] the per-testbed execution is the bare engine run.
+    [plan] the per-testbed execution is the bare engine run.
     [strategy] (default {!Jsinterp.Strategy.default}) selects the
     execution path; the sweep is byte-identical either way.
     [cache] shares one per-case {!Engines.Engine.Exec} cache across this
@@ -97,7 +98,6 @@ val sweep_case :
   ?fuel:int ->
   ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
-  ?policy:Supervisor.policy ->
   ?supervisor:Supervisor.t ->
   ?case_key:int ->
   ?cache:Engines.Engine.Exec.cache ->
@@ -117,15 +117,14 @@ val judge : ?supervisor:Supervisor.t -> sweep -> case_report
     collapses into behavioural equivalence classes via
     {!Engines.Engine.Exec}, executing once per class instead of once per
     testbed; the report is byte-identical under [Reference] (DESIGN.md,
-    "Execution strategy"). [plan]/[policy]/[supervisor] enable supervised
-    execution (DESIGN.md §10); with all three absent the report is
+    "Execution strategy"). [plan]/[supervisor] enable supervised
+    execution (DESIGN.md §10); with both absent the report is
     exactly the pre-supervision one. [cache] is passed through to
     {!sweep_case}. *)
 val run_case :
   ?fuel:int ->
   ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
-  ?policy:Supervisor.policy ->
   ?supervisor:Supervisor.t ->
   ?case_key:int ->
   ?cache:Engines.Engine.Exec.cache ->

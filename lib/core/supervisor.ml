@@ -137,22 +137,6 @@ module Faultplan = struct
                 | _ -> Error (Printf.sprintf "unknown fault-plan key %S" k))))
       (Ok default) fields
 
-  let to_spec (t : t) : string =
-    let f k v = if v = 0.0 then [] else [ Printf.sprintf "%s=%g" k v ] in
-    String.concat ";"
-      ([ Printf.sprintf "seed=%d" t.fp_seed ]
-      @ (if t.fp_targets = [] then []
-         else [ "targets=" ^ String.concat "|" t.fp_targets ])
-      @ f "crash" t.fp_crash @ f "hang" t.fp_hang @ f "flaky" t.fp_flaky
-      @ (if t.fp_flaky > 0.0 && t.fp_flaky_tries <> 1 then
-           [ Printf.sprintf "flaky_tries=%d" t.fp_flaky_tries ]
-         else [])
-      @ f "slow" t.fp_slow
-      @ (if t.fp_slow > 0.0 && t.fp_slow_max <> default.fp_slow_max then
-           [ Printf.sprintf "slow_max=%d" t.fp_slow_max ]
-         else [])
-      @ f "worker_kill" t.fp_kill)
-
   (* COMFORT_FAULTS, the chaos-campaign switch CI uses. A malformed spec
      fails loudly: silently fuzzing without faults would defeat the job. *)
   let from_env () : t option =
@@ -369,7 +353,6 @@ let zero_stats =
     st_slow = 0; st_backoff = 0 }
 
 type t = {
-  sup_policy : policy;
   sup_consec : (string, int) Hashtbl.t;  (* testbed id -> consecutive
                                             faulted cases *)
   mutable sup_quarantined : (string * int) list;  (* (testbed id, case key
@@ -378,15 +361,13 @@ type t = {
   mutable sup_stats : stats;
 }
 
-let create ?(policy = default_policy) () : t =
+let create () : t =
   {
-    sup_policy = policy;
     sup_consec = Hashtbl.create 16;
     sup_quarantined = [];
     sup_stats = zero_stats;
   }
 
-let policy (t : t) = t.sup_policy
 let stats (t : t) = t.sup_stats
 let quarantine_list (t : t) = t.sup_quarantined
 
@@ -431,7 +412,7 @@ let observe (t : t) ~(case_key : int)
               st_backoff = !s.st_backoff + fr.fr_backoff;
             };
           if
-            consec >= t.sup_policy.p_quarantine_after
+            consec >= default_policy.p_quarantine_after
             && not (quarantined t tb_id)
           then t.sup_quarantined <- t.sup_quarantined @ [ (tb_id, case_key) ])
     obs;

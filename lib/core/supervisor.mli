@@ -56,9 +56,6 @@ module Faultplan : sig
       errors. *)
   val of_spec : string -> (t, string) result
 
-  (** Render back to a spec that {!of_spec} round-trips. *)
-  val to_spec : t -> string
-
   (** The COMFORT_FAULTS environment variable, parsed; [None] when unset
       or empty. @raise Invalid_argument on a malformed spec — silently
       fuzzing without faults would defeat a chaos job. *)
@@ -75,7 +72,8 @@ module Faultplan : sig
     t -> testbed_id:string -> case_key:int -> attempt:int -> fault_kind option
 end
 
-(** Supervision policy for one campaign. *)
+(** Supervision policy. Campaigns and {!observe} use {!default_policy};
+    {!execute} takes another, so a test can substitute its own. *)
 type policy = {
   p_retries : int;
       (** extra attempts after a faulted first try (default 2) *)
@@ -159,8 +157,7 @@ val zero_stats : stats
     quarantine set, aggregate stats. Mutated only by {!observe}. *)
 type t
 
-val create : ?policy:policy -> unit -> t
-val policy : t -> policy
+val create : unit -> t
 val stats : t -> stats
 
 (** Quarantined testbeds as [(testbed id, case key that tripped the

@@ -40,12 +40,7 @@ type gstate = { mutable gs_deopts : int }
 
 (* Process-wide count of slot compilations, surfaced by campaign reports
    as [cp_specialized]. *)
-let specialized = ref 0
-let specialized_count () = !specialized
-
-(* Fold a forked campaign worker's compilation delta into this process's
-   count (see [Run.add_runs]). *)
-let add_specialized n = if n > 0 then specialized := !specialized + n
+let specialized = Cutil.Counter.make "jsinterp.specialized"
 
 let mk_frame (names : string array) (frz : string list) (parent : frame option)
     : frame =
@@ -1113,7 +1108,7 @@ let compile (prog : Ast.program) : t =
     }
   else begin
     let strict = prog.Ast.prog_strict in
-    incr specialized;
+    Cutil.Counter.incr specialized;
     let gs = { gs_deopts = 0 } in
     let plevel = R.new_level () in
     let vars, funcs = R.hoisted prog.Ast.prog_body in

@@ -31,21 +31,11 @@ let status_to_string = function
 
 let default_fuel = 2_000_000
 
-(* Cumulative interpreter-execution count of this process — the
-   execution-side analogue of [Jsparse.Parser.parse_count]. Incremented
-   once per program actually evaluated (never for parse failures or for
-   results inherited through the execution-sharing layer), so a campaign
-   can report executions-per-case and the tests can assert how much work
-   sharing saved. *)
-let runs = ref 0
+(* Programs actually evaluated in this process (see [run_count]): never
+   parse failures, nor results inherited through execution sharing. *)
+let runs = Cutil.Counter.make "jsinterp.runs"
 
-let run_count () = !runs
-
-(* Fold executions performed elsewhere (a forked campaign worker, whose
-   address space dies with it) into this process's count; the
-   coordinator calls it with per-task deltas so campaign statistics are
-   identical with and without process isolation. *)
-let add_runs n = if n > 0 then runs := !runs + n
+let run_count () = Cutil.Counter.get runs
 
 (* Whole-pipeline profiler. Off by default: a disabled probe pays one ref
    read. Two layers of attribution:
@@ -425,7 +415,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         ex_reparsed = false;
       }
   | Ok prog ->
-      incr runs;
+      Cutil.Counter.incr runs;
       let parse_opts = parse_opts_of ~base:parse_opts quirks in
       (* copy, never mutate: [prog] may be shared across testbeds *)
       let prog =

@@ -33,14 +33,9 @@ val default_fuel : int
     execution-side analogue of [Jsparse.Parser.parse_count]. Parse
     failures and results inherited through {!share} do not count, so a
     before/after delta measures exactly how many real evaluations a
-    campaign (or the sharing layer) performed. *)
+    campaign (or the sharing layer) performed. It is the [jsinterp.runs]
+    entry of {!Cutil.Counter}, which folds forked workers' counts home. *)
 val run_count : unit -> int
-
-(** Fold [n] executions performed in another process (a forked campaign
-    worker, whose counters die with it) into {!run_count}; the campaign
-    coordinator folds per-task deltas so statistics are identical with
-    and without process isolation. No-op for [n <= 0]. *)
-val add_runs : int -> unit
 
 (** Whole-pipeline campaign profiler. Disabled by default (a disabled
     probe pays one ref read); when [enabled] is set, every probe adds its

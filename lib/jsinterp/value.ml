@@ -264,16 +264,11 @@ let cow_journal : cow_save list ref = ref []
 
 (* Process-wide count of lazily journaled template objects ("COW clones");
    campaigns report the delta as [cp_cow_clones]. *)
-let cow_clones = ref 0
-let cow_count () = !cow_clones
-
-(* Fold a forked campaign worker's COW-clone delta into this process's
-   count (see [Run.add_runs]). *)
-let add_cow n = if n > 0 then cow_clones := !cow_clones + n
+let cow_clones = Cutil.Counter.make "jsinterp.cow_clones"
 
 let cow_save (o : obj) : unit =
   o.cow <- 2;
-  incr cow_clones;
+  Cutil.Counter.incr cow_clones;
   cow_journal :=
     {
       cs_obj = o;

@@ -169,13 +169,10 @@ let check_params st params =
       else Hashtbl.add seen p ())
     params
 
-(* Cumulative front-end invocation count of this process. The campaign's
-   parse cache is sized against this: tests read it around a
-   [Difftest.run_case] call to assert one parse per distinct front-end
-   group rather than two or three per testbed. *)
-let parses = ref 0
+(* Front-end invocations in this process (see [parse_count]). *)
+let parses = Cutil.Counter.make "jsparse.parses"
 
-let parse_count () = !parses
+let parse_count () = Cutil.Counter.get parses
 
 (* An arrow function starts here: edition-gated, so report it. *)
 let arrow_ok st =
@@ -184,7 +181,7 @@ let arrow_ok st =
 
 let rec parse_program ?(opts = default_options) ?(force_strict = false)
     (src : string) : Ast.program =
-  incr parses;
+  Cutil.Counter.incr parses;
   let toks =
     try Lexer.tokenize src
     with Lexer.Error (msg, line) -> raise (Syntax_error (msg, line))

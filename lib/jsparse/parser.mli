@@ -64,5 +64,6 @@ val is_valid : string -> bool
 (** Cumulative number of {!parse_program} invocations in this process
     ([check_syntax]/[is_valid] parse too). Read it before and after an
     operation to measure how many front-end passes it cost — the
-    campaign's per-case parse cache is tested against this counter. *)
+    campaign's per-case parse cache is tested against this counter, the
+    [jsparse.parses] entry of {!Cutil.Counter}. *)
 val parse_count : unit -> int

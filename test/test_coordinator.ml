@@ -330,6 +330,41 @@ let campaign_identical_across_worker_counts () =
   Test_supervisor.check_results_equal "workers 0 vs 4" base
     (run_kill_chaos ~workers:4 ())
 
+(* Every registered count a child moves folds home with its replies, so
+   a campaign's deltas match in-process ones, real hard-kills included.
+   The plan has no crashes, so no testbed is quarantined: a worker
+   consults its fork-time copy of the quarantine roster and runs the
+   executions of a testbed the driver quarantined after that fork, real
+   work the in-process loop skips. The pool's own counts (respawns,
+   kills) exist only with workers. *)
+let counts_folded_from_children () =
+  requires_fork ();
+  let plan =
+    match
+      Faultplan.of_spec "seed=11;targets=Hermes|Rhino|Nashorn;worker_kill=0.25;flaky=0.3"
+    with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let deltas workers =
+    let counts0 = Cutil.Counter.snapshot () in
+    ignore
+      (Campaign.run ~budget:12 ~workers ~faults:plan
+         (Campaign.comfort_fuzzer ~seed:23 ()));
+    Cutil.Counter.since counts0
+  in
+  let delta0 = deltas 0 in
+  let k0 = Coordinator.stat_kills () in
+  let delta2 = deltas 2 in
+  Alcotest.(check bool) "real hard-kills occurred" true
+    (Coordinator.stat_kills () > k0);
+  List.iteri
+    (fun i (name, _) ->
+      if not (String.starts_with ~prefix:"coordinator." name) then
+        Alcotest.(check int) (name ^ " folded from children") delta0.(i)
+          delta2.(i))
+    (Cutil.Counter.to_list ())
+
 let campaign_halt_resume_across_worker_counts () =
   requires_fork ();
   let path =
@@ -428,6 +463,8 @@ let suite =
       pipelined_kill_charges_executing_task;
     Helpers.case "campaign: identical at workers 0/1/2/4 under worker_kill"
       campaign_identical_across_worker_counts;
+    Helpers.case "campaign: every count folds home from children"
+      counts_folded_from_children;
     Helpers.case "campaign: halt + resume across worker counts"
       campaign_halt_resume_across_worker_counts;
     Helpers.case "campaign: pool exhaustion -> aborted partial report"

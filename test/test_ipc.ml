@@ -269,18 +269,12 @@ type work =
   | W_failed of string
   | W_audit of string
 
-type counters = {
-  c_runs : int;
-  c_specialized : int;
-  c_cow : int;
-}
-
 type reply =
   | R_killme of int
   | R_done of {
       rd_seq : int;
       rd_reply : (work, string) result;
-      rd_counters : counters;
+      rd_counters : int array;
     }
 
 let reply_frames =
@@ -289,9 +283,8 @@ let reply_frames =
        (Comfort.Campaign.comfort_fuzzer ~seed:17 ()).Comfort.Campaign.fz_batch 3
      in
      let testbeds = Comfort.Campaign.default_testbeds () in
-     let counters =
-       { c_runs = 12; c_specialized = 3; c_cow = 0 }
-     in
+     (* a delta vector of the registry's real length *)
+     let counters = Cutil.Counter.snapshot () in
      let finished seq w =
        R_done { rd_seq = seq; rd_reply = w; rd_counters = counters }
      in

@@ -100,7 +100,6 @@ let supervised_sum_bounded_by_wall () =
   let _, wall_ns =
     profiled (fun () ->
         Campaign.run ~budget:60 ~workers:0 ~faults:plan
-          ~policy:Supervisor.default_policy
           (Campaign.comfort_fuzzer ~seed:23 ()))
   in
   let rows = Stage.pipeline () in

@@ -133,8 +133,10 @@ let counters_engage () =
   (* deltas of the process-wide counters across targeted runs; the
      fuzzer's own corpus is array- and primitive-heavy, so these
      hand-written programs are the canary that the fast paths exist *)
-  let spec0 = Jsinterp.Compile.specialized_count () in
-  let cow0 = Jsinterp.Value.cow_count () in
+  let compilations () = Cutil.Counter.get Jsinterp.Compile.specialized in
+  let cow_clones () = Cutil.Counter.get Jsinterp.Value.cow_clones in
+  let spec0 = compilations () in
+  let cow0 = cow_clones () in
   ignore
     (Run.run ~strategy:Strategy.Fast
        "var o = {a: 1, b: 2};\n\
@@ -144,9 +146,9 @@ let counters_engage () =
     (Run.run ~strategy:Strategy.Fast
        "Object.prototype.z = 7;\nvar o = {};\nprint(o.z);");
   Alcotest.(check bool) "compilations happened" true
-    (Jsinterp.Compile.specialized_count () > spec0);
+    (compilations () > spec0);
   Alcotest.(check bool) "write barrier journaled a template mutation" true
-    (Jsinterp.Value.cow_count () > cow0);
+    (cow_clones () > cow0);
   Alcotest.(check bool) "rollback restored the template" true
     (Realm.check_pristine () = Ok ())
 

@@ -3,7 +3,7 @@
    The properties that matter, each covered directly:
 
    - fault plans are deterministic pure functions of (seed, testbed, case,
-     attempt) and round-trip through their spec syntax;
+     attempt), and their spec syntax refuses malformed specs;
    - [Supervisor.execute] retries transient faults with deterministic
      backoff, gives up on persistent ones, and injected faults can never
      surface as engine behaviour;
@@ -41,12 +41,10 @@ let contains haystack needle =
 
 (* --- fault plans --- *)
 
-let plan_spec_round_trip () =
-  let spec = "seed=9;targets=V8|Hermes;crash=0.1;hang=0.05;flaky=0.3;flaky_tries=2;slow=0.2" in
-  let p = plan_of_spec spec in
-  let p' = plan_of_spec (Faultplan.to_spec p) in
-  Alcotest.(check string) "to_spec is a fixpoint" (Faultplan.to_spec p)
-    (Faultplan.to_spec p');
+let plan_spec_validation () =
+  ignore
+    (plan_of_spec
+       "seed=9;targets=V8|Hermes;crash=0.1;hang=0.05;flaky=0.3;flaky_tries=2;slow=0.2");
   Alcotest.(check bool) "unknown key rejected" true
     (Result.is_error (Faultplan.of_spec "seed=1;crsh=0.5"));
   Alcotest.(check bool) "probability out of range rejected" true
@@ -58,8 +56,8 @@ let plan_from_env () =
   Unix.putenv "COMFORT_FAULTS" "seed=3;crash=0.5";
   (match Faultplan.from_env () with
   | Some p ->
-      Alcotest.(check string) "env plan parsed" "seed=3;crash=0.5"
-        (Faultplan.to_spec p)
+      Alcotest.(check bool) "env plan parsed" true
+        (p = plan_of_spec "seed=3;crash=0.5")
   | None -> Alcotest.fail "COMFORT_FAULTS ignored");
   Unix.putenv "COMFORT_FAULTS" "nonsense";
   Alcotest.check_raises "malformed env spec fails loudly"
@@ -450,8 +448,9 @@ let checkpoint_load_rejects_garbage () =
    header check must refuse it before anything is unmarshalled. v4
    states still carried the per-layer switches; v6 states held
    tree-shaped quirk sets and a frozen supervisor copy; v7 states were a
-   field-by-field copy of the driver record without its early end,
-   which a v8 reader would misread. *)
+   field-by-field copy of the driver record without its early end; v8
+   states held two counter tallies where a v9 reader expects the vector
+   of every registered counter. *)
 let checkpoint_load_rejects_old ~version payload () =
   let path = ckpt_path (Printf.sprintf "comfort-test-v%d.ckpt" version) in
   let oc = open_out_bin path in
@@ -616,7 +615,7 @@ let resume_of_final_checkpoint name
 
 let suite =
   [
-    Helpers.case "fault plan: spec round-trip and validation" plan_spec_round_trip;
+    Helpers.case "fault plan: spec validation" plan_spec_validation;
     Helpers.case "fault plan: COMFORT_FAULTS parsing" plan_from_env;
     Helpers.case "fault plan: draws are pure and non-degenerate" plan_draw_is_deterministic;
     Helpers.case "fault plan: targets filter" plan_targets_filter;
@@ -641,6 +640,9 @@ let suite =
     Helpers.case "checkpoint: v7 header refused"
       (checkpoint_load_rejects_old ~version:7
          (Comfort.Ipc.encode ("Comfort", 300_000, None)));
+    Helpers.case "checkpoint: v8 header refused"
+      (checkpoint_load_rejects_old ~version:8
+         (Comfort.Ipc.encode ("Comfort", 300_000, 0, 0)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
