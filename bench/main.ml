@@ -456,27 +456,27 @@ let ablate () =
       let fz =
         let gen = Comfort.Generator.create ~seed:43 ~keep_invalid:keep () in
         let dg = Comfort.Datagen.create ~seed:44 () in
-        let queue = Queue.create () in
-        {
-          Comfort.Campaign.fz_name =
-            Printf.sprintf "Comfort-keep%.0f%%" (100.0 *. keep);
-          fz_raw = None;
-          fz_batch =
-            (fun n ->
-              while Queue.length queue < n do
-                match Comfort.Generator.next gen with
-                | None -> ()
-                | Some (tc, parse) ->
-                    Queue.add tc queue;
-                    Option.iter
-                      (fun p ->
-                        List.iter
-                          (fun m -> Queue.add m queue)
-                          (Comfort.Datagen.mutate dg p))
-                      parse
-              done;
-              List.init n (fun _ -> Queue.pop queue));
-        }
+        let pending = ref Seq.empty in
+        let rec next () =
+          match !pending () with
+          | Seq.Cons (c, rest) ->
+              pending := rest;
+              c
+          | Seq.Nil ->
+              (match Comfort.Generator.next gen with
+              | None -> ()
+              | Some ((_, parse) as c) ->
+                  pending :=
+                    Seq.cons c
+                      (match parse with
+                      | Some p -> Comfort.Datagen.mutate dg p
+                      | None -> Seq.empty));
+              next ()
+        in
+        Comfort.Campaign.make_fuzzer
+          ~name:(Printf.sprintf "Comfort-keep%.0f%%" (100.0 *. keep))
+          ~raw:None
+          (fun n -> Seq.init n (fun _ -> next ()))
       in
       let res = Comfort.Campaign.run ~budget:(fig8_budget / 2) fz in
       let parser_bugs =

@@ -35,7 +35,7 @@ let () =
   let dg = Comfort.Datagen.create ~seed:5 () in
   let mutants =
     match Jsparse.Parser.check_syntax tc.Comfort.Testcase.tc_source with
-    | Ok p -> Comfort.Datagen.mutate dg p
+    | Ok p -> List.of_seq (Seq.map fst (Comfort.Datagen.mutate dg p))
     | Error _ -> []
   in
   Printf.printf "%d mutated test cases; first one:\n\n" (List.length mutants);

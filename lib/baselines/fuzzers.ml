@@ -12,8 +12,14 @@ open Jsast
 module B = Builder
 module Rng = Cutil.Rng
 
+(* A case with the parse its syntax check made, as a draw yields it. *)
 let mk_case name src =
-  Comfort.Testcase.make ~provenance:(Comfort.Testcase.P_fuzzer name) src
+  Comfort.Testcase.make_parsed (Comfort.Testcase.P_fuzzer name) src
+
+(* A fuzzer whose draw builds each case with [case ()]. *)
+let fuzzer name ~raw case =
+  Comfort.Campaign.make_fuzzer ~name ~raw (fun n ->
+      Seq.init n (fun _ -> case ()))
 
 (* Synthesize a naive driver for uncalled top-level functions: random
    argument values, print the result. This is the "random input generation
@@ -71,53 +77,46 @@ let deepsmith ?(seed = 21) () : Comfort.Campaign.fuzzer =
     Lm.Model.generate model rng ~prefix:header ~k:10 ~max_tokens:3000
       ~stop:(Comfort.Generator.brace_stop ())
   in
-  {
-    Comfort.Campaign.fz_name = "DeepSmith";
-    fz_raw = Some (fun n -> List.init n (fun _ -> gen ()));
-    fz_batch =
-      (fun n ->
-        List.init n (fun _ ->
-            let src = gen () in
-            let src =
-              match Mutator.parse_opt src with
-              | Some p -> Mutator.to_src (naive_driver rng p)
-              | None -> src
-            in
-            mk_case "DeepSmith" src));
-  }
+  fuzzer "DeepSmith"
+    ~raw:(Some (fun n -> List.init n (fun _ -> gen ())))
+    (fun () ->
+      let src = gen () in
+      let src =
+        match Mutator.parse_opt src with
+        | Some p -> Mutator.to_src (naive_driver rng p)
+        | None -> src
+      in
+      mk_case "DeepSmith" src)
 
 (* --- Fuzzilli --- *)
 
 (* Coverage proxy: the structural/behavioural feature set a successfully
    executed program exhibits. New features admit the mutant to the corpus,
    approximating edge-coverage-guided corpus growth. *)
-let features_of (src : string) : string list =
-  match Mutator.parse_opt src with
-  | None -> []
-  | Some p ->
-      let feats = ref [] in
-      List.iter
-        (fun cs -> feats := ("call:" ^ String.concat "." cs.Visit.cs_path) :: !feats)
-        (Visit.call_sites p);
-      Visit.iter_program
-        ~fe:(fun x ->
-          match x.Ast.e with
-          | Ast.Binary (op, _, _) -> feats := ("op:" ^ Ast.binop_to_string op) :: !feats
-          | Ast.Lit (Ast.Lregexp _) -> feats := "regexp" :: !feats
-          | _ -> ())
-        ~fs:(fun st ->
-          let tag =
-            match st.Ast.s with
-            | Ast.For _ -> "for"
-            | Ast.While _ -> "while"
-            | Ast.Try _ -> "try"
-            | Ast.Switch _ -> "switch"
-            | Ast.For_in _ -> "forin"
-            | _ -> ""
-          in
-          if tag <> "" then feats := ("stmt:" ^ tag) :: !feats)
-        p;
-      !feats
+let features_of (p : Ast.program) : string list =
+  let feats = ref [] in
+  List.iter
+    (fun cs -> feats := ("call:" ^ String.concat "." cs.Visit.cs_path) :: !feats)
+    (Visit.call_sites p);
+  Visit.iter_program
+    ~fe:(fun x ->
+      match x.Ast.e with
+      | Ast.Binary (op, _, _) -> feats := ("op:" ^ Ast.binop_to_string op) :: !feats
+      | Ast.Lit (Ast.Lregexp _) -> feats := "regexp" :: !feats
+      | _ -> ())
+    ~fs:(fun st ->
+      let tag =
+        match st.Ast.s with
+        | Ast.For _ -> "for"
+        | Ast.While _ -> "while"
+        | Ast.Try _ -> "try"
+        | Ast.Switch _ -> "switch"
+        | Ast.For_in _ -> "forin"
+        | _ -> ""
+      in
+      if tag <> "" then feats := ("stmt:" ^ tag) :: !feats)
+    p;
+  !feats
 
 let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
   let rng = Rng.create seed in
@@ -127,7 +126,10 @@ let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
   let covered : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun p ->
-      List.iter (fun f -> Hashtbl.replace covered f ()) (features_of (Mutator.to_src p)))
+      (* the features of the printed seed's parse, as a case's are *)
+      Option.iter
+        (fun p -> List.iter (fun f -> Hashtbl.replace covered f ()) (features_of p))
+        (Mutator.parse_opt (Mutator.to_src p)))
     !corpus;
   let mutate_once () =
     let parent = Rng.pick rng !corpus in
@@ -138,25 +140,21 @@ let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
       | 2 -> Mutator.mutate_operator rng parent
       | _ -> Mutator.drop_statement rng parent
     in
-    let src = Mutator.to_src child in
+    let ((tc, parse) as case) = mk_case "Fuzzilli" (Mutator.to_src child) in
     (* corpus admission: runs without crashing the reference engine and
        exhibits a new feature *)
-    let feats = features_of src in
+    let feats = match parse with Some p -> features_of p | None -> [] in
     let novel = List.exists (fun f -> not (Hashtbl.mem covered f)) feats in
     if novel then begin
-      let r = Jsinterp.Run.run ~fuel:50_000 src in
+      let r = Jsinterp.Run.run ~fuel:50_000 tc.Comfort.Testcase.tc_source in
       if r.Jsinterp.Run.r_parsed then begin
         List.iter (fun f -> Hashtbl.replace covered f ()) feats;
         corpus := child :: !corpus
       end
     end;
-    src
+    case
   in
-  {
-    Comfort.Campaign.fz_name = "Fuzzilli";
-    fz_raw = None;
-    fz_batch = (fun n -> List.init n (fun _ -> mk_case "Fuzzilli" (mutate_once ())));
-  }
+  fuzzer "Fuzzilli" ~raw:None mutate_once
 
 (* --- CodeAlchemist --- *)
 
@@ -200,11 +198,7 @@ let codealchemist ?(seed = 23) () : Comfort.Campaign.fuzzer =
     done;
     Mutator.to_src (B.program (List.rev !chosen))
   in
-  {
-    Comfort.Campaign.fz_name = "CodeAlchemist";
-    fz_raw = None;
-    fz_batch = (fun n -> List.init n (fun _ -> mk_case "CodeAlchemist" (assemble ())));
-  }
+  fuzzer "CodeAlchemist" ~raw:None (fun () -> mk_case "CodeAlchemist" (assemble ()))
 
 (* --- DIE --- *)
 
@@ -225,11 +219,7 @@ let die ?(seed = 24) () : Comfort.Campaign.fuzzer =
     done;
     Mutator.to_src !child
   in
-  {
-    Comfort.Campaign.fz_name = "DIE";
-    fz_raw = None;
-    fz_batch = (fun n -> List.init n (fun _ -> mk_case "DIE" (mutate_once ())));
-  }
+  fuzzer "DIE" ~raw:None (fun () -> mk_case "DIE" (mutate_once ()))
 
 (* --- Montage --- *)
 
@@ -261,11 +251,7 @@ let montage ?(seed = 25) () : Comfort.Campaign.fuzzer =
         Mutator.to_src { parent with Ast.prog_body = body }
     | _ -> Mutator.to_src parent
   in
-  {
-    Comfort.Campaign.fz_name = "Montage";
-    fz_raw = None;
-    fz_batch = (fun n -> List.init n (fun _ -> mk_case "Montage" (mutate_once ())));
-  }
+  fuzzer "Montage" ~raw:None (fun () -> mk_case "Montage" (mutate_once ()))
 
 let all ?(seed = 20) () : Comfort.Campaign.fuzzer list =
   [

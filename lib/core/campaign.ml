@@ -19,15 +19,27 @@
 
 open Jsinterp
 
+type draw = (Testcase.t * Jsast.Ast.program option) Seq.t
+
 type fuzzer = {
   fz_name : string;
-  fz_batch : int -> Testcase.t list;
-      (** produce at least [n] fresh test cases *)
+  fz_draw : int -> draw;
+      (** the next [n] cases, one at a time, each with its syntax check's
+          parse *)
+  fz_batch : int -> Testcase.t list;  (** [fz_draw] without the parses *)
   fz_raw : (int -> string list) option;
       (** raw generator output before any screening/mutation, used for the
           Fig. 9 syntax-passing-rate metric; [None] means the batch output
           is already the raw output (mutation-based fuzzers) *)
 }
+
+let make_fuzzer ~name ~raw (draw : int -> draw) : fuzzer =
+  {
+    fz_name = name;
+    fz_draw = draw;
+    fz_batch = (fun n -> List.of_seq (Seq.map fst (draw n)));
+    fz_raw = raw;
+  }
 
 type discovery = {
   disc_engine : Engines.Registry.engine;
@@ -89,47 +101,42 @@ let comfort_fuzzer ?(seed = 7) ?(with_datagen = true) () : fuzzer =
     if with_datagen then Lazy.force Specdb.Db.standard else Specdb.Db.build []
   in
   let dg = Datagen.create ~seed:(seed + 1) ~db () in
-  let queue : Testcase.t Queue.t = Queue.create () in
-  let rec refill n =
-    if n > 0 then begin
-      match Generator.next gen with
-      | None -> ()
-      | Some (tc, parse) ->
-          Queue.add tc queue;
-          (* the syntax check's parse goes straight to Datagen, which
-             would otherwise parse the same text again *)
-          let mutants =
-            match parse with Some p -> Datagen.mutate dg p | None -> []
-          in
-          List.iter (fun m -> Queue.add m queue) mutants;
-          refill (n - 1 - List.length mutants)
-    end
+  (* a generator sample, then its Algorithm 1 mutants, one at a time. The
+     mutants' random values are drawn with the sample, but each mutant is
+     parsed only when pulled, so its AST lives from the pull to the
+     screen: parsing a sample's mutants together kept their ASTs alive
+     across minor collections (EXPERIMENTS.md, "One parse per drawn
+     case") *)
+  let pending = ref Seq.empty in
+  let rec next stalls =
+    match !pending () with
+    | Seq.Cons (c, rest) ->
+        pending := rest;
+        c
+    | Seq.Nil when stalls >= 20 ->
+        (* [Generator.next] can legally give up (its attempt cap); bound
+           the retries so an exhausted generator fails loudly instead of
+           spinning forever *)
+        failwith
+          "Campaign.comfort_fuzzer: generator produced no test cases after \
+           20 consecutive attempts"
+    | Seq.Nil -> (
+        match Generator.next gen with
+        | None -> next (stalls + 1)
+        | Some ((_, parse) as c) ->
+            (* the syntax check's parse goes straight to Datagen, which
+               would otherwise parse the same text again *)
+            let mutants =
+              match parse with Some p -> Datagen.mutate dg p | None -> Seq.empty
+            in
+            pending := Seq.cons c mutants;
+            next 0)
   in
   let raw_gen = Generator.create ~seed:(seed + 2) () in
-  {
-    fz_name = (if with_datagen then "Comfort" else "Comfort-nodata");
-    fz_raw =
-      Some (fun n -> List.init n (fun _ -> Generator.sample_program raw_gen));
-    fz_batch =
-      (fun n ->
-        (* [Generator.generate] can legally return [] (its attempt cap);
-           bound the refill retries so an exhausted generator fails loudly
-           instead of spinning forever *)
-        let stalls = ref 0 in
-        while Queue.length queue < n do
-          let before = Queue.length queue in
-          refill (n - before);
-          if Queue.length queue = before then begin
-            incr stalls;
-            if !stalls >= 20 then
-              failwith
-                "Campaign.comfort_fuzzer: generator produced no test cases \
-                 after 20 consecutive attempts"
-          end
-          else stalls := 0
-        done;
-        List.init n (fun _ -> Queue.pop queue));
-  }
+  make_fuzzer
+    ~name:(if with_datagen then "Comfort" else "Comfort-nodata")
+    ~raw:(Some (fun n -> List.init n (fun _ -> Generator.sample_program raw_gen)))
+    (fun n -> Seq.init n (fun _ -> next 0))
 
 (* --- semantic screening (the §3.2 "filter" step, upgraded to the full
    static-analysis pass: scope resolution, early errors, determinism
@@ -140,22 +147,28 @@ type screened =
   | S_repaired of Testcase.t  (** free variables bound by the repair step *)
   | S_dropped of string       (** drop reason, for the reason histogram *)
 
-let screen_case (tc : Testcase.t) : screened =
+let screen_parsed (tc : Testcase.t) (parse : Jsast.Ast.program option) :
+    screened =
   (* syntactically invalid cases are deliberate (the generator keeps a
      fraction to exercise the parsers) and carry differential signal of
      their own — the semantic screen only judges parseable programs *)
-  if not tc.Testcase.tc_syntax_valid then S_kept tc
-  else
-    match Jsparse.Parser.parse_program tc.Testcase.tc_source with
-    | exception Jsparse.Parser.Syntax_error _ -> S_kept tc
-    | p -> (
-        match Analysis.screen_verdict p with
-        | Analysis.Keep -> S_kept tc
-        | Analysis.Repair _ ->
-            let src = Jsast.Printer.program_to_string (Analysis.bind_free p) in
-            S_repaired
-              (Testcase.make ~provenance:tc.Testcase.tc_provenance src)
-        | Analysis.Drop reason -> S_dropped reason)
+  match parse with
+  | None -> S_kept tc
+  | Some p -> (
+      match Analysis.screen_verdict p with
+      | Analysis.Keep -> S_kept tc
+      | Analysis.Repair _ ->
+          let src = Jsast.Printer.program_to_string (Analysis.bind_free p) in
+          S_repaired (Testcase.make ~provenance:tc.Testcase.tc_provenance src)
+      | Analysis.Drop reason -> S_dropped reason)
+
+let screen_case (tc : Testcase.t) : screened =
+  screen_parsed tc
+    (if not tc.Testcase.tc_syntax_valid then None
+     else
+       match Jsparse.Parser.parse_program tc.Testcase.tc_source with
+       | p -> Some p
+       | exception Jsparse.Parser.Syntax_error _ -> None)
 
 (* --- campaign --- *)
 
@@ -704,15 +717,22 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     invalid_arg "Campaign.run: audit cannot be combined with fault injection";
   let sup = Option.map (fun _ -> Supervisor.create ()) plan in
   let aborted = ref None in
-  (* a fuzzer that dies (e.g. the generator's refill cap) aborts the
-     campaign gracefully: whatever was gathered still runs, the report is
-     marked aborted, and the CLI exits non-zero *)
-  let batch n =
-    match Run.Stage.time Run.Stage.generate (fun () -> fz.fz_batch n) with
-    | l -> l
-    | exception e ->
-        aborted := Some ("fuzzer exhausted: " ^ Printexc.to_string e);
-        []
+  (* Pull [n] cases from one draw, handing each to [f] with its parse as
+     soon as it is yielded, so the AST dies with [f]. A fuzzer that dies
+     (e.g. the generator's refill cap) aborts the campaign gracefully:
+     every case it yielded before dying still runs, the report is marked
+     aborted, and the CLI exits non-zero. *)
+  let draw n f =
+    let rec pull (s : draw) =
+      match Run.Stage.time Run.Stage.generate s with
+      | Seq.Nil -> ()
+      | Seq.Cons ((tc, parse), rest) ->
+          f tc parse;
+          pull rest
+      | exception e ->
+          aborted := Some ("fuzzer exhausted: " ^ Printexc.to_string e)
+    in
+    pull (fun () -> fz.fz_draw n ())
   in
   let screened_out = ref 0 in
   let repaired = ref 0 in
@@ -726,31 +746,25 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
      dropped ones so the execution budget is spent in full; a stall
      counter bounds the extra draws in case the fuzzer only produces
      droppable programs *)
-  let cases =
-    if not screen then batch budget
-    else begin
-      let kept = ref [] in
-      let n_kept = ref 0 in
-      let stalls = ref 0 in
-      while !n_kept < budget && !stalls < 3 && !aborted = None do
-        let want = budget - !n_kept in
-        let progressed = ref false in
-        List.iter
-          (fun tc ->
-            if !n_kept < budget then
-              match Run.Stage.time Run.Stage.screen (fun () -> screen_case tc) with
-              | S_kept tc ->
-                  kept := tc :: !kept; incr n_kept; progressed := true
-              | S_repaired tc ->
-                  kept := tc :: !kept; incr n_kept; incr repaired;
-                  progressed := true
-              | S_dropped reason -> drop reason)
-          (batch want);
-        if !progressed then stalls := 0 else incr stalls
-      done;
-      List.rev !kept
-    end
-  in
+  let kept = ref [] in
+  let n_kept = ref 0 in
+  let keep tc = kept := tc :: !kept; incr n_kept in
+  if not screen then draw budget (fun tc _ -> keep tc)
+  else begin
+    let stalls = ref 0 in
+    while !n_kept < budget && !stalls < 3 && !aborted = None do
+      let progressed = ref false in
+      draw (budget - !n_kept) (fun tc parse ->
+          match
+            Run.Stage.time Run.Stage.screen (fun () -> screen_parsed tc parse)
+          with
+          | S_kept tc -> keep tc; progressed := true
+          | S_repaired tc -> keep tc; incr repaired; progressed := true
+          | S_dropped reason -> drop reason);
+      if !progressed then stalls := 0 else incr stalls
+    done
+  end;
+  let cases = List.rev !kept in
   (if !aborted = None then
      let got = List.length cases in
      if got < budget then

@@ -13,15 +13,37 @@
     campaign that loses its fuzzer or its testbed pool finishes with an
     abort reason instead of dying. *)
 
-(** The common fuzzer interface shared by Comfort and all baselines. *)
-type fuzzer = {
+(** A fuzzer's draw: its next cases, yielded lazily, one at a time,
+    each with the parse its syntax check made. The contract:
+    - a draw is traversed once: pulling a case advances the fuzzer, so
+      a second traversal would draw different cases;
+    - the parse is that of the case's own [tc_source] under
+      {!Jsparse.Parser.default_options} ({!Testcase.make_parsed}), never
+      an AST from before printing;
+    - it is [None] exactly when [tc_syntax_valid] is [false];
+    - it is never stored: the campaign screens each case from it as soon
+      as it is yielded, so the AST dies at the screen. It stays out of
+      {!Testcase.t} (which checkpoints marshal and the fork pool ships)
+      and out of the driver's record. *)
+type draw = (Testcase.t * Jsast.Ast.program option) Seq.t
+
+(** The common fuzzer interface shared by Comfort and all baselines,
+    built by {!make_fuzzer}. *)
+type fuzzer = private {
   fz_name : string;
+  fz_draw : int -> draw;
+      (** [fz_draw n] yields the next [n] cases; a fuzzer that fails
+          raises from the pull, after the cases it already yielded *)
   fz_batch : int -> Testcase.t list;
-      (** produce at least [n] fresh test cases *)
+      (** the cases of [fz_draw n], without their parses *)
   fz_raw : (int -> string list) option;
       (** raw generator output before screening/mutation, for the Fig. 9
           passing-rate metric; [None] when the batch is already raw *)
 }
+
+(** A fuzzer around its draw; [fz_batch] is derived from it. *)
+val make_fuzzer :
+  name:string -> raw:(int -> string list) option -> (int -> draw) -> fuzzer
 
 type discovery = {
   disc_engine : Engines.Registry.engine;
@@ -217,7 +239,13 @@ type screened =
   | S_repaired of Testcase.t  (** free variables bound by the repair step *)
   | S_dropped of string       (** drop reason *)
 
-(** Apply the static-analysis screen to one test case. Syntactically
-    invalid cases pass through untouched: they are deliberate
-    parser-exercise inputs with differential signal of their own. *)
+(** Apply the static-analysis screen to one test case, given the parse
+    its syntax check made ([None] for an invalid case, as {!draw}
+    hands it over). Syntactically invalid cases pass through untouched:
+    they are deliberate parser-exercise inputs with differential signal
+    of their own. Parses only the repaired source of an [S_repaired]
+    case. *)
+val screen_parsed : Testcase.t -> Jsast.Ast.program option -> screened
+
+(** {!screen_parsed} after parsing the case's source again. *)
 val screen_case : Testcase.t -> screened

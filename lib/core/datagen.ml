@@ -446,8 +446,12 @@ let mutants_of_program (t : t) (src : string) : mutant list =
   | p -> finalize t p
   | exception Jsparse.Parser.Syntax_error _ -> []
 
-let mutate (t : t) (p : Ast.program) : Testcase.t list =
-  List.map
+(* The random draws all happen in [finalize], when [mutate] is called;
+   each case is made, and its text parsed, only when the sequence is
+   pulled. *)
+let mutate (t : t) (p : Ast.program) : (Testcase.t * Ast.program option) Seq.t
+    =
+  Seq.map
     (fun m ->
       (* boundary-guided data is what Table 4 counts as "ECMA-262 guided
          mutation"; drivers with random data belong to the program-
@@ -456,5 +460,5 @@ let mutate (t : t) (p : Ast.program) : Testcase.t list =
         if m.m_guided then Testcase.P_ecma_mutated m.m_api
         else Testcase.P_generated
       in
-      Testcase.make ~provenance m.m_source)
-    (finalize t p)
+      Testcase.make_parsed provenance m.m_source)
+    (List.to_seq (finalize t p))

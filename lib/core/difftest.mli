@@ -132,10 +132,8 @@ val run_case :
   Testcase.t ->
   case_report
 
-(** Field-wise equality of deviations / reports; testbeds are compared by
-    id. *)
-val deviation_equal : deviation -> deviation -> bool
-
+(** Field-wise equality of reports, deviation by deviation; testbeds are
+    compared by id. *)
 val report_equal : case_report -> case_report -> bool
 
 exception Audit_mismatch of string

@@ -57,31 +57,29 @@ let mutate_banked (t : t) : string option =
     Some (Jsast.Mutate.to_src child)
   end
 
-(* The wrapped fuzzer: mixes bank mutants into every batch once the bank is
-   non-empty. *)
+(* The wrapped fuzzer: once the bank is non-empty, an [n]-case draw
+   yields [n * fb_mix] bank mutants first, then the base draw of the
+   rest. *)
 let fuzzer (t : t) : Campaign.fuzzer =
-  {
-    Campaign.fz_name = t.fb_base.Campaign.fz_name ^ "+feedback";
-    fz_raw = t.fb_base.Campaign.fz_raw;
-    fz_batch =
-      (fun n ->
-        let from_bank =
-          if Queue.is_empty t.fb_bank then 0
-          else Float.to_int (Float.of_int n *. t.fb_mix)
-        in
-        let mutants =
-          List.filter_map
-            (fun _ ->
-              Option.map
-                (fun src ->
-                  Testcase.make
-                    ~provenance:(Testcase.P_fuzzer "feedback")
-                    src)
-                (mutate_banked t))
-            (List.init from_bank (fun i -> i))
-        in
-        mutants @ t.fb_base.Campaign.fz_batch (n - List.length mutants));
-  }
+  Campaign.make_fuzzer
+    ~name:(t.fb_base.Campaign.fz_name ^ "+feedback")
+    ~raw:t.fb_base.Campaign.fz_raw
+    (fun n ->
+      let from_bank =
+        if Queue.is_empty t.fb_bank then 0
+        else Float.to_int (Float.of_int n *. t.fb_mix)
+      in
+      let rec mutants k got () =
+        if k = 0 then t.fb_base.Campaign.fz_draw (n - got) ()
+        else
+          match mutate_banked t with
+          | Some src ->
+              Seq.Cons
+                ( Testcase.make_parsed (Testcase.P_fuzzer "feedback") src,
+                  mutants (k - 1) (got + 1) )
+          | None -> mutants (k - 1) got ()
+      in
+      mutants from_bank 0)
 
 (* A complete feedback campaign: run in rounds, banking each round's
    deviating cases before the next. Returns the final campaign result

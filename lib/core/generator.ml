@@ -20,23 +20,10 @@ let create ?(seed = 1) ?(top_k = 10) ?(max_tokens = 5000) ?(keep_invalid = 0.2)
   { model; rng = Cutil.Rng.create seed; top_k; max_tokens; keep_invalid }
 
 (* Termination test: the brackets opened by the program are matched again
-   (and at least one brace was seen). *)
-let braces_matched (s : string) : bool =
-  let bal = ref 0 and seen = ref false in
-  String.iter
-    (fun c ->
-      if c = '{' then begin
-        incr bal;
-        seen := true
-      end
-      else if c = '}' then decr bal)
-    s;
-  !seen && !bal <= 0
-
-(* The incremental form [Lm.Model.generate] wants: one stateful closure
-   per generation, fed the prefix and then every appended chunk, carrying
-   the brace balance across calls — same verdicts as [braces_matched] on
-   the accumulated text, without the per-token whole-string rescan. *)
+   (and at least one brace was seen). The incremental form
+   [Lm.Model.generate] wants: one stateful closure per generation, fed
+   the prefix and then every appended chunk, carrying the brace balance
+   across calls, without a per-token whole-string rescan. *)
 let brace_stop () : string -> bool =
   let bal = ref 0 and seen = ref false in
   fun chunk ->

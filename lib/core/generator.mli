@@ -23,14 +23,12 @@ val create :
   unit ->
   t
 
-(** The bracket-matching termination condition of §3.2 (whole-string
-    form). *)
-val braces_matched : string -> bool
-
-(** The incremental, stateful form {!Lm.Model.generate} consumes: each
-    call returns a closure carrying the brace balance across the chunks
-    it is fed — same verdicts as {!braces_matched} on the accumulated
-    text. Build a fresh one per generation. *)
+(** The bracket-matching termination condition of §3.2, in the
+    incremental, stateful form {!Lm.Model.generate} consumes: each call
+    returns a closure carrying the brace balance across the chunks it is
+    fed, and it answers [true] once the accumulated text has seen a
+    brace and closed every one it opened. Build a fresh one per
+    generation. *)
 val brace_stop : unit -> string -> bool
 
 (** One raw sample from the model, before any screening. *)

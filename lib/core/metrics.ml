@@ -77,22 +77,23 @@ type screening = {
 }
 
 let screen_stats (fz : Campaign.fuzzer) ~(n : int) : screening =
-  let cases = fz.Campaign.fz_batch n in
+  let samples = ref 0 in
   let kept = ref 0 and repaired = ref 0 and dropped = ref 0 in
   let reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun tc ->
-      match Campaign.screen_case tc with
+  Seq.iter
+    (fun (tc, parse) ->
+      incr samples;
+      match Campaign.screen_parsed tc parse with
       | Campaign.S_kept _ -> incr kept
       | Campaign.S_repaired _ -> incr repaired
       | Campaign.S_dropped reason ->
           incr dropped;
           Hashtbl.replace reasons reason
             (1 + Option.value (Hashtbl.find_opt reasons reason) ~default:0))
-    cases;
+    (fz.Campaign.fz_draw n);
   {
     sc_fuzzer = fz.Campaign.fz_name;
-    sc_samples = List.length cases;
+    sc_samples = !samples;
     sc_kept = !kept;
     sc_repaired = !repaired;
     sc_dropped = !dropped;

@@ -290,21 +290,13 @@ let screen_case_bypasses_invalid_syntax () =
 
 (* --- campaign integration --- *)
 
-let mk src =
-  Comfort.Testcase.make ~provenance:(Comfort.Testcase.P_fuzzer "Test") src
-
 let const_fuzzer name srcs =
   let i = ref 0 in
-  {
-    Comfort.Campaign.fz_name = name;
-    fz_raw = None;
-    fz_batch =
-      (fun n ->
-        List.init n (fun _ ->
-            let src = List.nth srcs (!i mod List.length srcs) in
-            incr i;
-            mk src));
-  }
+  Comfort.Campaign.make_fuzzer ~name ~raw:None (fun n ->
+      Seq.init n (fun _ ->
+          let src = List.nth srcs (!i mod List.length srcs) in
+          incr i;
+          Comfort.Testcase.make_parsed (Comfort.Testcase.P_fuzzer "Test") src))
 
 let testbeds = lazy (Engines.Engine.latest_testbeds ())
 

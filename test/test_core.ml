@@ -128,7 +128,7 @@ let datagen_provenance () =
     Jsparse.Parser.parse_program
       {|function f(num) { return num.toFixed(digits); }|}
   in
-  let mutants = Comfort.Datagen.mutate (dg ()) p in
+  let mutants = List.of_seq (Seq.map fst (Comfort.Datagen.mutate (dg ()) p)) in
   let guided, random =
     List.partition Comfort.Testcase.is_ecma_guided mutants
   in

@@ -1,0 +1,125 @@
+(* The fuzzer draw: each case is yielded lazily with the parse its syntax
+   check made, and the campaign screens it from that parse instead of
+   parsing the text again. *)
+
+let fuzzers () =
+  let feedback () =
+    let fb =
+      Comfort.Feedback.create ~seed:12
+        (Comfort.Campaign.comfort_fuzzer ~seed:12 ())
+    in
+    List.iter
+      (fun s -> Comfort.Feedback.record fb (Comfort.Testcase.make s))
+      [ {|print([10, 9, 1].sort());|}; {|print("abcdef".substr(2, undefined));|} ];
+    Comfort.Feedback.fuzzer fb
+  in
+  [
+    ("comfort", fun () -> Comfort.Campaign.comfort_fuzzer ~seed:5 ());
+    ( "comfort-nodata",
+      fun () -> Comfort.Campaign.comfort_fuzzer ~seed:5 ~with_datagen:false () );
+    ("deepsmith", fun () -> Baselines.Fuzzers.deepsmith ());
+    ("fuzzilli", fun () -> Baselines.Fuzzers.fuzzilli ());
+    ("codealchemist", fun () -> Baselines.Fuzzers.codealchemist ());
+    ("die", fun () -> Baselines.Fuzzers.die ());
+    ("montage", fun () -> Baselines.Fuzzers.montage ());
+    ("feedback", feedback);
+  ]
+
+(* Digests of the (provenance, validity, source) stream of three batches
+   of 600, 7 and 1 cases, recorded from the eager [fz_batch] the draw
+   replaced: the lazy draw must yield the same cases in the same order. *)
+let golden =
+  [
+    ("comfort", "b95d6a472cb75d510bf4beccf2dc82fa");
+    ("comfort-nodata", "b7dc68e907c4813b89b2297ec530d173");
+    ("deepsmith", "8ea70e4ab069838b7fc428db3dac4ece");
+    ("fuzzilli", "bad7d28a8040ab2a385a7ed1ab7c8f9e");
+    ("codealchemist", "2e79791ed6c9ea5578aa6330acdcc390");
+    ("die", "925f91a78f7841bf758a05825ad3938c");
+    ("montage", "64534c789f94be00292a287cf283e802");
+    ("feedback", "68fc24e5ddca0112793df155db7bf54e");
+  ]
+
+let print_of = Jsast.Printer.program_to_string
+
+let same_stream_with_its_parses name mk () =
+  let fz = mk () in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun n ->
+      Seq.iter
+        (fun ((tc : Comfort.Testcase.t), parse) ->
+          let src = tc.Comfort.Testcase.tc_source in
+          Printf.bprintf b "%s|%b|%d:%s\n"
+            (Comfort.Testcase.provenance_to_string tc.Comfort.Testcase.tc_provenance)
+            tc.Comfort.Testcase.tc_syntax_valid (String.length src) src;
+          (* the handed parse is the syntax check's parse of the case's
+             own text, and exists exactly when the case is valid *)
+          match (parse, Jsparse.Parser.check_syntax src) with
+          | Some p, Ok q ->
+              if not (String.equal (print_of p) (print_of q)) then
+                Alcotest.failf "%s: the handed parse is not that of\n%s" name src
+          | None, Error _ -> ()
+          | _ ->
+              Alcotest.failf "%s: parse handed %b for a case valid %b:\n%s" name
+                (Option.is_some parse) tc.Comfort.Testcase.tc_syntax_valid src)
+        (fz.Comfort.Campaign.fz_draw n))
+    [ 600; 7; 1 ];
+  Alcotest.(check string)
+    (name ^ " stream digest") (List.assoc name golden)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let parses f =
+  let before = Jsparse.Parser.parse_count () in
+  let r = f () in
+  (r, Jsparse.Parser.parse_count () - before)
+
+let screen_from_the_handed_parse () =
+  let tc, parse =
+    Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(1 + 2);"
+  in
+  (match parses (fun () -> Comfort.Campaign.screen_parsed tc parse) with
+  | Comfort.Campaign.S_kept _, n ->
+      Alcotest.(check int) "a kept case screens without a parse" 0 n
+  | _ -> Alcotest.fail "print(1 + 2) was not kept");
+  let tc, parse =
+    Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(q + 1);"
+  in
+  match parses (fun () -> Comfort.Campaign.screen_parsed tc parse) with
+  | Comfort.Campaign.S_repaired _, n ->
+      Alcotest.(check int) "a repaired case parses its repaired text only" 1 n
+  | _ -> Alcotest.fail "print(q + 1) was not repaired"
+
+(* Every parse a fixed-seed campaign makes: the syntax check, the
+   sweep's front ends and attribution. Gathering may not parse a case
+   again. Before the screen took the handed parse, the same campaigns
+   made 387 (comfort) and 490 (fuzzilli, whose corpus admission parsed
+   each mutant once more). *)
+let parse_budget name fz ~per_100 () =
+  let res, n =
+    parses (fun () ->
+        Comfort.Campaign.run
+          ~testbeds:(Engines.Engine.latest_testbeds ~mode:Engines.Engine.Normal ())
+          ~budget:100 ~workers:0 ~strategy:Jsinterp.Strategy.Fast (fz ()))
+  in
+  Alcotest.(check int) (name ^ " cases") 100 res.Comfort.Campaign.cp_cases_run;
+  Alcotest.(check int) (name ^ " parses per 100 cases") per_100 n
+
+let suite =
+  List.map
+    (fun (name, mk) ->
+      Alcotest.test_case ("draw: " ^ name ^ " stream and parses") `Quick
+        (same_stream_with_its_parses name mk))
+    (fuzzers ())
+  @ [
+      Alcotest.test_case "screen: a handed parse is not parsed again" `Quick
+        screen_from_the_handed_parse;
+      Alcotest.test_case "parse budget: comfort" `Quick
+        (parse_budget "comfort"
+           (fun () -> Comfort.Campaign.comfort_fuzzer ~seed:3 ())
+           ~per_100:282);
+      Alcotest.test_case "parse budget: fuzzilli" `Quick
+        (parse_budget "fuzzilli"
+           (fun () -> Baselines.Fuzzers.fuzzilli ~seed:3 ())
+           ~per_100:288);
+    ]

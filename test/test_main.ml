@@ -28,6 +28,7 @@ let () =
       ("paper listings", Test_listings.suite);
       ("properties", Test_properties.suite);
       ("feedback", Test_feedback.suite);
+      ("draw", Test_draw.suite);
       ("supervisor", Test_supervisor.suite);
       ("profiler", Test_profiler.suite);
       ("coercions", Test_coercion.suite);

@@ -392,20 +392,15 @@ let all_testbeds_quarantined_aborts () =
 let run_drained ?checkpoint () =
   let remaining = ref 5 in
   let fz =
-    {
-      Campaign.fz_name = "drained";
-      fz_raw = None;
-      fz_batch =
-        (fun n ->
-          if !remaining = 0 then failwith "out of test cases"
-          else begin
-            let take = min n !remaining in
-            remaining := !remaining - take;
-            List.init take (fun i ->
-                Comfort.Testcase.make
-                  (Printf.sprintf "print(%d + %d);" i (!remaining)))
-          end);
-    }
+    Campaign.make_fuzzer ~name:"drained" ~raw:None (fun n ->
+        if !remaining = 0 then failwith "out of test cases"
+        else begin
+          let take = min n !remaining in
+          remaining := !remaining - take;
+          Seq.init take (fun i ->
+              Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
+                (Printf.sprintf "print(%d + %d);" i !remaining))
+        end)
   in
   Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ?checkpoint fz
 
@@ -417,6 +412,23 @@ let fuzzer_exhaustion_aborts () =
     | None -> false);
   Alcotest.(check int) "the gathered cases still ran" 5
     res.Campaign.cp_cases_run
+
+(* a fuzzer that dies in the middle of a batch: every case it yielded
+   before dying is screened and runs *)
+let fuzzer_dies_mid_batch () =
+  let fz =
+    Campaign.make_fuzzer ~name:"mid-batch" ~raw:None (fun n ->
+        Seq.append
+          (Seq.init (min 3 n) (fun i ->
+               Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
+                 (Printf.sprintf "print(%d * 2);" i)))
+          (fun () -> failwith "out of test cases"))
+  in
+  let res = Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 fz in
+  Alcotest.(check int) "the 3 yielded cases ran" 3 res.Campaign.cp_cases_run;
+  Alcotest.(check (option string)) "the abort names the fuzzer's failure"
+    (Some "fuzzer exhausted: Failure(\"out of test cases\")")
+    res.Campaign.cp_aborted
 
 (* --- checkpoint / resume --- *)
 
@@ -630,6 +642,8 @@ let suite =
     Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
+    Helpers.case "campaign: a fuzzer dying mid-batch keeps its yielded cases"
+      fuzzer_dies_mid_batch;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
     Helpers.case "checkpoint: v4 header refused"
       (checkpoint_load_rejects_old ~version:4
