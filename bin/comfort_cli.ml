@@ -24,8 +24,8 @@ let read_file path =
   close_in ic;
   s
 
-(* [--workers 0] (the default) defers to COMFORT_WORKERS, else in-process.
-   Campaign results are byte-identical at any worker count. *)
+(* [--workers 0] (the default) runs in-process. Campaign results are
+   byte-identical at any worker count. *)
 let workers_arg =
   Arg.(
     value & opt int 0
@@ -35,12 +35,8 @@ let workers_arg =
            processes and run every per-case sweep in one of them, so an \
            execution that segfaults, hangs or is hard-killed (the \
            $(b,worker_kill) fault class) costs one worker, never the \
-           campaign. 0 reads $(b,COMFORT_WORKERS) from the environment \
-           (default: in-process). Results are identical at any worker \
-           count.")
-
-let resolve_workers n =
-  if n <= 0 then Comfort.Coordinator.default_workers () else n
+           campaign. 0 (the default) runs in-process. Results are \
+           identical at any worker count.")
 
 let engine_conv =
   let parse s =
@@ -184,7 +180,6 @@ let difftest_cmd =
 
 let fuzz budget fuzzer_name seed feedback workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
-  let workers = resolve_workers workers in
   (* a resumed campaign runs the parameters stored in its checkpoint;
      options that would silently lose to them are usage errors *)
   if Option.is_some resume
@@ -481,11 +476,8 @@ let print_analysis label src =
             e.Analysis.Early_errors.ee_msg)
         diag.Analysis.d_strict_only;
       List.iter
-        (fun (f : Analysis.Lint.finding) ->
-          Printf.printf "lint: %s\n"
-            (match f with
-            | Analysis.Lint.Nondeterministic api -> "nondeterministic " ^ api
-            | Analysis.Lint.No_observable_output -> "no observable output"))
+        (fun f ->
+          Printf.printf "lint: %s\n" (Analysis.Lint.finding_to_string f))
         diag.Analysis.d_lint;
       Printf.printf "verdict: %s\n" (Analysis.verdict_to_string verdict)
 
@@ -522,9 +514,7 @@ let analyze_cmd =
 
 let export budget seed dir workers =
   let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
-  let res =
-    Comfort.Campaign.run ~budget ~workers:(resolve_workers workers) fz
-  in
+  let res = Comfort.Campaign.run ~budget ~workers fz in
   let files = Comfort.Test262_export.export res in
   (match dir with
   | None ->

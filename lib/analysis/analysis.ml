@@ -76,10 +76,11 @@ let screen ?strict (src : string) : (verdict * diagnostics, string) result =
   | Ok p -> Ok (screen_program ?strict p)
   | Error (msg, line) -> Error (Printf.sprintf "%s (line %d)" msg line)
 
-let bind_free ?(value = fun _ -> Jsast.Builder.int 1)
-    (p : Jsast.Ast.program) : Jsast.Ast.program =
+let bind_free (p : Jsast.Ast.program) : Jsast.Ast.program =
   match Scope.free_variables p with
   | [] -> p
   | free ->
-      let decls = List.map (fun n -> Jsast.Builder.var n (value n)) free in
+      let decls =
+        List.map (fun n -> Jsast.Builder.var n (Jsast.Builder.int 1)) free
+      in
       { p with Jsast.Ast.prog_body = decls @ p.Jsast.Ast.prog_body }

@@ -55,8 +55,6 @@ val screen_verdict : Jsast.Ast.program -> verdict
 (** Parse and screen a source string; [Error] is a parser diagnostic. *)
 val screen : ?strict:bool -> string -> (verdict * diagnostics, string) result
 
-(** [bind_free ?value p] prepends [var n = value n] for every free
-    variable of [p] — the repair for [Repair "unbound:..."] verdicts.
-    [value] defaults to a small constant. *)
-val bind_free :
-  ?value:(string -> Jsast.Ast.expr) -> Jsast.Ast.program -> Jsast.Ast.program
+(** [bind_free p] prepends [var n = 1] for every free variable of [p] —
+    the repair for [Repair "unbound:..."] verdicts. *)
+val bind_free : Jsast.Ast.program -> Jsast.Ast.program

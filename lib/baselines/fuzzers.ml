@@ -12,6 +12,13 @@ open Jsast
 module B = Builder
 module Rng = Cutil.Rng
 
+(* The parse of a seed or a generated source; [None] when it does not
+   parse. *)
+let parse_opt (src : string) : Ast.program option =
+  match Jsparse.Parser.parse_program src with
+  | p -> Some p
+  | exception Jsparse.Parser.Syntax_error _ -> None
+
 (* A case with the parse its syntax check made, as a draw yields it. *)
 let mk_case name src =
   Comfort.Testcase.make_parsed (Comfort.Testcase.P_fuzzer name) src
@@ -82,8 +89,8 @@ let deepsmith ?(seed = 21) () : Comfort.Campaign.fuzzer =
     (fun () ->
       let src = gen () in
       let src =
-        match Mutator.parse_opt src with
-        | Some p -> Mutator.to_src (naive_driver rng p)
+        match parse_opt src with
+        | Some p -> Mutate.to_src (naive_driver rng p)
         | None -> src
       in
       mk_case "DeepSmith" src)
@@ -121,7 +128,7 @@ let features_of (p : Ast.program) : string list =
 let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
   let rng = Rng.create seed in
   let corpus =
-    ref (List.filter_map Mutator.parse_opt (Seeds.common @ Seeds.fuzzilli_extra))
+    ref (List.filter_map parse_opt (Seeds.common @ Seeds.fuzzilli_extra))
   in
   let covered : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
@@ -129,18 +136,18 @@ let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
       (* the features of the printed seed's parse, as a case's are *)
       Option.iter
         (fun p -> List.iter (fun f -> Hashtbl.replace covered f ()) (features_of p))
-        (Mutator.parse_opt (Mutator.to_src p)))
+        (parse_opt (Mutate.to_src p)))
     !corpus;
   let mutate_once () =
     let parent = Rng.pick rng !corpus in
     let child =
       match Rng.int rng 4 with
-      | 0 -> Mutator.splice rng ~host:parent ~donor:(Rng.pick rng !corpus)
-      | 1 -> Mutator.mutate_literal rng parent
-      | 2 -> Mutator.mutate_operator rng parent
-      | _ -> Mutator.drop_statement rng parent
+      | 0 -> Mutate.splice rng ~host:parent ~donor:(Rng.pick rng !corpus)
+      | 1 -> Mutate.mutate_literal rng parent
+      | 2 -> Mutate.mutate_operator rng parent
+      | _ -> Mutate.drop_statement rng parent
     in
-    let ((tc, parse) as case) = mk_case "Fuzzilli" (Mutator.to_src child) in
+    let ((tc, parse) as case) = mk_case "Fuzzilli" (Mutate.to_src child) in
     (* corpus admission: runs without crashing the reference engine and
        exhibits a new feature *)
     let feats = match parse with Some p -> features_of p | None -> [] in
@@ -165,7 +172,7 @@ type brick = { b_stmt : Ast.stmt; b_defs : string list; b_uses : string list }
 let bricks_of_seeds () : brick list =
   List.concat_map
     (fun src ->
-      match Mutator.parse_opt src with
+      match parse_opt src with
       | None -> []
       | Some p ->
           List.map
@@ -196,7 +203,7 @@ let codealchemist ?(seed = 23) () : Comfort.Campaign.fuzzer =
         List.iter (fun d -> Hashtbl.replace defined d ()) b.b_defs
       end
     done;
-    Mutator.to_src (B.program (List.rev !chosen))
+    Mutate.to_src (B.program (List.rev !chosen))
   in
   fuzzer "CodeAlchemist" ~raw:None (fun () -> mk_case "CodeAlchemist" (assemble ()))
 
@@ -205,7 +212,7 @@ let codealchemist ?(seed = 23) () : Comfort.Campaign.fuzzer =
 let die ?(seed = 24) () : Comfort.Campaign.fuzzer =
   let rng = Rng.create seed in
   let seeds =
-    List.filter_map Mutator.parse_opt (Seeds.common @ Seeds.die_extra)
+    List.filter_map parse_opt (Seeds.common @ Seeds.die_extra)
   in
   let mutate_once () =
     let parent = Rng.pick rng seeds in
@@ -214,10 +221,10 @@ let die ?(seed = 24) () : Comfort.Campaign.fuzzer =
     for _ = 1 to rounds do
       child :=
         if Rng.chance rng 0.7 then
-          Mutator.mutate_literal ~preserve_type:true rng !child
-        else Mutator.mutate_operator rng !child
+          Mutate.mutate_literal ~preserve_type:true rng !child
+        else Mutate.mutate_operator rng !child
     done;
-    Mutator.to_src !child
+    Mutate.to_src !child
   in
   fuzzer "DIE" ~raw:None (fun () -> mk_case "DIE" (mutate_once ()))
 
@@ -227,7 +234,7 @@ let montage ?(seed = 25) () : Comfort.Campaign.fuzzer =
   let rng = Rng.create seed in
   let model = Lazy.force Lm.Model.comfort in
   let seeds =
-    List.filter_map Mutator.parse_opt (Seeds.common @ Seeds.montage_extra)
+    List.filter_map parse_opt (Seeds.common @ Seeds.montage_extra)
   in
   (* an LM-generated fragment: the first statement of a fresh sample *)
   let lm_fragment () : Ast.stmt option =
@@ -236,7 +243,7 @@ let montage ?(seed = 25) () : Comfort.Campaign.fuzzer =
       Lm.Model.generate model rng ~prefix:header ~k:10 ~max_tokens:500
         ~stop:(Comfort.Generator.brace_stop ())
     in
-    match Mutator.parse_opt src with
+    match parse_opt src with
     | Some { Ast.prog_body = st :: _; _ } -> Some (B.refresh_stmt st)
     | _ -> None
   in
@@ -248,8 +255,8 @@ let montage ?(seed = 25) () : Comfort.Campaign.fuzzer =
         let body =
           List.mapi (fun i st -> if i = victim then frag else st) body
         in
-        Mutator.to_src { parent with Ast.prog_body = body }
-    | _ -> Mutator.to_src parent
+        Mutate.to_src { parent with Ast.prog_body = body }
+    | _ -> Mutate.to_src parent
   in
   fuzzer "Montage" ~raw:None (fun () -> mk_case "Montage" (mutate_once ()))
 

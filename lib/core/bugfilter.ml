@@ -9,11 +9,10 @@ type t = {
   engines : (string, (string, (string, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
   mutable leaves : int;
   mutable filtered : int;
-  mutable surfaced : int;
 }
 
 let create () =
-  { engines = Hashtbl.create 16; leaves = 0; filtered = 0; surfaced = 0 }
+  { engines = Hashtbl.create 16; leaves = 0; filtered = 0 }
 
 (* The second-layer key: the API a deviation implicates. Deviations on test
    cases without any recognised API call land in the "None" node. *)
@@ -45,10 +44,8 @@ let classify (t : t) ~(engine : string) ~(api : string option)
   else begin
     Hashtbl.replace leaf_tbl behavior ();
     t.leaves <- t.leaves + 1;
-    t.surfaced <- t.surfaced + 1;
     `New_bug
   end
 
 let leaf_count (t : t) = t.leaves
 let filtered_count (t : t) = t.filtered
-let surfaced_count (t : t) = t.surfaced

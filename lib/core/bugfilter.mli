@@ -20,4 +20,3 @@ val classify :
 
 val leaf_count : t -> int
 val filtered_count : t -> int
-val surfaced_count : t -> int

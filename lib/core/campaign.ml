@@ -203,7 +203,7 @@ let api_of_deviation (dev : Difftest.deviation) (tc : Testcase.t)
    table short-circuits exact repeats — same testbed, same removed quirk,
    same baseline signature — without even a signature comparison. *)
 let causal_quirks ~strategy ~cache ~memo (tb : Engines.Engine.testbed)
-    (dev : Difftest.deviation) ~fuel : Quirk.t list =
+    (dev : Difftest.deviation) : Quirk.t list =
   let cfg = tb.Engines.Engine.tb_config in
   let strict = tb.Engines.Engine.tb_mode = Engines.Engine.Strict in
   let parse_opts = Engines.Registry.parse_opts_of_config cfg in
@@ -230,7 +230,7 @@ let causal_quirks ~strategy ~cache ~memo (tb : Engines.Engine.testbed)
       }
     in
     Engines.Engine.Exec.run_keyed ~strategy cache ~pkey ~quirks ~parse_opts
-      ~strict ~fuel
+      ~strict ~fuel:Difftest.campaign_fuel
   in
   let changes q =
     let key = (Engines.Engine.testbed_id tb, q, base_sig) in
@@ -259,7 +259,6 @@ let default_testbeds () =
    the driver, in submission order. *)
 type st = {
   d_fuzzer : string;
-  d_fuel : int;
   d_strategy : Strategy.t;
   d_reduce : bool;
   d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
@@ -314,10 +313,12 @@ module Checkpoint = struct
      than as a frozen copy. v8: the driver record is stored as itself —
      testbeds, fault plan and seen table included — and with it the
      early end ([d_aborted], [d_stop]). v9: the compilation and COW
-     tallies became one vector of every registered counter. The header
-     check rejects older files rather than guess defaults for fields
-     that change what a resumed campaign runs. *)
-  let version = 9
+     tallies became one vector of every registered counter. v10: the
+     per-testbed fuel left the record; every campaign runs on
+     [Difftest.campaign_fuel]. The header check rejects older files
+     rather than guess defaults for fields that change what a resumed
+     campaign runs. *)
+  let version = 10
 
   type state = st
 
@@ -518,8 +519,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
               let causal =
                 Run.Stage.time Run.Stage.attr (fun () ->
                     causal_quirks ~strategy:d.d_strategy
-                      ~cache:(Lazy.force attr_cache) ~memo:probe_memo tb dev
-                      ~fuel:d.d_fuel)
+                      ~cache:(Lazy.force attr_cache) ~memo:probe_memo tb dev)
               in
               if causal = [] then d.d_unattributed <- d.d_unattributed + 1
               else
@@ -608,8 +608,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         W_swept
           (List.map
              (fun tbs ->
-               Difftest.sweep_case ~fuel:d.d_fuel ~strategy:d.d_strategy
-                 ?plan:d.d_plan ~supervisor:sup ~case_key:i
+               Difftest.sweep_case ~strategy:d.d_strategy ?plan:d.d_plan
+                 ~supervisor:sup ~case_key:i
                  ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
     | None ->
@@ -620,9 +620,9 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         W_judged
           (List.map
              (fun tbs ->
-               if audit then Difftest.audit_case ~fuel:d.d_fuel tbs tc
+               if audit then Difftest.audit_case tbs tc
                else
-                 Difftest.run_case ~fuel:d.d_fuel ~strategy:d.d_strategy
+                 Difftest.run_case ~strategy:d.d_strategy
                    ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
   in
@@ -704,11 +704,9 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         ~aborted:
           (match d.d_aborted with None -> !pool_exhausted | a -> a))
 
-let run ?(testbeds = default_testbeds ()) ?(budget = 200)
-    ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
-    ?(workers = Coordinator.default_workers ()) ?worker_limits ?strategy
-    ?(audit = 0) ?faults ?checkpoint ?halt_after (fz : fuzzer) :
-    result =
+let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
+    ?(workers = 0) ?worker_limits ?strategy ?(audit = 0) ?faults ?checkpoint
+    ?halt_after (fz : fuzzer) : result =
   let strategy = Strategy.value strategy in
   let plan =
     match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
@@ -749,21 +747,18 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
   let kept = ref [] in
   let n_kept = ref 0 in
   let keep tc = kept := tc :: !kept; incr n_kept in
-  if not screen then draw budget (fun tc _ -> keep tc)
-  else begin
-    let stalls = ref 0 in
-    while !n_kept < budget && !stalls < 3 && !aborted = None do
-      let progressed = ref false in
-      draw (budget - !n_kept) (fun tc parse ->
-          match
-            Run.Stage.time Run.Stage.screen (fun () -> screen_parsed tc parse)
-          with
-          | S_kept tc -> keep tc; progressed := true
-          | S_repaired tc -> keep tc; incr repaired; progressed := true
-          | S_dropped reason -> drop reason);
-      if !progressed then stalls := 0 else incr stalls
-    done
-  end;
+  let stalls = ref 0 in
+  while !n_kept < budget && !stalls < 3 && !aborted = None do
+    let progressed = ref false in
+    draw (budget - !n_kept) (fun tc parse ->
+        match
+          Run.Stage.time Run.Stage.screen (fun () -> screen_parsed tc parse)
+        with
+        | S_kept tc -> keep tc; progressed := true
+        | S_repaired tc -> keep tc; incr repaired; progressed := true
+        | S_dropped reason -> drop reason);
+    if !progressed then stalls := 0 else incr stalls
+  done;
   let cases = List.rev !kept in
   (if !aborted = None then
      let got = List.length cases in
@@ -775,7 +770,6 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
   let d =
     {
       d_fuzzer = fz.fz_name;
-      d_fuel = fuel;
       d_strategy = strategy;
       d_reduce = reduce;
       d_audit = audit;
@@ -802,6 +796,6 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
   in
   drive ~workers ?worker_limits ?checkpoint ?halt_after d
 
-let resume ?(workers = Coordinator.default_workers ()) ?worker_limits
-    ?checkpoint ?halt_after (d : Checkpoint.state) : result =
+let resume ?(workers = 0) ?worker_limits ?checkpoint ?halt_after
+    (d : Checkpoint.state) : result =
   drive ~workers ?worker_limits ?checkpoint ?halt_after d

@@ -153,13 +153,12 @@ end
     @param testbeds  defaults to {!default_testbeds}; pass
                      [Engines.Engine.all_testbeds] for the paper's full
                      102-testbed setup
-    @param budget    number of test cases to execute
+    @param budget    number of test cases to execute. Every candidate
+                     case runs the {!Analysis} static screen first:
+                     dropped programs never reach differential testing,
+                     and replacements are drawn so the budget is still
+                     spent in full
     @param reduce    reduce the first exposing case of each discovery
-    @param screen    run the {!Analysis} static screen on every candidate
-                     case (default [true]): dropped programs never reach
-                     differential testing and replacements are drawn so
-                     the budget is still spent in full; [false] is the
-                     screening ablation
     @param strategy  the execution strategy (default
                      {!Jsinterp.Strategy.default}); reports are
                      byte-identical under both (DESIGN.md, "Execution
@@ -172,8 +171,8 @@ end
     @param faults    deterministic fault-injection plan applied to every
                      supervised testbed execution (chaos campaigns);
                      defaults to [COMFORT_FAULTS] from the environment.
-                     A plan turns supervision on, under
-                     {!Supervisor.default_policy}: injected faults are
+                     A plan turns supervision on, under the policy of
+                     {!Supervisor.execute}: injected faults are
                      retried, quarantined and counted in
                      {!result.cp_faults} — they can never surface as
                      deviations or discoveries. Without one the pipeline
@@ -185,8 +184,7 @@ end
                      many cases are consumed — the kill-simulation hook;
                      a halt writes a final checkpoint first when a sink is
                      configured. No effect when >= the drawn case count
-    @param workers   when positive (default [COMFORT_WORKERS], else 0)
-                     and {!Coordinator.available}, run every per-case
+    @param workers   when positive (default 0) and {!Coordinator.available}, run every per-case
                      sweep in one of this many forked worker processes
                      instead of the in-process loop: a segfault, runaway
                      or hard-killed execution costs one worker, never the
@@ -201,9 +199,7 @@ end
 val run :
   ?testbeds:Engines.Engine.testbed list ->
   ?budget:int ->
-  ?fuel:int ->
   ?reduce:bool ->
-  ?screen:bool ->
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->
   ?strategy:Jsinterp.Strategy.t ->

@@ -56,11 +56,6 @@ let available () =
   | None | Some "" -> true
   | Some _ -> false
 
-let default_workers () =
-  match Sys.getenv_opt "COMFORT_WORKERS" with
-  | Some s -> ( try max 0 (int_of_string (String.trim s)) with _ -> 0)
-  | None -> 0
-
 (* --- wire protocol ------------------------------------------------- *)
 
 type 'a dispatch =

@@ -78,9 +78,6 @@ val available : unit -> bool
     and when COMFORT_NO_FORK is set non-empty (the CI escape hatch);
     callers degrade to the in-process loop. *)
 
-val default_workers : unit -> int
-(** COMFORT_WORKERS, else 0 (in-process). The [--workers] default. *)
-
 val create :
   workers:int -> ?limits:limits -> worker:('a -> 'b) -> unit -> ('a, 'b) t
 (** Fork [workers] children, each looping over dispatched tasks with
@@ -88,9 +85,6 @@ val create :
     force shared lazy state before creating the pool. [worker] runs in
     the child; exceptions it raises are shipped back as strings and
     surface through [run_ordered]'s [on_task_fail]. *)
-
-val shutdown : ('a, 'b) t -> unit
-(** SIGKILL and reap every worker. Idempotent. *)
 
 val with_pool :
   workers:int ->

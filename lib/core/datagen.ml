@@ -60,15 +60,13 @@ let random_value (rng : Cutil.Rng.t) : Ast.expr =
   | 6 -> B.int (Cutil.Rng.int rng 100000)
   | _ -> B.undefined ()
 
-type t = {
-  db : Specdb.Db.t;
-  rng : Cutil.Rng.t;
-  max_mutants_per_program : int;
-}
+type t = { db : Specdb.Db.t; rng : Cutil.Rng.t }
 
-let create ?(seed = 2) ?(db = Lazy.force Specdb.Db.standard)
-    ?(max_mutants = 16) () : t =
-  { db; rng = Cutil.Rng.create seed; max_mutants_per_program = max_mutants }
+(* Mutants kept per source program. *)
+let max_mutants = 16
+
+let create ?(seed = 2) ?(db = Lazy.force Specdb.Db.standard) () : t =
+  { db; rng = Cutil.Rng.create seed }
 
 (* Generated programs frequently reference identifiers they never declare
    (the model glues fragments from different training programs). Binding
@@ -295,7 +293,7 @@ let synthesize_drivers (t : t) (p : Ast.program) : (mutant * Ast.program) list =
           @ [ None; None ] (* random drivers *)
         in
         let plans =
-          List.filteri (fun i _ -> i < t.max_mutants_per_program) plans
+          List.filteri (fun i _ -> i < max_mutants) plans
         in
         List.map
           (fun plan ->
@@ -430,7 +428,7 @@ let drafts (t : t) (p : Ast.program) : (mutant * Ast.program) list =
         end)
       all
   in
-  List.filteri (fun i _ -> i < t.max_mutants_per_program) uniq
+  List.filteri (fun i _ -> i < max_mutants) uniq
 
 (* The observation harness goes onto the mutant's own AST, which is then
    printed once: the same text as parsing the first print back and

@@ -16,7 +16,7 @@ type t
 (** @param db the specification database (default: the embedded corpus);
     pass an empty database to disable spec guidance while keeping driver
     synthesis — the ablation of DESIGN.md §4.3. *)
-val create : ?seed:int -> ?db:Specdb.Db.t -> ?max_mutants:int -> unit -> t
+val create : ?seed:int -> ?db:Specdb.Db.t -> unit -> t
 
 (** Algorithm 1 on one source program; [] when it does not parse. *)
 val mutants_of_program : t -> string -> mutant list

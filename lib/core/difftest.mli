@@ -81,8 +81,8 @@ type sweep = {
 }
 
 (** The worker half of one differential test: execute the case on every
-    applicable testbed under the fault plan and the supervisor's
-    {!Supervisor.default_policy}.
+    applicable testbed under the fault plan and the supervision policy
+    of {!Supervisor.execute}.
     [supervisor] is consulted only through its racy monotone quarantine
     roster, to skip work {!judge} would discard. With no
     [plan] the per-testbed execution is the bare engine run.

@@ -16,17 +16,16 @@ type t = {
   fb_base : Campaign.fuzzer;
   fb_rng : Cutil.Rng.t;
   fb_bank : Jsast.Ast.program Queue.t;
-  fb_mix : float;  (** fraction of each batch drawn from bank mutants *)
-  mutable fb_banked : int;
 }
 
-let create ?(seed = 51) ?(mix = 0.3) (base : Campaign.fuzzer) : t =
+(* The fraction of each batch drawn from bank mutants. *)
+let mix = 0.3
+
+let create ?(seed = 51) (base : Campaign.fuzzer) : t =
   {
     fb_base = base;
     fb_rng = Cutil.Rng.create seed;
     fb_bank = Queue.create ();
-    fb_mix = mix;
-    fb_banked = 0;
   }
 
 (* Bank a test case that exposed a deviation. *)
@@ -34,7 +33,6 @@ let record (t : t) (tc : Testcase.t) : unit =
   match Jsparse.Parser.parse_program tc.Testcase.tc_source with
   | p ->
       Queue.add p t.fb_bank;
-      t.fb_banked <- t.fb_banked + 1;
       (* bound the bank; oldest cases rotate out *)
       if Queue.length t.fb_bank > 200 then ignore (Queue.pop t.fb_bank)
   | exception Jsparse.Parser.Syntax_error _ -> ()
@@ -58,7 +56,7 @@ let mutate_banked (t : t) : string option =
   end
 
 (* The wrapped fuzzer: once the bank is non-empty, an [n]-case draw
-   yields [n * fb_mix] bank mutants first, then the base draw of the
+   yields [n * mix] bank mutants first, then the base draw of the
    rest. *)
 let fuzzer (t : t) : Campaign.fuzzer =
   Campaign.make_fuzzer
@@ -67,7 +65,7 @@ let fuzzer (t : t) : Campaign.fuzzer =
     (fun n ->
       let from_bank =
         if Queue.is_empty t.fb_bank then 0
-        else Float.to_int (Float.of_int n *. t.fb_mix)
+        else Float.to_int (Float.of_int n *. mix)
       in
       let rec mutants k got () =
         if k = 0 then t.fb_base.Campaign.fz_draw (n - got) ()
@@ -85,12 +83,11 @@ let fuzzer (t : t) : Campaign.fuzzer =
    deviating cases before the next. Returns the final campaign result
    accumulated over all rounds. *)
 let run_rounds ?(testbeds = Campaign.default_testbeds ()) ?(rounds = 4)
-    ?(budget_per_round = 500) ?(fuel = Difftest.campaign_fuel)
-    ?strategy (t : t) : Campaign.result =
+    ?(budget_per_round = 500) ?strategy (t : t) : Campaign.result =
   let merged : Campaign.result option ref = ref None in
   for _ = 1 to rounds do
     let res =
-      Campaign.run ~testbeds ~budget:budget_per_round ~fuel ?strategy
+      Campaign.run ~testbeds ~budget:budget_per_round ?strategy
         (fuzzer t)
     in
     (* bank this round's exposing cases *)

@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?seed:int -> ?mix:float -> Campaign.fuzzer -> t
+val create : ?seed:int -> Campaign.fuzzer -> t
 
 (** Bank a test case that exposed a deviation. *)
 val record : t -> Testcase.t -> unit
@@ -28,7 +28,6 @@ val run_rounds :
   ?testbeds:Engines.Engine.testbed list ->
   ?rounds:int ->
   ?budget_per_round:int ->
-  ?fuel:int ->
   ?strategy:Jsinterp.Strategy.t ->
   t ->
   Campaign.result

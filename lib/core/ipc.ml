@@ -16,7 +16,8 @@ let error_to_string = function
 
 let magic = "CFR1"
 let header_len = 4 + 4 + 8 (* magic + length + checksum *)
-let default_max_frame = 64 * 1024 * 1024
+(* The payload-size bound [read] accepts: 64 MiB. *)
+let max_frame = 64 * 1024 * 1024
 
 (* FNV-1a over the payload. Cheap, dependency-free, and plenty to
    distinguish "worker died mid-write" from a well-formed frame; this is
@@ -106,7 +107,7 @@ let decode (s : string) : ('a, error) result =
           Error (Corrupt (Printf.sprintf "%d bytes after the frame" (got - plen)))
         else unmarshal_payload (String.sub s header_len plen) sum
 
-let read ?(max_frame = default_max_frame) fd : ('a, error) result =
+let read fd : ('a, error) result =
   let hdr = Bytes.create header_len in
   match really_read fd hdr header_len with
   | Ok false -> Error Closed

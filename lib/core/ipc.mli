@@ -25,15 +25,12 @@ type error =
   | Truncated of string
       (** EOF inside a frame — the peer died mid-write. *)
   | Oversized of int
-      (** length prefix exceeds the [max_frame] bound; the offending
+      (** length prefix exceeds {!read}'s 64 MiB bound; the offending
           length is reported and nothing was allocated for it. *)
   | Corrupt of string
       (** bad magic, checksum mismatch, or an undecodable payload. *)
 
 val error_to_string : error -> string
-
-(** Default payload-size bound accepted by {!read}: 64 MiB. *)
-val default_max_frame : int
 
 (** [write fd v] marshals [v] and writes one frame, retrying on
     [EINTR]/partial writes. Raises [Unix.Unix_error (EPIPE, _, _)] if
@@ -56,11 +53,10 @@ val fnv64 : string -> int64
 
 (** [decode s] decodes a string holding exactly one frame: a short
     string is [Truncated], bytes after the frame are [Corrupt]. The
-    frame's length is bounded by [s] itself, so there is no
-    [max_frame]. *)
+    frame's length is bounded by [s] itself, so there is no size
+    bound. *)
 val decode : string -> ('a, error) result
 
-(** [read fd] blocks for one frame and returns its decoded payload.
-    [max_frame] bounds the payload size accepted (default
-    {!default_max_frame}). *)
-val read : ?max_frame:int -> Unix.file_descr -> ('a, error) result
+(** [read fd] blocks for one frame and returns its decoded payload. A
+    payload over 64 MiB is refused as [Oversized]. *)
+val read : Unix.file_descr -> ('a, error) result

@@ -16,7 +16,11 @@ type quality = {
   q_func_cov : float;
 }
 
-let measure ?(fuel = 200_000) (fz : Campaign.fuzzer) ~(n : int) : quality =
+(* The per-case fuel of the quality measurements: each valid case runs
+   once on the reference engine. *)
+let quality_fuel = 200_000
+
+let measure (fz : Campaign.fuzzer) ~(n : int) : quality =
   let cases = fz.Campaign.fz_batch n in
   let valid = List.filter (fun c -> c.Testcase.tc_syntax_valid) cases in
   (* passing rate over the generator's raw output where the fuzzer exposes
@@ -36,7 +40,8 @@ let measure ?(fuel = 200_000) (fz : Campaign.fuzzer) ~(n : int) : quality =
     List.filter_map
       (fun (tc : Testcase.t) ->
         let r =
-          Jsinterp.Run.run ~coverage:true ~fuel tc.Testcase.tc_source
+          Jsinterp.Run.run ~coverage:true ~fuel:quality_fuel
+            tc.Testcase.tc_source
         in
         r.Jsinterp.Run.r_coverage)
       valid
@@ -64,44 +69,6 @@ let measure ?(fuel = 200_000) (fz : Campaign.fuzzer) ~(n : int) : quality =
         (fun c -> c.Jsinterp.Coverage.func_total);
   }
 
-(* Screening statistics: how the static-analysis pass judges a fuzzer's
-   output. Unlike the campaign driver this draws no replacements, so the
-   fractions are per-emitted-case. *)
-type screening = {
-  sc_fuzzer : string;
-  sc_samples : int;
-  sc_kept : int;
-  sc_repaired : int;  (** kept, after free-variable repair *)
-  sc_dropped : int;
-  sc_reasons : (string * int) list;  (** drop reason -> count, sorted *)
-}
-
-let screen_stats (fz : Campaign.fuzzer) ~(n : int) : screening =
-  let samples = ref 0 in
-  let kept = ref 0 and repaired = ref 0 and dropped = ref 0 in
-  let reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  Seq.iter
-    (fun (tc, parse) ->
-      incr samples;
-      match Campaign.screen_parsed tc parse with
-      | Campaign.S_kept _ -> incr kept
-      | Campaign.S_repaired _ -> incr repaired
-      | Campaign.S_dropped reason ->
-          incr dropped;
-          Hashtbl.replace reasons reason
-            (1 + Option.value (Hashtbl.find_opt reasons reason) ~default:0))
-    (fz.Campaign.fz_draw n);
-  {
-    sc_fuzzer = fz.Campaign.fz_name;
-    sc_samples = !samples;
-    sc_kept = !kept;
-    sc_repaired = !repaired;
-    sc_dropped = !dropped;
-    sc_reasons =
-      Hashtbl.fold (fun r c acc -> (r, c) :: acc) reasons []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-  }
-
 (* Share of valid generated programs that still raise a runtime exception
    (the paper reports ~18% for Comfort). *)
 let runtime_exception_rate (fz : Campaign.fuzzer) ~(n : int) : float =
@@ -115,7 +82,7 @@ let runtime_exception_rate (fz : Campaign.fuzzer) ~(n : int) : float =
       let throwing =
         List.filter
           (fun (tc : Testcase.t) ->
-            let r = Jsinterp.Run.run ~fuel:200_000 tc.Testcase.tc_source in
+            let r = Jsinterp.Run.run ~fuel:quality_fuel tc.Testcase.tc_source in
             match r.Jsinterp.Run.r_status with
             | Jsinterp.Run.Sts_uncaught _ -> true
             | _ -> false)
@@ -189,32 +156,3 @@ let profile_to_string (p : profile) : string =
            r.st_name (ms r.st_ns) (pct r.st_ns) (mb r.st_bytes)))
     p.pr_substages;
   Buffer.contents b
-
-(* Coverage degradation of a supervised campaign: how many testbeds the
-   quarantine removed from the vote, and how many executions the fault
-   layer absorbed, relative to the sweep the campaign started with. *)
-type availability = {
-  av_testbeds : int;
-  av_quarantined : int;
-  av_live : int;
-  av_cases : int;
-  av_skipped_cases : int;
-  av_lost_executions : int;
-  av_ratio : float;
-}
-
-let availability ~(testbeds : int) (c : Campaign.result) : availability =
-  let quarantined = List.length c.Campaign.cp_quarantined in
-  let live = max 0 (testbeds - quarantined) in
-  let s = c.Campaign.cp_faults in
-  {
-    av_testbeds = testbeds;
-    av_quarantined = quarantined;
-    av_live = live;
-    av_cases = c.Campaign.cp_cases_run;
-    av_skipped_cases = c.Campaign.cp_skipped_cases;
-    av_lost_executions = s.Supervisor.st_faulted + s.Supervisor.st_skipped;
-    av_ratio =
-      (if testbeds <= 0 then 1.0
-       else Float.of_int live /. Float.of_int testbeds);
-  }

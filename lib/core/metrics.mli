@@ -11,21 +11,7 @@ type quality = {
 
 (** Measure one fuzzer over [n] cases; coverage runs each syntactically
     valid case on the reference engine with instrumentation. *)
-val measure : ?fuel:int -> Campaign.fuzzer -> n:int -> quality
-
-(** How the static-analysis screen judges a fuzzer's output. *)
-type screening = {
-  sc_fuzzer : string;
-  sc_samples : int;
-  sc_kept : int;       (** passed the screen untouched *)
-  sc_repaired : int;   (** kept after free-variable repair *)
-  sc_dropped : int;
-  sc_reasons : (string * int) list;  (** drop reason -> count, sorted *)
-}
-
-(** Screen [n] cases from the fuzzer (no replacement draws: fractions are
-    per emitted case). *)
-val screen_stats : Campaign.fuzzer -> n:int -> screening
+val measure : Campaign.fuzzer -> n:int -> quality
 
 (** Share of valid generated cases that raise a runtime exception (the
     paper reports ~18% for Comfort). *)
@@ -54,20 +40,3 @@ val profile : wall_ns:int -> profile
 
 (** Render a profile as the CLI's human-readable table. *)
 val profile_to_string : profile -> string
-
-(** How much coverage a supervised campaign retained in the face of
-    faults (DESIGN.md §10): graceful degradation, quantified. *)
-type availability = {
-  av_testbeds : int;         (** testbeds the campaign started with *)
-  av_quarantined : int;      (** dropped by quarantine along the way *)
-  av_live : int;             (** still voting when the campaign ended *)
-  av_cases : int;            (** cases consumed *)
-  av_skipped_cases : int;    (** whole cases lost to worker failures *)
-  av_lost_executions : int;  (** per-testbed executions faulted or skipped *)
-  av_ratio : float;          (** live / started (1.0 when nothing faulted) *)
-}
-
-(** Summarise a campaign's degradation. [testbeds] is the size of the
-    sweep the campaign was launched with (the result only records the
-    losses). *)
-val availability : testbeds:int -> Campaign.result -> availability

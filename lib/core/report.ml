@@ -141,19 +141,8 @@ let fig7 (c : Campaign.result) : (string * int * int) list =
         List.length (List.filter is_fixed quirks) ))
     components
 
-(* Screening summary: what the static-analysis pass filtered before
-   differential testing, as (label, count) rows — total dropped and
-   repaired first, then the per-reason histogram. *)
-let screening_summary (c : Campaign.result) : (string * int) list =
-  ("screened out", c.Campaign.cp_screened_out)
-  :: ("repaired", c.Campaign.cp_repaired)
-  :: List.map
-       (fun (reason, n) -> ("drop:" ^ reason, n))
-       c.Campaign.cp_screen_reasons
-
 (* Supervision summary: what the fault-injection/retry/quarantine layer
-   absorbed during the campaign, as (label, count) rows mirroring
-   [screening_summary]. Quarantined testbeds get one row each so a chaos
+   absorbed during the campaign, as (label, count) rows. Quarantined testbeds get one row each so a chaos
    report names the degraded coverage explicitly. *)
 let supervision_summary (c : Campaign.result) : (string * int) list =
   let s = c.Campaign.cp_faults in

@@ -21,10 +21,6 @@ val table5 : Campaign.result -> (string * int * int * int) list
 (** Figure 7 rows: compiler component, found, fixed. *)
 val fig7 : Campaign.result -> (string * int * int) list
 
-(** Screening summary rows: total screened-out and repaired counts,
-    followed by the per-reason drop histogram (["drop:<reason>"]). *)
-val screening_summary : Campaign.result -> (string * int) list
-
 (** Supervision summary rows: aggregate fault/retry/quarantine counters,
     cases lost to worker failures, then one ["quarantined:<testbed>"] row
     per dropped testbed (value = the case index that tripped the

@@ -221,7 +221,7 @@ type policy = {
                                is dropped from the sweep *)
 }
 
-let default_policy =
+let policy =
   { p_retries = 2; p_backoff_base = 10; p_watchdog = 100; p_quarantine_after = 3 }
 
 (* --- worker-process kill hook (set only inside Coordinator children) ---
@@ -281,8 +281,8 @@ type 'a outcome =
    allocation-free. Real exceptions are retried like injected crashes:
    infrastructure flakes clear, deterministic harness bugs exhaust the
    budget and surface as [F_exn] faults (never as engine behaviour). *)
-let execute ?plan ?(policy = default_policy) ~(testbed_id : string)
-    ~(case_key : int) (thunk : unit -> 'a) : 'a outcome =
+let execute ?plan ~(testbed_id : string) ~(case_key : int)
+    (thunk : unit -> 'a) : 'a outcome =
   let rec attempt_from ~attempt ~trail ~backoff ~slow =
     let backoff =
       if attempt = 0 then backoff
@@ -412,7 +412,7 @@ let observe (t : t) ~(case_key : int)
               st_backoff = !s.st_backoff + fr.fr_backoff;
             };
           if
-            consec >= default_policy.p_quarantine_after
+            consec >= policy.p_quarantine_after
             && not (quarantined t tb_id)
           then t.sup_quarantined <- t.sup_quarantined @ [ (tb_id, case_key) ])
     obs;

@@ -72,24 +72,6 @@ module Faultplan : sig
     t -> testbed_id:string -> case_key:int -> attempt:int -> fault_kind option
 end
 
-(** Supervision policy. Campaigns and {!observe} use {!default_policy};
-    {!execute} takes another, so a test can substitute its own. *)
-type policy = {
-  p_retries : int;
-      (** extra attempts after a faulted first try (default 2) *)
-  p_backoff_base : int;
-      (** simulated backoff units; attempt [k] is charged
-          [base * 2^(k-1)]. Fuel is the repo's wall-clock stand-in, so
-          backoff is accounted in {!stats}, not slept. *)
-  p_watchdog : int;
-      (** slow-start budget in latency units; a slow start beyond it is
-          indistinguishable from a hang and killed *)
-  p_quarantine_after : int;
-      (** consecutive faulted cases before a testbed is dropped *)
-}
-
-val default_policy : policy
-
 (** What a successful supervised execution absorbed on the way. *)
 type exec_meta = {
   em_retries : int;  (** failed attempts before success *)
@@ -113,14 +95,18 @@ type 'a outcome =
   | Faulted of fault_report
   | Skipped  (** quarantined before execution *)
 
-(** Run one testbed execution under the plan and policy: consult the
-    fault plan before each attempt, retry faulted attempts (injected or
-    real escaped exceptions) with deterministic backoff, give up after
-    [p_retries] retries. With no plan the happy path is the bare thunk
-    plus one exception handler. Worker-safe: touches no shared state. *)
+(** Run one testbed execution under the plan and the supervision
+    policy: consult the fault plan before each attempt, retry faulted
+    attempts (injected or real escaped exceptions) with deterministic
+    backoff, give up after two retries. Attempt [k] is charged
+    [10 * 2^(k-1)] simulated backoff units (fuel is the repo's
+    wall-clock stand-in, so backoff is accounted in {!stats}, not
+    slept). A slow start beyond the 100-unit watchdog budget is
+    indistinguishable from a hang and killed. With no plan the happy
+    path is the bare thunk plus one exception handler. Worker-safe:
+    touches no shared state. *)
 val execute :
   ?plan:Faultplan.t ->
-  ?policy:policy ->
   testbed_id:string ->
   case_key:int ->
   (unit -> 'a) ->
@@ -178,7 +164,7 @@ type observation =
 
 (** Fold one case's per-testbed observations into the supervisor, in
     case-submission order: reset or bump consecutive-fault counters,
-    quarantine testbeds that cross [p_quarantine_after], accumulate
-    stats. Driver-only. *)
+    quarantine testbeds after three consecutive faulted cases,
+    accumulate stats. Driver-only. *)
 val observe : t -> case_key:int -> (string * observation) list -> unit
 

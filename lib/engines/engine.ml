@@ -221,16 +221,14 @@ module Frontend = struct
         Hashtbl.replace fc.fc_groups ikey e;
         e
 
-  let frontend_for fc ~key ~quirks ~parse_opts ~strict =
-    snd (entry_for fc ~key ~quirks ~parse_opts ~strict)
-
   let frontend (fc : cache) (tb : testbed) : Run.frontend =
     let cfg = tb.tb_config in
-    frontend_for fc
-      ~key:(Registry.parse_key cfg, tb.tb_mode = Strict)
-      ~quirks:cfg.Registry.cfg_quirks
-      ~parse_opts:(Registry.parse_opts_of_config cfg)
-      ~strict:(tb.tb_mode = Strict)
+    snd
+      (entry_for fc
+         ~key:(Registry.parse_key cfg, tb.tb_mode = Strict)
+         ~quirks:cfg.Registry.cfg_quirks
+         ~parse_opts:(Registry.parse_opts_of_config cfg)
+         ~strict:(tb.tb_mode = Strict))
 end
 
 (* The per-case execution-sharing cache, extending {!Frontend} from shared

@@ -70,17 +70,6 @@ module Frontend : sig
   (** The shared front end for this testbed's parse group, parsing on
       first use. Pass to [run ~frontend]. *)
   val frontend : cache -> testbed -> Jsinterp.Run.frontend
-
-  (** The shared front end of an arbitrary parse group, for profiles not
-      backed by a registry config (e.g. the reference engine). Profiles
-      mapping to the same [key] must have identical effective options. *)
-  val frontend_for :
-    cache ->
-    key:Registry.parse_key * bool ->
-    quirks:Jsinterp.Quirk.Set.t ->
-    parse_opts:Jsparse.Parser.options ->
-    strict:bool ->
-    Jsinterp.Run.frontend
 end
 
 (** Per-test-case execution-sharing cache, extending {!Frontend} from

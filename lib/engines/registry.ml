@@ -47,11 +47,11 @@ let es_to_string = function
 
 (* The effective front end of a config is fully determined by its base
    option set (ES5 vs standard — see [parse_opts_of_config]) plus the
-   three parser-level quirks that [Run.parse_opts_of] folds in. [parse_key]
-   projects exactly those inputs into a flat record of booleans, giving a
-   comparable and hashable cache key: two configs with equal keys parse any
-   source identically and sink the same parse-stage quirks, so one parse
-   can serve both. The parser's [quirk_sink] closure makes the options
+   three parser-level quirks that [Run] folds into its parse options.
+   [parse_key] projects exactly those inputs into a flat record of
+   booleans, giving a comparable and hashable cache key: two configs with
+   equal keys parse any source identically and sink the same parse-stage
+   quirks, so one parse can serve both. The parser's [quirk_sink] closure makes the options
    record itself unusable as a key. *)
 
 type parse_key = {

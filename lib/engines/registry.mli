@@ -28,7 +28,7 @@ val es_to_string : es_edition -> string
 
 (** A comparable, hashable projection of a config's {e effective} front
     end: the base option profile (ES5 vs standard) plus the three
-    parser-level quirks {!Jsinterp.Run.parse_opts_of} folds in. Two
+    parser-level quirks the interpreter folds into its parse options. Two
     configs with equal keys parse any source identically and sink the
     same parse-stage quirks, so the campaign's front-end cache shares one
     parse between them. *)

@@ -13,9 +13,6 @@ let counter = ref 0
 
 let fresh () = incr counter; !counter
 
-(* Reset only from tests that assert on concrete ids. *)
-let reset_ids () = counter := 0
-
 let e (desc : expr_desc) : expr = { eid = fresh (); e = desc }
 let s (desc : stmt_desc) : stmt = { sid = fresh (); s = desc }
 
@@ -46,29 +43,19 @@ let index obj i = e (Member (obj, Pindex i))
 let seq a b = e (Seq (a, b))
 let template parts = e (Template parts)
 
-let func ?name ?(arrow = false) params body =
-  e
-    (if arrow then Arrow { fname = name; params; body; is_arrow = true }
-     else Func { fname = name; params; body; is_arrow = false })
-
-(* [meth_call obj name args] builds [obj.name(args)]. *)
-let meth_call obj name args = call (field obj name) args
+let func ?name params body =
+  e (Func { fname = name; params; body; is_arrow = false })
 
 (* Statements *)
 
 let expr_stmt x = s (Expr_stmt x)
-let var ?(kind = Var) name init = s (Var_decl (kind, [ (name, Some init) ]))
-let var_uninit ?(kind = Var) name = s (Var_decl (kind, [ (name, None) ]))
+let var name init = s (Var_decl (Var, [ (name, Some init) ]))
 let func_decl name params body =
   s (Func_decl { fname = Some name; params; body; is_arrow = false })
 let return_ x = s (Return (Some x))
-let return_void () = s (Return None)
 let if_ c t = s (If (c, t, None))
-let if_else c t f = s (If (c, t, Some f))
 let block stmts = s (Block stmts)
-let while_ c body = s (While (c, body))
 let throw x = s (Throw x)
-let try_catch body param handler = s (Try (body, Some (param, handler), None))
 let empty () = s Empty
 
 (* [print x] builds [print(x)] — the output primitive used by every engine

@@ -9,9 +9,6 @@ val e : Ast.expr_desc -> Ast.expr
 
 val s : Ast.stmt_desc -> Ast.stmt
 
-(** Reset the id counter — only from tests asserting on concrete ids. *)
-val reset_ids : unit -> unit
-
 (** {2 Expressions} *)
 
 val lit : Ast.lit -> Ast.expr
@@ -38,25 +35,17 @@ val field : Ast.expr -> string -> Ast.expr
 val index : Ast.expr -> Ast.expr -> Ast.expr
 val seq : Ast.expr -> Ast.expr -> Ast.expr
 val template : Ast.template_part list -> Ast.expr
-val func : ?name:string -> ?arrow:bool -> string list -> Ast.stmt list -> Ast.expr
-
-(** [meth_call obj name args] builds [obj.name(args)]. *)
-val meth_call : Ast.expr -> string -> Ast.expr list -> Ast.expr
+val func : ?name:string -> string list -> Ast.stmt list -> Ast.expr
 
 (** {2 Statements} *)
 
 val expr_stmt : Ast.expr -> Ast.stmt
-val var : ?kind:Ast.var_kind -> string -> Ast.expr -> Ast.stmt
-val var_uninit : ?kind:Ast.var_kind -> string -> Ast.stmt
+val var : string -> Ast.expr -> Ast.stmt
 val func_decl : string -> string list -> Ast.stmt list -> Ast.stmt
 val return_ : Ast.expr -> Ast.stmt
-val return_void : unit -> Ast.stmt
 val if_ : Ast.expr -> Ast.stmt -> Ast.stmt
-val if_else : Ast.expr -> Ast.stmt -> Ast.stmt -> Ast.stmt
 val block : Ast.stmt list -> Ast.stmt
-val while_ : Ast.expr -> Ast.stmt -> Ast.stmt
 val throw : Ast.expr -> Ast.stmt
-val try_catch : Ast.stmt list -> string -> Ast.stmt list -> Ast.stmt
 val empty : unit -> Ast.stmt
 
 (** [print x] builds [print(x)] — the output primitive every testbed

@@ -5,9 +5,6 @@
     test cases (paper §5.5). All operators preserve syntactic validity by
     construction — they rewrite the AST and print it. *)
 
-val interesting_numbers : float list
-val interesting_strings : string list
-
 (** Replace one random literal. With [preserve_type] the replacement keeps
     the literal's type (DIE-style aspect preservation), mostly with plain
     random values and occasionally an "interesting" constant. *)

@@ -40,13 +40,6 @@ let print_num f =
   else (* shortest representation that round-trips *)
     Cutil.Numfmt.shortest_g f
 
-let is_valid_ident s =
-  String.length s > 0
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | '$' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> true | _ -> false)
-       s
-
 type ctx = { buf : Buffer.t; mutable indent : int }
 
 let nl ctx =
@@ -416,16 +409,6 @@ and emit_stmt_as_block ctx st =
   match st.s with
   | Block _ -> emit_stmt ctx st
   | _ -> emit_block ctx [ st ]
-
-let expr_to_string (x : expr) =
-  let ctx = { buf = Buffer.create 64; indent = 0 } in
-  emit_expr ctx ~min_prec:prec_seq x;
-  Buffer.contents ctx.buf
-
-let stmt_to_string (st : stmt) =
-  let ctx = { buf = Buffer.create 64; indent = 0 } in
-  emit_stmt ctx st;
-  Buffer.contents ctx.buf
 
 let program_to_string (p : program) =
   let ctx = { buf = Buffer.create 256; indent = 0 } in

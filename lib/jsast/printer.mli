@@ -6,15 +6,4 @@
     parenthesised whenever its precedence is not strictly higher than the
     context requires. *)
 
-(** JS string-literal escaping (double-quoted form, without the quotes). *)
-val escape_string : string -> string
-
-(** The engine's number-to-source formatter: shortest round-tripping
-    representation, integers without a decimal point, JS exponent style. *)
-val print_num : float -> string
-
-val is_valid_ident : string -> bool
-
-val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val program_to_string : Ast.program -> string

@@ -6,12 +6,6 @@
     and call-site ids stay valid across a rewrite that only replaces a
     subtree. *)
 
-val map_expr :
-  fe:(Ast.expr -> Ast.expr) -> fs:(Ast.stmt -> Ast.stmt) -> Ast.expr -> Ast.expr
-
-val map_stmt :
-  fe:(Ast.expr -> Ast.expr) -> fs:(Ast.stmt -> Ast.stmt) -> Ast.stmt -> Ast.stmt
-
 val map_program :
   ?fe:(Ast.expr -> Ast.expr) ->
   ?fs:(Ast.stmt -> Ast.stmt) ->

@@ -125,44 +125,6 @@ let rec hoist_stmt ~on_var ~on_func (st : stmt) =
     ->
       ()
 
-(* Counting helpers used by the coverage metrics (denominators). *)
-
-let count_statements p =
-  let n = ref 0 in
-  iter_program ~fs:(fun _ -> incr n) p;
-  !n
-
-let count_functions p =
-  let n = ref 0 in
-  iter_program
-    ~fe:(fun x -> match x.e with Func _ | Arrow _ -> incr n | _ -> ())
-    ~fs:(fun st -> match st.s with Func_decl _ -> incr n | _ -> ())
-    p;
-  !n
-
-(* A "branch" is one arm of a conditional construct; an [If] contributes two
-   (then/else, whether or not the else is written), a [Cond] two, a [Logical]
-   two (short-circuit taken / not taken), each loop two (enter / skip), each
-   switch case one. This matches how Istanbul counts branches. *)
-let count_branch_arms p =
-  let n = ref 0 in
-  iter_program
-    ~fe:(fun x ->
-      match x.e with Cond _ | Logical _ -> n := !n + 2 | _ -> ())
-    ~fs:(fun st ->
-      match st.s with
-      | If _ -> n := !n + 2
-      | While _ | Do_while _ | For _ | For_in _ | For_of _ -> n := !n + 2
-      | Switch (_, cases) -> n := !n + List.length cases
-      | _ -> ())
-    p;
-  !n
-
-let count_nodes p =
-  let n = ref 0 in
-  iter_program ~fe:(fun _ -> incr n) ~fs:(fun _ -> incr n) p;
-  !n
-
 (* A call site interesting to the test-data generator: the callee "API name"
    in the ECMA-262 database key style. [x.substr(a)] yields ["substr"] with
    [receiver = Some "x"], [new Uint32Array(n)] yields ["Uint32Array"],

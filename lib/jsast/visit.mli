@@ -3,14 +3,6 @@
     association of the paper's Algorithm 1 line 8), the coverage
     instrumentation (enumerating coverable locations) and the reducer. *)
 
-(** Apply [fe] to every expression, top-down, including inside
-    function-expression bodies; [fs] fires on statements nested in those
-    bodies. *)
-val iter_expr : ?fs:(Ast.stmt -> unit) -> fe:(Ast.expr -> unit) -> Ast.expr -> unit
-
-val iter_stmt :
-  fe:(Ast.expr -> unit) -> fs:(Ast.stmt -> unit) -> Ast.stmt -> unit
-
 val iter_program :
   ?fe:(Ast.expr -> unit) -> ?fs:(Ast.stmt -> unit) -> Ast.program -> unit
 
@@ -25,17 +17,6 @@ val hoist_stmt :
   on_func:(int * Ast.func -> unit) ->
   Ast.stmt ->
   unit
-
-(** {2 Static counts (coverage denominators)} *)
-
-val count_statements : Ast.program -> int
-val count_functions : Ast.program -> int
-
-(** One arm per conditional construct: if/loops contribute two, each switch
-    case one — matching how Istanbul counts branches. *)
-val count_branch_arms : Ast.program -> int
-
-val count_nodes : Ast.program -> int
 
 (** {2 Call sites} *)
 

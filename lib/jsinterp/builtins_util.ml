@@ -45,13 +45,6 @@ let this_number ctx (this : value) : float =
   | Obj { prim = Some (Num f); _ } -> f
   | _ -> Ops.type_error ctx "Number.prototype method called on a non-number"
 
-(* [this] for Array.prototype generics: any object. *)
-let this_object ctx (this : value) : obj =
-  match this with
-  | Obj o -> o
-  | Undefined | Null -> Ops.type_error ctx "method called on null or undefined"
-  | prim -> Ops.to_object ctx prim
-
 let str v = Str v
 let num f = Num f
 let int_ i = Num (Float.of_int i)

@@ -27,8 +27,6 @@ type summary = {
   func_total : int;
 }
 
-let ratio num den = if den = 0 then 1.0 else Float.of_int num /. Float.of_int den
-
 (* Only count locations that belong to [prog]: code executed through [eval]
    is parsed at run time with fresh node ids and must not inflate the test
    program's own coverage. *)
@@ -70,7 +68,3 @@ let summarize (t : t) (prog : Jsast.Ast.program) : summary =
     func_covered = count_in t.funcs func_ids;
     func_total = Hashtbl.length func_ids;
   }
-
-let stmt_ratio s = ratio s.stmt_covered s.stmt_total
-let branch_ratio s = ratio s.branch_covered s.branch_total
-let func_ratio s = ratio s.func_covered s.func_total

@@ -24,7 +24,3 @@ type summary = {
 
 (** Intersect the recorder with the program's own locations. *)
 val summarize : t -> Jsast.Ast.program -> summary
-
-val stmt_ratio : summary -> float
-val branch_ratio : summary -> float
-val func_ratio : summary -> float

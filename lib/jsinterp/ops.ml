@@ -290,12 +290,6 @@ and to_uint32 ctx v =
   let i = Int32.to_int (to_int32 ctx v) in
   Float.of_int (if i < 0 then i + (1 lsl 32) else i)
 
-and to_length ctx v =
-  let f = to_integer ctx v in
-  if f <= 0.0 then 0
-  else if f >= 4294967295.0 then 4294967295 - 1
-  else Float.to_int f
-
 (* --- property access --- *)
 
 and get ctx (v : value) (key : string) : value =

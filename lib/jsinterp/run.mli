@@ -86,11 +86,6 @@ module Stage : sig
   val substages : unit -> (string * int * int) list
 end
 
-(** Derive front-end options from a quirk set (parser-level bugs live in
-    the front end, so a quirk profile is a single source of truth). *)
-val parse_opts_of :
-  base:Jsparse.Parser.options -> Quirk.Set.t -> Jsparse.Parser.options
-
 (** The outcome of one front-end pass, separable from execution so that
     testbeds whose effective parse options and mode coincide can share a
     single parse (the campaign's per-case front-end cache). *)

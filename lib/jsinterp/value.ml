@@ -360,28 +360,14 @@ let type_of = function
 
 let is_callable = function Obj { call = Some _; _ } -> true | _ -> false
 
-(* Every conformance-relevant decision point funnels through here (directly
-   or via [fire]); recording the consultation — whether or not the quirk is
-   active — is what makes the touched set a sound execution-sharing key.
-   [Quirk.index] is a constant-constructor match, so the whole consultation
-   is a handful of integer instructions and allocates nothing. *)
-let quirk_on ctx q =
-  let i = Quirk.index q in
-  if i < 62 then begin
-    let m = 1 lsl i in
-    ctx.t_lo <- ctx.t_lo lor m;
-    ctx.q_lo land m <> 0
-  end
-  else begin
-    let m = 1 lsl (i - 62) in
-    ctx.t_hi <- ctx.t_hi lor m;
-    ctx.q_hi land m <> 0
-  end
-
 (* Check-and-record: returns whether the quirk is active, and if so marks it
-   as fired. All deviation points in the interpreter and builtins go through
-   this so that campaign scoring can attribute observed deviations to
-   ground-truth bugs. *)
+   as fired. Every conformance-relevant decision point in the interpreter
+   and builtins funnels through here, so that campaign scoring can
+   attribute observed deviations to ground-truth bugs. Recording the
+   consultation — whether or not the quirk is active — is what makes the
+   touched set a sound execution-sharing key. [Quirk.index] is a
+   constant-constructor match, so the whole consultation is a handful of
+   integer instructions and allocates nothing. *)
 let fire ctx q =
   let i = Quirk.index q in
   if i < 62 then begin

@@ -175,8 +175,6 @@ let decode (t : t) (ids : int list) : string =
 
 let eof_id (t : t) : int = Hashtbl.find t.vocab "<EOF>"
 
-let vocab_size (t : t) = t.next_id
-
 (* Character-level "tokenizer" for the DeepSmith baseline: every character
    is its own token, no merges. *)
 let char_tokenizer () : t =

@@ -22,8 +22,6 @@ val decode : t -> int list -> string
 (** The id of the dedicated [<EOF>] termination symbol. *)
 val eof_id : t -> int
 
-val vocab_size : t -> int
-
 (** Look up a token's surface string. *)
 val token_of : t -> int -> string option
 

@@ -13,7 +13,6 @@ type t = {
 }
 
 val train_bpe : ?order:int -> ?n_merges:int -> string list -> t
-val train_chars : ?order:int -> string list -> t
 
 (** Memoised standard models (training is a one-off cost, as in the
     paper's 30 GPU-hours — at laptop scale). *)
@@ -22,7 +21,6 @@ val deepsmith : t Lazy.t
 
 val encode : t -> string -> int list
 val decode : t -> int list -> string
-val eof : t -> int
 
 (** Sample a continuation of [prefix] with top-[k] sampling until [stop]
     accepts, [<EOF>] is produced, or [max_tokens] is hit. [stop] is an

@@ -41,5 +41,4 @@ type entry = {
 
 val coverage : entry -> float
 
-val param_to_json : param -> string
 val to_json : entry -> string

@@ -43,10 +43,6 @@ let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
 
-let pick_arr t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick_arr: empty array";
-  a.(int t (Array.length a))
-
 (* Weighted choice over [(weight, value)] pairs with positive weights. *)
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in

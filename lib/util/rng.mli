@@ -26,7 +26,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 
 val pick : t -> 'a list -> 'a
-val pick_arr : t -> 'a array -> 'a
 
 (** Weighted choice over positive [(weight, value)] pairs. *)
 val weighted : t -> (int * 'a) list -> 'a

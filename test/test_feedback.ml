@@ -24,7 +24,7 @@ let records_and_mutates () =
   Alcotest.(check int) "invalid not banked" 1 (Comfort.Feedback.bank_size fb)
 
 let wrapped_fuzzer_mixes () =
-  let fb = Comfort.Feedback.create ~seed:10 ~mix:0.5 (Comfort.Campaign.comfort_fuzzer ~seed:10 ()) in
+  let fb = Comfort.Feedback.create ~seed:10 (Comfort.Campaign.comfort_fuzzer ~seed:10 ()) in
   Comfort.Feedback.record fb (Comfort.Testcase.make {|print([10, 9, 1].sort());|});
   let batch = (Comfort.Feedback.fuzzer fb).Comfort.Campaign.fz_batch 20 in
   Alcotest.(check int) "batch size" 20 (List.length batch);
@@ -34,7 +34,7 @@ let wrapped_fuzzer_mixes () =
         tc.Comfort.Testcase.tc_provenance = Comfort.Testcase.P_fuzzer "feedback")
       batch
   in
-  Alcotest.(check int) "half from the bank" 10 (List.length from_feedback)
+  Alcotest.(check int) "30% from the bank" 6 (List.length from_feedback)
 
 let rounds_accumulate () =
   let fb = Comfort.Feedback.create ~seed:11 (Comfort.Campaign.comfort_fuzzer ~seed:11 ()) in

@@ -376,12 +376,13 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_behavior,
     d.Comfort.Campaign.disc_mode )
 
-let campaign_share_invariant () =
-  (* strategy x in-process/2 workers: same discoveries, timeline and filter counts
-     everywhere — the bench's acceptance check in miniature *)
+(* strategy x in-process/2 workers: same discoveries, timeline and filter
+   counts everywhere — the bench's acceptance check in miniature. Also run
+   by test_specialize on its own (seed, budget). *)
+let campaign_share_invariant ~seed ~budget () =
   let campaign ~strategy ~workers =
-    Comfort.Campaign.run ~budget:100 ~strategy ~workers
-      (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
+    Comfort.Campaign.run ~budget ~strategy ~workers
+      (Comfort.Campaign.comfort_fuzzer ~seed ())
   in
   let base = campaign ~strategy:Strategy.Reference ~workers:0 in
   List.iter
@@ -403,14 +404,15 @@ let campaign_share_invariant () =
         r.Comfort.Campaign.cp_unattributed)
     [ (Strategy.Reference, 2); (Strategy.Fast, 0); (Strategy.Fast, 2) ]
 
-let campaign_audit_mode_passes () =
-  (* every 3rd case runs under both strategies and cross-checks; any
-     mismatch raises *)
+(* every [audit]-th case runs under both strategies and cross-checks; any
+   mismatch raises. Also run by test_specialize on its own settings. *)
+let campaign_audit_mode_passes ~seed ~budget ~audit ~workers () =
   let r =
-    Comfort.Campaign.run ~budget:60 ~audit:3 ~workers:2
-      (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
+    Comfort.Campaign.run ~budget ~audit ~workers
+      (Comfort.Campaign.comfort_fuzzer ~seed ())
   in
-  Alcotest.(check int) "campaign completed" 60 r.Comfort.Campaign.cp_cases_run
+  Alcotest.(check int) "campaign completed" budget
+    r.Comfort.Campaign.cp_cases_run
 
 let reducer_share_equals_direct () =
   (* the reduction predicate must accept/reject the same candidates *)
@@ -525,8 +527,10 @@ let suite =
       execution_counts_pinned;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
     case "audit accepts equal paths" audit_accepts_equal_paths;
-    case "campaigns are share- and workers-invariant" campaign_share_invariant;
-    case "campaign audit mode passes" campaign_audit_mode_passes;
+    case "campaigns are share- and workers-invariant"
+      (campaign_share_invariant ~seed:23 ~budget:100);
+    case "campaign audit mode passes"
+      (campaign_audit_mode_passes ~seed:29 ~budget:60 ~audit:3 ~workers:2);
     case "reducer predicate is share-invariant" reducer_share_equals_direct;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 14 |])

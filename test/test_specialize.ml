@@ -162,52 +162,6 @@ let audit_specialize_passes () =
       ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
     corpus
 
-(* --- campaign invariance --- *)
-
-let disc_key (d : Comfort.Campaign.discovery) =
-  ( Engines.Registry.engine_name d.Comfort.Campaign.disc_engine,
-    Jsinterp.Quirk.to_string d.Comfort.Campaign.disc_quirk,
-    d.Comfort.Campaign.disc_at,
-    d.Comfort.Campaign.disc_behavior,
-    Engine.mode_to_string d.Comfort.Campaign.disc_mode )
-
-let campaign_specialize_invariant () =
-  (* strategy x in-process/2 workers: identical discoveries, timeline and filter counts —
-     the acceptance bar in miniature *)
-  let campaign ~strategy ~workers =
-    Comfort.Campaign.run ~budget:80 ~strategy ~workers
-      (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
-  in
-  let base = campaign ~strategy:Strategy.Reference ~workers:0 in
-  List.iter
-    (fun (strategy, workers) ->
-      let r = campaign ~strategy ~workers in
-      let tag =
-        Printf.sprintf "%s workers=%d" (Strategy.to_string strategy) workers
-      in
-      Alcotest.(check bool) (tag ^ ": same discoveries") true
-        (List.map disc_key r.Comfort.Campaign.cp_discoveries
-        = List.map disc_key base.Comfort.Campaign.cp_discoveries);
-      Alcotest.(check bool) (tag ^ ": same timeline") true
-        (r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline);
-      Alcotest.(check int) (tag ^ ": same filtered repeats")
-        base.Comfort.Campaign.cp_filtered_repeats
-        r.Comfort.Campaign.cp_filtered_repeats;
-      Alcotest.(check int) (tag ^ ": same unattributed")
-        base.Comfort.Campaign.cp_unattributed
-        r.Comfort.Campaign.cp_unattributed)
-    [ (Strategy.Fast, 0); (Strategy.Fast, 2); (Strategy.Reference, 2) ]
-
-let campaign_audit_specialize_passes () =
-  (* every 2nd case cross-checks the Fast sweep against the Reference one
-     in a live campaign; a mismatch raises *)
-  let r =
-    Comfort.Campaign.run ~budget:40 ~audit:2 ~workers:0
-      (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
-  in
-  Alcotest.(check int) "campaign completed its budget" 40
-    r.Comfort.Campaign.cp_cases_run
-
 (* --- integer element keys: one element path for both cores ---
 
    [a[k]] with an index Number on an array takes [Ops.get_index] /
@@ -387,9 +341,12 @@ let suite =
     case "COW sweeps match Reference sweeps" cow_sweep_matches_reference_sweep;
     case "specialisation counters engage" counters_engage;
     case "per-case specialise audit passes" audit_specialize_passes;
+    (* the campaign checks are test_sharing's, on another seed and budget *)
     case "campaigns are specialisation-invariant"
-      campaign_specialize_invariant;
-    case "auditing campaign passes" campaign_audit_specialize_passes;
+      (Test_sharing.campaign_share_invariant ~seed:29 ~budget:80);
+    case "auditing campaign passes"
+      (Test_sharing.campaign_audit_mode_passes ~seed:31 ~budget:40 ~audit:2
+         ~workers:0);
     case "element keys agree across both cores"
       element_keys_agree_across_cores;
     case "integer keys behave as their ToString" integer_keys_match_string_keys;

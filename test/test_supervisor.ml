@@ -136,8 +136,7 @@ let execute_retries_real_exceptions () =
      transient harness flake clears, a deterministic bug becomes F_exn *)
   let calls = ref 0 in
   (match
-     Supervisor.execute ~testbed_id:"tb" ~case_key:0
-       ~policy:Supervisor.default_policy (fun () ->
+     Supervisor.execute ~testbed_id:"tb" ~case_key:0 (fun () ->
          incr calls;
          if !calls = 1 then failwith "transient flake" else 7)
    with
@@ -145,8 +144,7 @@ let execute_retries_real_exceptions () =
       Alcotest.(check int) "one retry" 1 meta.Supervisor.em_retries
   | _ -> Alcotest.fail "flake should clear on retry");
   match
-    Supervisor.execute ~testbed_id:"tb" ~case_key:0
-      ~policy:Supervisor.default_policy (fun () -> failwith "always")
+    Supervisor.execute ~testbed_id:"tb" ~case_key:0 (fun () -> failwith "always")
   with
   | Supervisor.Faulted fr -> (
       match fr.Supervisor.fr_kind with
@@ -164,11 +162,11 @@ let execute_slow_start_vs_watchdog () =
   | Supervisor.Done (1, meta) ->
       Alcotest.(check int) "slow start absorbed" 1 meta.Supervisor.em_slow
   | _ -> Alcotest.fail "slow start within budget should proceed");
-  (* watchdog budget 0: indistinguishable from a hang, killed every try *)
-  let strict = { Supervisor.default_policy with Supervisor.p_watchdog = 0 } in
+  (* latencies far beyond the watchdog budget: indistinguishable from a
+     hang, killed every try *)
+  let p = plan_of_spec "seed=5;slow=1.0;slow_max=1000000" in
   match
-    Supervisor.execute ~plan:p ~policy:strict ~testbed_id:"tb" ~case_key:0
-      (fun () -> 1)
+    Supervisor.execute ~plan:p ~testbed_id:"tb" ~case_key:0 (fun () -> 1)
   with
   | Supervisor.Faulted fr -> (
       match fr.Supervisor.fr_kind with
@@ -181,8 +179,7 @@ let injected_faults_never_return_values () =
   (* the carrier exception is caught by the supervisor, not the engine:
      a thunk that raises [Injected] can only fault, never produce *)
   match
-    Supervisor.execute ~testbed_id:"tb" ~case_key:0
-      ~policy:Supervisor.default_policy (fun () ->
+    Supervisor.execute ~testbed_id:"tb" ~case_key:0 (fun () ->
         raise (Supervisor.Injected Supervisor.F_hang))
   with
   | Supervisor.Faulted fr ->
@@ -316,15 +313,6 @@ let chaos_campaign_quarantines_and_stays_clean () =
   Alcotest.(check bool) "faults were injected" true (s.Supervisor.st_faulted > 0);
   Alcotest.(check bool) "quarantine then skipped the faulter" true
     (s.Supervisor.st_skipped > 0);
-  (* degraded coverage is quantified *)
-  let av =
-    Comfort.Metrics.availability
-      ~testbeds:(List.length (Lazy.force testbeds))
-      res
-  in
-  Alcotest.(check int) "six testbeds lost" 6 av.Comfort.Metrics.av_quarantined;
-  Alcotest.(check bool) "availability below 1" true
-    (av.Comfort.Metrics.av_ratio < 1.0);
   (* zero injected faults leak into the bug statistics: every discovery
      is a ground-truth (engine, quirk) pair, none is attributed to the
      faulted engine, and the discovery set is a subset of the no-fault
@@ -657,6 +645,9 @@ let suite =
     Helpers.case "checkpoint: v8 header refused"
       (checkpoint_load_rejects_old ~version:8
          (Comfort.Ipc.encode ("Comfort", 300_000, 0, 0)));
+    Helpers.case "checkpoint: v9 header refused"
+      (checkpoint_load_rejects_old ~version:9
+         (Comfort.Ipc.encode ("Comfort", 300_000, [| 0; 0 |])));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
