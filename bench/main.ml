@@ -468,14 +468,14 @@ let ablate () =
               | Some ((_, parse) as c) ->
                   pending :=
                     Seq.cons c
-                      (match parse with
+                      (match Comfort.Testcase.program_of parse with
                       | Some p -> Comfort.Datagen.mutate dg p
                       | None -> Seq.empty));
               next ()
         in
         Comfort.Campaign.make_fuzzer
           ~name:(Printf.sprintf "Comfort-keep%.0f%%" (100.0 *. keep))
-          ~raw:None
+          ~seed:43 ~raw:None
           (fun n -> Seq.init n (fun _ -> next ()))
       in
       let res = Comfort.Campaign.run ~budget:(fig8_budget / 2) fz in

@@ -178,6 +178,24 @@ let difftest_cmd =
 
 (* --- fuzz --- *)
 
+(* The --fuzzer table, keyed by the lowercase fuzzer name, so a
+   checkpoint's [fz_name] finds its row again on resume. Constructing a
+   fuzzer forces the spec database and the LM model: real generation
+   cost, attributed to the generate stage so the profile's residual only
+   holds true unknowns. *)
+let build_fuzzer name seed =
+  Jsinterp.Run.Stage.time Jsinterp.Run.Stage.generate (fun () ->
+      match String.lowercase_ascii name with
+      | "comfort" -> Comfort.Campaign.comfort_fuzzer ~seed ()
+      | "deepsmith" -> Baselines.Fuzzers.deepsmith ~seed ()
+      | "fuzzilli" -> Baselines.Fuzzers.fuzzilli ~seed ()
+      | "codealchemist" -> Baselines.Fuzzers.codealchemist ~seed ()
+      | "die" -> Baselines.Fuzzers.die ~seed ()
+      | "montage" -> Baselines.Fuzzers.montage ~seed ()
+      | other ->
+          Printf.eprintf "unknown fuzzer %s\n" other;
+          exit 1)
+
 let fuzz budget fuzzer_name seed feedback workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
   (* a resumed campaign runs the parameters stored in its checkpoint;
@@ -252,25 +270,14 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
           | Ok st ->
               Printf.printf "resuming %s\n"
                 (Comfort.Campaign.Checkpoint.describe st);
-              Comfort.Campaign.resume ~workers ?checkpoint
-                ?halt_after st)
+              (* the checkpoint stores no case: the campaign draws its
+                 consumed prefix again from the same fuzzer *)
+              Comfort.Campaign.resume ~workers ?checkpoint ?halt_after st
+                (build_fuzzer
+                   (Comfort.Campaign.Checkpoint.fuzzer st)
+                   (Comfort.Campaign.Checkpoint.seed st)))
       | None -> (
-          (* constructing the fuzzer forces the spec database and the LM
-             model — real generation cost, attributed to the generate
-             stage so the profile's residual only holds true unknowns *)
-          let fz =
-            Jsinterp.Run.Stage.time Jsinterp.Run.Stage.generate (fun () ->
-                match String.lowercase_ascii fuzzer_name with
-                | "comfort" -> Comfort.Campaign.comfort_fuzzer ~seed ()
-                | "deepsmith" -> Baselines.Fuzzers.deepsmith ~seed ()
-                | "fuzzilli" -> Baselines.Fuzzers.fuzzilli ~seed ()
-                | "codealchemist" -> Baselines.Fuzzers.codealchemist ~seed ()
-                | "die" -> Baselines.Fuzzers.die ~seed ()
-                | "montage" -> Baselines.Fuzzers.montage ~seed ()
-                | other ->
-                    Printf.eprintf "unknown fuzzer %s\n" other;
-                    exit 1)
-          in
+          let fz = build_fuzzer fuzzer_name seed in
           if feedback then
             let t = Comfort.Feedback.create fz in
             Comfort.Feedback.run_rounds ~rounds:4
@@ -425,8 +432,11 @@ let fuzz_cmd =
              Every campaign parameter except $(b,--workers) is restored from \
              the checkpoint, so $(b,--budget), $(b,--fuzzer), $(b,--seed) \
              and $(b,--faults) are usage errors with it, and the \
-             checkpoint's fault plan wins over $(b,COMFORT_FAULTS); the \
-             final report is identical to the uninterrupted run's.")
+             checkpoint's fault plan wins over $(b,COMFORT_FAULTS). The \
+             fuzzer is rebuilt from the name and seed the checkpoint \
+             stores, and the cases already consumed are drawn again and \
+             skipped; the final report is identical to the uninterrupted \
+             run's.")
   in
   let halt_after =
     Arg.(

@@ -24,8 +24,8 @@ let mk_case name src =
   Comfort.Testcase.make_parsed (Comfort.Testcase.P_fuzzer name) src
 
 (* A fuzzer whose draw builds each case with [case ()]. *)
-let fuzzer name ~raw case =
-  Comfort.Campaign.make_fuzzer ~name ~raw (fun n ->
+let fuzzer name ~seed ~raw case =
+  Comfort.Campaign.make_fuzzer ~name ~seed ~raw (fun n ->
       Seq.init n (fun _ -> case ()))
 
 (* Synthesize a naive driver for uncalled top-level functions: random
@@ -84,7 +84,7 @@ let deepsmith ?(seed = 21) () : Comfort.Campaign.fuzzer =
     Lm.Model.generate model rng ~prefix:header ~k:10 ~max_tokens:3000
       ~stop:(Comfort.Generator.brace_stop ())
   in
-  fuzzer "DeepSmith"
+  fuzzer "DeepSmith" ~seed
     ~raw:(Some (fun n -> List.init n (fun _ -> gen ())))
     (fun () ->
       let src = gen () in
@@ -150,7 +150,11 @@ let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
     let ((tc, parse) as case) = mk_case "Fuzzilli" (Mutate.to_src child) in
     (* corpus admission: runs without crashing the reference engine and
        exhibits a new feature *)
-    let feats = match parse with Some p -> features_of p | None -> [] in
+    let feats =
+      match Comfort.Testcase.program_of parse with
+      | Some p -> features_of p
+      | None -> []
+    in
     let novel = List.exists (fun f -> not (Hashtbl.mem covered f)) feats in
     if novel then begin
       let r = Jsinterp.Run.run ~fuel:50_000 tc.Comfort.Testcase.tc_source in
@@ -161,7 +165,7 @@ let fuzzilli ?(seed = 22) () : Comfort.Campaign.fuzzer =
     end;
     case
   in
-  fuzzer "Fuzzilli" ~raw:None mutate_once
+  fuzzer "Fuzzilli" ~seed ~raw:None mutate_once
 
 (* --- CodeAlchemist --- *)
 
@@ -205,7 +209,7 @@ let codealchemist ?(seed = 23) () : Comfort.Campaign.fuzzer =
     done;
     Mutate.to_src (B.program (List.rev !chosen))
   in
-  fuzzer "CodeAlchemist" ~raw:None (fun () -> mk_case "CodeAlchemist" (assemble ()))
+  fuzzer "CodeAlchemist" ~seed ~raw:None (fun () -> mk_case "CodeAlchemist" (assemble ()))
 
 (* --- DIE --- *)
 
@@ -226,7 +230,7 @@ let die ?(seed = 24) () : Comfort.Campaign.fuzzer =
     done;
     Mutate.to_src !child
   in
-  fuzzer "DIE" ~raw:None (fun () -> mk_case "DIE" (mutate_once ()))
+  fuzzer "DIE" ~seed ~raw:None (fun () -> mk_case "DIE" (mutate_once ()))
 
 (* --- Montage --- *)
 
@@ -258,7 +262,7 @@ let montage ?(seed = 25) () : Comfort.Campaign.fuzzer =
         Mutate.to_src { parent with Ast.prog_body = body }
     | _ -> Mutate.to_src parent
   in
-  fuzzer "Montage" ~raw:None (fun () -> mk_case "Montage" (mutate_once ()))
+  fuzzer "Montage" ~seed ~raw:None (fun () -> mk_case "Montage" (mutate_once ()))
 
 let all ?(seed = 20) () : Comfort.Campaign.fuzzer list =
   [

@@ -19,13 +19,14 @@
 
 open Jsinterp
 
-type draw = (Testcase.t * Jsast.Ast.program option) Seq.t
+type draw = (Testcase.t * Run.frontend option) Seq.t
 
 type fuzzer = {
   fz_name : string;
+  fz_seed : int;  (** with [fz_name], what rebuilds the fuzzer on resume *)
   fz_draw : int -> draw;
       (** the next [n] cases, one at a time, each with its syntax check's
-          parse *)
+          front end *)
   fz_batch : int -> Testcase.t list;  (** [fz_draw] without the parses *)
   fz_raw : (int -> string list) option;
       (** raw generator output before any screening/mutation, used for the
@@ -33,9 +34,10 @@ type fuzzer = {
           is already the raw output (mutation-based fuzzers) *)
 }
 
-let make_fuzzer ~name ~raw (draw : int -> draw) : fuzzer =
+let make_fuzzer ~name ~seed ~raw (draw : int -> draw) : fuzzer =
   {
     fz_name = name;
+    fz_seed = seed;
     fz_draw = draw;
     fz_batch = (fun n -> List.of_seq (Seq.map fst (draw n)));
     fz_raw = raw;
@@ -127,7 +129,9 @@ let comfort_fuzzer ?(seed = 7) ?(with_datagen = true) () : fuzzer =
             (* the syntax check's parse goes straight to Datagen, which
                would otherwise parse the same text again *)
             let mutants =
-              match parse with Some p -> Datagen.mutate dg p | None -> Seq.empty
+              match Testcase.program_of parse with
+              | Some p -> Datagen.mutate dg p
+              | None -> Seq.empty
             in
             pending := Seq.cons c mutants;
             next 0)
@@ -135,6 +139,7 @@ let comfort_fuzzer ?(seed = 7) ?(with_datagen = true) () : fuzzer =
   let raw_gen = Generator.create ~seed:(seed + 2) () in
   make_fuzzer
     ~name:(if with_datagen then "Comfort" else "Comfort-nodata")
+    ~seed
     ~raw:(Some (fun n -> List.init n (fun _ -> Generator.sample_program raw_gen)))
     (fun n -> Seq.init n (fun _ -> next 0))
 
@@ -251,14 +256,221 @@ let default_testbeds () =
   Engines.Engine.latest_testbeds ~mode:Engines.Engine.Normal ()
   @ Engines.Engine.latest_testbeds ~mode:Engines.Engine.Strict ()
 
+(* --- the gather: draw and screen, one kept case at a time --- *)
+
+(* Where the gather stands. It is what a resumed campaign needs to pull
+   the same remaining cases from a rebuilt fuzzer, plus the screen's
+   tallies. The gather draws in rounds: a round asks the fuzzer for the
+   [budget - kept] cases still missing and pulls them one at a time,
+   screening each as it comes; a round that keeps nothing is a stall, and
+   three in a row end the gather. A cursor is immutable, so every kept
+   case carries the cursor just past it. *)
+type cursor = {
+  cu_rounds : int list;  (* sizes of the rounds drawn so far, newest first *)
+  cu_pulled : int;  (* cases pulled from the newest round *)
+  cu_kept : int;  (* cases kept (screened in or repaired) *)
+  cu_stalls : int;  (* consecutive rounds that kept nothing *)
+  cu_progressed : bool;  (* the newest round kept a case *)
+  cu_screened_out : int;
+  cu_reasons : (string * int) list;  (* drop reason -> count, sorted *)
+  cu_repaired : int;
+  cu_over : bool;  (* the gather has ended *)
+  cu_aborted : string option;  (* it ended short of the budget: why *)
+}
+
+let cursor0 =
+  {
+    cu_rounds = [];
+    cu_pulled = 0;
+    cu_kept = 0;
+    cu_stalls = 0;
+    cu_progressed = false;
+    cu_screened_out = 0;
+    cu_reasons = [];
+    cu_repaired = 0;
+    cu_over = false;
+    cu_aborted = None;
+  }
+
+(* A kept case, with its front end (for a case kept as drawn) and the
+   cursor just past it. *)
+type kept = Testcase.t * Run.frontend option * cursor
+
+(* The live gather around a fuzzer. Not part of any checkpoint: it holds
+   the fuzzer's closures and the front ends of cases taken ahead. *)
+type source = {
+  so_fz : fuzzer;
+  so_budget : int;
+  mutable so_cursor : cursor;  (* the gather's own position *)
+  mutable so_round : draw;  (* the rest of the current round *)
+  so_ahead : kept Queue.t;
+      (* kept cases taken from the gather but not handed out yet *)
+  mutable so_handed : int;  (* [cu_kept] of the last case handed out *)
+}
+
+let source (fz : fuzzer) ~(budget : int) (c : cursor) : source =
+  {
+    so_fz = fz;
+    so_budget = budget;
+    so_cursor = c;
+    so_round = Seq.empty;
+    so_ahead = Queue.create ();
+    so_handed = c.cu_kept;
+  }
+
+let drop (c : cursor) (reason : string) : cursor =
+  let rec bump = function
+    | (r, n) :: rest when r = reason -> (r, n + 1) :: rest
+    | ((r, _) as x) :: rest when r < reason -> x :: bump rest
+    | l -> (reason, 1) :: l
+  in
+  {
+    c with
+    cu_screened_out = c.cu_screened_out + 1;
+    cu_reasons = bump c.cu_reasons;
+  }
+
+(* Pull and screen until the next kept case; [None] once the gather is
+   over. A fuzzer that dies (e.g. the generator's refill cap) ends the
+   gather gracefully: every case it yielded before dying still runs, and
+   the report is marked aborted. *)
+let rec gather_next (so : source) : kept option =
+  let c = so.so_cursor in
+  if c.cu_over then None
+  else
+    match Run.Stage.time Run.Stage.generate so.so_round with
+    | exception e ->
+        so.so_round <- Seq.empty;
+        so.so_cursor <-
+          {
+            c with
+            cu_over = true;
+            cu_aborted = Some ("fuzzer exhausted: " ^ Printexc.to_string e);
+          };
+        None
+    | Seq.Nil ->
+        (* the round is spent (or none began yet): a stall if it kept
+           nothing, then the next round for the cases still missing, if
+           the budget and the stall bound allow one *)
+        let stalls =
+          if c.cu_rounds = [] || c.cu_progressed then 0 else c.cu_stalls + 1
+        in
+        let budget = so.so_budget in
+        if c.cu_kept < budget && stalls < 3 then begin
+          let n = budget - c.cu_kept in
+          so.so_round <- (fun () -> so.so_fz.fz_draw n ());
+          so.so_cursor <-
+            {
+              c with
+              cu_rounds = n :: c.cu_rounds;
+              cu_pulled = 0;
+              cu_stalls = stalls;
+              cu_progressed = false;
+            };
+          gather_next so
+        end
+        else begin
+          so.so_cursor <-
+            {
+              c with
+              cu_stalls = stalls;
+              cu_over = true;
+              cu_aborted =
+                (if c.cu_kept < budget then
+                   Some
+                     (Printf.sprintf
+                        "fuzzer exhausted: gathered %d of %d budgeted cases"
+                        c.cu_kept budget)
+                 else None);
+            };
+          None
+        end
+    | Seq.Cons ((tc, fe), rest) -> (
+        so.so_round <- rest;
+        let c = { c with cu_pulled = c.cu_pulled + 1 } in
+        let kept c =
+          { c with cu_kept = c.cu_kept + 1; cu_progressed = true }
+        in
+        match
+          Run.Stage.time Run.Stage.screen (fun () ->
+              screen_parsed tc (Testcase.program_of fe))
+        with
+        | S_kept tc ->
+            let c = kept c in
+            so.so_cursor <- c;
+            Some (tc, fe, c)
+        | S_repaired tc ->
+            (* the front end parsed the unrepaired text *)
+            let c = { (kept c) with cu_repaired = c.cu_repaired + 1 } in
+            so.so_cursor <- c;
+            Some (tc, None, c)
+        | S_dropped reason ->
+            so.so_cursor <- drop c reason;
+            gather_next so)
+
+(* The next kept case to hand out. *)
+let next (so : source) : kept option =
+  let x =
+    if Queue.is_empty so.so_ahead then gather_next so
+    else Some (Queue.pop so.so_ahead)
+  in
+  Option.iter (fun (_, _, c) -> so.so_handed <- c.cu_kept) x;
+  x
+
+(* Is there a kept case after case [i]? Takes one case ahead if needed. *)
+let more_after (so : source) (i : int) : bool =
+  so.so_handed > i + 1
+  || (not (Queue.is_empty so.so_ahead))
+  ||
+  match gather_next so with
+  | Some x ->
+      Queue.add x so.so_ahead;
+      true
+  | None -> false
+
+(* Run the gather to its end, keeping the cases for [next] (without their
+   front ends), and return its final cursor. *)
+let drain (so : source) : cursor =
+  let rec go () =
+    match gather_next so with
+    | Some (tc, _, c) ->
+        Queue.add (tc, None, c) so.so_ahead;
+        go ()
+    | None -> so.so_cursor
+  in
+  go ()
+
+(* The gather of a resumed campaign: a fresh fuzzer of the same name and
+   seed draws the same rounds again, and the cases up to the cursor are
+   pulled and discarded. A gather that was over needs no fuzzer. *)
+let replay (fz : fuzzer) ~(budget : int) (c : cursor) : source =
+  let so = source fz ~budget c in
+  if not c.cu_over then
+    Run.Stage.time Run.Stage.generate (fun () ->
+        let rec skip k (s : draw) =
+          if k = 0 then s
+          else match s () with Seq.Nil -> Seq.empty | Seq.Cons (_, s) -> skip (k - 1) s
+        in
+        let rec rounds = function
+          | [] -> ()
+          | [ n ] -> so.so_round <- skip c.cu_pulled (fz.fz_draw n)
+          | n :: rest ->
+              Seq.iter ignore (fz.fz_draw n);
+              rounds rest
+        in
+        rounds (List.rev c.cu_rounds));
+  so
+
 (* --- the driver state and its checkpoint --- *)
 
-(* Everything the in-order consumption loop needs, whether freshly
-   gathered by [run] or loaded from a checkpoint by [resume]: a
-   checkpoint is this record itself. Mutable fields are touched only by
-   the driver, in submission order. *)
+(* Everything the in-order consumption loop needs, whether fresh from
+   [run] or loaded from a checkpoint by [resume]: a checkpoint is this
+   record itself. Mutable fields are touched only by the driver, in
+   submission order. *)
 type st = {
   d_fuzzer : string;
+  d_seed : int;  (* the fuzzer's, to rebuild it on resume *)
+  d_budget : int;
   d_strategy : Strategy.t;
   d_reduce : bool;
   d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
@@ -268,19 +480,17 @@ type st = {
   d_testbeds : Engines.Engine.testbed list;  (* sweep order *)
   d_plan : Supervisor.Faultplan.t option;
   d_sup : Supervisor.t option;  (* Some iff supervision is on *)
-  d_cases : Testcase.t list;    (* the full drawn case list *)
+  mutable d_cursor : cursor;
+      (* the gather just past the last consumed case; over once the
+         campaign has finished *)
   mutable d_consumed : int;     (* cases fully consumed, in order *)
   d_filter : Bugfilter.t;
   d_seen : (Engines.Registry.engine * Quirk.t, unit) Hashtbl.t;
   mutable d_discoveries : discovery list;  (* newest first *)
   mutable d_unattributed : int;
   mutable d_timeline : (int * int) list;   (* newest first *)
-  d_screened_out : int;
-  d_screen_reasons : (string * int) list;  (* sorted *)
-  d_repaired : int;
   mutable d_skipped_cases : int;
-  mutable d_aborted : string option;
-      (* fuzzer ran dry at gather time, or quarantine exhausted the pool *)
+  mutable d_aborted : string option;  (* quarantine exhausted the pool *)
   mutable d_stop : bool;  (* stop consuming further cases (pool exhausted) *)
 }
 
@@ -289,16 +499,15 @@ module Checkpoint = struct
      (length, FNV-1a64 checksum, [Marshal] payload) holding the driver
      record [st] itself, so a torn, truncated or bit-flipped file is
      refused before anything is unmarshalled. Everything in it is data —
-     values, records and hashtables (Testcase.t, testbeds, the fault
-     plan, Bugfilter.t, Supervisor.t) — with no closures, so the default
-     marshal flags suffice and the file survives process restarts of the
-     same binary.
+     values, records and hashtables (testbeds, the fault plan, the
+     gather's cursor, Bugfilter.t, Supervisor.t) — with no closures, so
+     the default marshal flags suffice and the file survives process
+     restarts of the same binary.
 
-     There is no separate RNG cursor: the campaign's only random draws
-     (the fuzzer batch, screening replacements) all happen before the
-     first case executes, so storing the fully-drawn case list together
-     with the consumed count replays the exact remaining cases on
-     resume. *)
+     The cases themselves are not stored: the fuzzer's name and seed and
+     the gather's cursor rebuild them. A resumed campaign draws the same
+     rounds from a fresh fuzzer and discards the cases up to the cursor,
+     so a checkpoint's size does not grow with the budget. *)
 
   let magic = "COMFORT-CKPT"
 
@@ -315,19 +524,22 @@ module Checkpoint = struct
      early end ([d_aborted], [d_stop]). v9: the compilation and COW
      tallies became one vector of every registered counter. v10: the
      per-testbed fuel left the record; every campaign runs on
-     [Difftest.campaign_fuel]. The header check rejects older files
-     rather than guess defaults for fields that change what a resumed
-     campaign runs. *)
-  let version = 10
+     [Difftest.campaign_fuel]. v11: the drawn case list and the screen
+     tallies gave way to the fuzzer's seed, the budget and the gather's
+     cursor. The header check rejects older files rather than guess
+     defaults for fields that change what a resumed campaign runs. *)
+  let version = 11
 
   type state = st
 
   let consumed (st : state) = st.d_consumed
-  let total (st : state) = List.length st.d_cases
+  let total (st : state) = st.d_budget
+  let fuzzer (st : state) = st.d_fuzzer
+  let seed (st : state) = st.d_seed
 
   let describe (st : state) =
     Printf.sprintf "%s: %d/%d cases consumed, %d discoveries"
-      st.d_fuzzer st.d_consumed (total st)
+      st.d_fuzzer st.d_consumed st.d_budget
       (List.length st.d_discoveries)
 
   (* Write-to-temp plus rename keeps checkpointing atomic: a campaign
@@ -392,7 +604,18 @@ type work =
       (* an audit divergence: a soundness bug that must poison the whole
          run, not one case — the driver re-raises it *)
 
-let final (d : st) ~(aborted : string option) : result =
+(* One case as the fork pool ships it. [jb_roster] is the driver's
+   quarantine roster as of the dispatch ([Some] iff supervision is on),
+   which is the roster the case is judged against: the worker skips
+   those testbeds, as the in-process sweep does. *)
+type job = {
+  jb_index : int;
+  jb_case : Testcase.t;
+  jb_roster : (string * int) list option;
+}
+
+(* The report; [c] is the gather's final cursor. *)
+let final (d : st) (c : cursor) ~(aborted : string option) : result =
   {
     cp_fuzzer = d.d_fuzzer;
     cp_cases_run = d.d_consumed;
@@ -400,9 +623,9 @@ let final (d : st) ~(aborted : string option) : result =
     cp_filtered_repeats = Bugfilter.filtered_count d.d_filter;
     cp_unattributed = d.d_unattributed;
     cp_timeline = List.rev d.d_timeline;
-    cp_screened_out = d.d_screened_out;
-    cp_screen_reasons = d.d_screen_reasons;
-    cp_repaired = d.d_repaired;
+    cp_screened_out = c.cu_screened_out;
+    cp_screen_reasons = c.cu_reasons;
+    cp_repaired = c.cu_repaired;
     cp_reach_seeded = 0;
     cp_specialized = Cutil.Counter.at d.d_counts Compile.specialized;
     cp_cow_clones = Cutil.Counter.at d.d_counts Value.cow_clones;
@@ -419,8 +642,8 @@ let final (d : st) ~(aborted : string option) : result =
     cp_aborted = aborted;
   }
 
-let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
-    result =
+let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
+    (so : source) : result =
   (match checkpoint with
   | Some (_, every) when every <= 0 ->
       invalid_arg "Campaign: checkpoint interval must be positive"
@@ -436,7 +659,6 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     ]
     |> List.filter (fun l -> l <> [])
   in
-  let total = List.length d.d_cases in
   (* the registry's counts are shared by every campaign in the process,
      so the campaign's share is the checkpointed prior plus this run's
      delta *)
@@ -453,13 +675,13 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         Some path
     | None -> None
   in
-  (* The per-case differential sweep — the dominant cost — is [worker]
+  (* The per-case differential sweep — the dominant cost — is [sweep]
      below, run in-process or in a forked worker; every stateful stage
      here (judging under supervision, Fig. 6 tree, dedup, causal
      attribution, reduction, timeline, checkpointing) runs in the driver,
      in submission order, so the outcome is byte-identical at any worker
-     count. *)
-  let consume (i : int) (tc : Testcase.t) (w : work) =
+     count. [c] is the gather's cursor just past case [i]. *)
+  let consume (i : int) (tc : Testcase.t) (c : cursor) (w : work) =
     let reports =
       match w with
       | W_judged rs -> rs
@@ -563,11 +785,15 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
       reports;
     d.d_timeline <- (i + 1, Hashtbl.length d.d_seen) :: d.d_timeline;
     d.d_consumed <- i + 1;
+    d.d_cursor <- c;
     (* pool-exhaustion abort: once no mode group retains two live
        testbeds, differential comparison is impossible and the campaign
-       winds down (remaining in-flight results are discarded) *)
+       winds down (remaining in-flight results are discarded). A gather
+       that ends short of the budget keeps its own abort reason, and the
+       campaign then runs every case it gathered, so the gather is run to
+       its end first to learn which; its tallies are the report's. *)
     (match d.d_sup with
-    | Some sup when d.d_aborted = None ->
+    | Some sup when not d.d_stop ->
         let survivors tbs =
           List.length
             (List.filter
@@ -576,24 +802,32 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                tbs)
         in
         if List.for_all (fun tbs -> survivors tbs < 2) by_mode then begin
-          d.d_aborted <-
-            Some
-              "testbed pool exhausted: quarantine left no mode group with \
-               two live testbeds";
-          d.d_stop <- true
+          let last = drain so in
+          if last.cu_aborted = None then begin
+            d.d_cursor <- last;
+            d.d_aborted <-
+              Some
+                "testbed pool exhausted: quarantine left no mode group with \
+                 two live testbeds";
+            d.d_stop <- true
+          end
         end
     | _ -> ());
     (match checkpoint with
-    | Some (_, every) when (i + 1) mod every = 0 && i + 1 < total ->
+    | Some (_, every) when (i + 1) mod every = 0 && more_after so i ->
         Run.Stage.time Run.Stage.fold (fun () -> ignore (save_ck ()))
     | _ -> ());
     match halt_after with
-    | Some n when i + 1 >= n && i + 1 < total && not d.d_stop ->
+    | Some n when i + 1 >= n && (not d.d_stop) && more_after so i ->
         let ck = save_ck () in
         raise (Halted { halted_at = i + 1; halted_checkpoint = ck })
     | _ -> ()
   in
-  let sweep ((i, tc) : int * Testcase.t) : work =
+  (* [sup] is the driver's supervisor in-process and the dispatched
+     roster in a forked worker; [fe] is the draw's front end of a case
+     kept as drawn, handed over in-process only *)
+  let sweep ~(sup : Supervisor.t option) ~(fe : Run.frontend option)
+      (i : int) (tc : Testcase.t) : work =
     (* one execution-sharing cache per case, shared by the per-mode-group
        sweeps below: the base parses and their compilations run once
        per case instead of once per group. The cache is built and
@@ -601,9 +835,13 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
        by mode, so reports are byte-identical to per-group caches. Lazy:
        audit cases build their own caches. *)
     let case_cache =
-      lazy (Engines.Engine.Exec.cache tc.Testcase.tc_source)
+      lazy
+        (let src = tc.Testcase.tc_source in
+         match fe with
+         | Some fe -> Engines.Engine.Exec.seeded src fe
+         | None -> Engines.Engine.Exec.cache src)
     in
-    match d.d_sup with
+    match sup with
     | Some sup ->
         W_swept
           (List.map
@@ -627,16 +865,11 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
              by_mode)
   in
   (* runs in the forked child too: a failure travels as its message *)
-  let worker (it : int * Testcase.t) : work =
-    match sweep it with
+  let guarded (f : unit -> work) : work =
+    match f () with
     | w -> w
     | exception Difftest.Audit_mismatch m -> W_audit m
     | exception e -> W_failed (Printexc.to_string e)
-  in
-  let items =
-    List.filteri
-      (fun k _ -> k >= d.d_consumed)
-      (List.mapi (fun i tc -> (i, tc)) d.d_cases)
   in
   (* A worker-pool exhaustion ends this run only: it is kept out of [d],
      so the final checkpoint resumes the remaining cases on a fresh
@@ -644,21 +877,27 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
   let pool_exhausted = ref None in
   let use_workers = workers > 0 && Coordinator.available () in
   if not use_workers then begin
-    (* In-process: one case at a time. [d_stop] is tested before each
-       case, so a resumed pool-exhausted campaign runs none. *)
-    let rec loop = function
-      | ((i, tc) as it) :: rest when not d.d_stop ->
-          consume i tc (worker it);
-          loop rest
-      | _ -> ()
+    (* In-process: draw, screen, sweep and consume one case at a time.
+       [d_stop] is tested before each case, so a resumed pool-exhausted
+       campaign runs none. *)
+    let rec loop () =
+      if not d.d_stop then
+        match next so with
+        | None -> ()
+        | Some (tc, fe, c) ->
+            let i = c.cu_kept - 1 in
+            consume i tc c (guarded (fun () -> sweep ~sup:d.d_sup ~fe i tc));
+            loop ()
     in
-    loop items
+    loop ()
   end
   else begin
-    (* Process-isolated fan-out (DESIGN.md §14): same worker function and
+    (* Process-isolated fan-out (DESIGN.md §14): the same sweep and the
        same in-submission-order consume, so the report is byte-identical
        to the in-process loop — but a segfaulting, hung or hard-killed
-       execution now costs one child process, not the campaign.
+       execution now costs one child process, not the campaign. The pool
+       pulls cases from the gather as workers free up, so drawing and
+       screening on the driver overlap the sweeps.
        SIGINT/SIGTERM land between consumes: finish the case in hand,
        write a final checkpoint, and surface [Interrupted] so the
        operator kill is always resumable. Installed only around the
@@ -668,6 +907,23 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     let note_signal name = Sys.Signal_handle (fun _ -> interrupted := Some name) in
     let prev_int = Sys.signal Sys.sigint (note_signal "SIGINT") in
     let prev_term = Sys.signal Sys.sigterm (note_signal "SIGTERM") in
+    (* the cursor of each case in the pool, until it is consumed *)
+    let cursors : (int, cursor) Hashtbl.t = Hashtbl.create 64 in
+    let jobs =
+      Seq.of_dispenser (fun () ->
+          Option.map
+            (fun (tc, _, c) ->
+              let i = c.cu_kept - 1 in
+              Hashtbl.replace cursors i c;
+              { jb_index = i; jb_case = tc; jb_roster = None })
+            (next so))
+    in
+    let worker (jb : job) : work =
+      guarded (fun () ->
+          sweep
+            ~sup:(Option.map Supervisor.of_roster jb.jb_roster)
+            ~fe:None jb.jb_index jb.jb_case)
+    in
     Fun.protect
       ~finally:(fun () ->
         Sys.set_signal Sys.sigint prev_int;
@@ -683,8 +939,23 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
               Coordinator.run_ordered pool
                 ~on_task_fail:(fun _ _ msg -> W_failed msg)
                 ~stop:(fun () -> d.d_stop || !interrupted <> None)
-                items
-                ~consume:(fun _ (i, tc) w -> consume i tc w))
+                (* a case is dispatched once the cases before it can no
+                   longer change the roster it ships with, so a worker
+                   skips exactly what the in-process sweep skips *)
+                ~ready:(fun ahead ->
+                  match d.d_sup with
+                  | None -> true
+                  | Some sup -> Supervisor.roster_stable sup ~cases:ahead)
+                ~at_dispatch:(fun jb ->
+                  {
+                    jb with
+                    jb_roster = Option.map Supervisor.quarantine_list d.d_sup;
+                  })
+                jobs
+                ~consume:(fun _ jb w ->
+                  let c = Hashtbl.find cursors jb.jb_index in
+                  Hashtbl.remove cursors jb.jb_index;
+                  consume jb.jb_index jb.jb_case c w))
         with Coordinator.Exhausted msg ->
           (* partial report, marked aborted, non-zero CLI exit — never a
              crash *)
@@ -695,14 +966,27 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         raise (Interrupted { int_signal = name; int_at = d.d_consumed; int_checkpoint = ck })
     | None -> ()
   end;
+  (* The gather's final cursor. A finished run committed it: its cases
+     are all consumed (or the pool-exhaustion stop already took it). A
+     worker-pool exhaustion keeps the last consumed case's cursor in [d],
+     so the checkpoint resumes the rest, and reports the whole gather. *)
+  let last =
+    match !pool_exhausted with
+    | Some _ -> drain so
+    | None ->
+        if not d.d_stop then d.d_cursor <- so.so_cursor;
+        d.d_cursor
+  in
   tally ();
   (* final checkpoint: resuming a finished campaign is a cheap no-op that
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
       ignore (save_ck ());
-      final d
+      final d last
         ~aborted:
-          (match d.d_aborted with None -> !pool_exhausted | a -> a))
+          (match (last.cu_aborted, d.d_aborted) with
+          | (Some _ as a), _ | None, (Some _ as a) -> a
+          | None, None -> !pool_exhausted))
 
 let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
     ?(workers = 0) ?worker_limits ?strategy ?(audit = 0) ?faults ?checkpoint
@@ -713,89 +997,40 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
   in
   if audit > 0 && Option.is_some plan then
     invalid_arg "Campaign.run: audit cannot be combined with fault injection";
-  let sup = Option.map (fun _ -> Supervisor.create ()) plan in
-  let aborted = ref None in
-  (* Pull [n] cases from one draw, handing each to [f] with its parse as
-     soon as it is yielded, so the AST dies with [f]. A fuzzer that dies
-     (e.g. the generator's refill cap) aborts the campaign gracefully:
-     every case it yielded before dying still runs, the report is marked
-     aborted, and the CLI exits non-zero. *)
-  let draw n f =
-    let rec pull (s : draw) =
-      match Run.Stage.time Run.Stage.generate s with
-      | Seq.Nil -> ()
-      | Seq.Cons ((tc, parse), rest) ->
-          f tc parse;
-          pull rest
-      | exception e ->
-          aborted := Some ("fuzzer exhausted: " ^ Printexc.to_string e)
-    in
-    pull (fun () -> fz.fz_draw n ())
-  in
-  let screened_out = ref 0 in
-  let repaired = ref 0 in
-  let reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let drop reason =
-    incr screened_out;
-    Hashtbl.replace reasons reason
-      (1 + Option.value (Hashtbl.find_opt reasons reason) ~default:0)
-  in
-  (* gather [budget] screen-surviving cases, drawing replacements for the
-     dropped ones so the execution budget is spent in full; a stall
-     counter bounds the extra draws in case the fuzzer only produces
-     droppable programs *)
-  let kept = ref [] in
-  let n_kept = ref 0 in
-  let keep tc = kept := tc :: !kept; incr n_kept in
-  let stalls = ref 0 in
-  while !n_kept < budget && !stalls < 3 && !aborted = None do
-    let progressed = ref false in
-    draw (budget - !n_kept) (fun tc parse ->
-        match
-          Run.Stage.time Run.Stage.screen (fun () -> screen_parsed tc parse)
-        with
-        | S_kept tc -> keep tc; progressed := true
-        | S_repaired tc -> keep tc; incr repaired; progressed := true
-        | S_dropped reason -> drop reason);
-    if !progressed then stalls := 0 else incr stalls
-  done;
-  let cases = List.rev !kept in
-  (if !aborted = None then
-     let got = List.length cases in
-     if got < budget then
-       aborted :=
-         Some
-           (Printf.sprintf "fuzzer exhausted: gathered %d of %d budgeted cases"
-              got budget));
   let d =
     {
       d_fuzzer = fz.fz_name;
+      d_seed = fz.fz_seed;
+      d_budget = budget;
       d_strategy = strategy;
       d_reduce = reduce;
       d_audit = audit;
       d_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
       d_testbeds = testbeds;
       d_plan = plan;
-      d_sup = sup;
-      d_cases = cases;
+      d_sup = Option.map (fun _ -> Supervisor.create ()) plan;
+      d_cursor = cursor0;
       d_consumed = 0;
       d_filter = Bugfilter.create ();
       d_seen = Hashtbl.create 64;
       d_discoveries = [];
       d_unattributed = 0;
       d_timeline = [];
-      d_screened_out = !screened_out;
-      d_screen_reasons =
-        Hashtbl.fold (fun r n acc -> (r, n) :: acc) reasons []
-        |> List.sort (fun (a, _) (b, _) -> compare a b);
-      d_repaired = !repaired;
       d_skipped_cases = 0;
-      d_aborted = !aborted;
+      d_aborted = None;
       d_stop = false;
     }
   in
   drive ~workers ?worker_limits ?checkpoint ?halt_after d
+    (source fz ~budget cursor0)
 
 let resume ?(workers = 0) ?worker_limits ?checkpoint ?halt_after
-    (d : Checkpoint.state) : result =
+    (d : Checkpoint.state) (fz : fuzzer) : result =
+  if fz.fz_name <> d.d_fuzzer || fz.fz_seed <> d.d_seed then
+    invalid_arg
+      (Printf.sprintf
+         "Campaign.resume: the checkpoint was drawn by %s with seed %d, not \
+          %s with seed %d"
+         d.d_fuzzer d.d_seed fz.fz_name fz.fz_seed);
   drive ~workers ?worker_limits ?checkpoint ?halt_after d
+    (replay fz ~budget:d.d_budget d.d_cursor)

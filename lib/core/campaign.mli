@@ -14,23 +14,27 @@
     abort reason instead of dying. *)
 
 (** A fuzzer's draw: its next cases, yielded lazily, one at a time,
-    each with the parse its syntax check made. The contract:
+    each with the front end its syntax check made. The contract:
     - a draw is traversed once: pulling a case advances the fuzzer, so
       a second traversal would draw different cases;
-    - the parse is that of the case's own [tc_source] under
-      {!Jsparse.Parser.default_options} ({!Testcase.make_parsed}), never
-      an AST from before printing;
+    - the front end is the {!Engines.Engine.Frontend.base_parse} of the
+      case's own [tc_source] ({!Testcase.make_parsed}), never an AST
+      from before printing;
     - it is [None] exactly when [tc_syntax_valid] is [false];
     - it is never stored: the campaign screens each case from it as soon
-      as it is yielded, so the AST dies at the screen. It stays out of
-      {!Testcase.t} (which checkpoints marshal and the fork pool ships)
-      and out of the driver's record. *)
-type draw = (Testcase.t * Jsast.Ast.program option) Seq.t
+      as it is yielded, and an in-process sweep takes it as the case's
+      standard base front end, so it dies with the case's sweep. It
+      stays out of {!Testcase.t} (which the fork pool ships) and out of
+      the driver's record. *)
+type draw = (Testcase.t * Jsinterp.Run.frontend option) Seq.t
 
 (** The common fuzzer interface shared by Comfort and all baselines,
     built by {!make_fuzzer}. *)
 type fuzzer = private {
   fz_name : string;
+  fz_seed : int;
+      (** the seed it was built with: with [fz_name], what a checkpoint
+          stores to have the fuzzer rebuilt on {!resume} *)
   fz_draw : int -> draw;
       (** [fz_draw n] yields the next [n] cases; a fuzzer that fails
           raises from the pull, after the cases it already yielded *)
@@ -41,9 +45,15 @@ type fuzzer = private {
           passing-rate metric; [None] when the batch is already raw *)
 }
 
-(** A fuzzer around its draw; [fz_batch] is derived from it. *)
+(** A fuzzer around its draw; [fz_batch] is derived from it. A fuzzer
+    must be a function of its name and seed: two built alike draw the
+    same cases. *)
 val make_fuzzer :
-  name:string -> raw:(int -> string list) option -> (int -> draw) -> fuzzer
+  name:string ->
+  seed:int ->
+  raw:(int -> string list) option ->
+  (int -> draw) ->
+  fuzzer
 
 type discovery = {
   disc_engine : Engines.Registry.engine;
@@ -119,15 +129,17 @@ val comfort_fuzzer : ?seed:int -> ?with_datagen:bool -> unit -> fuzzer
 val default_testbeds : unit -> Engines.Engine.testbed list
 
 (** Campaign checkpoints: the driver's own state record, versioned,
-    checksummed and marshalled as itself — campaign parameters,
-    testbeds, fault plan, drawn cases, consumed count, discoveries,
-    filter tree, timeline, screening counters, supervisor (quarantine +
-    stats), this campaign's share of every {!Cutil.Counter} count (the
-    source of {!result.cp_specialized} and {!result.cp_cow_clones}) and
-    an early end (a fuzzer that ran dry, a testbed pool
-    exhausted by quarantine). The case list subsumes an RNG cursor:
-    every random draw happens before the first case executes, so resume
-    replays the exact remaining cases (format notes in DESIGN.md §10). *)
+    checksummed and marshalled as itself — campaign parameters (the
+    fuzzer's name and seed, the budget), testbeds, fault plan, the
+    gather's cursor (rounds drawn, cases pulled, screen tallies),
+    consumed count, discoveries, filter tree, timeline, supervisor
+    (quarantine + stats), this campaign's share of every
+    {!Cutil.Counter} count (the source of {!result.cp_specialized} and
+    {!result.cp_cow_clones}) and an early end (a fuzzer that ran dry, a
+    testbed pool exhausted by quarantine). No case is stored, so the
+    size does not grow with the budget: {!resume} draws the consumed
+    prefix again from a rebuilt fuzzer and discards it (format notes in
+    DESIGN.md §10). *)
 module Checkpoint : sig
   type state
 
@@ -141,8 +153,14 @@ module Checkpoint : sig
   (** Cases fully consumed when the checkpoint was saved. *)
   val consumed : state -> int
 
-  (** Total cases the campaign drew. *)
+  (** The campaign's budget. *)
   val total : state -> int
+
+  (** The name ([fz_name]) and seed ([fz_seed]) of the fuzzer the
+      campaign drew from: {!resume} needs a fresh fuzzer built alike. *)
+  val fuzzer : state -> string
+
+  val seed : state -> int
 
   (** One-line human summary, for the CLI. *)
   val describe : state -> string
@@ -153,11 +171,12 @@ end
     @param testbeds  defaults to {!default_testbeds}; pass
                      [Engines.Engine.all_testbeds] for the paper's full
                      102-testbed setup
-    @param budget    number of test cases to execute. Every candidate
-                     case runs the {!Analysis} static screen first:
-                     dropped programs never reach differential testing,
-                     and replacements are drawn so the budget is still
-                     spent in full
+    @param budget    number of test cases to execute. Cases are drawn,
+                     screened, swept and consumed one at a time. Every
+                     candidate case runs the {!Analysis} static screen
+                     first: dropped programs never reach differential
+                     testing, and replacements are drawn so the budget
+                     is still spent in full
     @param reduce    reduce the first exposing case of each discovery
     @param strategy  the execution strategy (default
                      {!Jsinterp.Strategy.default}); reports are
@@ -183,12 +202,15 @@ end
     @param halt_after deterministically halt (raising {!Halted}) once this
                      many cases are consumed — the kill-simulation hook;
                      a halt writes a final checkpoint first when a sink is
-                     configured. No effect when >= the drawn case count
+                     configured. No effect when no case follows the
+                     [halt_after]-th
     @param workers   when positive (default 0) and {!Coordinator.available}, run every per-case
                      sweep in one of this many forked worker processes
                      instead of the in-process loop: a segfault, runaway
                      or hard-killed execution costs one worker, never the
-                     campaign. Results are consumed in submission order,
+                     campaign. The pool pulls cases from the draw as
+                     workers free up, a bounded window ahead of the
+                     consumed ones. Results are consumed in submission order,
                      so discoveries, the filter tree and the timeline are
                      byte-identical at any worker count (DESIGN.md §14).
                      Otherwise every case runs in-process, in order
@@ -210,15 +232,21 @@ val run :
   fuzzer ->
   result
 
-(** Continue a checkpointed campaign to completion. The loaded state is
-    taken over, not copied: it carries every campaign parameter except
-    [workers] (orthogonal to the outcome), and the driver mutates it as
-    it consumes cases, so load a fresh state for every resume. The final
-    report is byte-identical to the uninterrupted run's, at any worker
-    count on either side of the kill; resuming the final checkpoint of
-    a finished or early-ended campaign runs nothing and reproduces its
-    report. A worker-pool exhaustion is not stored: resuming after one
-    retries the remaining cases.
+(** Continue a checkpointed campaign to completion. [fuzzer] must be a
+    fresh fuzzer built with the checkpoint's {!Checkpoint.fuzzer} name
+    and {!Checkpoint.seed} (the CLI rebuilds it from its [--fuzzer]
+    table): the campaign draws the rounds it had drawn again and
+    discards the cases it had already pulled, then goes on drawing.
+    @raise Invalid_argument when the fuzzer's name or seed differs.
+    The loaded state is taken over, not copied: it carries every
+    campaign parameter except [workers] (orthogonal to the outcome),
+    and the driver mutates it as it consumes cases, so load a fresh
+    state for every resume. The final report is byte-identical to the
+    uninterrupted run's, at any worker count on either side of the
+    kill; resuming the final checkpoint of a finished or early-ended
+    campaign draws nothing, runs nothing and reproduces its report. A
+    worker-pool exhaustion is not stored: resuming after one retries
+    the remaining cases.
     [checkpoint]/[halt_after] behave as in {!run}, so a resumed campaign
     can itself checkpoint and halt. *)
 val resume :
@@ -227,6 +255,7 @@ val resume :
   ?checkpoint:string * int ->
   ?halt_after:int ->
   Checkpoint.state ->
+  fuzzer ->
   result
 
 (** Outcome of screening one candidate test case. *)
@@ -235,9 +264,9 @@ type screened =
   | S_repaired of Testcase.t  (** free variables bound by the repair step *)
   | S_dropped of string       (** drop reason *)
 
-(** Apply the static-analysis screen to one test case, given the parse
-    its syntax check made ([None] for an invalid case, as {!draw}
-    hands it over). Syntactically invalid cases pass through untouched:
+(** Apply the static-analysis screen to one test case, given the
+    program its syntax check parsed ([None] for an invalid case;
+    {!Testcase.program_of} of what {!draw} hands over). Syntactically invalid cases pass through untouched:
     they are deliberate parser-exercise inputs with differential signal
     of their own. Parses only the repaired source of an [S_repaired]
     case. *)

@@ -3,9 +3,10 @@
 
    Anatomy: the driver forks N single-threaded children. Each child
    loops { read task; execute; reply } over a pair of pipes speaking Ipc
-   frames. The driver keeps up to [depth] tasks in flight per child, so
-   the next case already waits in the pipe when the current one ends;
-   the child runs them in FIFO order, so the oldest in-flight task is
+   frames. The driver pulls tasks from a sequence as children free up
+   and keeps up to [depth] in flight per child, so the next case
+   already waits in the pipe when the current one ends; the child runs
+   them in FIFO order, so the oldest in-flight task is
    always the one executing. The driver multiplexes the result pipes
    with select, SIGKILLs deadline overruns, respawns the dead (within
    budget), and consumes replies strictly in submission order through a
@@ -290,7 +291,8 @@ let respawn (t : ('a, 'b) t) ~(charge : bool) (w : wstate) : unit =
   w.w_started <- 0.0
 
 let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
-    ?(stop = fun () -> false) (xs : a list)
+    ?(stop = fun () -> false) ?(ready = fun _ -> true)
+    ?(at_dispatch = Fun.id) (tasks : a Seq.t)
     ~(consume : int -> a -> b -> unit) : unit =
   (* a run halted by [stop] leaves tasks in flight, whose replies would
      be taken for this run's: replace those workers first *)
@@ -301,121 +303,147 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
         respawn t ~charge:false w
       end)
     t.co_ws;
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n > 0 then begin
-    let limits = t.co_limits in
-    (* the driver SIGKILLs a worker this long after its oldest task
-       became the oldest; the child's own itimer (li_watchdog_s) gets
-       the first shot *)
-    let deadline_s = (limits.li_watchdog_s *. 2.0) +. 0.5 in
-    let window = window_per_worker * Array.length t.co_ws in
-    let absorbed = Array.make n 0 in
-    let deaths = Array.make n 0 in
-    (* Landed replies waiting for the in-order cursor, with their
-       counter deltas. The deltas are folded into the process-wide
-       counters only when the reply is CONSUMED, not when it arrives: a
-       checkpoint taken at consume point k must account for exactly the
-       first k cases, or a resumed campaign would replay — and
-       double-count — the lookahead work folded early. *)
-    let pending : (int, (b, string) result * int array option) Hashtbl.t =
-      Hashtbl.create 64
+  let limits = t.co_limits in
+  (* the driver SIGKILLs a worker this long after its oldest task
+     became the oldest; the child's own itimer (li_watchdog_s) gets
+     the first shot *)
+  let deadline_s = (limits.li_watchdog_s *. 2.0) +. 0.5 in
+  let window = window_per_worker * Array.length t.co_ws in
+  (* Tasks are pulled only when a worker has room for one, and never
+     more than [window] past the consume cursor: the pull is the read-
+     ahead. Each pulled task stays here until it is consumed. *)
+  let source = ref tasks in
+  let exhausted = ref false in
+  let pulled : (int, a) Hashtbl.t = Hashtbl.create 64 in
+  (* per-task kill absorptions and deaths, absent = 0 *)
+  let absorbed : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let deaths : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let count tbl seq = Option.value (Hashtbl.find_opt tbl seq) ~default:0 in
+  let bump tbl seq = Hashtbl.replace tbl seq (count tbl seq + 1) in
+  (* Landed replies waiting for the in-order cursor, with their
+     counter deltas. The deltas are folded into the process-wide
+     counters only when the reply is CONSUMED, not when it arrives: a
+     checkpoint taken at consume point k must account for exactly the
+     first k cases, or a resumed campaign would replay — and
+     double-count — the lookahead work folded early. *)
+  let pending : (int, (b, string) result * int array option) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let redis = ref [] in (* tasks owed a re-dispatch, any order *)
+  let next_new = ref 0 in
+  let next_consume = ref 0 in
+  let halted = ref false in
+  let finished () = !exhausted && !next_consume = !next_new in
+  (* the next task and its frame, taken but not yet written: a frame
+     too large to queue waits here for an idle worker *)
+  let staged = ref None in
+  (* A worker died. Its oldest in-flight task was executing and bears
+     the death: a deliberate kill re-dispatches it with one more draw
+     absorbed; crashes and hangs burn one of its lives and beyond that
+     the task is failed (the driver's existing poisoned-work lane
+     decides what that means). The task queued behind it never
+     started, so it is re-dispatched as it was. *)
+  let handle_death (w : wstate) (kind : [ `Kill | `Crash | `Hang ]) : unit =
+    let inflight = List.of_seq (Queue.to_seq w.w_inflight) in
+    let status = retire w in
+    (* a child that hit its own itimer first looks like a plain death
+       on the pipe; its exit status says what really happened *)
+    let kind =
+      match (kind, status) with
+      | `Crash, Some (Unix.WEXITED e) when e = exit_watchdog -> `Hang
+      | kind, _ -> kind
     in
-    let redis = ref [] in (* tasks owed a re-dispatch, any order *)
-    let next_new = ref 0 in
-    let next_consume = ref 0 in
-    let halted = ref false in
-    (* the next task and its frame, taken but not yet written: a frame
-       too large to queue waits here for an idle worker *)
-    let staged = ref None in
-    (* A worker died. Its oldest in-flight task was executing and bears
-       the death: a deliberate kill re-dispatches it with one more draw
-       absorbed; crashes and hangs burn one of its lives and beyond that
-       the task is failed (the driver's existing poisoned-work lane
-       decides what that means). The task queued behind it never
-       started, so it is re-dispatched as it was. *)
-    let handle_death (w : wstate) (kind : [ `Kill | `Crash | `Hang ]) : unit =
-      let inflight = List.of_seq (Queue.to_seq w.w_inflight) in
-      let status = retire w in
-      (* a child that hit its own itimer first looks like a plain death
-         on the pipe; its exit status says what really happened *)
-      let kind =
-        match (kind, status) with
-        | `Crash, Some (Unix.WEXITED e) when e = exit_watchdog -> `Hang
-        | kind, _ -> kind
+    (match kind with
+    | `Kill -> Counter.incr kills
+    | `Hang -> Counter.incr hangs
+    | `Crash -> ());
+    (match inflight with
+    | [] -> ()
+    | seq :: queued -> (
+        redis := queued @ !redis;
+        match kind with
+        | `Kill ->
+            bump absorbed seq;
+            redis := seq :: !redis
+        | `Crash | `Hang ->
+            bump deaths seq;
+            if count deaths seq > limits.li_task_deaths then
+              Hashtbl.replace pending seq
+                ( Error
+                    (Printf.sprintf "worker %s; task gave up after %d deaths"
+                       (match kind with
+                       | `Hang -> "exceeded the wall-clock watchdog (SIGKILL)"
+                       | _ -> "died unexpectedly")
+                       (count deaths seq)),
+                  None )
+            else redis := seq :: !redis));
+    respawn t w ~charge:(match kind with `Kill -> false | `Crash | `Hang -> true)
+  in
+  (* the oldest unconsumed task is always ready: the run cannot stall *)
+  let ready_at seq = seq = !next_consume || ready (seq - !next_consume) in
+  let next_task () =
+    if Option.is_none !staged then begin
+      let take seq =
+        staged :=
+          Some
+            ( seq,
+              Ipc.encode
+                (D_task
+                   {
+                     dt_seq = seq;
+                     dt_absorbed = count absorbed seq;
+                     dt_payload = at_dispatch (Hashtbl.find pulled seq);
+                   }) )
       in
-      (match kind with
-      | `Kill -> Counter.incr kills
-      | `Hang -> Counter.incr hangs
-      | `Crash -> ());
-      (match inflight with
-      | [] -> ()
-      | seq :: queued -> (
-          redis := queued @ !redis;
-          match kind with
-          | `Kill ->
-              absorbed.(seq) <- absorbed.(seq) + 1;
-              redis := seq :: !redis
-          | `Crash | `Hang ->
-              deaths.(seq) <- deaths.(seq) + 1;
-              if deaths.(seq) > limits.li_task_deaths then
-                Hashtbl.replace pending seq
-                  ( Error
-                      (Printf.sprintf "worker %s; task gave up after %d deaths"
-                         (match kind with
-                         | `Hang -> "exceeded the wall-clock watchdog (SIGKILL)"
-                         | _ -> "died unexpectedly")
-                         deaths.(seq)),
-                    None )
-              else redis := seq :: !redis));
-      respawn t w ~charge:(match kind with `Kill -> false | `Crash | `Hang -> true)
-    in
-    let next_task () =
-      if Option.is_none !staged then begin
-        let take seq =
-          staged :=
-            Some
-              ( seq,
-                Ipc.encode
-                  (D_task
-                     { dt_seq = seq; dt_absorbed = absorbed.(seq); dt_payload = arr.(seq) }) )
-        in
-        match !redis with
-        | seq :: rest ->
-            redis := rest;
+      match !redis with
+      | _ :: _ ->
+          (* oldest first: if it is not ready, no later task is *)
+          let seq = List.fold_left min max_int !redis in
+          if ready_at seq then begin
+            redis := List.filter (fun s -> s <> seq) !redis;
             take seq
-        | [] when !next_new < n && !next_new < !next_consume + window ->
-            take !next_new;
-            incr next_new
-        | [] -> ()
-      end;
-      !staged
-    in
-    let rec feed (w : wstate) : unit =
-      if w.w_alive && Queue.length w.w_inflight < depth then
-        match next_task () with
-        | Some (seq, frame)
-          when Queue.is_empty w.w_inflight
-               || String.length frame <= queued_frame_max -> (
-            staged := None;
-            match Ipc.write_frame w.w_task_w frame with
-            | () ->
-                if Queue.is_empty w.w_inflight then
-                  w.w_started <- Unix.gettimeofday ();
-                Queue.add seq w.w_inflight;
-                feed w
-            | exception _ ->
-                (* the worker is dead and this task never reached it *)
-                redis := seq :: !redis;
-                handle_death w `Crash;
-                feed w)
-        | _ -> ()
-    in
-    while !next_consume < n && not !halted do
-      if stop () then halted := true
-      else begin
-        (* 1. keep every worker's pipe [depth] tasks deep *)
-        Array.iter feed t.co_ws;
+          end
+      | []
+        when (not !exhausted)
+             && !next_new < !next_consume + window
+             && ready_at !next_new -> (
+          match !source () with
+          | Seq.Nil -> exhausted := true
+          | Seq.Cons (x, rest) ->
+              source := rest;
+              Hashtbl.replace pulled !next_new x;
+              take !next_new;
+              incr next_new)
+      | [] -> ()
+    end;
+    !staged
+  in
+  let rec feed (w : wstate) : unit =
+    if w.w_alive && Queue.length w.w_inflight < depth then
+      match next_task () with
+      | Some (seq, frame)
+        when Queue.is_empty w.w_inflight
+             || String.length frame <= queued_frame_max -> (
+          staged := None;
+          match Ipc.write_frame w.w_task_w frame with
+          | () ->
+              if Queue.is_empty w.w_inflight then
+                w.w_started <- Unix.gettimeofday ();
+              Queue.add seq w.w_inflight;
+              feed w
+          | exception _ ->
+              (* the worker is dead and this task never reached it *)
+              redis := seq :: !redis;
+              handle_death w `Crash;
+              feed w)
+      | _ -> ()
+  in
+  while not (!halted || finished ()) do
+    if stop () then halted := true
+    else begin
+      (* 1. keep every worker's pipe [depth] tasks deep *)
+      Array.iter feed t.co_ws;
+      if not (finished ()) then begin
         (* 2. wait for replies (bounded, so the deadline sweep and the
            stop poll stay responsive even with every worker wedged) *)
         let fds =
@@ -469,21 +497,25 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
           | None -> continue := false
           | Some (r, cnt) ->
               let seq = !next_consume in
+              let task = Hashtbl.find pulled seq in
               Hashtbl.remove pending seq;
+              Hashtbl.remove pulled seq;
+              Hashtbl.remove absorbed seq;
+              Hashtbl.remove deaths seq;
               (* fold before [consume]: a checkpoint taken inside the
                  consume callback must already account for this case *)
               Option.iter Counter.absorb cnt;
               let v =
                 match (r, on_task_fail) with
                 | Ok v, _ -> v
-                | Error msg, Some f -> f seq arr.(seq) msg
+                | Error msg, Some f -> f seq task msg
                 | Error msg, None ->
                     failwith ("Coordinator worker failed: " ^ msg)
               in
-              consume seq arr.(seq) v;
+              consume seq task v;
               incr next_consume;
               if stop () then halted := true
         done
       end
-    done
-  end
+    end
+  done

@@ -98,17 +98,31 @@ val run_ordered :
   ('a, 'b) t ->
   ?on_task_fail:(int -> 'a -> string -> 'b) ->
   ?stop:(unit -> bool) ->
-  'a list ->
+  ?ready:(int -> bool) ->
+  ?at_dispatch:('a -> 'a) ->
+  'a Seq.t ->
   consume:(int -> 'a -> 'b -> unit) ->
   unit
-(** Dispatch every task and call [consume i task reply] strictly in
-    submission order from the calling thread. [on_task_fail i task msg]
-    supplies the reply for a task whose worker raised, or that exceeded
-    [li_task_deaths] (absent: such a task raises [Failure msg]).
-    [stop], polled between consumes and before each new dispatch, ends
-    the run early, discarding in-flight work. May raise {!Exhausted}.
-    A pool outlives its runs; a wedged pool is recovered by
-    {!shutdown}. *)
+(** Dispatch every task of the sequence and call [consume i task reply]
+    strictly in submission order from the calling thread. Tasks are
+    pulled one at a time, only when a worker has room for one, and at
+    most a window of [64 * workers] past the consume cursor, so the
+    sequence may be an unbounded stream produced as the run goes: the
+    window bounds how far the pull reads ahead. [at_dispatch] maps a
+    task to the payload a worker receives, each time it is dispatched
+    (re-dispatches included), so a payload can carry driver state as of
+    its dispatch; [consume] and [on_task_fail] get the pulled task. A
+    task with [k] unconsumed tasks before it is dispatched (and, if new,
+    pulled) only once [ready k] holds; the oldest unconsumed task is
+    always dispatched. With [at_dispatch], this lets a payload carry
+    driver state only when that state can no longer change before the
+    task is consumed.
+    [on_task_fail i task msg] supplies the reply for a task whose worker
+    raised, or that exceeded [li_task_deaths] (absent: such a task
+    raises [Failure msg]). [stop], polled between consumes and before
+    each new dispatch, ends the run early, discarding in-flight work.
+    May raise {!Exhausted}. A pool outlives its runs; a wedged pool is
+    recovered by {!shutdown}. *)
 
 (** {2 Process-wide robustness telemetry}
 

@@ -26,7 +26,7 @@ type mutant = {
 }
 
 (* Parse a boundary-value source fragment into an expression. *)
-let expr_of_value (v : string) : Ast.expr option =
+let parse_value (v : string) : Ast.expr option =
   match Jsparse.Parser.parse_program ("(" ^ v ^ ");") with
   | { Ast.prog_body = [ { Ast.s = Ast.Expr_stmt e; _ } ]; _ } -> Some e
   | _ -> None
@@ -60,13 +60,32 @@ let random_value (rng : Cutil.Rng.t) : Ast.expr =
   | 6 -> B.int (Cutil.Rng.int rng 100000)
   | _ -> B.undefined ()
 
-type t = { db : Specdb.Db.t; rng : Cutil.Rng.t }
+type t = {
+  db : Specdb.Db.t;
+  rng : Cutil.Rng.t;
+  values : (string, Ast.expr option) Hashtbl.t;
+      (* each distinct boundary-value text, parsed once *)
+}
 
 (* Mutants kept per source program. *)
 let max_mutants = 16
 
 let create ?(seed = 2) ?(db = Lazy.force Specdb.Db.standard) () : t =
-  { db; rng = Cutil.Rng.create seed }
+  { db; rng = Cutil.Rng.create seed; values = Hashtbl.create 64 }
+
+(* A boundary value as an expression: a copy of its memoised parse with
+   fresh node ids, so a program holding several copies keeps its ids
+   unique. *)
+let expr_of_value (t : t) (v : string) : Ast.expr option =
+  let parsed =
+    match Hashtbl.find_opt t.values v with
+    | Some e -> e
+    | None ->
+        let e = parse_value v in
+        Hashtbl.replace t.values v e;
+        e
+  in
+  Option.map Builder.refresh_expr parsed
 
 (* Generated programs frequently reference identifiers they never declare
    (the model glues fragments from different training programs). Binding
@@ -273,8 +292,8 @@ let synthesize_drivers (t : t) (p : Ast.program) : (mutant * Ast.program) list =
                       (* a descriptor-shaped object is the most revealing
                          neutral companion when another parameter is being
                          probed (the Listing 1 pattern needs the pair) *)
-                      match expr_of_value "{ value: 1, configurable: true }" with
-                      | Some e -> Builder.refresh_expr e
+                      match expr_of_value t "{ value: 1, configurable: true }" with
+                      | Some e -> e
                       | None -> random_value t.rng)
                   | _ -> random_value t.rng)
               | _ -> random_value t.rng)
@@ -304,7 +323,7 @@ let synthesize_drivers (t : t) (p : Ast.program) : (mutant * Ast.program) list =
                   let value =
                     match plan with
                     | Some (target, v) when target = pn -> (
-                        match expr_of_value v with
+                        match expr_of_value t v with
                         | Some e ->
                             used_boundary := true;
                             e
@@ -353,7 +372,7 @@ let mutate_var_inits (t : t) (p : Ast.program) : (mutant * Ast.program) list =
                  | Ast.Ident name, Some sp when List.mem name decls ->
                      List.filter_map
                        (fun v ->
-                         match expr_of_value v with
+                         match expr_of_value t v with
                          | None -> None
                          | Some init ->
                              let p' = Transform.replace_var_init p ~name ~init in
@@ -380,7 +399,7 @@ let mutate_call_args (t : t) (p : Ast.program) : (mutant * Ast.program) list =
                  | Some sp ->
                      List.filter_map
                        (fun v ->
-                         match expr_of_value v with
+                         match expr_of_value t v with
                          | None -> None
                          | Some replacement ->
                              let p' =
@@ -447,8 +466,8 @@ let mutants_of_program (t : t) (src : string) : mutant list =
 (* The random draws all happen in [finalize], when [mutate] is called;
    each case is made, and its text parsed, only when the sequence is
    pulled. *)
-let mutate (t : t) (p : Ast.program) : (Testcase.t * Ast.program option) Seq.t
-    =
+let mutate (t : t) (p : Ast.program) :
+    (Testcase.t * Jsinterp.Run.frontend option) Seq.t =
   Seq.map
     (fun m ->
       (* boundary-guided data is what Table 4 counts as "ECMA-262 guided

@@ -34,9 +34,9 @@ val observe_calls : Specdb.Db.t -> Jsast.Ast.program -> Jsast.Ast.program
 (** [mutate t p] wraps {!mutants_of_program} of [p], a test case's parse
     (see {!Testcase.make_parsed}), into test cases with provenance
     assigned per mutant ([P_ecma_mutated] vs [P_generated]), each with
-    the parse its syntax check made of the mutant's printed source. The
+    the front end its syntax check made of the mutant's printed source. The
     random values are drawn by the call; each case is made, and parsed,
     when the sequence is pulled, so a mutant's AST lives no longer than
     its consumer holds it. Traverse it once. *)
 val mutate :
-  t -> Jsast.Ast.program -> (Testcase.t * Jsast.Ast.program option) Seq.t
+  t -> Jsast.Ast.program -> (Testcase.t * Jsinterp.Run.frontend option) Seq.t

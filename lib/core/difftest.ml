@@ -197,7 +197,7 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?supervisor
           else
             let tb_id = Engines.Engine.testbed_id tb in
             (* skipping work for an already-quarantined testbed is sound
-               even on a worker's stale fork-time copy: the judge
+               even on a worker's stale roster copy: the judge
                re-checks against driver state, and the quarantine set
                only grows *)
             match (supervisor, plan) with

@@ -61,6 +61,7 @@ let mutate_banked (t : t) : string option =
 let fuzzer (t : t) : Campaign.fuzzer =
   Campaign.make_fuzzer
     ~name:(t.fb_base.Campaign.fz_name ^ "+feedback")
+    ~seed:t.fb_base.Campaign.fz_seed
     ~raw:t.fb_base.Campaign.fz_raw
     (fun n ->
       let from_bank =

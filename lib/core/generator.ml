@@ -48,7 +48,7 @@ let attempts_per_case = 50
 
 (* One sample through the screening policy: all valid programs are kept;
    invalid ones survive with probability [keep_invalid]. *)
-let attempt (g : t) : (Testcase.t * Jsast.Ast.program option) option =
+let attempt (g : t) : (Testcase.t * Jsinterp.Run.frontend option) option =
   let src = sample_program g in
   let ((tc, _) as parsed) = Testcase.make_parsed Testcase.P_generated src in
   if tc.Testcase.tc_syntax_valid || Cutil.Rng.chance g.rng g.keep_invalid then
@@ -69,7 +69,7 @@ let generate (g : t) ~(n : int) : Testcase.t list =
   done;
   List.rev !out
 
-let next (g : t) : (Testcase.t * Jsast.Ast.program option) option =
+let next (g : t) : (Testcase.t * Jsinterp.Run.frontend option) option =
   let rec go k =
     if k = 0 then None
     else match attempt g with Some _ as r -> r | None -> go (k - 1)

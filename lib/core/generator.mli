@@ -37,10 +37,10 @@ val sample_program : t -> string
 (** Generate [n] test cases after the validity screening policy. *)
 val generate : t -> n:int -> Testcase.t list
 
-(** [generate ~n:1] for one case, with the parse its syntax check made
-    ([None] for a kept invalid program); draws the same samples. [None]
-    when every attempt was discarded. *)
-val next : t -> (Testcase.t * Jsast.Ast.program option) option
+(** [generate ~n:1] for one case, with the front end its syntax check
+    made ({!Testcase.make_parsed}; [None] for a kept invalid program);
+    draws the same samples. [None] when every attempt was discarded. *)
+val next : t -> (Testcase.t * Jsinterp.Run.frontend option) option
 
 (** Syntactic validity rate over [n] raw samples (Fig. 9 passing rate). *)
 val validity_rate : t -> n:int -> float

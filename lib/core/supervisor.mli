@@ -15,9 +15,9 @@
     (seed, testbed id, case key, attempt) — chaos campaigns are therefore
     byte-identical at any worker count and across checkpoint resume. The
     mutable supervisor state {!t} (the driver half) is updated only by
-    {!observe}, in case-submission order; a forked worker may consult its
-    fork-time copy through {!quarantined}, purely to skip work the judge
-    would discard anyway. *)
+    {!observe}, in case-submission order; a forked worker may consult the
+    roster shipped with its task through {!quarantined}, purely to skip
+    work the judge would discard anyway. *)
 
 (** The fault taxonomy. Distinct by construction from the Figure-5
     outcome classes: an injected fault travels as {!Injected}, which the
@@ -150,10 +150,22 @@ val stats : t -> stats
     threshold)], oldest first. *)
 val quarantine_list : t -> (string * int) list
 
+(** A supervisor that knows only a quarantine roster (a
+    {!quarantine_list} of the driver's): what a forked worker consults
+    to skip executions. The campaign ships the driver's roster with each
+    dispatch. *)
+val of_roster : (string * int) list -> t
+
+(** Can the roster stay as it is for [cases] more observed cases? [true]
+    when no testbed can reach the quarantine threshold within them, so
+    the roster read now is the one the [cases]-th next case is judged
+    against. Always [true] for [cases = 0]. *)
+val roster_stable : t -> cases:int -> bool
+
 (** Membership in the quarantine set. On the driver's copy this is the
-    deterministic check the judge uses; on a worker's fork-time copy it
-    can only miss later quarantines (the set only grows), which wastes an
-    execution but never changes a report. *)
+    deterministic check the judge uses; on a worker's {!of_roster} copy
+    it can only miss quarantines made after the dispatch (the set only
+    grows), which wastes an execution but never changes a report. *)
 val quarantined : t -> string -> bool
 
 (** One testbed's supervised outcome within one case. *)

@@ -26,16 +26,27 @@ type t = {
 (* Process-wide case id source. *)
 let counter = ref 0
 
+(* The syntax check is the sweep's standard base parse
+   ([Engine.Frontend.base_parse]): the source is valid under the standard
+   options exactly when that parse succeeds without leaning on a quirk
+   acceptance. *)
 let make_parsed (provenance : provenance) (source : string) :
-    t * Jsast.Ast.program option =
-  let parse = Result.to_option (Jsparse.Parser.check_syntax source) in
+    t * Jsinterp.Run.frontend option =
+  let fe = Engines.Engine.Frontend.base_parse source in
+  let valid = Engines.Engine.Frontend.parses_clean fe in
   ( {
       tc_id = (incr counter; !counter);
       tc_source = source;
       tc_provenance = provenance;
-      tc_syntax_valid = Option.is_some parse;
+      tc_syntax_valid = valid;
     },
-    parse )
+    if valid then Some fe else None )
+
+let program_of (parse : Jsinterp.Run.frontend option) : Jsast.Ast.program option
+    =
+  match parse with
+  | Some { Jsinterp.Run.fe_program = Ok p; _ } -> Some p
+  | Some _ | None -> None
 
 let make ?(provenance = P_generated) (source : string) : t =
   fst (make_parsed provenance source)

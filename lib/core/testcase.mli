@@ -24,9 +24,14 @@ type t = {
 (** Wrap a source string, assigning an id and checking syntax. *)
 val make : ?provenance:provenance -> string -> t
 
-(** {!make}, also returning the parse the syntax check made ([None] when
-    the source is invalid), for a caller that works on the AST next. *)
-val make_parsed : provenance -> string -> t * Jsast.Ast.program option
+(** {!make}, also returning the front end the syntax check made: the
+    source's {!Engines.Engine.Frontend.base_parse}, [Some] exactly when
+    the case is valid. The screen reads its program ({!program_of}) and
+    an in-process sweep reuses it as its standard base front end. *)
+val make_parsed : provenance -> string -> t * Jsinterp.Run.frontend option
+
+(** The program of a {!make_parsed} front end. *)
+val program_of : Jsinterp.Run.frontend option -> Jsast.Ast.program option
 
 (** Was this case produced with specification boundary values? *)
 val is_ecma_guided : t -> bool

@@ -131,14 +131,18 @@ module Frontend = struct
         Quirk.Q_strict_delete_unqualified_accepted;
       ]
 
+  let permissive_parse parse_opts src : Run.frontend =
+    Run.parse_frontend ~quirks:permissive_quirks ~parse_opts ~strict:false src
+
+  let base_parse (src : string) : Run.frontend =
+    permissive_parse Jsparse.Parser.default_options src
+
   let rec base_entry (fc : cache) ~(es5 : bool) : int * Run.frontend =
     match Hashtbl.find_opt fc.fc_base es5 with
     | Some e -> e
     | None ->
         let parse parse_opts =
-          numbered fc
-            (Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
-               ~strict:false fc.fc_src)
+          numbered fc (permissive_parse parse_opts fc.fc_src)
         in
         let e =
           if not es5 then parse Jsparse.Parser.default_options
@@ -161,6 +165,14 @@ module Frontend = struct
   let parses_clean (fe : Run.frontend) : bool =
     (match fe.Run.fe_program with Ok _ -> true | Error _ -> false)
     && Quirk.Set.is_empty fe.Run.fe_fired
+
+  (* A cache whose standard base front end is [fe], a [base_parse] of
+     [src] made before the cache existed. The standard base is always
+     the first front end a cache numbers, so it keeps id 0. *)
+  let seeded (src : string) (fe : Run.frontend) : cache =
+    let fc = cache src in
+    Hashtbl.replace fc.fc_base false (numbered fc fe);
+    fc
 
   (* Syntactic validity under the standard front end, derived from the
      standard base parse instead of a parse of its own. *)
@@ -284,13 +296,24 @@ module Exec = struct
     mutable ec_shared : int;    (* runs answered by class inheritance *)
   }
 
-  let cache (src : string) : cache =
+  let of_frontend (fc : Frontend.cache) : cache =
     {
-      ec_frontend = Frontend.cache src;
+      ec_frontend = fc;
       ec_classes = Hashtbl.create 8;
       ec_executed = 0;
       ec_shared = 0;
     }
+
+  let cache (src : string) : cache = of_frontend (Frontend.cache src)
+
+  (* Sweeps that took the draw's front end instead of parsing: what an
+     in-process campaign parses less than a forked worker, which parses
+     for itself. *)
+  let handed = Cutil.Counter.make "engines.handed_frontends"
+
+  let seeded (src : string) (fe : Run.frontend) : cache =
+    Cutil.Counter.incr handed;
+    of_frontend (Frontend.seeded src fe)
 
   let frontend_cache (ec : cache) = ec.ec_frontend
   let supports (ec : cache) (c : Registry.config) =

@@ -60,6 +60,18 @@ module Frontend : sig
 
   val cache : string -> cache
 
+  (** The standard base front end of a source: a sloppy parse under the
+      standard options with every parser-level quirk acceptance on, its
+      sunk quirks, strict and edition sensitivity recorded. The source
+      parses under {!Jsparse.Parser.default_options} exactly when this
+      parse succeeds and sinks no quirk, and then to the same program. *)
+  val base_parse : string -> Jsinterp.Run.frontend
+
+  (** Did this permissive parse succeed without leaning on a quirk
+      acceptance, that is, does the source parse under the profile's own
+      options? *)
+  val parses_clean : Jsinterp.Run.frontend -> bool
+
   (** The source string the cache was built for. *)
   val source : cache -> string
 
@@ -91,6 +103,11 @@ module Exec : sig
   type cache
 
   val cache : string -> cache
+
+  (** {!cache}, with [fe] (a {!Frontend.base_parse} of the source) as
+      its standard base front end: the sweep reuses the draw's parse
+      and does not parse the source again. *)
+  val seeded : string -> Jsinterp.Run.frontend -> cache
 
   val frontend_cache : cache -> Frontend.cache
 

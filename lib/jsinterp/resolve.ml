@@ -18,12 +18,10 @@
      arm binds in the *enclosing* block — [lexical_names] reproduces that
      reachability rule.
 
-   The pass leans on the same machinery the PR 1 analysis layer uses:
-   [Interp.hoist_stmt] for var/function hoisting (shared with the
-   tree-walker, so hoisting parity is by construction) and
-   [Analysis.Scope.resolve] for the program-level facts (free variables)
-   that decide whether a program may reach [eval] and must therefore stay
-   on the tree-walking path. *)
+   The pass leans on [Interp.hoist_stmt] for var/function hoisting
+   (shared with the tree-walker, so hoisting parity is by construction);
+   whether a program may reach [eval], and must therefore stay on the
+   tree-walking path, is a syntactic scan ([mentions_eval]). *)
 
 module Ast = Jsast.Ast
 
@@ -270,19 +268,19 @@ let func_deopts ~(frozen : string list) (f : Ast.func) : bool =
    refs), which would invalidate the compiled program's static resolution
    of its own top-level names. Any program that may call eval is therefore
    executed by the tree-walker from the start. The static test is
-   conservative the cheap way round: a direct identifier reference
-   (computed from [Analysis.Scope]'s free-variable set — a locally-bound
-   [eval] that shadows the builtin still counts, because its *initialiser*
-   mentions the free [eval] if it can ever hold the builtin) or a
-   syntactic [.eval] / [\["eval"\]] member access. Anything sneakier (a
+   syntactic and conservative the cheap way round: any [eval] identifier
+   reference, free or locally bound (a local [eval] may hold the builtin),
+   or a [.eval] / [\["eval"\]] member access. It needs no scope
+   analysis, so a compile costs one walk of the tree. Anything sneakier (a
    computed key assembled at runtime) escapes the scan and is caught by
    the dynamic trap in the eval builtin, which re-runs the whole program
    tree-walked. *)
 
-let mentions_eval_member (prog : Ast.program) : bool =
+let mentions_eval (prog : Ast.program) : bool =
   let exception Hit in
   let rec expr (x : Ast.expr) =
     match x.Ast.e with
+    | Ast.Ident "eval" -> raise Hit
     | Ast.Lit _ | Ast.Ident _ | Ast.This -> ()
     | Ast.Array_lit elems -> List.iter (Option.iter expr) elems
     | Ast.Object_lit props ->
@@ -363,10 +361,6 @@ let mentions_eval_member (prog : Ast.program) : bool =
   match List.iter stmt prog.Ast.prog_body with
   | () -> false
   | exception Hit -> true
-
-let mentions_eval (prog : Ast.program) : bool =
-  List.mem "eval" (Analysis.Scope.resolve prog).Analysis.Scope.res_free_all
-  || mentions_eval_member prog
 
 (* Top-level code is the program "function"; a [delete ident] there (outside
    any nested function) deopts the whole program, exactly as it deopts a

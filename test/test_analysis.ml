@@ -292,7 +292,7 @@ let screen_case_bypasses_invalid_syntax () =
 
 let const_fuzzer name srcs =
   let i = ref 0 in
-  Comfort.Campaign.make_fuzzer ~name ~raw:None (fun n ->
+  Comfort.Campaign.make_fuzzer ~name ~seed:0 ~raw:None (fun n ->
       Seq.init n (fun _ ->
           let src = List.nth srcs (!i mod List.length srcs) in
           incr i;

@@ -41,7 +41,7 @@ let pool_runs_in_order () =
     ~worker:(fun x -> x * x)
     (fun pool ->
       let seen = ref [] in
-      Coordinator.run_ordered pool (List.init 24 Fun.id)
+      Coordinator.run_ordered pool (Seq.init 24 Fun.id)
         ~consume:(fun i x y ->
           Alcotest.(check int) "task order" i x;
           Alcotest.(check int) "reply" (x * x) y;
@@ -49,6 +49,28 @@ let pool_runs_in_order () =
       Alcotest.(check int) "all consumed" 24 (List.length !seen);
       Alcotest.(check bool) "in submission order" true
         (!seen = List.rev (List.init 24 Fun.id)))
+
+(* Tasks are pulled as workers free up, a bounded window ahead of the
+   consumed ones: an endless stream stopped after 10 consumes was read
+   no further than that window. *)
+let stream_is_pulled_lazily () =
+  requires_fork ();
+  Coordinator.with_pool ~workers:2
+    ~worker:(fun x -> x * x)
+    (fun pool ->
+      let pulled = ref 0 and consumed = ref 0 in
+      Coordinator.run_ordered pool
+        (Seq.ints 0 |> Seq.map (fun i -> incr pulled; i))
+        ~stop:(fun () -> !consumed >= 10)
+        ~consume:(fun i x y ->
+          Alcotest.(check int) "task order" i x;
+          Alcotest.(check int) "reply" (x * x) y;
+          incr consumed);
+      Alcotest.(check int) "stopped after 10" 10 !consumed;
+      Alcotest.(check bool)
+        (Printf.sprintf "read-ahead bounded (%d pulled)" !pulled)
+        true
+        (!pulled <= 10 + (64 * 2)))
 
 let halted_run_leaves_no_stale_replies () =
   requires_fork ();
@@ -58,13 +80,13 @@ let halted_run_leaves_no_stale_replies () =
     ~worker:(fun x -> x * x)
     (fun pool ->
       let consumed = ref 0 in
-      Coordinator.run_ordered pool (List.init 10 Fun.id)
+      Coordinator.run_ordered pool (Seq.init 10 Fun.id)
         ~stop:(fun () -> !consumed >= 1)
         ~consume:(fun _ _ _ -> incr consumed);
       Alcotest.(check int) "first run halted early" 1 !consumed;
       let replies = ref [] in
       Coordinator.run_ordered pool
-        (List.init 10 (fun i -> 100 + i))
+        (Seq.init 10 (fun i -> 100 + i))
         ~consume:(fun _ x y ->
           Alcotest.(check int) "reply belongs to this run" (x * x) y;
           replies := y :: !replies);
@@ -91,7 +113,7 @@ let crashed_worker_respawned_task_redispatched () =
           x + 1)
         (fun pool ->
           let n = ref 0 in
-          Coordinator.run_ordered pool (List.init 10 Fun.id)
+          Coordinator.run_ordered pool (Seq.init 10 Fun.id)
             ~consume:(fun i _ y ->
               Alcotest.(check int) "reply survives the crash" (i + 1) y;
               incr n);
@@ -126,7 +148,7 @@ let wedged_worker_reaped_within_budget () =
       else x)
     (fun pool ->
       let failed = ref [] in
-      Coordinator.run_ordered pool (List.init 6 Fun.id)
+      Coordinator.run_ordered pool (Seq.init 6 Fun.id)
         ~on_task_fail:(fun i _ _ ->
           failed := i :: !failed;
           -1)
@@ -146,7 +168,7 @@ let worker_exception_reaches_on_task_fail () =
     ~worker:(fun x -> if x = 2 then failwith "boom-2" else x)
     (fun pool ->
       let msgs = ref [] in
-      Coordinator.run_ordered pool (List.init 5 Fun.id)
+      Coordinator.run_ordered pool (Seq.init 5 Fun.id)
         ~on_task_fail:(fun i _ msg ->
           msgs := (i, msg) :: !msgs;
           -1)
@@ -183,7 +205,7 @@ let respawn_budget_exhausts () =
     Coordinator.with_pool ~workers:2 ~limits
       ~worker:(fun x -> if x = 2 then Unix._exit 70 else x)
       (fun pool ->
-        Coordinator.run_ordered pool (List.init 8 Fun.id)
+        Coordinator.run_ordered pool (Seq.init 8 Fun.id)
           ~consume:(fun _ _ _ -> ()))
   with
   | () -> Alcotest.fail "a lethal task must exhaust the respawn budget"
@@ -210,7 +232,7 @@ let pipelined_limits =
 let pipelined_run ~workers worker =
   Coordinator.with_pool ~workers ~limits:pipelined_limits ~worker (fun pool ->
       let out = ref [] in
-      Coordinator.run_ordered pool (List.init 8 Fun.id)
+      Coordinator.run_ordered pool (Seq.init 8 Fun.id)
         ~on_task_fail:(fun i _ _ -> -1 - i)
         ~consume:(fun _ _ y -> out := y :: !out);
       List.rev !out)
@@ -332,20 +354,16 @@ let campaign_identical_across_worker_counts () =
 
 (* Every registered count a child moves folds home with its replies, so
    a campaign's deltas match in-process ones, real hard-kills included.
-   The plan has no crashes, so no testbed is quarantined: a worker
-   consults its fork-time copy of the quarantine roster and runs the
-   executions of a testbed the driver quarantined after that fork, real
-   work the in-process loop skips. The pool's own counts (respawns,
+   A worker skips the testbeds of the quarantine roster shipped with its
+   dispatch, which waits until that roster can no longer change before
+   the case is judged, so under crash-driven quarantine too it runs the
+   executions the in-process loop runs. Two counts differ by design: an in-process
+   sweep takes the draw's front end ([engines.handed_frontends]) where a
+   worker parses the case itself, and the pool's own counts (respawns,
    kills) exist only with workers. *)
-let counts_folded_from_children () =
+let counts_folded_from_children plan () =
   requires_fork ();
-  let plan =
-    match
-      Faultplan.of_spec "seed=11;targets=Hermes|Rhino|Nashorn;worker_kill=0.25;flaky=0.3"
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
+  let plan = Lazy.force plan in
   let deltas workers =
     let counts0 = Cutil.Counter.snapshot () in
     ignore
@@ -358,12 +376,38 @@ let counts_folded_from_children () =
   let delta2 = deltas 2 in
   Alcotest.(check bool) "real hard-kills occurred" true
     (Coordinator.stat_kills () > k0);
+  let names = List.map fst (Cutil.Counter.to_list ()) in
+  let at delta name =
+    match List.find_index (String.equal name) names with
+    | Some i -> delta.(i)
+    | None -> Alcotest.failf "no counter %s" name
+  in
+  let handed = at delta0 "engines.handed_frontends" in
+  Alcotest.(check bool) "in-process sweeps took the draw's front ends" true
+    (handed > 0);
+  Alcotest.(check int) "workers took none" 0
+    (at delta2 "engines.handed_frontends");
+  Alcotest.(check int) "workers parsed what in-process sweeps took"
+    (at delta0 "jsparse.parses" + handed)
+    (at delta2 "jsparse.parses");
   List.iteri
-    (fun i (name, _) ->
-      if not (String.starts_with ~prefix:"coordinator." name) then
+    (fun i name ->
+      if
+        not
+          (String.starts_with ~prefix:"coordinator." name
+          || List.mem name [ "engines.handed_frontends"; "jsparse.parses" ])
+      then
         Alcotest.(check int) (name ^ " folded from children") delta0.(i)
           delta2.(i))
-    (Cutil.Counter.to_list ())
+    names
+
+let flaky_kill_plan =
+  lazy
+    (match
+       Faultplan.of_spec "seed=11;targets=Hermes|Rhino|Nashorn;worker_kill=0.25;flaky=0.3"
+     with
+    | Ok p -> p
+    | Error e -> failwith e)
 
 let campaign_halt_resume_across_worker_counts () =
   requires_fork ();
@@ -387,10 +431,12 @@ let campaign_halt_resume_across_worker_counts () =
   in
   Test_supervisor.check_results_equal "halt at workers=2, resume at workers=3"
     uninterrupted
-    (Campaign.resume ~workers:3 (load ()));
+    (Campaign.resume ~workers:3 (load ())
+       (Campaign.comfort_fuzzer ~seed:23 ()));
   Test_supervisor.check_results_equal "halt at workers=2, resume in-process"
     uninterrupted
-    (Campaign.resume ~workers:0 (load ()));
+    (Campaign.resume ~workers:0 (load ())
+       (Campaign.comfort_fuzzer ~seed:23 ()));
   Sys.remove path
 
 let campaign_exhaustion_aborts_with_partial_report () =
@@ -410,11 +456,16 @@ let campaign_exhaustion_aborts_with_partial_report () =
       li_backoff_ms = 1;
     }
   in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      "comfort-test-pool-exhausted.ckpt"
+  in
   let res =
     Campaign.run ~budget:12 ~workers:2 ~worker_limits
+      ~checkpoint:(path, 1000)
       (Campaign.comfort_fuzzer ~seed:23 ())
   in
-  match res.Campaign.cp_aborted with
+  (match res.Campaign.cp_aborted with
   | Some msg ->
       Alcotest.(check bool) "abort names the worker pool" true
         (let lc = String.lowercase_ascii msg in
@@ -423,7 +474,23 @@ let campaign_exhaustion_aborts_with_partial_report () =
            && (String.sub lc i 6 = "worker" || find (i + 1))
          in
          find 0)
-  | None -> Alcotest.fail "budget exhaustion must abort the campaign"
+  | None -> Alcotest.fail "budget exhaustion must abort the campaign");
+  (* the partial report still screens the whole draw, and the worker
+     pool's exhaustion is not stored: a resume on a healthy pool runs
+     the rest and ends as the uninterrupted campaign *)
+  let full = Campaign.run ~budget:12 (Campaign.comfort_fuzzer ~seed:23 ()) in
+  Alcotest.(check int) "screened out, as a full run"
+    full.Campaign.cp_screened_out res.Campaign.cp_screened_out;
+  Alcotest.(check int) "repaired, as a full run" full.Campaign.cp_repaired
+    res.Campaign.cp_repaired;
+  let st =
+    match Campaign.Checkpoint.load path with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+  in
+  Sys.remove path;
+  Test_supervisor.check_results_equal "resumed on a healthy pool" full
+    (Campaign.resume ~workers:2 st (Campaign.comfort_fuzzer ~seed:23 ()))
 
 let no_fork_degrades_to_in_process () =
   (* the CI escape hatch: with COMFORT_NO_FORK set, the same ~workers
@@ -445,6 +512,8 @@ let suite =
   [
     Helpers.case "pool: replies consumed in submission order"
       pool_runs_in_order;
+    Helpers.case "pool: an endless task stream is pulled lazily"
+      stream_is_pulled_lazily;
     Helpers.case "pool: a halted run leaves no stale replies"
       halted_run_leaves_no_stale_replies;
     Helpers.case "pool: crash -> respawn + re-dispatch, run completes"
@@ -464,7 +533,9 @@ let suite =
     Helpers.case "campaign: identical at workers 0/1/2/4 under worker_kill"
       campaign_identical_across_worker_counts;
     Helpers.case "campaign: every count folds home from children"
-      counts_folded_from_children;
+      (counts_folded_from_children flaky_kill_plan);
+    Helpers.case "campaign: every count folds home under kill-chaos"
+      (counts_folded_from_children kill_plan);
     Helpers.case "campaign: halt + resume across worker counts"
       campaign_halt_resume_across_worker_counts;
     Helpers.case "campaign: pool exhaustion -> aborted partial report"

@@ -1,6 +1,6 @@
-(* The fuzzer draw: each case is yielded lazily with the parse its syntax
-   check made, and the campaign screens it from that parse instead of
-   parsing the text again. *)
+(* The fuzzer draw: each case is yielded lazily with the front end its
+   syntax check made, and the campaign screens it from that front end's
+   program instead of parsing the text again. *)
 
 let fuzzers () =
   let feedback () =
@@ -42,6 +42,20 @@ let golden =
 
 let print_of = Jsast.Printer.program_to_string
 
+(* The standard base parse, spelled out: sloppy, the standard options,
+   every parser-level quirk acceptance on. *)
+let permissive_parse src =
+  Jsinterp.Run.parse_frontend
+    ~quirks:
+      (Jsinterp.Quirk.Set.of_list
+         Jsinterp.Quirk.
+           [
+             Q_eval_for_missing_body_accepted;
+             Q_strict_dup_params_accepted;
+             Q_strict_delete_unqualified_accepted;
+           ])
+    ~parse_opts:Jsparse.Parser.default_options ~strict:false src
+
 let same_stream_with_its_parses name mk () =
   let fz = mk () in
   let b = Buffer.create (1 lsl 16) in
@@ -53,16 +67,38 @@ let same_stream_with_its_parses name mk () =
           Printf.bprintf b "%s|%b|%d:%s\n"
             (Comfort.Testcase.provenance_to_string tc.Comfort.Testcase.tc_provenance)
             tc.Comfort.Testcase.tc_syntax_valid (String.length src) src;
-          (* the handed parse is the syntax check's parse of the case's
-             own text, and exists exactly when the case is valid *)
+          (* the handed front end is the permissive base parse of the
+             case's own text, and exists exactly when the case is valid;
+             its program is then the standard front end's *)
           match (parse, Jsparse.Parser.check_syntax src) with
-          | Some p, Ok q ->
-              if not (String.equal (print_of p) (print_of q)) then
-                Alcotest.failf "%s: the handed parse is not that of\n%s" name src
-          | None, Error _ -> ()
+          | Some (fe : Jsinterp.Run.frontend), Ok q ->
+              let fresh = permissive_parse src in
+              let printed (f : Jsinterp.Run.frontend) =
+                match f.Jsinterp.Run.fe_program with
+                | Ok p -> print_of p
+                | Error (m, _) -> "syntax error: " ^ m
+              in
+              if not tc.Comfort.Testcase.tc_syntax_valid then
+                Alcotest.failf "%s: a front end handed for an invalid case:\n%s"
+                  name src;
+              if
+                not
+                  (String.equal (printed fe) (printed fresh)
+                  && String.equal (printed fe) (print_of q)
+                  && Jsinterp.Quirk.Set.equal fe.Jsinterp.Run.fe_fired
+                       fresh.Jsinterp.Run.fe_fired
+                  && fe.Jsinterp.Run.fe_strict_sensitive
+                     = fresh.Jsinterp.Run.fe_strict_sensitive
+                  && fe.Jsinterp.Run.fe_edition_sensitive
+                     = fresh.Jsinterp.Run.fe_edition_sensitive)
+              then
+                Alcotest.failf "%s: the handed front end is not that of\n%s"
+                  name src
+          | None, Error _ when not tc.Comfort.Testcase.tc_syntax_valid -> ()
           | _ ->
-              Alcotest.failf "%s: parse handed %b for a case valid %b:\n%s" name
-                (Option.is_some parse) tc.Comfort.Testcase.tc_syntax_valid src)
+              Alcotest.failf "%s: front end handed %b for a case valid %b:\n%s"
+                name (Option.is_some parse) tc.Comfort.Testcase.tc_syntax_valid
+                src)
         (fz.Comfort.Campaign.fz_draw n))
     [ 600; 7; 1 ];
   Alcotest.(check string)
@@ -78,23 +114,26 @@ let screen_from_the_handed_parse () =
   let tc, parse =
     Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(1 + 2);"
   in
-  (match parses (fun () -> Comfort.Campaign.screen_parsed tc parse) with
+  (match parses (fun () -> Comfort.Campaign.screen_parsed tc (Comfort.Testcase.program_of parse)) with
   | Comfort.Campaign.S_kept _, n ->
       Alcotest.(check int) "a kept case screens without a parse" 0 n
   | _ -> Alcotest.fail "print(1 + 2) was not kept");
   let tc, parse =
     Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(q + 1);"
   in
-  match parses (fun () -> Comfort.Campaign.screen_parsed tc parse) with
+  match parses (fun () -> Comfort.Campaign.screen_parsed tc (Comfort.Testcase.program_of parse)) with
   | Comfort.Campaign.S_repaired _, n ->
       Alcotest.(check int) "a repaired case parses its repaired text only" 1 n
   | _ -> Alcotest.fail "print(q + 1) was not repaired"
 
 (* Every parse a fixed-seed campaign makes: the syntax check, the
    sweep's front ends and attribution. Gathering may not parse a case
-   again. Before the screen took the handed parse, the same campaigns
-   made 387 (comfort) and 490 (fuzzilli, whose corpus admission parsed
-   each mutant once more). *)
+   again, and the in-process sweep takes the draw's front end of a case
+   kept as drawn. Before the screen took the handed parse, the same
+   campaigns made 387 (comfort) and 490 (fuzzilli, whose corpus
+   admission parsed each mutant once more); before the campaign streamed
+   its cases to the sweep, 282 and 288 (comfort's also counted each
+   Datagen boundary value once per use). *)
 let parse_budget name fz ~per_100 () =
   let res, n =
     parses (fun () ->
@@ -117,9 +156,9 @@ let suite =
       Alcotest.test_case "parse budget: comfort" `Quick
         (parse_budget "comfort"
            (fun () -> Comfort.Campaign.comfort_fuzzer ~seed:3 ())
-           ~per_100:282);
+           ~per_100:141);
       Alcotest.test_case "parse budget: fuzzilli" `Quick
         (parse_budget "fuzzilli"
            (fun () -> Baselines.Fuzzers.fuzzilli ~seed:3 ())
-           ~per_100:288);
+           ~per_100:207);
     ]

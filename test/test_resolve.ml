@@ -191,6 +191,31 @@ let compile_classifies_programs () =
   Alcotest.(check int) "frozen-name mutation deopts one function" 1
     (deopt_fns "var f = function self() { self = 1; }; f();")
 
+(* The eval scan is syntactic: an [eval] reference deopts the program
+   even where a local binding shadows the builtin. Tree-walking a
+   program that never reaches the builtin costs speed, never behaviour. *)
+let local_eval_is_tree_walked () =
+  let src =
+    {|function twice(x) {
+  var eval = function (y) { return y * 2; };
+  return eval(x);
+}
+print(twice(21));|}
+  in
+  Alcotest.(check bool) "a locally bound eval deopts the program" false
+    (Compile.compile (parse src)).Compile.cp_slotted;
+  let tree = Run.run ~coverage:true ~strategy:Strategy.Reference src in
+  let fast = Run.run ~coverage:true ~strategy:Strategy.Fast src in
+  results_agree "local eval" tree fast;
+  Alcotest.(check string) "the local binding is called" "42\n" fast.Run.r_output;
+  List.iter
+    (fun tb ->
+      results_agree
+        ("local eval @ " ^ Engine.testbed_id tb)
+        (Engine.run ~strategy:Strategy.Reference tb src)
+        (Engine.run ~strategy:Strategy.Fast tb src))
+    Engine.all_testbeds
+
 let dynamic_trap_still_counts_one_execution () =
   (* the tree re-run after [Deopt_to_tree] replays the same program; it
      must not inflate the executions-per-case accounting that the
@@ -273,6 +298,8 @@ let suite =
       frozen_name_quirk_parity;
     case "compile classifies slotted/deopted programs"
       compile_classifies_programs;
+    case "compile: a locally bound eval is tree-walked, same results"
+      local_eval_is_tree_walked;
     case "dynamic eval trap counts as one execution"
       dynamic_trap_still_counts_one_execution;
     case "realm snapshots are isolated" realm_snapshots_are_isolated;

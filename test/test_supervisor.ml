@@ -247,13 +247,16 @@ let chaos_plan =
 
 let chaos_targets = [ "hermes"; "rhino"; "nashorn" ]
 
+(* the fuzzer of the chaos and pool-exhaustion campaigns; resuming one
+   of their checkpoints takes a fresh one *)
+let chaos_fuzzer () = Campaign.comfort_fuzzer ~seed:23 ()
+
 let run_chaos ?(workers = 0) ?checkpoint ?halt_after () =
   Campaign.run
     ~testbeds:(Lazy.force testbeds)
     ~budget:20 ~workers
     ~faults:(Lazy.force chaos_plan)
-    ?checkpoint ?halt_after
-    (Campaign.comfort_fuzzer ~seed:23 ())
+    ?checkpoint ?halt_after (chaos_fuzzer ())
 
 let disc_key (d : Campaign.discovery) =
   ( Engines.Registry.engine_name d.Campaign.disc_engine,
@@ -363,8 +366,7 @@ let run_pool_exhausted ?checkpoint () =
     ~testbeds:(Lazy.force testbeds)
     ~budget:20
     ~faults:(plan_of_spec "seed=2;crash=1.0")
-    ?checkpoint
-    (Campaign.comfort_fuzzer ~seed:23 ())
+    ?checkpoint (chaos_fuzzer ())
 
 let all_testbeds_quarantined_aborts () =
   let res = run_pool_exhausted () in
@@ -377,20 +379,21 @@ let all_testbeds_quarantined_aborts () =
     (List.length res.Campaign.cp_quarantined)
 
 (* a fuzzer that hands out five cases, then dies *)
-let run_drained ?checkpoint () =
+let drained_fuzzer () =
   let remaining = ref 5 in
-  let fz =
-    Campaign.make_fuzzer ~name:"drained" ~raw:None (fun n ->
-        if !remaining = 0 then failwith "out of test cases"
-        else begin
-          let take = min n !remaining in
-          remaining := !remaining - take;
-          Seq.init take (fun i ->
-              Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
-                (Printf.sprintf "print(%d + %d);" i !remaining))
-        end)
-  in
-  Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ?checkpoint fz
+  Campaign.make_fuzzer ~name:"drained" ~seed:0 ~raw:None (fun n ->
+      if !remaining = 0 then failwith "out of test cases"
+      else begin
+        let take = min n !remaining in
+        remaining := !remaining - take;
+        Seq.init take (fun i ->
+            Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
+              (Printf.sprintf "print(%d + %d);" i !remaining))
+      end)
+
+let run_drained ?checkpoint () =
+  Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ?checkpoint
+    (drained_fuzzer ())
 
 let fuzzer_exhaustion_aborts () =
   let res = run_drained () in
@@ -401,11 +404,32 @@ let fuzzer_exhaustion_aborts () =
   Alcotest.(check int) "the gathered cases still ran" 5
     res.Campaign.cp_cases_run
 
+(* A fuzzer that runs dry keeps its own abort reason, and every case it
+   yielded runs, even when quarantine empties the testbed pool before
+   the last of them: the campaign runs the gather to its end before it
+   stops, in-process and on forked workers alike. *)
+let drained_fuzzer_outlives_pool_exhaustion () =
+  List.iter
+    (fun workers ->
+      let res =
+        Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ~workers
+          ~faults:(plan_of_spec "seed=2;crash=1.0")
+          (drained_fuzzer ())
+      in
+      Alcotest.(check bool) "the pool was quarantined" true
+        (res.Campaign.cp_quarantined <> []);
+      Alcotest.(check int) "every gathered case ran" 5
+        res.Campaign.cp_cases_run;
+      Alcotest.(check (option string)) "the gather's abort reason"
+        (Some "fuzzer exhausted: Failure(\"out of test cases\")")
+        res.Campaign.cp_aborted)
+    [ 0; 2 ]
+
 (* a fuzzer that dies in the middle of a batch: every case it yielded
    before dying is screened and runs *)
 let fuzzer_dies_mid_batch () =
   let fz =
-    Campaign.make_fuzzer ~name:"mid-batch" ~raw:None (fun n ->
+    Campaign.make_fuzzer ~name:"mid-batch" ~seed:0 ~raw:None (fun n ->
         Seq.append
           (Seq.init (min 3 n) (fun i ->
                Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
@@ -553,9 +577,8 @@ let halt_and_resume_matches_uninterrupted () =
   | Ok st ->
       Alcotest.(check int) "snapshot is at the halt point" 7
         (Campaign.Checkpoint.consumed st);
-      Alcotest.(check int) "full case list stored" 20
-        (Campaign.Checkpoint.total st);
-      let resumed = Campaign.resume st in
+      Alcotest.(check int) "budget stored" 20 (Campaign.Checkpoint.total st);
+      let resumed = Campaign.resume st (chaos_fuzzer ()) in
       check_results_equal "resumed vs uninterrupted" uninterrupted resumed);
   (* resuming the finished campaign's final checkpoint is a no-op that
      reproduces the result *)
@@ -566,7 +589,8 @@ let halt_and_resume_matches_uninterrupted () =
       | Ok st ->
           Alcotest.(check int) "final checkpoint is complete" 20
             (Campaign.Checkpoint.consumed st);
-          check_results_equal "re-finished" res (Campaign.resume st)));
+          check_results_equal "re-finished" res
+            (Campaign.resume st (chaos_fuzzer ()))));
   Sys.remove path
 
 let resume_can_halt_again () =
@@ -580,7 +604,11 @@ let resume_can_halt_again () =
     | Ok st -> st
     | Error e -> Alcotest.failf "first checkpoint: %s" e
   in
-  (try ignore (Campaign.resume ~checkpoint:(path, 3) ~halt_after:11 st1) with
+  (try
+     ignore
+       (Campaign.resume ~checkpoint:(path, 3) ~halt_after:11 st1
+          (chaos_fuzzer ()))
+   with
   | Campaign.Halted _ -> ());
   let st2 =
     match Campaign.Checkpoint.load path with
@@ -590,14 +618,56 @@ let resume_can_halt_again () =
   Alcotest.(check int) "second snapshot is later" 11
     (Campaign.Checkpoint.consumed st2);
   check_results_equal "twice-killed vs uninterrupted" uninterrupted
-    (Campaign.resume st2);
+    (Campaign.resume st2 (chaos_fuzzer ()));
   Sys.remove path
+
+(* A checkpoint stores the gather's cursor, not the drawn cases, so at
+   the same consume point its size does not depend on the budget. One
+   testbed cannot deviate from itself, so the checkpoint holds no
+   discovery either, whose case id could take a different number of
+   bytes in the two runs. *)
+let checkpoint_size_independent_of_budget () =
+  let size budget =
+    let path = ckpt_path (Printf.sprintf "comfort-test-size-%d.ckpt" budget) in
+    (match
+       Campaign.run
+         ~testbeds:[ List.hd (Lazy.force testbeds) ]
+         ~budget ~checkpoint:(path, 10) ~halt_after:30
+         (Campaign.comfort_fuzzer ~seed:5 ())
+     with
+    | _ -> Alcotest.fail "halt_after must raise"
+    | exception Campaign.Halted _ -> ());
+    let n = (Unix.stat path).Unix.st_size in
+    Sys.remove path;
+    n
+  in
+  Alcotest.(check int) "same size at budgets 500 and 2000" (size 500)
+    (size 2000)
+
+(* The checkpoint names its fuzzer and seed; resuming with another
+   fuzzer would draw other cases, so it is refused. *)
+let resume_refuses_another_fuzzer () =
+  let path = ckpt_path "comfort-test-resume-other.ckpt" in
+  (try ignore (run_chaos ~checkpoint:(path, 5) ~halt_after:7 ()) with
+  | Campaign.Halted _ -> ());
+  let st =
+    match Campaign.Checkpoint.load path with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+  in
+  Sys.remove path;
+  Alcotest.(check string) "fuzzer stored" "Comfort"
+    (Campaign.Checkpoint.fuzzer st);
+  Alcotest.(check int) "seed stored" 23 (Campaign.Checkpoint.seed st);
+  match Campaign.resume st (Campaign.comfort_fuzzer ~seed:24 ()) with
+  | _ -> Alcotest.fail "a fuzzer with another seed was accepted"
+  | exception Invalid_argument _ -> ()
 
 (* A campaign that ended early stores its early end: resuming its final
    checkpoint runs nothing and reproduces the report, abort reason and
    case count included, in-process and on forked workers alike. *)
 let resume_of_final_checkpoint name
-    (run : ?checkpoint:string * int -> unit -> Campaign.result) () =
+    (run : ?checkpoint:string * int -> unit -> Campaign.result) fuzzer () =
   let path = ckpt_path name in
   let res = run ~checkpoint:(path, 1000) () in
   Alcotest.(check bool) "campaign ended early" true
@@ -608,9 +678,9 @@ let resume_of_final_checkpoint name
     | Error e -> Alcotest.failf "final checkpoint unreadable: %s" e
   in
   check_results_equal "resumed in-process" res
-    (Campaign.resume ~workers:0 (load ()));
+    (Campaign.resume ~workers:0 (load ()) (fuzzer ()));
   check_results_equal "resumed on 2 workers" res
-    (Campaign.resume ~workers:2 (load ()));
+    (Campaign.resume ~workers:2 (load ()) (fuzzer ()));
   Sys.remove path
 
 let suite =
@@ -630,6 +700,8 @@ let suite =
     Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
+    Helpers.case "campaign: a drained fuzzer outlives pool exhaustion"
+      drained_fuzzer_outlives_pool_exhaustion;
     Helpers.case "campaign: a fuzzer dying mid-batch keeps its yielded cases"
       fuzzer_dies_mid_batch;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
@@ -648,13 +720,21 @@ let suite =
     Helpers.case "checkpoint: v9 header refused"
       (checkpoint_load_rejects_old ~version:9
          (Comfort.Ipc.encode ("Comfort", 300_000, [| 0; 0 |])));
+    Helpers.case "checkpoint: v10 header refused"
+      (checkpoint_load_rejects_old ~version:10
+         (Comfort.Ipc.encode ("Comfort", [ "print(1);" ], 0)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
+    Helpers.case "checkpoint: size independent of the budget"
+      checkpoint_size_independent_of_budget;
+    Helpers.case "checkpoint: resume refuses another fuzzer"
+      resume_refuses_another_fuzzer;
     Helpers.case "checkpoint: resuming a pool-exhausted campaign is a no-op"
       (resume_of_final_checkpoint "comfort-test-pool-exhausted.ckpt"
-         run_pool_exhausted);
+         run_pool_exhausted chaos_fuzzer);
     Helpers.case "checkpoint: resuming a drained-fuzzer campaign is a no-op"
-      (resume_of_final_checkpoint "comfort-test-drained.ckpt" run_drained);
+      (resume_of_final_checkpoint "comfort-test-drained.ckpt" run_drained
+         drained_fuzzer);
     QCheck_alcotest.to_alcotest checkpoint_damage_property;
   ]
