@@ -306,6 +306,11 @@ type source = {
   so_ahead : kept Queue.t;
       (* kept cases taken from the gather but not handed out yet *)
   mutable so_handed : int;  (* [cu_kept] of the last case handed out *)
+  mutable so_counts : int array;
+      (* what the gather's pulls moved of every [Cutil.Counter] count:
+         the draw is not the campaign's work (a fuzzer's own executions,
+         the syntax check's parse), and a case pulled ahead of a
+         checkpoint is pulled again on resume *)
 }
 
 let source (fz : fuzzer) ~(budget : int) (c : cursor) : source =
@@ -316,6 +321,7 @@ let source (fz : fuzzer) ~(budget : int) (c : cursor) : source =
     so_round = Seq.empty;
     so_ahead = Queue.create ();
     so_handed = c.cu_kept;
+    so_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
   }
 
 let drop (c : cursor) (reason : string) : cursor =
@@ -334,7 +340,7 @@ let drop (c : cursor) (reason : string) : cursor =
    over. A fuzzer that dies (e.g. the generator's refill cap) ends the
    gather gracefully: every case it yielded before dying still runs, and
    the report is marked aborted. *)
-let rec gather_next (so : source) : kept option =
+let rec gather (so : source) : kept option =
   let c = so.so_cursor in
   if c.cu_over then None
   else
@@ -367,7 +373,7 @@ let rec gather_next (so : source) : kept option =
               cu_stalls = stalls;
               cu_progressed = false;
             };
-          gather_next so
+          gather so
         end
         else begin
           so.so_cursor <-
@@ -406,7 +412,13 @@ let rec gather_next (so : source) : kept option =
             Some (tc, None, c)
         | S_dropped reason ->
             so.so_cursor <- drop c reason;
-            gather_next so)
+            gather so)
+
+let gather_next (so : source) : kept option =
+  let counts0 = Cutil.Counter.snapshot () in
+  let x = gather so in
+  so.so_counts <- Array.map2 ( + ) so.so_counts (Cutil.Counter.since counts0);
+  x
 
 (* The next kept case to hand out. *)
 let next (so : source) : kept option =
@@ -428,13 +440,13 @@ let more_after (so : source) (i : int) : bool =
       true
   | None -> false
 
-(* Run the gather to its end, keeping the cases for [next] (without their
-   front ends), and return its final cursor. *)
-let drain (so : source) : cursor =
+(* Run the gather to its end and return its final cursor. With [keep],
+   the cases are queued for [next] (without their front ends). *)
+let drain ~(keep : bool) (so : source) : cursor =
   let rec go () =
     match gather_next so with
     | Some (tc, _, c) ->
-        Queue.add (tc, None, c) so.so_ahead;
+        if keep then Queue.add (tc, None, c) so.so_ahead;
         go ()
     | None -> so.so_cursor
   in
@@ -605,9 +617,10 @@ type work =
          run, not one case — the driver re-raises it *)
 
 (* One case as the fork pool ships it. [jb_roster] is the driver's
-   quarantine roster as of the dispatch ([Some] iff supervision is on),
-   which is the roster the case is judged against: the worker skips
-   those testbeds, as the in-process sweep does. *)
+   quarantine roster as of the dispatch ([Some] iff supervision is on):
+   the worker skips those testbeds, as the in-process sweep does. A
+   case consumed meanwhile can still add to the roster the case is
+   judged against; the judge discards what the worker ran on it. *)
 type job = {
   jb_index : int;
   jb_case : Testcase.t;
@@ -661,11 +674,15 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
   in
   (* the registry's counts are shared by every campaign in the process,
      so the campaign's share is the checkpointed prior plus this run's
-     delta *)
+     delta, less what the gather's pulls moved: as when the whole budget
+     was drawn before the first sweep, the share is the sweeps' work *)
   let prior = d.d_counts in
   let counts0 = Cutil.Counter.snapshot () in
   let tally () =
-    d.d_counts <- Array.map2 ( + ) prior (Cutil.Counter.since counts0)
+    d.d_counts <-
+      Array.map2 ( - )
+        (Array.map2 ( + ) prior (Cutil.Counter.since counts0))
+        so.so_counts
   in
   let save_ck () =
     match checkpoint with
@@ -791,7 +808,10 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
        winds down (remaining in-flight results are discarded). A gather
        that ends short of the budget keeps its own abort reason, and the
        campaign then runs every case it gathered, so the gather is run to
-       its end first to learn which; its tallies are the report's. *)
+       its end first to learn which; its tallies are the report's. The
+       drawn cases are kept meanwhile, since a short gather runs them:
+       the one place the campaign holds more than its window of cases
+       (DESIGN.md §10). *)
     (match d.d_sup with
     | Some sup when not d.d_stop ->
         let survivors tbs =
@@ -802,7 +822,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
                tbs)
         in
         if List.for_all (fun tbs -> survivors tbs < 2) by_mode then begin
-          let last = drain so in
+          let last = drain ~keep:true so in
           if last.cu_aborted = None then begin
             d.d_cursor <- last;
             d.d_aborted <-
@@ -939,13 +959,6 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
               Coordinator.run_ordered pool
                 ~on_task_fail:(fun _ _ msg -> W_failed msg)
                 ~stop:(fun () -> d.d_stop || !interrupted <> None)
-                (* a case is dispatched once the cases before it can no
-                   longer change the roster it ships with, so a worker
-                   skips exactly what the in-process sweep skips *)
-                ~ready:(fun ahead ->
-                  match d.d_sup with
-                  | None -> true
-                  | Some sup -> Supervisor.roster_stable sup ~cases:ahead)
                 ~at_dispatch:(fun jb ->
                   {
                     jb with
@@ -969,10 +982,11 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
   (* The gather's final cursor. A finished run committed it: its cases
      are all consumed (or the pool-exhaustion stop already took it). A
      worker-pool exhaustion keeps the last consumed case's cursor in [d],
-     so the checkpoint resumes the rest, and reports the whole gather. *)
+     so the checkpoint resumes the rest, and reports the whole gather,
+     drawn to its end without keeping a case. *)
   let last =
     match !pool_exhausted with
-    | Some _ -> drain so
+    | Some _ -> drain ~keep:false so
     | None ->
         if not d.d_stop then d.d_cursor <- so.so_cursor;
         d.d_cursor

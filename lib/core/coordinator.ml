@@ -291,8 +291,7 @@ let respawn (t : ('a, 'b) t) ~(charge : bool) (w : wstate) : unit =
   w.w_started <- 0.0
 
 let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
-    ?(stop = fun () -> false) ?(ready = fun _ -> true)
-    ?(at_dispatch = Fun.id) (tasks : a Seq.t)
+    ?(stop = fun () -> false) ?(at_dispatch = Fun.id) (tasks : a Seq.t)
     ~(consume : int -> a -> b -> unit) : unit =
   (* a run halted by [stop] leaves tasks in flight, whose replies would
      be taken for this run's: replace those workers first *)
@@ -379,8 +378,6 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
             else redis := seq :: !redis));
     respawn t w ~charge:(match kind with `Kill -> false | `Crash | `Hang -> true)
   in
-  (* the oldest unconsumed task is always ready: the run cannot stall *)
-  let ready_at seq = seq = !next_consume || ready (seq - !next_consume) in
   let next_task () =
     if Option.is_none !staged then begin
       let take seq =
@@ -396,17 +393,10 @@ let run_ordered (type a b) (t : (a, b) t) ?on_task_fail
                    }) )
       in
       match !redis with
-      | _ :: _ ->
-          (* oldest first: if it is not ready, no later task is *)
-          let seq = List.fold_left min max_int !redis in
-          if ready_at seq then begin
-            redis := List.filter (fun s -> s <> seq) !redis;
-            take seq
-          end
-      | []
-        when (not !exhausted)
-             && !next_new < !next_consume + window
-             && ready_at !next_new -> (
+      | seq :: rest ->
+          redis := rest;
+          take seq
+      | [] when (not !exhausted) && !next_new < !next_consume + window -> (
           match !source () with
           | Seq.Nil -> exhausted := true
           | Seq.Cons (x, rest) ->

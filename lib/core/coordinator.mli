@@ -98,7 +98,6 @@ val run_ordered :
   ('a, 'b) t ->
   ?on_task_fail:(int -> 'a -> string -> 'b) ->
   ?stop:(unit -> bool) ->
-  ?ready:(int -> bool) ->
   ?at_dispatch:('a -> 'a) ->
   'a Seq.t ->
   consume:(int -> 'a -> 'b -> unit) ->
@@ -111,12 +110,7 @@ val run_ordered :
     window bounds how far the pull reads ahead. [at_dispatch] maps a
     task to the payload a worker receives, each time it is dispatched
     (re-dispatches included), so a payload can carry driver state as of
-    its dispatch; [consume] and [on_task_fail] get the pulled task. A
-    task with [k] unconsumed tasks before it is dispatched (and, if new,
-    pulled) only once [ready k] holds; the oldest unconsumed task is
-    always dispatched. With [at_dispatch], this lets a payload carry
-    driver state only when that state can no longer change before the
-    task is consumed.
+    its dispatch; [consume] and [on_task_fail] get the pulled task.
     [on_task_fail i task msg] supplies the reply for a task whose worker
     raised, or that exceeded [li_task_deaths] (absent: such a task
     raises [Failure msg]). [stop], polled between consumes and before

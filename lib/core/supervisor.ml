@@ -378,18 +378,6 @@ let of_roster (roster : (string * int) list) : t =
 let quarantined (t : t) (testbed_id : string) : bool =
   List.mem_assoc testbed_id t.sup_quarantined
 
-(* Only a live testbed fewer than [cases] faulted cases short of the
-   threshold can trip within [cases] observed cases; one never observed
-   stands at 0. *)
-let roster_stable (t : t) ~(cases : int) : bool =
-  cases = 0
-  || cases < policy.p_quarantine_after
-     && Hashtbl.fold
-          (fun id consec ok ->
-            ok
-            && (consec + cases < policy.p_quarantine_after || quarantined t id))
-          t.sup_consec true
-
 (* One per-case observation per testbed, folded by the driver in
    submission order. *)
 type observation =

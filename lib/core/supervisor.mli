@@ -156,12 +156,6 @@ val quarantine_list : t -> (string * int) list
     dispatch. *)
 val of_roster : (string * int) list -> t
 
-(** Can the roster stay as it is for [cases] more observed cases? [true]
-    when no testbed can reach the quarantine threshold within them, so
-    the roster read now is the one the [cases]-th next case is judged
-    against. Always [true] for [cases = 0]. *)
-val roster_stable : t -> cases:int -> bool
-
 (** Membership in the quarantine set. On the driver's copy this is the
     deterministic check the judge uses; on a worker's {!of_roster} copy
     it can only miss quarantines made after the dispatch (the set only

@@ -378,6 +378,43 @@ let all_testbeds_quarantined_aborts () =
     (List.length (Lazy.force testbeds))
     (List.length res.Campaign.cp_quarantined)
 
+(* A testbed-pool exhaustion draws and screens the rest of the budget,
+   however large, to learn the gather's end and report its tallies: the
+   tallies of the whole budget's gather, drawn here again round by round
+   from a fresh fuzzer (the comfort fuzzer never stalls). *)
+let pool_exhaustion_reports_the_whole_gather () =
+  let budget = 5000 in
+  let res =
+    Campaign.run ~testbeds:(Lazy.force testbeds) ~budget
+      ~faults:(plan_of_spec "seed=2;crash=1.0")
+      (chaos_fuzzer ())
+  in
+  Alcotest.(check int) "stopped at the quarantine threshold" 3
+    res.Campaign.cp_cases_run;
+  Alcotest.(check bool) "aborted by the testbed pool" true
+    (match res.Campaign.cp_aborted with
+    | Some r -> contains r "testbed pool exhausted"
+    | None -> false);
+  let fz = chaos_fuzzer () in
+  let rec gather kept out repaired =
+    if kept = budget then (out, repaired)
+    else
+      let kept, out, repaired =
+        List.fold_left
+          (fun (k, o, r) tc ->
+            match Campaign.screen_case tc with
+            | Campaign.S_kept _ -> (k + 1, o, r)
+            | Campaign.S_repaired _ -> (k + 1, o, r + 1)
+            | Campaign.S_dropped _ -> (k, o + 1, r))
+          (kept, out, repaired)
+          (fz.Campaign.fz_batch (budget - kept))
+      in
+      gather kept out repaired
+  in
+  let out, repaired = gather 0 0 0 in
+  Alcotest.(check int) "screened out" out res.Campaign.cp_screened_out;
+  Alcotest.(check int) "repaired" repaired res.Campaign.cp_repaired
+
 (* a fuzzer that hands out five cases, then dies *)
 let drained_fuzzer () =
   let remaining = ref 5 in
@@ -699,6 +736,8 @@ let suite =
     Helpers.case "chaos campaign: workers-invariant" chaos_campaign_is_workers_invariant;
     Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
+    Helpers.case "chaos campaign: pool exhaustion reports the whole gather"
+      pool_exhaustion_reports_the_whole_gather;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
     Helpers.case "campaign: a drained fuzzer outlives pool exhaustion"
       drained_fuzzer_outlives_pool_exhaustion;
