@@ -476,7 +476,7 @@ let ablate () =
         Comfort.Campaign.make_fuzzer
           ~name:(Printf.sprintf "Comfort-keep%.0f%%" (100.0 *. keep))
           ~seed:43 ~raw:None
-          (fun n -> Seq.init n (fun _ -> next ()))
+          (fun () -> Some (next ()))
       in
       let res = Comfort.Campaign.run ~budget:(fig8_budget / 2) fz in
       let parser_bugs =

@@ -270,8 +270,8 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
           | Ok st ->
               Printf.printf "resuming %s\n"
                 (Comfort.Campaign.Checkpoint.describe st);
-              (* the checkpoint stores no case: the campaign draws its
-                 consumed prefix again from the same fuzzer *)
+              (* the checkpoint stores no case: the campaign pulls its
+                 drawn prefix again from the same fuzzer *)
               Comfort.Campaign.resume ~workers ?checkpoint ?halt_after st
                 (build_fuzzer
                    (Comfort.Campaign.Checkpoint.fuzzer st)

@@ -35,14 +35,6 @@ type resolution = {
   res_issues : issue list;
 }
 
-let binding_kind_to_string = function
-  | Bvar -> "var"
-  | Blet -> "let"
-  | Bconst -> "const"
-  | Bfunc -> "function"
-  | Bparam -> "param"
-  | Bcatch -> "catch"
-
 let issue_to_string = function
   | Duplicate_decl n -> "duplicate declaration of '" ^ n ^ "'"
   | Const_assign n -> "assignment to constant '" ^ n ^ "'"

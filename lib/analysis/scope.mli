@@ -54,5 +54,4 @@ val resolve : Jsast.Ast.program -> resolution
     bind for the program to execute without an immediate ReferenceError. *)
 val free_variables : Jsast.Ast.program -> string list
 
-val binding_kind_to_string : binding_kind -> string
 val issue_to_string : issue -> string

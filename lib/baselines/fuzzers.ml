@@ -19,14 +19,13 @@ let parse_opt (src : string) : Ast.program option =
   | p -> Some p
   | exception Jsparse.Parser.Syntax_error _ -> None
 
-(* A case with the parse its syntax check made, as a draw yields it. *)
+(* A case with the parse its syntax check made, as a pull yields it. *)
 let mk_case name src =
   Comfort.Testcase.make_parsed (Comfort.Testcase.P_fuzzer name) src
 
-(* A fuzzer whose draw builds each case with [case ()]. *)
+(* A fuzzer whose every pull builds a case with [case ()]. *)
 let fuzzer name ~seed ~raw case =
-  Comfort.Campaign.make_fuzzer ~name ~seed ~raw (fun n ->
-      Seq.init n (fun _ -> case ()))
+  Comfort.Campaign.make_fuzzer ~name ~seed ~raw (fun () -> Some (case ()))
 
 (* Synthesize a naive driver for uncalled top-level functions: random
    argument values, print the result. This is the "random input generation

@@ -7,12 +7,11 @@
 
 type t = {
   engines : (string, (string, (string, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
-  mutable leaves : int;
   mutable filtered : int;
 }
 
 let create () =
-  { engines = Hashtbl.create 16; leaves = 0; filtered = 0 }
+  { engines = Hashtbl.create 16; filtered = 0 }
 
 (* The second-layer key: the API a deviation implicates. Deviations on test
    cases without any recognised API call land in the "None" node. *)
@@ -43,9 +42,7 @@ let classify (t : t) ~(engine : string) ~(api : string option)
   end
   else begin
     Hashtbl.replace leaf_tbl behavior ();
-    t.leaves <- t.leaves + 1;
     `New_bug
   end
 
-let leaf_count (t : t) = t.leaves
 let filtered_count (t : t) = t.filtered

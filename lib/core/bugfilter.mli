@@ -18,5 +18,4 @@ val classify :
   behavior:string ->
   [ `New_bug | `Seen_before ]
 
-val leaf_count : t -> int
 val filtered_count : t -> int

@@ -19,27 +19,26 @@
 
 open Jsinterp
 
-type draw = (Testcase.t * Run.frontend option) Seq.t
-
 type fuzzer = {
   fz_name : string;
   fz_seed : int;  (** with [fz_name], what rebuilds the fuzzer on resume *)
-  fz_draw : int -> draw;
-      (** the next [n] cases, one at a time, each with its syntax check's
-          front end *)
-  fz_batch : int -> Testcase.t list;  (** [fz_draw] without the parses *)
+  fz_next : unit -> (Testcase.t * Run.frontend option) option;
+      (** the next case with its syntax check's front end; [None] once
+          the fuzzer has run dry *)
+  fz_batch : int -> Testcase.t list;  (** [n] pulls, without the parses *)
   fz_raw : (int -> string list) option;
       (** raw generator output before any screening/mutation, used for the
           Fig. 9 syntax-passing-rate metric; [None] means the batch output
           is already the raw output (mutation-based fuzzers) *)
 }
 
-let make_fuzzer ~name ~seed ~raw (draw : int -> draw) : fuzzer =
+let make_fuzzer ~name ~seed ~raw next : fuzzer =
   {
     fz_name = name;
     fz_seed = seed;
-    fz_draw = draw;
-    fz_batch = (fun n -> List.of_seq (Seq.map fst (draw n)));
+    fz_next = next;
+    fz_batch =
+      (fun n -> List.of_seq (Seq.map fst (Seq.take n (Seq.of_dispenser next))));
     fz_raw = raw;
   }
 
@@ -141,7 +140,7 @@ let comfort_fuzzer ?(seed = 7) ?(with_datagen = true) () : fuzzer =
     ~name:(if with_datagen then "Comfort" else "Comfort-nodata")
     ~seed
     ~raw:(Some (fun n -> List.init n (fun _ -> Generator.sample_program raw_gen)))
-    (fun n -> Seq.init n (fun _ -> next 0))
+    (fun () -> Some (next 0))
 
 (* --- semantic screening (the §3.2 "filter" step, upgraded to the full
    static-analysis pass: scope resolution, early errors, determinism
@@ -256,35 +255,30 @@ let default_testbeds () =
   Engines.Engine.latest_testbeds ~mode:Engines.Engine.Normal ()
   @ Engines.Engine.latest_testbeds ~mode:Engines.Engine.Strict ()
 
-(* --- the gather: draw and screen, one kept case at a time --- *)
+(* --- the gather: pull and screen, one kept case at a time --- *)
 
 (* Where the gather stands. It is what a resumed campaign needs to pull
    the same remaining cases from a rebuilt fuzzer, plus the screen's
-   tallies. The gather draws in rounds: a round asks the fuzzer for the
-   [budget - kept] cases still missing and pulls them one at a time,
-   screening each as it comes; a round that keeps nothing is a stall, and
-   three in a row end the gather. A cursor is immutable, so every kept
-   case carries the cursor just past it. *)
+   tallies. The gather pulls one case at a time and screens it as it
+   comes; [3 * (budget - kept)] drops in a row end it, as does a fuzzer
+   that runs dry or dies. A cursor is immutable, so every kept case
+   carries the cursor just past it. *)
 type cursor = {
-  cu_rounds : int list;  (* sizes of the rounds drawn so far, newest first *)
-  cu_pulled : int;  (* cases pulled from the newest round *)
+  cu_pulled : int;  (* cases pulled from the fuzzer *)
   cu_kept : int;  (* cases kept (screened in or repaired) *)
-  cu_stalls : int;  (* consecutive rounds that kept nothing *)
-  cu_progressed : bool;  (* the newest round kept a case *)
+  cu_drops : int;  (* consecutive cases dropped by the screen *)
   cu_screened_out : int;
   cu_reasons : (string * int) list;  (* drop reason -> count, sorted *)
   cu_repaired : int;
-  cu_over : bool;  (* the gather has ended *)
+  cu_over : bool;  (* the draw has ended *)
   cu_aborted : string option;  (* it ended short of the budget: why *)
 }
 
 let cursor0 =
   {
-    cu_rounds = [];
     cu_pulled = 0;
     cu_kept = 0;
-    cu_stalls = 0;
-    cu_progressed = false;
+    cu_drops = 0;
     cu_screened_out = 0;
     cu_reasons = [];
     cu_repaired = 0;
@@ -297,20 +291,16 @@ let cursor0 =
 type kept = Testcase.t * Run.frontend option * cursor
 
 (* The live gather around a fuzzer. Not part of any checkpoint: it holds
-   the fuzzer's closures and the front ends of cases taken ahead. *)
+   the fuzzer's closures. *)
 type source = {
   so_fz : fuzzer;
   so_budget : int;
   mutable so_cursor : cursor;  (* the gather's own position *)
-  mutable so_round : draw;  (* the rest of the current round *)
-  so_ahead : kept Queue.t;
-      (* kept cases taken from the gather but not handed out yet *)
-  mutable so_handed : int;  (* [cu_kept] of the last case handed out *)
   mutable so_counts : int array;
       (* what the gather's pulls moved of every [Cutil.Counter] count:
          the draw is not the campaign's work (a fuzzer's own executions,
-         the syntax check's parse), and a case pulled ahead of a
-         checkpoint is pulled again on resume *)
+         the syntax check's parse), and a case the pool pulled ahead of
+         a checkpoint is pulled again on resume *)
 }
 
 let source (fz : fuzzer) ~(budget : int) (c : cursor) : source =
@@ -318,9 +308,6 @@ let source (fz : fuzzer) ~(budget : int) (c : cursor) : source =
     so_fz = fz;
     so_budget = budget;
     so_cursor = c;
-    so_round = Seq.empty;
-    so_ahead = Queue.create ();
-    so_handed = c.cu_kept;
     so_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
   }
 
@@ -332,6 +319,7 @@ let drop (c : cursor) (reason : string) : cursor =
   in
   {
     c with
+    cu_drops = c.cu_drops + 1;
     cu_screened_out = c.cu_screened_out + 1;
     cu_reasons = bump c.cu_reasons;
   }
@@ -342,61 +330,26 @@ let drop (c : cursor) (reason : string) : cursor =
    the report is marked aborted. *)
 let rec gather (so : source) : kept option =
   let c = so.so_cursor in
+  let missing = so.so_budget - c.cu_kept in
+  let stop aborted =
+    so.so_cursor <- { c with cu_over = true; cu_aborted = aborted };
+    None
+  in
+  let short () =
+    Some
+      (Printf.sprintf "fuzzer exhausted: gathered %d of %d budgeted cases"
+         c.cu_kept so.so_budget)
+  in
   if c.cu_over then None
+  else if missing <= 0 then stop None
+  else if c.cu_drops >= 3 * missing then stop (short ())
   else
-    match Run.Stage.time Run.Stage.generate so.so_round with
-    | exception e ->
-        so.so_round <- Seq.empty;
-        so.so_cursor <-
-          {
-            c with
-            cu_over = true;
-            cu_aborted = Some ("fuzzer exhausted: " ^ Printexc.to_string e);
-          };
-        None
-    | Seq.Nil ->
-        (* the round is spent (or none began yet): a stall if it kept
-           nothing, then the next round for the cases still missing, if
-           the budget and the stall bound allow one *)
-        let stalls =
-          if c.cu_rounds = [] || c.cu_progressed then 0 else c.cu_stalls + 1
-        in
-        let budget = so.so_budget in
-        if c.cu_kept < budget && stalls < 3 then begin
-          let n = budget - c.cu_kept in
-          so.so_round <- (fun () -> so.so_fz.fz_draw n ());
-          so.so_cursor <-
-            {
-              c with
-              cu_rounds = n :: c.cu_rounds;
-              cu_pulled = 0;
-              cu_stalls = stalls;
-              cu_progressed = false;
-            };
-          gather so
-        end
-        else begin
-          so.so_cursor <-
-            {
-              c with
-              cu_stalls = stalls;
-              cu_over = true;
-              cu_aborted =
-                (if c.cu_kept < budget then
-                   Some
-                     (Printf.sprintf
-                        "fuzzer exhausted: gathered %d of %d budgeted cases"
-                        c.cu_kept budget)
-                 else None);
-            };
-          None
-        end
-    | Seq.Cons ((tc, fe), rest) -> (
-        so.so_round <- rest;
+    match Run.Stage.time Run.Stage.generate so.so_fz.fz_next with
+    | exception e -> stop (Some ("fuzzer exhausted: " ^ Printexc.to_string e))
+    | None -> stop (short ())
+    | Some (tc, fe) -> (
         let c = { c with cu_pulled = c.cu_pulled + 1 } in
-        let kept c =
-          { c with cu_kept = c.cu_kept + 1; cu_progressed = true }
-        in
+        let kept c = { c with cu_kept = c.cu_kept + 1; cu_drops = 0 } in
         match
           Run.Stage.time Run.Stage.screen (fun () ->
               screen_parsed tc (Testcase.program_of fe))
@@ -414,64 +367,23 @@ let rec gather (so : source) : kept option =
             so.so_cursor <- drop c reason;
             gather so)
 
-let gather_next (so : source) : kept option =
+(* The next kept case, its pulls' counts set aside. *)
+let next (so : source) : kept option =
   let counts0 = Cutil.Counter.snapshot () in
   let x = gather so in
   so.so_counts <- Array.map2 ( + ) so.so_counts (Cutil.Counter.since counts0);
   x
 
-(* The next kept case to hand out. *)
-let next (so : source) : kept option =
-  let x =
-    if Queue.is_empty so.so_ahead then gather_next so
-    else Some (Queue.pop so.so_ahead)
-  in
-  Option.iter (fun (_, _, c) -> so.so_handed <- c.cu_kept) x;
-  x
-
-(* Is there a kept case after case [i]? Takes one case ahead if needed. *)
-let more_after (so : source) (i : int) : bool =
-  so.so_handed > i + 1
-  || (not (Queue.is_empty so.so_ahead))
-  ||
-  match gather_next so with
-  | Some x ->
-      Queue.add x so.so_ahead;
-      true
-  | None -> false
-
-(* Run the gather to its end and return its final cursor. With [keep],
-   the cases are queued for [next] (without their front ends). *)
-let drain ~(keep : bool) (so : source) : cursor =
-  let rec go () =
-    match gather_next so with
-    | Some (tc, _, c) ->
-        if keep then Queue.add (tc, None, c) so.so_ahead;
-        go ()
-    | None -> so.so_cursor
-  in
-  go ()
-
 (* The gather of a resumed campaign: a fresh fuzzer of the same name and
-   seed draws the same rounds again, and the cases up to the cursor are
-   pulled and discarded. A gather that was over needs no fuzzer. *)
+   seed is pulled [cu_pulled] times and the cases are discarded. A
+   gather that was over needs no fuzzer. *)
 let replay (fz : fuzzer) ~(budget : int) (c : cursor) : source =
-  let so = source fz ~budget c in
   if not c.cu_over then
     Run.Stage.time Run.Stage.generate (fun () ->
-        let rec skip k (s : draw) =
-          if k = 0 then s
-          else match s () with Seq.Nil -> Seq.empty | Seq.Cons (_, s) -> skip (k - 1) s
-        in
-        let rec rounds = function
-          | [] -> ()
-          | [ n ] -> so.so_round <- skip c.cu_pulled (fz.fz_draw n)
-          | n :: rest ->
-              Seq.iter ignore (fz.fz_draw n);
-              rounds rest
-        in
-        rounds (List.rev c.cu_rounds));
-  so
+        for _ = 1 to c.cu_pulled do
+          ignore (fz.fz_next ())
+        done);
+  source fz ~budget c
 
 (* --- the driver state and its checkpoint --- *)
 
@@ -494,7 +406,8 @@ type st = {
   d_sup : Supervisor.t option;  (* Some iff supervision is on *)
   mutable d_cursor : cursor;
       (* the gather just past the last consumed case; over once the
-         campaign has finished *)
+         campaign has finished or stopped, with the reason when it ended
+         early *)
   mutable d_consumed : int;     (* cases fully consumed, in order *)
   d_filter : Bugfilter.t;
   d_seen : (Engines.Registry.engine * Quirk.t, unit) Hashtbl.t;
@@ -502,8 +415,6 @@ type st = {
   mutable d_unattributed : int;
   mutable d_timeline : (int * int) list;   (* newest first *)
   mutable d_skipped_cases : int;
-  mutable d_aborted : string option;  (* quarantine exhausted the pool *)
-  mutable d_stop : bool;  (* stop consuming further cases (pool exhausted) *)
 }
 
 module Checkpoint = struct
@@ -517,9 +428,9 @@ module Checkpoint = struct
      restarts of the same binary.
 
      The cases themselves are not stored: the fuzzer's name and seed and
-     the gather's cursor rebuild them. A resumed campaign draws the same
-     rounds from a fresh fuzzer and discards the cases up to the cursor,
-     so a checkpoint's size does not grow with the budget. *)
+     the gather's cursor rebuild them. A resumed campaign pulls the
+     cursor's count of cases from a fresh fuzzer and discards them, so a
+     checkpoint's size does not grow with the budget. *)
 
   let magic = "COMFORT-CKPT"
 
@@ -538,9 +449,12 @@ module Checkpoint = struct
      per-testbed fuel left the record; every campaign runs on
      [Difftest.campaign_fuel]. v11: the drawn case list and the screen
      tallies gave way to the fuzzer's seed, the budget and the gather's
-     cursor. The header check rejects older files rather than guess
-     defaults for fields that change what a resumed campaign runs. *)
-  let version = 11
+     cursor. v12: the cursor counts pulls instead of rounds, and carries
+     a testbed-pool exhaustion as its early end in place of [d_aborted]
+     and [d_stop]. The header check rejects older files rather than
+     guess defaults for fields that change what a resumed campaign
+     runs. *)
+  let version = 12
 
   type state = st
 
@@ -627,8 +541,10 @@ type job = {
   jb_roster : (string * int) list option;
 }
 
-(* The report; [c] is the gather's final cursor. *)
-let final (d : st) (c : cursor) ~(aborted : string option) : result =
+(* The report: [d_cursor] is the gather's final cursor, and [pool] a
+   worker-pool exhaustion, reported when the draw did not end early. *)
+let final (d : st) ~(pool : string option) : result =
+  let c = d.d_cursor in
   {
     cp_fuzzer = d.d_fuzzer;
     cp_cases_run = d.d_consumed;
@@ -652,7 +568,7 @@ let final (d : st) (c : cursor) ~(aborted : string option) : result =
       (match d.d_sup with
       | Some s -> Supervisor.quarantine_list s
       | None -> []);
-    cp_aborted = aborted;
+    cp_aborted = (if c.cu_aborted = None then pool else c.cu_aborted);
   }
 
 let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
@@ -805,15 +721,11 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
     d.d_cursor <- c;
     (* pool-exhaustion abort: once no mode group retains two live
        testbeds, differential comparison is impossible and the campaign
-       winds down (remaining in-flight results are discarded). A gather
-       that ends short of the budget keeps its own abort reason, and the
-       campaign then runs every case it gathered, so the gather is run to
-       its end first to learn which; its tallies are the report's. The
-       drawn cases are kept meanwhile, since a short gather runs them:
-       the one place the campaign holds more than its window of cases
-       (DESIGN.md §10). *)
+       winds down (remaining in-flight results are discarded). The draw
+       stops where it stands: the report's tallies are this cursor's, at
+       any worker count *)
     (match d.d_sup with
-    | Some sup when not d.d_stop ->
+    | Some sup ->
         let survivors tbs =
           List.length
             (List.filter
@@ -821,24 +733,24 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
                  not (Supervisor.quarantined sup (Engines.Engine.testbed_id tb)))
                tbs)
         in
-        if List.for_all (fun tbs -> survivors tbs < 2) by_mode then begin
-          let last = drain ~keep:true so in
-          if last.cu_aborted = None then begin
-            d.d_cursor <- last;
-            d.d_aborted <-
-              Some
-                "testbed pool exhausted: quarantine left no mode group with \
-                 two live testbeds";
-            d.d_stop <- true
-          end
-        end
-    | _ -> ());
+        if List.for_all (fun tbs -> survivors tbs < 2) by_mode then
+          d.d_cursor <-
+            {
+              c with
+              cu_over = true;
+              cu_aborted =
+                Some
+                  "testbed pool exhausted: quarantine left no mode group \
+                   with two live testbeds";
+            }
+    | None -> ());
+    let more = i + 1 < d.d_budget && not d.d_cursor.cu_over in
     (match checkpoint with
-    | Some (_, every) when (i + 1) mod every = 0 && more_after so i ->
+    | Some (_, every) when (i + 1) mod every = 0 && more ->
         Run.Stage.time Run.Stage.fold (fun () -> ignore (save_ck ()))
     | _ -> ());
     match halt_after with
-    | Some n when i + 1 >= n && (not d.d_stop) && more_after so i ->
+    | Some n when i + 1 >= n && more ->
         let ck = save_ck () in
         raise (Halted { halted_at = i + 1; halted_checkpoint = ck })
     | _ -> ()
@@ -897,11 +809,10 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
   let pool_exhausted = ref None in
   let use_workers = workers > 0 && Coordinator.available () in
   if not use_workers then begin
-    (* In-process: draw, screen, sweep and consume one case at a time.
-       [d_stop] is tested before each case, so a resumed pool-exhausted
-       campaign runs none. *)
+    (* In-process: draw, screen, sweep and consume one case at a time,
+       until the draw ends or a testbed-pool exhaustion stops it. *)
     let rec loop () =
-      if not d.d_stop then
+      if not d.d_cursor.cu_over then
         match next so with
         | None -> ()
         | Some (tc, fe, c) ->
@@ -958,7 +869,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
             (fun pool ->
               Coordinator.run_ordered pool
                 ~on_task_fail:(fun _ _ msg -> W_failed msg)
-                ~stop:(fun () -> d.d_stop || !interrupted <> None)
+                ~stop:(fun () -> d.d_cursor.cu_over || !interrupted <> None)
                 ~at_dispatch:(fun jb ->
                   {
                     jb with
@@ -979,28 +890,17 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
         raise (Interrupted { int_signal = name; int_at = d.d_consumed; int_checkpoint = ck })
     | None -> ()
   end;
-  (* The gather's final cursor. A finished run committed it: its cases
-     are all consumed (or the pool-exhaustion stop already took it). A
-     worker-pool exhaustion keeps the last consumed case's cursor in [d],
-     so the checkpoint resumes the rest, and reports the whole gather,
-     drawn to its end without keeping a case. *)
-  let last =
-    match !pool_exhausted with
-    | Some _ -> drain ~keep:false so
-    | None ->
-        if not d.d_stop then d.d_cursor <- so.so_cursor;
-        d.d_cursor
-  in
+  (* A finished run takes the gather's final cursor; a stopped one
+     already holds it. A worker-pool exhaustion keeps the last consumed
+     case's cursor, so the checkpoint resumes the rest. *)
+  if !pool_exhausted = None && not d.d_cursor.cu_over then
+    d.d_cursor <- so.so_cursor;
   tally ();
   (* final checkpoint: resuming a finished campaign is a cheap no-op that
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
       ignore (save_ck ());
-      final d last
-        ~aborted:
-          (match (last.cu_aborted, d.d_aborted) with
-          | (Some _ as a), _ | None, (Some _ as a) -> a
-          | None, None -> !pool_exhausted))
+      final d ~pool:!pool_exhausted)
 
 let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
     ?(workers = 0) ?worker_limits ?strategy ?(audit = 0) ?faults ?checkpoint
@@ -1031,8 +931,6 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
       d_unattributed = 0;
       d_timeline = [];
       d_skipped_cases = 0;
-      d_aborted = None;
-      d_stop = false;
     }
   in
   drive ~workers ?worker_limits ?checkpoint ?halt_after d

@@ -13,46 +13,44 @@
     campaign that loses its fuzzer or its testbed pool finishes with an
     abort reason instead of dying. *)
 
-(** A fuzzer's draw: its next cases, yielded lazily, one at a time,
-    each with the front end its syntax check made. The contract:
-    - a draw is traversed once: pulling a case advances the fuzzer, so
-      a second traversal would draw different cases;
-    - the front end is the {!Engines.Engine.Frontend.base_parse} of the
-      case's own [tc_source] ({!Testcase.make_parsed}), never an AST
-      from before printing;
-    - it is [None] exactly when [tc_syntax_valid] is [false];
-    - it is never stored: the campaign screens each case from it as soon
-      as it is yielded, and an in-process sweep takes it as the case's
-      standard base front end, so it dies with the case's sweep. It
-      stays out of {!Testcase.t} (which the fork pool ships) and out of
-      the driver's record. *)
-type draw = (Testcase.t * Jsinterp.Run.frontend option) Seq.t
-
 (** The common fuzzer interface shared by Comfort and all baselines,
-    built by {!make_fuzzer}. *)
+    built by {!make_fuzzer}: one stream of cases, pulled one at a time. *)
 type fuzzer = private {
   fz_name : string;
   fz_seed : int;
       (** the seed it was built with: with [fz_name], what a checkpoint
           stores to have the fuzzer rebuilt on {!resume} *)
-  fz_draw : int -> draw;
-      (** [fz_draw n] yields the next [n] cases; a fuzzer that fails
-          raises from the pull, after the cases it already yielded *)
+  fz_next : unit -> (Testcase.t * Jsinterp.Run.frontend option) option;
+      (** the next case, with the front end its syntax check made;
+          [None] once the fuzzer has run dry, and an exception when it
+          dies. The contract:
+          - each pull advances the fuzzer: pulling [n] cases from two
+            fuzzers built alike yields the same [n] cases;
+          - the front end is the {!Engines.Engine.Frontend.base_parse}
+            of the case's own [tc_source] ({!Testcase.make_parsed}),
+            never an AST from before printing;
+          - it is [None] exactly when [tc_syntax_valid] is [false];
+          - it is never stored: the campaign screens each case from it
+            as soon as it is pulled, and an in-process sweep takes it as
+            the case's standard base front end, so it dies with the
+            case's sweep. It stays out of {!Testcase.t} (which the fork
+            pool ships) and out of the driver's record. *)
   fz_batch : int -> Testcase.t list;
-      (** the cases of [fz_draw n], without their parses *)
+      (** the cases of the next [n] pulls (fewer if the fuzzer runs
+          dry), without their parses *)
   fz_raw : (int -> string list) option;
       (** raw generator output before screening/mutation, for the Fig. 9
           passing-rate metric; [None] when the batch is already raw *)
 }
 
-(** A fuzzer around its draw; [fz_batch] is derived from it. A fuzzer
-    must be a function of its name and seed: two built alike draw the
-    same cases. *)
+(** A fuzzer around its pull; [fz_batch] is derived from it. A fuzzer
+    must be a function of its name and seed: two built alike yield the
+    same stream of cases. *)
 val make_fuzzer :
   name:string ->
   seed:int ->
   raw:(int -> string list) option ->
-  (int -> draw) ->
+  (unit -> (Testcase.t * Jsinterp.Run.frontend option) option) ->
   fuzzer
 
 type discovery = {
@@ -131,15 +129,15 @@ val default_testbeds : unit -> Engines.Engine.testbed list
 (** Campaign checkpoints: the driver's own state record, versioned,
     checksummed and marshalled as itself — campaign parameters (the
     fuzzer's name and seed, the budget), testbeds, fault plan, the
-    gather's cursor (rounds drawn, cases pulled, screen tallies),
-    consumed count, discoveries, filter tree, timeline, supervisor
+    gather's cursor (cases pulled and kept, screen tallies, the draw's
+    early end), consumed count, discoveries, filter tree, timeline, supervisor
     (quarantine + stats), this campaign's share of every
     {!Cutil.Counter} count (the source of {!result.cp_specialized} and
-    {!result.cp_cow_clones}) and an early end (a fuzzer that ran dry, a
-    testbed pool exhausted by quarantine). No case is stored, so the
-    size does not grow with the budget: {!resume} draws the consumed
-    prefix again from a rebuilt fuzzer and discards it (format notes in
-    DESIGN.md §10). *)
+    {!result.cp_cow_clones}). An early end (a fuzzer that ran dry, a
+    testbed pool exhausted by quarantine) is the cursor's. No case is
+    stored, so the size does not grow with the budget: {!resume} pulls
+    the drawn prefix again from a rebuilt fuzzer and discards it (format
+    notes in DESIGN.md §10). *)
 module Checkpoint : sig
   type state
 
@@ -171,12 +169,14 @@ end
     @param testbeds  defaults to {!default_testbeds}; pass
                      [Engines.Engine.all_testbeds] for the paper's full
                      102-testbed setup
-    @param budget    number of test cases to execute. Cases are drawn,
+    @param budget    number of test cases to execute. Cases are pulled,
                      screened, swept and consumed one at a time. Every
                      candidate case runs the {!Analysis} static screen
                      first: dropped programs never reach differential
-                     testing, and replacements are drawn so the budget
-                     is still spent in full
+                     testing, and replacements are pulled so the budget
+                     is still spent in full; [3 * (budget - kept)]
+                     drops in a row end the campaign as a fuzzer
+                     exhaustion
     @param reduce    reduce the first exposing case of each discovery
     @param strategy  the execution strategy (default
                      {!Jsinterp.Strategy.default}); reports are
@@ -202,13 +202,13 @@ end
     @param halt_after deterministically halt (raising {!Halted}) once this
                      many cases are consumed — the kill-simulation hook;
                      a halt writes a final checkpoint first when a sink is
-                     configured. No effect when no case follows the
-                     [halt_after]-th
+                     configured. No effect once the budget is consumed
+                     or the draw has stopped
     @param workers   when positive (default 0) and {!Coordinator.available}, run every per-case
                      sweep in one of this many forked worker processes
                      instead of the in-process loop: a segfault, runaway
                      or hard-killed execution costs one worker, never the
-                     campaign. The pool pulls cases from the draw as
+                     campaign. The pool pulls cases from the fuzzer as
                      workers free up, a bounded window ahead of the
                      consumed ones. Results are consumed in submission order,
                      so discoveries, the filter tree and the timeline are
@@ -217,7 +217,9 @@ end
     @param worker_limits watchdog/respawn budgets for the worker pool;
                      budget exhaustion aborts with a partial report
                      ({!result.cp_aborted}), mirroring testbed-pool
-                     exhaustion *)
+                     exhaustion. Either exhaustion stops the draw where
+                     it stands: the report's screen tallies are those
+                     of the cases pulled up to the last consumed one *)
 val run :
   ?testbeds:Engines.Engine.testbed list ->
   ?budget:int ->
@@ -235,8 +237,8 @@ val run :
 (** Continue a checkpointed campaign to completion. [fuzzer] must be a
     fresh fuzzer built with the checkpoint's {!Checkpoint.fuzzer} name
     and {!Checkpoint.seed} (the CLI rebuilds it from its [--fuzzer]
-    table): the campaign draws the rounds it had drawn again and
-    discards the cases it had already pulled, then goes on drawing.
+    table): the campaign pulls as many cases as the checkpoint's cursor
+    had pulled and discards them, then goes on pulling.
     @raise Invalid_argument when the fuzzer's name or seed differs.
     The loaded state is taken over, not copied: it carries every
     campaign parameter except [workers] (orthogonal to the outcome),
@@ -244,7 +246,7 @@ val run :
     state for every resume. The final report is byte-identical to the
     uninterrupted run's, at any worker count on either side of the
     kill; resuming the final checkpoint of a finished or early-ended
-    campaign draws nothing, runs nothing and reproduces its report. A
+    campaign pulls nothing, runs nothing and reproduces its report. A
     worker-pool exhaustion is not stored: resuming after one retries
     the remaining cases.
     [checkpoint]/[halt_after] behave as in {!run}, so a resumed campaign
@@ -266,7 +268,7 @@ type screened =
 
 (** Apply the static-analysis screen to one test case, given the
     program its syntax check parsed ([None] for an invalid case;
-    {!Testcase.program_of} of what {!draw} hands over). Syntactically invalid cases pass through untouched:
+    {!Testcase.program_of} of what {!fuzzer.fz_next} hands over). Syntactically invalid cases pass through untouched:
     they are deliberate parser-exercise inputs with differential signal
     of their own. Parses only the repaired source of an [S_repaired]
     case. *)

@@ -4,7 +4,7 @@
 
    [wrap base] produces a fuzzer that behaves like [base] but maintains a
    bank of "interesting" test cases — those that deviated on some testbed —
-   and mixes mutants of banked cases into each batch. Mutants preserve the
+   and mixes mutants of banked cases into its stream. Mutants preserve the
    bank member's structure (literal and operator mutation, plus splicing a
    statement from another banked case), the aspect-preserving idea the
    paper cites from DIE.
@@ -17,9 +17,6 @@ type t = {
   fb_rng : Cutil.Rng.t;
   fb_bank : Jsast.Ast.program Queue.t;
 }
-
-(* The fraction of each batch drawn from bank mutants. *)
-let mix = 0.3
 
 let create ?(seed = 51) (base : Campaign.fuzzer) : t =
   {
@@ -55,30 +52,22 @@ let mutate_banked (t : t) : string option =
     Some (Jsast.Mutate.to_src child)
   end
 
-(* The wrapped fuzzer: once the bank is non-empty, an [n]-case draw
-   yields [n * mix] bank mutants first, then the base draw of the
-   rest. *)
+(* The wrapped fuzzer: while the bank is non-empty, three pulls in ten
+   (the [k]-th when [k mod 10 < 3]) are bank mutants, 30% of the stream;
+   the others are the base fuzzer's. *)
 let fuzzer (t : t) : Campaign.fuzzer =
+  let pulls = ref 0 in
   Campaign.make_fuzzer
     ~name:(t.fb_base.Campaign.fz_name ^ "+feedback")
     ~seed:t.fb_base.Campaign.fz_seed
     ~raw:t.fb_base.Campaign.fz_raw
-    (fun n ->
-      let from_bank =
-        if Queue.is_empty t.fb_bank then 0
-        else Float.to_int (Float.of_int n *. mix)
-      in
-      let rec mutants k got () =
-        if k = 0 then t.fb_base.Campaign.fz_draw (n - got) ()
-        else
-          match mutate_banked t with
-          | Some src ->
-              Seq.Cons
-                ( Testcase.make_parsed (Testcase.P_fuzzer "feedback") src,
-                  mutants (k - 1) (got + 1) )
-          | None -> mutants (k - 1) got ()
-      in
-      mutants from_bank 0)
+    (fun () ->
+      let k = !pulls in
+      incr pulls;
+      match if k mod 10 < 3 then mutate_banked t else None with
+      | Some src ->
+          Some (Testcase.make_parsed (Testcase.P_fuzzer "feedback") src)
+      | None -> t.fb_base.Campaign.fz_next ())
 
 (* A complete feedback campaign: run in rounds, banking each round's
    deviating cases before the next. Returns the final campaign result

@@ -2,8 +2,8 @@
     paper sketches as future work (§5.5, in the spirit of LangFuzz).
 
     A wrapped fuzzer maintains a bank of test cases that exposed deviations
-    and mixes structure-preserving mutants of banked cases into each batch,
-    probing the neighbourhood of every bug seen so far. *)
+    and mixes structure-preserving mutants of banked cases into its
+    stream, probing the neighbourhood of every bug seen so far. *)
 
 type t
 
@@ -17,7 +17,9 @@ val bank_size : t -> int
 (** One structure-preserving mutant of a banked case, if any are banked. *)
 val mutate_banked : t -> string option
 
-(** The wrapped fuzzer; named ["<base>+feedback"]. *)
+(** The wrapped fuzzer; named ["<base>+feedback"]. While the bank is
+    non-empty, its [k]-th pull is a bank mutant when [k mod 10 < 3]; every
+    other pull is the base fuzzer's. *)
 val fuzzer : t -> Campaign.fuzzer
 
 (** A complete feedback campaign: [rounds] campaigns of

@@ -42,14 +42,6 @@ type fault_kind =
                        watchdog budget it is killed like a hang *)
   | F_exn of string (* a real exception escaped the engine harness *)
 
-let fault_kind_to_string = function
-  | F_crash -> "crash"
-  | F_hang -> "hang"
-  | F_kill -> "kill"
-  | F_flaky -> "flaky"
-  | F_slow l -> Printf.sprintf "slow(%d)" l
-  | F_exn m -> "exn:" ^ m
-
 (* Injected faults travel as this exception so they can never be mistaken
    for an engine outcome: [Run] knows nothing about it, so no injected
    fault can surface as a [Sts_crash]/[Sts_timeout] signature — it either

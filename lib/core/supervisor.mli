@@ -35,8 +35,6 @@ type fault_kind =
                          watchdog budget it is killed like a hang *)
   | F_exn of string  (** a real exception escaped the engine harness *)
 
-val fault_kind_to_string : fault_kind -> string
-
 (** The carrier for injected faults (exposed for tests and for harnesses
     that want to inject faults of their own through {!execute}). *)
 exception Injected of fault_kind

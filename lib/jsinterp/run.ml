@@ -572,8 +572,3 @@ let differing_field (a : result) (b : result) : string option =
       ("touched", Quirk.Set.equal a.r_touched b.r_touched);
       ("coverage", a.r_coverage = b.r_coverage);
     ]
-
-(* Convenience for tests and examples: run on the standard-conforming
-   reference engine and return printed output. *)
-let output_of ?quirks ?strict ?fuel (src : string) : string =
-  (run ?quirks ?strict ?fuel src).r_output

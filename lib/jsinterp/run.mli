@@ -204,6 +204,3 @@ val share : frontend:frontend -> quirks:Quirk.Set.t -> exec -> result
     "touched", ...), [None] when they agree in every field — the
     field-by-field comparison behind the Fast = Reference checks. *)
 val differing_field : result -> result -> string option
-
-(** Convenience: printed output of a run on the conforming engine. *)
-val output_of : ?quirks:Quirk.Set.t -> ?strict:bool -> ?fuel:int -> string -> string

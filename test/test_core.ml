@@ -34,7 +34,7 @@ let transform_replace () =
     Jsast.Transform.replace_var_init p ~name:"x" ~init:(Jsast.Builder.int 40)
   in
   Alcotest.(check string) "init replaced" "42\n"
-    (Jsinterp.Run.output_of (Jsast.Printer.program_to_string p2));
+    (Jsinterp.Run.run (Jsast.Printer.program_to_string p2)).Jsinterp.Run.r_output;
   (* replace a specific expression by id *)
   let target = ref None in
   Jsast.Visit.iter_program
@@ -45,7 +45,7 @@ let transform_replace () =
       ~replacement:(Jsast.Builder.int 9)
   in
   Alcotest.(check string) "expr replaced" "10\n"
-    (Jsinterp.Run.output_of (Jsast.Printer.program_to_string p3))
+    (Jsinterp.Run.run (Jsast.Printer.program_to_string p3)).Jsinterp.Run.r_output
 
 (* --- datagen --- *)
 
@@ -268,7 +268,6 @@ let bugfilter_dedup () =
   Alcotest.(check bool) "new behaviour is new" true (c3 = `New_bug);
   Alcotest.(check bool) "new engine is new" true (c4 = `New_bug);
   Alcotest.(check bool) "None api node" true (c5 = `New_bug);
-  Alcotest.(check int) "four leaves" 4 (Comfort.Bugfilter.leaf_count t);
   Alcotest.(check int) "one filtered" 1 (Comfort.Bugfilter.filtered_count t)
 
 (* --- coverage --- *)

@@ -149,8 +149,7 @@ let execute_retries_real_exceptions () =
   | Supervisor.Faulted fr -> (
       match fr.Supervisor.fr_kind with
       | Supervisor.F_exn _ -> ()
-      | k ->
-          Alcotest.failf "wrong kind %s" (Supervisor.fault_kind_to_string k))
+      | _ -> Alcotest.fail "wrong kind: want F_exn")
   | _ -> Alcotest.fail "deterministic exception must fault"
 
 let execute_slow_start_vs_watchdog () =
@@ -171,8 +170,7 @@ let execute_slow_start_vs_watchdog () =
   | Supervisor.Faulted fr -> (
       match fr.Supervisor.fr_kind with
       | Supervisor.F_slow _ -> ()
-      | k ->
-          Alcotest.failf "wrong kind %s" (Supervisor.fault_kind_to_string k))
+      | _ -> Alcotest.fail "wrong kind: want F_slow")
   | _ -> Alcotest.fail "slow start beyond the watchdog must be killed"
 
 let injected_faults_never_return_values () =
@@ -378,55 +376,59 @@ let all_testbeds_quarantined_aborts () =
     (List.length (Lazy.force testbeds))
     (List.length res.Campaign.cp_quarantined)
 
-(* A testbed-pool exhaustion draws and screens the rest of the budget,
-   however large, to learn the gather's end and report its tallies: the
-   tallies of the whole budget's gather, drawn here again round by round
-   from a fresh fuzzer (the comfort fuzzer never stalls). *)
-let pool_exhaustion_reports_the_whole_gather () =
-  let budget = 5000 in
-  let res =
-    Campaign.run ~testbeds:(Lazy.force testbeds) ~budget
-      ~faults:(plan_of_spec "seed=2;crash=1.0")
-      (chaos_fuzzer ())
+(* A testbed-pool exhaustion stops the draw where it stands: a 5,000-case
+   budget aborted after 3 cases pulls only those cases and the ones the
+   screen dropped before them, plus, on forked workers, what the pool
+   had pulled ahead (at most its window of 64 cases per worker). The
+   report's tallies are the consumed prefix's, so they agree at w0 and
+   w2. *)
+let pool_exhaustion_stops_the_draw () =
+  let run workers =
+    let fz = chaos_fuzzer () in
+    let pulls = ref 0 in
+    let counted =
+      Campaign.make_fuzzer ~name:fz.Campaign.fz_name ~seed:fz.Campaign.fz_seed
+        ~raw:None (fun () ->
+          incr pulls;
+          fz.Campaign.fz_next ())
+    in
+    let res =
+      Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:5000 ~workers
+        ~faults:(plan_of_spec "seed=2;crash=1.0")
+        counted
+    in
+    Alcotest.(check int) "stopped at the quarantine threshold" 3
+      res.Campaign.cp_cases_run;
+    Alcotest.(check bool) "aborted by the testbed pool" true
+      (match res.Campaign.cp_aborted with
+      | Some r -> contains r "testbed pool exhausted"
+      | None -> false);
+    let in_flight = 64 * workers in
+    if
+      !pulls
+      > res.Campaign.cp_cases_run + res.Campaign.cp_screened_out + in_flight
+    then
+      Alcotest.failf "w%d: %d pulls for %d cases run and %d screened out"
+        workers !pulls res.Campaign.cp_cases_run res.Campaign.cp_screened_out;
+    res
   in
-  Alcotest.(check int) "stopped at the quarantine threshold" 3
-    res.Campaign.cp_cases_run;
-  Alcotest.(check bool) "aborted by the testbed pool" true
-    (match res.Campaign.cp_aborted with
-    | Some r -> contains r "testbed pool exhausted"
-    | None -> false);
-  let fz = chaos_fuzzer () in
-  let rec gather kept out repaired =
-    if kept = budget then (out, repaired)
-    else
-      let kept, out, repaired =
-        List.fold_left
-          (fun (k, o, r) tc ->
-            match Campaign.screen_case tc with
-            | Campaign.S_kept _ -> (k + 1, o, r)
-            | Campaign.S_repaired _ -> (k + 1, o, r + 1)
-            | Campaign.S_dropped _ -> (k, o + 1, r))
-          (kept, out, repaired)
-          (fz.Campaign.fz_batch (budget - kept))
-      in
-      gather kept out repaired
-  in
-  let out, repaired = gather 0 0 0 in
-  Alcotest.(check int) "screened out" out res.Campaign.cp_screened_out;
-  Alcotest.(check int) "repaired" repaired res.Campaign.cp_repaired
+  check_results_equal "in-process vs 2 workers" (run 0) (run 2)
+
+(* a fuzzer that hands out [n] cases, then [last ()] *)
+let short_fuzzer ~name n last =
+  let pulled = ref 0 in
+  Campaign.make_fuzzer ~name ~seed:0 ~raw:None (fun () ->
+      if !pulled = n then last ()
+      else begin
+        incr pulled;
+        Some
+          (Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
+             (Printf.sprintf "print(%d + 1);" !pulled))
+      end)
 
 (* a fuzzer that hands out five cases, then dies *)
 let drained_fuzzer () =
-  let remaining = ref 5 in
-  Campaign.make_fuzzer ~name:"drained" ~seed:0 ~raw:None (fun n ->
-      if !remaining = 0 then failwith "out of test cases"
-      else begin
-        let take = min n !remaining in
-        remaining := !remaining - take;
-        Seq.init take (fun i ->
-            Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
-              (Printf.sprintf "print(%d + %d);" i !remaining))
-      end)
+  short_fuzzer ~name:"drained" 5 (fun () -> failwith "out of test cases")
 
 let run_drained ?checkpoint () =
   Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 ?checkpoint
@@ -441,11 +443,12 @@ let fuzzer_exhaustion_aborts () =
   Alcotest.(check int) "the gathered cases still ran" 5
     res.Campaign.cp_cases_run
 
-(* A fuzzer that runs dry keeps its own abort reason, and every case it
-   yielded runs, even when quarantine empties the testbed pool before
-   the last of them: the campaign runs the gather to its end before it
-   stops, in-process and on forked workers alike. *)
-let drained_fuzzer_outlives_pool_exhaustion () =
+(* Quarantine empties the testbed pool after 3 of the drained fuzzer's
+   5 cases. The draw stops there, before the fuzzer dies, so the report
+   names the testbed pool and counts 3 cases, in-process and on forked
+   workers alike, even where the pool had pulled the last two cases and
+   the fuzzer's death ahead. *)
+let drained_fuzzer_stops_at_pool_exhaustion () =
   List.iter
     (fun workers ->
       let res =
@@ -453,31 +456,37 @@ let drained_fuzzer_outlives_pool_exhaustion () =
           ~faults:(plan_of_spec "seed=2;crash=1.0")
           (drained_fuzzer ())
       in
-      Alcotest.(check bool) "the pool was quarantined" true
-        (res.Campaign.cp_quarantined <> []);
-      Alcotest.(check int) "every gathered case ran" 5
+      Alcotest.(check int) "the pool was quarantined"
+        (List.length (Lazy.force testbeds))
+        (List.length res.Campaign.cp_quarantined);
+      Alcotest.(check int) "cases up to the exhaustion ran" 3
         res.Campaign.cp_cases_run;
-      Alcotest.(check (option string)) "the gather's abort reason"
-        (Some "fuzzer exhausted: Failure(\"out of test cases\")")
+      Alcotest.(check (option string)) "the testbed pool's abort reason"
+        (Some
+           "testbed pool exhausted: quarantine left no mode group with two \
+            live testbeds")
         res.Campaign.cp_aborted)
     [ 0; 2 ]
 
-(* a fuzzer that dies in the middle of a batch: every case it yielded
-   before dying is screened and runs *)
-let fuzzer_dies_mid_batch () =
-  let fz =
-    Campaign.make_fuzzer ~name:"mid-batch" ~seed:0 ~raw:None (fun n ->
-        Seq.append
-          (Seq.init (min 3 n) (fun i ->
-               Comfort.Testcase.make_parsed Comfort.Testcase.P_generated
-                 (Printf.sprintf "print(%d * 2);" i)))
-          (fun () -> failwith "out of test cases"))
-  in
-  let res = Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10 fz in
-  Alcotest.(check int) "the 3 yielded cases ran" 3 res.Campaign.cp_cases_run;
-  Alcotest.(check (option string)) "the abort names the fuzzer's failure"
-    (Some "fuzzer exhausted: Failure(\"out of test cases\")")
-    res.Campaign.cp_aborted
+(* A fuzzer ends its stream by dying (an exception from the pull) or by
+   running dry ([None]): either way every case it yielded is screened
+   and runs, and the abort says which. *)
+let fuzzer_dies_or_runs_dry () =
+  List.iter
+    (fun (last, reason) ->
+      let res =
+        Campaign.run ~testbeds:(Lazy.force testbeds) ~budget:10
+          (short_fuzzer ~name:"short" 3 last)
+      in
+      Alcotest.(check int) "the 3 yielded cases ran" 3
+        res.Campaign.cp_cases_run;
+      Alcotest.(check (option string)) "the abort names the end" (Some reason)
+        res.Campaign.cp_aborted)
+    [
+      ( (fun () -> failwith "out of test cases"),
+        "fuzzer exhausted: Failure(\"out of test cases\")" );
+      ((fun () -> None), "fuzzer exhausted: gathered 3 of 10 budgeted cases");
+    ]
 
 (* --- checkpoint / resume --- *)
 
@@ -511,7 +520,8 @@ let checkpoint_load_rejects_garbage () =
    tree-shaped quirk sets and a frozen supervisor copy; v7 states were a
    field-by-field copy of the driver record without its early end; v8
    states held two counter tallies where a v9 reader expects the vector
-   of every registered counter. *)
+   of every registered counter; v11 states held the sizes of the draw's
+   rounds and a testbed-pool exhaustion outside the cursor. *)
 let checkpoint_load_rejects_old ~version payload () =
   let path = ckpt_path (Printf.sprintf "comfort-test-v%d.ckpt" version) in
   let oc = open_out_bin path in
@@ -736,13 +746,15 @@ let suite =
     Helpers.case "chaos campaign: workers-invariant" chaos_campaign_is_workers_invariant;
     Helpers.case "in-process campaign: worker exception skips the case" in_process_worker_exception_skips_case;
     Helpers.case "chaos campaign: pool exhaustion aborts" all_testbeds_quarantined_aborts;
-    Helpers.case "chaos campaign: pool exhaustion reports the whole gather"
-      pool_exhaustion_reports_the_whole_gather;
+    Helpers.case "chaos campaign: pool exhaustion stops the draw"
+      pool_exhaustion_stops_the_draw;
     Helpers.case "campaign: fuzzer exhaustion aborts gracefully" fuzzer_exhaustion_aborts;
-    Helpers.case "campaign: a drained fuzzer outlives pool exhaustion"
-      drained_fuzzer_outlives_pool_exhaustion;
-    Helpers.case "campaign: a fuzzer dying mid-batch keeps its yielded cases"
-      fuzzer_dies_mid_batch;
+    Helpers.case "campaign: a drained fuzzer stops at testbed-pool exhaustion"
+      drained_fuzzer_stops_at_pool_exhaustion;
+    Helpers.case
+      "campaign: a fuzzer dying mid-stream or running dry keeps its yielded \
+       cases"
+      fuzzer_dies_or_runs_dry;
     Helpers.case "checkpoint: garbage rejected" checkpoint_load_rejects_garbage;
     Helpers.case "checkpoint: v4 header refused"
       (checkpoint_load_rejects_old ~version:4
@@ -762,6 +774,9 @@ let suite =
     Helpers.case "checkpoint: v10 header refused"
       (checkpoint_load_rejects_old ~version:10
          (Comfort.Ipc.encode ("Comfort", [ "print(1);" ], 0)));
+    Helpers.case "checkpoint: v11 header refused"
+      (checkpoint_load_rejects_old ~version:11
+         (Comfort.Ipc.encode ("Comfort", 5, [ 300 ], false, false)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
