@@ -451,10 +451,11 @@ module Checkpoint = struct
      tallies gave way to the fuzzer's seed, the budget and the gather's
      cursor. v12: the cursor counts pulls instead of rounds, and carries
      a testbed-pool exhaustion as its early end in place of [d_aborted]
-     and [d_stop]. The header check rejects older files rather than
-     guess defaults for fields that change what a resumed campaign
-     runs. *)
-  let version = 12
+     and [d_stop]. v13: the supervisor keeps its stats as counters
+     bumped in place, and the counter vector holds [campaign.rejudged].
+     The header check rejects older files rather than guess defaults
+     for fields that change what a resumed campaign runs. *)
+  let version = 13
 
   type state = st
 
@@ -519,12 +520,11 @@ end
 
 (* What one worker hands back for one case, in-process or across the
    pipe from a forked worker (so plain data: exceptions are not
-   Marshal-safe). Unsupervised sweeps are judged on the worker (judging
-   is pure without a supervisor); supervised sweeps defer judging to the
-   driver so quarantine and the vote evolve in submission order. *)
+   Marshal-safe). Every case is judged where it was swept. *)
 type work =
-  | W_judged of Difftest.case_report list
-  | W_swept of Difftest.sweep list
+  | W_judged of int * Difftest.case_report list
+      (* the length of the quarantine roster the case was swept and
+         judged against (0 unsupervised), and one report per mode group *)
   | W_failed of string  (* the worker itself blew up: case failed-and-skipped *)
   | W_audit of string
       (* an audit divergence: a soundness bug that must poison the whole
@@ -532,14 +532,17 @@ type work =
 
 (* One case as the fork pool ships it. [jb_roster] is the driver's
    quarantine roster as of the dispatch ([Some] iff supervision is on):
-   the worker skips those testbeds, as the in-process sweep does. A
-   case consumed meanwhile can still add to the roster the case is
-   judged against; the judge discards what the worker ran on it. *)
+   the worker sweeps and judges the case against it, as the in-process
+   loop does against the roster of the moment. *)
 type job = {
   jb_index : int;
   jb_case : Testcase.t;
   jb_roster : (string * int) list option;
 }
+
+(* Cases a forked worker judged against a roster that grew while they
+   were in flight, judged again on the driver. *)
+let rejudged = Cutil.Counter.make "campaign.rejudged"
 
 (* The report: [d_cursor] is the gather's final cursor, and [pool] a
    worker-pool exhaustion, reported when the draw did not end early. *)
@@ -594,12 +597,17 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
      was drawn before the first sweep, the share is the sweeps' work *)
   let prior = d.d_counts in
   let counts0 = Cutil.Counter.snapshot () in
+  (* what the driver's re-judging moved: the case's work was already
+     counted where it first ran *)
+  let rerun_counts = ref (Array.map (Fun.const 0) counts0) in
   let tally () =
     d.d_counts <-
       Array.map2 ( - )
         (Array.map2 ( + ) prior (Cutil.Counter.since counts0))
-        so.so_counts
+        (Array.map2 ( + ) so.so_counts !rerun_counts)
   in
+  let roster () = Option.map Supervisor.quarantine_list d.d_sup in
+  let length = Option.fold ~none:0 ~some:List.length in
   let save_ck () =
     match checkpoint with
     | Some (path, _) ->
@@ -608,23 +616,72 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
         Some path
     | None -> None
   in
-  (* The per-case differential sweep — the dominant cost — is [sweep]
-     below, run in-process or in a forked worker; every stateful stage
-     here (judging under supervision, Fig. 6 tree, dedup, causal
-     attribution, reduction, timeline, checkpointing) runs in the driver,
-     in submission order, so the outcome is byte-identical at any worker
-     count. [c] is the gather's cursor just past case [i]. *)
+  (* One case's sweeps and judgements, against [roster]: the driver's
+     roster of the moment in-process, the dispatched one in a forked
+     worker. [fe] is the draw's front end of a case kept as drawn,
+     handed over in-process only. *)
+  let sweep ~roster ~(fe : Run.frontend option) (i : int) (tc : Testcase.t) :
+      work =
+    (* one execution-sharing cache per case, shared by the per-mode-group
+       sweeps below: the base parses and their compilations run once
+       per case instead of once per group. The cache is built and
+       consumed entirely inside this worker call, and classes are keyed
+       by mode, so reports are byte-identical to per-group caches. Lazy:
+       audit cases build their own caches. *)
+    let case_cache =
+      lazy
+        (let src = tc.Testcase.tc_source in
+         match fe with
+         | Some fe -> Engines.Engine.Exec.seeded src fe
+         | None -> Engines.Engine.Exec.cache src)
+    in
+    (* cases are keyed by their submission index, so the audit sample and
+       the fault draws are deterministic — the same at any worker count
+       and across resume *)
+    let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
+    W_judged
+      ( length roster,
+        List.map
+          (fun tbs ->
+            if audit then Difftest.audit_case tbs tc
+            else
+              Difftest.run_case ~strategy:d.d_strategy ?plan:d.d_plan ?roster
+                ~case_key:i ~cache:(Lazy.force case_cache) tbs tc)
+          by_mode )
+  in
+  (* runs in the forked child too: a failure travels as its message *)
+  let guarded (f : unit -> work) : work =
+    match f () with
+    | w -> w
+    | exception Difftest.Audit_mismatch m -> W_audit m
+    | exception e -> W_failed (Printexc.to_string e)
+  in
+  (* The per-case differential sweep and vote — the dominant cost — is
+     [sweep] above, run in-process or in a forked worker; every stateful
+     stage here (the supervisor's observations, Fig. 6 tree, dedup,
+     causal attribution, reduction, timeline, checkpointing) runs in the
+     driver, in submission order, so the outcome is byte-identical at
+     any worker count. [c] is the gather's cursor just past case [i]. *)
   let consume (i : int) (tc : Testcase.t) (c : cursor) (w : work) =
-    let reports =
-      match w with
-      | W_judged rs -> rs
-      | W_swept sws ->
-          List.map (fun sw -> Difftest.judge ?supervisor:d.d_sup sw) sws
+    let rec reports = function
+      | W_judged (n, rs) when n = length (roster ()) -> rs
+      | W_judged _ ->
+          (* the roster only grows, so a testbed was quarantined while
+             the case was in flight: judge it again here, against the
+             roster of the moment, which is the in-process sweep (the
+             kill hook is unarmed on the driver) *)
+          Cutil.Counter.incr rejudged;
+          let counts0 = Cutil.Counter.snapshot () in
+          let w = guarded (fun () -> sweep ~roster:(roster ()) ~fe:None i tc) in
+          rerun_counts :=
+            Array.map2 ( + ) !rerun_counts (Cutil.Counter.since counts0);
+          reports w
       | W_failed _ ->
           d.d_skipped_cases <- d.d_skipped_cases + 1;
           []
       | W_audit m -> raise (Difftest.Audit_mismatch m)
     in
+    let reports = reports w in
     (* one parse per case, shared by every deviation it produces *)
     let ast =
       lazy
@@ -719,13 +776,19 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
     d.d_timeline <- (i + 1, Hashtbl.length d.d_seen) :: d.d_timeline;
     d.d_consumed <- i + 1;
     d.d_cursor <- c;
-    (* pool-exhaustion abort: once no mode group retains two live
-       testbeds, differential comparison is impossible and the campaign
-       winds down (remaining in-flight results are discarded). The draw
-       stops where it stands: the report's tallies are this cursor's, at
-       any worker count *)
+    (* the supervisor folds the case's observations in. Pool-exhaustion
+       abort: once no mode group retains two live testbeds, differential
+       comparison is impossible and the campaign winds down (remaining
+       in-flight results are discarded); only a case that grew the
+       roster can bring that about. The draw stops where it stands: the
+       report's tallies are this cursor's, at any worker count *)
     (match d.d_sup with
     | Some sup ->
+        let n = length (roster ()) in
+        List.iter
+          (fun (r : Difftest.case_report) ->
+            Supervisor.observe sup ~case_key:i r.Difftest.cr_observed)
+          reports;
         let survivors tbs =
           List.length
             (List.filter
@@ -733,7 +796,10 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
                  not (Supervisor.quarantined sup (Engines.Engine.testbed_id tb)))
                tbs)
         in
-        if List.for_all (fun tbs -> survivors tbs < 2) by_mode then
+        if
+          length (roster ()) > n
+          && List.for_all (fun tbs -> survivors tbs < 2) by_mode
+        then
           d.d_cursor <-
             {
               c with
@@ -755,54 +821,6 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
         raise (Halted { halted_at = i + 1; halted_checkpoint = ck })
     | _ -> ()
   in
-  (* [sup] is the driver's supervisor in-process and the dispatched
-     roster in a forked worker; [fe] is the draw's front end of a case
-     kept as drawn, handed over in-process only *)
-  let sweep ~(sup : Supervisor.t option) ~(fe : Run.frontend option)
-      (i : int) (tc : Testcase.t) : work =
-    (* one execution-sharing cache per case, shared by the per-mode-group
-       sweeps below: the base parses and their compilations run once
-       per case instead of once per group. The cache is built and
-       consumed entirely inside this worker call, and classes are keyed
-       by mode, so reports are byte-identical to per-group caches. Lazy:
-       audit cases build their own caches. *)
-    let case_cache =
-      lazy
-        (let src = tc.Testcase.tc_source in
-         match fe with
-         | Some fe -> Engines.Engine.Exec.seeded src fe
-         | None -> Engines.Engine.Exec.cache src)
-    in
-    match sup with
-    | Some sup ->
-        W_swept
-          (List.map
-             (fun tbs ->
-               Difftest.sweep_case ~strategy:d.d_strategy ?plan:d.d_plan
-                 ~supervisor:sup ~case_key:i
-                 ~cache:(Lazy.force case_cache) tbs tc)
-             by_mode)
-    | None ->
-        (* cases are keyed by their submission index, so the audit sample
-           is deterministic — the same cases are cross-checked at any
-           worker count and across resume *)
-        let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
-        W_judged
-          (List.map
-             (fun tbs ->
-               if audit then Difftest.audit_case tbs tc
-               else
-                 Difftest.run_case ~strategy:d.d_strategy
-                   ~cache:(Lazy.force case_cache) tbs tc)
-             by_mode)
-  in
-  (* runs in the forked child too: a failure travels as its message *)
-  let guarded (f : unit -> work) : work =
-    match f () with
-    | w -> w
-    | exception Difftest.Audit_mismatch m -> W_audit m
-    | exception e -> W_failed (Printexc.to_string e)
-  in
   (* A worker-pool exhaustion ends this run only: it is kept out of [d],
      so the final checkpoint resumes the remaining cases on a fresh
      pool. *)
@@ -817,7 +835,8 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
         | None -> ()
         | Some (tc, fe, c) ->
             let i = c.cu_kept - 1 in
-            consume i tc c (guarded (fun () -> sweep ~sup:d.d_sup ~fe i tc));
+            consume i tc c
+              (guarded (fun () -> sweep ~roster:(roster ()) ~fe i tc));
             loop ()
     in
     loop ()
@@ -851,9 +870,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
     in
     let worker (jb : job) : work =
       guarded (fun () ->
-          sweep
-            ~sup:(Option.map Supervisor.of_roster jb.jb_roster)
-            ~fe:None jb.jb_index jb.jb_case)
+          sweep ~roster:jb.jb_roster ~fe:None jb.jb_index jb.jb_case)
     in
     Fun.protect
       ~finally:(fun () ->
@@ -870,11 +887,7 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
               Coordinator.run_ordered pool
                 ~on_task_fail:(fun _ _ msg -> W_failed msg)
                 ~stop:(fun () -> d.d_cursor.cu_over || !interrupted <> None)
-                ~at_dispatch:(fun jb ->
-                  {
-                    jb with
-                    jb_roster = Option.map Supervisor.quarantine_list d.d_sup;
-                  })
+                ~at_dispatch:(fun jb -> { jb with jb_roster = roster () })
                 jobs
                 ~consume:(fun _ jb w ->
                   let c = Hashtbl.find cursors jb.jb_index in

@@ -52,10 +52,10 @@ type case_report = {
   cr_all_parse_failed : bool;
   cr_all_timeout : bool;
   cr_tested : int;  (** testbeds that actually ran the case *)
-  cr_faulted : (string * Supervisor.fault_report) list;
-      (** testbeds whose supervised execution exhausted its retry budget;
-          excluded from the vote, never reported as deviations *)
-  cr_skipped : int;  (** testbeds dropped from the sweep by quarantine *)
+  cr_observed : (string * Supervisor.observation) list;
+      (** a supervised sweep's outcome per testbed id, in sweep order:
+          faulted and quarantined testbeds are out of the vote; [] when
+          unsupervised *)
 }
 
 (* Behaviour label in the style of the paper's Fig. 6 leaves. *)
@@ -137,23 +137,21 @@ let apply_2t_rule (results : (Engines.Engine.testbed * Run.result) list) :
       (tb, r, if slow then Sig_timeout else sig_))
     results
 
-(* --- the worker half: the supervised testbed sweep --- *)
+(* --- the sweep: every applicable testbed, supervised or bare --- *)
 
 (* The raw material of one differential test, before any vote: every
-   applicable testbed's supervised execution outcome. Produced by the
-   campaign's worker (in-process or forked); judged (vote, quarantine
-   filtering) on the driver. The split is what keeps supervision
-   deterministic: fault draws depend only on (plan, testbed, case key),
-   while every stateful decision — which testbeds are quarantined, what
-   the majority is — happens in submission order on the driver. *)
+   applicable testbed's execution outcome. Fault draws depend only on
+   (plan, testbed, case key), and the quarantine roster is the one the
+   sweep was given, so the sweep and its judgement are a pure function
+   of the case, the plan and the roster, wherever they run. *)
 type sweep = {
   sw_case : Testcase.t;
-  sw_key : int;  (** the case key the fault draws were keyed by *)
+  sw_supervised : bool;  (** swept under a plan or a roster *)
   sw_execs :
     (Engines.Engine.testbed * Jsinterp.Run.result Supervisor.outcome) list;
 }
 
-let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?supervisor
+let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?roster
     ?(case_key = 0) ?cache (testbeds : Engines.Engine.testbed list)
     (tc : Testcase.t) : sweep =
   Run.Stage.time Run.Stage.sweep @@ fun () ->
@@ -181,7 +179,8 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?supervisor
         Engines.Engine.Frontend.supports fc tb.Engines.Engine.tb_config)
       testbeds
   in
-  let supervised = supervisor <> None || plan <> None in
+  let supervised = roster <> None || plan <> None in
+  let roster = Option.value roster ~default:[] in
   let execs =
     List.map
       (fun (tb : Engines.Engine.testbed) ->
@@ -190,29 +189,19 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?supervisor
           if not supervised then
             (* happy path: no supervision requested, run bare — a real
                escaped exception then still poisons the item, as before
-               this layer existed. The testbed-id string is only built on
-               the supervised path; at ~12.5 executions per case the
-               sprintf was visible in the sweep-stage profile. *)
+               this layer existed *)
             Supervisor.Done (thunk (), Supervisor.ok_meta)
           else
             let tb_id = Engines.Engine.testbed_id tb in
-            (* skipping work for an already-quarantined testbed is sound
-               even on a worker's stale roster copy: the judge
-               re-checks against driver state, and the quarantine set
-               only grows *)
-            match (supervisor, plan) with
-            | Some sup, _ when Supervisor.quarantined sup tb_id ->
-                Supervisor.Skipped
-            | _, None -> Supervisor.Done (thunk (), Supervisor.ok_meta)
-            | _, Some plan ->
-                Supervisor.execute ~plan ~testbed_id:tb_id ~case_key thunk
+            if List.mem_assoc tb_id roster then Supervisor.Skipped
+            else Supervisor.execute ?plan ~testbed_id:tb_id ~case_key thunk
         in
         (tb, outcome))
       applicable
   in
-  { sw_case = tc; sw_key = case_key; sw_execs = execs }
+  { sw_case = tc; sw_supervised = supervised; sw_execs = execs }
 
-(* --- the driver half: quarantine filtering, the vote, the verdict --- *)
+(* --- the judgement: the vote and the verdict --- *)
 
 (* The vote's tally: one class per distinct signature, in first-seen
    (testbed) order. The cost scales with the number of distinct
@@ -264,56 +253,32 @@ let vote (runs : ('a * 'b * signature) list) : vote_class list * vote_class list
   in
   (List.rev !classes, class_of)
 
-let judge ?supervisor (sw : sweep) : case_report =
+let judge (sw : sweep) : case_report =
   Run.Stage.time Run.Stage.vote @@ fun () ->
   let tc = sw.sw_case in
-  (* split the sweep against *driver* quarantine state: results from
-     testbeds quarantined by an earlier case are discarded whether or not
-     the worker skipped them (it may have raced ahead), so the report is
-     a pure function of the in-order case stream *)
-  let results = ref [] and faulted = ref [] and skipped = ref 0 in
-  (match supervisor with
-  | None ->
-      (* unsupervised: no quarantine to consult and no observation log to
-         feed, so skip building the per-testbed id strings entirely (the
-         ids are only needed for the rare Faulted/Skipped outcomes) *)
-      List.iter
-        (fun ((tb : Engines.Engine.testbed), outcome) ->
-          match outcome with
-          | Supervisor.Done (r, _) -> results := (tb, r) :: !results
-          | Supervisor.Faulted fr ->
-              faulted := (Engines.Engine.testbed_id tb, fr) :: !faulted
-          | Supervisor.Skipped -> incr skipped)
+  (* faulted and quarantined testbeds leave the vote; a supervised
+     sweep reports every testbed's outcome for the supervisor, which
+     the campaign's driver folds in submission order *)
+  let results =
+    List.filter_map
+      (fun (tb, outcome) ->
+        match outcome with
+        | Supervisor.Done (r, _) -> Some (tb, r)
+        | Supervisor.Faulted _ | Supervisor.Skipped -> None)
+      sw.sw_execs
+  in
+  let observed =
+    if not sw.sw_supervised then []
+    else
+      List.map
+        (fun (tb, outcome) ->
+          ( Engines.Engine.testbed_id tb,
+            match outcome with
+            | Supervisor.Done (_, meta) -> Supervisor.Ob_ok meta
+            | Supervisor.Faulted fr -> Supervisor.Ob_faulted fr
+            | Supervisor.Skipped -> Supervisor.Ob_skipped ))
         sw.sw_execs
-  | Some sup ->
-      let observations =
-        List.filter_map
-          (fun ((tb : Engines.Engine.testbed), outcome) ->
-            let tb_id = Engines.Engine.testbed_id tb in
-            if Supervisor.quarantined sup tb_id then begin
-              incr skipped;
-              Some (tb_id, Supervisor.Ob_skipped)
-            end
-            else
-              match outcome with
-              | Supervisor.Done (r, meta) ->
-                  results := (tb, r) :: !results;
-                  Some (tb_id, Supervisor.Ob_ok meta)
-              | Supervisor.Faulted fr ->
-                  faulted := (tb_id, fr) :: !faulted;
-                  Some (tb_id, Supervisor.Ob_faulted fr)
-              | Supervisor.Skipped ->
-                  (* worker saw a quarantine the driver has not reached
-                     yet; impossible under the monotone protocol, but
-                     treat it as skipped rather than invent a result *)
-                  incr skipped;
-                  Some (tb_id, Supervisor.Ob_skipped))
-          sw.sw_execs
-      in
-      Supervisor.observe sup ~case_key:sw.sw_key observations);
-  let results = List.rev !results in
-  let faulted = List.rev !faulted in
-  let skipped = !skipped in
+  in
   let runs = apply_2t_rule results in
   let tested = List.length runs in
   let all_parse_failed =
@@ -331,8 +296,7 @@ let judge ?supervisor (sw : sweep) : case_report =
       cr_all_parse_failed = all_parse_failed;
       cr_all_timeout = all_timeout;
       cr_tested = tested;
-      cr_faulted = faulted;
-      cr_skipped = skipped;
+      cr_observed = observed;
     }
   else begin
     (* majority vote over distinct signatures (see [vote]); every
@@ -373,20 +337,18 @@ let judge ?supervisor (sw : sweep) : case_report =
       cr_all_parse_failed = false;
       cr_all_timeout = false;
       cr_tested = tested;
-      cr_faulted = faulted;
-      cr_skipped = skipped;
+      cr_observed = observed;
     }
   end
 
-(* One differential test, sweep and judge in one go — the entry point for
-   everything that tests a case outside a supervised campaign loop. With
-   no [plan]/[supervisor] this computes exactly what it did
-   before the supervision layer existed. *)
-let run_case ?fuel ?strategy ?plan ?supervisor ?case_key ?cache
+(* One differential test, sweep and judge in one go: what a campaign
+   runs per mode group, in-process or on a forked worker. With no
+   [plan]/[roster] this computes exactly what it did before the
+   supervision layer existed. *)
+let run_case ?fuel ?strategy ?plan ?roster ?case_key ?cache
     (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
-  judge ?supervisor
-    (sweep_case ?fuel ?strategy ?plan ?supervisor ?case_key ?cache
-       testbeds tc)
+  judge
+    (sweep_case ?fuel ?strategy ?plan ?roster ?case_key ?cache testbeds tc)
 
 (* Field-wise report equality; testbeds are compared by id. *)
 let deviation_equal (a : deviation) (b : deviation) : bool =
@@ -404,8 +366,7 @@ let report_equal (a : case_report) (b : case_report) : bool =
   && a.cr_tested = b.cr_tested
   && List.length a.cr_deviations = List.length b.cr_deviations
   && List.for_all2 deviation_equal a.cr_deviations b.cr_deviations
-  && List.map fst a.cr_faulted = List.map fst b.cr_faulted
-  && a.cr_skipped = b.cr_skipped
+  && a.cr_observed = b.cr_observed
 
 exception Audit_mismatch of string
 

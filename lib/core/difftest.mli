@@ -36,11 +36,12 @@ type case_report = {
   cr_all_parse_failed : bool;  (** consistent parse error — case ignored *)
   cr_all_timeout : bool;       (** likely an infinite loop — case ignored *)
   cr_tested : int;             (** testbeds that actually ran the case *)
-  cr_faulted : (string * Supervisor.fault_report) list;
-      (** testbeds whose supervised execution exhausted its retry budget
-          (infrastructure faults, Fig. 5's harness-failure lane): excluded
-          from the vote, never reported as deviations *)
-  cr_skipped : int;            (** testbeds dropped by quarantine *)
+  cr_observed : (string * Supervisor.observation) list;
+      (** a supervised sweep's outcome per testbed id, in sweep order, for
+          the campaign's driver to {!Supervisor.observe}. Testbeds that
+          exhausted their retry budget (infrastructure faults, Fig. 5's
+          harness-failure lane) or were quarantined are excluded from the
+          vote and never reported as deviations. [[]] when unsupervised. *)
 }
 
 (** Classify one engine run. *)
@@ -66,26 +67,25 @@ val apply_2t_rule :
   (Engines.Engine.testbed * Jsinterp.Run.result) list ->
   (Engines.Engine.testbed * Jsinterp.Run.result * signature) list
 
-(** The raw material of one differential test: every applicable testbed's
-    supervised execution outcome, before any vote. Produced by
-    {!sweep_case} in the campaign's worker; turned into a {!case_report}
-    on the driver by {!judge}. The split is what keeps supervision deterministic
-    (DESIGN.md §10): fault draws depend only on (plan, testbed, case
-    key), and every stateful decision — quarantine, the majority — runs
-    in submission order on the driver. *)
+(** The raw material of one differential test: every applicable
+    testbed's execution outcome, before any vote. Produced by
+    {!sweep_case}, turned into a {!case_report} by {!judge}; both run
+    wherever the case runs, in-process or on a forked campaign worker.
+    Fault draws depend only on (plan, testbed, case key) and quarantine
+    only on the roster the sweep is given, so the report is a pure
+    function of the case, the plan and the roster (DESIGN.md §10). *)
 type sweep = {
   sw_case : Testcase.t;
-  sw_key : int;  (** the case key the fault draws were keyed by *)
+  sw_supervised : bool;  (** swept under a plan or a roster *)
   sw_execs :
     (Engines.Engine.testbed * Jsinterp.Run.result Supervisor.outcome) list;
 }
 
-(** The worker half of one differential test: execute the case on every
-    applicable testbed under the fault plan and the supervision policy
-    of {!Supervisor.execute}.
-    [supervisor] is consulted only through its racy monotone quarantine
-    roster, to skip work {!judge} would discard. With no
-    [plan] the per-testbed execution is the bare engine run.
+(** Execute the case on every applicable testbed. Under a [plan] or a
+    [roster] each execution is supervised: a testbed of the [roster]
+    (a {!Supervisor.quarantine_list}) is {!Supervisor.Skipped}, and the
+    others run under {!Supervisor.execute}. With neither the
+    per-testbed execution is the bare engine run.
     [strategy] (default {!Jsinterp.Strategy.default}) selects the
     execution path; the sweep is byte-identical either way.
     [cache] shares one per-case {!Engines.Engine.Exec} cache across this
@@ -98,26 +98,25 @@ val sweep_case :
   ?fuel:int ->
   ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
-  ?supervisor:Supervisor.t ->
+  ?roster:(string * int) list ->
   ?case_key:int ->
   ?cache:Engines.Engine.Exec.cache ->
   Engines.Engine.testbed list ->
   Testcase.t ->
   sweep
 
-(** The driver half: discard results from quarantined testbeds, feed the
-    supervisor its per-testbed observations (updating consecutive-fault
-    counters and the quarantine set), then vote over the surviving runs
-    exactly as an unsupervised sweep would. Must be called in case
-    submission order when a supervisor is threaded through. *)
-val judge : ?supervisor:Supervisor.t -> sweep -> case_report
+(** Vote over the testbeds that ran: faulted and skipped ones leave the
+    vote, and a supervised sweep reports every testbed's
+    {!Supervisor.observation} in [cr_observed]. Pure: the supervisor is
+    the caller's to update. *)
+val judge : sweep -> case_report
 
 (** Run one test case across the given testbeds and vote —
     [judge (sweep_case ...)]. Under the [Fast] strategy the sweep
     collapses into behavioural equivalence classes via
     {!Engines.Engine.Exec}, executing once per class instead of once per
     testbed; the report is byte-identical under [Reference] (DESIGN.md,
-    "Execution strategy"). [plan]/[supervisor] enable supervised
+    "Execution strategy"). [plan]/[roster] enable supervised
     execution (DESIGN.md §10); with both absent the report is
     exactly the pre-supervision one. [cache] is passed through to
     {!sweep_case}. *)
@@ -125,7 +124,7 @@ val run_case :
   ?fuel:int ->
   ?strategy:Jsinterp.Strategy.t ->
   ?plan:Supervisor.Faultplan.t ->
-  ?supervisor:Supervisor.t ->
+  ?roster:(string * int) list ->
   ?case_key:int ->
   ?cache:Engines.Engine.Exec.cache ->
   Engines.Engine.testbed list ->

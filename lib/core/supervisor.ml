@@ -23,12 +23,11 @@
      per-case fault observations in submission order, tracks consecutive
      faults per testbed, and grows the quarantine set. Only the driver
      mutates it, so its decisions are a deterministic function of the
-     consumed case stream. A sweep may consult [quarantined] purely to
-     skip work: a forked worker reads its copy from fork time, which can
-     only be stale by missing later quarantines (nothing is ever
-     un-quarantined), and the judge re-checks against driver state, so a
-     stale read can only cost a wasted execution, never change a
-     report. *)
+     consumed case stream. A case is swept and judged against the
+     roster ([quarantine_list]) as of its dispatch, wherever it runs;
+     nothing is ever un-quarantined, so a roster that has grown since
+     (a testbed quarantined while the case was in flight) shows in its
+     length, and the campaign judges that case again on the driver. *)
 
 (* --- fault taxonomy --- *)
 
@@ -350,21 +349,38 @@ type t = {
   mutable sup_quarantined : (string * int) list;  (* (testbed id, case key
                                                      it tripped at), oldest
                                                      first *)
-  mutable sup_stats : stats;
+  (* the [stats] counters, bumped in place per observation *)
+  mutable sup_injected : int;
+  mutable sup_retried : int;
+  mutable sup_faulted : int;
+  mutable sup_skipped : int;
+  mutable sup_slow : int;
+  mutable sup_backoff : int;
 }
 
 let create () : t =
   {
     sup_consec = Hashtbl.create 16;
     sup_quarantined = [];
-    sup_stats = zero_stats;
+    sup_injected = 0;
+    sup_retried = 0;
+    sup_faulted = 0;
+    sup_skipped = 0;
+    sup_slow = 0;
+    sup_backoff = 0;
   }
 
-let stats (t : t) = t.sup_stats
-let quarantine_list (t : t) = t.sup_quarantined
+let stats (t : t) =
+  {
+    st_injected = t.sup_injected;
+    st_retried = t.sup_retried;
+    st_faulted = t.sup_faulted;
+    st_skipped = t.sup_skipped;
+    st_slow = t.sup_slow;
+    st_backoff = t.sup_backoff;
+  }
 
-let of_roster (roster : (string * int) list) : t =
-  { (create ()) with sup_quarantined = roster }
+let quarantine_list (t : t) = t.sup_quarantined
 
 (* The roster is at most one entry per testbed and usually empty. *)
 let quarantined (t : t) (testbed_id : string) : bool =
@@ -379,36 +395,26 @@ type observation =
 
 let observe (t : t) ~(case_key : int)
     (obs : (string * observation) list) : unit =
-  let s = ref t.sup_stats in
   List.iter
     (fun (tb_id, ob) ->
       match ob with
-      | Ob_skipped -> s := { !s with st_skipped = !s.st_skipped + 1 }
+      | Ob_skipped -> t.sup_skipped <- t.sup_skipped + 1
       | Ob_ok meta ->
           Hashtbl.replace t.sup_consec tb_id 0;
-          s :=
-            {
-              !s with
-              st_injected = !s.st_injected + meta.em_retries;
-              st_retried = !s.st_retried + (if meta.em_retries > 0 then 1 else 0);
-              st_slow = !s.st_slow + meta.em_slow;
-              st_backoff = !s.st_backoff + meta.em_backoff;
-            }
+          t.sup_injected <- t.sup_injected + meta.em_retries;
+          if meta.em_retries > 0 then t.sup_retried <- t.sup_retried + 1;
+          t.sup_slow <- t.sup_slow + meta.em_slow;
+          t.sup_backoff <- t.sup_backoff + meta.em_backoff
       | Ob_faulted fr ->
           let consec =
             1 + Option.value (Hashtbl.find_opt t.sup_consec tb_id) ~default:0
           in
           Hashtbl.replace t.sup_consec tb_id consec;
-          s :=
-            {
-              !s with
-              st_injected = !s.st_injected + fr.fr_attempts;
-              st_faulted = !s.st_faulted + 1;
-              st_backoff = !s.st_backoff + fr.fr_backoff;
-            };
+          t.sup_injected <- t.sup_injected + fr.fr_attempts;
+          t.sup_faulted <- t.sup_faulted + 1;
+          t.sup_backoff <- t.sup_backoff + fr.fr_backoff;
           if
             consec >= policy.p_quarantine_after
             && not (quarantined t tb_id)
           then t.sup_quarantined <- t.sup_quarantined @ [ (tb_id, case_key) ])
-    obs;
-  t.sup_stats <- !s
+    obs

@@ -15,9 +15,9 @@
     (seed, testbed id, case key, attempt) — chaos campaigns are therefore
     byte-identical at any worker count and across checkpoint resume. The
     mutable supervisor state {!t} (the driver half) is updated only by
-    {!observe}, in case-submission order; a forked worker may consult the
-    roster shipped with its task through {!quarantined}, purely to skip
-    work the judge would discard anyway. *)
+    {!observe}, in case-submission order. A case is swept and judged,
+    in-process or on a forked worker, against the {!quarantine_list} of
+    its dispatch. *)
 
 (** The fault taxonomy. Distinct by construction from the Figure-5
     outcome classes: an injected fault travels as {!Injected}, which the
@@ -138,7 +138,8 @@ type stats = {
 val zero_stats : stats
 
 (** Driver-side supervisor state: consecutive-fault tracking, the
-    quarantine set, aggregate stats. Mutated only by {!observe}. *)
+    quarantine set, aggregate stats. Mutated only by {!observe}, in
+    place. *)
 type t
 
 val create : unit -> t
@@ -148,16 +149,7 @@ val stats : t -> stats
     threshold)], oldest first. *)
 val quarantine_list : t -> (string * int) list
 
-(** A supervisor that knows only a quarantine roster (a
-    {!quarantine_list} of the driver's): what a forked worker consults
-    to skip executions. The campaign ships the driver's roster with each
-    dispatch. *)
-val of_roster : (string * int) list -> t
-
-(** Membership in the quarantine set. On the driver's copy this is the
-    deterministic check the judge uses; on a worker's {!of_roster} copy
-    it can only miss quarantines made after the dispatch (the set only
-    grows), which wastes an execution but never changes a report. *)
+(** Membership in the quarantine set. *)
 val quarantined : t -> string -> bool
 
 (** One testbed's supervised outcome within one case. *)

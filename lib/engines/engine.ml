@@ -13,7 +13,8 @@ type testbed = {
 }
 
 let testbed_id (tb : testbed) =
-  Printf.sprintf "%s[%s]" (Registry.id tb.tb_config) (mode_to_string tb.tb_mode)
+  let normal, strict = tb.tb_config.Registry.cfg_testbed_ids in
+  match tb.tb_mode with Normal -> normal | Strict -> strict
 
 (* The paper's 102 testbeds: 51 configurations x 2 modes. *)
 let all_testbeds : testbed list =

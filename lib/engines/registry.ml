@@ -81,9 +81,10 @@ type config = {
       (** the config's [parse_key], precomputed once — the
           execution-sharing cache consumes it per testbed per case *)
   cfg_index : int;  (** position in the engine's version history, oldest = 0 *)
+  cfg_testbed_ids : string * string;
+      (** the ids of its normal- and strict-mode testbeds, built once:
+          [Engine.testbed_id] runs per supervised execution *)
 }
-
-let id (c : config) = Printf.sprintf "%s-%s" (engine_name c.cfg_engine) c.cfg_version
 
 (* (version, build, release, edition) — oldest first *)
 let version_rows (e : engine) : (string * string * string * es_edition) list =
@@ -332,6 +333,9 @@ let configs_of (e : engine) : config list =
               mem Quirk.Q_strict_delete_unqualified_accepted;
           };
         cfg_index = idx;
+        cfg_testbed_ids =
+          (let id = Printf.sprintf "%s-%s" (engine_name e) version in
+           (id ^ "[normal]", id ^ "[strict]"));
       })
     rows
 

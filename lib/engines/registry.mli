@@ -56,9 +56,10 @@ type config = {
       (** the config's {!parse_key}, precomputed once — consumed per
           testbed per case by the execution-sharing cache *)
   cfg_index : int;  (** position in the engine's history, oldest = 0 *)
+  cfg_testbed_ids : string * string;
+      (** [Engine.testbed_id] of its normal- and strict-mode testbeds,
+          built once with the config *)
 }
-
-val id : config -> string
 
 (** Bug assignment: quirk plus the version-index range it lives in. *)
 type assignment = { aq : Jsinterp.Quirk.t; since : int; fixed : int option }

@@ -357,13 +357,18 @@ let campaign_identical_across_worker_counts () =
    A worker skips the testbeds of the quarantine roster shipped with its
    dispatch; a case already in flight when an earlier case quarantines a
    testbed still runs it, so under crash-driven quarantine the counts
-   that executions move may only be higher on workers: by at most one
-   faulted try and its retries on each quarantined testbed for each of
-   the other cases two workers hold in flight. Two counts differ by
-   design: an in-process sweep takes the draw's front end
-   ([engines.handed_frontends]) where a worker parses the case itself,
-   and the pool's own counts (respawns, kills) exist only with
-   workers. *)
+   that executions move may only be higher on workers. Two sources add
+   runs, each bounded apart:
+   - the workers': a quarantined testbed runs only on the other cases
+     two workers hold in flight, two deep, when it trips (2 * 2 - 1),
+     at most three tries each;
+   - the driver's: a case judged against a roster that grew in flight
+     is judged again on the driver ([campaign.rejudged]), a sweep of at
+     most every testbed, at most three tries each.
+   Three counts differ by design: an in-process sweep takes the draw's
+   front end ([engines.handed_frontends]) where a worker parses the case
+   itself, and the pool's own counts (respawns, kills) and the driver's
+   re-judged cases exist only with workers. *)
 let counts_folded_from_children plan () =
   requires_fork ();
   let plan = Lazy.force plan in
@@ -392,9 +397,13 @@ let counts_folded_from_children plan () =
   Alcotest.(check int) "workers took none" 0
     (at delta2 "engines.handed_frontends");
   let quarantined = List.length r0.Campaign.cp_quarantined in
-  (* cases in flight behind the one that trips a quarantine: two
-     workers, two tasks deep; each runs at most three tries *)
-  let extra_runs = quarantined * ((2 * 2) - 1) * 3 in
+  let worker_runs = quarantined * ((2 * 2) - 1) * 3 in
+  let driver_runs =
+    at delta2 "campaign.rejudged"
+    * List.length (Campaign.default_testbeds ())
+    * 3
+  in
+  let extra_runs = worker_runs + driver_runs in
   List.iteri
     (fun i name ->
       let w0 =
@@ -403,6 +412,7 @@ let counts_folded_from_children plan () =
       if
         String.starts_with ~prefix:"coordinator." name
         || name = "engines.handed_frontends"
+        || name = "campaign.rejudged"
       then ()
       else if quarantined = 0 then
         Alcotest.(check int) (name ^ " folded from children") w0 delta2.(i)
@@ -414,13 +424,50 @@ let counts_folded_from_children plan () =
           true (w0 <= delta2.(i));
         if name = "jsinterp.runs" then
           Alcotest.(check bool)
-            (Printf.sprintf "%s: extra runs (%d) within the lookahead (%d)"
-               name (delta2.(i) - w0) extra_runs)
+            (Printf.sprintf
+               "%s: extra runs (%d) within the lookahead (%d) and the \
+                re-judged cases (%d)"
+               name (delta2.(i) - w0) worker_runs driver_runs)
             true
             (delta2.(i) - w0 <= extra_runs)
       end
       else Alcotest.(check int) (name ^ " folded from children") w0 delta2.(i))
     names
+
+(* A case in flight when an earlier case quarantines a testbed was
+   swept and judged against the roster of its dispatch; the driver
+   judges it again against the grown roster, so the report is the
+   in-process one. In-process, every case is judged against the roster
+   of the moment and none is judged again. *)
+let stale_roster_cases_are_rejudged () =
+  requires_fork ();
+  let plan =
+    match Faultplan.of_spec "seed=11;targets=Hermes;crash=1.0" with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let run workers =
+    let counts0 = Cutil.Counter.snapshot () in
+    let r =
+      Campaign.run ~budget:200 ~workers ~faults:plan
+        (Campaign.comfort_fuzzer ~seed:5 ())
+    in
+    let delta = Cutil.Counter.since counts0 in
+    match
+      List.find_index
+        (fun (name, _) -> name = "campaign.rejudged")
+        (Cutil.Counter.to_list ())
+    with
+    | Some i -> (r, delta.(i))
+    | None -> Alcotest.fail "no counter campaign.rejudged"
+  in
+  let r0, rejudged0 = run 0 in
+  let r2, rejudged2 = run 2 in
+  Alcotest.(check int) "in-process: no case judged again" 0 rejudged0;
+  Alcotest.(check bool)
+    (Printf.sprintf "2 workers: cases judged again (%d)" rejudged2)
+    true (rejudged2 > 0);
+  Test_supervisor.check_results_equal "workers 0 vs 2" r0 r2
 
 let flaky_kill_plan =
   lazy
@@ -614,6 +661,8 @@ let suite =
       (counts_folded_from_children flaky_kill_plan);
     Helpers.case "campaign: every count folds home under kill-chaos"
       (counts_folded_from_children kill_plan);
+    Helpers.case "campaign: stale-roster cases are judged again"
+      stale_roster_cases_are_rejudged;
     Helpers.case "campaign: halt + resume across worker counts"
       campaign_halt_resume_across_worker_counts;
     Helpers.case "campaign: a fuzzer's own runs stay out of its counts"

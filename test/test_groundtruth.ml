@@ -43,7 +43,7 @@ let check_engine (e : Engines.Registry.engine) () =
                 let dev = deviates cfg ~strict src in
                 if carries && not dev then
                   Alcotest.failf "%s %s should deviate on %s"
-                    (Engines.Registry.id cfg)
+                    (fst cfg.Engines.Registry.cfg_testbed_ids)
                     (Quirk.to_string a.Engines.Registry.aq)
                     src;
                 (* a version without this bug may still deviate if it
@@ -64,7 +64,7 @@ let check_engine (e : Engines.Registry.engine) () =
                   if Quirk.Set.is_empty r.Jsinterp.Run.r_fired then
                     Alcotest.failf
                       "%s deviates on %s without any quirk firing"
-                      (Engines.Registry.id cfg)
+                      (fst cfg.Engines.Registry.cfg_testbed_ids)
                       (Quirk.to_string a.Engines.Registry.aq)
                 end
               end)

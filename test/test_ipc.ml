@@ -255,8 +255,10 @@ let error_strings_are_distinct () =
 (* --- hostile input over real worker-reply frames ---
 
    A forked campaign worker answers each dispatched case with an [R_done]
-   reply carrying judged case reports, raw sweeps, or the message of a
-   case that raised or failed its audit. The protocol
+   reply carrying its judged case reports (with the length of the
+   quarantine roster they were judged against, and under supervision
+   every testbed's observation), or the message of a case that raised
+   or failed its audit. The protocol
    types are private to the coordinator and the campaign; Marshal is
    structural, so these same-shaped mirrors encode to the very frames a
    worker sends. Every truncation and every byte mutation of such a frame
@@ -264,8 +266,7 @@ let error_strings_are_distinct () =
    never raise. *)
 
 type work =
-  | W_judged of Comfort.Difftest.case_report list
-  | W_swept of Comfort.Difftest.sweep list
+  | W_judged of int * Comfort.Difftest.case_report list
   | W_failed of string
   | W_audit of string
 
@@ -283,6 +284,13 @@ let reply_frames =
        (Comfort.Campaign.comfort_fuzzer ~seed:17 ()).Comfort.Campaign.fz_batch 3
      in
      let testbeds = Comfort.Campaign.default_testbeds () in
+     (* a supervised case judged against a one-testbed roster, with
+        faulted and retried executions among its observations *)
+     let plan =
+       Result.get_ok
+         (Comfort.Supervisor.Faultplan.of_spec "seed=3;crash=0.6;flaky=0.3")
+     in
+     let roster = [ (Engines.Engine.testbed_id (List.hd testbeds), 0) ] in
      (* a delta vector of the registry's real length *)
      let counters = Cutil.Counter.snapshot () in
      let finished seq w =
@@ -295,15 +303,41 @@ let reply_frames =
             finished 0
               (Ok
                  (W_judged
-                    (List.map (Comfort.Difftest.run_case testbeds) cases)));
+                    (0, List.map (Comfort.Difftest.run_case testbeds) cases)));
             finished 1
               (Ok
-                 (W_swept
-                    (List.map (Comfort.Difftest.sweep_case testbeds) cases)));
+                 (W_judged
+                    ( List.length roster,
+                      List.mapi
+                        (fun case_key ->
+                          Comfort.Difftest.run_case ~plan ~roster ~case_key
+                            testbeds)
+                        cases )));
             finished 2 (Ok (W_failed "Failure(\"boom\")"));
             finished 3 (Ok (W_audit "testbed V8: output differs"));
             finished 4 (Error "worker died unexpectedly");
           ]))
+
+(* The supervised reply decodes to the roster length it was judged
+   against and to every testbed's observation: the roster's testbed
+   skipped, the others run, retried or given up on. *)
+let supervised_frame_roundtrip () =
+  match (Ipc.decode (Lazy.force reply_frames).(2) : (reply, Ipc.error) result) with
+  | Ok (R_done { rd_reply = Ok (W_judged (n, reports)); _ }) ->
+      Alcotest.(check int) "roster length" 1 n;
+      let observed =
+        List.concat_map (fun r -> r.Comfort.Difftest.cr_observed) reports
+      in
+      let count p = List.length (List.filter (fun (_, o) -> p o) observed) in
+      let open Comfort.Supervisor in
+      Alcotest.(check int) "the roster's testbed skipped on every case"
+        (List.length reports)
+        (count (function Ob_skipped -> true | _ -> false));
+      Alcotest.(check bool) "faulted executions observed" true
+        (count (function Ob_faulted _ -> true | _ -> false) > 0);
+      Alcotest.(check bool) "retried executions observed" true
+        (count (function Ob_ok m -> m.em_retries > 0 | _ -> false) > 0)
+  | _ -> Alcotest.fail "the supervised reply frame did not decode"
 
 (* truncate, or overwrite one to four bytes, of one real reply frame *)
 let gen_hostile_frame =
@@ -352,6 +386,8 @@ let suite =
     Helpers.case "undecodable payload -> Corrupt"
       undecodable_payload_is_corrupt;
     Helpers.case "error diagnostics are distinct" error_strings_are_distinct;
+    Helpers.case "a supervised reply carries its roster and observations"
+      supervised_frame_roundtrip;
   ]
   @ [
       QCheck_alcotest.to_alcotest roundtrip_prop;

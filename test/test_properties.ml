@@ -674,7 +674,9 @@ let judge_matches_old_vote =
               Comfort.Supervisor.Done (vote_result r, Comfort.Supervisor.ok_meta) ))
           runs
       in
-      let report = D.judge { D.sw_case = tc; sw_key = 0; sw_execs = execs } in
+      let report =
+        D.judge { D.sw_case = tc; sw_supervised = false; sw_execs = execs }
+      in
       let results =
         List.map
           (fun (tb, o) ->

@@ -777,6 +777,9 @@ let suite =
     Helpers.case "checkpoint: v11 header refused"
       (checkpoint_load_rejects_old ~version:11
          (Comfort.Ipc.encode ("Comfort", 5, [ 300 ], false, false)));
+    Helpers.case "checkpoint: v12 header refused"
+      (checkpoint_load_rejects_old ~version:12
+         (Comfort.Ipc.encode ("Comfort", 5, [| 0 |], false)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
