@@ -5,14 +5,13 @@
    down to minutes of laptop time; set COMFORT_BENCH_SCALE to an integer
    multiplier to run longer campaigns (default 1).
 
-   `campaign` runs one campaign under each execution strategy (Reference
-   and Fast) and one on forked workers, checks that the reports agree,
-   counts real interpreter executions per case, profiles the pipeline and
-   writes BENCH_campaign.json; throughput is measured by perfbench.
+   Campaign throughput is measured by perfbench. The Fast = Reference
+   campaign checks (identical reports in-process and on forked workers,
+   executions per case, profiler residual, allocation per case) are part
+   of `dune runtest`: see test/test_sharing.ml and test/test_profiler.ml.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table2     # one experiment
-     dune exec bench/main.exe campaign   # campaign gates + JSON
      dune exec bench/main.exe interp     # interpreter core ns/op + JSON
      dune exec bench/main.exe micro      # Bechamel micro-benchmarks
 
@@ -559,255 +558,6 @@ let host_json () =
   Printf.sprintf {|{ "nproc": %d, "ocaml": %S, "commit": %s }|} nproc
     Sys.ocaml_version commit
 
-(* ---------- campaign gates: Reference, Fast, forked workers ---------- *)
-
-(* One end-to-end campaign per row against the full 102-testbed setup:
-   the Reference oracle and the Fast path in-process, then the Fast path
-   on forked workers. Throughput claims come from perfbench (medians over
-   alternating runs, see perfbench/run.py), so each row runs once and the
-   rows check deterministic properties instead: every row finds the same
-   discoveries in the same order (the in-order consume contract and the
-   Fast = Reference contract of DESIGN.md's "Execution strategy"), real
-   interpreter executions are counted via [Run.run_count], and each
-   in-process row records the whole-pipeline profile via
-   [Run.Stage]/[Metrics.profile]: the disjoint pipeline stages
-   (generate / screen / sweep / vote / attr / reduce / fold) with wall
-   ns and allocated bytes each, the nested interpreter substages
-   (parse / compile / realm-install / execute), the total allocation,
-   and the unaccounted residual. Emits BENCH_campaign.json.
-
-   Gates: identical results on every row, the workers row included; Fast
-   at least 4x fewer executions per case than Reference, and exactly the
-   Fast row's count folded back from the workers; every in-process row
-   accounting for >= 90% of its wall clock; the Fast row within the
-   allocation budget. The profiler and allocation gates do not apply to
-   the workers row: its sweep executes in forked children, so
-   driver-side stage probes and Gc.allocated_bytes see only the
-   coordinator. The workers row is skipped (and flagged in the JSON)
-   where fork is unavailable. *)
-let campaign_bench () =
-  header "Campaign gates: Reference vs Fast vs forked workers";
-  let budget = 400 * scale in
-  let testbeds = Engines.Engine.all_testbeds in
-  let open Jsinterp.Strategy in
-  let measure strategy =
-    let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
-    let e0 = Jsinterp.Run.run_count () in
-    Jsinterp.Run.Stage.enabled := true;
-    Jsinterp.Run.Stage.reset ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    let res =
-      Comfort.Campaign.run ~testbeds ~budget ~workers:0 ~strategy fz
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let alloc = Gc.allocated_bytes () -. a0 in
-    Jsinterp.Run.Stage.enabled := false;
-    let profile =
-      Comfort.Metrics.profile ~wall_ns:(int_of_float (dt *. 1e9))
-    in
-    let execs = Jsinterp.Run.run_count () - e0 in
-    let per_case =
-      Float.of_int execs /. Float.of_int res.Comfort.Campaign.cp_cases_run
-    in
-    Printf.printf
-      "  %-9s: %6.2fs wall, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
-      (to_string strategy) dt per_case
-      (List.length res.Comfort.Campaign.cp_discoveries)
-      profile.Comfort.Metrics.pr_unaccounted_pct;
-    (strategy, (res, dt, execs, per_case, (profile, alloc)))
-  in
-  Printf.printf "budget=%d cases, %d testbeds\n%!" budget
-    (List.length testbeds);
-  let reference_row = measure Reference in
-  let fast_row = measure Fast in
-  let runs = [ reference_row; fast_row ] in
-  let wn = 2 in
-  let workers_row =
-    if not (Comfort.Coordinator.available ()) then None
-    else begin
-      let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
-      let e0 = Jsinterp.Run.run_count () in
-      let k0 = Comfort.Coordinator.stat_kills () in
-      let r0 = Comfort.Coordinator.stat_respawns () in
-      let t0 = Unix.gettimeofday () in
-      let res =
-        Comfort.Campaign.run ~testbeds ~budget ~strategy:Fast ~workers:wn fz
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let execs = Jsinterp.Run.run_count () - e0 in
-      Some
-        ( res,
-          dt,
-          execs,
-          Comfort.Coordinator.stat_kills () - k0,
-          Comfort.Coordinator.stat_respawns () - r0 )
-    end
-  in
-  let key d = (d.Comfort.Campaign.disc_engine, d.Comfort.Campaign.disc_quirk) in
-  let agrees (r : Comfort.Campaign.result) (base : Comfort.Campaign.result) =
-    List.map key r.Comfort.Campaign.cp_discoveries
-    = List.map key base.Comfort.Campaign.cp_discoveries
-    && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
-    && r.Comfort.Campaign.cp_filtered_repeats
-       = base.Comfort.Campaign.cp_filtered_repeats
-  in
-  let base, _, ref_execs, ref_pc, _ = List.assoc Reference runs in
-  let fast_res, _, fast_execs, fast_pc, (_, fast_alloc) =
-    List.assoc Fast runs
-  in
-  let same = List.for_all (fun (_, (r, _, _, _, _)) -> agrees r base) runs in
-  (* sharing must keep collapsing the sweep *)
-  let fast_execs_ok = fast_execs * 4 <= ref_execs in
-  Printf.printf
-    "Fast vs Reference: %.1f -> %.1f executions/case (%.1fx fewer); %d compilations, %d COW clones\n"
-    ref_pc fast_pc
-    (Float.of_int ref_execs /. Float.of_int fast_execs)
-    fast_res.Comfort.Campaign.cp_specialized
-    fast_res.Comfort.Campaign.cp_cow_clones;
-  Printf.printf "all results identical: %b; Fast executions/case gate: %b\n"
-    same fast_execs_ok;
-  if not same then begin
-    Printf.eprintf "FAIL: the rows disagree on the campaign report\n";
-    exit 1
-  end;
-  if not fast_execs_ok then begin
-    Printf.eprintf
-      "FAIL: Fast executed %d times (Reference %d): it must stay at least \
-       4x below Reference\n"
-      fast_execs ref_execs;
-    exit 1
-  end;
-  (* profiler-accounting gate: every in-process row must pin at least
-     90% of its wall clock to a named pipeline stage, or the profiler has
-     a hole *)
-  let max_unaccounted =
-    List.fold_left
-      (fun acc (_, (_, _, _, _, (p, _))) ->
-        Float.max acc p.Comfort.Metrics.pr_unaccounted_pct)
-      0.0 runs
-  in
-  Printf.printf "profiler: max unaccounted wall across rows %.1f%%\n"
-    max_unaccounted;
-  if max_unaccounted >= 10.0 then begin
-    Printf.eprintf
-      "FAIL: profiler leaves %.1f%% of a row's wall clock unaccounted \
-       (>= 10%%)\n"
-      max_unaccounted;
-    exit 1
-  end;
-  (* allocation-regression gate on the Fast row: scratch recycling and
-     the quirk-word migration hold the steady state near 0.5 MB/case;
-     the budget leaves headroom for machine variance but catches a
-     reverted optimisation, which costs several MB/case *)
-  let alloc_budget_per_case = 2_000_000.0 in
-  let fast_alloc_per_case =
-    fast_alloc /. Float.of_int fast_res.Comfort.Campaign.cp_cases_run
-  in
-  Printf.printf "allocation: %.0f bytes/case on the Fast row (budget %.0f)\n"
-    fast_alloc_per_case alloc_budget_per_case;
-  if fast_alloc_per_case > alloc_budget_per_case then begin
-    Printf.eprintf "FAIL: the Fast row allocates %.0f bytes/case (budget %.0f)\n"
-      fast_alloc_per_case alloc_budget_per_case;
-    exit 1
-  end;
-  (* gates on the process-isolated row: identity with the in-process
-     report and an exact folded execution count — the determinism
-     contract of DESIGN.md §14 *)
-  let workers_same, workers_execs_ok =
-    match workers_row with
-    | None -> (true, true)
-    | Some (r, _, execs, _, _) -> (agrees r base, execs = fast_execs)
-  in
-  (match workers_row with
-  | None ->
-      Printf.printf
-        "process isolation: fork unavailable on this host; workers row \
-         skipped\n"
-  | Some (_, dt, _, kills, respawns) ->
-      Printf.printf
-        "process isolation: %d workers, %.2fs wall, identical results: %b, \
-         folded executions match the Fast row: %b, %d respawns (%d \
-         hard-kills)\n"
-        wn dt workers_same workers_execs_ok respawns kills);
-  if not workers_same then begin
-    Printf.eprintf
-      "FAIL: the process-isolated row disagrees with the in-process report\n";
-    exit 1
-  end;
-  if not workers_execs_ok then begin
-    Printf.eprintf
-      "FAIL: the process-isolated row's folded execution count diverged\n";
-    exit 1
-  end;
-  let json_stage_obj rows get =
-    String.concat ", "
-      (List.map
-         (fun r -> Printf.sprintf "%S: %d" r.Comfort.Metrics.st_name (get r))
-         rows)
-  in
-  let json_run (strategy, (r, dt, execs, per_case, (p, alloc))) =
-    Printf.sprintf
-      {|    { "strategy": %S, "wall_s": %.3f, "executions": %d, "executions_per_case": %.1f, "specialized": %d, "cow_clones": %d, "discoveries": %d,
-      "alloc_bytes": %.0f, "alloc_bytes_per_case": %.0f, "accounted_ns": %d, "unaccounted_pct": %.1f,
-      "pipeline_ns": { %s },
-      "pipeline_bytes": { %s },
-      "stages_ns": { %s },
-      "stages_bytes": { %s } }|}
-      (to_string strategy) dt execs per_case
-      r.Comfort.Campaign.cp_specialized r.Comfort.Campaign.cp_cow_clones
-      (List.length r.Comfort.Campaign.cp_discoveries)
-      alloc
-      (alloc /. Float.of_int r.Comfort.Campaign.cp_cases_run)
-      p.Comfort.Metrics.pr_accounted_ns p.Comfort.Metrics.pr_unaccounted_pct
-      (json_stage_obj p.Comfort.Metrics.pr_stages (fun r ->
-           r.Comfort.Metrics.st_ns))
-      (json_stage_obj p.Comfort.Metrics.pr_stages (fun r ->
-           r.Comfort.Metrics.st_bytes))
-      (json_stage_obj p.Comfort.Metrics.pr_substages (fun r ->
-           r.Comfort.Metrics.st_ns))
-      (json_stage_obj p.Comfort.Metrics.pr_substages (fun r ->
-           r.Comfort.Metrics.st_bytes))
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "host": %s,
-  "budget": %d,
-  "testbeds": %d,
-  "runs": [
-%s
-  ],
-  "fast_execution_reduction": %.2f,
-  "fast_executions_ok": %b,
-  "max_unaccounted_pct": %.1f,
-  "alloc_budget_bytes_per_case": %.0f,
-  "alloc_bytes_per_case_fast": %.0f,
-  "identical_results": %b,
-  "workers_row_skipped": %b,
-  "workers": %d,
-  "workers_wall_s": %.3f,
-  "workers_identical_results": %b,
-  "workers_executions_match_fast": %b,
-  "workers_respawns": %d,
-  "workers_kills": %d
-}
-|}
-      (host_json ()) budget (List.length testbeds)
-      (String.concat ",\n" (List.map json_run runs))
-      (Float.of_int ref_execs /. Float.of_int fast_execs)
-      fast_execs_ok max_unaccounted alloc_budget_per_case
-      fast_alloc_per_case same (workers_row = None) wn
-      (match workers_row with Some (_, dt, _, _, _) -> dt | None -> 0.0)
-      workers_same workers_execs_ok
-      (match workers_row with Some (_, _, _, _, r) -> r | None -> 0)
-      (match workers_row with Some (_, _, _, k, _) -> k | None -> 0)
-  in
-  let oc = open_out "BENCH_campaign.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_campaign.json"
-
 (* ---------- interpreter-core micro-benchmark ---------- *)
 
 (* ns/op for the Fast core (compiled closures in a copy-on-write
@@ -1159,7 +909,6 @@ let all () =
   fig8 ();
   fig9 ();
   ablate ();
-  campaign_bench ();
   interp_bench ();
   micro ()
 
@@ -1177,13 +926,12 @@ let () =
   | "listings" -> listings ()
   | "spec" -> spec ()
   | "ablate" -> ablate ()
-  | "campaign" -> campaign_bench ()
   | "interp" -> interp_bench ()
   | "micro" -> micro ()
   | "all" -> all ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (try: table1..5, fig7..9, listings, spec, ablate, campaign, interp, micro, all)\n"
+        "unknown experiment %s (try: table1..5, fig7..9, listings, spec, ablate, interp, micro, all)\n"
         other;
       exit 1);
   Printf.printf "\n[done in %.1fs]\n" (Unix.gettimeofday () -. t0)

@@ -196,7 +196,7 @@ let build_fuzzer name seed =
           Printf.eprintf "unknown fuzzer %s\n" other;
           exit 1)
 
-let fuzz budget fuzzer_name seed feedback workers audit faults
+let fuzz budget fuzzer_name seed feedback workers faults
     checkpoint checkpoint_every resume halt_after profile =
   (* a resumed campaign runs the parameters stored in its checkpoint;
      options that would silently lose to them are usage errors *)
@@ -241,15 +241,6 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
        --halt-after/--workers\n";
     exit 2
   end;
-  (* the audit cross-checks unsupervised sweeps of a fresh campaign: a
-     resumed one runs the audit stride stored in its checkpoint *)
-  if audit > 0 && (Option.is_some plan || feedback || Option.is_some resume)
-  then begin
-    Printf.eprintf
-      "--audit cannot be combined with --faults (or COMFORT_FAULTS)/\
-       --feedback/--resume\n";
-    exit 2
-  end;
   let counts0 = Cutil.Counter.snapshot () in
   let respawns0 = Comfort.Coordinator.stat_respawns () in
   let kills0 = Comfort.Coordinator.stat_kills () in
@@ -284,7 +275,7 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
               ~budget_per_round:(max 1 (budget / 4))
               t
           else
-            Comfort.Campaign.run ~budget ~workers ~audit ?faults:plan
+            Comfort.Campaign.run ~budget ~workers ?faults:plan
               ?checkpoint ?halt_after fz)
     with
     | Comfort.Campaign.Halted { halted_at; halted_checkpoint } ->
@@ -293,9 +284,6 @@ let fuzz budget fuzzer_name seed feedback workers audit faults
           | Some p -> Printf.sprintf "; resume with --resume %s" p
           | None -> " (no --checkpoint configured; progress discarded)");
         exit 0
-    | Comfort.Difftest.Audit_mismatch msg ->
-        Printf.eprintf "audit failed: %s\n" msg;
-        exit 1
     | Comfort.Campaign.Interrupted { int_signal; int_at; int_checkpoint } ->
         (* operator kill: the worker pool is already torn down and a
            final checkpoint written; 130 is the conventional
@@ -382,19 +370,6 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "feedback" ]
            ~doc:"Mutate bug-exposing cases between rounds (the §5.5 extension).")
   in
-  let audit =
-    Arg.(
-      value
-      & opt ~vopt:1 int 0
-      & info [ "audit" ] ~docv:"N"
-          ~doc:
-            "Cross-check the fast path against the reference oracle: every \
-             $(docv)-th case (1 = every case when the option is given bare; \
-             0 = off) is swept under both execution strategies, and the \
-             campaign aborts if any testbed's results differ in any \
-             field. Incompatible with $(b,--faults), \
-             $(b,--feedback) and $(b,--resume).")
-  in
   let faults =
     Arg.(
       value
@@ -460,7 +435,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign against the simulated engines")
     Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ workers_arg
-          $ audit $ faults $ checkpoint $ checkpoint_every $ resume
+          $ faults $ checkpoint $ checkpoint_every $ resume
           $ halt_after $ profile)
 
 (* --- analyze --- *)

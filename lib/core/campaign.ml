@@ -397,7 +397,6 @@ type st = {
   d_budget : int;
   d_strategy : Strategy.t;
   d_reduce : bool;
-  d_audit : int;  (* audit every [d_audit]-th case; 0 = off *)
   mutable d_counts : int array;
       (* this campaign's share of every [Cutil.Counter] count, brought up
          to date by the driver before every checkpoint and the result *)
@@ -453,9 +452,10 @@ module Checkpoint = struct
      a testbed-pool exhaustion as its early end in place of [d_aborted]
      and [d_stop]. v13: the supervisor keeps its stats as counters
      bumped in place, and the counter vector holds [campaign.rejudged].
-     The header check rejects older files rather than guess defaults
-     for fields that change what a resumed campaign runs. *)
-  let version = 13
+     v14: dropped the audit stride with the audit mode. The header
+     check rejects older files rather than guess defaults for fields
+     that change what a resumed campaign runs. *)
+  let version = 14
 
   type state = st
 
@@ -526,9 +526,6 @@ type work =
       (* the length of the quarantine roster the case was swept and
          judged against (0 unsupervised), and one report per mode group *)
   | W_failed of string  (* the worker itself blew up: case failed-and-skipped *)
-  | W_audit of string
-      (* an audit divergence: a soundness bug that must poison the whole
-         run, not one case — the driver re-raises it *)
 
 (* One case as the fork pool ships it. [jb_roster] is the driver's
    quarantine roster as of the dispatch ([Some] iff supervision is on):
@@ -626,34 +623,27 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
        sweeps below: the base parses and their compilations run once
        per case instead of once per group. The cache is built and
        consumed entirely inside this worker call, and classes are keyed
-       by mode, so reports are byte-identical to per-group caches. Lazy:
-       audit cases build their own caches. *)
-    let case_cache =
-      lazy
-        (let src = tc.Testcase.tc_source in
-         match fe with
-         | Some fe -> Engines.Engine.Exec.seeded src fe
-         | None -> Engines.Engine.Exec.cache src)
+       by mode, so reports are byte-identical to per-group caches. *)
+    let cache =
+      let src = tc.Testcase.tc_source in
+      match fe with
+      | Some fe -> Engines.Engine.Exec.seeded src fe
+      | None -> Engines.Engine.Exec.cache src
     in
-    (* cases are keyed by their submission index, so the audit sample and
-       the fault draws are deterministic — the same at any worker count
-       and across resume *)
-    let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
+    (* cases are keyed by their submission index, so the fault draws are
+       deterministic — the same at any worker count and across resume *)
     W_judged
       ( length roster,
         List.map
           (fun tbs ->
-            if audit then Difftest.audit_case tbs tc
-            else
-              Difftest.run_case ~strategy:d.d_strategy ?plan:d.d_plan ?roster
-                ~case_key:i ~cache:(Lazy.force case_cache) tbs tc)
+            Difftest.run_case ~strategy:d.d_strategy ?plan:d.d_plan ?roster
+              ~case_key:i ~cache tbs tc)
           by_mode )
   in
   (* runs in the forked child too: a failure travels as its message *)
   let guarded (f : unit -> work) : work =
     match f () with
     | w -> w
-    | exception Difftest.Audit_mismatch m -> W_audit m
     | exception e -> W_failed (Printexc.to_string e)
   in
   (* The per-case differential sweep and vote — the dominant cost — is
@@ -679,7 +669,6 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
       | W_failed _ ->
           d.d_skipped_cases <- d.d_skipped_cases + 1;
           []
-      | W_audit m -> raise (Difftest.Audit_mismatch m)
     in
     let reports = reports w in
     (* one parse per case, shared by every deviation it produces *)
@@ -916,14 +905,12 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
       final d ~pool:!pool_exhausted)
 
 let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
-    ?(workers = 0) ?worker_limits ?strategy ?(audit = 0) ?faults ?checkpoint
+    ?(workers = 0) ?worker_limits ?strategy ?faults ?checkpoint
     ?halt_after (fz : fuzzer) : result =
   let strategy = Strategy.value strategy in
   let plan =
     match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
   in
-  if audit > 0 && Option.is_some plan then
-    invalid_arg "Campaign.run: audit cannot be combined with fault injection";
   let d =
     {
       d_fuzzer = fz.fz_name;
@@ -931,7 +918,6 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
       d_budget = budget;
       d_strategy = strategy;
       d_reduce = reduce;
-      d_audit = audit;
       d_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
       d_testbeds = testbeds;
       d_plan = plan;

@@ -182,11 +182,6 @@ end
                      {!Jsinterp.Strategy.default}); reports are
                      byte-identical under both (DESIGN.md, "Execution
                      strategy")
-    @param audit     when positive, every [audit]-th case (by submission
-                     index, so the sample is deterministic) runs under both
-                     strategies through {!Difftest.audit_case}, which
-                     raises {!Difftest.Audit_mismatch} on any divergence.
-                     Incompatible with [faults]
     @param faults    deterministic fault-injection plan applied to every
                      supervised testbed execution (chaos campaigns);
                      defaults to [COMFORT_FAULTS] from the environment.
@@ -227,7 +222,6 @@ val run :
   ?workers:int ->
   ?worker_limits:Coordinator.limits ->
   ?strategy:Jsinterp.Strategy.t ->
-  ?audit:int ->
   ?faults:Supervisor.Faultplan.t ->
   ?checkpoint:string * int ->
   ?halt_after:int ->

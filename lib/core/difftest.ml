@@ -367,34 +367,3 @@ let report_equal (a : case_report) (b : case_report) : bool =
   && List.length a.cr_deviations = List.length b.cr_deviations
   && List.for_all2 deviation_equal a.cr_deviations b.cr_deviations
   && a.cr_observed = b.cr_observed
-
-exception Audit_mismatch of string
-
-(* The audit: sweep the case under both strategies and fail loudly on the
-   first testbed whose results differ in any field. Reference runs share
-   nothing, so each Reference result is the testbed's own observation.
-   Returns the Fast report, which an auditing campaign uses as the real
-   result of the case. *)
-let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
-    (tc : Testcase.t) : case_report =
-  let src = tc.Testcase.tc_source in
-  let reference = sweep_case ~fuel ~strategy:Strategy.Reference testbeds tc in
-  let fast = sweep_case ~fuel ~strategy:Strategy.Fast testbeds tc in
-  List.iter2
-    (fun (tb, ro) (_, fo) ->
-      match (ro, fo) with
-      | Supervisor.Done (r, _), Supervisor.Done (f, _) -> (
-          match Run.differing_field r f with
-          | Some field ->
-              raise
-                (Audit_mismatch
-                   (Printf.sprintf
-                      "case %d on %s: Fast and Reference results differ in \
-                       %s\nsource:\n%s"
-                      tc.Testcase.tc_id
-                      (Engines.Engine.testbed_id tb)
-                      field src))
-          | None -> ())
-      | _ -> ())
-    reference.sw_execs fast.sw_execs;
-  judge fast

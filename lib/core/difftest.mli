@@ -134,12 +134,3 @@ val run_case :
 (** Field-wise equality of reports, deviation by deviation; testbeds are
     compared by id. *)
 val report_equal : case_report -> case_report -> bool
-
-exception Audit_mismatch of string
-
-(** The Fast = Reference audit: sweep the case under both strategies, and
-    raise {!Audit_mismatch} naming the testbed and the field
-    ({!Jsinterp.Run.differing_field}) if any testbed's [Run.result]
-    differs between them. Returns the Fast report otherwise. *)
-val audit_case :
-  ?fuel:int -> Engines.Engine.testbed list -> Testcase.t -> case_report

@@ -257,18 +257,16 @@ let error_strings_are_distinct () =
    A forked campaign worker answers each dispatched case with an [R_done]
    reply carrying its judged case reports (with the length of the
    quarantine roster they were judged against, and under supervision
-   every testbed's observation), or the message of a case that raised
-   or failed its audit. The protocol
-   types are private to the coordinator and the campaign; Marshal is
-   structural, so these same-shaped mirrors encode to the very frames a
-   worker sends. Every truncation and every byte mutation of such a frame
-   must decode to a typed [Error] or to the original value, and must
-   never raise. *)
+   every testbed's observation), or the message of a case that raised.
+   The protocol types are private to the coordinator and the campaign;
+   Marshal is structural, so these same-shaped mirrors encode to the very
+   frames a worker sends. Every truncation and every byte mutation of
+   such a frame must decode to a typed [Error] or to the original value,
+   and must never raise. *)
 
 type work =
   | W_judged of int * Comfort.Difftest.case_report list
   | W_failed of string
-  | W_audit of string
 
 type reply =
   | R_killme of int
@@ -314,8 +312,7 @@ let reply_frames =
                             testbeds)
                         cases )));
             finished 2 (Ok (W_failed "Failure(\"boom\")"));
-            finished 3 (Ok (W_audit "testbed V8: output differs"));
-            finished 4 (Error "worker died unexpectedly");
+            finished 3 (Error "worker died unexpectedly");
           ]))
 
 (* The supervised reply decodes to the roster length it was judged

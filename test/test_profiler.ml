@@ -46,15 +46,19 @@ let disabled_records_nothing () =
   Alcotest.(check int) "substages untouched" 0 (sum_ns (Stage.substages ()))
 
 (* In-process, with reduction and periodic checkpoint saves: every stage
-   of the pipeline is exercised, and the disjoint sum stays under wall. *)
+   of the pipeline is exercised, and the disjoint sum stays under wall.
+   The fuzzer (and the language model it forces) is built before the
+   clock starts: that build is no pipeline stage, and in a fresh process
+   it would make up most of the wall. *)
 let in_process_sum_bounded_by_wall () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "comfort-test-profiler.ckpt"
   in
+  let fz = Campaign.comfort_fuzzer ~seed:11 () in
   let res, wall_ns =
     profiled (fun () ->
         Campaign.run ~budget:300 ~workers:0 ~reduce:true ~checkpoint:(path, 100)
-          (Campaign.comfort_fuzzer ~seed:11 ()))
+          fz)
   in
   if Sys.file_exists path then Sys.remove path;
   Alcotest.(check int) "budget honoured" 300 res.Campaign.cp_cases_run;
@@ -75,13 +79,18 @@ let in_process_sum_bounded_by_wall () =
   Alcotest.(check bool) "sweep recorded" true (pos "sweep");
   Alcotest.(check bool) "vote recorded" true (pos "vote");
   (* Metrics.profile folds the same counters: accounted = pipeline sum,
-     residual under the tentpole's 10%-of-wall ceiling (generous margin
-     for a short, noisy test campaign: 50%) *)
+     and the stages pin at least 90% of the wall clock, or the profiler
+     has a hole. The default strategy runs here, so the test's two legs
+     (default and COMFORT_NO_* set) hold the bound on Fast and on
+     Reference. *)
   let p = Metrics.profile ~wall_ns in
   Alcotest.(check int) "profile accounted = stage sum" (sum_ns rows)
     p.Metrics.pr_accounted_ns;
-  Alcotest.(check bool) "most of wall accounted" true
-    (p.Metrics.pr_unaccounted_pct < 50.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "most of wall accounted (%.1f%% unaccounted < 10%%)"
+       p.Metrics.pr_unaccounted_pct)
+    true
+    (p.Metrics.pr_unaccounted_pct < 10.0);
   Alcotest.(check bool) "profile renders" true
     (String.length (Metrics.profile_to_string p) > 0)
 

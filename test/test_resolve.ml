@@ -277,13 +277,9 @@ let campaign_resolve_invariant () =
     base.Comfort.Campaign.cp_filtered_repeats
     r.Comfort.Campaign.cp_filtered_repeats
 
-let audit_share_accepts_resolve () =
-  (* the Fast = Reference audit must hold on every deopt path too *)
-  List.iter
-    (fun (_, src) ->
-      let tc = Comfort.Testcase.make src in
-      ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
-    deopt_fixtures
+let deopt_fixtures_sweep_equal () =
+  (* the Fast = Reference sweep must hold on every deopt path too *)
+  List.iter (fun (_, src) -> Test_sharing.check_sweep src) deopt_fixtures
 
 let suite =
   [
@@ -304,5 +300,6 @@ let suite =
       dynamic_trap_still_counts_one_execution;
     case "realm snapshots are isolated" realm_snapshots_are_isolated;
     case "campaigns are resolve-invariant" campaign_resolve_invariant;
-    case "audit mode passes with the compiled core" audit_share_accepts_resolve;
+    case "deopt fixtures: Fast sweep = Reference sweep"
+      deopt_fixtures_sweep_equal;
   ]

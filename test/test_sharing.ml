@@ -12,16 +12,16 @@
      it would be unsound;
    - the Fast [Engine.Exec] sweep vs Reference [Engine.run] over all 102
      testbeds and the reference engine, field-wise, plus the
-     executed/shared accounting and the >=4x execution reduction the
-     bench records;
+     executed/shared accounting and the >=4x execution reduction;
    - the five checkpoint sites the compiler emits inline, and hot
      property loads and stores, field-wise identical under a direct Fast
      run and a direct Reference run on every testbed;
    - [Difftest.run_case] and full [Campaign.run]s under both strategies
      in-process and on 2 forked workers, byte-identical reports
-     throughout;
-   - the audit accepting a clean sample, alone and inside a campaign;
-   - a fixed-seed property over Comfort, Fuzzilli and DIE programs. *)
+     throughout, with the campaigns' execution, fold and allocation
+     bounds;
+   - the pulls of a seed-5 campaign of the Comfort, Fuzzilli and DIE
+     fuzzers, and a fixed-seed property over their programs. *)
 
 open Helpers
 open Jsinterp
@@ -114,9 +114,9 @@ let run_count_counts_real_executions () =
     (Run.run_count ())
 
 let differing_field_names_each_field () =
-  (* the comparison is the whole audit and the whole property oracle:
-     every caller expects [None], so only this test fails if a field is
-     dropped from it *)
+  (* the comparison is the whole Fast = Reference oracle: every caller
+     expects [None], so only this test fails if a field is dropped from
+     it *)
   let base = Run.run ~coverage:true "print(1);" in
   Alcotest.(check (option string)) "equal results" None
     (Run.differing_field base (Run.run ~coverage:true "print(1);"));
@@ -227,12 +227,28 @@ let sweep_mismatch ?(fuel = 100_000) (src : string) : string option =
           | Ok () -> None
           | Error what -> Some ("realm template not pristine: " ^ what)))
 
-let check_sweep src =
-  match sweep_mismatch src with
+let check_sweep ?fuel src =
+  match sweep_mismatch ?fuel src with
   | None -> ()
   | Some m -> Alcotest.failf "Fast sweep differs from Reference (%s) on:\n%s" m src
 
-let exec_cache_equals_direct_sweep () = List.iter check_sweep sweep_sources
+(* The sources above, then the traffic of a fixed-seed campaign: the
+   first 60 pulls of the Comfort, Fuzzilli-style and DIE-style fuzzers
+   at seed 5, swept at campaign fuel. *)
+let exec_cache_equals_direct_sweep () =
+  List.iter check_sweep sweep_sources;
+  List.iter
+    (fun (fz : Comfort.Campaign.fuzzer) ->
+      List.iter
+        (fun tc ->
+          check_sweep ~fuel:Comfort.Difftest.campaign_fuel
+            tc.Comfort.Testcase.tc_source)
+        (fz.Comfort.Campaign.fz_batch 60))
+    [
+      Comfort.Campaign.comfort_fuzzer ~seed:5 ();
+      Baselines.Fuzzers.fuzzilli ~seed:5 ();
+      Baselines.Fuzzers.die ~seed:5 ();
+    ]
 
 let compiled_sites_match_reference () =
   (* Fast (the compiled closure, consulting the quirk set at run time)
@@ -358,17 +374,6 @@ let run_case_share_equals_direct () =
            (run Strategy.Reference)))
     sweep_sources
 
-let audit_accepts_equal_paths () =
-  List.iter
-    (fun src ->
-      let tc = Comfort.Testcase.make src in
-      let audited = Comfort.Difftest.audit_case Engine.all_testbeds tc in
-      Alcotest.(check bool) (src ^ ": audit returns the Fast report") true
-        (Comfort.Difftest.report_equal audited
-           (Comfort.Difftest.run_case ~strategy:Strategy.Fast
-              Engine.all_testbeds tc)))
-    sweep_sources
-
 let disc_key (d : Comfort.Campaign.discovery) =
   ( Engines.Registry.engine_name d.Comfort.Campaign.disc_engine,
     Quirk.to_string d.Comfort.Campaign.disc_quirk,
@@ -377,17 +382,30 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 (* strategy x in-process/2 workers: same discoveries, timeline and filter
-   counts everywhere — the bench's acceptance check in miniature. Also run
-   by test_specialize on its own (seed, budget). *)
+   counts everywhere. Each row also counts its real interpreter
+   executions ([Run.run_count], which forked workers fold home) and the
+   bytes this process allocates; the fuzzer is built before either is
+   read. Sharing must keep Fast at least 4x below Reference, the workers
+   row must fold back exactly the in-process Fast count, and the
+   in-process Fast row must stay within 2 MB per case: recycled scratch
+   holds it near 150 KB, and a reverted optimisation costs several MB.
+   Also run by test_specialize on its own (seed, budget). *)
 let campaign_share_invariant ~seed ~budget () =
-  let campaign ~strategy ~workers =
-    Comfort.Campaign.run ~budget ~strategy ~workers
-      (Comfort.Campaign.comfort_fuzzer ~seed ())
+  let campaign (strategy, workers) =
+    let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
+    let e0 = Run.run_count () in
+    let a0 = Gc.allocated_bytes () in
+    let r = Comfort.Campaign.run ~budget ~strategy ~workers fz in
+    (r, Run.run_count () - e0, Gc.allocated_bytes () -. a0)
   in
-  let base = campaign ~strategy:Strategy.Reference ~workers:0 in
+  let base, ref_execs, _ = campaign (Strategy.Reference, 0) in
+  let rows =
+    List.map
+      (fun row -> (row, campaign row))
+      [ (Strategy.Reference, 2); (Strategy.Fast, 0); (Strategy.Fast, 2) ]
+  in
   List.iter
-    (fun (strategy, workers) ->
-      let r = campaign ~strategy ~workers in
+    (fun ((strategy, workers), (r, _, _)) ->
       let tag =
         Printf.sprintf "%s workers=%d" (Strategy.to_string strategy) workers
       in
@@ -402,17 +420,24 @@ let campaign_share_invariant ~seed ~budget () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (Strategy.Reference, 2); (Strategy.Fast, 0); (Strategy.Fast, 2) ]
-
-(* every [audit]-th case runs under both strategies and cross-checks; any
-   mismatch raises. Also run by test_specialize on its own settings. *)
-let campaign_audit_mode_passes ~seed ~budget ~audit ~workers () =
-  let r =
-    Comfort.Campaign.run ~budget ~audit ~workers
-      (Comfort.Campaign.comfort_fuzzer ~seed ())
+    rows;
+  let fast, fast_execs, fast_alloc = List.assoc (Strategy.Fast, 0) rows in
+  let _, folded_execs, _ = List.assoc (Strategy.Fast, 2) rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "Fast: %d executions, Reference %d (>=4x fewer)"
+       fast_execs ref_execs)
+    true
+    (fast_execs * 4 <= ref_execs);
+  Alcotest.(check int) "Fast workers=2: folded executions = in-process"
+    fast_execs folded_execs;
+  let per_case =
+    fast_alloc /. Float.of_int fast.Comfort.Campaign.cp_cases_run
   in
-  Alcotest.(check int) "campaign completed" budget
-    r.Comfort.Campaign.cp_cases_run
+  Alcotest.(check bool)
+    (Printf.sprintf "Fast: %.0f bytes allocated per case (<= 2000000)"
+       per_case)
+    true
+    (per_case <= 2_000_000.0)
 
 let reducer_share_equals_direct () =
   (* the reduction predicate must accept/reject the same candidates *)
@@ -526,11 +551,8 @@ let suite =
     case "execution counts: per mode, or per parse group under eval"
       execution_counts_pinned;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
-    case "audit accepts equal paths" audit_accepts_equal_paths;
     case "campaigns are share- and workers-invariant"
       (campaign_share_invariant ~seed:23 ~budget:100);
-    case "campaign audit mode passes"
-      (campaign_audit_mode_passes ~seed:29 ~budget:60 ~audit:3 ~workers:2);
     case "reducer predicate is share-invariant" reducer_share_equals_direct;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 14 |])

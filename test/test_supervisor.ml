@@ -521,7 +521,8 @@ let checkpoint_load_rejects_garbage () =
    field-by-field copy of the driver record without its early end; v8
    states held two counter tallies where a v9 reader expects the vector
    of every registered counter; v11 states held the sizes of the draw's
-   rounds and a testbed-pool exhaustion outside the cursor. *)
+   rounds and a testbed-pool exhaustion outside the cursor; v13 states
+   carried an audit stride. *)
 let checkpoint_load_rejects_old ~version payload () =
   let path = ckpt_path (Printf.sprintf "comfort-test-v%d.ckpt" version) in
   let oc = open_out_bin path in
@@ -780,6 +781,9 @@ let suite =
     Helpers.case "checkpoint: v12 header refused"
       (checkpoint_load_rejects_old ~version:12
          (Comfort.Ipc.encode ("Comfort", 5, [| 0 |], false)));
+    Helpers.case "checkpoint: v13 header refused"
+      (checkpoint_load_rejects_old ~version:13
+         (Comfort.Ipc.encode ("Comfort", 5, 200, 3)));
     Helpers.case "checkpoint: torn file rejected" checkpoint_load_rejects_torn_file;
     Helpers.case "checkpoint: halt + resume = uninterrupted" halt_and_resume_matches_uninterrupted;
     Helpers.case "checkpoint: resume can halt and resume again" resume_can_halt_again;
