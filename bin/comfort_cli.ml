@@ -214,8 +214,8 @@ let fuzz budget fuzzer_name seed feedback workers faults
   let plan =
     match faults with
     | None -> (
-        (* resolve COMFORT_FAULTS here so a malformed spec is a clean
-           diagnostic, not an uncaught exception out of Campaign.run *)
+        (* the CLI is COMFORT_FAULTS' one reader: the library takes its
+           plan as an argument. A malformed spec is a clean diagnostic *)
         try Comfort.Supervisor.Faultplan.from_env ()
         with Invalid_argument msg ->
           Printf.eprintf "bad %s\n" msg;
@@ -431,7 +431,9 @@ let fuzz_cmd =
             "Profile the whole campaign pipeline: per-stage wall time and \
              allocation (generate, screen, sweep, vote, attr, reduce, fold \
              plus the nested interpreter substages), printed after the \
-             campaign summary.")
+             campaign summary. With $(b,--workers) N > 0 the rows cover \
+             the driver process only: the sweep, the vote and their \
+             interpreter substages run in the workers and read near 0.")
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign against the simulated engines")
     Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ workers_arg

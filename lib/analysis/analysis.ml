@@ -63,17 +63,15 @@ let verdict_of (d : diagnostics) : verdict =
             | [] -> Keep
             | free -> Repair ("unbound:" ^ String.concat "," free))
 
-let screen_program ?strict (p : Jsast.Ast.program) : verdict * diagnostics =
-  let d = analyze ?strict p in
-  (verdict_of d, d)
-
 let screen_verdict (p : Jsast.Ast.program) : verdict =
   verdict_of
     (diagnose ~strict_only:false ~strict_mode:p.Jsast.Ast.prog_strict p)
 
 let screen ?strict (src : string) : (verdict * diagnostics, string) result =
   match Jsparse.Parser.check_syntax src with
-  | Ok p -> Ok (screen_program ?strict p)
+  | Ok p ->
+      let d = analyze ?strict p in
+      Ok (verdict_of d, d)
   | Error (msg, line) -> Error (Printf.sprintf "%s (line %d)" msg line)
 
 let bind_free (p : Jsast.Ast.program) : Jsast.Ast.program =

@@ -40,19 +40,14 @@ type diagnostics = {
 
 val verdict_to_string : verdict -> string
 
-(** Full diagnostics for a parsed program. [strict] defaults to the
-    program's own ["use strict"] prologue. *)
-val analyze : ?strict:bool -> Jsast.Ast.program -> diagnostics
-
-(** Screen a parsed program. *)
-val screen_program :
-  ?strict:bool -> Jsast.Ast.program -> verdict * diagnostics
-
-(** [screen_verdict p] is [fst (screen_program p)] without the
-    strict-only early-error pass, which only diagnosis reads. *)
+(** [screen_verdict p] is the verdict {!screen} gives [p]'s source,
+    without the strict-only early-error pass, which only diagnosis
+    reads. *)
 val screen_verdict : Jsast.Ast.program -> verdict
 
-(** Parse and screen a source string; [Error] is a parser diagnostic. *)
+(** Parse and screen a source string, with full diagnostics; [Error] is
+    a parser diagnostic. [strict] defaults to the program's own
+    ["use strict"] prologue. *)
 val screen : ?strict:bool -> string -> (verdict * diagnostics, string) result
 
 (** [bind_free p] prepends [var n = 1] for every free variable of [p] —

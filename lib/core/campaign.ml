@@ -908,9 +908,6 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
     ?(workers = 0) ?worker_limits ?strategy ?faults ?checkpoint
     ?halt_after (fz : fuzzer) : result =
   let strategy = Strategy.value strategy in
-  let plan =
-    match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
-  in
   let d =
     {
       d_fuzzer = fz.fz_name;
@@ -920,8 +917,8 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200) ?(reduce = false)
       d_reduce = reduce;
       d_counts = Array.map (Fun.const 0) (Cutil.Counter.snapshot ());
       d_testbeds = testbeds;
-      d_plan = plan;
-      d_sup = Option.map (fun _ -> Supervisor.create ()) plan;
+      d_plan = faults;
+      d_sup = Option.map (fun _ -> Supervisor.create ()) faults;
       d_cursor = cursor0;
       d_consumed = 0;
       d_filter = Bugfilter.create ();

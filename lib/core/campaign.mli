@@ -141,9 +141,6 @@ val default_testbeds : unit -> Engines.Engine.testbed list
 module Checkpoint : sig
   type state
 
-  (** Atomic save (write to [path ^ ".tmp"], then rename). *)
-  val save : string -> state -> unit
-
   (** Never raises on a damaged file: a bad header, a truncated or
       bit-flipped frame is an [Error] naming the damage. *)
   val load : string -> (state, string) Stdlib.result
@@ -183,9 +180,10 @@ end
                      byte-identical under both (DESIGN.md, "Execution
                      strategy")
     @param faults    deterministic fault-injection plan applied to every
-                     supervised testbed execution (chaos campaigns);
-                     defaults to [COMFORT_FAULTS] from the environment.
-                     A plan turns supervision on, under the policy of
+                     supervised testbed execution (chaos campaigns).
+                     The library reads no environment for it: the CLI
+                     resolves [COMFORT_FAULTS] and passes the plan. A
+                     plan turns supervision on, under the policy of
                      {!Supervisor.execute}: injected faults are
                      retried, quarantined and counted in
                      {!result.cp_faults} — they can never surface as
@@ -260,13 +258,10 @@ type screened =
   | S_repaired of Testcase.t  (** free variables bound by the repair step *)
   | S_dropped of string       (** drop reason *)
 
-(** Apply the static-analysis screen to one test case, given the
-    program its syntax check parsed ([None] for an invalid case;
-    {!Testcase.program_of} of what {!fuzzer.fz_next} hands over). Syntactically invalid cases pass through untouched:
-    they are deliberate parser-exercise inputs with differential signal
-    of their own. Parses only the repaired source of an [S_repaired]
-    case. *)
-val screen_parsed : Testcase.t -> Jsast.Ast.program option -> screened
-
-(** {!screen_parsed} after parsing the case's source again. *)
+(** Apply the static-analysis screen to one test case. Syntactically
+    invalid cases pass through untouched: they are deliberate
+    parser-exercise inputs with differential signal of their own. Parses
+    the case's source once, and the repaired source of an [S_repaired]
+    case once more; the campaign's gather screens the parse its fuzzer
+    handed over instead of the first. *)
 val screen_case : Testcase.t -> screened

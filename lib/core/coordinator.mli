@@ -60,10 +60,6 @@ type limits = {
       (** respawn backoff base; consecutive deaths double it (capped) *)
 }
 
-val default_limits : limits
-(** [{ li_watchdog_s = 30.0; li_task_deaths = 2; li_respawn_budget = 32;
-      li_backoff_ms = 25 }] *)
-
 exception Exhausted of string
 (** The respawn budget ran out: workers are dying faster than the pool
     may replace them. The campaign driver converts this into an aborted
@@ -84,7 +80,9 @@ val create :
     [worker]. Children inherit the caller's state copy-on-write, so
     force shared lazy state before creating the pool. [worker] runs in
     the child; exceptions it raises are shipped back as strings and
-    surface through [run_ordered]'s [on_task_fail]. *)
+    surface through [run_ordered]'s [on_task_fail]. [limits] defaults
+    to [{ li_watchdog_s = 30.0; li_task_deaths = 2;
+    li_respawn_budget = 32; li_backoff_ms = 25 }]. *)
 
 val with_pool :
   workers:int ->

@@ -349,21 +349,3 @@ let run_case ?fuel ?strategy ?plan ?roster ?case_key ?cache
     (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
   judge
     (sweep_case ?fuel ?strategy ?plan ?roster ?case_key ?cache testbeds tc)
-
-(* Field-wise report equality; testbeds are compared by id. *)
-let deviation_equal (a : deviation) (b : deviation) : bool =
-  Engines.Engine.testbed_id a.d_testbed = Engines.Engine.testbed_id b.d_testbed
-  && a.d_kind = b.d_kind
-  && a.d_expected = b.d_expected
-  && a.d_actual = b.d_actual
-  && a.d_behavior = b.d_behavior
-  && Quirk.Set.equal a.d_fired b.d_fired
-
-let report_equal (a : case_report) (b : case_report) : bool =
-  a.cr_case.Testcase.tc_source = b.cr_case.Testcase.tc_source
-  && a.cr_all_parse_failed = b.cr_all_parse_failed
-  && a.cr_all_timeout = b.cr_all_timeout
-  && a.cr_tested = b.cr_tested
-  && List.length a.cr_deviations = List.length b.cr_deviations
-  && List.for_all2 deviation_equal a.cr_deviations b.cr_deviations
-  && a.cr_observed = b.cr_observed

@@ -58,15 +58,6 @@ val kind_of : signature -> signature -> deviation_kind
     sweep. *)
 val campaign_fuel : int
 
-(** The §3.4 2t rule: a run that terminated normally but burned more than
-    twice the slowest {e other} run (floor 20k fuel) is reclassified as a
-    timeout. Exclusion of "self" from the comparison pool is by position,
-    never by fuel value, so two equally-slow engines cannot hide each
-    other. Exposed for the test suite. *)
-val apply_2t_rule :
-  (Engines.Engine.testbed * Jsinterp.Run.result) list ->
-  (Engines.Engine.testbed * Jsinterp.Run.result * signature) list
-
 (** The raw material of one differential test: every applicable
     testbed's execution outcome, before any vote. Produced by
     {!sweep_case}, turned into a {!case_report} by {!judge}; both run
@@ -107,8 +98,12 @@ val sweep_case :
 
 (** Vote over the testbeds that ran: faulted and skipped ones leave the
     vote, and a supervised sweep reports every testbed's
-    {!Supervisor.observation} in [cr_observed]. Pure: the supervisor is
-    the caller's to update. *)
+    {!Supervisor.observation} in [cr_observed]. Before the vote, the
+    §3.4 2t rule reclassifies as a timeout a run that terminated
+    normally but burned more than twice the slowest {e other} run (floor
+    20k fuel). Exclusion of "self" from the comparison pool is by
+    position, never by fuel value, so two equally-slow engines cannot
+    hide each other. Pure: the supervisor is the caller's to update. *)
 val judge : sweep -> case_report
 
 (** Run one test case across the given testbeds and vote —
@@ -130,7 +125,3 @@ val run_case :
   Engines.Engine.testbed list ->
   Testcase.t ->
   case_report
-
-(** Field-wise equality of reports, deviation by deviation; testbeds are
-    compared by id. *)
-val report_equal : case_report -> case_report -> bool

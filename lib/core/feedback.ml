@@ -36,6 +36,7 @@ let record (t : t) (tc : Testcase.t) : unit =
 
 let bank_size (t : t) = Queue.length t.fb_bank
 
+(* One structure-preserving mutant of a banked case, if any are banked. *)
 let mutate_banked (t : t) : string option =
   if Queue.is_empty t.fb_bank then None
   else begin

@@ -14,12 +14,10 @@ val record : t -> Testcase.t -> unit
 
 val bank_size : t -> int
 
-(** One structure-preserving mutant of a banked case, if any are banked. *)
-val mutate_banked : t -> string option
-
 (** The wrapped fuzzer; named ["<base>+feedback"]. While the bank is
-    non-empty, its [k]-th pull is a bank mutant when [k mod 10 < 3]; every
-    other pull is the base fuzzer's. *)
+    non-empty, its [k]-th pull is a structure-preserving mutant of a
+    banked case when [k mod 10 < 3]; every other pull is the base
+    fuzzer's. *)
 val fuzzer : t -> Campaign.fuzzer
 
 (** A complete feedback campaign: [rounds] campaigns of

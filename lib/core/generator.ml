@@ -11,13 +11,15 @@ type t = {
   model : Lm.Model.t;
   rng : Cutil.Rng.t;
   top_k : int;
-  max_tokens : int;
   keep_invalid : float;  (** fraction of invalid programs retained *)
 }
 
-let create ?(seed = 1) ?(top_k = 10) ?(max_tokens = 5000) ?(keep_invalid = 0.2)
+let create ?(seed = 1) ?(top_k = 10) ?(keep_invalid = 0.2)
     ?(model = Lazy.force Lm.Model.comfort) () : t =
-  { model; rng = Cutil.Rng.create seed; top_k; max_tokens; keep_invalid }
+  { model; rng = Cutil.Rng.create seed; top_k; keep_invalid }
+
+(* The length cap per program, in tokens (the paper's). *)
+let max_tokens = 5000
 
 (* Termination test: the brackets opened by the program are matched again
    (and at least one brace was seen). The incremental form
@@ -41,7 +43,7 @@ let brace_stop () : string -> bool =
 let sample_program (g : t) : string =
   let header = Cutil.Rng.pick g.rng Lm.Js_corpus.seed_headers in
   Lm.Model.generate g.model g.rng ~prefix:header ~k:g.top_k
-    ~max_tokens:g.max_tokens ~stop:(brace_stop ())
+    ~max_tokens ~stop:(brace_stop ())
 
 (* Samples drawn per test case before giving up. *)
 let attempts_per_case = 50

@@ -2,22 +2,20 @@
 
     Samples a seed function header, extends it with top-k language-model
     sampling, and terminates when braces match, the model emits [<EOF>], or
-    the token cap is reached. A configurable fraction of syntactically
-    invalid programs is kept to exercise engine parsers (the paper keeps
-    20%). *)
+    the paper's cap of 5000 tokens is reached. A configurable fraction of
+    syntactically invalid programs is kept to exercise engine parsers (the
+    paper keeps 20%). *)
 
 type t
 
 (** [create ()] builds a generator around the standard Comfort model.
     @param seed          RNG seed (default 1)
     @param top_k         sampling breadth (paper: 10)
-    @param max_tokens    length cap per program (paper: 5000)
     @param keep_invalid  fraction of invalid programs retained (paper: 0.2)
     @param model         the language model (default: the order-8 BPE model) *)
 val create :
   ?seed:int ->
   ?top_k:int ->
-  ?max_tokens:int ->
   ?keep_invalid:float ->
   ?model:Lm.Model.t ->
   unit ->

@@ -48,9 +48,6 @@ val encode : 'a -> string
     sending it. *)
 val write_frame : Unix.file_descr -> string -> unit
 
-(** [fnv64 s] is the FNV-1a 64-bit hash of [s], the frame checksum. *)
-val fnv64 : string -> int64
-
 (** [decode s] decodes a string holding exactly one frame: a short
     string is [Truncated], bytes after the frame are [Corrupt]. The
     frame's length is bounded by [s] itself, so there is no size

@@ -55,8 +55,9 @@ module Faultplan : sig
   val of_spec : string -> (t, string) result
 
   (** The COMFORT_FAULTS environment variable, parsed; [None] when unset
-      or empty. @raise Invalid_argument on a malformed spec — silently
-      fuzzing without faults would defeat a chaos job. *)
+      or empty. The CLI is its one caller: a library campaign takes its
+      plan as an argument. @raise Invalid_argument on a malformed spec —
+      silently fuzzing without faults would defeat a chaos job. *)
   val from_env : unit -> t option
 
   (** Does the plan apply to this testbed at all? *)

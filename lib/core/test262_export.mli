@@ -7,12 +7,10 @@
     engine prints ["PASS"]; an engine carrying the bug prints the failing
     assertion. *)
 
-(** The conformance assertion authored for a quirk, if any. Crash and
-    performance bugs have no assertion (they are reported upstream rather
-    than contributed as conformance tests, as in the paper). *)
-val assertion_for : Jsinterp.Quirk.t -> string option
-
-(** Render one discovery to [(filename, file contents)]. *)
+(** Render one discovery to [(filename, file contents)]; [None] when no
+    conformance assertion is authored for its quirk. Crash and
+    performance bugs have none (they are reported upstream rather than
+    contributed as conformance tests, as in the paper). *)
 val render : Campaign.discovery -> (string * string) option
 
 (** Render every exportable discovery of a campaign. *)

@@ -37,12 +37,6 @@ type status =
   | Under_discussion
   | Rejected           (** e.g. feature unclear in the targeted edition *)
 
-let status_to_string = function
-  | Fixed -> "fixed"
-  | Verified -> "verified"
-  | Under_discussion -> "under discussion"
-  | Rejected -> "rejected"
-
 type origin = [ `Gen | `Ecma ]
 
 type meta = {

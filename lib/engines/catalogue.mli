@@ -23,8 +23,6 @@ type status =
   | Under_discussion
   | Rejected
 
-val status_to_string : status -> string
-
 type origin = [ `Gen | `Ecma ]
 
 type meta = {

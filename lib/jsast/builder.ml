@@ -32,7 +32,6 @@ let array elems = e (Array_lit (List.map Option.some elems))
 let object_ props = e (Object_lit props)
 let unary op x = e (Unary (op, x))
 let binary op a b = e (Binary (op, a, b))
-let logical op a b = e (Logical (op, a, b))
 let assign lhs rhs = e (Assign (None, lhs, rhs))
 let assign_op op lhs rhs = e (Assign (Some op, lhs, rhs))
 let cond c t f = e (Cond (c, t, f))
@@ -40,23 +39,14 @@ let call f args = e (Call (f, args))
 let new_ f args = e (New (f, args))
 let field obj name = e (Member (obj, Pfield name))
 let index obj i = e (Member (obj, Pindex i))
-let seq a b = e (Seq (a, b))
 let template parts = e (Template parts)
-
-let func ?name params body =
-  e (Func { fname = name; params; body; is_arrow = false })
 
 (* Statements *)
 
 let expr_stmt x = s (Expr_stmt x)
 let var name init = s (Var_decl (Var, [ (name, Some init) ]))
-let func_decl name params body =
-  s (Func_decl { fname = Some name; params; body; is_arrow = false })
-let return_ x = s (Return (Some x))
-let if_ c t = s (If (c, t, None))
 let block stmts = s (Block stmts)
 let throw x = s (Throw x)
-let empty () = s Empty
 
 (* [print x] builds [print(x)] — the output primitive used by every engine
    testbed for differential comparison. *)
@@ -146,6 +136,3 @@ and refresh_for_init = function
   | FI_decl (k, ds) ->
       FI_decl (k, List.map (fun (n, i) -> (n, Option.map refresh_expr i)) ds)
   | FI_expr x -> FI_expr (refresh_expr x)
-
-let refresh_program (p : program) : program =
-  { p with prog_body = List.map refresh_stmt p.prog_body }

@@ -11,7 +11,6 @@ val s : Ast.stmt_desc -> Ast.stmt
 
 (** {2 Expressions} *)
 
-val lit : Ast.lit -> Ast.expr
 val null : Ast.expr
 val bool : bool -> Ast.expr
 val num : float -> Ast.expr
@@ -25,7 +24,6 @@ val array : Ast.expr list -> Ast.expr
 val object_ : (Ast.propname * Ast.expr) list -> Ast.expr
 val unary : Ast.unop -> Ast.expr -> Ast.expr
 val binary : Ast.binop -> Ast.expr -> Ast.expr -> Ast.expr
-val logical : Ast.logop -> Ast.expr -> Ast.expr -> Ast.expr
 val assign : Ast.expr -> Ast.expr -> Ast.expr
 val assign_op : Ast.binop -> Ast.expr -> Ast.expr -> Ast.expr
 val cond : Ast.expr -> Ast.expr -> Ast.expr -> Ast.expr
@@ -33,20 +31,14 @@ val call : Ast.expr -> Ast.expr list -> Ast.expr
 val new_ : Ast.expr -> Ast.expr list -> Ast.expr
 val field : Ast.expr -> string -> Ast.expr
 val index : Ast.expr -> Ast.expr -> Ast.expr
-val seq : Ast.expr -> Ast.expr -> Ast.expr
 val template : Ast.template_part list -> Ast.expr
-val func : ?name:string -> string list -> Ast.stmt list -> Ast.expr
 
 (** {2 Statements} *)
 
 val expr_stmt : Ast.expr -> Ast.stmt
 val var : string -> Ast.expr -> Ast.stmt
-val func_decl : string -> string list -> Ast.stmt list -> Ast.stmt
-val return_ : Ast.expr -> Ast.stmt
-val if_ : Ast.expr -> Ast.stmt -> Ast.stmt
 val block : Ast.stmt list -> Ast.stmt
 val throw : Ast.expr -> Ast.stmt
-val empty : unit -> Ast.stmt
 
 (** [print x] builds [print(x)] — the output primitive every testbed
     compares on. *)
@@ -61,4 +53,3 @@ val program : ?strict:bool -> Ast.stmt list -> Ast.program
 
 val refresh_expr : Ast.expr -> Ast.expr
 val refresh_stmt : Ast.stmt -> Ast.stmt
-val refresh_program : Ast.program -> Ast.program

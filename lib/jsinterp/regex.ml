@@ -378,5 +378,3 @@ let exec ?(sem = standard_semantics) (p : prog) (input : string) (start : int) :
     else match try_at pos with Some r -> Some r | None -> scan (pos + 1)
   in
   scan (max start 0)
-
-let test ?sem p input = Option.is_some (exec ?sem p input 0)

@@ -33,8 +33,6 @@ type semantics = {
   class_negation_broken : bool;
 }
 
-val standard_semantics : semantics
-
 exception Parse_error of string
 
 (** Compile a pattern and flag string.
@@ -47,7 +45,6 @@ type match_result = {
   m_groups : (int * int) option array;  (** capture [i] is groups.(i-1) *)
 }
 
-(** Leftmost match at or after [start]. *)
+(** Leftmost match at or after [start]. [sem] defaults to the standard
+    semantics, every knob off. *)
 val exec : ?sem:semantics -> prog -> string -> int -> match_result option
-
-val test : ?sem:semantics -> prog -> string -> bool

@@ -9,14 +9,14 @@ type token = string
 
 type t
 
-(** Split text into pre-tokens; concatenating them reproduces the text
-    (modulo newline-run collapsing). *)
-val pre_tokenize : string -> token list
-
-(** Learn [n_merges] merges from a training text. *)
+(** Learn [n_merges] (default 200) merges from a training text. *)
 val learn : ?n_merges:int -> string -> t
 
+(** Encode text as token ids. Each pre-token is encoded on its own, so
+    [decode (encode t s)] is [s] with every newline run collapsed to one
+    ["\n"]. *)
 val encode : t -> string -> int list
+
 val decode : t -> int list -> string
 
 (** The id of the dedicated [<EOF>] termination symbol. *)

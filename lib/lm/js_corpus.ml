@@ -1163,5 +1163,3 @@ let seed_headers : string list =
     "var pick = function(items, index) {";
     "function compare(x, y) {";
   ]
-
-let full_text : string = String.concat "\n\n" programs

@@ -14,8 +14,8 @@ type t = {
 
 let bos = -1
 
-let train_bpe ?(order = 8) ?(n_merges = 200) (programs : string list) : t =
-  let tok = Bpe.learn ~n_merges (String.concat "\n\n" programs) in
+let train_bpe ?(order = 8) (programs : string list) : t =
+  let tok = Bpe.learn (String.concat "\n\n" programs) in
   let model = Ngram.create ~order ~bos in
   let eof = Bpe.eof_id tok in
   List.iter
@@ -40,8 +40,6 @@ let deepsmith : t Lazy.t = lazy (train_chars Js_corpus.programs)
 let encode (t : t) (text : string) : int list =
   if t.char_level then Bpe.encode_chars t.tokenizer text
   else Bpe.encode t.tokenizer text
-
-let decode (t : t) (ids : int list) : string = Bpe.decode t.tokenizer ids
 
 let eof (t : t) : int = Bpe.eof_id t.tokenizer
 

@@ -12,7 +12,9 @@ type t = {
   char_level : bool;
 }
 
-val train_bpe : ?order:int -> ?n_merges:int -> string list -> t
+(** A model over BPE tokens ({!Bpe.learn}'s default 200 merges) with an
+    order-[order] (default 8) context. *)
+val train_bpe : ?order:int -> string list -> t
 
 (** Memoised standard models (training is a one-off cost, as in the
     paper's 30 GPU-hours — at laptop scale). *)
@@ -20,7 +22,6 @@ val comfort : t Lazy.t
 val deepsmith : t Lazy.t
 
 val encode : t -> string -> int list
-val decode : t -> int list -> string
 
 (** Sample a continuation of [prefix] with top-[k] sampling until [stop]
     accepts, [<EOF>] is produced, or [max_tokens] is hit. [stop] is an

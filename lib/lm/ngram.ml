@@ -118,8 +118,8 @@ let candidates (t : t) (history : int list) ~(k : int) : (int * int) list =
 
 (* Sample the next token: a weighted draw among the top-k candidates,
    made in place on the sorted view. One [Rng.int total] and a walk that
-   subtracts weights is exactly [Rng.weighted] over the candidate list,
-   so the random stream is the same. *)
+   subtracts weights is exactly a weighted choice over the list
+   [candidates] returns, so the random stream is the same. *)
 let sample (t : t) (rng : Cutil.Rng.t) (history : int array) ~(k : int) : int option =
   let view = lookup t history in
   let m = min k (Array.length view / 2) in

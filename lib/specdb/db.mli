@@ -19,10 +19,8 @@ val standard : t Lazy.t
 
 val lookup : t -> string -> Spec_ast.entry list
 
-(** Entries carrying exploitable boundary data. *)
-val usable_entries : t -> Spec_ast.entry list
-
-(** Aggregate rule coverage over the whole document (paper §3.1: ~82%). *)
-val rule_coverage : t -> float
-
+(** ["N sections, U with extractable rules, rule coverage C%"]: [U]
+    counts the entries carrying exploitable boundary data (a parameter
+    and a parsed rule), and [C] is the rule coverage over the whole
+    document (paper §3.1: ~82%). *)
 val stats : t -> string

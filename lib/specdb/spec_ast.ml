@@ -47,10 +47,6 @@ type entry = {
   e_parsed_rules : int;         (** steps the extractor understood *)
 }
 
-let coverage (e : entry) : float =
-  if e.e_rule_count = 0 then 1.0
-  else Float.of_int e.e_parsed_rules /. Float.of_int e.e_rule_count
-
 let quote s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
 
 let param_to_json (p : param) : string =

@@ -15,8 +15,6 @@ type jtype =
   | Tfunction
   | Tany
 
-val jtype_to_string : jtype -> string
-
 (** A boundary value is a small JS expression in source form (e.g.
     ["undefined"], ["-1"], ["\"\""]) so the data generator can splice it
     into test programs directly. *)
@@ -38,7 +36,5 @@ type entry = {
   e_rule_count : int;          (** numbered steps + prose lines *)
   e_parsed_rules : int;        (** rules the extractor understood *)
 }
-
-val coverage : entry -> float
 
 val to_json : entry -> string

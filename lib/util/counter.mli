@@ -11,7 +11,6 @@ val make : string -> t
 (** @raise Invalid_argument when the name is already registered. *)
 
 val incr : t -> unit
-val add : t -> int -> unit
 val get : t -> int
 
 val snapshot : unit -> int array

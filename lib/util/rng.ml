@@ -9,8 +9,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step; see Steele, Lea & Flood, OOPSLA 2014. *)
 let next_int64 t =
   let open Int64 in
@@ -42,17 +40,6 @@ let chance t p = float t 1.0 < p
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
-
-(* Weighted choice over [(weight, value)] pairs with positive weights. *)
-let weighted t choices =
-  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in
-  if total <= 0 then invalid_arg "Rng.weighted: weights must sum positive";
-  let k = int t total in
-  let rec go k = function
-    | [] -> invalid_arg "Rng.weighted: unreachable"
-    | (w, v) :: tl -> if k < w then v else go (k - w) tl
-  in
-  go k choices
 
 let shuffle t a =
   let a = Array.copy a in

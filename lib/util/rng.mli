@@ -6,12 +6,11 @@
 type t
 
 val create : int -> t
-val copy : t -> t
 
 (** Derive an independent stream. *)
 val split : t -> t
 
-val next_int64 : t -> int64
+(** 62 uniform bits. *)
 val bits : t -> int
 
 (** Uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
@@ -27,11 +26,6 @@ val chance : t -> float -> bool
 
 val pick : t -> 'a list -> 'a
 
-(** Weighted choice over positive [(weight, value)] pairs. *)
-val weighted : t -> (int * 'a) list -> 'a
-
-(** A shuffled copy. *)
-val shuffle : t -> 'a array -> 'a array
-
-(** [sample t n l] draws up to [n] elements without replacement. *)
+(** [sample t n l] draws up to [n] elements without replacement, in
+    shuffled order. *)
 val sample : t -> int -> 'a list -> 'a list

@@ -25,8 +25,6 @@ module Campaign = Comfort.Campaign
 module Coordinator = Comfort.Coordinator
 module Faultplan = Comfort.Supervisor.Faultplan
 
-let () = Unix.putenv "COMFORT_FAULTS" ""
-
 (* Pool tests fork; on a host without fork they can only be skipped.
    (CI runs them on Linux unconditionally.) *)
 let requires_fork () =
@@ -130,9 +128,9 @@ let wedged_worker_reaped_within_budget () =
      task 3 — in the failure lane. *)
   let limits =
     {
-      Coordinator.default_limits with
-      li_watchdog_s = 0.5;
+      Coordinator.li_watchdog_s = 0.5;
       li_task_deaths = 1;
+      li_respawn_budget = 32;
       li_backoff_ms = 1;
     }
   in
@@ -195,9 +193,9 @@ let respawn_budget_exhausts () =
      revive workers forever *)
   let limits =
     {
-      Coordinator.default_limits with
-      li_respawn_budget = 2;
+      Coordinator.li_watchdog_s = 30.0;
       li_task_deaths = 10;
+      li_respawn_budget = 2;
       li_backoff_ms = 1;
     }
   in
@@ -223,9 +221,9 @@ let respawn_budget_exhausts () =
 
 let pipelined_limits =
   {
-    Coordinator.default_limits with
-    li_watchdog_s = 0.5;
+    Coordinator.li_watchdog_s = 0.5;
     li_task_deaths = 0;
+    li_respawn_budget = 32;
     li_backoff_ms = 1;
   }
 

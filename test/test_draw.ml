@@ -112,20 +112,22 @@ let parses f =
   let r = f () in
   (r, Jsparse.Parser.parse_count () - before)
 
+(* [screen_case] parses the case once, then runs the screen the gather
+   runs on its fuzzer's parse; that screen parses only a repaired text *)
 let screen_from_the_handed_parse () =
-  let tc, parse =
-    Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(1 + 2);"
+  let screen src =
+    let tc = Comfort.Testcase.make src in
+    parses (fun () -> Comfort.Campaign.screen_case tc)
   in
-  (match parses (fun () -> Comfort.Campaign.screen_parsed tc (Comfort.Testcase.program_of parse)) with
+  (match screen "print(1 + 2);" with
   | Comfort.Campaign.S_kept _, n ->
-      Alcotest.(check int) "a kept case screens without a parse" 0 n
+      Alcotest.(check int) "a kept case is parsed once" 1 n
   | _ -> Alcotest.fail "print(1 + 2) was not kept");
-  let tc, parse =
-    Comfort.Testcase.make_parsed Comfort.Testcase.P_generated "print(q + 1);"
-  in
-  match parses (fun () -> Comfort.Campaign.screen_parsed tc (Comfort.Testcase.program_of parse)) with
-  | Comfort.Campaign.S_repaired _, n ->
-      Alcotest.(check int) "a repaired case parses its repaired text only" 1 n
+  match screen "print(q + 1);" with
+  | Comfort.Campaign.S_repaired tc, n ->
+      Alcotest.(check int) "a repaired case parses its repaired text only" 2 n;
+      Alcotest.(check string) "the repair binds q" "var q = 1;\nprint(q + 1);\n"
+        tc.Comfort.Testcase.tc_source
   | _ -> Alcotest.fail "print(q + 1) was not repaired"
 
 (* Every parse a fixed-seed campaign makes: the syntax check, the

@@ -130,46 +130,47 @@ let result ~fuel : Run.result =
     r_coverage = None;
   }
 
+(* The deviations [Difftest.judge] reports for three testbeds that all
+   print the same line, burning the given fuel: only a run the 2t rule
+   flags can deviate, as a timeout. *)
+let judged_deviations fuels =
+  let execs =
+    List.map2
+      (fun tb fuel ->
+        (tb, Comfort.Supervisor.Done (result ~fuel, Comfort.Supervisor.ok_meta)))
+      (List.filteri (fun i _ -> i < 3) Engine.all_testbeds)
+      fuels
+  in
+  let report =
+    Comfort.Difftest.judge
+      {
+        Comfort.Difftest.sw_case = Comfort.Testcase.make "print(1);";
+        sw_supervised = false;
+        sw_execs = execs;
+      }
+  in
+  List.map
+    (fun (d : Comfort.Difftest.deviation) ->
+      (Engine.testbed_id d.Comfort.Difftest.d_testbed, d.Comfort.Difftest.d_kind))
+    report.Comfort.Difftest.cr_deviations
+
 let two_equally_slow_engines_not_flagged () =
   (* two engines burn the same high fuel, one is fast. Excluding "other
      engines" by fuel value made each slow run drop the other slow run
      too, so both were falsely flagged; excluding by position keeps each
      one's twin in the comparison pool *)
-  match Engine.all_testbeds with
-  | a :: b :: c :: _ ->
-      let runs =
-        Comfort.Difftest.apply_2t_rule
-          [
-            (a, result ~fuel:100_000);
-            (b, result ~fuel:100_000);
-            (c, result ~fuel:1_000);
-          ]
-      in
-      List.iter
-        (fun (_, _, s) ->
-          Alcotest.(check bool) "no run flagged as timeout" false
-            (s = Comfort.Difftest.Sig_timeout))
-        runs
-  | _ -> Alcotest.fail "need three testbeds"
+  Alcotest.(check int) "no run flagged as timeout" 0
+    (List.length (judged_deviations [ 100_000; 100_000; 1_000 ]))
 
 let lone_slow_engine_still_flagged () =
-  match Engine.all_testbeds with
-  | a :: b :: c :: _ ->
-      let runs =
-        Comfort.Difftest.apply_2t_rule
-          [
-            (a, result ~fuel:100_000);
-            (b, result ~fuel:1_000);
-            (c, result ~fuel:2_000);
-          ]
-      in
-      let sigs = List.map (fun (_, _, s) -> s) runs in
-      Alcotest.(check bool) "slow run flagged" true
-        (List.nth sigs 0 = Comfort.Difftest.Sig_timeout);
-      Alcotest.(check bool) "fast runs untouched" true
-        (List.nth sigs 1 <> Comfort.Difftest.Sig_timeout
-        && List.nth sigs 2 <> Comfort.Difftest.Sig_timeout)
-  | _ -> Alcotest.fail "need three testbeds"
+  match judged_deviations [ 100_000; 1_000; 2_000 ] with
+  | [ (id, Comfort.Difftest.Dev_timeout) ] ->
+      Alcotest.(check string) "the slow run is flagged"
+        (Engine.testbed_id (List.hd Engine.all_testbeds))
+        id
+  | devs ->
+      Alcotest.failf "want one Dev_timeout, got %d deviations"
+        (List.length devs)
 
 let suite =
   [

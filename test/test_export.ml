@@ -4,12 +4,6 @@
 open Helpers
 open Jsinterp
 
-let exportable_quirks : Quirk.t list =
-  List.filter
-    (fun q ->
-      Comfort.Test262_export.assertion_for q <> None)
-    Quirk.all
-
 let fake_discovery (engine : Engines.Registry.engine) (q : Quirk.t) :
     Comfort.Campaign.discovery =
   {
@@ -32,34 +26,49 @@ let carrier (q : Quirk.t) : Engines.Registry.config option =
       Quirk.Set.mem q c.Engines.Registry.cfg_quirks)
     Engines.Registry.all_configs
 
-let export_round_trip () =
-  Alcotest.(check bool) "at least 15 exportable assertions" true
-    (List.length exportable_quirks >= 15);
-  List.iter
+(* every quirk with an authored assertion, its carrier and its file *)
+let exported () =
+  let any_engine =
+    (List.hd Engines.Registry.all_configs).Engines.Registry.cfg_engine
+  in
+  List.filter_map
     (fun q ->
-      match carrier q with
+      let cfg = carrier q in
+      let engine =
+        match cfg with
+        | Some cfg -> cfg.Engines.Registry.cfg_engine
+        | None -> any_engine
+      in
+      Option.map
+        (fun file -> (q, cfg, file))
+        (Comfort.Test262_export.render (fake_discovery engine q)))
+    Quirk.all
+
+let export_round_trip () =
+  let exported = exported () in
+  Alcotest.(check bool) "at least 15 exportable assertions" true
+    (List.length exported >= 15);
+  List.iter
+    (fun (q, cfg, (name, source)) ->
+      match cfg with
       | None -> () (* quirk not assigned to any engine *)
-      | Some cfg -> (
-          let engine = cfg.Engines.Registry.cfg_engine in
-          match Comfort.Test262_export.render (fake_discovery engine q) with
-          | None -> Alcotest.failf "no render for %s" (Quirk.to_string q)
-          | Some (name, source) ->
-              Alcotest.(check bool) "filename is a .js file" true
-                (Filename.check_suffix name ".js");
-              Alcotest.(check bool) "has front matter" true
-                (Str_contains.contains source "/*---");
-              (* a conforming engine passes *)
-              let clean =
-                { cfg with Engines.Registry.cfg_quirks = Quirk.Set.empty }
-              in
-              if not (Comfort.Test262_export.passes clean source) then
-                Alcotest.failf "conforming engine fails export for %s:\n%s"
-                  (Quirk.to_string q) source;
-              (* the buggy engine version fails *)
-              if Comfort.Test262_export.passes cfg source then
-                Alcotest.failf "buggy engine passes export for %s"
-                  (Quirk.to_string q)))
-    exportable_quirks
+      | Some cfg ->
+          Alcotest.(check bool) "filename is a .js file" true
+            (Filename.check_suffix name ".js");
+          Alcotest.(check bool) "has front matter" true
+            (Str_contains.contains source "/*---");
+          (* a conforming engine passes *)
+          let clean =
+            { cfg with Engines.Registry.cfg_quirks = Quirk.Set.empty }
+          in
+          if not (Comfort.Test262_export.passes clean source) then
+            Alcotest.failf "conforming engine fails export for %s:\n%s"
+              (Quirk.to_string q) source;
+          (* the buggy engine version fails *)
+          if Comfort.Test262_export.passes cfg source then
+            Alcotest.failf "buggy engine passes export for %s"
+              (Quirk.to_string q))
+    exported
 
 let export_from_campaign () =
   let fz = Comfort.Campaign.comfort_fuzzer ~seed:77 () in

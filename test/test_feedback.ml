@@ -2,22 +2,29 @@
 
 open Helpers
 
+let from_feedback (tc : Comfort.Testcase.t) =
+  tc.Comfort.Testcase.tc_provenance = Comfort.Testcase.P_fuzzer "feedback"
+
 let records_and_mutates () =
   let fb = Comfort.Feedback.create ~seed:9 (Comfort.Campaign.comfort_fuzzer ~seed:9 ()) in
+  (* a fresh wrapped fuzzer's first three pulls are the bank's turn *)
+  let bank_turn () = (Comfort.Feedback.fuzzer fb).Comfort.Campaign.fz_batch 3 in
   Alcotest.(check int) "empty bank" 0 (Comfort.Feedback.bank_size fb);
-  Alcotest.(check bool) "no mutant from empty bank" true
-    (Comfort.Feedback.mutate_banked fb = None);
+  Alcotest.(check bool) "no mutant from empty bank" false
+    (List.exists from_feedback (bank_turn ()));
   let exposing =
     Comfort.Testcase.make {|print("abcdef".substr(2, undefined));|}
   in
   Comfort.Feedback.record fb exposing;
   Alcotest.(check int) "banked" 1 (Comfort.Feedback.bank_size fb);
   (* mutants of banked cases parse and stay in the neighbourhood *)
-  for _ = 1 to 20 do
-    match Comfort.Feedback.mutate_banked fb with
-    | None -> Alcotest.fail "bank should produce mutants"
-    | Some src ->
-        Alcotest.(check bool) "mutant parses" true (Jsparse.Parser.is_valid src)
+  for _ = 1 to 7 do
+    List.iter
+      (fun (tc : Comfort.Testcase.t) ->
+        Alcotest.(check bool) "bank mutant" true (from_feedback tc);
+        Alcotest.(check bool) "mutant parses" true
+          (Jsparse.Parser.is_valid tc.Comfort.Testcase.tc_source))
+      (bank_turn ())
   done;
   (* syntactically invalid cases are not banked *)
   Comfort.Feedback.record fb (Comfort.Testcase.make "var = broken");
@@ -28,13 +35,8 @@ let wrapped_fuzzer_mixes () =
   Comfort.Feedback.record fb (Comfort.Testcase.make {|print([10, 9, 1].sort());|});
   let batch = (Comfort.Feedback.fuzzer fb).Comfort.Campaign.fz_batch 20 in
   Alcotest.(check int) "batch size" 20 (List.length batch);
-  let from_feedback =
-    List.filter
-      (fun (tc : Comfort.Testcase.t) ->
-        tc.Comfort.Testcase.tc_provenance = Comfort.Testcase.P_fuzzer "feedback")
-      batch
-  in
-  Alcotest.(check int) "30% from the bank" 6 (List.length from_feedback)
+  Alcotest.(check int) "30% from the bank" 6
+    (List.length (List.filter from_feedback batch))
 
 let rounds_accumulate () =
   let fb = Comfort.Feedback.create ~seed:11 (Comfort.Campaign.comfort_fuzzer ~seed:11 ()) in

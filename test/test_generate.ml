@@ -4,7 +4,20 @@
    generators' case streams. *)
 
 open Helpers
-module Rng = Cutil.Rng
+
+module Rng = struct
+  include Cutil.Rng
+
+  (* Weighted choice over [(weight, value)] pairs with positive weights:
+     the draw the sampler made over its top-k list. *)
+  let weighted t choices =
+    let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in
+    let rec go k = function
+      | [] -> assert false
+      | (w, v) :: tl -> if k < w then v else go (k - w) tl
+    in
+    go (int t total) choices
+end
 
 (* --- n-gram sampling ---
 
@@ -59,6 +72,16 @@ let model_sample table rng history ~k =
   | [] -> None
   | cands -> Some (Rng.weighted rng (List.map (fun (tok, c) -> (c, tok)) cands))
 
+let rng_weighted () =
+  let r = Rng.create 5 in
+  let a = ref 0 and b = ref 0 in
+  for _ = 1 to 3000 do
+    match Rng.weighted r [ (9, `A); (1, `B) ] with
+    | `A -> incr a
+    | `B -> incr b
+  done;
+  Alcotest.(check bool) "9:1 weighting" true (!a > !b * 4)
+
 let ngram_matches_model () =
   let rng = Rng.create 11 in
   (* a small alphabet makes contexts repeat; the largest admissible id
@@ -90,8 +113,7 @@ let ngram_matches_model () =
     Alcotest.(check (option int)) (name ^ " sample")
       (model_sample table r1 history ~k)
       (Lm.Ngram.sample ngram r2 (Array.of_list history) ~k);
-    Alcotest.(check int64) (name ^ " draws as many")
-      (Rng.next_int64 r1) (Rng.next_int64 r2)
+    Alcotest.(check int) (name ^ " draws as many") (Rng.bits r1) (Rng.bits r2)
   done
 
 (* On the trained Comfort model: the in-place draw equals [Rng.weighted]
@@ -221,6 +243,7 @@ let golden_generator_streams () =
 
 let suite =
   [
+    case "rng weighted" rng_weighted;
     case "n-gram sampler matches the list model" ngram_matches_model;
     case "n-gram draw is Rng.weighted over candidates" ngram_sample_is_weighted_candidates;
     case "datagen finalize matches print-parse-print" datagen_finalize_matches_reparse;

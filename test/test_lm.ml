@@ -2,8 +2,10 @@
 
 open Helpers
 
+let corpus_text = String.concat "\n\n" Lm.Js_corpus.programs
+
 let bpe_roundtrip () =
-  let t = Lm.Bpe.learn ~n_merges:100 Lm.Js_corpus.full_text in
+  let t = Lm.Bpe.learn ~n_merges:100 corpus_text in
   List.iter
     (fun text ->
       let ids = Lm.Bpe.encode t text in
@@ -18,7 +20,7 @@ let bpe_roundtrip () =
     ]
 
 let bpe_merges_keywords () =
-  let t = Lm.Bpe.learn ~n_merges:200 Lm.Js_corpus.full_text in
+  let t = Lm.Bpe.learn ~n_merges:200 corpus_text in
   (* common keywords should encode to few tokens, rare identifiers to more *)
   let len s = List.length (Lm.Bpe.encode t s) in
   Alcotest.(check bool) "function is compact" true (len "function" <= 3);
@@ -26,13 +28,30 @@ let bpe_merges_keywords () =
   Alcotest.(check bool) "rare identifier splits more" true
     (len "zqxjkvwpy" > len "return")
 
+(* the pre-tokenizer, seen through the tokens [encode] yields: merges stay
+   inside word runs, operator runs are one token each, newline runs
+   collapse *)
 let pretokenizer () =
-  let toks = Lm.Bpe.pre_tokenize "var x = 1;\nprint(x);" in
-  Alcotest.(check bool) "keeps words" true (List.mem "var" toks);
-  Alcotest.(check bool) "keeps operators" true (List.mem "=" toks);
-  Alcotest.(check bool) "collapses newlines" true (List.mem "\n" toks);
+  let t = Lm.Bpe.learn ~n_merges:200 corpus_text in
+  let tokens s =
+    List.map (fun id -> Option.get (Lm.Bpe.token_of t id)) (Lm.Bpe.encode t s)
+  in
+  let is_word c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> true
+    | _ -> false
+  in
+  List.iter
+    (fun tok ->
+      if String.exists is_word tok && not (String.for_all is_word tok) then
+        Alcotest.failf "token %S spans a word boundary" tok)
+    (tokens corpus_text);
+  Alcotest.(check (list string)) "keeps operators" [ "x"; " "; "==="; " "; "y" ]
+    (tokens "x === y");
+  Alcotest.(check string) "collapses newlines" "a\nb"
+    (Lm.Bpe.decode t (Lm.Bpe.encode t "a\n\r\n\nb"));
   Alcotest.(check string) "reassembles" "var x = 1;\nprint(x);"
-    (String.concat "" toks)
+    (String.concat "" (tokens "var x = 1;\nprint(x);"))
 
 let ngram_determinism () =
   let gen seed =

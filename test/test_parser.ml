@@ -175,7 +175,8 @@ let rec gen_expr depth =
         map2 (B.binary Ast.Add) (gen_expr (depth - 1)) (gen_expr (depth - 1));
         map2 (B.binary Ast.Mul) (gen_expr (depth - 1)) (gen_expr (depth - 1));
         map2 (B.binary Ast.Lt) (gen_expr (depth - 1)) (gen_expr (depth - 1));
-        map2 (B.logical Ast.And) (gen_expr (depth - 1)) (gen_expr (depth - 1));
+        map2 (fun a b -> B.e (Ast.Logical (Ast.And, a, b))) (gen_expr (depth - 1))
+          (gen_expr (depth - 1));
         map (fun e -> B.unary Ast.Unot e) (gen_expr (depth - 1));
         map (fun e -> B.unary Ast.Uneg e) (gen_expr (depth - 1));
         map3 (fun c t f -> B.cond c t f) (gen_expr (depth - 1))
@@ -193,12 +194,15 @@ let rec gen_stmt depth =
       [
         map B.expr_stmt (gen_expr 2);
         map2 (fun n e -> B.var n e) gen_ident (gen_expr 2);
-        map2 (fun c b -> B.if_ c b) (gen_expr 1) (gen_stmt (depth - 1));
+        map2 (fun c b -> B.s (Ast.If (c, b, None))) (gen_expr 1) (gen_stmt (depth - 1));
         map2 (fun c b -> B.s (Ast.While (c, b))) (gen_expr 1) (gen_stmt (depth - 1));
         map (fun b -> B.block [ b ]) (gen_stmt (depth - 1));
-        map (fun e -> B.return_ e) (gen_expr 2);
+        map (fun e -> B.s (Ast.Return (Some e))) (gen_expr 2);
         map3
-          (fun n ps b -> B.func_decl n ps [ b ])
+          (fun n ps b ->
+            B.s
+              (Ast.Func_decl
+                 { fname = Some n; params = ps; body = [ b ]; is_arrow = false }))
           gen_ident
           (list_size (int_range 0 3) gen_ident)
           (gen_stmt (depth - 1));
@@ -227,7 +231,10 @@ let idempotent_prop =
   QCheck2.Test.make ~count:200 ~name:"refresh preserves printing" gen_program
     (fun p ->
       let s1 = Jsast.Printer.program_to_string p in
-      let s2 = Jsast.Printer.program_to_string (B.refresh_program p) in
+      let s2 =
+        Jsast.Printer.program_to_string
+          { p with Ast.prog_body = List.map B.refresh_stmt p.Ast.prog_body }
+      in
       s1 = s2)
 
 (* --- Hex literals: ECMA-262 MV, correctly rounded --- *)

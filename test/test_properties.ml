@@ -53,13 +53,14 @@ let datagen_mutants_parse =
           Jsparse.Parser.is_valid m.Comfort.Datagen.m_source)
         (Comfort.Datagen.mutants_of_program dg src))
 
-let screen_verdict_matches_screen_program =
+let screen_verdict_matches_screen =
   QCheck2.Test.make ~count:200
-    ~name:"verdict-only screen equals screen_program's verdict" gen_source
+    ~name:"verdict-only screen equals the full screen's verdict" gen_source
     (fun src ->
-      match Jsparse.Parser.check_syntax src with
-      | Error _ -> true
-      | Ok p -> Analysis.screen_verdict p = fst (Analysis.screen_program p))
+      match (Jsparse.Parser.check_syntax src, Analysis.screen src) with
+      | Error _, Error _ -> true
+      | Ok p, Ok (v, _) -> Analysis.screen_verdict p = v
+      | _ -> false)
 
 let fuel_monotone =
   (* more fuel can only move a timeout towards completion, never the
@@ -571,6 +572,27 @@ let index_agrees_with_model =
 
 module D = Comfort.Difftest
 
+(* The §3.4 2t rule as first written, also kept as a model: each run's
+   comparison pool, every other normally-terminated run, is rebuilt per
+   run, and a run is excluded from its own pool by position. *)
+let old_2t_rule (results : (Engines.Engine.testbed * Jsinterp.Run.result) list) =
+  let normal (r : Jsinterp.Run.result) =
+    r.Jsinterp.Run.r_parsed && r.Jsinterp.Run.r_status = Jsinterp.Run.Sts_normal
+  in
+  List.mapi
+    (fun i (tb, (r : Jsinterp.Run.result)) ->
+      let others = List.filteri (fun j (_, o) -> j <> i && normal o) results in
+      let t =
+        List.fold_left (fun m (_, o) -> max m o.Jsinterp.Run.r_fuel_used) 0 others
+      in
+      let s = D.signature_of_result r in
+      let slow =
+        s <> D.Sig_timeout && others <> []
+        && r.Jsinterp.Run.r_fuel_used > max (2 * t) 20_000
+      in
+      (tb, r, if slow then D.Sig_timeout else s))
+    results
+
 let old_vote (runs : (Engines.Engine.testbed * Jsinterp.Run.result * D.signature) list) =
   let counts : (D.signature, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -683,7 +705,7 @@ let judge_matches_old_vote =
             match o with Comfort.Supervisor.Done (r, _) -> (tb, r) | _ -> assert false)
           execs
       in
-      let scored = D.apply_2t_rule results in
+      let scored = old_2t_rule results in
       let expected =
         if
           List.length scored < 3
@@ -732,7 +754,7 @@ let suite =
       reference_never_fires;
       quirkless_testbeds_agree;
       datagen_mutants_parse;
-      screen_verdict_matches_screen_program;
+      screen_verdict_matches_screen;
       fuel_monotone;
       reducer_output_still_valid;
       printer_preserves_behavior;

@@ -90,15 +90,21 @@ let errors () =
   | exception Regex.Parse_error _ -> ()
   | _ -> Alcotest.fail "bad flag should be rejected"
 
+(* each knob through an engine carrying its quirk, against the
+   conforming engine's standard semantics *)
 let deviated_semantics () =
-  let sem_dot = { Regex.standard_semantics with Regex.dot_matches_newline = true } in
-  let prog = Regex.compile "a.c" "" in
-  Alcotest.(check bool) "dot-newline quirk" true
-    (Option.is_some (Regex.exec ~sem:sem_dot prog "a\nc" 0));
-  let sem_ci = { Regex.standard_semantics with Regex.ignorecase_broken = true } in
-  let prog_i = Regex.compile "ABC" "i" in
-  Alcotest.(check bool) "broken ignorecase" false
-    (Option.is_some (Regex.exec ~sem:sem_ci prog_i "abc" 0))
+  let check name quirk src ~standard =
+    Alcotest.(check string) (name ^ ", conforming")
+      (string_of_bool standard ^ "\n") (out_q [] src);
+    Alcotest.(check string) (name ^ ", quirked")
+      (string_of_bool (not standard) ^ "\n") (out_q [ quirk ] src)
+  in
+  check "dot-newline quirk" Quirk.Q_regex_dot_matches_newline
+    {|print(/a.c/.test("a\nc"));|} ~standard:false;
+  check "broken ignorecase" Quirk.Q_regex_ignorecase_broken
+    {|print(/ABC/i.test("abc"));|} ~standard:true;
+  check "broken class negation" Quirk.Q_regex_class_negation_broken
+    {|print(/[^x]/.test("x"));|} ~standard:false
 
 (* property: every match the engine reports is a real substring occurrence
    for literal-only patterns *)

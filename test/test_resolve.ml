@@ -70,7 +70,7 @@ let corpus_run_case_resolve_invariant () =
       Alcotest.(check bool)
         (Printf.sprintf "corpus[%d]: reports equal" i)
         true
-        (Comfort.Difftest.report_equal compiled tree))
+        (Test_sharing.report_equal compiled tree))
     Lm.Js_corpus.programs
 
 (* every 9th corpus program, field-checked on every individual testbed

@@ -23,10 +23,6 @@ module Supervisor = Comfort.Supervisor
 module Faultplan = Comfort.Supervisor.Faultplan
 module Campaign = Comfort.Campaign
 
-(* The library reads COMFORT_FAULTS when no explicit plan is passed; make
-   sure ambient chaos-job configuration cannot leak into the baselines. *)
-let () = Unix.putenv "COMFORT_FAULTS" ""
-
 let plan_of_spec spec =
   match Faultplan.of_spec spec with
   | Ok p -> p

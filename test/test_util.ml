@@ -32,16 +32,6 @@ let rng_distribution () =
         Alcotest.failf "bucket %d badly skewed: %d/4000" i c)
     counts
 
-let rng_weighted () =
-  let r = Rng.create 5 in
-  let a = ref 0 and b = ref 0 in
-  for _ = 1 to 3000 do
-    match Rng.weighted r [ (9, `A); (1, `B) ] with
-    | `A -> incr a
-    | `B -> incr b
-  done;
-  Alcotest.(check bool) "9:1 weighting" true (!a > !b * 4)
-
 let rng_helpers () =
   let r = Rng.create 11 in
   let picked = Rng.pick r [ 1; 2; 3 ] in
@@ -49,9 +39,15 @@ let rng_helpers () =
   let sampled = Rng.sample r 2 [ 1; 2; 3; 4 ] in
   Alcotest.(check int) "sample size" 2 (List.length sampled);
   Alcotest.(check int) "sample distinct" 2 (List.length (List.sort_uniq compare sampled));
-  let shuffled = Rng.shuffle r [| 1; 2; 3; 4; 5 |] in
-  Alcotest.(check (list int)) "shuffle is a permutation" [ 1; 2; 3; 4; 5 ]
-    (List.sort compare (Array.to_list shuffled));
+  let whole = Rng.sample r 5 [ 1; 2; 3; 4; 5 ] in
+  Alcotest.(check (list int)) "a whole sample is a permutation" [ 1; 2; 3; 4; 5 ]
+    (List.sort compare whole);
+  Alcotest.(check int) "sample beyond the list" 5
+    (List.length (Rng.sample r 9 [ 1; 2; 3; 4; 5 ]));
+  Alcotest.(check bool) "whole samples come shuffled" true
+    (List.exists
+       (fun _ -> Rng.sample r 5 [ 1; 2; 3; 4; 5 ] <> [ 1; 2; 3; 4; 5 ])
+       (List.init 20 Fun.id));
   let s1 = Rng.split r and s2 = Rng.split r in
   Alcotest.(check bool) "split streams differ" true
     (Rng.int s1 1000000 <> Rng.int s2 1000000 || Rng.int s1 1000000 <> Rng.int s2 1000000)
@@ -81,7 +77,6 @@ let suite =
     case "rng determinism" rng_determinism;
     case "rng bounds" rng_bounds;
     case "rng distribution" rng_distribution;
-    case "rng weighted" rng_weighted;
     case "rng helpers" rng_helpers;
     case "table rendering" table_render;
   ]
