@@ -67,8 +67,9 @@ type result = {
   cp_reach_seeded : int;  (** always 0; kept for the benchmark harness *)
   cp_specialized : int;
       (** slot compilations performed, one per (front end, mode) that
-          executes (0 under [Reference]); reports are identical either
-          way — see [Compile] *)
+          executes — a strict testbed that inherits a sloppy run
+          compiles nothing (0 under [Reference]); reports are identical
+          either way — see [Compile] *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
           write barrier (0 under [Reference]) *)
@@ -621,9 +622,11 @@ let drive ~workers ?worker_limits ?checkpoint ?halt_after (d : st)
       work =
     (* one execution-sharing cache per case, shared by the per-mode-group
        sweeps below: the base parses and their compilations run once
-       per case instead of once per group. The cache is built and
-       consumed entirely inside this worker call, and classes are keyed
-       by mode, so reports are byte-identical to per-group caches. *)
+       per case instead of once per group, and the strict group's
+       testbeds inherit the normal group's mode-free runs. The cache is
+       built and consumed entirely inside this worker call, and every
+       inherited result is the one a direct run gives, so reports are
+       byte-identical to per-group caches. *)
     let cache =
       let src = tc.Testcase.tc_source in
       match fe with

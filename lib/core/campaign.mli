@@ -78,7 +78,9 @@ type result = {
   cp_reach_seeded : int;  (** always 0; kept for the benchmark harness *)
   cp_specialized : int;
       (** slot compilations performed, one per (front end, mode) that
-          executes (DESIGN.md §12); 0 under [Reference]. Statistics only:
+          executes (DESIGN.md §12) — a strict testbed that inherits a
+          sloppy run (§8) compiles nothing; 0 under [Reference].
+          Statistics only:
           discoveries and reports are identical either way *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write

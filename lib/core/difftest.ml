@@ -162,9 +162,9 @@ let sweep_case ?(fuel = campaign_fuel) ?strategy ?plan ?roster
      equivalence classes too (DESIGN.md §8). [cache] lets the campaign
      driver share one cache across this case's several sweeps (one per
      mode group) so the base parses and their compilations run once per
-     case, not once per group — classes are keyed by mode, so no
-     execution is ever shared across groups; it must have been built for
-     [tc]'s source. *)
+     case, not once per group, and a strict testbed may inherit a
+     mode-free sloppy run of the normal group (DESIGN.md §8); it must
+     have been built for [tc]'s source. *)
   let ec =
     match cache with
     | Some ec -> ec

@@ -131,12 +131,13 @@ let still_triggers_deviation ?strategy (tb : Engines.Engine.testbed)
   (* compare the deviating testbed directly against the reference engine:
      the reduced program must keep the same behaviour class and keep firing
      the same ground-truth quirks. Both runs go through one per-candidate
-     cache, so they share the parse and — under [Fast], when the
-     quirks the target touched are all absent from its config — the
-     execution itself *)
+     cache, so they share the parse and — under [Fast], when the quirks
+     the target touches are all absent from its config — the execution
+     itself. The reference (sloppy) runs first, so a candidate that lost
+     the bug inherits its execution, on a strict-mode target too *)
   let ec = Engines.Engine.Exec.cache src in
-  let target = Engines.Engine.Exec.run ?strategy ec tb in
   let reference = Engines.Engine.Exec.run_reference ?strategy ec in
+  let target = Engines.Engine.Exec.run ?strategy ec tb in
   let tsig = Difftest.signature_of_result target in
   let rsig = Difftest.signature_of_result reference in
   tsig <> rsig

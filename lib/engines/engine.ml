@@ -250,10 +250,20 @@ end
    72 registered quirk checkpoints, so most testbeds are guaranteed to
    replay the reference behaviour byte for byte. [Exec.run] therefore
    executes once per *behavioural equivalence class* — testbeds keyed by
-   (front end, mode, quirk set ∩ touched checkpoints) — and lets every
+   (front end, fuel, quirk set ∩ touched checkpoints) — and lets every
    other member inherit the representative's [Run.result] (output, status,
    fuel, fired), so majority voting and the 2t rule see exactly the
    results a direct sweep would have produced.
+
+   The mode is one more input a run may consult. A sloppy run records
+   whether it reached a site that forcing the program strict would change
+   ([Run.ex_mode_touched]) and the checkpoints a strict run would consult
+   in addition ([Run.ex_shadow]); a strict testbed of the same front end
+   inherits a sloppy representative that reached no such site, when its
+   quirks agree on the representative's touched set, and adds the shadow
+   checkpoints to its own result. A mode-free case so executes and
+   compiles no strict run at all. A sloppy testbed never inherits a
+   strict run.
 
    Classes are discovered by a split-and-rerun fixpoint: each incoming
    testbed is validated against the representatives found so far, in
@@ -281,18 +291,20 @@ module Exec = struct
      the parse group it ran under, which a run-time parse depends on. *)
   type rep = { rp_pk : int; rp_ex : Run.exec }
 
-  (* May an engine of parse group [pk] carrying [quirks] inherit [r]? *)
-  let admits ~(pk : int) ~(quirks : Quirk.Set.t) (r : rep) : bool =
+  (* May an engine of parse group [pk] carrying [quirks], run in mode
+     [strict], inherit [r]? *)
+  let admits ~(pk : int) ~(quirks : Quirk.Set.t) ~(strict : bool) (r : rep) :
+      bool =
     (r.rp_pk = pk || not r.rp_ex.Run.ex_reparsed)
-    && Run.shares_class ~quirks r.rp_ex
+    && Run.shares_class ~quirks ~strict r.rp_ex
 
   type cache = {
     ec_frontend : Frontend.cache;
     ec_classes : (int, rep list ref) Hashtbl.t;
-        (* (front-end id, strict, fuel) packed into one int — strict in
-           bit 0, the id (< 64, see [Frontend.numbered]) in bits 1–6,
-           fuel above — -> the class representatives, oldest first; fuel
-           is in the key so a cache survives mixed budgets *)
+        (* (front-end id, fuel) packed into one int — the id (< 64, see
+           [Frontend.numbered]) in bits 0–5, fuel above — -> the class
+           representatives of both modes, oldest first; fuel is in the
+           key so a cache survives mixed budgets *)
     mutable ec_executed : int;  (* real interpreter executions *)
     mutable ec_shared : int;    (* runs answered by class inheritance *)
   }
@@ -311,6 +323,9 @@ module Exec = struct
      in-process campaign parses less than a forked worker, which parses
      for itself. *)
   let handed = Cutil.Counter.make "engines.handed_frontends"
+
+  (* Strict runs answered by a sloppy representative. *)
+  let mode_shared = Cutil.Counter.make "engines.mode_shared"
 
   let seeded (src : string) (fe : Run.frontend) : cache =
     Cutil.Counter.incr handed;
@@ -344,9 +359,7 @@ module Exec = struct
         ec.ec_executed <- ec.ec_executed + 1;
         (execute ()).Run.ex_result
     | Ok _, Strategy.Fast -> (
-        let ckey =
-          (if strict then 1 else 0) lor (fe_id lsl 1) lor (fuel lsl 7)
-        in
+        let ckey = fe_id lor (fuel lsl 6) in
         let pk = Registry.pk_int pkey in
         let reps =
           match Hashtbl.find_opt ec.ec_classes ckey with
@@ -356,10 +369,12 @@ module Exec = struct
               Hashtbl.replace ec.ec_classes ckey c;
               c
         in
-        match List.find_opt (admits ~pk ~quirks) !reps with
+        match List.find_opt (admits ~pk ~quirks ~strict) !reps with
         | Some r ->
             ec.ec_shared <- ec.ec_shared + 1;
-            Run.share ~frontend:fe ~quirks r.rp_ex
+            if strict <> r.rp_ex.Run.ex_strict then
+              Cutil.Counter.incr mode_shared;
+            Run.share ~frontend:fe ~quirks ~strict r.rp_ex
         | None ->
             (* split: no representative's touched set validates this
                quirk set, so it seeds a new class with a direct

@@ -86,10 +86,14 @@ end
 
 (** Per-test-case execution-sharing cache, extending {!Frontend} from
     shared parses to shared executions. [run] interprets once per
-    behavioural equivalence class — testbeds keyed by (front end, mode,
-    fuel, quirks ∩ touched checkpoints) — and every other member inherits
+    behavioural equivalence class — testbeds keyed by (front end, fuel,
+    quirks ∩ touched checkpoints) — and every other member inherits
     the representative's [Run.result], byte-identical to a direct sweep
-    (soundness argument in DESIGN.md §8). The front end, not the parse
+    (soundness argument in DESIGN.md §8). The mode is one more input a
+    run may consult: a strict testbed inherits a sloppy representative
+    that reached no mode-dependent site ([Run.ex_mode_touched]), adding
+    the checkpoints only the strict run consults ([Run.ex_shadow]); the
+    [engines.mode_shared] counter counts these runs. The front end, not the parse
     group, is the key: testbeds of different parse groups that share one
     parsed program share executions, unless the representative parsed
     source at run time ([Run.ex_reparsed], the global [eval]), which

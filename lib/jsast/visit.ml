@@ -7,9 +7,10 @@
 open Ast
 
 (* Apply [fe] to every expression and [fs] to every statement, top-down,
-   including inside function-expression bodies. *)
-let rec iter_expr ?(fs = ignore) ~fe (x : expr) =
-  let iter_expr = iter_expr ~fs in
+   including inside the bodies of the nested functions [into] accepts
+   (all of them by default). *)
+let rec iter_expr ?(fs = ignore) ?(into = fun _ -> true) ~fe (x : expr) =
+  let iter_expr = iter_expr ~fs ~into in
   fe x;
   match x.e with
   | Lit _ | Ident _ | This -> ()
@@ -20,7 +21,7 @@ let rec iter_expr ?(fs = ignore) ~fe (x : expr) =
           (match pn with PN_computed e -> iter_expr ~fe e | _ -> ());
           iter_expr ~fe v)
         props
-  | Func f | Arrow f -> List.iter (iter_stmt ~fe ~fs) f.body
+  | Func f | Arrow f -> if into f then List.iter (iter_stmt ~fe ~fs ~into) f.body
   | Unary (_, a) | Update (_, _, a) -> iter_expr ~fe a
   | Binary (_, a, b) | Logical (_, a, b) | Assign (_, a, b) | Seq (a, b) ->
       iter_expr ~fe a;
@@ -39,14 +40,14 @@ let rec iter_expr ?(fs = ignore) ~fe (x : expr) =
   | Template parts ->
       List.iter (function Tstr _ -> () | Tsub e -> iter_expr ~fe e) parts
 
-and iter_stmt ~fe ~fs (st : stmt) =
+and iter_stmt ~fe ~fs ~into (st : stmt) =
   fs st;
-  let expr = iter_expr ~fs ~fe in
-  let stmt = iter_stmt ~fe ~fs in
+  let expr = iter_expr ~fs ~into ~fe in
+  let stmt = iter_stmt ~fe ~fs ~into in
   match st.s with
   | Expr_stmt x -> expr x
   | Var_decl (_, decls) -> List.iter (fun (_, i) -> Option.iter expr i) decls
-  | Func_decl f -> List.iter stmt f.body
+  | Func_decl f -> if into f then List.iter stmt f.body
   | Return x -> Option.iter expr x
   | If (c, t, f) ->
       expr c;
@@ -87,7 +88,23 @@ and iter_stmt ~fe ~fs (st : stmt) =
   | Labeled (_, st) -> stmt st
 
 let iter_program ?(fe = ignore) ?(fs = ignore) (p : program) =
-  List.iter (iter_stmt ~fe ~fs) p.prog_body
+  List.iter (iter_stmt ~fe ~fs ~into:(fun _ -> true)) p.prog_body
+
+(* Does a call of a function with this [body] read the [this] it was
+   called with: a [This] in the body, or in an arrow nested in it (arrows
+   capture the [this] of their creation)? A nested non-arrow function
+   binds its own. *)
+let reads_this (body : stmt list) : bool =
+  let exception Found in
+  match
+    List.iter
+      (iter_stmt ~fs:ignore
+         ~into:(fun g -> g.is_arrow)
+         ~fe:(fun x -> match x.e with This -> raise Found | _ -> ()))
+      body
+  with
+  | () -> false
+  | exception Found -> true
 
 (* The [var]/function-declaration hoisting traversal of one function (or
    program) body: visits every statement var-scoped to it, stopping at

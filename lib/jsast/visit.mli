@@ -6,6 +6,11 @@
 val iter_program :
   ?fe:(Ast.expr -> unit) -> ?fs:(Ast.stmt -> unit) -> Ast.program -> unit
 
+(** Does a call of a function with this body read the [this] it was
+    called with: a [This] in the body or in an arrow nested in it, not
+    inside a nested non-arrow function? *)
+val reads_this : Ast.stmt list -> bool
+
 (** The [var]/function-declaration hoisting traversal of one function (or
     program) body: calls [on_var] on each hoisted [var] name and [on_func]
     on each function declaration (as [(sid, func)]), stopping at nested

@@ -370,6 +370,10 @@ let install (ctx : ctx) : unit =
              resolution — bail out before any effect and let [Run] re-run
              the whole program tree-walked *)
           if ctx.slotted then raise Deopt_to_tree;
+          (* eval code runs sloppy in either mode, so the functions it
+             makes stay sloppy in a strict run: no sloppy run that evals
+             stands in for a strict one *)
+          touch_mode ctx;
           let v = ctx.eval_hook ctx ctx.global_scope false src in
           (match v with
           | Undefined -> Undefined

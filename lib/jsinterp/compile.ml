@@ -201,7 +201,11 @@ let compile_assign_ident (env : R.level list) ~strict
                   else if strict then
                     Ops.type_error ctx
                       ("assignment to constant variable " ^ name)
-                  (* sloppy: silent no-op *)
+                  (* sloppy: silent no-op. Unreachable in practice:
+                     [Resolve.func_deopts] tree-walks every function that
+                     writes a named function expression's own name; the
+                     mark keeps this fallback exact *)
+                  else touch_mode ctx
                 end
                 else (frame_at d fr).slots.(i) := v
             | None -> Interp.assign_ident ctx ctx.global_scope strict name v
@@ -1004,6 +1008,9 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
     let params = f.Ast.params in
     let nparams = List.length params in
     let is_arrow = f.Ast.is_arrow in
+    let reads_this =
+      (not strict_f) && (not is_arrow) && Jsast.Visit.reads_this f.Ast.body
+    in
     fun ctx fr ->
       let o = make_obj ~oclass:"Function" ~proto:(proto_of ctx "Function") () in
       let parent_fr, binding =
@@ -1036,7 +1043,10 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
                   if strict_f then
                     if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
                     else Undefined
-                  else Obj ctx.global
+                  else begin
+                    Interp.sloppy_plain_call ctx ~reads_this;
+                    Obj ctx.global
+                  end
               | v -> v)
         in
         set_slot frm this_slot (ref this_v);

@@ -51,7 +51,7 @@ let assign_ident ctx (scope : scope) strict (name : string) (v : value) : unit =
           | None -> ())
         else if strict then
           Ops.type_error ctx ("assignment to constant variable " ^ name)
-        (* sloppy: silent no-op *)
+        else (* sloppy: silent no-op *) touch_mode ctx
       end
       else (
         match Hashtbl.find_opt s.bindings name with
@@ -64,7 +64,10 @@ let assign_ident ctx (scope : scope) strict (name : string) (v : value) : unit =
         if fire ctx Quirk.Q_strict_undeclared_assign_silent then
           Ops.set_obj ctx ~strict:false ctx.global name v
         else Ops.reference_error ctx (name ^ " is not defined")
-      else Ops.set_obj ctx ~strict:false ctx.global name v
+      else begin
+        touch_mode ctx;
+        Ops.set_obj ctx ~strict:false ctx.global name v
+      end
 
 (* --- do any binder positions shadow [undefined]/[NaN]/[Infinity]? ---
 
@@ -231,6 +234,7 @@ let make_function ctx ?(name = "") ?(this_lex = None) ?(node_id = 0) ~strict
            cl_scope = fn_scope;
            cl_this = this_lex;
            cl_strict = strict;
+           cl_reads_this = None;
            cl_binding = binding;
            cl_node_id = node_id;
          });
@@ -255,6 +259,23 @@ let body_is_strict (body : Ast.stmt list) =
   | { Ast.s = Ast.Expr_stmt { Ast.e = Ast.Lit (Ast.Lstr "use strict"); _ }; _ } :: _ ->
       true
   | _ -> false
+
+(* A sloppy function called with an undefined or null receiver gets the
+   global object as [this]. Forced strict, it would consult the
+   strict-this-is-global checkpoint and, unless that quirk is on, get
+   [undefined]: a shadow checkpoint, and a mode-dependent site when the
+   callee reads its [this]. Shared with the compiled call path. *)
+let sloppy_plain_call ctx ~(reads_this : bool) =
+  shadow ctx Quirk.Q_strict_this_is_global;
+  if reads_this then touch_mode ctx
+
+let closure_reads_this (cl : closure) : bool =
+  match cl.cl_reads_this with
+  | Some b -> b
+  | None ->
+      let b = Jsast.Visit.reads_this cl.cl_body in
+      cl.cl_reads_this <- Some b;
+      b
 
 let rec call_function ctx (fn : value) (this : value) (args : value list) : value =
   burn ctx 2;
@@ -284,7 +305,10 @@ let rec call_function ctx (fn : value) (this : value) (args : value list) : valu
                 if strict then
                   if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
                   else Undefined
-                else Obj ctx.global
+                else begin
+                  sloppy_plain_call ctx ~reads_this:(closure_reads_this cl);
+                  Obj ctx.global
+                end
             | v -> v)
       in
       Hashtbl.replace scope.bindings "this" (ref this_v);

@@ -444,6 +444,7 @@ and set_array_length ctx (o : obj) (arr : arr) (v : value) ~strict : unit =
   barrier o;
   if not arr.length_writable then begin
     if strict then type_error ctx "cannot assign to read only property 'length'"
+    else touch_mode ctx
   end
   else begin
     let f = to_uint32 ctx v in
@@ -467,6 +468,7 @@ and set ctx ~strict (target : value) (key : string) (v : value) : unit =
       (* property sets on primitives are silently dropped (sloppy) or throw
          (strict) *)
       if strict then type_error ctx "cannot create property on primitive"
+      else touch_mode ctx
   | Obj o -> set_obj ctx ~strict o key v
 
 and set_obj ctx ~strict (o : obj) (key : string) (v : value) : unit =
@@ -482,15 +484,18 @@ and set_obj ctx ~strict (o : obj) (key : string) (v : value) : unit =
    frozen checks, then [array_store]. *)
 and set_elem ctx ~strict (o : obj) (arr : arr) (i : int) (v : value) : unit =
   if (not o.extensible) && arr.ty = None && i >= arr.alen then
-    (if strict then type_error ctx "cannot add element to non-extensible array")
+    (if strict then type_error ctx "cannot add element to non-extensible array"
+     else touch_mode ctx)
   else if not arr.length_writable && arr.ty = None && i >= arr.alen then
     (* frozen/sealed array: length fixed *)
-    (if strict then type_error ctx "cannot add property, array is sealed")
+    (if strict then type_error ctx "cannot add property, array is sealed"
+     else touch_mode ctx)
   else if arr.elem_attrs <> Elems_frozen
           || fire ctx Quirk.Q_freeze_array_elements_writable
   then array_store ctx o arr i v
   else if strict then
     type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
+  else touch_mode ctx
 
 and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
   match find_own o key with
@@ -501,6 +506,7 @@ and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
       end
       else if strict then
         type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key)
+      else touch_mode ctx
   | None -> (
       (* setter-less prototype walk: a non-writable prototype prop blocks *)
       let rec proto_blocks (pv : value) =
@@ -513,10 +519,12 @@ and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
       in
       if proto_blocks o.proto then (
         if strict then
-          type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key))
+          type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key)
+        else touch_mode ctx)
       else if not o.extensible then (
         if strict then
-          type_error ctx (Printf.sprintf "cannot add property '%s', object is not extensible" key))
+          type_error ctx (Printf.sprintf "cannot add property '%s', object is not extensible" key)
+        else touch_mode ctx)
       else set_own o key (mkprop v))
 
 and delete ctx ~strict (o : obj) (key : string) : bool =
@@ -535,7 +543,9 @@ and delete ctx ~strict (o : obj) (key : string) : bool =
       end
       else if strict then
         type_error ctx (Printf.sprintf "cannot delete property '%s'" key)
-      else false
+      else (
+        touch_mode ctx;
+        false)
   | _ -> (
       match find_own o key with
       | None -> true
@@ -546,7 +556,9 @@ and delete ctx ~strict (o : obj) (key : string) : bool =
           end
           else if strict then
             type_error ctx (Printf.sprintf "cannot delete property '%s'" key)
-          else false)
+          else (
+            touch_mode ctx;
+            false))
 
 (* enumerable own keys, insertion-ordered, elements first (integer order) —
    the modern property order. *)

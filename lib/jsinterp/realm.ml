@@ -64,6 +64,9 @@ let build () : t =
       slotted = false;
       specials_shadowed = false;
       reparsed = false;
+      mode_touched = false;
+      s_lo = 0;
+      s_hi = 0;
     }
   in
   Builtins.install ctx;

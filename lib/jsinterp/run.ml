@@ -256,6 +256,9 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       slotted = false;
       specials_shadowed = false;
       reparsed = false;
+      mode_touched = false;
+      s_lo = 0;
+      s_hi = 0;
     }
   in
   (match snap with
@@ -370,12 +373,19 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
 type exec = {
   ex_result : result;       (** the representative's own full result *)
   ex_quirks : Quirk.Set.t;  (** quirk set the representative ran under *)
+  ex_strict : bool;         (** the mode the representative ran in *)
   ex_fired : Quirk.Set.t;   (** execution-stage fired set (no parse stage) *)
   ex_touched : Quirk.Set.t; (** execution-stage touched set *)
   ex_reparsed : bool;
       (** the execution parsed source at run time under its engine's parse
           options ([ctx.reparsed]); the result then depends on the parse
           group, not only on the touched checkpoints *)
+  ex_mode_touched : bool;
+      (** sloppy code reached a site whose behaviour would change if the
+          program were forced strict ([ctx.mode_touched]) *)
+  ex_shadow : Quirk.Set.t;
+      (** the checkpoints a strict run would consult in addition
+          ([Value.shadow]) *)
 }
 
 let run_exec ?(quirks = Quirk.Set.empty)
@@ -410,9 +420,12 @@ let run_exec ?(quirks = Quirk.Set.empty)
             r_coverage = None;
           };
         ex_quirks = quirks;
+        ex_strict = strict;
         ex_fired = Quirk.Set.empty;
         ex_touched = Quirk.Set.empty;
         ex_reparsed = false;
+        ex_mode_touched = false;
+        ex_shadow = Quirk.Set.empty;
       }
   | Ok prog ->
       Cutil.Counter.incr runs;
@@ -508,9 +521,12 @@ let run_exec ?(quirks = Quirk.Set.empty)
                   ctx.Value.coverage;
             };
           ex_quirks = quirks;
+          ex_strict = strict;
           ex_fired;
           ex_touched;
           ex_reparsed = ctx.Value.reparsed;
+          ex_mode_touched = ctx.Value.mode_touched;
+          ex_shadow = Value.shadow_bits ctx;
         }
       in
       (* the result captured everything it needs as immutable copies; the
@@ -524,38 +540,57 @@ let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?strategy ?frontend
      src)
     .ex_result
 
-(* Does an engine carrying [quirks] belong to [ex]'s behavioural
-   equivalence class? True iff it agrees with the representative at every
-   checkpoint the representative's execution consulted — then every
-   conformance decision resolves the same way, control flow is identical,
-   and (in particular) exactly the same checkpoints get consulted, so the
-   verdict is self-validating: no member can secretly reach a checkpoint
-   outside [ex_touched]. The decision is a handful of integer instructions
+(* Does an engine carrying [quirks], run in mode [strict], belong to
+   [ex]'s behavioural equivalence class? In the representative's own mode,
+   true iff it agrees with the representative at every checkpoint the
+   representative's execution consulted — then every conformance decision
+   resolves the same way, control flow is identical, and (in particular)
+   exactly the same checkpoints get consulted, so the verdict is
+   self-validating: no member can secretly reach a checkpoint outside
+   [ex_touched]. A strict member may also join a sloppy representative
+   that reached no mode-dependent site on the same condition: forcing the
+   program strict then changes only that the run consults the shadow
+   checkpoints as well, whose answer it never observes (a callee that
+   reads its [this] marks the call mode-dependent), so the member need
+   not agree on those. The decision is a handful of integer instructions
    on the bitsets — profiling shows class matching is the hottest set
    algebra in a campaign. *)
-let shares_class ~quirks (ex : exec) : bool =
-  Quirk.Set.equal
-    (Quirk.Set.inter quirks ex.ex_touched)
-    (Quirk.Set.inter ex.ex_quirks ex.ex_touched)
+let shares_class ~quirks ~strict (ex : exec) : bool =
+  (strict = ex.ex_strict || (strict && not ex.ex_mode_touched))
+  && Quirk.Set.equal
+       (Quirk.Set.inter quirks ex.ex_touched)
+       (Quirk.Set.inter ex.ex_quirks ex.ex_touched)
 
 (* The class member's result: execution is inherited verbatim; only the
    parse-stage quirk filter is per-member ([frontend] sank parse quirks
    unfiltered, and members sharing a front end may own different subsets).
    A quirk both sunk at parse time and fired during execution is on for
    every member (it is in the class key), so the union loses nothing.
+   A strict member of a sloppy representative also consulted the shadow
+   checkpoints, firing those in its own quirk set.
    The common case — the front end sank no parse-stage quirks at all, so
-   the representative's and every member's parse filter are both empty —
-   returns the representative's result verbatim, allocating nothing; with
-   ~100 testbeds inheriting per shared execution this is the sharing
-   layer's hottest path. *)
-let share ~(frontend : frontend) ~quirks (ex : exec) : result =
-  if Quirk.Set.is_empty frontend.fe_fired then ex.ex_result
+   the representative's and every member's parse filter are both empty,
+   and the member runs in the representative's mode — returns the
+   representative's result verbatim, allocating nothing; with ~100
+   testbeds inheriting per shared execution this is the sharing layer's
+   hottest path. *)
+let share ~(frontend : frontend) ~quirks ~strict (ex : exec) : result =
+  let r =
+    if Quirk.Set.is_empty frontend.fe_fired then ex.ex_result
+    else
+      let parse_fired = Quirk.Set.inter frontend.fe_fired quirks in
+      {
+        ex.ex_result with
+        r_fired = Quirk.Set.union parse_fired ex.ex_fired;
+        r_touched = Quirk.Set.union parse_fired ex.ex_touched;
+      }
+  in
+  if strict = ex.ex_strict || Quirk.Set.is_empty ex.ex_shadow then r
   else
-    let parse_fired = Quirk.Set.inter frontend.fe_fired quirks in
     {
-      ex.ex_result with
-      r_fired = Quirk.Set.union parse_fired ex.ex_fired;
-      r_touched = Quirk.Set.union parse_fired ex.ex_touched;
+      r with
+      r_fired = Quirk.Set.union r.r_fired (Quirk.Set.inter ex.ex_shadow quirks);
+      r_touched = Quirk.Set.union r.r_touched ex.ex_shadow;
     }
 
 (* The first field, in declaration order, on which two results differ. *)

@@ -160,6 +160,7 @@ val run :
 type exec = {
   ex_result : result;       (** the representative's own full result *)
   ex_quirks : Quirk.Set.t;  (** quirk set the representative ran under *)
+  ex_strict : bool;         (** the mode the representative ran in *)
   ex_fired : Quirk.Set.t;   (** execution-stage fired set *)
   ex_touched : Quirk.Set.t;
       (** execution-stage touched set — the execution-sharing class key
@@ -170,6 +171,18 @@ type exec = {
           parse group as well as on the touched checkpoints — a construct
           the options reject raises without consulting any checkpoint — so
           it may only be lent to engines with the same parse key *)
+  ex_mode_touched : bool;
+      (** sloppy code reached a site whose behaviour would change if the
+          program were forced strict: an undeclared assignment, a failed
+          write, property creation or delete, a named function
+          expression's rebinding, an [eval], or a plain call of a sloppy
+          function that reads its [this]. Without one, a strict run of
+          the same program behaves the same *)
+  ex_shadow : Quirk.Set.t;
+      (** the checkpoints a strict run would consult in addition: the
+          strict-this-is-global checkpoint, at each plain call of a sloppy
+          function. Its answer only sets the callee's [this], so a callee
+          that reads it also sets [ex_mode_touched] *)
 }
 
 (** Like {!run}, but keep the sharing evidence. [run] is [ex_result]. *)
@@ -184,21 +197,28 @@ val run_exec :
   string ->
   exec
 
-(** Does an engine carrying [quirks] belong to [ex]'s behavioural
-    equivalence class? True iff [quirks] agrees with [ex_quirks] at every
-    checkpoint in [ex_touched]. The check is self-validating: agreeing on
-    every consulted checkpoint forces identical control flow, so a member
-    cannot reach a checkpoint the representative did not touch. Callers
-    must also match the front end (the parsed program), the mode and the
-    fuel budget, and — when [ex_reparsed] — the effective parse options;
-    see [Engines.Engine.Exec]. *)
-val shares_class : quirks:Quirk.Set.t -> exec -> bool
+(** Does an engine carrying [quirks], run in mode [strict], belong to
+    [ex]'s behavioural equivalence class? In the representative's mode,
+    true iff [quirks] agrees with [ex_quirks] at every checkpoint in
+    [ex_touched]. The check is self-validating: agreeing on every
+    consulted checkpoint forces identical control flow, so a member
+    cannot reach a checkpoint the representative did not touch. A strict
+    member also joins a sloppy representative without [ex_mode_touched]
+    on the same condition: the strict run differs only in consulting
+    [ex_shadow] too, whose answers it never observes. A sloppy member
+    never joins a strict one. Callers must also match the front end (the parsed
+    program) and the fuel budget, and — when [ex_reparsed] — the
+    effective parse options; see [Engines.Engine.Exec]. *)
+val shares_class : quirks:Quirk.Set.t -> strict:bool -> exec -> bool
 
 (** The result a class member inherits from its representative: execution
     verbatim, with only the parse-stage quirk filter recomputed for the
-    member's own quirk set. Equals what {!run} would have produced, field
-    for field. *)
-val share : frontend:frontend -> quirks:Quirk.Set.t -> exec -> result
+    member's own quirk set, and — for a strict member of a sloppy
+    representative — [ex_shadow] added to the touched set and its members
+    in [quirks] to the fired set. Equals what {!run} would have produced,
+    field for field. *)
+val share :
+  frontend:frontend -> quirks:Quirk.Set.t -> strict:bool -> exec -> result
 
 (** The first field on which two results differ ("output", "fuel",
     "touched", ...), [None] when they agree in every field — the

@@ -72,6 +72,9 @@ and closure = {
   cl_scope : scope;
   cl_this : value option;  (** [Some v] for arrows: lexically captured *)
   cl_strict : bool;
+  mutable cl_reads_this : bool option;
+      (** does the body read its own [this] ({!Jsast.Visit.reads_this})?
+          Worked out at the first call that needs it *)
   cl_binding : value ref option;
       (** named function expressions bind their own name; kept so the
           [Q_named_funcexpr_binding_mutable] quirk can corrupt it *)
@@ -166,6 +169,14 @@ and ctx = {
           runtime use of [parse_opts]. A construct the options reject
           raises there without reaching a quirk checkpoint, so execution
           sharing must not lend this run across parse groups *)
+  mutable mode_touched : bool;
+      (** sloppy code reached a site whose behaviour would change if the
+          program were forced strict ({!touch_mode}); [false] after a run
+          lets a strict run of the same front end inherit it *)
+  mutable s_lo : int;
+  mutable s_hi : int;
+      (** shadow touched words: the checkpoints a strict run of the same
+          program would consult in addition ({!shadow}) *)
 }
 
 (* [ctx.protos] by name: at most 16 entries, searched without
@@ -392,6 +403,20 @@ let fire ctx q =
 (* A context's recording fields as quirk sets. *)
 let fired_bits ctx : Quirk.Set.t = (ctx.f_lo, ctx.f_hi)
 let touched_bits ctx : Quirk.Set.t = (ctx.t_lo, ctx.t_hi)
+let shadow_bits ctx : Quirk.Set.t = (ctx.s_lo, ctx.s_hi)
+
+(* Mode marks. A sloppy run records what forcing the program strict
+   would change: [touch_mode] at a site whose behaviour would differ (the
+   run can then lend nothing to strict testbeds), [shadow] at a
+   checkpoint only the strict run would consult — where its answer would
+   matter, the site touches the mode as well. Strict code reaches
+   neither mark. *)
+let touch_mode ctx = ctx.mode_touched <- true
+
+let shadow ctx q =
+  let i = Quirk.index q in
+  if i < 62 then ctx.s_lo <- ctx.s_lo lor (1 lsl i)
+  else ctx.s_hi <- ctx.s_hi lor (1 lsl (i - 62))
 
 let burn ctx n =
   ctx.fuel <- ctx.fuel - n;

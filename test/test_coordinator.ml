@@ -355,7 +355,8 @@ let campaign_identical_across_worker_counts () =
    A worker skips the testbeds of the quarantine roster shipped with its
    dispatch; a case already in flight when an earlier case quarantines a
    testbed still runs it, so under crash-driven quarantine the counts
-   that executions move may only be higher on workers. Two sources add
+   that executions move (strict runs answered by a sloppy one among
+   them) may only be higher on workers. Two sources add
    runs, each bounded apart:
    - the workers': a quarantined testbed runs only on the other cases
      two workers hold in flight, two deep, when it trips (2 * 2 - 1),
@@ -414,7 +415,9 @@ let counts_folded_from_children plan () =
       then ()
       else if quarantined = 0 then
         Alcotest.(check int) (name ^ " folded from children") w0 delta2.(i)
-      else if String.starts_with ~prefix:"jsinterp." name || name = "jsparse.parses"
+      else if
+        String.starts_with ~prefix:"jsinterp." name
+        || name = "jsparse.parses" || name = "engines.mode_shared"
       then begin
         Alcotest.(check bool)
           (Printf.sprintf "%s: workers ran what in-process ran (%d <= %d)"
@@ -505,27 +508,45 @@ let campaign_halt_resume_across_worker_counts () =
        (Campaign.comfort_fuzzer ~seed:23 ()));
   Sys.remove path
 
-(* Fuzzilli admits a mutant to its corpus by running it, which compiles:
-   that is the fuzzer's work, not the campaign's. The campaign's
+(* A fuzzer's pulls are not the campaign's work: the campaign's
    compilation and COW counts are its sweeps' alone, as when the whole
-   budget was drawn before the first sweep (62 compilations here), and
+   budget was drawn before the first sweep (32 compilations here), and
    cases drawn ahead of a checkpoint, in-process or by the pool, are
-   drawn again on resume without being counted twice. *)
+   drawn again on resume without being counted twice. Every pull parses
+   its case ([jsparse.parses]), but the report carries no parse count,
+   so the fuzzer here also runs each case it yields on the Fast
+   strategy: its pulls then move the compilations the report carries. *)
 let fuzzer_runs_stay_out_of_campaign_counts () =
   requires_fork ();
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       "comfort-test-fuzzilli-resume.ckpt"
   in
+  let running_fuzzilli () =
+    let fz = Baselines.Fuzzers.fuzzilli ~seed:3 () in
+    Campaign.make_fuzzer ~name:fz.Campaign.fz_name ~seed:fz.Campaign.fz_seed
+      ~raw:None (fun () ->
+        let pull = fz.Campaign.fz_next () in
+        Option.iter
+          (fun ((tc : Comfort.Testcase.t), _) ->
+            ignore
+              (Jsinterp.Run.run ~fuel:50_000 ~strategy:Jsinterp.Strategy.Fast
+                 tc.Comfort.Testcase.tc_source))
+          pull;
+        pull)
+  in
   (* the Fast strategy on both legs: Reference compiles nothing *)
-  let run ?checkpoint ?halt_after workers =
+  let run ?checkpoint ?halt_after ?(fuzzer = running_fuzzilli) workers =
     Campaign.run ~budget:30 ~workers ~strategy:Jsinterp.Strategy.Fast
-      ?checkpoint ?halt_after
-      (Baselines.Fuzzers.fuzzilli ~seed:3 ())
+      ?checkpoint ?halt_after (fuzzer ())
   in
   let whole = run 0 in
-  Alcotest.(check int) "the sweeps' compilations" 62
+  Alcotest.(check int) "the sweeps' compilations" 32
     whole.Campaign.cp_specialized;
+  Alcotest.(check int) "the same without the fuzzer's runs"
+    whole.Campaign.cp_specialized
+    (run ~fuzzer:(fun () -> Baselines.Fuzzers.fuzzilli ~seed:3 ()) 0)
+      .Campaign.cp_specialized;
   List.iter
     (fun workers ->
       let label = Printf.sprintf "halted and resumed at workers=%d" workers in
@@ -536,7 +557,7 @@ let fuzzer_runs_stay_out_of_campaign_counts () =
         match Campaign.Checkpoint.load path with
         | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
         | Ok st ->
-            Campaign.resume ~workers st (Baselines.Fuzzers.fuzzilli ~seed:3 ())
+            Campaign.resume ~workers st (running_fuzzilli ())
       in
       Test_supervisor.check_results_equal label whole resumed;
       Alcotest.(check int) (label ^ ": compilations")
@@ -547,6 +568,33 @@ let fuzzer_runs_stay_out_of_campaign_counts () =
         whole.Campaign.cp_specialized (run workers).Campaign.cp_specialized)
     [ 0; 2 ];
   Sys.remove path
+
+(* [engines.mode_shared] counts strict runs answered by a sloppy
+   representative: none under Reference, which shares nothing, some
+   under Fast, and as many on two forked workers as in-process. *)
+let mode_shared_is_counted () =
+  requires_fork ();
+  let mode_shared strategy workers =
+    let counts0 = Cutil.Counter.snapshot () in
+    ignore
+      (Campaign.run ~budget:20 ~workers ~strategy
+         (Campaign.comfort_fuzzer ~seed:23 ()));
+    let delta = Cutil.Counter.since counts0 in
+    match
+      List.find_index
+        (fun (name, _) -> name = "engines.mode_shared")
+        (Cutil.Counter.to_list ())
+    with
+    | Some i -> delta.(i)
+    | None -> Alcotest.fail "no counter engines.mode_shared"
+  in
+  Alcotest.(check int) "Reference: none" 0
+    (mode_shared Jsinterp.Strategy.Reference 0);
+  let w0 = mode_shared Jsinterp.Strategy.Fast 0 in
+  Alcotest.(check bool) (Printf.sprintf "Fast: %d strict runs shared" w0) true
+    (w0 > 0);
+  Alcotest.(check int) "Fast, 2 workers: as many as in-process" w0
+    (mode_shared Jsinterp.Strategy.Fast 2)
 
 let campaign_exhaustion_aborts_with_partial_report () =
   requires_fork ();
@@ -665,6 +713,8 @@ let suite =
       campaign_halt_resume_across_worker_counts;
     Helpers.case "campaign: a fuzzer's own runs stay out of its counts"
       fuzzer_runs_stay_out_of_campaign_counts;
+    Helpers.case "campaign: strict runs shared by sloppy ones are counted"
+      mode_shared_is_counted;
     Helpers.case "campaign: pool exhaustion -> aborted partial report"
       campaign_exhaustion_aborts_with_partial_report;
     Helpers.case "campaign: COMFORT_NO_FORK degrades in-process"

@@ -437,6 +437,9 @@ let template_ctx () : V.ctx =
     slotted = false;
     specials_shadowed = false;
     reparsed = false;
+    mode_touched = false;
+    s_lo = 0;
+    s_hi = 0;
   }
 
 let gen_index_case =

@@ -13,6 +13,9 @@
    - the Fast [Engine.Exec] sweep vs Reference [Engine.run] over all 102
      testbeds and the reference engine, field-wise, plus the
      executed/shared accounting and the >=4x execution reduction;
+   - strict testbeds inheriting sloppy runs: one fixture per site that
+     forcing the program strict would change, and the shadow
+     strict-this-is-global checkpoint of a plain call;
    - the five checkpoint sites the compiler emits inline, and hot
      property loads and stores, field-wise identical under a direct Fast
      run and a direct Reference run on every testbed;
@@ -47,12 +50,12 @@ let fixpoint_splits_on_exposed_checkpoint () =
   (* a config where the charAt quirk is present differs on a touched
      checkpoint: it must split into its own class *)
   Alcotest.(check bool) "charAt config splits" false
-    (Run.shares_class
+    (Run.shares_class ~strict:false
        ~quirks:(quirks_of [ Quirk.Q_charat_negative_wraps ])
        rep);
   (* a config differing only in the unreached sort quirk shares *)
   Alcotest.(check bool) "sort-only config shares" true
-    (Run.shares_class
+    (Run.shares_class ~strict:false
        ~quirks:(quirks_of [ Quirk.Q_array_sort_numeric_default ])
        rep);
   (* the split representative reaches the second checkpoint... *)
@@ -67,13 +70,13 @@ let fixpoint_splits_on_exposed_checkpoint () =
   (* ...so a config that also carries the sort quirk splits again, while
      one differing only in a still-unreached quirk shares *)
   Alcotest.(check bool) "charAt+sort splits from charAt" false
-    (Run.shares_class
+    (Run.shares_class ~strict:false
        ~quirks:
          (quirks_of
             [ Quirk.Q_charat_negative_wraps; Quirk.Q_array_sort_numeric_default ])
        rep2);
   Alcotest.(check bool) "charAt+unreached quirk shares" true
-    (Run.shares_class
+    (Run.shares_class ~strict:false
        ~quirks:
          (quirks_of
             [ Quirk.Q_charat_negative_wraps; Quirk.Q_tofixed_no_rangeerror ])
@@ -91,7 +94,7 @@ let shared_result_equals_direct_result () =
       ~quirks:(quirks_of [ Quirk.Q_charat_negative_wraps ])
       ~frontend:fe steering_src
   in
-  let shared = Run.share ~frontend:fe ~quirks rep2 in
+  let shared = Run.share ~frontend:fe ~quirks ~strict:false rep2 in
   let direct = Run.run ~quirks steering_src in
   Alcotest.(check string) "output" direct.Run.r_output shared.Run.r_output;
   Alcotest.(check string) "status"
@@ -308,6 +311,62 @@ let cross_group_reparse_fixtures () =
       check_sweep src)
     reparse_sources
 
+(* One fixture per site where a sloppy run records what forcing the
+   program strict would change (DESIGN.md §8): a strict testbed may
+   inherit a sloppy run only when that run reached none of them, and
+   then adds the shadow checkpoints. Each fixture behaves differently
+   in the two modes, or consults a checkpoint only the strict run
+   consults; the sweep compares every field on all 102 testbeds. The
+   NFE fixtures with an assignment that never runs make the function
+   tree-walk (Resolve deopts it), so the tree-walker's call site is
+   covered as well as the compiled one. *)
+let mode_site_sources =
+  [
+    (* [this] read by the callee of a plain call, directly, through an
+       arrow, and as a [forEach] callback's receiver *)
+    "function f() { return this === undefined; } print(f());";
+    "function f() { var g = () => this; return g() === undefined; } print(f());";
+    "[1].forEach(function () { print(this === undefined); });";
+    {|var f = function g() { if (false) g = 1; return this === undefined; };
+print(f());|};
+    (* an undeclared assignment *)
+    "x = 1; print(x);";
+    (* failed writes and property creations: frozen, sealed and
+       non-extensible objects, a non-writable prototype property, a
+       primitive, a frozen or non-extensible array, a fixed length *)
+    "var o = Object.freeze({a: 1}); o.a = 2; print(o.a);";
+    "var o = Object.seal({a: 1}); o.b = 2; print(o.b);";
+    "var p = Object.freeze({k: 1}); var o = Object.create(p); o.k = 2; print(o.k);";
+    {|var s = "x"; s.p = 1; print(s.p);|};
+    "var a = Object.freeze([1, 2]); a.length = 0; print(a.length);";
+    "var a = Object.freeze([1, 2]); a[0] = 5; print(a[0]);";
+    "var a = Object.preventExtensions([1]); a[3] = 2; print(a.length);";
+    {|var a = [1]; Object.defineProperty(a, "length", { writable: false });
+a[3] = 2; print(a.length);|};
+    (* failed deletes: a sealed element and a sealed property *)
+    "var a = Object.seal([1, 2]); print(delete a[0], a[0]);";
+    "var o = Object.seal({a: 1}); print(delete o.a, o.a);";
+    (* the named function expression's rebinding *)
+    {|var f = function g() { g = 1; return typeof g; }; print(f());|};
+    (* eval: its code stays sloppy in a strict run, and so do the
+       functions it makes *)
+    {|eval("var z; function h() { return 1; }"); print(h(), typeof z);|};
+    (* a plain call whose callee ignores [this]: mode-free, and the
+       strict run consults strict-this-is-global, compiled and
+       tree-walked *)
+    "function f() { return 1; } print(f());";
+    {|var f = function g() { if (false) g = 1; return 1; }; print(f());|};
+  ]
+
+let mode_site_fixtures () =
+  Alcotest.(check bool) "some config carries strict-this-is-global" true
+    (List.exists
+       (fun (tb : Engine.testbed) ->
+         Quirk.Set.mem Quirk.Q_strict_this_is_global
+           tb.Engine.tb_config.Engines.Registry.cfg_quirks)
+       Engine.all_testbeds);
+  List.iter check_sweep mode_site_sources
+
 (* Interpreter executions of one shared sweep over all 102 testbeds. *)
 let sweep_executions src =
   let ec = Engine.Exec.cache src in
@@ -318,9 +377,9 @@ let sweep_executions src =
   fst (Engine.Exec.stats ec)
 
 let execution_counts_pinned () =
-  (* one front end serves every parse group, and nothing is consulted:
-     one execution per mode *)
-  Alcotest.(check int) "quirk-free, eval-free program" 2
+  (* one front end serves every parse group, nothing is consulted and
+     no mode-dependent site is reached: one execution for both modes *)
+  Alcotest.(check int) "quirk-free, eval-free program" 1
     (sweep_executions "print(1 + 1);");
   (* a run-time parse pins each class to its parse group *)
   let groups =
@@ -569,7 +628,9 @@ let suite =
     case "Exec cache collapses the sweep >=4x" exec_cache_collapses_the_sweep;
     case "cross-group sharing: run-time parse fixtures"
       cross_group_reparse_fixtures;
-    case "execution counts: per mode, or per parse group under eval"
+    case "strict runs inherit only mode-free sloppy runs"
+      mode_site_fixtures;
+    case "execution counts: one, or one per parse group under eval"
       execution_counts_pinned;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
     case "campaigns are share- and workers-invariant"
