@@ -708,7 +708,7 @@ let interp_bench () =
        compilation across iterations, Reference never compiles *)
     let fe = Jsinterp.Run.parse_frontend src in
     Test.make
-      ~name:(Printf.sprintf "%s/%s" name (to_string strategy))
+      ~name:(Printf.sprintf "%s/%s" name (Jsinterp.Strategy.to_string strategy))
       (Staged.stage (fun () ->
            ignore (Jsinterp.Run.run ~fuel ~strategy ~frontend:fe src)))
   in
@@ -721,7 +721,7 @@ let interp_bench () =
         vote_cases
     in
     Test.make
-      ~name:(Printf.sprintf "vote/%s" (to_string strategy))
+      ~name:(Printf.sprintf "vote/%s" (Jsinterp.Strategy.to_string strategy))
       (Staged.stage (fun () ->
            List.iter (fun sw -> ignore (Comfort.Difftest.judge sw)) sweeps))
   in
@@ -742,7 +742,7 @@ let interp_bench () =
   let estimate name strategy =
     match
       Hashtbl.find_opt results
-        (Printf.sprintf "interp/%s/%s" name (to_string strategy))
+        (Printf.sprintf "interp/%s/%s" name (Jsinterp.Strategy.to_string strategy))
     with
     | Some r -> (
         match Analyze.OLS.estimates r with Some (t :: _) -> Some t | _ -> None)

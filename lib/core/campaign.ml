@@ -460,8 +460,6 @@ module Checkpoint = struct
 
   type state = st
 
-  let consumed (st : state) = st.d_consumed
-  let total (st : state) = st.d_budget
   let fuzzer (st : state) = st.d_fuzzer
   let seed (st : state) = st.d_seed
 

@@ -147,19 +147,15 @@ module Checkpoint : sig
       bit-flipped frame is an [Error] naming the damage. *)
   val load : string -> (state, string) Stdlib.result
 
-  (** Cases fully consumed when the checkpoint was saved. *)
-  val consumed : state -> int
-
-  (** The campaign's budget. *)
-  val total : state -> int
-
   (** The name ([fz_name]) and seed ([fz_seed]) of the fuzzer the
       campaign drew from: {!resume} needs a fresh fuzzer built alike. *)
   val fuzzer : state -> string
 
   val seed : state -> int
 
-  (** One-line human summary, for the CLI. *)
+  (** One-line human summary, for the CLI: the fuzzer, the cases fully
+      consumed when the checkpoint was saved out of the budget, and the
+      discoveries so far. *)
   val describe : state -> string
 end
 

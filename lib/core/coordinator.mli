@@ -74,23 +74,20 @@ val available : unit -> bool
     and when COMFORT_NO_FORK is set non-empty (the CI escape hatch);
     callers degrade to the in-process loop. *)
 
-val create :
-  workers:int -> ?limits:limits -> worker:('a -> 'b) -> unit -> ('a, 'b) t
-(** Fork [workers] children, each looping over dispatched tasks with
-    [worker]. Children inherit the caller's state copy-on-write, so
-    force shared lazy state before creating the pool. [worker] runs in
-    the child; exceptions it raises are shipped back as strings and
-    surface through [run_ordered]'s [on_task_fail]. [limits] defaults
-    to [{ li_watchdog_s = 30.0; li_task_deaths = 2;
-    li_respawn_budget = 32; li_backoff_ms = 25 }]. *)
-
 val with_pool :
   workers:int ->
   ?limits:limits ->
   worker:('a -> 'b) ->
   (('a, 'b) t -> 'c) ->
   'c
-(** [create]/[shutdown] bracket; the pool is torn down on any exit. *)
+(** Fork [workers] children, each looping over dispatched tasks with
+    [worker], run the function on the pool and tear the pool down on
+    any exit. Children inherit the caller's state copy-on-write, so
+    force shared lazy state before creating the pool. [worker] runs in
+    the child; exceptions it raises are shipped back as strings and
+    surface through [run_ordered]'s [on_task_fail]. [limits] defaults
+    to [{ li_watchdog_s = 30.0; li_task_deaths = 2;
+    li_respawn_budget = 32; li_backoff_ms = 25 }]. *)
 
 val run_ordered :
   ('a, 'b) t ->
@@ -114,7 +111,7 @@ val run_ordered :
     raises [Failure msg]). [stop], polled between consumes and before
     each new dispatch, ends the run early, discarding in-flight work.
     May raise {!Exhausted}. A pool outlives its runs; a wedged pool is
-    recovered by {!shutdown}. *)
+    recovered by tearing it down. *)
 
 (** {2 Process-wide robustness telemetry}
 

@@ -37,8 +37,7 @@ type meta = {
   strict_only : bool;
 }
 
-(** One entry per quirk; totality is asserted at load time. *)
-val all : meta list
-
-(** @raise Invalid_argument on a quirk missing from the catalogue. *)
+(** The metadata of a quirk. Every quirk has one entry; totality is
+    asserted at load time.
+    @raise Invalid_argument on a quirk missing from the catalogue. *)
 val find : Jsinterp.Quirk.t -> meta

@@ -72,9 +72,6 @@ module Frontend : sig
       options? *)
   val parses_clean : Jsinterp.Run.frontend -> bool
 
-  (** The source string the cache was built for. *)
-  val source : cache -> string
-
   (** Memoised {!Engine.supports}: same verdict, at most one parse per
       base front-end profile (plus one validity probe) per case. *)
   val supports : cache -> Registry.config -> bool

@@ -26,27 +26,21 @@ let int i = num (Float.of_int i)
 let str x = lit (Lstr x)
 let regexp pat flags = lit (Lregexp (pat, flags))
 let ident x = e (Ident x)
-let this () = e This
 let undefined () = ident "undefined"
 let array elems = e (Array_lit (List.map Option.some elems))
 let object_ props = e (Object_lit props)
-let unary op x = e (Unary (op, x))
 let binary op a b = e (Binary (op, a, b))
 let assign lhs rhs = e (Assign (None, lhs, rhs))
-let assign_op op lhs rhs = e (Assign (Some op, lhs, rhs))
-let cond c t f = e (Cond (c, t, f))
 let call f args = e (Call (f, args))
 let new_ f args = e (New (f, args))
 let field obj name = e (Member (obj, Pfield name))
 let index obj i = e (Member (obj, Pindex i))
-let template parts = e (Template parts)
 
 (* Statements *)
 
 let expr_stmt x = s (Expr_stmt x)
 let var name init = s (Var_decl (Var, [ (name, Some init) ]))
 let block stmts = s (Block stmts)
-let throw x = s (Throw x)
 
 (* [print x] builds [print(x)] — the output primitive used by every engine
    testbed for differential comparison. *)

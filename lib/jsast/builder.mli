@@ -18,27 +18,21 @@ val int : int -> Ast.expr
 val str : string -> Ast.expr
 val regexp : string -> string -> Ast.expr
 val ident : string -> Ast.expr
-val this : unit -> Ast.expr
 val undefined : unit -> Ast.expr
 val array : Ast.expr list -> Ast.expr
 val object_ : (Ast.propname * Ast.expr) list -> Ast.expr
-val unary : Ast.unop -> Ast.expr -> Ast.expr
 val binary : Ast.binop -> Ast.expr -> Ast.expr -> Ast.expr
 val assign : Ast.expr -> Ast.expr -> Ast.expr
-val assign_op : Ast.binop -> Ast.expr -> Ast.expr -> Ast.expr
-val cond : Ast.expr -> Ast.expr -> Ast.expr -> Ast.expr
 val call : Ast.expr -> Ast.expr list -> Ast.expr
 val new_ : Ast.expr -> Ast.expr list -> Ast.expr
 val field : Ast.expr -> string -> Ast.expr
 val index : Ast.expr -> Ast.expr -> Ast.expr
-val template : Ast.template_part list -> Ast.expr
 
 (** {2 Statements} *)
 
 val expr_stmt : Ast.expr -> Ast.stmt
 val var : string -> Ast.expr -> Ast.stmt
 val block : Ast.stmt list -> Ast.stmt
-val throw : Ast.expr -> Ast.stmt
 
 (** [print x] builds [print(x)] — the output primitive every testbed
     compares on. *)

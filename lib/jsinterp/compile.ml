@@ -10,11 +10,11 @@
    compiled closures therefore burn fuel exactly where [Interp.eval] /
    [Interp.exec_stmt] do (1 per expression node, 1 per statement node, 2
    per call via the shared [Interp.call_function]) and replicate every
-   quirk checkpoint in place. Anything the slot representation cannot
-   honour deopts: per function ([Resolve.func_deopts] — the closure is
-   created by [Interp.make_function] over a bridged Hashtbl scope chain)
-   or per program ([Resolve.program_deopts] — the whole program
-   tree-walks). *)
+   quirk checkpoint in place. A program the slot representation cannot
+   honour is tree-walked whole ([Resolve.program_deopts]), so a program
+   runs either fully slotted or fully tree-walked; the one way out of a
+   slotted run is the eval builtin's dynamic trap ([Deopt_to_tree]),
+   which re-runs the program tree-walked. *)
 
 open Value
 module Ast = Jsast.Ast
@@ -25,32 +25,18 @@ module R = Resolve
    can collide with it. *)
 let absent : value = Str "\000<absent>\000"
 
-(* Runtime frame: the compiled image of one [Value.scope]. [bridge] lazily
-   materialises a real Hashtbl scope chain when a deopted (tree-walked)
-   function closes over compiled frames. *)
-type frame = {
-  slots : value ref array;
-  names : string array;         (** slot index -> binding name *)
-  frz : string list;            (** [frozen_names] of the bridged scope *)
-  parent : frame option;
-  mutable bridge : scope option;
-}
-
-type gstate = { mutable gs_deopts : int }
+(* Runtime frame: the compiled image of one [Value.scope]. Installing a
+   binding (let/const declaration, hoisted var or function, loop
+   variable, catch parameter) puts a fresh ref into its slot, as
+   [Hashtbl.replace] does in the tree-walker. *)
+type frame = { slots : value ref array; parent : frame option }
 
 (* Process-wide count of slot compilations, surfaced by campaign reports
    as [cp_specialized]. *)
 let specialized = Cutil.Counter.make "jsinterp.specialized"
 
-let mk_frame (names : string array) (frz : string list) (parent : frame option)
-    : frame =
-  {
-    slots = Array.init (Array.length names) (fun _ -> ref absent);
-    names;
-    frz;
-    parent;
-    bridge = None;
-  }
+let mk_frame (size : int) (parent : frame option) : frame =
+  { slots = Array.init size (fun _ -> ref absent); parent }
 
 let rec frame_at (d : int) (fr : frame) : frame =
   if d = 0 then fr
@@ -58,40 +44,6 @@ let rec frame_at (d : int) (fr : frame) : frame =
     match fr.parent with
     | Some p -> frame_at (d - 1) p
     | None -> invalid_arg "Compile.frame_at"
-
-(* A Hashtbl scope backed by this frame's refs, for deopted functions.
-   Cached per frame; slots installed after materialisation are propagated
-   by [set_slot], so the bridge always agrees with the frame. *)
-let rec bridge_of ctx (fr : frame) : scope =
-  match fr.bridge with
-  | Some s -> s
-  | None ->
-      let parent =
-        match fr.parent with
-        | Some p -> bridge_of ctx p
-        | None -> ctx.global_scope
-      in
-      let s =
-        {
-          bindings = Hashtbl.create 8;
-          parent = Some parent;
-          frozen_names = fr.frz;
-        }
-      in
-      Array.iteri
-        (fun i r -> if not (!r == absent) then Hashtbl.replace s.bindings fr.names.(i) r)
-        fr.slots;
-      fr.bridge <- Some s;
-      s
-
-(* Install a fresh ref into a slot (let/const declaration, hoisted var or
-   function, loop variable, catch parameter) — mirrors [Hashtbl.replace]
-   in the tree-walker, including on any already-materialised bridge. *)
-let set_slot (fr : frame) (i : int) (r : value ref) : unit =
-  fr.slots.(i) <- r;
-  match fr.bridge with
-  | Some s -> Hashtbl.replace s.bindings fr.names.(i) r
-  | None -> ()
 
 (* --- identifier access chains ---
 
@@ -173,13 +125,14 @@ let compile_typeof_ident (env : R.level list) (name : string) :
     | None -> Interp.ident_typeof_miss ctx name
 
 (* Assignment to a bare identifier — the static image of
-   [Interp.assign_ident], with the same frozen-binding checkpoint
-   ([Q_named_funcexpr_binding_mutable]) at a frozen terminal. *)
-let compile_assign_ident (env : R.level list) ~strict
-    (name : string) : ctx -> frame -> value -> unit =
+   [Interp.assign_ident]. No slotted program writes a named function's
+   self binding ([Resolve.program_deopts]), so a terminal is never
+   frozen. *)
+let compile_assign_ident (env : R.level list) ~strict (name : string) :
+    ctx -> frame -> value -> unit =
   let acc = R.resolve_access env name in
   match (acc.R.ac_candidates, acc.R.ac_terminal) with
-  | [], Some { R.tg_depth = d; tg_slot = i; tg_frozen = false } ->
+  | [], Some { R.tg_depth = d; tg_slot = i } ->
       if d = 0 then fun _ fr v -> fr.slots.(i) := v
       else fun _ fr v -> (frame_at d fr).slots.(i) := v
   | cands, term ->
@@ -194,20 +147,8 @@ let compile_assign_ident (env : R.level list) ~strict
           end
           else
             match term with
-            | Some { R.tg_depth = d; tg_slot = i; tg_frozen } ->
-                if tg_frozen then begin
-                  if fire ctx Quirk.Q_named_funcexpr_binding_mutable then
-                    (frame_at d fr).slots.(i) := v
-                  else if strict then
-                    Ops.type_error ctx
-                      ("assignment to constant variable " ^ name)
-                  (* sloppy: silent no-op. Unreachable in practice:
-                     [Resolve.func_deopts] tree-walks every function that
-                     writes a named function expression's own name; the
-                     mark keeps this fallback exact *)
-                  else touch_mode ctx
-                end
-                else (frame_at d fr).slots.(i) := v
+            | Some { R.tg_depth = d; tg_slot = i } ->
+                (frame_at d fr).slots.(i) := v
             | None -> Interp.assign_ident ctx ctx.global_scope strict name v
         in
         go 0
@@ -243,9 +184,9 @@ let compile_var_write (env : R.level list) (name : string) :
    order inside each arm is forced with explicit lets to match the
    tree-walker exactly. *)
 
-let rec compile_expr (gs : gstate) (env : R.level list) ~strict
-    ~(frz : string list) (x : Ast.expr) : ctx -> frame -> value =
-  let ce e = compile_expr gs env ~strict ~frz e in
+let rec compile_expr (env : R.level list) ~strict (x : Ast.expr) :
+    ctx -> frame -> value =
+  let ce e = compile_expr env ~strict e in
   match x.Ast.e with
   | Ast.Lit Ast.Lnull -> fun ctx _ -> burn ctx 1; Null
   | Ast.Lit (Ast.Lbool b) ->
@@ -313,10 +254,10 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
           pcs;
         Obj o
   | Ast.Func f ->
-      let mk = compile_function gs env ~strict ~frz ~node_id:x.Ast.eid f in
+      let mk = compile_function env ~strict ~node_id:x.Ast.eid f in
       fun ctx fr -> burn ctx 1; mk ctx fr
   | Ast.Arrow f ->
-      let mk = compile_function gs env ~strict ~frz ~node_id:x.Ast.eid f in
+      let mk = compile_function env ~strict ~node_id:x.Ast.eid f in
       fun ctx fr -> burn ctx 1; mk ctx fr
   | Ast.Unary (Ast.Utypeof, { Ast.e = Ast.Ident name; _ }) ->
       let tc = compile_typeof_ident env name in
@@ -343,14 +284,8 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
         | Obj obj -> Bool (Ops.delete ctx ~strict obj key)
         | _ -> Bool true)
   | Ast.Unary (Ast.Udelete, { Ast.e = Ast.Ident name; _ }) ->
-      (* unreachable in practice: [Resolve.stmts_deopt] deopts the whole
-         enclosing function (or program) on [delete ident]; kept as an
-         exact fallback via the bridge chain *)
-      fun ctx fr ->
-        burn ctx 1;
-        if Ops.has_own ctx ctx.global name then
-          Bool (Ops.delete ctx ~strict ctx.global name)
-        else Bool (Interp.lookup (bridge_of ctx fr) name = None)
+      (* [Resolve.program_deopts] tree-walks every program with one *)
+      invalid_arg ("Compile: delete of a binding: " ^ name)
   | Ast.Unary (Ast.Udelete, ox) ->
       let oc = ce ox in
       fun ctx fr ->
@@ -424,7 +359,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
             end)
   | Ast.Assign (op, lhs, rhs) -> (
       let rc = ce rhs in
-      let assign = compile_assign_target gs env ~strict ~frz lhs in
+      let assign = compile_assign_target env ~strict lhs in
       match op with
       | None ->
           fun ctx fr ->
@@ -454,7 +389,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
             v)
   | Ast.Update (op, prefix, target) ->
       let tc = ce target in
-      let assign = compile_assign_target gs env ~strict ~frz target in
+      let assign = compile_assign_target env ~strict target in
       fun ctx fr ->
         burn ctx 1;
         let old = Ops.to_number ctx (tc ctx fr) in
@@ -561,15 +496,15 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
 (* The write half of [Interp.assign_to]: Ident via the static chain,
    Member re-evaluating object and key (as the tree-walker does for update
    and compound assignment), anything else a TypeError when invoked. *)
-and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
+and compile_assign_target env ~strict (lhs : Ast.expr) :
     ctx -> frame -> value -> unit =
   match lhs.Ast.e with
   | Ast.Ident name -> compile_assign_ident env ~strict name
   | Ast.Member (ox, prop) -> (
-      let oc = compile_expr gs env ~strict ~frz ox in
+      let oc = compile_expr env ~strict ox in
       match prop with
       | Ast.Pindex ix ->
-          let kc = compile_expr gs env ~strict ~frz ix in
+          let kc = compile_expr env ~strict ix in
           fun ctx fr v -> (
             let ov = oc ctx fr in
             let kv = kc ctx fr in
@@ -590,33 +525,30 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
    collect the reachable let/const names, elide the frame when there are
    none (Hashtbl scopes are unobservable when empty), otherwise build one
    fresh frame per entry. *)
-and compile_block gs env ~strict ~frz (stmts : Ast.stmt list) :
+and compile_block env ~strict (stmts : Ast.stmt list) :
     ctx -> frame -> unit =
-  match R.lexical_names stmts with
-  | [] ->
-      let body = List.map (compile_stmt gs env ~strict ~frz) stmts in
+  let lvl = R.new_level () in
+  R.declare_lexicals lvl stmts;
+  match R.size lvl with
+  | 0 ->
+      let body = List.map (compile_stmt env ~strict) stmts in
       fun ctx fr -> List.iter (fun sc -> sc ctx fr) body
-  | lex ->
-      let lvl = R.new_level () in
-      List.iter
-        (fun n -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-        lex;
-      let names = R.names lvl and frzn = R.frozen_names lvl in
-      let body = List.map (compile_stmt gs (lvl :: env) ~strict ~frz) stmts in
+  | size ->
+      let body = List.map (compile_stmt (lvl :: env) ~strict) stmts in
       fun ctx fr ->
-        let bf = mk_frame names frzn (Some fr) in
+        let bf = mk_frame size (Some fr) in
         List.iter (fun sc -> sc ctx bf) body
 
-and compile_stmt gs env ~strict ~frz (st : Ast.stmt) : ctx -> frame -> unit =
-  let inner = compile_stmt_desc gs env ~strict ~frz st in
+and compile_stmt env ~strict (st : Ast.stmt) : ctx -> frame -> unit =
+  let inner = compile_stmt_desc env ~strict st in
   fun ctx fr ->
     burn ctx 1;
     Interp.cov_stmt ctx st;
     inner ctx fr
 
-and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
+and compile_stmt_desc env ~strict (st : Ast.stmt) :
     ctx -> frame -> unit =
-  let ce e = compile_expr gs env ~strict ~frz e in
+  let ce e = compile_expr env ~strict e in
   let sid = st.Ast.sid in
   match st.Ast.s with
   | Ast.Expr_stmt x ->
@@ -650,7 +582,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
                 w ctx fr v
             | `Lex (ic, slot) ->
                 let v = match ic with Some ic -> ic ctx fr | None -> Undefined in
-                set_slot fr slot (ref v))
+                fr.slots.(slot) <- ref v)
           items
   | Ast.Func_decl _ -> fun _ _ -> () (* installed during hoisting *)
   | Ast.Return x -> (
@@ -661,10 +593,10 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
       | None -> fun _ _ -> raise (Interp.Return_exc Undefined))
   | Ast.If (c, t, f) -> (
       let cc = ce c in
-      let tc = compile_stmt gs env ~strict ~frz t in
+      let tc = compile_stmt env ~strict t in
       match f with
       | Some f ->
-          let fc = compile_stmt gs env ~strict ~frz f in
+          let fc = compile_stmt env ~strict f in
           fun ctx fr ->
             if Ops.to_boolean (cc ctx fr) then begin
               Interp.cov_branch ctx sid 0;
@@ -681,7 +613,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
               tc ctx fr
             end
             else Interp.cov_branch ctx sid 1)
-  | Ast.Block body -> compile_block gs env ~strict ~frz body
+  | Ast.Block body -> compile_block env ~strict body
   | Ast.For (init, cond, upd, body) ->
       (* the for scope holds let/const init declarations plus the lexicals
          of an unbraced body; a var init writes through the outer chain
@@ -690,17 +622,13 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
       let lvl = R.new_level () in
       (match init with
       | Some (Ast.FI_decl ((Ast.Let | Ast.Const), decls)) ->
-          List.iter
-            (fun (n, _) -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-            decls
+          List.iter (fun (n, _) -> ignore (R.declare lvl n ~fixed:false)) decls
       | _ -> ());
-      List.iter
-        (fun n -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-        (R.lexical_names [ body ]);
-      let has_frame = R.size lvl > 0 in
+      R.declare_lexicals lvl [ body ];
+      let size = R.size lvl in
+      let has_frame = size > 0 in
       let fenv = if has_frame then lvl :: env else env in
-      let names = R.names lvl and frzn = R.frozen_names lvl in
-      let cef e = compile_expr gs fenv ~strict ~frz e in
+      let cef e = compile_expr fenv ~strict e in
       let initc =
         match init with
         | Some (Ast.FI_decl (kind, decls)) ->
@@ -724,9 +652,9 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
       in
       let condc = Option.map cef cond in
       let updc = Option.map cef upd in
-      let bodyc = compile_stmt gs fenv ~strict ~frz body in
+      let bodyc = compile_stmt fenv ~strict body in
       fun ctx fr ->
-        let ffr = if has_frame then mk_frame names frzn (Some fr) else fr in
+        let ffr = if has_frame then mk_frame size (Some fr) else fr in
         (match initc with
         | Some (`Decl items) ->
             List.iter
@@ -739,7 +667,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
                     let v =
                       match ic with Some ic -> ic ctx ffr | None -> Undefined
                     in
-                    set_slot ffr slot (ref v))
+                    ffr.slots.(slot) <- ref v)
               items
         | Some (`Expr xc) -> ignore (xc ctx ffr)
         | None -> ());
@@ -759,7 +687,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
             else false)
   | Ast.While (c, body) ->
       let cc = ce c in
-      let bodyc = compile_stmt gs env ~strict ~frz body in
+      let bodyc = compile_stmt env ~strict body in
       fun ctx fr ->
         Interp.run_loop ctx sid (fun () ->
             if Ops.to_boolean (cc ctx fr) then begin
@@ -769,14 +697,14 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
             else false)
   | Ast.Do_while (body, c) ->
       let cc = ce c in
-      let bodyc = compile_stmt gs env ~strict ~frz body in
+      let bodyc = compile_stmt env ~strict body in
       fun ctx fr ->
         Interp.run_loop ctx sid (fun () ->
             (try bodyc ctx fr with Interp.Continue_exc None -> ());
             Ops.to_boolean (cc ctx fr))
   | Ast.For_in (kind, name, objx, body) ->
       let oc = ce objx in
-      let loop = compile_iter_var gs env ~strict ~frz kind name body in
+      let loop = compile_iter_var env ~strict kind name body in
       fun ctx fr ->
         let ov = oc ctx fr in
         let keys =
@@ -788,7 +716,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
         loop ctx fr sid (List.map (fun k -> Str k) keys)
   | Ast.For_of (kind, name, objx, body) ->
       let oc = ce objx in
-      let loop = compile_iter_var gs env ~strict ~frz kind name body in
+      let loop = compile_iter_var env ~strict kind name body in
       fun ctx fr ->
         let ov = oc ctx fr in
         let items =
@@ -806,21 +734,19 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
       let xc = ce x in
       fun ctx fr -> raise (Js_throw (xc ctx fr))
   | Ast.Try (body, handler, finalizer) ->
-      let bc = compile_block gs env ~strict ~frz body in
-      let fin = Option.map (compile_block gs env ~strict ~frz) finalizer in
+      let bc = compile_block env ~strict body in
+      let fin = Option.map (compile_block env ~strict) finalizer in
       let hc =
         Option.map
           (fun (param, hbody) ->
             let lvl = R.new_level () in
-            let pslot = R.declare lvl param ~fixed:true ~frozen:false in
-            List.iter
-              (fun n -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-              (R.lexical_names hbody);
-            let names = R.names lvl and frzn = R.frozen_names lvl in
+            let pslot = R.declare lvl param ~fixed:true in
+            R.declare_lexicals lvl hbody;
+            let size = R.size lvl in
             let hb =
-              List.map (compile_stmt gs (lvl :: env) ~strict ~frz) hbody
+              List.map (compile_stmt (lvl :: env) ~strict) hbody
             in
-            (pslot, names, frzn, hb))
+            (pslot, size, hb))
           handler
       in
       fun ctx fr ->
@@ -833,9 +759,9 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
          with
         | Js_throw v -> (
             match hc with
-            | Some (pslot, names, frzn, hb) ->
-                let hf = mk_frame names frzn (Some fr) in
-                set_slot hf pslot (ref v);
+            | Some (pslot, size, hb) ->
+                let hf = mk_frame size (Some fr) in
+                hf.slots.(pslot) <- ref v;
                 (try List.iter (fun sc -> sc ctx hf) hb
                  with e ->
                    run_finally ();
@@ -851,26 +777,24 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
       let dc = ce d in
       (* one scope for every case body, as in the tree-walker *)
       let lvl = R.new_level () in
-      List.iter
-        (fun n -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-        (R.lexical_names (List.concat_map snd cases));
-      let has_frame = R.size lvl > 0 in
+      R.declare_lexicals lvl (List.concat_map snd cases);
+      let size = R.size lvl in
+      let has_frame = size > 0 in
       let senv = if has_frame then lvl :: env else env in
-      let names = R.names lvl and frzn = R.frozen_names lvl in
       let tests =
         List.map
-          (fun (c, _) -> Option.map (compile_expr gs senv ~strict ~frz) c)
+          (fun (c, _) -> Option.map (compile_expr senv ~strict) c)
           cases
       in
       let bodies =
         List.map
-          (fun (_, body) -> List.map (compile_stmt gs senv ~strict ~frz) body)
+          (fun (_, body) -> List.map (compile_stmt senv ~strict) body)
           cases
       in
       let default_idx = List.find_index (fun (c, _) -> c = None) cases in
       fun ctx fr ->
         let dv = dc ctx fr in
-        let sf = if has_frame then mk_frame names frzn (Some fr) else fr in
+        let sf = if has_frame then mk_frame size (Some fr) else fr in
         let rec find i = function
           | [] -> default_idx
           | Some tc :: rest ->
@@ -889,7 +813,7 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
                 bodies
             with Interp.Break_exc None -> ()))
   | Ast.Labeled (label, inner) -> (
-      let bodyc = compile_stmt gs env ~strict ~frz inner in
+      let bodyc = compile_stmt env ~strict inner in
       fun ctx fr ->
         try bodyc ctx fr with
         | Interp.Break_exc (Some l) when l = label -> ()
@@ -901,37 +825,35 @@ and compile_stmt_desc gs env ~strict ~frz (st : Ast.stmt) :
    reuse the binding [lookup] finds, installing into the loop scope only on
    a miss), build the per-execution loop frame, and drive
    [Interp.iterate_loop]. *)
-and compile_iter_var gs env ~strict ~frz kind name body :
+and compile_iter_var env ~strict kind name body :
     ctx -> frame -> int -> value list -> unit =
   let lvl = R.new_level () in
   let var_plan =
     match kind with
     | Some (Ast.Let | Ast.Const) ->
-        `Lexical (R.declare lvl name ~fixed:true ~frozen:false)
+        `Lexical (R.declare lvl name ~fixed:true)
     | Some Ast.Var | None ->
         `Chain
           ( chain_ref (R.resolve_access env name) name,
-            R.declare lvl name ~fixed:false ~frozen:false )
+            R.declare lvl name ~fixed:false )
   in
-  List.iter
-    (fun n -> ignore (R.declare lvl n ~fixed:false ~frozen:false))
-    (R.lexical_names [ body ]);
-  let names = R.names lvl and frzn = R.frozen_names lvl in
-  let bodyc = compile_stmt gs (lvl :: env) ~strict ~frz body in
+  R.declare_lexicals lvl [ body ];
+  let size = R.size lvl in
+  let bodyc = compile_stmt (lvl :: env) ~strict body in
   fun ctx fr sid items ->
-    let lf = mk_frame names frzn (Some fr) in
+    let lf = mk_frame size (Some fr) in
     let r =
       match var_plan with
       | `Lexical slot ->
           let r = ref Undefined in
-          set_slot lf slot r;
+          lf.slots.(slot) <- r;
           r
       | `Chain (cref, slot) -> (
           match cref ctx fr with
           | Some r -> r
           | None ->
               let r = ref Undefined in
-              set_slot lf slot r;
+              lf.slots.(slot) <- r;
               r)
     in
     Interp.iterate_loop ctx sid items (fun v ->
@@ -943,157 +865,140 @@ and compile_iter_var gs env ~strict ~frz kind name body :
    exactly (Function object, then fresh .prototype); the call closure
    mirrors the [Js_closure] arm of [Interp.call_function] step for step
    (params, this, coverage, arguments object, var hoisting, function
-   installs, depth accounting). Functions using features the slot
-   representation cannot honour fall back to [Interp.make_function] over a
-   bridge of the creation frame — a per-function, not per-program, deopt. *)
-and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
+   installs, depth accounting). *)
+and compile_function env ~strict ~node_id (f : Ast.func) :
     ctx -> frame -> value =
-  if R.func_deopts ~frozen:frz f then begin
-    gs.gs_deopts <- gs.gs_deopts + 1;
-    if f.Ast.is_arrow then fun ctx fr ->
-      Interp.make_function ctx ~node_id ~strict ~this_lex:(Some ctx.cur_this) f
-        (bridge_of ctx fr)
-    else fun ctx fr ->
-      Interp.make_function ctx ~node_id ~strict f (bridge_of ctx fr)
-  end
-  else begin
-    let strict_f = strict || Interp.body_is_strict f.Ast.body in
-    (* named function expressions (and declarations) see their own name as
-       an immutable binding in a scope of its own *)
-    let self, env, frz =
-      match f.Ast.fname with
-      | Some n when not f.Ast.is_arrow ->
-          let lvl = R.new_level () in
-          let slot = R.declare lvl n ~fixed:true ~frozen:true in
-          (Some (slot, R.names lvl, R.frozen_names lvl), lvl :: env, n :: frz)
-      | _ -> (None, env, frz)
+  let strict_f = strict || Interp.body_is_strict f.Ast.body in
+  (* named function expressions (and declarations) see their own name as
+     a binding in a scope of its own; no slotted program writes it *)
+  let self, env =
+    match f.Ast.fname with
+    | Some n when not f.Ast.is_arrow ->
+        let lvl = R.new_level () in
+        ignore (R.declare lvl n ~fixed:true);
+        (true, lvl :: env)
+    | _ -> (false, env)
+  in
+  let flevel = R.new_level () in
+  let param_slots =
+    List.map (fun p -> R.declare flevel p ~fixed:true) f.Ast.params
+  in
+  let this_slot = R.declare flevel "this" ~fixed:true in
+  let arguments_slot =
+    if f.Ast.is_arrow then None
+    else Some (R.declare flevel "arguments" ~fixed:true)
+  in
+  let vars, funcs = R.hoisted f.Ast.body in
+  let var_slots =
+    List.filter_map
+      (fun n ->
+        if R.find flevel n <> None then None (* param/arguments: kept *)
+        else Some (R.declare flevel n ~fixed:true))
+      vars
+  in
+  let func_slots =
+    List.map
+      (fun ((_, fj) : int * Ast.func) ->
+        let fname = Option.value fj.Ast.fname ~default:"" in
+        R.declare flevel fname ~fixed:true)
+      funcs
+  in
+  R.declare_lexicals flevel f.Ast.body;
+  let benv = flevel :: env in
+  let fcreates =
+    List.map2
+      (fun ((sid, fj) : int * Ast.func) slot ->
+        (slot, compile_function benv ~strict:strict_f ~node_id:sid fj))
+      funcs func_slots
+  in
+  let body_code = List.map (compile_stmt benv ~strict:strict_f) f.Ast.body in
+  let fsize = R.size flevel in
+  let fname = match f.Ast.fname with Some n -> n | None -> "" in
+  let params = f.Ast.params in
+  let nparams = List.length params in
+  let is_arrow = f.Ast.is_arrow in
+  let reads_this =
+    (not strict_f) && (not is_arrow) && Jsast.Visit.reads_this f.Ast.body
+  in
+  fun ctx fr ->
+    let o = make_obj ~oclass:"Function" ~proto:(proto_of ctx "Function") () in
+    let parent_fr, binding =
+      if self then
+        let r = ref Undefined in
+        ({ slots = [| r |]; parent = Some fr }, Some r)
+      else (fr, None)
     in
-    let flevel = R.new_level () in
-    let param_slots =
-      List.map (fun p -> R.declare flevel p ~fixed:true ~frozen:false) f.Ast.params
-    in
-    let this_slot = R.declare flevel "this" ~fixed:true ~frozen:false in
-    let arguments_slot =
-      if f.Ast.is_arrow then None
-      else Some (R.declare flevel "arguments" ~fixed:true ~frozen:false)
-    in
-    let vars, funcs = R.hoisted f.Ast.body in
-    let var_slots =
-      List.filter_map
-        (fun n ->
-          if R.find flevel n <> None then None (* param/arguments: kept *)
-          else Some (R.declare flevel n ~fixed:true ~frozen:false))
-        vars
-    in
-    let func_slots =
-      List.map
-        (fun ((_, fj) : int * Ast.func) ->
-          let fname = Option.value fj.Ast.fname ~default:"" in
-          R.declare flevel fname ~fixed:true ~frozen:false)
-        funcs
-    in
-    List.iter
-      (fun n -> ignore (R.declare flevel n ~fixed:false ~frozen:false))
-      (R.lexical_names f.Ast.body);
-    let benv = flevel :: env in
-    let fcreates =
-      List.map2
-        (fun ((sid, fj) : int * Ast.func) slot ->
-          (slot, compile_function gs benv ~strict:strict_f ~frz ~node_id:sid fj))
-        funcs func_slots
-    in
-    let body_code = List.map (compile_stmt gs benv ~strict:strict_f ~frz) f.Ast.body in
-    let fnames = R.names flevel and ffrz = R.frozen_names flevel in
-    let fname = match f.Ast.fname with Some n -> n | None -> "" in
-    let params = f.Ast.params in
-    let nparams = List.length params in
-    let is_arrow = f.Ast.is_arrow in
-    let reads_this =
-      (not strict_f) && (not is_arrow) && Jsast.Visit.reads_this f.Ast.body
-    in
-    fun ctx fr ->
-      let o = make_obj ~oclass:"Function" ~proto:(proto_of ctx "Function") () in
-      let parent_fr, binding =
-        match self with
-        | Some (slot, snames, sfrz) ->
-            let sf = mk_frame snames sfrz (Some fr) in
-            let r = ref Undefined in
-            sf.slots.(slot) <- r;
-            (sf, Some r)
-        | None -> (fr, None)
-      in
-      let lex_this = if is_arrow then Some ctx.cur_this else None in
-      let co_call ctx this args =
-        (* caller ([Interp.call_function]) already burned 2 and checked
-           the stack depth *)
-        let frm = mk_frame fnames ffrz (Some parent_fr) in
-        List.iteri
-          (fun i slot ->
-            let v =
-              match List.nth_opt args i with Some v -> v | None -> Undefined
-            in
-            set_slot frm slot (ref v))
-          param_slots;
-        let this_v =
-          match lex_this with
-          | Some lexical -> lexical
-          | None -> (
-              match this with
-              | Undefined | Null ->
-                  if strict_f then
-                    if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
-                    else Undefined
-                  else begin
-                    Interp.sloppy_plain_call ctx ~reads_this;
-                    Obj ctx.global
-                  end
-              | v -> v)
-        in
-        set_slot frm this_slot (ref this_v);
-        let saved_this = ctx.cur_this in
-        ctx.cur_this <- this_v;
-        Interp.cov_func ctx node_id;
-        (match arguments_slot with
-        | Some aslot ->
-            let argobj = Ops.make_array ctx args in
-            argobj.oclass <- "Arguments";
-            set_slot frm aslot (ref (Obj argobj))
-        | None -> ());
-        List.iter (fun slot -> set_slot frm slot (ref Undefined)) var_slots;
-        List.iter
-          (fun (slot, mk) -> set_slot frm slot (ref (mk ctx frm)))
-          fcreates;
-        ctx.depth <- ctx.depth + 1;
-        try
-          let r =
-            try
-              List.iter (fun sc -> sc ctx frm) body_code;
-              Undefined
-            with Interp.Return_exc v -> v
+    let lex_this = if is_arrow then Some ctx.cur_this else None in
+    let co_call ctx this args =
+      (* caller ([Interp.call_function]) already burned 2 and checked
+         the stack depth *)
+      let frm = mk_frame fsize (Some parent_fr) in
+      List.iteri
+        (fun i slot ->
+          let v =
+            match List.nth_opt args i with Some v -> v | None -> Undefined
           in
-          ctx.depth <- ctx.depth - 1;
-          ctx.cur_this <- saved_this;
-          r
-        with e ->
-          ctx.depth <- ctx.depth - 1;
-          ctx.cur_this <- saved_this;
-          raise e
+          frm.slots.(slot) <- ref v)
+        param_slots;
+      let this_v =
+        match lex_this with
+        | Some lexical -> lexical
+        | None -> (
+            match this with
+            | Undefined | Null ->
+                if strict_f then
+                  if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
+                  else Undefined
+                else begin
+                  Interp.sloppy_plain_call ctx ~reads_this;
+                  Obj ctx.global
+                end
+            | v -> v)
       in
-      o.call <- Some (Compiled { co_name = fname; co_params = params; co_call });
-      set_own o "length"
-        (mkprop ~writable:false ~enumerable:false ~configurable:true
-           (Num (Float.of_int nparams)));
-      set_own o "name"
-        (mkprop ~writable:false ~enumerable:false ~configurable:true (Str fname));
-      if not is_arrow then begin
-        let pr = make_obj ~oclass:"Object" ~proto:(proto_of ctx "Object") () in
-        set_own pr "constructor" (mkprop ~enumerable:false (Obj o));
-        set_own o "prototype" (mkprop ~enumerable:false (Obj pr))
-      end;
-      let v = Obj o in
-      (match binding with Some r -> r := v | None -> ());
-      v
-  end
+      frm.slots.(this_slot) <- ref this_v;
+      let saved_this = ctx.cur_this in
+      ctx.cur_this <- this_v;
+      Interp.cov_func ctx node_id;
+      (match arguments_slot with
+      | Some aslot ->
+          let argobj = Ops.make_array ctx args in
+          argobj.oclass <- "Arguments";
+          frm.slots.(aslot) <- ref (Obj argobj)
+      | None -> ());
+      List.iter (fun slot -> frm.slots.(slot) <- ref Undefined) var_slots;
+      List.iter
+        (fun (slot, mk) -> frm.slots.(slot) <- ref (mk ctx frm))
+        fcreates;
+      ctx.depth <- ctx.depth + 1;
+      try
+        let r =
+          try
+            List.iter (fun sc -> sc ctx frm) body_code;
+            Undefined
+          with Interp.Return_exc v -> v
+        in
+        ctx.depth <- ctx.depth - 1;
+        ctx.cur_this <- saved_this;
+        r
+      with e ->
+        ctx.depth <- ctx.depth - 1;
+        ctx.cur_this <- saved_this;
+        raise e
+    in
+    o.call <- Some (Compiled { co_name = fname; co_params = params; co_call });
+    set_own o "length"
+      (mkprop ~writable:false ~enumerable:false ~configurable:true
+         (Num (Float.of_int nparams)));
+    set_own o "name"
+      (mkprop ~writable:false ~enumerable:false ~configurable:true (Str fname));
+    if not is_arrow then begin
+      let pr = make_obj ~oclass:"Object" ~proto:(proto_of ctx "Object") () in
+      set_own pr "constructor" (mkprop ~enumerable:false (Obj o));
+      set_own o "prototype" (mkprop ~enumerable:false (Obj pr))
+    end;
+    let v = Obj o in
+    (match binding with Some r -> r := v | None -> ());
+    v
 
 (* --- program entry --- *)
 
@@ -1101,7 +1006,6 @@ type t = {
   cp_run : Value.ctx -> Value.value;
       (** execute; returns the completion value like [Interp.exec_in_scope] *)
   cp_slotted : bool;  (** false: the whole program deopted to the tree *)
-  cp_deopt_fns : int; (** function definition sites that deopted *)
   cp_shadows_specials : bool;
 }
 
@@ -1113,37 +1017,33 @@ let compile (prog : Ast.program) : t =
     {
       cp_run = (fun ctx -> Interp.exec_program ctx prog);
       cp_slotted = false;
-      cp_deopt_fns = 0;
       cp_shadows_specials = shadows;
     }
   else begin
     let strict = prog.Ast.prog_strict in
     Cutil.Counter.incr specialized;
-    let gs = { gs_deopts = 0 } in
     let plevel = R.new_level () in
     let vars, funcs = R.hoisted prog.Ast.prog_body in
     let var_slots =
       List.filter_map
         (fun n ->
           if R.find plevel n <> None then None
-          else Some (R.declare plevel n ~fixed:true ~frozen:false))
+          else Some (R.declare plevel n ~fixed:true))
         vars
     in
     let func_slots =
       List.map
         (fun ((_, fj) : int * Ast.func) ->
           let fname = Option.value fj.Ast.fname ~default:"" in
-          R.declare plevel fname ~fixed:true ~frozen:false)
+          R.declare plevel fname ~fixed:true)
         funcs
     in
-    List.iter
-      (fun n -> ignore (R.declare plevel n ~fixed:false ~frozen:false))
-      (R.lexical_names prog.Ast.prog_body);
+    R.declare_lexicals plevel prog.Ast.prog_body;
     let env = [ plevel ] in
     let fcreates =
       List.map2
         (fun ((sid, fj) : int * Ast.func) slot ->
-          (slot, compile_function gs env ~strict ~frz:[] ~node_id:sid fj))
+          (slot, compile_function env ~strict ~node_id:sid fj))
         funcs func_slots
     in
     (* top-level statement list tracks the completion value of expression
@@ -1153,11 +1053,11 @@ let compile (prog : Ast.program) : t =
         (fun (st : Ast.stmt) ->
           match st.Ast.s with
           | Ast.Expr_stmt x ->
-              `Completion (st, compile_expr gs env ~strict ~frz:[] x)
-          | _ -> `Stmt (compile_stmt gs env ~strict ~frz:[] st))
+              `Completion (st, compile_expr env ~strict x)
+          | _ -> `Stmt (compile_stmt env ~strict st))
         prog.Ast.prog_body
     in
-    let pnames = R.names plevel and pfrz = R.frozen_names plevel in
+    let psize = R.size plevel in
     let run ctx =
       ctx.slotted <- true;
       if shadows && not ctx.specials_shadowed then ctx.specials_shadowed <- true;
@@ -1169,10 +1069,10 @@ let compile (prog : Ast.program) : t =
       Fun.protect
         ~finally:(fun () -> ctx.cur_this <- saved_this)
         (fun () ->
-          let pf = mk_frame pnames pfrz None in
-          List.iter (fun slot -> set_slot pf slot (ref Undefined)) var_slots;
+          let pf = mk_frame psize None in
+          List.iter (fun slot -> pf.slots.(slot) <- ref Undefined) var_slots;
           List.iter
-            (fun (slot, mk) -> set_slot pf slot (ref (mk ctx pf)))
+            (fun (slot, mk) -> pf.slots.(slot) <- ref (mk ctx pf))
             fcreates;
           let completion = ref Undefined in
           List.iter
@@ -1189,7 +1089,6 @@ let compile (prog : Ast.program) : t =
     {
       cp_run = run;
       cp_slotted = true;
-      cp_deopt_fns = gs.gs_deopts;
       cp_shadows_specials = shadows;
     }
   end

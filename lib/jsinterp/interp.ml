@@ -209,10 +209,10 @@ let cov_func ctx id =
 
 (* --- closures --- *)
 
-let make_function ctx ?(name = "") ?(this_lex = None) ?(node_id = 0) ~strict
-    (f : Ast.func) (scope : scope) : value =
+let make_function ctx ?(this_lex = None) ~node_id ~strict (f : Ast.func)
+    (scope : scope) : value =
   let o = make_obj ~oclass:"Function" ~proto:(proto_of ctx "Function") () in
-  let fname = match f.Ast.fname with Some n -> n | None -> name in
+  let fname = match f.Ast.fname with Some n -> n | None -> "" in
   (* named function expressions see their own name as an immutable binding *)
   let fn_scope, binding =
     match f.Ast.fname with

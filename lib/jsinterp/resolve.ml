@@ -19,9 +19,10 @@
      reachability rule.
 
    The pass leans on [Interp.hoist_stmt] for var/function hoisting
-   (shared with the tree-walker, so hoisting parity is by construction);
-   whether a program may reach [eval], and must therefore stay on the
-   tree-walking path, is a syntactic scan ([mentions_eval]). *)
+   (shared with the tree-walker, so hoisting parity is by construction).
+   Whether a program must stay on the tree-walking path is one syntactic
+   scan of the whole program ([program_deopts]): a program is either
+   compiled whole or tree-walked whole. *)
 
 module Ast = Jsast.Ast
 
@@ -31,41 +32,27 @@ type entry = {
   en_slot : int;
   mutable en_fixed : bool;
       (** installed at frame construction, never absent at runtime *)
-  mutable en_frozen : bool;  (** named-funcexpr self binding *)
 }
 
-type level = {
-  lv_tbl : (string, entry) Hashtbl.t;
-  mutable lv_rev_names : string list;
-  mutable lv_count : int;
-}
+type level = { lv_tbl : (string, entry) Hashtbl.t; mutable lv_count : int }
 
-let new_level () : level =
-  { lv_tbl = Hashtbl.create 8; lv_rev_names = []; lv_count = 0 }
+let new_level () : level = { lv_tbl = Hashtbl.create 8; lv_count = 0 }
 
 (* Declare [name] in [lv]; redeclaration merges into the existing slot (the
    runtime analogue: one Hashtbl key per name per scope). A name fixed by
    any declaration stays fixed. *)
-let declare (lv : level) (name : string) ~(fixed : bool) ~(frozen : bool) : int
-    =
+let declare (lv : level) (name : string) ~(fixed : bool) : int =
   match Hashtbl.find_opt lv.lv_tbl name with
   | Some e ->
       e.en_fixed <- e.en_fixed || fixed;
-      e.en_frozen <- e.en_frozen || frozen;
       e.en_slot
   | None ->
       let slot = lv.lv_count in
       lv.lv_count <- slot + 1;
-      Hashtbl.replace lv.lv_tbl name
-        { en_slot = slot; en_fixed = fixed; en_frozen = frozen };
-      lv.lv_rev_names <- name :: lv.lv_rev_names;
+      Hashtbl.replace lv.lv_tbl name { en_slot = slot; en_fixed = fixed };
       slot
 
 let size (lv : level) : int = lv.lv_count
-let names (lv : level) : string array = Array.of_list (List.rev lv.lv_rev_names)
-
-let frozen_names (lv : level) : string list =
-  Hashtbl.fold (fun n e acc -> if e.en_frozen then n :: acc else acc) lv.lv_tbl []
 
 let find (lv : level) (name : string) : entry option =
   Hashtbl.find_opt lv.lv_tbl name
@@ -75,7 +62,7 @@ let slot_of (lv : level) (name : string) : int option =
 
 (* --- access resolution over a static environment --- *)
 
-type target = { tg_depth : int; tg_slot : int; tg_frozen : bool }
+type target = { tg_depth : int; tg_slot : int }
 
 type access = {
   ac_candidates : (int * int) list;
@@ -94,9 +81,7 @@ let resolve_access (env : level list) (name : string) : access =
         | Some e when e.en_fixed ->
             {
               ac_candidates = List.rev acc;
-              ac_terminal =
-                Some
-                  { tg_depth = depth; tg_slot = e.en_slot; tg_frozen = e.en_frozen };
+              ac_terminal = Some { tg_depth = depth; tg_slot = e.en_slot };
             }
         | Some e -> go (depth + 1) rest ((depth, e.en_slot) :: acc)
         | None -> go (depth + 1) rest acc)
@@ -130,6 +115,10 @@ let lexical_names (stmts : Ast.stmt list) : string list =
   List.iter walk stmts;
   List.rev !out
 
+(* Declare the [lexical_names] of [stmts] in [lv], each conditional. *)
+let declare_lexicals (lv : level) (stmts : Ast.stmt list) : unit =
+  List.iter (fun n -> ignore (declare lv n ~fixed:false)) (lexical_names stmts)
+
 (* --- hoisting (via the tree-walker's own traversal) --- *)
 
 (* First-occurrence-ordered hoisted [var] names and source-ordered function
@@ -149,221 +138,56 @@ let hoisted (body : Ast.stmt list) : string list * (int * Ast.func) list =
     body;
   (List.rev !vars, List.rev !funcs)
 
-(* --- deopt triggers --- *)
+(* --- the static deopt boundary: is this program tree-walked whole? ---
 
-(* Does [stmts] — excluding nested function bodies — contain a construct the
-   compiled representation does not handle natively?
+   One syntactic scan of the whole program, nested function bodies
+   included. The program deopts if it has any of:
 
-   - [delete ident]: needs the live-scope-chain probe semantics;
-   - assignment/update targeting a name that matches an enclosing named
-     function expression's self binding: must reach the [frozen_names]
-     checkpoint ([Q_named_funcexpr_binding_mutable]) through a real scope.
+   - an [eval] identifier, free or locally bound (a local [eval] may hold
+     the builtin), or a [.eval] / [\["eval"\]] member access: eval code
+     runs in the global scope and may add or replace bindings there,
+     which would invalidate the static resolution of the program's own
+     names;
+   - a [delete ident]: its result needs the live scope chain;
+   - an assignment, update or for-in/for-of binder targeting a name that
+     some named non-arrow function in the program carries: the write may
+     reach that function's immutable self binding, whose
+     [Q_named_funcexpr_binding_mutable] checkpoint lives in
+     [Interp.assign_ident].
 
-   Both are handled by deopting the *enclosing function* to the tree-walker
-   (its closure then carries a bridged Hashtbl scope chain); nested
-   functions are scanned when they themselves are compiled. The check is
-   purely syntactic (shadowing is ignored), which over-deopts but never
-   under-deopts. *)
-let stmts_deopt ~(frozen : string list) (stmts : Ast.stmt list) : bool =
+   The scan ignores shadowing and where the writes sit, so it over-deopts
+   but never under-deopts; a tree-walked program costs speed, never
+   behaviour. Anything sneakier (an eval key assembled at runtime)
+   escapes it and is caught by the dynamic trap in the eval builtin,
+   which re-runs the whole program tree-walked. *)
+let program_deopts (prog : Ast.program) : bool =
   let exception Hit in
-  let check_write (lhs : Ast.expr) =
-    match lhs.Ast.e with
-    | Ast.Ident n when List.mem n frozen -> raise Hit
+  let carried = Hashtbl.create 8 and written = Hashtbl.create 8 in
+  let carry (f : Ast.func) =
+    match f.Ast.fname with
+    | Some n when not f.Ast.is_arrow -> Hashtbl.replace carried n ()
     | _ -> ()
   in
-  let rec expr (x : Ast.expr) =
+  let fe (x : Ast.expr) =
     match x.Ast.e with
-    | Ast.Lit _ | Ast.Ident _ | Ast.This -> ()
-    | Ast.Array_lit elems -> List.iter (Option.iter expr) elems
-    | Ast.Object_lit props ->
-        List.iter
-          (fun (pn, v) ->
-            (match pn with Ast.PN_computed e -> expr e | _ -> ());
-            expr v)
-          props
-    | Ast.Func _ | Ast.Arrow _ -> () (* scanned when compiled themselves *)
-    | Ast.Unary (Ast.Udelete, { Ast.e = Ast.Ident _; _ }) -> raise Hit
-    | Ast.Unary (_, e) -> expr e
-    | Ast.Binary (_, a, b) | Ast.Logical (_, a, b) | Ast.Seq (a, b) ->
-        expr a;
-        expr b
-    | Ast.Assign (_, l, r) ->
-        check_write l;
-        expr l;
-        expr r
-    | Ast.Update (_, _, t) ->
-        check_write t;
-        expr t
-    | Ast.Cond (c, t, f) ->
-        expr c;
-        expr t;
-        expr f
-    | Ast.Call (f, args) | Ast.New (f, args) ->
-        expr f;
-        List.iter expr args
-    | Ast.Member (o, p) -> (
-        expr o;
-        match p with Ast.Pindex e -> expr e | Ast.Pfield _ -> ())
-    | Ast.Template parts ->
-        List.iter (function Ast.Tsub e -> expr e | Ast.Tstr _ -> ()) parts
-  and stmt (st : Ast.stmt) =
+    | Ast.Ident "eval"
+    | Ast.Member
+        (_, (Ast.Pfield "eval" | Ast.Pindex { Ast.e = Ast.Lit (Ast.Lstr "eval"); _ }))
+    | Ast.Unary (Ast.Udelete, { Ast.e = Ast.Ident _; _ }) ->
+        raise Hit
+    | Ast.Func f -> carry f
+    | Ast.Assign (_, { Ast.e = Ast.Ident n; _ }, _)
+    | Ast.Update (_, _, { Ast.e = Ast.Ident n; _ }) ->
+        Hashtbl.replace written n ()
+    | _ -> ()
+  in
+  let fs (st : Ast.stmt) =
     match st.Ast.s with
-    | Ast.Expr_stmt x | Ast.Throw x -> expr x
-    | Ast.Var_decl (_, decls) ->
-        List.iter (fun (_, i) -> Option.iter expr i) decls
-    | Ast.Func_decl _ -> ()
-    | Ast.Return x -> Option.iter expr x
-    | Ast.If (c, t, f) ->
-        expr c;
-        stmt t;
-        Option.iter stmt f
-    | Ast.Block body -> List.iter stmt body
-    | Ast.For (init, c, u, body) ->
-        (match init with
-        | Some (Ast.FI_decl (_, decls)) ->
-            List.iter (fun (_, i) -> Option.iter expr i) decls
-        | Some (Ast.FI_expr x) -> expr x
-        | None -> ());
-        Option.iter expr c;
-        Option.iter expr u;
-        stmt body
-    | Ast.For_in (_, n, o, body) | Ast.For_of (_, n, o, body) ->
-        if List.mem n frozen then raise Hit;
-        expr o;
-        stmt body
-    | Ast.While (c, body) ->
-        expr c;
-        stmt body
-    | Ast.Do_while (body, c) ->
-        stmt body;
-        expr c
-    | Ast.Labeled (_, body) -> stmt body
-    | Ast.Try (b, h, f) ->
-        List.iter stmt b;
-        Option.iter (fun (_, hb) -> List.iter stmt hb) h;
-        Option.iter (List.iter stmt) f
-    | Ast.Switch (d, cases) ->
-        expr d;
-        List.iter
-          (fun (c, b) ->
-            Option.iter expr c;
-            List.iter stmt b)
-          cases
-    | Ast.Break _ | Ast.Continue _ | Ast.Empty | Ast.Debugger -> ()
+    | Ast.Func_decl f -> carry f
+    | Ast.For_in (_, n, _, _) | Ast.For_of (_, n, _, _) ->
+        Hashtbl.replace written n ()
+    | _ -> ()
   in
-  match List.iter stmt stmts with () -> false | exception Hit -> true
-
-let func_deopts ~(frozen : string list) (f : Ast.func) : bool =
-  let frozen =
-    match f.Ast.fname with
-    | Some n when not f.Ast.is_arrow -> n :: frozen
-    | _ -> frozen
-  in
-  stmts_deopt ~frozen f.Ast.body
-
-(* --- program-level deopt: can this program reach [eval]? ---
-
-   eval code executes in the global scope and may add or replace bindings
-   there (hoisting replaces even existing function bindings with fresh
-   refs), which would invalidate the compiled program's static resolution
-   of its own top-level names. Any program that may call eval is therefore
-   executed by the tree-walker from the start. The static test is
-   syntactic and conservative the cheap way round: any [eval] identifier
-   reference, free or locally bound (a local [eval] may hold the builtin),
-   or a [.eval] / [\["eval"\]] member access. It needs no scope
-   analysis, so a compile costs one walk of the tree. Anything sneakier (a
-   computed key assembled at runtime) escapes the scan and is caught by
-   the dynamic trap in the eval builtin, which re-runs the whole program
-   tree-walked. *)
-
-let mentions_eval (prog : Ast.program) : bool =
-  let exception Hit in
-  let rec expr (x : Ast.expr) =
-    match x.Ast.e with
-    | Ast.Ident "eval" -> raise Hit
-    | Ast.Lit _ | Ast.Ident _ | Ast.This -> ()
-    | Ast.Array_lit elems -> List.iter (Option.iter expr) elems
-    | Ast.Object_lit props ->
-        List.iter
-          (fun (pn, v) ->
-            (match pn with Ast.PN_computed e -> expr e | _ -> ());
-            expr v)
-          props
-    | Ast.Func f | Ast.Arrow f -> List.iter stmt f.Ast.body
-    | Ast.Unary (_, e) -> expr e
-    | Ast.Binary (_, a, b) | Ast.Logical (_, a, b) | Ast.Seq (a, b) ->
-        expr a;
-        expr b
-    | Ast.Assign (_, l, r) ->
-        expr l;
-        expr r
-    | Ast.Update (_, _, t) -> expr t
-    | Ast.Cond (c, t, f) ->
-        expr c;
-        expr t;
-        expr f
-    | Ast.Call (f, args) | Ast.New (f, args) ->
-        expr f;
-        List.iter expr args
-    | Ast.Member (o, p) -> (
-        expr o;
-        match p with
-        | Ast.Pfield "eval" -> raise Hit
-        | Ast.Pindex { Ast.e = Ast.Lit (Ast.Lstr "eval"); _ } -> raise Hit
-        | Ast.Pindex e -> expr e
-        | Ast.Pfield _ -> ())
-    | Ast.Template parts ->
-        List.iter (function Ast.Tsub e -> expr e | Ast.Tstr _ -> ()) parts
-  and stmt (st : Ast.stmt) =
-    match st.Ast.s with
-    | Ast.Expr_stmt x | Ast.Throw x -> expr x
-    | Ast.Var_decl (_, decls) ->
-        List.iter (fun (_, i) -> Option.iter expr i) decls
-    | Ast.Func_decl f -> List.iter stmt f.Ast.body
-    | Ast.Return x -> Option.iter expr x
-    | Ast.If (c, t, f) ->
-        expr c;
-        stmt t;
-        Option.iter stmt f
-    | Ast.Block body -> List.iter stmt body
-    | Ast.For (init, c, u, body) ->
-        (match init with
-        | Some (Ast.FI_decl (_, decls)) ->
-            List.iter (fun (_, i) -> Option.iter expr i) decls
-        | Some (Ast.FI_expr x) -> expr x
-        | None -> ());
-        Option.iter expr c;
-        Option.iter expr u;
-        stmt body
-    | Ast.For_in (_, _, o, body) | Ast.For_of (_, _, o, body) ->
-        expr o;
-        stmt body
-    | Ast.While (c, body) ->
-        expr c;
-        stmt body
-    | Ast.Do_while (body, c) ->
-        stmt body;
-        expr c
-    | Ast.Labeled (_, body) -> stmt body
-    | Ast.Try (b, h, f) ->
-        List.iter stmt b;
-        Option.iter (fun (_, hb) -> List.iter stmt hb) h;
-        Option.iter (List.iter stmt) f
-    | Ast.Switch (d, cases) ->
-        expr d;
-        List.iter
-          (fun (c, b) ->
-            Option.iter expr c;
-            List.iter stmt b)
-          cases
-    | Ast.Break _ | Ast.Continue _ | Ast.Empty | Ast.Debugger -> ()
-  in
-  match List.iter stmt prog.Ast.prog_body with
-  | () -> false
+  match Jsast.Visit.iter_program ~fe ~fs prog with
+  | () -> Seq.exists (Hashtbl.mem carried) (Hashtbl.to_seq_keys written)
   | exception Hit -> true
-
-(* Top-level code is the program "function"; a [delete ident] there (outside
-   any nested function) deopts the whole program, exactly as it deopts a
-   function. *)
-let program_deopts (prog : Ast.program) : bool =
-  mentions_eval prog || stmts_deopt ~frozen:[] prog.Ast.prog_body

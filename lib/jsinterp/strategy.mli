@@ -18,14 +18,11 @@ type t =
 
 val to_string : t -> string
 
-(** [Reference] when any of COMFORT_NO_SHARE, COMFORT_NO_RESOLVE,
-    COMFORT_NO_REACH or COMFORT_NO_SPECIALIZE is set to a non-empty
-    value, else [Fast]. The default of every [?strategy] argument, and
-    the only reader of those variables. The four names are kept only
-    because perfbench's reference-path recording sets them. *)
-val default : unit -> t
-
-(** The given strategy, else {!default} [()] — how an optional
-    [?strategy] argument is resolved (the environment is only read when
-    the argument is absent). *)
+(** The given strategy — how an optional [?strategy] argument is
+    resolved. When it is absent: [Reference] when any of
+    COMFORT_NO_SHARE, COMFORT_NO_RESOLVE, COMFORT_NO_REACH or
+    COMFORT_NO_SPECIALIZE is set to a non-empty value, else [Fast]. This
+    is the only reader of those variables, and it reads them only when
+    the argument is absent. The four names are kept only because
+    perfbench's reference-path recording sets them. *)
 val value : t option -> t

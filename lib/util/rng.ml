@@ -1,4 +1,4 @@
-(* Deterministic splittable pseudo-random number generator (splitmix64).
+(* Deterministic pseudo-random number generator (splitmix64).
 
    Every stochastic component of the reproduction (language-model sampling,
    datagen mutation, baseline fuzzers, campaign scheduling) draws from an
@@ -20,10 +20,6 @@ let next_int64 t =
 
 (* Derive an independent stream; used to give each fuzzing worker its own
    generator without correlating their draws. *)
-let split t =
-  let s = next_int64 t in
-  { state = Int64.mul s 0x2545F4914F6CDD1DL }
-
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t n =
@@ -40,19 +36,3 @@ let chance t p = float t 1.0 < p
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
-
-let shuffle t a =
-  let a = Array.copy a in
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  a
-
-(* [sample t n l] draws [n] elements without replacement (fewer if [l] is
-   shorter than [n]). *)
-let sample t n l =
-  let a = shuffle t (Array.of_list l) in
-  Array.to_list (Array.sub a 0 (min n (Array.length a)))

@@ -1,4 +1,4 @@
-(** Deterministic splittable pseudo-random number generator (splitmix64).
+(** Deterministic pseudo-random number generator (splitmix64).
 
     Every stochastic component of the reproduction draws from an explicit
     [t] so that experiments replay exactly from a single integer seed. *)
@@ -6,9 +6,6 @@
 type t
 
 val create : int -> t
-
-(** Derive an independent stream. *)
-val split : t -> t
 
 (** 62 uniform bits. *)
 val bits : t -> int
@@ -25,7 +22,3 @@ val bool : t -> bool
 val chance : t -> float -> bool
 
 val pick : t -> 'a list -> 'a
-
-(** [sample t n l] draws up to [n] elements without replacement, in
-    shuffled order. *)
-val sample : t -> int -> 'a list -> 'a list

@@ -78,8 +78,12 @@ let earliest_attribution () =
     (Registry.earliest_version Registry.V8 Quirk.Q_substr_undefined_length_empty)
 
 let catalogue_total () =
-  Alcotest.(check int) "metadata for every quirk" (List.length Quirk.all)
-    (List.length Catalogue.all);
+  let metas = List.map Catalogue.find Quirk.all in
+  List.iter2
+    (fun q (m : Catalogue.meta) ->
+      Alcotest.(check bool) ("metadata for " ^ Quirk.to_string q) true
+        (Quirk.equal q m.Catalogue.quirk))
+    Quirk.all metas;
   (* paper-grounded metadata spot checks *)
   let m = Catalogue.find Quirk.Q_substr_undefined_length_empty in
   Alcotest.(check string) "substr api" "String.prototype.substr" m.Catalogue.api;
@@ -101,7 +105,7 @@ let catalogue_total () =
         (Quirk.to_string meta.Catalogue.quirk ^ " has known object type")
         true
         (List.mem meta.Catalogue.object_type known))
-    Catalogue.all
+    metas
 
 let es_edition_gating () =
   (* old ES5 front ends reject ES2015 syntax, so [supports] excludes them *)

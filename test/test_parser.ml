@@ -177,9 +177,9 @@ let rec gen_expr depth =
         map2 (B.binary Ast.Lt) (gen_expr (depth - 1)) (gen_expr (depth - 1));
         map2 (fun a b -> B.e (Ast.Logical (Ast.And, a, b))) (gen_expr (depth - 1))
           (gen_expr (depth - 1));
-        map (fun e -> B.unary Ast.Unot e) (gen_expr (depth - 1));
-        map (fun e -> B.unary Ast.Uneg e) (gen_expr (depth - 1));
-        map3 (fun c t f -> B.cond c t f) (gen_expr (depth - 1))
+        map (fun e -> B.e (Ast.Unary (Ast.Unot, e))) (gen_expr (depth - 1));
+        map (fun e -> B.e (Ast.Unary (Ast.Uneg, e))) (gen_expr (depth - 1));
+        map3 (fun c t f -> B.e (Ast.Cond (c, t, f))) (gen_expr (depth - 1))
           (gen_expr (depth - 1)) (gen_expr (depth - 1));
         map2 (fun o n -> B.field o n) (gen_expr (depth - 1)) gen_ident;
         map2 (fun f a -> B.call f [ a ]) (map B.ident gen_ident) (gen_expr (depth - 1));
@@ -206,7 +206,7 @@ let rec gen_stmt depth =
           gen_ident
           (list_size (int_range 0 3) gen_ident)
           (gen_stmt (depth - 1));
-        map (fun e -> B.throw e) (gen_expr 1);
+        map (fun e -> B.s (Ast.Throw e)) (gen_expr 1);
       ]
 
 let gen_program =

@@ -205,8 +205,7 @@ let coverage_case =
           if not (List.exists (Quirk.equal q) covered) then
             Alcotest.failf "no trigger test for quirk %s" (Quirk.to_string q))
         Quirk.all;
-      Alcotest.(check int) "catalogue metadata is total"
-        (List.length Quirk.all)
-        (List.length Engines.Catalogue.all))
+      (* catalogue metadata is total: [find] raises on a missing quirk *)
+      List.iter (fun q -> ignore (Engines.Catalogue.find q)) Quirk.all)
 
 let suite = coverage_case :: oracle_case :: List.map quirk_case triggers

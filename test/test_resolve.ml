@@ -12,11 +12,15 @@
      Reference, byte-identical for the whole corpus;
    - per-testbed field-wise result parity (no sharing, no voting) for a
      corpus sample and for every deopt fixture;
-   - the deopt ladder: static per-program deopt (eval mention, top-level
-     delete-on-binding), static per-function deopt (delete on a binding,
-     frozen-name mutation), and the dynamic computed-eval trap that
-     re-runs tree-walked mid-campaign (the AST has no [with] statement,
-     so the classic fourth trigger cannot occur);
+   - the two deopt rungs: the static per-program rule (an eval mention,
+     a delete on a binding, a write to a name some named function
+     carries — anywhere in the program, nested functions included), so
+     a program runs fully slotted or fully tree-walked, and the dynamic
+     computed-eval trap that re-runs tree-walked mid-campaign (the AST
+     has no [with] statement, so the classic fourth trigger cannot
+     occur);
+   - the deopt share on generated traffic, pinned so that a wider rule
+     cannot silently move programs onto the tree-walker;
    - realm isolation: builtin mutations must not leak between Fast
      executions, which share the process's copy-on-write realm template;
    - campaign-level invariance, the bench acceptance check in miniature. *)
@@ -92,7 +96,7 @@ let corpus_sample_parity_all_testbeds () =
         Engine.all_testbeds)
     sample
 
-(* --- the deopt ladder --- *)
+(* --- the deopt boundary --- *)
 
 (* Each fixture names the deopt mechanism it exercises. The AST has no
    [with] statement (the parser rejects it), so the classic fourth
@@ -109,23 +113,37 @@ print("never called: " + (typeof f));|} );
       {|var gone = 1;
 print(delete gone);
 print(typeof gone);|} );
-    ( "delete on a binding inside a function (function deopt)",
+    ( "delete on a binding inside a function (program deopt)",
       {|var keep = 7;
 function zap() { return delete keep; }
 print(zap());
 print(keep);|} );
-    ( "named funcexpr frozen-name mutation (function deopt)",
+    ( "named funcexpr frozen-name mutation (program deopt)",
       {|var f = function self() {
   self = "overwritten";
   return typeof self;
 };
 print(f());|} );
-    ( "for-in over a frozen name (function deopt)",
+    ( "for-in over a frozen name (program deopt)",
       {|var f = function self() {
   for (self in { a: 1 }) { }
   return typeof self;
 };
 print(f());|} );
+    ( "write to a function's name outside its body (program deopt)",
+      {|var f = function g() { return typeof g; };
+g = 1;
+print(f(), g);|} );
+    ( "delete on a binding two functions deep in an arrow (program deopt)",
+      {|var x = 1;
+var a = () => {
+  function f() {
+    function h() { return delete x; }
+    return h();
+  }
+  return f();
+};
+print(a(), typeof x);|} );
     ( "computed eval the static scan misses (dynamic trap)",
       {|var name = "ev" + "al";
 this[name]("var sneaky = 5;");
@@ -173,9 +191,7 @@ print(f());|}
 (* --- static compile classification --- *)
 
 let compile_classifies_programs () =
-  let compile src = Compile.compile (parse src) in
-  let slotted src = (compile src).Compile.cp_slotted in
-  let deopt_fns src = (compile src).Compile.cp_deopt_fns in
+  let slotted src = (Compile.compile (parse src)).Compile.cp_slotted in
   Alcotest.(check bool) "plain program is slotted" true
     (slotted "var x = 1; print(x);");
   Alcotest.(check bool) "eval mention deopts the program" false
@@ -184,12 +200,52 @@ let compile_classifies_programs () =
     (slotted "this[\"eval\"](\"1\");");
   Alcotest.(check bool) "top-level delete-ident deopts the program" false
     (slotted "var x = 1; delete x;");
-  Alcotest.(check int) "plain functions stay compiled" 0
-    (deopt_fns "function f() { return 1; } print(f());");
-  Alcotest.(check int) "delete-on-binding deopts one function" 1
-    (deopt_fns "var y = 1; function f() { return delete y; } print(f());");
-  Alcotest.(check int) "frozen-name mutation deopts one function" 1
-    (deopt_fns "var f = function self() { self = 1; }; f();")
+  Alcotest.(check bool) "plain functions stay compiled" true
+    (slotted "function f() { return 1; } print(f());");
+  Alcotest.(check bool) "delete-on-binding in a function deopts the program"
+    false
+    (slotted "var y = 1; function f() { return delete y; } print(f());");
+  Alcotest.(check bool) "frozen-name mutation deopts the program" false
+    (slotted "var f = function self() { self = 1; }; f();");
+  Alcotest.(check bool) "a for-in binder on a function's name deopts" false
+    (slotted "var f = function self() { for (self in {}) {} }; f();");
+  Alcotest.(check bool) "a write to a function's name outside it deopts" false
+    (slotted "var f = function g() {}; g = 1;");
+  Alcotest.(check bool) "delete two functions deep in an arrow deopts" false
+    (slotted
+       "var x = 1; var a = () => { function f() { function h() { return \
+        delete x; } } };");
+  Alcotest.(check bool) "writes to names no function carries stay slotted"
+    true
+    (slotted
+       "var g = 1; g = 2; g++; for (g in {}) {} var f = function h() { \
+        return delete g.p; }; print(f(), g);")
+
+(* The deopt share on generated traffic: of the first 300 pulls of
+   comfort and fuzzilli at seeds 1-4, the programs the compiler leaves to
+   the tree-walker. The counts are those of the three-rung ladder this
+   rule replaced (whole-program deopts plus programs with a per-function
+   deopt), 82 in all; a wider rule would silently move programs onto the
+   slower tree-walker and fail here. *)
+let deopt_share_on_traffic () =
+  let deopted (fz : Comfort.Campaign.fuzzer) =
+    let n = ref 0 in
+    for _ = 1 to 300 do
+      match fz.Comfort.Campaign.fz_next () with
+      | Some (_, Some { Run.fe_program = Ok p; _ }) ->
+          if not (Compile.compile p).Compile.cp_slotted then incr n
+      | Some _ -> ()
+      | None -> Alcotest.fail "the stream ran dry"
+    done;
+    !n
+  in
+  let seeds = [ 1; 2; 3; 4 ] in
+  Alcotest.(check (list int)) "comfort: tree-walked per seed" [ 0; 9; 18; 9 ]
+    (List.map
+       (fun seed -> deopted (Comfort.Campaign.comfort_fuzzer ~seed ()))
+       seeds);
+  Alcotest.(check (list int)) "fuzzilli: tree-walked per seed" [ 10; 17; 8; 11 ]
+    (List.map (fun seed -> deopted (Baselines.Fuzzers.fuzzilli ~seed ())) seeds)
 
 (* The eval scan is syntactic: an [eval] reference deopts the program
    even where a local binding shadows the builtin. Tree-walking a
@@ -294,6 +350,8 @@ let suite =
       frozen_name_quirk_parity;
     case "compile classifies slotted/deopted programs"
       compile_classifies_programs;
+    case "compile: the deopt share on generated traffic is pinned"
+      deopt_share_on_traffic;
     case "compile: a locally bound eval is tree-walked, same results"
       local_eval_is_tree_walked;
     case "dynamic eval trap counts as one execution"

@@ -317,9 +317,9 @@ let cross_group_reparse_fixtures () =
    then adds the shadow checkpoints. Each fixture behaves differently
    in the two modes, or consults a checkpoint only the strict run
    consults; the sweep compares every field on all 102 testbeds. The
-   NFE fixtures with an assignment that never runs make the function
-   tree-walk (Resolve deopts it), so the tree-walker's call site is
-   covered as well as the compiled one. *)
+   NFE fixtures with an assignment that never runs make the whole
+   program tree-walk (Resolve deopts it), so the tree-walker's call
+   site is covered as well as the compiled one. *)
 let mode_site_sources =
   [
     (* [this] read by the callee of a plain call, directly, through an
